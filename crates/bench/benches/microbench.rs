@@ -14,7 +14,7 @@ use spitfire_core::{
 };
 use spitfire_device::{PersistenceTracking, TimeScale};
 use spitfire_index::BTree;
-use spitfire_sync::{AtomicBitmap, ConcurrentMap, RwLatch, VersionLatch};
+use spitfire_sync::{AtomicBitmap, ConcurrentMap, VersionLatch};
 use spitfire_txn::{LogRecord, RecordKind, Wal};
 use spitfire_wkld::Zipf;
 
@@ -77,9 +77,6 @@ fn bench_bm_fetch(c: &mut Criterion) {
 
 fn bench_sync_primitives(c: &mut Criterion) {
     let mut g = c.benchmark_group("sync");
-    let latch = RwLatch::new();
-    g.bench_function("rwlatch_read", |b| b.iter(|| drop(latch.read())));
-    g.bench_function("rwlatch_write", |b| b.iter(|| drop(latch.write())));
     let vl = VersionLatch::new();
     g.bench_function("version_latch_optimistic_read", |b| {
         b.iter(|| {

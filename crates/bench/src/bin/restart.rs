@@ -107,10 +107,9 @@ fn run_history(db: &Database, keys: u64, ckpt_every: Option<u64>) {
 fn run_mode(mode: &'static str, scale: u64, base_keys: u64, snapshots: bool) -> Outcome {
     let db = database();
     if snapshots {
-        // The explicit cadence below drives checkpoints; the byte
-        // threshold only matters for `checkpoint_if_due` users. A short
-        // full cadence keeps the recovery chain at most a few bounded
-        // deltas regardless of where the sweep's last checkpoint lands.
+        // The explicit cadence below drives checkpoints. A short full
+        // cadence keeps the recovery chain at most a few bounded deltas
+        // regardless of where the sweep's last checkpoint lands.
         db.enable_snapshots(SnapshotConfig {
             full_every: 4,
             ..SnapshotConfig::default()

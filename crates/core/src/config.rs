@@ -204,12 +204,6 @@ pub struct BufferManagerConfig {
     pub seed: u64,
     /// Background maintenance tuning (watermarks, batch size, workers).
     pub maintenance: MaintenanceConfig,
-    /// Use non-blocking shadow-copy migrations: promotions and dirty
-    /// write-backs copy the page while the source stays open to optimistic
-    /// readers and commit via a version check, instead of closing the pin
-    /// word across the device I/O. Disable to restore the blocking
-    /// protocol (baseline for the migration-stall benchmark).
-    pub shadow_migrations: bool,
     /// SSD backing store: the in-memory emulation (default) or a real
     /// file with direct I/O.
     pub ssd_backend: SsdBackendConfig,
@@ -241,7 +235,6 @@ impl BufferManagerConfig {
             admission_queue_capacity: None,
             seed: 0x5f17f17e,
             maintenance: MaintenanceConfig::default(),
-            shadow_migrations: true,
             ssd_backend: SsdBackendConfig::default(),
             dram_policy: PolicyConfig::Clock,
             nvm_policy: PolicyConfig::Clock,
@@ -413,13 +406,6 @@ impl BufferManagerConfigBuilder {
     /// Set the maintenance write-back batch size (pages per SSD sync).
     pub fn maintenance_batch(mut self, pages: usize) -> Self {
         self.config.maintenance.batch = pages;
-        self
-    }
-
-    /// Enable or disable non-blocking shadow-copy migrations (default:
-    /// enabled; disable for the blocking baseline).
-    pub fn shadow_migrations(mut self, enabled: bool) -> Self {
-        self.config.shadow_migrations = enabled;
         self
     }
 

@@ -3,13 +3,19 @@
 //! The unified mapping table stores one [`SharedPageDesc`] per logical page.
 //! The descriptor records where copies of the page live (DRAM and/or NVM),
 //! how many threads currently use each copy, and whether each copy is
-//! dirty. Migrations move a copy through the [`CopyState::Busy`] /
-//! [`CopyState::Loading`] states, which is the non-blocking formulation of
-//! the paper's per-tier migration latches: a fetch that encounters a copy
-//! in a transitional state waits on the descriptor's condition variable
-//! instead of spinning on a latch, and accesses to the *other* tier's copy
-//! proceed unimpeded — exactly the concurrency the fine-grained latching
-//! protocol of §5.2 is designed to allow.
+//! dirty. An *exclusive* claim moves a copy through the
+//! [`CopyState::Busy`] / [`CopyState::Loading`] states, which is the
+//! non-blocking formulation of the paper's per-tier migration latches: a
+//! fetch that encounters a copy in a transitional state waits on the
+//! descriptor's condition variable instead of spinning on a latch, and
+//! accesses to the *other* tier's copy proceed unimpeded — exactly the
+//! concurrency the fine-grained latching protocol of §5.2 is designed to
+//! allow. A *shadow* claim (the `manager::shadow` module) never leaves
+//! `Resident` at all while its device I/O runs: it raises
+//! [`PageState::shadow_dram`] / [`PageState::shadow_nvm`] and the copy
+//! stays readable until the commit. Which of the two a tier move takes is
+//! decided from the page's state: shadow when the word is open and the
+//! move does device I/O, exclusive otherwise.
 
 use parking_lot::{Condvar, Mutex};
 use spitfire_sync::atomic::AtomicU64;
@@ -116,6 +122,15 @@ impl PageState {
             &mut self.nvm
         }
     }
+
+    /// The shadow-operation flag of the same slot.
+    pub(crate) fn shadow_mut(&mut self, dram: bool) -> &mut bool {
+        if dram {
+            &mut self.shadow_dram
+        } else {
+            &mut self.shadow_nvm
+        }
+    }
 }
 
 /// Shared page descriptor stored in the mapping table (Figure 4).
@@ -134,10 +149,14 @@ impl PageState {
 ///   NVM copy, so serving NVM optimistically while one exists would read
 ///   stale bytes.
 ///
-/// Any transition out of `Resident` closes the word first and only
-/// proceeds if the optimistic pin count was zero (see
-/// [`PinWord::close`]); the total pin count of a copy is the mutex
-/// `pins` field plus its word's optimistic count.
+/// A copy leaves `Resident` only once its word is closed with a zero
+/// optimistic pin count: an exclusive claim closes the word *first* (see
+/// [`PinWord::close`]) and backs off if readers are draining; a shadow
+/// move does its device I/O with the word still open and closes it only
+/// at commit ([`PinWord::shadow_commit`]), aborting if the version moved
+/// or pins did not drain. A shadow *flush* never closes the word — the
+/// copy stays `Resident` and merely goes clean. The total pin count of a
+/// copy is the mutex `pins` field plus its word's optimistic count.
 ///
 /// # Layout
 ///

@@ -68,13 +68,7 @@ impl BufferManager {
         // it happens.
         self.metrics.record_migration(MigrationPath::NvmToDram);
         spitfire_obs::record_op(spitfire_obs::Op::MigNvmToDram, mig_t, pid.0, "dram");
-        Ok(PageGuard {
-            bm: self,
-            pid,
-            kind: GuardKind::FineGrained,
-            in_dram_slot: true,
-            optimistic: false,
-        })
+        Ok(PageGuard::new(self, pid, GuardKind::FineGrained, false))
     }
 
     /// Read through a fine-grained DRAM copy, loading missing granules from
@@ -348,12 +342,7 @@ impl BufferManager {
     /// Write the dirty granules of an evicted fine/mini copy back to the
     /// backing NVM frame (called by the eviction path with both copies
     /// marked `Busy`).
-    pub(crate) fn write_back_granules(
-        &self,
-        _desc: &SharedPageDesc,
-        fref: &FrameRef,
-        nvm_frame: FrameId,
-    ) {
+    pub(crate) fn write_back_granules(&self, fref: &FrameRef, nvm_frame: FrameId) {
         let granule = self.granule();
         let res: Result<()> = (|| {
             match fref {

@@ -30,19 +30,38 @@ pub(crate) enum GuardKind {
 /// the same page at once (migrations assume each pin belongs to a distinct
 /// operation).
 pub struct PageGuard<'a> {
-    pub(crate) bm: &'a BufferManager,
-    pub(crate) pid: PageId,
-    pub(crate) kind: GuardKind,
+    bm: &'a BufferManager,
+    pid: PageId,
+    kind: GuardKind,
     /// True if the pinned copy lives in the DRAM slot of the descriptor
     /// (fine-grained copies always do).
-    pub(crate) in_dram_slot: bool,
+    in_dram_slot: bool,
     /// True if the pin is held in the descriptor's optimistic pin word
     /// (lock-free fast path) rather than the mutex-guarded `pins` field.
     /// The drop must release through the same mechanism.
-    pub(crate) optimistic: bool,
+    optimistic: bool,
 }
 
 impl<'a> PageGuard<'a> {
+    /// Wrap a pin the caller already took on the copy `kind` names —
+    /// through the descriptor's pin word (`optimistic`) or its mutex
+    /// `pins` field.
+    #[inline]
+    pub(crate) fn new(
+        bm: &'a BufferManager,
+        pid: PageId,
+        kind: GuardKind,
+        optimistic: bool,
+    ) -> Self {
+        PageGuard {
+            bm,
+            pid,
+            kind,
+            in_dram_slot: !matches!(kind, GuardKind::FullNvm(_)),
+            optimistic,
+        }
+    }
+
     /// The page this guard pins.
     pub fn page_id(&self) -> PageId {
         self.pid

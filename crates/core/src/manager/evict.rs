@@ -1,0 +1,578 @@
+//! Making room: frame allocation with inline eviction fallback, DRAM and
+//! NVM eviction, and the staged NVM → SSD batch write-back that
+//! maintenance cycles and `flush_nvm_dirty` share. Each eviction picks
+//! shadow or exclusive claim from the victim's state (see `shadow`).
+
+use std::sync::Arc;
+
+use spitfire_device::AccessPattern;
+use spitfire_obs::{self as obs, Op};
+use spitfire_sync::atomic::Ordering;
+
+use super::maintain::watermark_frames;
+use super::shadow::{Claim, ShadowEnd};
+use super::{with_page_buf, BufferManager};
+use crate::descriptor::{CopyState, FrameRef, PageState, SharedPageDesc};
+use crate::error::BufferError;
+use crate::io::{retry_device_io, retry_device_io_n, IO_RETRY_LIMIT, MAINT_RETRY_LIMIT};
+use crate::types::{FrameId, MigrationPath, Tier};
+use crate::Result;
+
+/// An NVM copy claimed for write-back: descriptor, frame, and how it was
+/// claimed.
+pub(super) type ClaimedNvm = (Arc<SharedPageDesc>, FrameId, Claim);
+
+impl BufferManager {
+    /// Claim a frame in the requested pool. With maintenance workers
+    /// running the free list is normally non-empty and this is a single
+    /// bitmap pop; dipping below the low watermark kicks the workers, and
+    /// an empty free list falls back to the inline eviction loop (counted
+    /// as a backpressure fallback).
+    pub(crate) fn alloc_frame(&self, dram: bool) -> Result<FrameId> {
+        let pool = if dram {
+            self.tier1_pool()
+        } else {
+            self.nvm_pool()
+        };
+        // relaxed: a stale reading of the flag only routes this alloc
+        // through the wrong path (inline eviction vs. free-list pop);
+        // both paths are correct on their own.
+        if self.maint_active.load(Ordering::Relaxed) {
+            if let Some(f) = pool.try_alloc() {
+                let m = &self.config.maintenance;
+                let low = if dram { m.dram_low } else { m.nvm_low };
+                if pool.free_frames() < watermark_frames(pool.n_frames(), low) {
+                    self.kick_maintenance();
+                }
+                return Ok(f);
+            }
+            // Workers did not keep up: do the eviction inline, like before
+            // the maintenance service existed.
+            self.metrics.record_backpressure_fallback();
+            self.kick_maintenance();
+        }
+        let budget = pool.n_frames() * 4 + 256;
+        for attempt in 0..budget {
+            if let Some(f) = pool.try_alloc() {
+                return Ok(f);
+            }
+            if let Some(victim) = pool.next_victim() {
+                self.try_evict_victim(dram, victim);
+            }
+            if attempt % 16 == 15 {
+                std::thread::yield_now();
+            }
+        }
+        Err(BufferError::NoFrames {
+            tier: if dram { Tier::Dram } else { Tier::Nvm },
+        })
+    }
+
+    /// Attempt to free `victim` in the given pool by evicting whatever
+    /// occupies it. Returns `true` if the frame was freed.
+    pub(super) fn try_evict_victim(&self, dram: bool, victim: FrameId) -> bool {
+        let pool = if dram {
+            self.tier1_pool()
+        } else {
+            self.nvm_pool()
+        };
+        match pool.owner(victim).map(|vpid| self.mapping.get(&vpid.0)) {
+            Some(Some(desc)) if dram => self.try_evict_dram(&desc, victim),
+            Some(Some(desc)) => self.try_evict_nvm(&desc, victim),
+            Some(None) => false,
+            // Owner-less frames are either mid-install (skip) or
+            // mini-page slabs (evict member by member).
+            None => dram && self.try_evict_slab(victim),
+        }
+    }
+
+    /// Evict every mini page hosted by slab frame `victim`; frees the slab
+    /// once its last occupant leaves.
+    fn try_evict_slab(&self, victim: FrameId) -> bool {
+        let Some(mini) = &self.mini else { return false };
+        if !mini.is_slab(victim) {
+            return false;
+        }
+        let mut freed_any = false;
+        for pid in mini.members_of(victim) {
+            if let Some(desc) = self.mapping.get(&pid.0) {
+                freed_any |= self.try_evict_dram(&desc, victim);
+            }
+        }
+        freed_any
+    }
+
+    /// Evict the DRAM copy of `desc` if it occupies `victim` and is
+    /// evictable right now.
+    fn try_evict_dram(&self, desc: &SharedPageDesc, victim: FrameId) -> bool {
+        let Some(mut st) = desc.state.try_lock() else {
+            return false;
+        };
+        if st.shadow_dram || st.shadow_nvm {
+            // A shadow operation owns this page's transitions right now.
+            return false;
+        }
+        let Some(CopyState::Resident {
+            frame,
+            pins: 0,
+            dirty,
+        }) = &st.dram
+        else {
+            return false;
+        };
+        if frame.frame() != victim {
+            return false;
+        }
+        let fref = frame.clone();
+        let dirty = *dirty;
+        let fine = !matches!(fref, FrameRef::Full(_));
+
+        // Dirty full-frame copies take the shadow write-back: the device
+        // write runs while the copy stays `Resident` and its word open, so
+        // readers never stall behind it. Clean copies are discarded
+        // without I/O (nothing to shadow) and fine/mini copies are claimed
+        // exclusively (granule write-back needs the mutex).
+        if dirty && !fine {
+            return self.evict_dram_shadow(desc, st, victim);
+        }
+
+        // Stop optimistic pinners before committing to the eviction: a
+        // non-zero fast count means readers are mid-access — re-open and
+        // pick another victim. (Fine/mini copies never open the word, so
+        // `close` is a no-op returning zero for them.)
+        let fast_pins = desc.dram_pin.close();
+        if fast_pins > 0 {
+            Self::reopen_dram_word(desc, &st);
+            return false;
+        }
+
+        // A dirty fine-grained copy writes its dirty granules back into
+        // the backing NVM copy, claimed here while we can still see it.
+        let backing = if dirty {
+            match &st.nvm {
+                // Fine-grained copies hold one backing pin on the NVM
+                // copy; anything beyond that means concurrent readers.
+                Some(CopyState::Resident {
+                    frame: nf,
+                    pins,
+                    dirty: nvm_dirty,
+                }) if *pins <= 1 => {
+                    let nvm_frame = nf.frame();
+                    let d = *nvm_dirty;
+                    st.nvm = Some(CopyState::Busy {
+                        frame: FrameRef::Full(nvm_frame),
+                        pins: 0,
+                        dirty: d,
+                    });
+                    Some(nvm_frame)
+                }
+                other => {
+                    debug_assert!(
+                        other.is_some(),
+                        "fine copies always have an NVM backing copy"
+                    );
+                    Self::reopen_dram_word(desc, &st);
+                    return false; // skip this victim for now
+                }
+            }
+        } else {
+            None
+        };
+        st.dram = Some(CopyState::Busy {
+            frame: fref.clone(),
+            pins: 0,
+            dirty,
+        });
+        drop(st);
+
+        let evict_t = obs::op_start();
+        let mig_t = obs::op_start();
+        if let Some(nvm_frame) = backing {
+            self.write_back_granules(&fref, nvm_frame);
+        }
+        self.release_dram_copy(desc, fref, backing);
+        if backing.is_some() {
+            self.metrics.record_migration(MigrationPath::DramToNvm);
+            obs::record_op(Op::MigDramToNvm, mig_t, desc.pid.0, "nvm");
+        } else {
+            // Clean copy (§3.3 — unmodified pages are simply discarded).
+            self.metrics.record_discard();
+        }
+        self.metrics.record_dram_eviction();
+        obs::record_op(Op::EvictDram, evict_t, desc.pid.0, "dram");
+        true
+    }
+
+    /// Shadow-copy eviction of a dirty full-frame DRAM copy: the
+    /// write-back I/O runs while the copy stays `Resident` and its pin
+    /// word open, so hit-path readers never stall behind the device write.
+    /// The destination is an existing NVM copy (merge), a freshly admitted
+    /// NVM frame (coin flip `N_w` or admission queue), or — bypassing NVM
+    /// (§3.4) — the SSD. If the move aborts, the DRAM copy stays resident,
+    /// dirty, and authoritative, and the destination bytes (which may be
+    /// torn) are either re-marked dirty (merge) or left as an unsynced,
+    /// superseded SSD image. Takes the descriptor lock held by
+    /// [`Self::try_evict_dram`].
+    fn evict_dram_shadow(
+        &self,
+        desc: &SharedPageDesc,
+        mut st: parking_lot::MutexGuard<'_, PageState>,
+        victim: FrameId,
+    ) -> bool {
+        // A pre-existing NVM copy is the merge target, claimed along with
+        // the source; one that is pinned or in transition means back off.
+        let merge = match &st.nvm {
+            Some(CopyState::Resident {
+                frame: nf, pins: 0, ..
+            }) => Some(nf.frame()),
+            Some(_) => return false,
+            None => None,
+        };
+        let Some(claim) = Self::shadow_claim(desc, &mut st, true, victim, merge) else {
+            return false;
+        };
+        let admit = merge.is_none()
+            && self.nvm.is_some()
+            && if self.policy.uses_admission_queue() {
+                self.admission
+                    .as_ref()
+                    .expect("queue exists when NVM pool exists")
+                    .consider(desc.pid.0)
+            } else {
+                self.policy.flip_nw_with(|| self.draw())
+            };
+        drop(st);
+
+        let evict_t = obs::op_start();
+        let mig_t = obs::op_start();
+        let mut admitted = None;
+        let io_ok = if let Some(nf) = merge {
+            self.copy_frame(false, victim, nf, None).is_ok()
+        } else {
+            if admit {
+                if let Ok(nf) = self.alloc_frame(false) {
+                    if self.copy_frame(false, victim, nf, Some(desc.pid)).is_ok() {
+                        self.nvm_pool().set_owner(nf, desc.pid);
+                        admitted = Some(nf);
+                    } else {
+                        // Give the claimed frame back (scrubbing any
+                        // partially-written header so recovery cannot
+                        // adopt it) and fall back to the SSD leg.
+                        let _ = self.nvm_pool().clear_frame_header(nf);
+                        self.nvm_pool().free(nf);
+                    }
+                }
+            }
+            // The eviction write is left unsynced; durability barriers
+            // (checkpoint, NVM write-back) sync before relying on SSD
+            // images.
+            admitted.is_some() || self.write_dram_copy_to_ssd(desc, victim).is_ok()
+        };
+        if !self.shadow_finish(desc, claim, ShadowEnd::Evict(admitted), io_ok) {
+            return false;
+        }
+        if merge.is_some() || admitted.is_some() {
+            self.metrics.record_migration(MigrationPath::DramToNvm);
+            obs::record_op(Op::MigDramToNvm, mig_t, desc.pid.0, "nvm");
+        } else {
+            self.metrics.record_migration(MigrationPath::DramToSsd);
+            obs::record_op(Op::MigDramToSsd, mig_t, desc.pid.0, "ssd");
+        }
+        self.metrics.record_dram_eviction();
+        obs::record_op(Op::EvictDram, evict_t, desc.pid.0, "dram");
+        true
+    }
+
+    /// Write the full-frame DRAM copy in `frame` to `desc`'s SSD home
+    /// (unsynced).
+    pub(super) fn write_dram_copy_to_ssd(
+        &self,
+        desc: &SharedPageDesc,
+        frame: FrameId,
+    ) -> Result<()> {
+        let page = self.config.page_size;
+        with_page_buf(page, |buf| -> Result<()> {
+            self.tier1_pool()
+                .read(frame, 0, buf, AccessPattern::Sequential)?;
+            retry_device_io(&self.metrics, "dram write-back", || {
+                self.ssd.write_page(desc.pid.0, buf)
+            })?;
+            Ok(())
+        })
+    }
+
+    /// Finish an exclusively claimed DRAM eviction: clear the DRAM slot,
+    /// hand the `backing` NVM copy back (`Resident`, dirty — granules were
+    /// just written into it), free the frame or mini slot, notify.
+    fn release_dram_copy(&self, desc: &SharedPageDesc, fref: FrameRef, backing: Option<FrameId>) {
+        // Free the frame *after* clearing the slot so a racing fetch cannot
+        // observe a freed frame id in a Resident state.
+        let mut st = desc.state.lock();
+        st.dram = None;
+        if let Some(nvm_frame) = backing {
+            st.nvm = Some(CopyState::Resident {
+                frame: FrameRef::Full(nvm_frame),
+                pins: 0,
+                dirty: true,
+            });
+        } else if !matches!(fref, FrameRef::Full(_)) {
+            // Clean fine-grained copy discarded: release the backing pin.
+            if let Some(CopyState::Resident { pins, .. } | CopyState::Busy { pins, .. }) =
+                &mut st.nvm
+            {
+                *pins = pins.saturating_sub(1);
+            }
+        }
+        // With the DRAM copy gone, a surviving Resident NVM copy becomes
+        // optimistically pinnable again.
+        Self::reopen_nvm_word(desc, &st);
+        desc.cond.notify_all();
+        drop(st);
+        match fref {
+            FrameRef::Full(f) => self.tier1_pool().free(f),
+            FrameRef::Fine(fp) => self.tier1_pool().free(fp.frame),
+            FrameRef::Mini(mp) => {
+                let mini = self.mini.as_ref().expect("mini slabs exist for mini pages");
+                if mini.free_slot(mp.slot) {
+                    self.tier1_pool().free(mp.slot.slab);
+                }
+            }
+        }
+    }
+
+    /// Claim `victim`'s NVM copy for eviction or write-back: the copy must
+    /// be `Resident` with zero mutex pins, occupying `victim`. `None`
+    /// means back off and pick another victim. Returns the copy's dirty
+    /// flag and how it was claimed (see [`Self::claim_nvm_copy`]).
+    pub(super) fn claim_nvm_victim(
+        &self,
+        desc: &SharedPageDesc,
+        victim: FrameId,
+    ) -> Option<(bool, Claim)> {
+        let mut st = desc.state.try_lock()?;
+        if st.shadow_nvm || st.shadow_dram {
+            return None;
+        }
+        let Some(CopyState::Resident {
+            frame,
+            pins: 0,
+            dirty,
+        }) = &st.nvm
+        else {
+            return None;
+        };
+        if frame.frame() != victim {
+            return None;
+        }
+        let dirty = *dirty;
+        Some((dirty, Self::claim_nvm_copy(desc, &mut st, victim, dirty)?))
+    }
+
+    /// Claim the `Resident`, zero-mutex-pin NVM copy in `victim` (caller
+    /// holds the descriptor mutex and saw no shadow operation in flight).
+    ///
+    /// A *dirty* copy whose word is open is shadow-claimed: the slot stays
+    /// `Resident` and readers keep hitting it until
+    /// [`Self::finish_nvm_claim`] resolves the claim once the SSD image is
+    /// durable — nobody stalls behind the device write + sync. Clean
+    /// copies (no I/O ahead of the retirement) and copies whose word is
+    /// already closed (a DRAM copy shadows them, so readers use DRAM and
+    /// closing stalls nobody) are claimed exclusively: slot `Busy`, word
+    /// closed. `None` means optimistic readers are mid-access: back off.
+    pub(super) fn claim_nvm_copy(
+        desc: &SharedPageDesc,
+        st: &mut PageState,
+        victim: FrameId,
+        dirty: bool,
+    ) -> Option<Claim> {
+        if dirty {
+            if let Some(claim) = Self::shadow_claim(desc, st, false, victim, None) {
+                return Some(Claim::Shadow(claim));
+            }
+        }
+        // Stop optimistic pinners; back off if any are mid-access. (The
+        // word is already closed whenever a DRAM copy shadows this one.)
+        let fast_pins = desc.nvm_pin.close();
+        if fast_pins > 0 {
+            Self::reopen_nvm_word(desc, st);
+            return None;
+        }
+        st.nvm = Some(CopyState::Busy {
+            frame: FrameRef::Full(victim),
+            pins: 0,
+            dirty,
+        });
+        Some(Claim::Exclusive)
+    }
+
+    /// Resolve a claimed dirty NVM copy after its write-back I/O. With
+    /// `retire`, an accepted copy is left `Busy`, clean, word closed —
+    /// exclusively held for [`Self::finish_nvm_eviction`]; without, it
+    /// goes back to `Resident` clean. A copy whose I/O failed, or whose
+    /// shadow claim raced a write or a late reader, stays `Resident` and
+    /// dirty: the synced SSD image may be stale or torn, but the NVM bytes
+    /// and frame header remain authoritative for both runtime reads and
+    /// crash recovery. Returns whether the SSD image was accepted.
+    fn finish_nvm_claim(
+        &self,
+        desc: &SharedPageDesc,
+        victim: FrameId,
+        claim: Claim,
+        retire: bool,
+        io_ok: bool,
+    ) -> bool {
+        match claim {
+            Claim::Shadow(claim) => {
+                let end = if retire {
+                    ShadowEnd::WriteBack
+                } else {
+                    ShadowEnd::Flush
+                };
+                self.shadow_finish(desc, claim, end, io_ok)
+            }
+            // Nobody could touch the `Busy` copy: the image is current.
+            Claim::Exclusive => {
+                if !(retire && io_ok) {
+                    self.restore_nvm_resident(desc, victim, !io_ok);
+                }
+                io_ok
+            }
+        }
+    }
+
+    /// Restore a claimed NVM copy to `Resident` (after a failed or
+    /// non-evicting operation) and wake waiters.
+    fn restore_nvm_resident(&self, desc: &SharedPageDesc, victim: FrameId, dirty: bool) {
+        let mut st = desc.state.lock();
+        st.nvm = Some(CopyState::Resident {
+            frame: FrameRef::Full(victim),
+            pins: 0,
+            dirty,
+        });
+        Self::reopen_nvm_word(desc, &st);
+        desc.cond.notify_all();
+    }
+
+    /// Complete an NVM eviction whose content is already durable on SSD
+    /// (clean copy, or dirty copy written back and synced): clear the
+    /// frame header, empty the slot, free the frame.
+    pub(super) fn finish_nvm_eviction(&self, desc: &SharedPageDesc, victim: FrameId) {
+        let _ = self.nvm_pool().clear_frame_header(victim);
+        let mut st = desc.state.lock();
+        st.nvm = None;
+        desc.cond.notify_all();
+        drop(st);
+        self.nvm_pool().free(victim);
+        self.metrics.record_nvm_eviction();
+    }
+
+    /// Evict the NVM copy of `desc` if it occupies `victim` and is
+    /// evictable (paths ⑤ / discard).
+    fn try_evict_nvm(&self, desc: &SharedPageDesc, victim: FrameId) -> bool {
+        let Some((dirty, claim)) = self.claim_nvm_victim(desc, victim) else {
+            return false;
+        };
+        let evict_t = obs::op_start();
+        if dirty {
+            let mig_t = obs::op_start();
+            let page = self.config.page_size;
+            // The SSD image must be *synced* before the NVM frame header is
+            // cleared: the header is what recovery uses to find this page in
+            // NVM, so dropping it while the SSD copy is still in the volatile
+            // write cache would lose the page on a crash. (Under a shadow
+            // claim the bytes may additionally be torn by a racing writer —
+            // the finish below discards the write-back in that case, and the
+            // retained header keeps the NVM copy authoritative.)
+            let res = with_page_buf(page, |buf| -> Result<()> {
+                self.nvm_pool()
+                    .read(victim, 0, buf, AccessPattern::Sequential)?;
+                retry_device_io(&self.metrics, "nvm write-back", || {
+                    self.ssd.write_page(desc.pid.0, buf)?;
+                    self.ssd.sync()
+                })?;
+                Ok(())
+            });
+            if !self.finish_nvm_claim(desc, victim, claim, true, res.is_ok()) {
+                return false;
+            }
+            self.metrics.record_migration(MigrationPath::NvmToSsd);
+            obs::record_op(Op::MigNvmToSsd, mig_t, desc.pid.0, "ssd");
+        }
+        self.finish_nvm_eviction(desc, victim);
+        obs::record_op(Op::EvictNvm, evict_t, desc.pid.0, "nvm");
+        true
+    }
+
+    /// Write a batch of *claimed dirty* NVM copies to SSD with a single
+    /// fsync: the page images are staged in memory (batches are small —
+    /// the maintenance default is 4 pages) and submitted as one sorted
+    /// multi-page write ([`spitfire_device::SsdDevice::write_pages`] —
+    /// coalesced into few large direct-I/O submissions on the file
+    /// backend), then one sync barrier makes the whole batch durable, and
+    /// only then is each claim resolved ([`Self::finish_nvm_claim`]).
+    ///
+    /// With `retire` (maintenance eviction) an accepted copy is evicted —
+    /// frame header cleared, frame freed: the same
+    /// sync-before-header-clear ordering as [`Self::try_evict_nvm`],
+    /// amortized over the batch — and the write fails fast
+    /// ([`MAINT_RETRY_LIMIT`]). Without (`flush_nvm_dirty`), an accepted
+    /// copy stays resident and is only marked clean — never before its
+    /// image is durable, or eviction could discard it while the image
+    /// sits in the volatile write cache. A failed read, write, or sync
+    /// releases the affected claims with every copy still dirty (nothing
+    /// was retired, so a retry is idempotent).
+    ///
+    /// Returns the number of accepted pages and the error, if any — the
+    /// batch write/sync error, else the first failed read.
+    pub(super) fn write_back_nvm_batch(
+        &self,
+        batch: Vec<ClaimedNvm>,
+        retire: bool,
+    ) -> (usize, Option<BufferError>) {
+        let page = self.config.page_size;
+        let mut first_err: Option<BufferError> = None;
+        let mut staged: Vec<(ClaimedNvm, Vec<u8>)> = Vec::with_capacity(batch.len());
+        for (desc, victim, claim) in batch {
+            let mut buf = vec![0u8; page];
+            match self
+                .nvm_pool()
+                .read(victim, 0, &mut buf, AccessPattern::Sequential)
+            {
+                Ok(()) => staged.push(((desc, victim, claim), buf)),
+                Err(e) => {
+                    self.finish_nvm_claim(&desc, victim, claim, retire, false);
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        if staged.is_empty() {
+            return (0, first_err);
+        }
+        let mut submission: Vec<(u64, &[u8])> = staged
+            .iter()
+            .map(|((desc, _, _), buf)| (desc.pid.0, buf.as_slice()))
+            .collect();
+        let (write_what, sync_what, write_retries) = if retire {
+            ("nvm batch write-back", "nvm batch sync", MAINT_RETRY_LIMIT)
+        } else {
+            ("nvm flush write", "nvm flush sync", IO_RETRY_LIMIT)
+        };
+        let res = retry_device_io_n(&self.metrics, write_what, write_retries, || {
+            self.ssd.write_pages(&mut submission).map(|_| ())
+        })
+        .and_then(|()| retry_device_io(&self.metrics, sync_what, || self.ssd.sync()));
+        drop(submission);
+        let mut n = 0usize;
+        for ((desc, victim, claim), _) in staged {
+            if self.finish_nvm_claim(&desc, victim, claim, retire, res.is_ok()) {
+                if retire {
+                    self.metrics.record_migration(MigrationPath::NvmToSsd);
+                    self.finish_nvm_eviction(&desc, victim);
+                }
+                n += 1;
+            }
+        }
+        self.metrics.record_maint_writebacks(n as u64);
+        (n, res.err().or(first_err))
+    }
+}

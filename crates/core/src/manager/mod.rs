@@ -1,0 +1,548 @@
+//! The Spitfire buffer manager (paper §5).
+//!
+//! One [`BufferManager`] owns up to two buffer pools (DRAM and NVM) over an
+//! SSD, a unified mapping table of shared page descriptors (Figure 4), the
+//! CLOCK replacement state per pool, and the probabilistic data migration
+//! policy (§3). See the crate docs for the full data-flow picture.
+//!
+//! # Concurrency protocol
+//!
+//! All copy-state transitions take the descriptor mutex, which is never
+//! held across device I/O (except for fine-grained granule loads, whose
+//! I/O is sub-microsecond NVM/DRAM traffic). Two invariants make this
+//! deadlock-free:
+//!
+//! * a thread never holds two descriptor mutexes at once (evictions use
+//!   `try_lock` and skip on failure);
+//! * migrations only start when the source copy has no outstanding pins,
+//!   so no wait ever depends on a guard held by another operation.
+//!
+//! Layered *above* the mutex protocol is the optimistic hit fast path
+//! (paper §5.2, DESIGN.md "Lock-free hit path"): a fetch of a stably
+//! resident page pins it through the descriptor's
+//! [`spitfire_sync::PinWord`] with a single CAS and never touches the
+//! mutex. The word proves residency to readers, the mutex serializes
+//! writers, and a reader that loses a race simply restarts into the mutex
+//! path.
+//!
+//! # Tier moves
+//!
+//! There is one protocol per tier move, chosen from state the code can
+//! observe — never from an option: **shadow when the word is open and the
+//! move does device I/O; exclusive claim otherwise.**
+//!
+//! * A *shadow* move (promotion NVM→DRAM, dirty DRAM eviction, dirty NVM
+//!   write-back, checkpoint flush of a full-frame copy) copies the bytes
+//!   while the source stays `Resident` with its word open, and commits
+//!   through [`spitfire_sync::PinWord::shadow_commit`] only if no write
+//!   overlapped the copy window and every pin drained. Readers never stall
+//!   behind the transfer; a raced copy is discarded and the source stays
+//!   authoritative. The claim/finish pair and its transition rules live in
+//!   the `shadow` submodule.
+//! * An *exclusive* claim closes the word, proves the optimistic pin count
+//!   zero, and marks the copy `Busy`/`Loading`. It remains the right tool
+//!   where there is no I/O window to shadow or no reader to stall: clean
+//!   discards and retirements, NVM copies whose word is already closed
+//!   because a DRAM copy shadows them, and every fine-grained / mini-page
+//!   move (granule I/O runs under the mutex anyway).
+//!
+//! See DESIGN.md "Shadow-copy migrations" for the transition table.
+//!
+//! # Layout
+//!
+//! The `impl BufferManager` is split by concern across sibling files (the
+//! `fgops` precedent): `fetch` (hit fast path, mutex slow path, loads),
+//! `evict` (frame allocation, DRAM/NVM eviction, batched write-back),
+//! `flush` (checkpoint flushes), `shadow` (the shadow claim/finish pair),
+//! `maintain` (watermark refill cycles, pressure probe), `recover` (crash
+//! simulation and NVM-scan recovery), `report` (gauges, obs export,
+//! quiescence assertions).
+
+mod evict;
+mod fetch;
+mod flush;
+mod maintain;
+mod recover;
+mod report;
+mod shadow;
+
+pub use maintain::MemoryPressure;
+
+use std::cell::Cell;
+use std::sync::Arc;
+
+use spitfire_device::{DeviceError, DeviceStats, FaultInjector, NvmDevice, SsdDevice};
+use spitfire_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use spitfire_sync::lock::RwLock;
+use spitfire_sync::{AdmissionQueue, ConcurrentMap};
+
+use crate::background::MaintSignal;
+use crate::config::{BufferManagerConfig, Hierarchy};
+use crate::descriptor::{CopyState, SharedPageDesc};
+use crate::error::BufferError;
+use crate::fgpage::MiniSlabs;
+use crate::io::retry_device_io;
+use crate::metrics::{BufferMetrics, MetricsSnapshot};
+use crate::policy::{MigrationPolicy, PolicyCell};
+use crate::pool::Pool;
+use crate::types::{PageId, Tier};
+use crate::Result;
+
+/// Global id source distinguishing managers in per-thread caches.
+static NEXT_MGR_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Multi-threaded three-tier buffer manager.
+pub struct BufferManager {
+    config: BufferManagerConfig,
+    pub(crate) mapping: ConcurrentMap<u64, Arc<SharedPageDesc>>,
+    /// Tier-1 pool: DRAM, or the memory-mode composite device.
+    tier1: Option<Pool>,
+    /// Tier-2 pool: app-direct NVM.
+    nvm: Option<Pool>,
+    ssd: SsdDevice,
+    policy: PolicyCell,
+    admission: Option<AdmissionQueue>,
+    pub(crate) metrics: Arc<BufferMetrics>,
+    next_pid: AtomicU64,
+    /// This manager's id in per-thread caches and RNG streams.
+    mgr_id: u64,
+    /// Bumped when the mapping table is discarded (`simulate_crash`) so
+    /// per-thread descriptor caches drop entries for dead descriptors.
+    cache_epoch: AtomicU64,
+    /// Ordinal handed to each thread's policy RNG on its first draw from
+    /// this manager (seeds stay deterministic per (seed, ordinal)).
+    rng_threads: AtomicU64,
+    pub(crate) mini: Option<MiniSlabs>,
+    /// Wake-up signal shared with an attached [`crate::Maintenance`] service;
+    /// `None` until one is created.
+    maint: RwLock<Option<Arc<MaintSignal>>>,
+    /// True while maintenance workers are running — the allocation path
+    /// checks this flag (relaxed) before paying for watermark math.
+    maint_active: AtomicBool,
+    /// Checkpoint dirty-epoch tracking: the current epoch number, bumped by
+    /// [`BufferManager::drain_dirty_epoch`].
+    dirty_epoch: AtomicU64,
+    /// Pages whose content changed since the last epoch drain. The
+    /// per-descriptor `ckpt_epoch` hint keeps repeat writers off this
+    /// mutex; an incremental checkpoint drains it to learn which page
+    /// images to copy.
+    dirty_since: parking_lot::Mutex<std::collections::BTreeSet<u64>>,
+}
+
+impl BufferManager {
+    /// Build a buffer manager from `config`.
+    pub fn new(config: BufferManagerConfig) -> Result<Self> {
+        config.validate()?;
+        let scale = config.time_scale;
+        let page = config.page_size;
+        let metrics = Arc::new(BufferMetrics::new());
+        let (tier1, nvm) = if config.memory_mode {
+            (
+                Some(Pool::memory_mode(
+                    config.nvm_capacity,
+                    config.dram_capacity,
+                    page,
+                    scale,
+                    config.dram_policy,
+                    Arc::clone(&metrics),
+                )),
+                None,
+            )
+        } else {
+            let t1 = (config.dram_capacity > 0).then(|| {
+                Pool::dram(
+                    config.dram_capacity,
+                    page,
+                    scale,
+                    config.dram_policy,
+                    Arc::clone(&metrics),
+                )
+            });
+            let t2 = (config.nvm_capacity > 0).then(|| {
+                Pool::nvm(
+                    config.nvm_capacity,
+                    page,
+                    scale,
+                    config.persistence,
+                    config.nvm_policy,
+                    Arc::clone(&metrics),
+                )
+            });
+            (t1, t2)
+        };
+        let admission = nvm.as_ref().map(|pool| {
+            let cap = config
+                .admission_queue_capacity
+                .unwrap_or(pool.n_frames() / 2)
+                .max(1);
+            AdmissionQueue::new(cap)
+        });
+        let mini = config
+            .mini_pages
+            .then(|| MiniSlabs::new(page, config.fine_grained.expect("validated")));
+        let ssd = SsdDevice::with_backend(page, scale, config.persistence, &config.ssd_backend)
+            .map_err(BufferError::Device)?;
+        Ok(BufferManager {
+            mapping: ConcurrentMap::new(),
+            tier1,
+            nvm,
+            ssd,
+            policy: PolicyCell::new(config.policy),
+            admission,
+            metrics,
+            next_pid: AtomicU64::new(0),
+            // relaxed: id allocation only needs uniqueness, which the RMW
+            // gives regardless of ordering.
+            mgr_id: NEXT_MGR_ID.fetch_add(1, Ordering::Relaxed),
+            cache_epoch: AtomicU64::new(0),
+            rng_threads: AtomicU64::new(0),
+            mini,
+            maint: RwLock::new(None),
+            maint_active: AtomicBool::new(false),
+            dirty_epoch: AtomicU64::new(0),
+            dirty_since: parking_lot::Mutex::new(std::collections::BTreeSet::new()),
+            config,
+        })
+    }
+
+    /// The configuration this manager was built with.
+    pub fn config(&self) -> &BufferManagerConfig {
+        &self.config
+    }
+
+    /// The storage hierarchy in effect.
+    pub fn hierarchy(&self) -> Hierarchy {
+        self.config.hierarchy()
+    }
+
+    /// Page size in bytes.
+    pub fn page_size(&self) -> usize {
+        self.config.page_size
+    }
+
+    /// Number of pages allocated so far.
+    pub fn page_count(&self) -> u64 {
+        self.next_pid.load(Ordering::Acquire)
+    }
+
+    /// The active migration policy.
+    pub fn policy(&self) -> MigrationPolicy {
+        self.policy.load()
+    }
+
+    /// Administrative handle grouping every runtime mutator — see
+    /// [`Admin`].
+    pub fn admin(&self) -> Admin<'_> {
+        Admin { bm: self }
+    }
+
+    /// Buffer metrics counters.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+
+    /// Reset buffer metrics and device counters (between experiment
+    /// phases).
+    pub fn reset_metrics(&self) {
+        self.metrics.reset();
+        if let Some(p) = &self.tier1 {
+            p.device_stats().reset();
+        }
+        if let Some(p) = &self.nvm {
+            p.device_stats().reset();
+        }
+        self.ssd.stats().reset();
+    }
+
+    /// Device counters for `tier`, if the tier exists in this hierarchy.
+    pub fn device_stats(&self, tier: Tier) -> Option<Arc<DeviceStats>> {
+        match tier {
+            Tier::Dram => self.tier1.as_ref().map(Pool::device_stats),
+            Tier::Nvm => self.nvm.as_ref().map(Pool::device_stats),
+            Tier::Ssd => Some(self.ssd.stats()),
+        }
+    }
+
+    /// Number of page frames in the DRAM (tier-1) pool.
+    pub fn dram_frames(&self) -> usize {
+        self.tier1.as_ref().map_or(0, Pool::n_frames)
+    }
+
+    /// Number of page frames in the NVM pool.
+    pub fn nvm_frames(&self) -> usize {
+        self.nvm.as_ref().map_or(0, Pool::n_frames)
+    }
+
+    /// Direct handle to the NVM device (recovery tests, WAL sharing).
+    pub fn nvm_device(&self) -> Option<&NvmDevice> {
+        self.nvm.as_ref().and_then(Pool::nvm_device)
+    }
+
+    /// Memory-mode cache hit/miss counters, when running in memory mode.
+    pub fn memory_mode_cache(&self) -> Option<(u64, u64)> {
+        self.tier1
+            .as_ref()
+            .and_then(Pool::memory_mode_device)
+            .map(|d| (d.cache_hits(), d.cache_misses()))
+    }
+
+    pub(crate) fn tier1_pool(&self) -> &Pool {
+        self.tier1
+            .as_ref()
+            .expect("tier-1 pool exists for this guard")
+    }
+
+    pub(crate) fn nvm_pool(&self) -> &Pool {
+        self.nvm.as_ref().expect("NVM pool exists for this guard")
+    }
+
+    /// Cheap uniform draw from a per-thread xorshift64* stream — no
+    /// shared cache line on the hot path (the old shared splitmix64
+    /// counter was a guaranteed cross-core bounce per draw).
+    ///
+    /// Each (manager, thread) pair gets an independent stream seeded from
+    /// `config.seed` and the order in which threads first draw from this
+    /// manager. A fresh manager re-issues ordinals from zero, so a
+    /// single-threaded run (the chaos explorer) sees an identical draw
+    /// sequence across managers built with the same seed — the
+    /// determinism `identical_configs_yield_identical_verdicts` relies
+    /// on.
+    fn draw(&self) -> u32 {
+        thread_local! {
+            /// (owning manager id, xorshift state).
+            static POLICY_RNG: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+        }
+        POLICY_RNG.with(|c| {
+            let (id, mut s) = c.get();
+            if id != self.mgr_id {
+                // relaxed: per-thread RNG seed ordinal; only uniqueness
+                // matters, not ordering against other memory.
+                let ord = self.rng_threads.fetch_add(1, Ordering::Relaxed);
+                // `| 1` keeps the xorshift state non-zero forever.
+                s = splitmix64(self.config.seed ^ splitmix64(ord)) | 1;
+            }
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            c.set((self.mgr_id, s));
+            (s.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32
+        })
+    }
+
+    /// Allocate a fresh zeroed page. The page initially resides on SSD
+    /// (paper §1: "initially, a newly-allocated page resides on SSD").
+    pub fn allocate_page(&self) -> Result<PageId> {
+        let pid = PageId(self.next_pid.fetch_add(1, Ordering::AcqRel));
+        let zeros = vec![0u8; self.config.page_size];
+        retry_device_io(&self.metrics, "page allocation", || {
+            self.ssd.write_page(pid.0, &zeros)
+        })?;
+        Ok(pid)
+    }
+
+    /// Force an fsync barrier on the SSD: everything written so far
+    /// survives [`BufferManager::simulate_crash`].
+    pub fn sync_ssd(&self) -> Result<()> {
+        retry_device_io(&self.metrics, "ssd sync", || self.ssd.sync())
+    }
+
+    /// Read `pid`'s SSD image into `buf`, retrying transient faults. A page
+    /// whose backing vanished in a crash (allocated but never synced) reads
+    /// as zeros — the durable content of a freshly allocated page.
+    fn read_ssd_page(&self, pid: PageId, buf: &mut [u8]) -> Result<()> {
+        match retry_device_io(&self.metrics, "ssd read", || self.ssd.read_page(pid.0, buf)) {
+            Ok(()) => Ok(()),
+            Err(BufferError::Device(DeviceError::PageNotFound(_))) => {
+                buf.fill(0);
+                Ok(())
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    fn descriptor(&self, pid: PageId) -> Result<Arc<SharedPageDesc>> {
+        // relaxed: suffices for this bounds check — a caller can only hold
+        // a valid pid through some channel that happens-after the
+        // `fetch_add` in `allocate_page` (a return value, a message, a
+        // page read), and that edge makes the incremented counter visible
+        // to a relaxed load too. Acquire bought nothing — there is no
+        // release store this load needs to pair with for correctness —
+        // and the optimistic fast path skips the check entirely:
+        // presence in the mapping table proves the pid was validated.
+        if pid.0 >= self.next_pid.load(Ordering::Relaxed) {
+            return Err(BufferError::UnknownPage(pid));
+        }
+        Ok(self
+            .mapping
+            .get_or_insert_with(pid.0, || Arc::new(SharedPageDesc::new(pid))))
+    }
+
+    /// Drop one pin on the page's copy (guard drop).
+    pub(crate) fn unpin(&self, pid: PageId, in_dram_slot: bool) {
+        let Some(desc) = self.mapping.get(&pid.0) else {
+            return;
+        };
+        let mut st = desc.state.lock();
+        let slot = st.slot_mut(in_dram_slot);
+        if let Some(CopyState::Resident { pins, .. } | CopyState::Busy { pins, .. }) = slot {
+            debug_assert!(*pins > 0, "unpin without pin on {pid}");
+            *pins = pins.saturating_sub(1);
+        }
+        desc.cond.notify_all();
+    }
+
+    /// Mark the pinned copy dirty (guard write).
+    pub(crate) fn mark_dirty(&self, pid: PageId, in_dram_slot: bool) {
+        let Some(desc) = self.mapping.get(&pid.0) else {
+            return;
+        };
+        {
+            let mut st = desc.state.lock();
+            if let Some(CopyState::Resident { dirty, .. } | CopyState::Busy { dirty, .. }) =
+                st.slot_mut(in_dram_slot)
+            {
+                *dirty = true;
+            }
+            // Stamp the write end onto the pin word: a shadow copy taken
+            // during this write's window observes the bump and discards its
+            // (possibly torn) copy. Bumping while the guard's pin is still
+            // held is what makes the shadow commit's drain + version
+            // re-check airtight — see `PinWord::shadow_commit`.
+            desc.pin_word(in_dram_slot).bump_version();
+        }
+        self.note_dirty_epoch(&desc);
+    }
+
+    /// Record `desc`'s page in the current checkpoint dirty epoch. This is
+    /// the single content-mutation hook: every guard write funnels through
+    /// `mark_dirty`, so draining the set yields exactly the pages whose
+    /// images an incremental checkpoint must copy.
+    fn note_dirty_epoch(&self, desc: &SharedPageDesc) {
+        // relaxed: fast-path skip hint only. A stale read can at worst
+        // take the mutex below unnecessarily; it can never skip a page
+        // that belongs in the current epoch, because the hint is written
+        // under the set mutex with the then-current epoch, and the epoch
+        // only advances under that same mutex.
+        let hint = desc.ckpt_epoch.load(Ordering::Relaxed);
+        // relaxed: see above — re-read under the mutex before recording.
+        if hint == self.dirty_epoch.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut set = self.dirty_since.lock();
+        set.insert(desc.pid.0);
+        // relaxed: written under the set mutex, paired with the re-read in
+        // the fast path above.
+        desc.ckpt_epoch
+            .store(self.dirty_epoch.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
+    /// Number of pages dirtied since the last [`Self::drain_dirty_epoch`].
+    pub fn dirty_epoch_len(&self) -> usize {
+        self.dirty_since.lock().len()
+    }
+
+    /// Start a new checkpoint epoch and return the pages dirtied during
+    /// the previous one. The caller (the incremental checkpointer) copies
+    /// these page images; writes racing with the drain land in the new
+    /// epoch and are picked up by the next checkpoint.
+    pub fn drain_dirty_epoch(&self) -> Vec<PageId> {
+        let mut set = self.dirty_since.lock();
+        // relaxed: the epoch bump is published by the set mutex; `mark_dirty`
+        // re-reads it under the same mutex before stamping its hint.
+        self.dirty_epoch.fetch_add(1, Ordering::Relaxed);
+        std::mem::take(&mut *set).into_iter().map(PageId).collect()
+    }
+
+    /// Put pages back into the dirty-epoch set after a failed checkpoint so
+    /// the next attempt re-copies them.
+    pub fn merge_dirty_epoch(&self, pids: &[PageId]) {
+        let mut set = self.dirty_since.lock();
+        set.extend(pids.iter().map(|p| p.0));
+    }
+}
+
+/// Administrative handle over a [`BufferManager`]: every runtime mutator
+/// that used to live as a free-standing `set_*` method on the manager is
+/// grouped here, so the manager's own surface is read-mostly and the
+/// mutating entry points are greppable as `admin()` calls.
+///
+/// Obtained from [`BufferManager::admin`]; borrows the manager, so it is
+/// cheap to create on demand and cannot outlive it.
+pub struct Admin<'a> {
+    bm: &'a BufferManager,
+}
+
+impl Admin<'_> {
+    /// Swap the active migration policy (used by the adaptive tuner, §4).
+    pub fn set_policy(&self, policy: MigrationPolicy) {
+        self.bm.policy.store(policy);
+    }
+
+    /// Change the emulated-delay scale on every device at runtime. Load
+    /// phases run at [`spitfire_device::TimeScale::ZERO`] (no delays),
+    /// measurement at `REAL`; counters are unaffected.
+    pub fn set_time_scale(&self, scale: spitfire_device::TimeScale) {
+        if let Some(p) = &self.bm.tier1 {
+            p.set_time_scale(scale);
+        }
+        if let Some(p) = &self.bm.nvm {
+            p.set_time_scale(scale);
+        }
+        self.bm.ssd.set_time_scale(scale);
+    }
+
+    /// Install (or clear) a fault injector on every device in the
+    /// hierarchy. Chaos harness entry point; `None` restores fault-free
+    /// operation.
+    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
+        if let Some(p) = &self.bm.tier1 {
+            p.set_fault_injector(injector.clone());
+        }
+        if let Some(p) = &self.bm.nvm {
+            p.set_fault_injector(injector.clone());
+        }
+        self.bm.ssd.set_fault_injector(injector);
+    }
+
+    /// Restore the page-id allocator after recovery (ids present only on
+    /// SSD are the caller's to account for, e.g. from a catalog page).
+    pub fn set_next_page_id(&self, next: u64) {
+        self.bm.next_pid.fetch_max(next, Ordering::AcqRel);
+    }
+}
+
+impl std::fmt::Debug for BufferManager {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BufferManager")
+            .field("hierarchy", &self.hierarchy())
+            .field("dram_frames", &self.dram_frames())
+            .field("nvm_frames", &self.nvm_frames())
+            .field("pages", &self.page_count())
+            .finish_non_exhaustive()
+    }
+}
+
+/// SplitMix64 scrambler: seeds the per-thread policy RNG streams with
+/// well-mixed, pairwise-independent states.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Run `f` with a thread-local scratch buffer of `len` bytes. Re-entrant:
+/// nested calls each get their own buffer from a per-thread pool.
+pub(crate) fn with_page_buf<T>(len: usize, f: impl FnOnce(&mut [u8]) -> T) -> T {
+    thread_local! {
+        static POOL: std::cell::RefCell<Vec<Vec<u8>>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+    let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    let out = f(&mut buf[..len]);
+    POOL.with(|p| p.borrow_mut().push(buf));
+    out
+}

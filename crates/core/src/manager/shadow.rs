@@ -1,0 +1,671 @@
+//! The shadow claim/finish pair: the single place that knows how a copy's
+//! [`CopyState`] and its [`spitfire_sync::PinWord`] move together across a
+//! tier move.
+//!
+//! The rule for every tier move is *shadow when the word is open and the
+//! move does device I/O; exclusive claim otherwise*:
+//!
+//! * [`BufferManager::shadow_claim`] (descriptor mutex held) snapshots the
+//!   source word's version **without closing it**, raises the page's
+//!   `shadow_*` flag so other transitions stand down, and marks an NVM
+//!   merge target `Busy`. The source slot stays `Resident`: the fast path
+//!   and the mutex path both keep serving it through the copy window.
+//! * The caller drops the mutex and does its device I/O.
+//! * [`BufferManager::shadow_finish`] retakes the mutex and resolves the
+//!   move. It commits only if the I/O succeeded, no mutex pin is live, and
+//!   the word proves that no write overlapped the window and every
+//!   optimistic pin drained; otherwise the source stays `Resident`, dirty
+//!   and authoritative, and whatever landed in the destination is
+//!   discarded or left dirty.
+//!
+//! On every abort the source slot is `Resident` with its dirty flag
+//! untouched and its word open (reopened if a failed commit closed it).
+//! Retiring moves (`Promote`, `Evict`, `WriteBack`) commit through
+//! [`spitfire_sync::PinWord::shadow_commit`], which closes the word; a
+//! `Flush` never closes it and commits through
+//! [`spitfire_sync::PinWord::shadow_still_clean`] plus a zero pin count.
+//! DESIGN.md "Shadow-copy migrations" tabulates every move's source and
+//! destination states; the unit tests below check that table row by row.
+
+use spitfire_device::AccessPattern;
+use spitfire_obs::{self as obs, Op};
+use spitfire_sync::{ShadowOutcome, ShadowToken};
+
+use super::{with_page_buf, BufferManager};
+use crate::descriptor::{CopyState, FrameRef, PageState, SharedPageDesc};
+use crate::metrics::ShadowPath;
+use crate::types::{FrameId, PageId};
+use crate::Result;
+
+/// Spin budget a shadow-copy commit spends draining optimistic pins
+/// (see [`spitfire_sync::PinWord::shadow_commit`]). Live readers hold a
+/// pin for a handful of loads, so a short budget drains them; a pin that
+/// outlasts it belongs to a descheduled thread or to a writer blocked on
+/// *our* descriptor mutex — spinning longer would deadlock on the latter,
+/// so the commit aborts and the migration retries later.
+const SHADOW_COMMIT_SPIN: u32 = 128;
+
+/// A shadow claim on one `Resident` full-frame copy, held from
+/// [`BufferManager::shadow_claim`] to [`BufferManager::shadow_finish`].
+#[derive(Debug)]
+pub(super) struct ShadowClaim {
+    /// The claimed copy sits in the DRAM slot (else the NVM slot).
+    src_dram: bool,
+    /// Frame of the claimed copy.
+    src: FrameId,
+    /// Version snapshot of the source word at claim time.
+    token: ShadowToken,
+    /// NVM copy marked `Busy` as the merge target of a DRAM-source move.
+    merge: Option<FrameId>,
+}
+
+impl ShadowClaim {
+    /// Frame of the claimed (source) copy.
+    pub(super) fn src(&self) -> FrameId {
+        self.src
+    }
+}
+
+/// How a copy was claimed for a tier move.
+#[derive(Debug)]
+pub(super) enum Claim {
+    /// Word open, I/O ahead: the copy stays `Resident` and readable.
+    Shadow(ShadowClaim),
+    /// Word closed with zero optimistic pins, copy marked `Busy`.
+    Exclusive,
+}
+
+/// What a shadow move does with its source and destination when it
+/// commits (tabulated in DESIGN.md "Shadow-copy migrations").
+#[derive(Debug, Clone, Copy)]
+pub(super) enum ShadowEnd {
+    /// NVM→DRAM promotion into the given DRAM frame. `None`: no DRAM frame
+    /// could be claimed, so the move aborts without touching the word.
+    Promote(Option<FrameId>),
+    /// DRAM eviction. `Some` is a freshly admitted NVM frame; with `None`
+    /// the bytes went to the claim's merge target or, lacking one, to SSD.
+    Evict(Option<FrameId>),
+    /// Dirty NVM copy written to SSD and synced, about to be retired: left
+    /// `Busy` and clean with its word closed for `finish_nvm_eviction`.
+    WriteBack,
+    /// Write-back that leaves the copy resident; it only goes clean.
+    Flush,
+}
+
+impl ShadowEnd {
+    fn path(self) -> ShadowPath {
+        match self {
+            ShadowEnd::Promote(_) => ShadowPath::Promote,
+            ShadowEnd::Evict(_) | ShadowEnd::WriteBack => ShadowPath::Evict,
+            ShadowEnd::Flush => ShadowPath::Flush,
+        }
+    }
+}
+
+impl BufferManager {
+    /// Re-open the NVM pin word if the current state allows optimistic
+    /// NVM pins (Resident full-frame copy, no DRAM copy shadowing it).
+    /// Call under the descriptor mutex after restoring a state.
+    pub(super) fn reopen_nvm_word(desc: &SharedPageDesc, st: &PageState) {
+        if st.dram.is_none() {
+            if let Some(CopyState::Resident {
+                frame: FrameRef::Full(f),
+                ..
+            }) = &st.nvm
+            {
+                desc.nvm_pin.open(f.0);
+            }
+        }
+    }
+
+    /// Re-open the DRAM pin word if the DRAM slot holds a Resident
+    /// full-frame copy. Call under the descriptor mutex.
+    pub(super) fn reopen_dram_word(desc: &SharedPageDesc, st: &PageState) {
+        if let Some(CopyState::Resident {
+            frame: FrameRef::Full(f),
+            ..
+        }) = &st.dram
+        {
+            desc.dram_pin.open(f.0);
+        }
+    }
+
+    /// Copy one full page between the pools through the thread's scratch
+    /// buffer: NVM→DRAM when `to_dram`, else DRAM→NVM. An NVM destination
+    /// is persisted, and stamped with `header` when it is a freshly
+    /// claimed frame that recovery must be able to find.
+    ///
+    /// Under a shadow claim the source stays open, so a racing writer may
+    /// be mutating the bytes as they are read. The arena contract allows
+    /// that (torn bytes, never memory unsafety) because the copy is
+    /// validated before install — [`Self::shadow_finish`] aborts if any
+    /// write bumped the version, and the torn copy is discarded.
+    pub(super) fn copy_frame(
+        &self,
+        to_dram: bool,
+        src: FrameId,
+        dst: FrameId,
+        header: Option<PageId>,
+    ) -> Result<()> {
+        let page = self.config.page_size;
+        let (from, to) = if to_dram {
+            (self.nvm_pool(), self.tier1_pool())
+        } else {
+            (self.tier1_pool(), self.nvm_pool())
+        };
+        with_page_buf(page, |buf| -> Result<()> {
+            from.read(src, 0, buf, AccessPattern::Sequential)?;
+            to.write(dst, 0, buf, AccessPattern::Sequential)?;
+            if !to_dram {
+                to.persist(dst, 0, page)?;
+                if let Some(pid) = header {
+                    to.write_frame_header(dst, pid)?;
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// Shadow-claim the copy in `src`: a `Resident` full-frame copy with
+    /// zero mutex pins in the slot `src_dram` names, on a page with no
+    /// other shadow operation in flight (the caller checked all of that
+    /// under the descriptor mutex it holds). `merge` names an NVM copy —
+    /// `Resident`, zero pins — that the move will overwrite; it is marked
+    /// `Busy` and dirty for the duration.
+    ///
+    /// Returns `None`, with nothing changed, when the source word is
+    /// closed. For an NVM source that is the expected answer whenever a
+    /// DRAM copy shadows it (readers use DRAM, so an exclusive claim
+    /// stalls nobody); in every other case a closed word on such a copy
+    /// is a broken word/slot invariant — the one `assert_quiescent`
+    /// states — and debug builds say so instead of backing off silently.
+    pub(super) fn shadow_claim(
+        desc: &SharedPageDesc,
+        st: &mut PageState,
+        src_dram: bool,
+        src: FrameId,
+        merge: Option<FrameId>,
+    ) -> Option<ShadowClaim> {
+        let token = desc.pin_word(src_dram).shadow_begin();
+        debug_assert_eq!(
+            token.is_some(),
+            src_dram || st.dram.is_none(),
+            "page {}: pin word disagrees with a Resident zero-pin copy (dram {:?}, nvm {:?})",
+            desc.pid,
+            st.dram,
+            st.nvm
+        );
+        let token = token?;
+        *st.shadow_mut(src_dram) = true;
+        if let Some(nf) = merge {
+            st.nvm = Some(CopyState::Busy {
+                frame: FrameRef::Full(nf),
+                pins: 0,
+                dirty: true,
+            });
+        }
+        Some(ShadowClaim {
+            src_dram,
+            src,
+            token,
+            merge,
+        })
+    }
+
+    /// Resolve a shadow move after its device I/O: commit the transition
+    /// `end` describes, or abort and leave the source authoritative. This
+    /// is the only shadow commit/abort epilogue. Returns whether the move
+    /// committed.
+    ///
+    /// The move commits only if the I/O succeeded (`io_ok`), no mutex pin
+    /// is live on the source — a mutex-held pin may be a writer whose
+    /// bytes are not yet version-stamped — and the word agrees: a retiring
+    /// move closes it and demands an unchanged version plus drained
+    /// optimistic pins; a [`ShadowEnd::Flush`] leaves it open and demands
+    /// zero pins and an unchanged version (a guard write bumps before its
+    /// unpin, so the pin checks close the window a pinned writer leaves).
+    ///
+    /// Whatever the outcome the claim is released, a merge target goes
+    /// back to `Resident` *dirty* (it now holds either the reconciled
+    /// bytes, which supersede its old content, or a torn/partial merge —
+    /// both must be written down before being discarded), waiters are
+    /// woken, and the frame that lost its page is freed: the source on a
+    /// committed eviction, the destination on an abort. An attempt whose
+    /// I/O succeeded counts as a commit or an abort on `end`'s
+    /// [`ShadowPath`]; a failed I/O is not a protocol outcome and counts
+    /// as neither.
+    pub(super) fn shadow_finish(
+        &self,
+        desc: &SharedPageDesc,
+        claim: ShadowClaim,
+        end: ShadowEnd,
+        io_ok: bool,
+    ) -> bool {
+        let ShadowClaim {
+            src_dram,
+            src,
+            token,
+            merge,
+        } = claim;
+        let word = desc.pin_word(src_dram);
+        let mut st = desc.state.lock();
+        *st.shadow_mut(src_dram) = false;
+        if let Some(nf) = merge {
+            st.nvm = Some(CopyState::Resident {
+                frame: FrameRef::Full(nf),
+                pins: 0,
+                dirty: true,
+            });
+        }
+        // The shadow flag kept the slots stable (exclusions in eviction,
+        // flush, and fetch): the source is still `Resident` and no copy
+        // appeared beside it; only pins and the dirty flag may have moved.
+        let mutex_pins = match st.slot_mut(src_dram) {
+            Some(CopyState::Resident { pins, .. }) => *pins,
+            _ => u32::MAX,
+        };
+        let has_destination = !matches!(end, ShadowEnd::Promote(None));
+        let committed = io_ok
+            && has_destination
+            && mutex_pins == 0
+            && match end {
+                ShadowEnd::Flush => word.pins() == 0 && word.shadow_still_clean(&token),
+                _ => {
+                    let stall_t = obs::op_start();
+                    let outcome = word.shadow_commit(&token, SHADOW_COMMIT_SPIN);
+                    let tier = if src_dram { "dram" } else { "nvm" };
+                    obs::record_op(Op::MigrationStall, stall_t, desc.pid.0, tier);
+                    if outcome != ShadowOutcome::Committed {
+                        // shadow_commit left the word closed: reopen it so
+                        // the fast path resumes on the (still
+                        // authoritative) copy.
+                        if src_dram {
+                            Self::reopen_dram_word(desc, &st);
+                        } else {
+                            Self::reopen_nvm_word(desc, &st);
+                        }
+                    }
+                    outcome == ShadowOutcome::Committed
+                }
+            };
+        if committed {
+            match end {
+                // The NVM word stays closed: a DRAM copy shadows it now.
+                ShadowEnd::Promote(dram_frame) => {
+                    let f = dram_frame.expect("a committed promotion has a frame");
+                    st.dram = Some(CopyState::Resident {
+                        frame: FrameRef::Full(f),
+                        pins: 1,
+                        dirty: false,
+                    });
+                    desc.dram_pin.open(f.0);
+                }
+                // Zero pins, version unchanged: the written-down bytes are
+                // proven current. Retire the DRAM copy; with it gone, a
+                // Resident NVM copy becomes optimistically pinnable.
+                ShadowEnd::Evict(admitted) => {
+                    st.dram = None;
+                    if let Some(nf) = admitted {
+                        st.nvm = Some(CopyState::Resident {
+                            frame: FrameRef::Full(nf),
+                            pins: 0,
+                            dirty: true,
+                        });
+                    }
+                    Self::reopen_nvm_word(desc, &st);
+                }
+                // Exclusively claimed from here on, so the caller can
+                // clear the frame header outside the mutex.
+                ShadowEnd::WriteBack => {
+                    st.nvm = Some(CopyState::Busy {
+                        frame: FrameRef::Full(src),
+                        pins: 0,
+                        dirty: false,
+                    });
+                }
+                ShadowEnd::Flush => {
+                    if let Some(CopyState::Resident { dirty, .. }) = st.slot_mut(src_dram) {
+                        *dirty = false;
+                    }
+                }
+            }
+        }
+        desc.cond.notify_all();
+        drop(st);
+        // Frames are freed after the slots stopped naming them, so a
+        // racing fetch cannot observe a freed frame id in a Resident state.
+        match (end, committed) {
+            (ShadowEnd::Evict(_), true) => self.tier1_pool().free(src),
+            (ShadowEnd::Promote(Some(dram_frame)), false) => self.tier1_pool().free(dram_frame),
+            (ShadowEnd::Evict(Some(nf)), false) => {
+                // The freshly admitted frame was never linked into the
+                // descriptor; scrub its header (so recovery cannot adopt
+                // it) and give it back.
+                let _ = self.nvm_pool().clear_frame_header(nf);
+                self.nvm_pool().free(nf);
+            }
+            _ => {}
+        }
+        if committed {
+            self.metrics.record_shadow_commit(end.path());
+        } else if io_ok {
+            self.metrics.record_shadow_abort(end.path());
+        }
+        committed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::BufferManagerConfig;
+    use crate::policy::MigrationPolicy;
+    use spitfire_device::TimeScale;
+    use spitfire_sync::PinAttempt;
+    use std::sync::Arc;
+
+    /// The seven tier moves that go through `shadow_finish`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Move {
+        Promote,
+        EvictMerge,
+        EvictAdmit,
+        EvictToSsd,
+        NvmWriteBack,
+        NvmFlush,
+        /// With an NVM merge target (the SSD leg differs only in the I/O).
+        DramFlush,
+    }
+
+    /// What happens between claim and finish.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Window {
+        Quiet,
+        RacedWrite,
+        ReaderDraining,
+        MutexPinLive,
+        IoFailed,
+    }
+
+    const ABORTS: [Window; 4] = [
+        Window::RacedWrite,
+        Window::ReaderDraining,
+        Window::MutexPinLive,
+        Window::IoFailed,
+    ];
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Slot {
+        Empty,
+        Resident { dirty: bool },
+        Busy { dirty: bool },
+    }
+
+    fn slot(s: &Option<CopyState>) -> Slot {
+        match s {
+            None => Slot::Empty,
+            Some(CopyState::Resident { dirty, .. }) => Slot::Resident { dirty: *dirty },
+            Some(CopyState::Busy { dirty, .. }) => Slot::Busy { dirty: *dirty },
+            Some(CopyState::Loading) => panic!("shadow moves never leave a slot Loading"),
+        }
+    }
+
+    /// Expected state after `shadow_finish`. Frame deltas are free-frame
+    /// counts relative to the moment of the claim (before any destination
+    /// frame was allocated): a linked destination costs one, a freed
+    /// source gives one back, a freed destination nets to zero.
+    struct Row {
+        mv: Move,
+        committed: bool,
+        dram: Slot,
+        nvm: Slot,
+        dram_open: bool,
+        nvm_open: bool,
+        dram_free: isize,
+        nvm_free: isize,
+        path: ShadowPath,
+    }
+
+    const DIRTY: Slot = Slot::Resident { dirty: true };
+    const CLEAN: Slot = Slot::Resident { dirty: false };
+    use ShadowPath::{Evict, Flush, Promote};
+
+    #[rustfmt::skip]
+    const TABLE: [Row; 14] = [
+        // Promotion: the NVM source is untouched either way; committed, the DRAM copy shadows it.
+        Row { mv: Move::Promote, committed: true,  dram: CLEAN, nvm: DIRTY, dram_open: true,  nvm_open: false, dram_free: -1, nvm_free: 0, path: Promote },
+        Row { mv: Move::Promote, committed: false, dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Promote },
+        // Merge: the (initially clean) NVM target ends dirty whether or not the move commits.
+        Row { mv: Move::EvictMerge, committed: true,  dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, committed: false, dram: DIRTY, nvm: DIRTY, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        // Admit: the fresh NVM frame is linked on commit, scrubbed and freed on abort.
+        Row { mv: Move::EvictAdmit, committed: true,  dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: -1, path: Evict },
+        Row { mv: Move::EvictAdmit, committed: false, dram: DIRTY, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, committed: true,  dram: Slot::Empty, nvm: Slot::Empty, dram_open: false, nvm_open: false, dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, committed: false, dram: DIRTY, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        // Write-back: committed, the copy is held Busy/clean/closed for `finish_nvm_eviction`.
+        Row { mv: Move::NvmWriteBack, committed: true,  dram: Slot::Empty, nvm: Slot::Busy { dirty: false }, dram_open: false, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::NvmWriteBack, committed: false, dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Evict },
+        // Flushes never close the word; the copy only goes clean.
+        Row { mv: Move::NvmFlush, committed: true,  dram: Slot::Empty, nvm: CLEAN, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::NvmFlush, committed: false, dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::DramFlush, committed: true,  dram: CLEAN, nvm: DIRTY, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::DramFlush, committed: false, dram: DIRTY, nvm: DIRTY, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
+    ];
+
+    const PAGE: usize = 1024;
+
+    fn manager() -> BufferManager {
+        let config = BufferManagerConfig::builder()
+            .page_size(PAGE)
+            .dram_capacity(8 * PAGE)
+            .nvm_capacity(8 * (PAGE + 64))
+            .policy(MigrationPolicy::lazy())
+            .time_scale(TimeScale::ZERO)
+            .build()
+            .unwrap();
+        BufferManager::new(config).unwrap()
+    }
+
+    /// Install a `Resident`, zero-pin, full-frame copy of `pid` in one
+    /// slot, by hand.
+    fn install(bm: &BufferManager, desc: &SharedPageDesc, dram: bool, dirty: bool) -> FrameId {
+        let f = bm.alloc_frame(dram).unwrap();
+        let pool = if dram { bm.tier1_pool() } else { bm.nvm_pool() };
+        pool.set_owner(f, desc.pid);
+        let mut st = desc.state.lock();
+        *st.slot_mut(dram) = Some(CopyState::Resident {
+            frame: FrameRef::Full(f),
+            pins: 0,
+            dirty,
+        });
+        // The word/slot invariant: DRAM open; NVM open iff no DRAM copy.
+        if dram {
+            desc.nvm_pin.close();
+            desc.dram_pin.open(f.0);
+        } else if st.dram.is_none() {
+            desc.nvm_pin.open(f.0);
+        }
+        f
+    }
+
+    fn set_mutex_pins(desc: &SharedPageDesc, dram: bool, n: u32) {
+        if let Some(CopyState::Resident { pins, .. }) = desc.state.lock().slot_mut(dram) {
+            *pins = n;
+        }
+    }
+
+    fn run(row: &Row, window: Window) {
+        let ctx = format!("{:?} / {window:?}", row.mv);
+        let bm = manager();
+        let pid = bm.allocate_page().unwrap();
+        let desc: Arc<SharedPageDesc> = bm.descriptor(pid).unwrap();
+        let src_dram = matches!(
+            row.mv,
+            Move::EvictMerge | Move::EvictAdmit | Move::EvictToSsd | Move::DramFlush
+        );
+        // An NVM copy that is the source is dirty; one that is only the
+        // merge target starts clean, so "left dirty" is observable.
+        let nvm = (!src_dram || matches!(row.mv, Move::EvictMerge | Move::DramFlush))
+            .then(|| install(&bm, &desc, false, !src_dram));
+        let dram = src_dram.then(|| install(&bm, &desc, true, true));
+        let src = if src_dram { dram } else { nvm }.unwrap();
+        let merge = if src_dram { nvm } else { None };
+        let (dram_free0, nvm_free0) = bm.free_frames();
+        let word = desc.pin_word(src_dram);
+
+        // Claim: the source stays Resident and open, the target goes Busy.
+        let claim = {
+            let mut st = desc.state.lock();
+            let claim = BufferManager::shadow_claim(&desc, &mut st, src_dram, src, merge)
+                .expect("an open word is claimable");
+            assert!(*st.shadow_mut(src_dram), "{ctx}: flag raised");
+            assert_eq!(
+                slot(st.slot_mut(src_dram)),
+                DIRTY,
+                "{ctx}: source in window"
+            );
+            if merge.is_some() {
+                assert_eq!(slot(&st.nvm), Slot::Busy { dirty: true }, "{ctx}: target");
+            }
+            claim
+        };
+        assert!(word.is_open(), "{ctx}: claim keeps the word open");
+        let version0 = word.version();
+
+        // The destination the mover would have produced.
+        let end = match row.mv {
+            Move::Promote => {
+                let f = bm.alloc_frame(true).unwrap();
+                bm.tier1_pool().set_owner(f, pid);
+                ShadowEnd::Promote(Some(f))
+            }
+            Move::EvictAdmit => {
+                let f = bm.alloc_frame(false).unwrap();
+                bm.nvm_pool().write_frame_header(f, pid).unwrap();
+                bm.nvm_pool().set_owner(f, pid);
+                ShadowEnd::Evict(Some(f))
+            }
+            Move::EvictMerge | Move::EvictToSsd => ShadowEnd::Evict(None),
+            Move::NvmWriteBack => ShadowEnd::WriteBack,
+            Move::NvmFlush | Move::DramFlush => ShadowEnd::Flush,
+        };
+        match window {
+            Window::RacedWrite => word.bump_version(),
+            Window::ReaderDraining => {
+                assert!(matches!(word.try_pin(), PinAttempt::Pinned(_)), "{ctx}")
+            }
+            Window::MutexPinLive => set_mutex_pins(&desc, src_dram, 1),
+            Window::Quiet | Window::IoFailed => {}
+        }
+
+        let committed = bm.shadow_finish(&desc, claim, end, window != Window::IoFailed);
+        assert_eq!(committed, row.committed, "{ctx}: outcome");
+
+        {
+            let st = desc.state.lock();
+            assert!(!st.shadow_dram && !st.shadow_nvm, "{ctx}: claim released");
+            assert_eq!(slot(&st.dram), row.dram, "{ctx}: dram slot");
+            assert_eq!(slot(&st.nvm), row.nvm, "{ctx}: nvm slot");
+        }
+        assert_eq!(desc.dram_pin.is_open(), row.dram_open, "{ctx}: dram word");
+        assert_eq!(desc.nvm_pin.is_open(), row.nvm_open, "{ctx}: nvm word");
+        let (dram_free, nvm_free) = bm.free_frames();
+        assert_eq!(
+            dram_free as isize - dram_free0 as isize,
+            row.dram_free,
+            "{ctx}: dram frames"
+        );
+        assert_eq!(
+            nvm_free as isize - nvm_free0 as isize,
+            row.nvm_free,
+            "{ctx}: nvm frames"
+        );
+        if let (ShadowEnd::Evict(Some(f)), false) = (end, committed) {
+            let adoptable = bm.nvm_pool().scan_frame_headers();
+            assert!(
+                adoptable.iter().all(|(frame, _)| *frame != f),
+                "{ctx}: aborted admission left a header recovery would adopt"
+            );
+        }
+        // A live mutex pin or a failed I/O never reaches the word, and a
+        // flush never closes it: the version does not move.
+        let untouched = matches!(window, Window::MutexPinLive | Window::IoFailed)
+            || (matches!(end, ShadowEnd::Flush) && window != Window::RacedWrite);
+        if untouched {
+            assert_eq!(word.version(), version0, "{ctx}: word untouched");
+        }
+
+        // Exactly one counter moves, on the row's path — none for a
+        // failed I/O, which is not a protocol outcome.
+        let m = bm.metrics();
+        let mut commits = [0u64; 3];
+        let mut aborts = [0u64; 3];
+        match window {
+            Window::Quiet => commits[row.path as usize] = 1,
+            Window::IoFailed => {}
+            _ => aborts[row.path as usize] = 1,
+        }
+        assert_eq!(m.shadow_commits, commits, "{ctx}: commit counters");
+        assert_eq!(m.shadow_aborts, aborts, "{ctx}: abort counters");
+        assert_eq!(m.migrations_aborted, aborts.iter().sum::<u64>(), "{ctx}");
+
+        // Drop the pins the scenario (or a committed promotion's guard)
+        // holds; the table-wide word/slot invariants must then hold.
+        match window {
+            Window::ReaderDraining => word.unpin(),
+            Window::MutexPinLive => set_mutex_pins(&desc, src_dram, 0),
+            _ => {}
+        }
+        if committed && row.mv == Move::Promote {
+            set_mutex_pins(&desc, true, 0);
+        }
+        bm.assert_quiescent();
+    }
+
+    #[test]
+    fn shadow_finish_transition_table() {
+        for row in &TABLE {
+            if row.committed {
+                run(row, Window::Quiet);
+            } else {
+                for window in ABORTS {
+                    run(row, window);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn promotion_without_a_frame_is_a_counted_abort() {
+        for (io_ok, counted) in [(true, 1), (false, 0)] {
+            let bm = manager();
+            let pid = bm.allocate_page().unwrap();
+            let desc = bm.descriptor(pid).unwrap();
+            let src = install(&bm, &desc, false, true);
+            let claim = {
+                let mut st = desc.state.lock();
+                BufferManager::shadow_claim(&desc, &mut st, false, src, None).unwrap()
+            };
+            let version0 = desc.nvm_pin.version();
+            assert!(!bm.shadow_finish(&desc, claim, ShadowEnd::Promote(None), io_ok));
+            assert_eq!(desc.nvm_pin.version(), version0, "word never closed");
+            assert_eq!(bm.metrics().shadow_aborts[Promote as usize], counted);
+            bm.assert_quiescent();
+        }
+    }
+
+    #[test]
+    fn closed_nvm_word_declines_the_claim() {
+        // A DRAM copy shadows the NVM copy: its word is closed, and the
+        // caller falls back to the exclusive claim.
+        let bm = manager();
+        let pid = bm.allocate_page().unwrap();
+        let desc = bm.descriptor(pid).unwrap();
+        let nvm = install(&bm, &desc, false, true);
+        install(&bm, &desc, true, false);
+        let mut st = desc.state.lock();
+        assert!(BufferManager::shadow_claim(&desc, &mut st, false, nvm, None).is_none());
+        assert!(!st.shadow_nvm, "a declined claim changes nothing");
+    }
+}

@@ -6,10 +6,9 @@
 //!    page descriptors — [`ConcurrentMap`];
 //! 2. a concurrent bitmap backing the CLOCK replacement policy —
 //!    [`AtomicBitmap`];
-//! 3. lightweight latches for thread-safe page migration — [`RwLatch`];
-//! 4. optimistic lock coupling for the B+Tree — [`VersionLatch`];
-//! 5. the optimistic pin word that makes buffer hits latch-free —
-//!    [`PinWord`].
+//! 3. optimistic lock coupling for the B+Tree — [`VersionLatch`];
+//! 4. the optimistic pin word that makes buffer hits latch-free, and whose
+//!    shadow API carries thread-safe page migration — [`PinWord`].
 //!
 //! It also provides the HyMem-style NVM [`AdmissionQueue`] (paper §1, §6.5),
 //! which Spitfire's probabilistic policy replaces but which the baseline
@@ -47,7 +46,6 @@ pub mod atomic;
 mod bitmap;
 mod chashmap;
 mod crc32;
-mod latch;
 pub mod lock;
 mod optimistic;
 mod padded;
@@ -57,7 +55,6 @@ pub use admission::AdmissionQueue;
 pub use bitmap::AtomicBitmap;
 pub use chashmap::ConcurrentMap;
 pub use crc32::crc32;
-pub use latch::{LatchReadGuard, LatchWriteGuard, RwLatch};
 pub use optimistic::{OptimisticError, VersionLatch};
 pub use padded::{CachePadded, StripedCounter, CACHE_LINE};
 pub use pinword::{PinAttempt, PinWord, ShadowOutcome, ShadowToken};

@@ -53,9 +53,6 @@ use crate::{RecoveryStats, Result};
 /// Tuning knobs for the snapshot engine.
 #[derive(Debug, Clone)]
 pub struct SnapshotConfig {
-    /// Live WAL bytes that arm the periodic checkpoint trigger
-    /// ([`Database::checkpoint_if_due`]).
-    pub wal_threshold_bytes: u64,
     /// Every `full_every`-th checkpoint writes a full generation (chain
     /// base); the rest are incremental deltas over the dirty-epoch set.
     pub full_every: u64,
@@ -67,7 +64,6 @@ pub struct SnapshotConfig {
 impl Default for SnapshotConfig {
     fn default() -> Self {
         SnapshotConfig {
-            wal_threshold_bytes: 4 << 20,
             full_every: 8,
             quiesce_wait: Duration::from_millis(250),
         }
@@ -309,23 +305,6 @@ impl Database {
                     }
                 }
             }
-        }
-    }
-
-    /// Checkpoint when the live WAL has outgrown the configured
-    /// threshold. Contention is not an error here — the caller is a
-    /// background loop that simply tries again next period.
-    pub fn checkpoint_if_due(&self) -> Result<Option<CheckpointStats>> {
-        let Some(engine) = self.snapshot_engine() else {
-            return Ok(None);
-        };
-        if self.wal.log_bytes() < engine.cfg.wal_threshold_bytes {
-            return Ok(None);
-        }
-        match self.checkpoint() {
-            Ok(stats) => Ok(Some(stats)),
-            Err(TxnError::CheckpointContended) => Ok(None),
-            Err(e) => Err(e),
         }
     }
 

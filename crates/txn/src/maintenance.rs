@@ -1,22 +1,16 @@
-//! Background maintenance: version-chain vacuum and the dirty-page
-//! flusher.
+//! Maintenance: version-chain vacuum.
 //!
 //! MVTO version chains grow with every update. [`Database::vacuum`]
 //! truncates each key's chain below the *watermark* — the oldest active
 //! transaction timestamp — and recycles the freed slots, bounding the
 //! table footprint of long write-heavy runs.
 //!
-//! [`BackgroundFlusher`] periodically writes dirty DRAM pages down (the
-//! paper's §5.2 background flushing that enables log truncation) and,
-//! since the buffer manager grew batched NVM write-back
-//! ([`spitfire_core::BufferManager::flush_nvm_dirty`]), also drains dirty
-//! NVM-resident pages to SSD a batch at a time — one fsync per batch.
-//! NVM pages are persistent, so this is not needed for correctness; it is
-//! what lets [`Database::checkpoint`] truncate the WAL past NVM-resident
-//! dirty pages and lets evictions discard them without inline I/O.
-
-use std::sync::Arc;
-use std::time::Duration;
+//! Dirty-page flushing is not a service of this crate: the buffer
+//! manager's own [`spitfire_core::Maintenance`] workers keep free frames
+//! stocked, and [`Database::checkpoint`] flushes both tiers
+//! ([`spitfire_core::BufferManager::flush_all_dirty`], then
+//! [`spitfire_core::BufferManager::flush_nvm_dirty`] a batch at a time)
+//! before it truncates the WAL.
 
 use crate::db::Database;
 use crate::mvto::{is_marker, ABORTED};
@@ -119,59 +113,5 @@ impl Database {
             rid = hdr.prev;
         }
         Ok(freed)
-    }
-}
-
-/// Periodically flushes dirty DRAM pages to their home location (paper
-/// §5.2) and drains dirty NVM pages to SSD in batches. Stops when
-/// dropped.
-pub struct BackgroundFlusher {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl BackgroundFlusher {
-    /// Start flushing `db`'s buffer manager every `period`. Each pass
-    /// flushes dirty DRAM pages, then writes back one batch of dirty NVM
-    /// pages (batch size from the buffer manager's maintenance config) —
-    /// spreading the NVM drain over passes instead of stalling one pass
-    /// on a full sweep. When a snapshot engine is attached, each pass
-    /// also checkpoints if the live WAL has crossed the configured
-    /// threshold ([`Database::checkpoint_if_due`]); a contended
-    /// checkpoint is simply retried next period.
-    pub fn start(db: Arc<Database>, period: Duration) -> Self {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let bm = Arc::clone(db.buffer_manager());
-            let batch = bm.config().maintenance.batch.max(1);
-            // relaxed: shutdown hint; the flusher may run one extra batch.
-            while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                std::thread::sleep(period);
-                let _ = bm.flush_all_dirty();
-                let _ = bm.flush_nvm_dirty(batch);
-                let _ = db.checkpoint_if_due();
-            }
-        });
-        BackgroundFlusher {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for BackgroundFlusher {
-    fn drop(&mut self) {
-        // relaxed: shutdown hint (see the worker loop).
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for BackgroundFlusher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackgroundFlusher").finish_non_exhaustive()
     }
 }

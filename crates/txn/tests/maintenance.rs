@@ -1,11 +1,10 @@
-//! Tests for version-chain vacuum and the background flusher.
+//! Tests for version-chain vacuum and the dirty-page flush entry points.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
 use spitfire_device::TimeScale;
-use spitfire_txn::{BackgroundFlusher, Database, DbConfig, TxnError};
+use spitfire_txn::{Database, DbConfig, TxnError};
 
 const PAGE: usize = 1024;
 const T: u32 = 1;
@@ -149,8 +148,8 @@ fn vacuum_concurrent_with_writers_is_safe() {
 }
 
 #[test]
-fn background_flusher_cleans_dirty_pages() {
-    let db = Arc::new(database());
+fn flush_entry_points_clean_dirty_pages() {
+    let db = database();
     {
         let mut t = db.begin();
         for key in 0..64u64 {
@@ -158,10 +157,14 @@ fn background_flusher_cleans_dirty_pages() {
         }
         db.commit(&mut t).unwrap();
     }
-    let flusher = BackgroundFlusher::start(Arc::clone(&db), Duration::from_millis(10));
-    std::thread::sleep(Duration::from_millis(120));
-    drop(flusher);
-    // After the flusher ran, a manual flush finds little or nothing dirty.
-    let remaining = db.buffer_manager().flush_all_dirty().unwrap();
-    assert!(remaining <= 4, "flusher left {remaining} dirty pages");
+    // What a checkpoint does before truncating the WAL: flush dirty DRAM
+    // pages, then drain dirty NVM pages a batch at a time.
+    let bm = db.buffer_manager();
+    let batch = bm.config().maintenance.batch.max(1);
+    assert!(bm.flush_all_dirty().unwrap() > 0, "the load dirtied pages");
+    while bm.flush_nvm_dirty(batch).unwrap() > 0 {}
+    assert_eq!(bm.dirty_pages().1, 0, "NVM drain left dirty pages");
+    // A second flush finds little or nothing dirty.
+    let remaining = bm.flush_all_dirty().unwrap();
+    assert!(remaining <= 4, "flush left {remaining} dirty pages");
 }

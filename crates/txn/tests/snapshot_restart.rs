@@ -39,7 +39,6 @@ fn database() -> Arc<Database> {
 
 fn snap_config() -> SnapshotConfig {
     SnapshotConfig {
-        wal_threshold_bytes: 16 * 1024,
         full_every: 4,
         ..SnapshotConfig::default()
     }

@@ -1,7 +1,7 @@
 //! Workspace automation (`cargo xtask <task>`).
 //!
-//! The only task so far is `lint`: the atomics-discipline lint that CI
-//! runs tree-wide. It is textual on purpose — no syn, no rustc plumbing,
+//! The only task so far is `lint`: the atomics-discipline (and
+//! file-length) lint that CI runs tree-wide. It is textual on purpose — no syn, no rustc plumbing,
 //! no dependencies — because the disciplines it enforces are *comment*
 //! conventions and module-level import rules that a line scanner checks
 //! reliably:
@@ -29,6 +29,12 @@
 //!    that bypasses the facade is invisible to the checker — silently
 //!    unverified.
 //!
+//! 5. **`length`** — no `.rs` file under `crates/core/src/` exceeds
+//!    [`CORE_FILE_LINE_LIMIT`] lines (tests included: a long test module
+//!    belongs in its own file). The buffer manager was once a single
+//!    3 100-line file holding two protocols for every tier move; the
+//!    limit keeps its per-concern split from silently regrowing.
+//!
 //! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2 and 4: test
 //! code freely uses relaxed counters and raw atomics, and verifying the
 //! tests is the job of the tests themselves. The lint skips everything
@@ -50,6 +56,9 @@ const JUSTIFY_WINDOW: usize = 8;
 /// Fast-path region markers (see module docs, rule 3).
 const FASTPATH_BEGIN: &str = "xtask: fastpath-begin";
 const FASTPATH_END: &str = "xtask: fastpath-end";
+
+/// Longest `.rs` file allowed under `crates/core/src/` (rule 5).
+const CORE_FILE_LINE_LIMIT: usize = 800;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -210,6 +219,19 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
         && rel_str != "crates/sync/src/lock.rs";
     let whole_file_fastpath = rel_str == "crates/sync/src/pinword.rs";
 
+    if rel_str.starts_with("crates/core/src/") && lines.len() > CORE_FILE_LINE_LIMIT {
+        findings.push(Finding {
+            file: rel.to_path_buf(),
+            line: CORE_FILE_LINE_LIMIT + 1,
+            rule: "length",
+            message: format!(
+                "{} lines; files under crates/core/src are capped at \
+                 {CORE_FILE_LINE_LIMIT} — split by concern",
+                lines.len()
+            ),
+        });
+    }
+
     let mut in_fastpath = whole_file_fastpath;
     let mut fastpath_open_line = 0usize;
 
@@ -341,6 +363,37 @@ mod tests {
             .chain(std::iter::once("x.load(Ordering::Relaxed);"))
             .collect();
         assert!(!justified(&far, far.len() - 1, "relaxed:"));
+    }
+
+    #[test]
+    fn core_files_are_length_capped() {
+        let root = Path::new("/ws");
+        let long = "fn f() {}\n".repeat(CORE_FILE_LINE_LIMIT + 1);
+        let mut findings = Vec::new();
+        lint_file(
+            root,
+            &root.join("crates/core/src/manager/mod.rs"),
+            &long,
+            &mut findings,
+        );
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].rule, "length");
+        // At the limit, and outside crates/core/src, nothing fires.
+        findings.clear();
+        let at_limit = "fn f() {}\n".repeat(CORE_FILE_LINE_LIMIT);
+        lint_file(
+            root,
+            &root.join("crates/core/src/pool.rs"),
+            &at_limit,
+            &mut findings,
+        );
+        lint_file(
+            root,
+            &root.join("crates/txn/src/wal.rs"),
+            &long,
+            &mut findings,
+        );
+        assert!(findings.is_empty());
     }
 
     #[test]

@@ -197,4 +197,15 @@ fn removed_shims_stay_removed() {
     let _: Absent = bm.set_next_page_id(1);
     // The supported path is the scoped admin handle.
     bm.admin().set_next_page_id(1);
+
+    // Same trick for the retired `shadow_migrations(bool)` knob: tier
+    // moves pick shadow vs exclusive from the page's state, and the
+    // builder must not grow the option back.
+    trait KnobAbsent: Sized {
+        fn shadow_migrations(self, _: bool) -> Absent {
+            Absent
+        }
+    }
+    impl KnobAbsent for BufferManagerConfigBuilder {}
+    let _: Absent = BufferManagerConfig::builder().shadow_migrations(false);
 }
