@@ -20,26 +20,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spitfire_bench::{fmt_us, kops, obs_json_path, quick, Reporter};
+use spitfire_bench::{fmt_us, kops, quick, write_bench_json, Reporter};
 use spitfire_core::{AccessIntent, BufferManager, BufferManagerConfig, MigrationPolicy, PageId};
 use spitfire_device::{PersistenceTracking, TimeScale};
+use spitfire_obs::json::{self, Json};
 use spitfire_obs::Op;
 
 const PAGE: usize = 4096;
 /// Hot working set: small enough to stay resident, large enough to spread
 /// CLOCK/descriptor traffic over many pages.
 const PAGES: usize = 128;
-
-/// Pre-optimistic-pinning baseline (descriptor mutex on every fetch),
-/// measured on the reference box right before the lock-free hit path
-/// landed: dram-hit ops/s at 1/2/4/8 threads. Kept in the JSON output so
-/// every later run shows the trajectory against the same starting point.
-const PRE_PR_DRAM_HIT_OPS: [(u32, u64); 4] = [
-    (1, 2_932_286),
-    (2, 3_268_241),
-    (4, 3_194_859),
-    (8, 2_850_143),
-];
 
 struct Scenario {
     name: &'static str,
@@ -214,44 +204,21 @@ fn main() {
     }
     r.done();
 
-    let path = obs_json_path().unwrap_or_else(|| "BENCH_hitpath.json".into());
-    let mut json =
-        String::from("{\n  \"pre_pr_baseline\": {\"scenario\": \"dram-hit\", \"ops_per_sec\": {");
-    for (i, (threads, ops)) in PRE_PR_DRAM_HIT_OPS.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("\"{threads}\": {ops}"));
-    }
-    json.push_str("}},\n");
-    // Flat-scaling headline: dram-hit throughput at 8 threads over 1
-    // thread (ROADMAP open item 1 tracks this ratio; > 1.0 means the hit
-    // path gains from cores instead of collapsing under contention).
-    let dram_ops = |threads: usize| {
-        points
-            .iter()
-            .find(|p| p.scenario == "dram-hit" && p.threads == threads)
-            .map(|p| p.ops_per_sec)
-    };
-    if let (Some(one), Some(eight)) = (dram_ops(1), dram_ops(8)) {
-        if one > 0.0 {
-            json.push_str(&format!("  \"scaling_1_to_8\": {:.3},\n", eight / one));
-        }
-    }
-    json.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"threads\": {}, \"ops_per_sec\": {:.0}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"slow_fallbacks_per_kop\": {:.3}}}",
-            p.scenario, p.threads, p.ops_per_sec, p.p50_ns, p.p99_ns, p.fallbacks_per_kop
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   hitpath -> {}", path.display()),
-        Err(e) => eprintln!("   hitpath: failed to write {}: {e}", path.display()),
-    }
+    let results = points.iter().map(|p| {
+        json::object([
+            ("scenario", Json::from(p.scenario)),
+            ("threads", p.threads.into()),
+            ("ops_per_sec", json::fixed(p.ops_per_sec, 0)),
+            ("p50_ns", p.p50_ns.into()),
+            ("p99_ns", p.p99_ns.into()),
+            (
+                "slow_fallbacks_per_kop",
+                json::fixed(p.fallbacks_per_kop, 3),
+            ),
+        ])
+    });
+    write_bench_json(
+        "hitpath",
+        &json::object([("results", json::array(results))]),
+    );
 }

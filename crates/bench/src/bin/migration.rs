@@ -25,9 +25,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spitfire_bench::{fmt_us, obs_json_path, quick, Reporter};
+use spitfire_bench::{fmt_us, quick, write_bench_json, Reporter};
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPath, MigrationPolicy, PageId};
 use spitfire_device::{PersistenceTracking, TimeScale};
+use spitfire_obs::json::{self, Json};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -233,31 +234,22 @@ fn main() {
     }
     r.done();
 
-    let path = obs_json_path().unwrap_or_else(|| "BENCH_migration.json".into());
-    let mut json = String::from("{\n  \"results\": [\n");
-    for (i, o) in results.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"ops\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"max_ns\": {}, \"promotions\": {}, \"demotions\": {}, \"flushes\": {}, \
-             \"migrations_aborted\": {}, \"abort_rate\": {:.4}}}",
-            o.scenario,
-            o.ops,
-            o.p50_ns,
-            o.p99_ns,
-            o.max_ns,
-            o.promotions,
-            o.demotions,
-            o.flushes,
-            o.aborted,
-            o.abort_rate
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   migration -> {}", path.display()),
-        Err(e) => eprintln!("   migration: failed to write {}: {e}", path.display()),
-    }
+    let results = results.iter().map(|o| {
+        json::object([
+            ("scenario", Json::from(o.scenario)),
+            ("ops", o.ops.into()),
+            ("p50_ns", o.p50_ns.into()),
+            ("p99_ns", o.p99_ns.into()),
+            ("max_ns", o.max_ns.into()),
+            ("promotions", o.promotions.into()),
+            ("demotions", o.demotions.into()),
+            ("flushes", o.flushes.into()),
+            ("migrations_aborted", o.aborted.into()),
+            ("abort_rate", json::fixed(o.abort_rate, 4)),
+        ])
+    });
+    write_bench_json(
+        "migration",
+        &json::object([("results", json::array(results))]),
+    );
 }

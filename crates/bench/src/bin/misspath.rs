@@ -13,15 +13,15 @@
 //!
 //! Emits `BENCH_misspath.json` (override with `--json <path>`): per
 //! scenario, fetch-latency quantiles measured around every fetch in the
-//! op loop, plus the maintenance counters. The embedded baseline is the
-//! `maint-off` scenario measured right before the maintenance service
-//! landed — the pre-change inline eviction path.
+//! op loop, plus the maintenance counters. The baseline to compare a run
+//! against is the committed `BENCH_misspath.json`.
 
 use std::time::{Duration, Instant};
 
-use spitfire_bench::{fmt_us, obs_json_path, quick, Reporter};
+use spitfire_bench::{fmt_us, quick, write_bench_json, Reporter};
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy, PageId};
 use spitfire_device::{PersistenceTracking, TimeScale};
+use spitfire_obs::json::{self, Json};
 use spitfire_wkld::{YcsbConfig, YcsbMix, YcsbOpStream};
 
 use rand::rngs::SmallRng;
@@ -41,11 +41,6 @@ const SCALE: TimeScale = TimeScale(0.5);
 /// logging sync) that accompanies each page access in a real system — the
 /// window in which background workers refill the free lists.
 const THINK: Duration = Duration::from_micros(25);
-
-/// `maint-off` fetch latencies measured right before the maintenance
-/// service landed (same box, same scale): the inline-eviction miss path
-/// this PR moves into the background. (p50_ns, p99_ns, max_ns).
-const PRE_PR_INLINE: (u64, u64, u64) = (107, 2_647, 272_294);
 
 struct Outcome {
     scenario: &'static str,
@@ -188,35 +183,21 @@ fn main() {
     }
     r.done();
 
-    let path = obs_json_path().unwrap_or_else(|| "BENCH_misspath.json".into());
-    let (b50, b99, bmax) = PRE_PR_INLINE;
-    let mut json = format!(
-        "{{\n  \"pre_pr_baseline\": {{\"scenario\": \"inline-eviction\", \
-         \"p50_ns\": {b50}, \"p99_ns\": {b99}, \"max_ns\": {bmax}}},\n  \"results\": [\n"
+    let results = results.iter().map(|o| {
+        json::object([
+            ("scenario", Json::from(o.scenario)),
+            ("ops", o.ops.into()),
+            ("p50_ns", o.p50_ns.into()),
+            ("p99_ns", o.p99_ns.into()),
+            ("max_ns", o.max_ns.into()),
+            ("backpressure_fallbacks", o.backpressure.into()),
+            ("steady_state_backpressure", o.steady_backpressure.into()),
+            ("maint_evictions", o.maint_evictions.into()),
+            ("maint_writebacks", o.maint_writebacks.into()),
+        ])
+    });
+    write_bench_json(
+        "misspath",
+        &json::object([("results", json::array(results))]),
     );
-    for (i, o) in results.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"ops\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"max_ns\": {}, \"backpressure_fallbacks\": {}, \
-             \"steady_state_backpressure\": {}, \"maint_evictions\": {}, \
-             \"maint_writebacks\": {}}}",
-            o.scenario,
-            o.ops,
-            o.p50_ns,
-            o.p99_ns,
-            o.max_ns,
-            o.backpressure,
-            o.steady_backpressure,
-            o.maint_evictions,
-            o.maint_writebacks
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   misspath -> {}", path.display()),
-        Err(e) => eprintln!("   misspath: failed to write {}: {e}", path.display()),
-    }
 }

@@ -24,9 +24,10 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use spitfire_bench::{
-    kops, manager_with, obs_json_path, quick, runner, worker_threads, Reporter, PAGE,
+    kops, manager_with, quick, runner, worker_threads, write_bench_json, Reporter, PAGE,
 };
 use spitfire_core::{BufferManager, MigrationPolicy, PageId, PolicyConfig};
+use spitfire_obs::json::{self, Json};
 use spitfire_wkld::{run_workload, ScrambledZipf};
 
 /// One pressure pattern: who fits where, how skewed, how write-heavy, and
@@ -272,36 +273,27 @@ fn main() {
         }
     );
 
-    let path = obs_json_path().unwrap_or_else(|| "BENCH_regime.json".into());
-    let mut json = format!(
-        "{{\n  \"bench\": \"regime_matrix\",\n  \"quick\": {},\n  \"db_pages\": {db_pages},\n  \"threads\": {threads},\n  \"cells\": [\n",
-        quick()
-    );
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        // `scan: true` marks cells whose latency distribution is bimodal
-        // (point ops vs whole-region sweeps): the diff script skips their
-        // p99, since which mode the sampled quantile lands in is noise.
-        json.push_str(&format!(
-            "    {{\"regime\": \"{}\", \"policy\": \"{}\", \"scan\": {}, \
-             \"ops_per_sec\": {:.0}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"dram_hit_rate\": {:.4}, \
-             \"nvm_hit_rate\": {:.4}}}",
-            c.regime,
-            c.policy.name(),
-            c.scan,
-            c.ops_per_sec,
-            c.p50_us,
-            c.p99_us,
-            c.dram_hit_rate,
-            c.nvm_hit_rate
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   regime_matrix -> {}", path.display()),
-        Err(e) => eprintln!("   regime_matrix: failed to write {}: {e}", path.display()),
-    }
+    // `scan: true` marks cells whose latency distribution is bimodal
+    // (point ops vs whole-region sweeps): the diff script skips their
+    // p99, since which mode the sampled quantile lands in is noise.
+    let cells = cells.iter().map(|c| {
+        json::object([
+            ("regime", Json::from(c.regime)),
+            ("policy", c.policy.name().into()),
+            ("scan", c.scan.into()),
+            ("ops_per_sec", json::fixed(c.ops_per_sec, 0)),
+            ("p50_us", json::fixed(c.p50_us, 1)),
+            ("p99_us", json::fixed(c.p99_us, 1)),
+            ("dram_hit_rate", json::fixed(c.dram_hit_rate, 4)),
+            ("nvm_hit_rate", json::fixed(c.nvm_hit_rate, 4)),
+        ])
+    });
+    let doc = json::object([
+        ("bench", Json::from("regime_matrix")),
+        ("quick", quick().into()),
+        ("db_pages", db_pages.into()),
+        ("threads", threads.into()),
+        ("cells", json::array(cells)),
+    ]);
+    write_bench_json("regime", &doc);
 }

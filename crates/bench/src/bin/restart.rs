@@ -13,15 +13,15 @@
 //!
 //! Emits `BENCH_restart.json` (override with `--json <path>`): per mode
 //! and scale, the recovery wall time plus the recovery statistics. The
-//! embedded baseline is the `wal-replay` sweep measured right before the
-//! snapshot engine landed.
+//! baseline to compare a run against is the committed file.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use spitfire_bench::{obs_json_path, quick, Reporter};
+use spitfire_bench::{quick, write_bench_json, Reporter};
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
 use spitfire_device::{PersistenceTracking, TimeScale};
+use spitfire_obs::json::{self, Json};
 use spitfire_txn::{Database, DbConfig, SnapshotConfig, TxnError};
 
 const PAGE: usize = 4096;
@@ -35,10 +35,6 @@ const BATCH: u64 = 8;
 /// Snapshot mode checkpoints every this many committed transactions,
 /// independent of scale — the replayable tail is bounded by one interval.
 const CKPT_EVERY: u64 = 64;
-
-/// `wal-replay` recovery times measured right before the snapshot engine
-/// landed (same box, same scales, full run): (scale, recover_ms).
-const PRE_PR_WAL_REPLAY: [(u64, f64); 4] = [(1, 14.3), (2, 39.8), (4, 92.1), (8, 172.6)];
 
 struct Outcome {
     mode: &'static str,
@@ -198,41 +194,28 @@ fn main() {
         g_snap
     );
 
-    let path = obs_json_path().unwrap_or_else(|| "BENCH_restart.json".into());
-    let mut json = String::from(
-        "{\n  \"pre_pr_baseline\": {\"mode\": \"wal-replay\", \"recover_ms_by_scale\": [",
-    );
-    for (i, (scale, ms)) in PRE_PR_WAL_REPLAY.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("{{\"scale\": {scale}, \"recover_ms\": {ms}}}"));
-    }
-    json.push_str("]},\n  \"results\": [\n");
-    for (i, o) in results.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"scale\": {}, \"keys\": {}, \"wal_bytes\": {}, \
-             \"recover_ms\": {:.3}, \"tail_commits\": {}, \"records_redone\": {}, \
-             \"snapshot_generation\": {}, \"snapshot_pages\": {}}}",
-            o.mode,
-            o.scale,
-            o.keys,
-            o.wal_bytes,
-            o.recover_ms,
-            o.committed,
-            o.redone,
-            o.snapshot_generation,
-            o.snapshot_pages
-        ));
-    }
-    json.push_str(&format!(
-        "\n  ],\n  \"growth_across_sweep\": {{\"wal_replay\": {g_base:.2}, \"snapshot\": {g_snap:.2}}}\n}}\n"
-    ));
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   restart -> {}", path.display()),
-        Err(e) => eprintln!("   restart: failed to write {}: {e}", path.display()),
-    }
+    let rows = results.iter().map(|o| {
+        json::object([
+            ("mode", Json::from(o.mode)),
+            ("scale", o.scale.into()),
+            ("keys", o.keys.into()),
+            ("wal_bytes", o.wal_bytes.into()),
+            ("recover_ms", json::fixed(o.recover_ms, 3)),
+            ("tail_commits", o.committed.into()),
+            ("records_redone", o.redone.into()),
+            ("snapshot_generation", o.snapshot_generation.into()),
+            ("snapshot_pages", o.snapshot_pages.into()),
+        ])
+    });
+    let doc = json::object([
+        ("results", json::array(rows)),
+        (
+            "growth_across_sweep",
+            json::object([
+                ("wal_replay", json::fixed(g_base, 2)),
+                ("snapshot", json::fixed(g_snap, 2)),
+            ]),
+        ),
+    ]);
+    write_bench_json("restart", &doc);
 }

@@ -122,7 +122,7 @@ pub fn three_tier(dram: usize, nvm: usize, policy: MigrationPolicy) -> Arc<Buffe
         .expect("valid experiment config");
     let bm = Arc::new(BufferManager::new(config).expect("buffer manager"));
     if spitfire_obs::enabled() {
-        bm.register_obs_gauges();
+        spitfire_obs::register_source(&bm);
     }
     bm
 }
@@ -141,7 +141,7 @@ pub fn manager_with(
     let config = f(builder).build().expect("valid experiment config");
     let bm = Arc::new(BufferManager::new(config).expect("buffer manager"));
     if spitfire_obs::enabled() {
-        bm.register_obs_gauges();
+        spitfire_obs::register_source(&bm);
     }
     bm
 }
@@ -282,9 +282,9 @@ impl Reporter {
     }
 }
 
-/// Capture the unified observability report (histograms, gauges, sampler
-/// series — buffer and device counters ride along as registered gauges)
-/// and, if a `--json <path>` argument was passed, write it there.
+/// Capture the unified observability report (histograms, sampler series,
+/// and the counters and gauges of every registered source) and, if a
+/// `--json <path>` argument was passed, write it there.
 pub fn dump_obs_report(name: &str) -> spitfire_obs::Report {
     let report = spitfire_obs::Report::capture();
     if let Some(path) = obs_json_path() {
@@ -294,6 +294,16 @@ pub fn dump_obs_report(name: &str) -> spitfire_obs::Report {
         }
     }
     report
+}
+
+/// Write a bench binary's result document to `BENCH_<name>.json` (or the
+/// `--json <path>` override), rendered by the one JSON writer.
+pub fn write_bench_json(name: &str, doc: &spitfire_obs::json::Json) {
+    let path = obs_json_path().unwrap_or_else(|| format!("BENCH_{name}.json").into());
+    match std::fs::write(&path, doc.pretty()) {
+        Ok(()) => println!("   {name} -> {}", path.display()),
+        Err(e) => eprintln!("   {name}: failed to write {}: {e}", path.display()),
+    }
 }
 
 /// Format one measured point as throughput plus the run's sampled p50/p99

@@ -13,7 +13,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::policy::MigrationPolicy;
-use crate::replacement::PolicyConfig;
 
 /// Probability lattice searched by the tuner. Matches the values the paper
 /// sweeps in §6.3 plus intermediate points.
@@ -100,9 +99,6 @@ pub struct EpochRecord {
     pub accepted: bool,
     /// Temperature at the end of the epoch.
     pub temperature: f64,
-    /// The replacement policy evaluated this epoch (`None` when the
-    /// replacement axis is disabled).
-    pub replacement: Option<PolicyConfig>,
 }
 
 /// Simulated-annealing policy tuner.
@@ -116,12 +112,6 @@ pub struct AnnealingTuner {
     current_cost: Option<f64>,
     /// Candidate currently being evaluated by the host.
     candidate: MigrationPolicy,
-    /// Replacement-policy axis (disabled unless
-    /// [`Self::with_replacement_axis`] is called): the accepted and
-    /// candidate replacement choices searched alongside the migration
-    /// knobs.
-    current_replacement: Option<PolicyConfig>,
-    candidate_replacement: Option<PolicyConfig>,
     history: Vec<EpochRecord>,
 }
 
@@ -149,39 +139,13 @@ impl AnnealingTuner {
             current: initial,
             current_cost: None,
             candidate: initial,
-            current_replacement: None,
-            candidate_replacement: None,
             history: Vec::new(),
         }
-    }
-
-    /// Enable the replacement-policy axis starting from `initial`: some
-    /// proposals switch the buffer pool's replacement policy instead of a
-    /// migration knob. The host reads [`Self::candidate_replacement`] each
-    /// epoch and rebuilds (or selects) the manager accordingly — the
-    /// replacement policy is fixed at pool construction, so unlike the
-    /// migration knobs it cannot be swapped on a live manager.
-    pub fn with_replacement_axis(mut self, initial: PolicyConfig) -> Self {
-        self.current_replacement = Some(initial);
-        self.candidate_replacement = Some(initial);
-        self
     }
 
     /// The policy the host should run during the upcoming epoch.
     pub fn candidate(&self) -> MigrationPolicy {
         self.candidate
-    }
-
-    /// The replacement policy the host should run during the upcoming
-    /// epoch (`None` when the replacement axis is disabled).
-    pub fn candidate_replacement(&self) -> Option<PolicyConfig> {
-        self.candidate_replacement
-    }
-
-    /// The best replacement policy accepted so far (`None` when the axis
-    /// is disabled).
-    pub fn current_replacement(&self) -> Option<PolicyConfig> {
-        self.current_replacement
     }
 
     /// Current temperature.
@@ -255,15 +219,11 @@ impl AnnealingTuner {
                 accept
             }
         };
-        if accepted {
-            self.current_replacement = self.candidate_replacement;
-        }
         self.history.push(EpochRecord {
             policy: self.candidate,
             throughput,
             accepted,
             temperature: self.temperature,
-            replacement: self.candidate_replacement,
         });
         self.temperature = (self.temperature * self.params.cooling).max(self.params.final_temp);
         spitfire_obs::set_gauge("sa_temperature", self.temperature);
@@ -272,21 +232,8 @@ impl AnnealingTuner {
     }
 
     /// Propose a lattice neighbour of the current point: one knob moves one
-    /// step. With the replacement axis enabled, one proposal in four flips
-    /// the replacement policy instead (migration knobs held fixed so the
-    /// two axes are never confounded within a single epoch).
+    /// step.
     fn propose(&mut self) -> MigrationPolicy {
-        if let Some(cur) = self.current_replacement {
-            if self.rng.gen_range(0..4usize) == 0 {
-                let others: Vec<PolicyConfig> = PolicyConfig::ALL
-                    .into_iter()
-                    .filter(|p| *p != cur)
-                    .collect();
-                self.candidate_replacement = Some(others[self.rng.gen_range(0..others.len())]);
-                return self.current;
-            }
-            self.candidate_replacement = Some(cur);
-        }
         let mut knobs = [
             self.current.dr,
             self.current.dw,
@@ -449,40 +396,6 @@ mod tests {
             tail.accepted,
             "tail objective must accept 10% slower for 10x lower p99"
         );
-    }
-
-    #[test]
-    fn replacement_axis_explores_and_converges() {
-        // Synthetic workload where 2Q is strictly best: the tuner must
-        // find and keep it.
-        let score = |r: Option<PolicyConfig>| match r {
-            Some(PolicyConfig::TwoQ) => 2000.0,
-            _ => 1000.0,
-        };
-        let mut t = AnnealingTuner::new(MigrationPolicy::lazy(), AnnealingParams::default(), 9)
-            .with_replacement_axis(PolicyConfig::Clock);
-        assert_eq!(t.candidate_replacement(), Some(PolicyConfig::Clock));
-        for _ in 0..300 {
-            let r = t.candidate_replacement();
-            t.observe(score(r));
-        }
-        assert_eq!(t.current_replacement(), Some(PolicyConfig::TwoQ));
-        // The axis showed up in history, and every record carries it.
-        assert!(t.history().iter().all(|r| r.replacement.is_some()));
-        let distinct: std::collections::HashSet<_> = t
-            .history()
-            .iter()
-            .filter_map(|r| r.replacement.map(|p| p.name()))
-            .collect();
-        assert!(distinct.len() >= 2, "axis never explored: {distinct:?}");
-    }
-
-    #[test]
-    fn replacement_axis_off_by_default() {
-        let mut t = AnnealingTuner::new(MigrationPolicy::lazy(), AnnealingParams::default(), 2);
-        assert_eq!(t.candidate_replacement(), None);
-        t.observe(1000.0);
-        assert_eq!(t.history()[0].replacement, None);
     }
 
     #[test]

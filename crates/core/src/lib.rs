@@ -94,7 +94,6 @@
 #![warn(clippy::all)]
 
 pub mod adaptive;
-pub mod advisor;
 pub mod background;
 mod config;
 mod descriptor;

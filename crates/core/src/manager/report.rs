@@ -1,8 +1,7 @@
 //! Read-only views of the manager's state: residency and occupancy
-//! probes, observability gauges and report export, and the
-//! stress-harness quiescence assertion.
-
-use std::sync::Arc;
+//! probes, the observability [`Source`](obs::Source) that names every
+//! exported counter and gauge, and the stress-harness quiescence
+//! assertion.
 
 use spitfire_obs as obs;
 use spitfire_sync::AdmissionQueue;
@@ -11,7 +10,7 @@ use super::BufferManager;
 use crate::descriptor::{CopyState, FrameRef};
 use crate::metrics::{inclusivity_ratio, ShadowPath};
 use crate::pool::Pool;
-use crate::types::{MigrationPath, PageId, Tier};
+use crate::types::{PageId, Tier};
 
 impl BufferManager {
     /// Whether `pid` currently has a DRAM-resident copy. Non-blocking:
@@ -88,146 +87,6 @@ impl BufferManager {
         self.admission.as_ref().map_or(0, AdmissionQueue::len)
     }
 
-    /// Register this manager's state as named observability gauges (tier
-    /// occupancy, dirty pages, admission-queue length, policy vector, device
-    /// byte counters). Gauges hold a [`std::sync::Weak`] and disappear from
-    /// the registry once the manager is dropped.
-    pub fn register_obs_gauges(self: &Arc<Self>) {
-        fn gauge(bm: &Arc<BufferManager>, name: &'static str, f: fn(&BufferManager) -> f64) {
-            let w = Arc::downgrade(bm);
-            obs::register_gauge(name, move || w.upgrade().map(|bm| f(&bm)));
-        }
-        gauge(self, "dram_frames_total", |bm| bm.dram_frames() as f64);
-        gauge(self, "nvm_frames_total", |bm| bm.nvm_frames() as f64);
-        gauge(self, "dram_occupied_frames", |bm| {
-            bm.occupied_frames().0 as f64
-        });
-        gauge(self, "nvm_occupied_frames", |bm| {
-            bm.occupied_frames().1 as f64
-        });
-        gauge(self, "dram_dirty_pages", |bm| bm.dirty_pages().0 as f64);
-        gauge(self, "nvm_dirty_pages", |bm| bm.dirty_pages().1 as f64);
-        gauge(self, "admission_queue_len", |bm| {
-            bm.admission_queue_len() as f64
-        });
-        gauge(self, "policy_dr", |bm| bm.policy().dr);
-        gauge(self, "policy_dw", |bm| bm.policy().dw);
-        gauge(self, "policy_nr", |bm| bm.policy().nr);
-        gauge(self, "policy_nw", |bm| bm.policy().nw);
-        gauge(self, "buffer_hit_ratio", |bm| {
-            bm.metrics().buffer_hit_ratio()
-        });
-        gauge(self, "dram_free_frames", |bm| bm.free_frames().0 as f64);
-        gauge(self, "nvm_free_frames", |bm| bm.free_frames().1 as f64);
-        gauge(self, "backpressure_fallbacks", |bm| {
-            bm.metrics().backpressure_fallbacks as f64
-        });
-        // Per-path shadow-migration abort rates: aborts / (aborts +
-        // commits). A rising promote rate means foreground writes are
-        // racing promotions; evict/flush rates expose write-back pressure.
-        gauge(self, "shadow_abort_rate_promote", |bm| {
-            bm.metrics().shadow_abort_rate(ShadowPath::Promote)
-        });
-        gauge(self, "shadow_abort_rate_evict", |bm| {
-            bm.metrics().shadow_abort_rate(ShadowPath::Evict)
-        });
-        gauge(self, "shadow_abort_rate_flush", |bm| {
-            bm.metrics().shadow_abort_rate(ShadowPath::Flush)
-        });
-        for (tier, label) in [(Tier::Dram, "dram"), (Tier::Nvm, "nvm"), (Tier::Ssd, "ssd")] {
-            let w = Arc::downgrade(self);
-            obs::register_gauge(format!("{label}_bytes_read"), move || {
-                let stats = w.upgrade()?.device_stats(tier)?;
-                Some(stats.snapshot().bytes_read as f64)
-            });
-            let w = Arc::downgrade(self);
-            obs::register_gauge(format!("{label}_bytes_written"), move || {
-                let stats = w.upgrade()?.device_stats(tier)?;
-                Some(stats.snapshot().bytes_written as f64)
-            });
-        }
-    }
-
-    /// Add this manager's counters ([`crate::metrics::BufferMetrics`], per-device stats) and
-    /// point-in-time gauges to an observability report. Gauges already
-    /// present in the report (e.g. from registered weak gauges) are not
-    /// duplicated.
-    pub fn fill_obs_report(&self, report: &mut obs::Report) {
-        let m = self.metrics.snapshot();
-        report.add_counter("dram_hits", m.dram_hits);
-        report.add_counter("nvm_hits", m.nvm_hits);
-        report.add_counter("ssd_fetches", m.ssd_fetches);
-        report.add_counter("evictions_dram", m.evictions_dram);
-        report.add_counter("evictions_nvm", m.evictions_nvm);
-        report.add_counter("discards", m.discards);
-        report.add_counter("fetch_fast", m.fetch_fast);
-        report.add_counter("fetch_fallbacks", m.fetch_fallbacks);
-        report.add_counter("pin_restarts", m.pin_restarts);
-        report.add_counter("backpressure_fallbacks", m.backpressure_fallbacks);
-        report.add_counter("maint_cycles", m.maint_cycles);
-        report.add_counter("maint_evictions", m.maint_evictions);
-        report.add_counter("maint_writebacks", m.maint_writebacks);
-        report.add_counter("migrations_aborted", m.migrations_aborted);
-        for path in ShadowPath::ALL {
-            let name = path.name();
-            report.add_counter(
-                format!("shadow_aborts_{name}"),
-                m.shadow_aborts[path as usize],
-            );
-            report.add_counter(
-                format!("shadow_commits_{name}"),
-                m.shadow_commits[path as usize],
-            );
-        }
-        for path in MigrationPath::ALL {
-            let label = path.label().replace("->", "_to_");
-            report.add_counter(format!("migrations_{label}"), m.path(path));
-        }
-        for (tier, label) in [(Tier::Dram, "dram"), (Tier::Nvm, "nvm"), (Tier::Ssd, "ssd")] {
-            if let Some(stats) = self.device_stats(tier) {
-                let s = stats.snapshot();
-                report.add_counter(format!("{label}_read_ops"), s.read_ops);
-                report.add_counter(format!("{label}_write_ops"), s.write_ops);
-                report.add_counter(format!("{label}_bytes_read"), s.bytes_read);
-                report.add_counter(format!("{label}_bytes_written"), s.bytes_written);
-                report.add_counter(format!("{label}_bytes_flushed"), s.bytes_flushed);
-                report.add_counter(format!("{label}_fences"), s.fences);
-            }
-        }
-        let have: std::collections::HashSet<&str> =
-            report.gauges.iter().map(|(n, _)| n.as_str()).collect();
-        let mut fresh: Vec<(String, f64)> = Vec::new();
-        let mut gauge = |name: &str, v: f64| {
-            if !have.contains(name) {
-                fresh.push((name.to_string(), v));
-            }
-        };
-        let (dram_occ, nvm_occ) = self.occupied_frames();
-        gauge("dram_occupied_frames", dram_occ as f64);
-        gauge("nvm_occupied_frames", nvm_occ as f64);
-        let (dram_free, nvm_free) = self.free_frames();
-        gauge("dram_free_frames", dram_free as f64);
-        gauge("nvm_free_frames", nvm_free as f64);
-        let (dram_dirty, nvm_dirty) = self.dirty_pages();
-        gauge("dram_dirty_pages", dram_dirty as f64);
-        gauge("nvm_dirty_pages", nvm_dirty as f64);
-        gauge("admission_queue_len", self.admission_queue_len() as f64);
-        let p = self.policy();
-        gauge("policy_dr", p.dr);
-        gauge("policy_dw", p.dw);
-        gauge("policy_nr", p.nr);
-        gauge("policy_nw", p.nw);
-        gauge("buffer_hit_ratio", m.buffer_hit_ratio());
-        gauge("inclusivity", self.inclusivity());
-        for path in ShadowPath::ALL {
-            gauge(
-                &format!("shadow_abort_rate_{}", path.name()),
-                m.shadow_abort_rate(path),
-            );
-        }
-        report.gauges.extend(fresh);
-    }
-
     /// Assert that no pins are outstanding and every descriptor's pin
     /// words agree with its copy states (stress-harness invariant check;
     /// call only when no guards are live and no migrations are running).
@@ -274,5 +133,67 @@ impl BufferManager {
                 st.nvm
             );
         });
+    }
+}
+
+/// Everything the manager exports, each name spelled once: the
+/// [`BufferMetrics`](crate::metrics::BufferMetrics) counter list, per-tier
+/// device counters, and point-in-time gauges. Register with
+/// [`obs::register_source`]; the report, the sampler series and the
+/// server's STATS reply are all views of this one walk.
+impl obs::Source for BufferManager {
+    fn report(&self, out: &mut obs::Report) {
+        let m = self.metrics.snapshot();
+        m.for_each_counter(|name, value| out.add_counter(name, value));
+        for tier in [Tier::Dram, Tier::Nvm, Tier::Ssd] {
+            let Some(stats) = self.device_stats(tier) else {
+                continue;
+            };
+            let (label, s) = (tier.label(), stats.snapshot());
+            out.add_counter(format!("{label}_read_ops"), s.read_ops);
+            out.add_counter(format!("{label}_write_ops"), s.write_ops);
+            out.add_counter(format!("{label}_bytes_read"), s.bytes_read);
+            out.add_counter(format!("{label}_bytes_written"), s.bytes_written);
+            out.add_counter(format!("{label}_bytes_flushed"), s.bytes_flushed);
+            out.add_counter(format!("{label}_fences"), s.fences);
+        }
+
+        let mut per_tier = |suffix: &str, (dram, nvm): (usize, usize)| {
+            out.add_gauge(format!("dram_{suffix}"), dram as f64);
+            out.add_gauge(format!("nvm_{suffix}"), nvm as f64);
+        };
+        per_tier("frames_total", (self.dram_frames(), self.nvm_frames()));
+        per_tier("occupied_frames", self.occupied_frames());
+        per_tier("free_frames", self.free_frames());
+        let pressure = self.pressure();
+        per_tier(
+            "low_watermark_frames",
+            (pressure.dram_low, pressure.nvm_low),
+        );
+        per_tier("dirty_pages", self.dirty_pages());
+        out.add_gauge("admission_queue_len", self.admission_queue_len() as f64);
+        let p = self.policy();
+        out.add_gauge("policy_dr", p.dr);
+        out.add_gauge("policy_dw", p.dw);
+        out.add_gauge("policy_nr", p.nr);
+        out.add_gauge("policy_nw", p.nw);
+        out.add_gauge("buffer_hit_ratio", m.buffer_hit_ratio());
+        out.add_gauge("inclusivity", self.inclusivity());
+        // Per-path shadow-migration abort rates: aborts / (aborts +
+        // commits). A rising promote rate means foreground writes are
+        // racing promotions; evict/flush rates expose write-back pressure.
+        for path in ShadowPath::ALL {
+            out.add_gauge(
+                format!("shadow_abort_rate_{}", path.name()),
+                m.shadow_abort_rate(path),
+            );
+        }
+        // What the emulator measured about itself: the per-charge
+        // bookkeeping cost subtracted from every emulated delay (0 until
+        // the first delay is charged in this process).
+        out.add_gauge(
+            "device_charge_overhead_ns",
+            spitfire_device::charge_overhead_calibration().unwrap_or(0) as f64,
+        );
     }
 }

@@ -1,5 +1,12 @@
 //! Buffer manager metrics: tier hits, migration-path counters, and the
 //! inclusivity ratio (paper §3.3, Table 2).
+//!
+//! Every scalar counter is declared once, in the `buffer_counters!` list
+//! below. The list generates the storage field, the `record_*` bump
+//! method, the public [`MetricsSnapshot`] field, and that counter's part of
+//! `snapshot`, `reset`, `delta` and the exported name
+//! ([`MetricsSnapshot::for_each_counter`]). Adding a counter is one list
+//! entry plus the call that bumps it.
 
 use spitfire_sync::atomic::{AtomicU64, Ordering};
 
@@ -7,57 +14,6 @@ use serde::{Deserialize, Serialize};
 use spitfire_sync::StripedCounter;
 
 use crate::types::MigrationPath;
-
-/// Thread-safe counters maintained by the buffer manager.
-///
-/// The counters bumped on every lock-free buffer hit (`dram_hits`,
-/// `nvm_hits`, `fetch_fast`, plus the fallback/restart pair the slow path
-/// touches) are [`StripedCounter`]s: a single shared `AtomicU64` incremented
-/// by every fetch serializes the whole hit path on one cache line once
-/// thread counts climb. Everything on colder paths stays a plain atomic.
-#[derive(Debug, Default)]
-pub struct BufferMetrics {
-    dram_hits: StripedCounter,
-    nvm_hits: StripedCounter,
-    ssd_fetches: AtomicU64,
-    migrations: [AtomicU64; MigrationPath::ALL.len()],
-    evictions_dram: AtomicU64,
-    evictions_nvm: AtomicU64,
-    /// DRAM evictions of clean pages that were simply discarded (§3.3).
-    discards: AtomicU64,
-    /// Device operations retried after a transient I/O error.
-    io_retries: AtomicU64,
-    /// Device operations that failed fatally (injected fatal fault or
-    /// retry budget exhausted).
-    io_fatal: AtomicU64,
-    /// Fetches served lock-free by the optimistic pin fast path.
-    fetch_fast: StripedCounter,
-    /// Fetches that fell back to the descriptor-mutex slow path (miss,
-    /// closed pin word, promotion draw, or optimistic restart).
-    fetch_fallbacks: StripedCounter,
-    /// Optimistic pin attempts that observed a closed or concurrently
-    /// transitioning pin word and restarted into the slow path.
-    pin_restarts: StripedCounter,
-    /// Fetch misses that found no free frame and ran eviction inline
-    /// because maintenance workers had not kept up with the watermark.
-    backpressure_fallbacks: AtomicU64,
-    /// Maintenance cycles executed (worker wake-ups and manual ticks).
-    maint_cycles: AtomicU64,
-    /// Frames freed by maintenance pre-eviction (both tiers).
-    maint_evictions: AtomicU64,
-    /// Dirty pages written back by maintenance in batches.
-    maint_writebacks: AtomicU64,
-    /// Shadow-copy migrations aborted at commit because a concurrent write
-    /// (or an undrained reader) invalidated the copy; the source copy
-    /// stayed authoritative and the operation was retried or degraded.
-    migrations_aborted: AtomicU64,
-    /// Shadow aborts broken down by migration path, indexed by
-    /// [`ShadowPath`] discriminant. Sums to `migrations_aborted`.
-    shadow_aborts: [AtomicU64; ShadowPath::ALL.len()],
-    /// Shadow commits by path: the success-side denominator for the
-    /// per-path abort-rate gauges.
-    shadow_commits: [AtomicU64; ShadowPath::ALL.len()],
-}
 
 /// Which shadow-copy migration path an abort or commit happened on.
 /// Per-path rates matter because the paths fail for different reasons:
@@ -78,7 +34,7 @@ impl ShadowPath {
     /// Every path, in discriminant order (indexes the per-path counters).
     pub const ALL: [ShadowPath; 3] = [ShadowPath::Promote, ShadowPath::Evict, ShadowPath::Flush];
 
-    /// Stable lowercase name (used in gauge names and reports).
+    /// Stable lowercase name (used in exported metric names).
     pub fn name(self) -> &'static str {
         match self {
             ShadowPath::Promote => "promote",
@@ -95,25 +51,201 @@ fn path_index(path: MigrationPath) -> usize {
         .expect("MigrationPath::ALL contains every variant")
 }
 
-/// Bump a monotone statistics counter.
+/// Storage behind one counter. The counters bumped on every lock-free
+/// buffer hit are [`StripedCounter`]s: a single shared `AtomicU64`
+/// incremented by every fetch serializes the whole hit path on one cache
+/// line once thread counts climb. Everything on colder paths is a plain
+/// atomic.
+trait Cell {
+    /// Bump a monotone statistics counter.
+    fn add(&self, n: u64);
+    /// Read it (point-in-time, no cross-counter consistency).
+    fn get(&self) -> u64;
+    /// Zero it; racing bumps may survive by design.
+    fn zero(&self);
+}
+
+impl Cell for StripedCounter {
+    #[inline]
+    fn add(&self, n: u64) {
+        StripedCounter::add(self, n);
+    }
+    fn get(&self) -> u64 {
+        self.sum()
+    }
+    fn zero(&self) {
+        self.reset();
+    }
+}
+
 // relaxed: every plain-atomic counter in this file is a monotone
 // statistic read only by `snapshot`/probe methods; counters publish no
 // other memory, so no ordering is needed (striped counters make the
 // identical argument in `spitfire_sync::padded`).
-fn bump_n(c: &AtomicU64, n: u64) {
-    c.fetch_add(n, Ordering::Relaxed);
+impl Cell for AtomicU64 {
+    #[inline]
+    fn add(&self, n: u64) {
+        // relaxed: see the impl comment.
+        self.fetch_add(n, Ordering::Relaxed);
+    }
+    fn get(&self) -> u64 {
+        // relaxed: see the impl comment.
+        self.load(Ordering::Relaxed)
+    }
+    fn zero(&self) {
+        // relaxed: see the impl comment.
+        self.store(0, Ordering::Relaxed);
+    }
 }
 
-/// Read a statistics counter (point-in-time, no cross-counter consistency).
-// relaxed: see `bump_n`.
-fn get(c: &AtomicU64) -> u64 {
-    c.load(Ordering::Relaxed)
+fn get_all<const N: usize>(cells: &[AtomicU64; N]) -> [u64; N] {
+    std::array::from_fn(|i| cells[i].get())
 }
 
-/// Zero a statistics counter; racing bumps may survive by design.
-// relaxed: see `bump_n`.
-fn zero(c: &AtomicU64) {
-    c.store(0, Ordering::Relaxed);
+fn sub_all<const N: usize>(later: &[u64; N], earlier: &[u64; N]) -> [u64; N] {
+    std::array::from_fn(|i| later[i] - earlier[i])
+}
+
+/// The amount a generated `record_*` adds: its argument, or one.
+macro_rules! bump_by {
+    () => {
+        1
+    };
+    ($n:ident) => {
+        $n
+    };
+}
+
+/// Declares every scalar counter: `doc, field: storage => record_fn(arg?)`.
+/// The three per-path families (`migrations`, `shadow_aborts`,
+/// `shadow_commits`) are arrays and are spelled out in the expansion.
+macro_rules! buffer_counters {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $cell:ty $(=> $record:ident($($n:ident)?))?;
+    )*) => {
+        /// Thread-safe counters maintained by the buffer manager.
+        #[derive(Debug, Default)]
+        pub struct BufferMetrics {
+            $($field: $cell,)*
+            migrations: [AtomicU64; MigrationPath::ALL.len()],
+            shadow_aborts: [AtomicU64; ShadowPath::ALL.len()],
+            shadow_commits: [AtomicU64; ShadowPath::ALL.len()],
+        }
+
+        /// Immutable copy of [`BufferMetrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+            /// Migration counts indexed like [`MigrationPath::ALL`].
+            pub migrations: [u64; 6],
+            /// Shadow aborts by path, indexed like [`ShadowPath::ALL`]
+            /// (promote, evict, flush). Sums to `migrations_aborted`.
+            pub shadow_aborts: [u64; 3],
+            /// Shadow commits by path, indexed like [`ShadowPath::ALL`]:
+            /// the success-side denominator of the per-path abort rates.
+            pub shadow_commits: [u64; 3],
+        }
+
+        impl BufferMetrics {
+            $($(
+                #[doc = concat!("Bump [`MetricsSnapshot::", stringify!($field), "`].")]
+                pub fn $record(&self $(, $n: u64)?) {
+                    self.$field.add(bump_by!($($n)?));
+                }
+            )?)*
+
+            /// Point-in-time copy of all counters.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.$field.get(),)*
+                    migrations: get_all(&self.migrations),
+                    shadow_aborts: get_all(&self.shadow_aborts),
+                    shadow_commits: get_all(&self.shadow_commits),
+                }
+            }
+
+            /// Reset all counters (between experiment phases).
+            pub fn reset(&self) {
+                $(self.$field.zero();)*
+                let families = self.migrations.iter();
+                for c in families.chain(&self.shadow_aborts).chain(&self.shadow_commits) {
+                    c.zero();
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Difference between two snapshots (`self` taken after
+            /// `earlier`).
+            pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.$field - earlier.$field,)*
+                    migrations: sub_all(&self.migrations, &earlier.migrations),
+                    shadow_aborts: sub_all(&self.shadow_aborts, &earlier.shadow_aborts),
+                    shadow_commits: sub_all(&self.shadow_commits, &earlier.shadow_commits),
+                }
+            }
+
+            /// Visit every counter as `(exported name, value)`: scalars
+            /// under their field name, then `migrations_<src>_to_<dst>`
+            /// and `shadow_{aborts,commits}_<path>`.
+            pub fn for_each_counter(&self, mut f: impl FnMut(&str, u64)) {
+                $(f(stringify!($field), self.$field);)*
+                for path in MigrationPath::ALL {
+                    let label = path.label().replace("->", "_to_");
+                    f(&format!("migrations_{label}"), self.path(path));
+                }
+                for path in ShadowPath::ALL {
+                    let name = path.name();
+                    f(&format!("shadow_aborts_{name}"), self.shadow_aborts[path as usize]);
+                    f(&format!("shadow_commits_{name}"), self.shadow_commits[path as usize]);
+                }
+            }
+        }
+    };
+}
+
+buffer_counters! {
+    /// Requests served from the DRAM buffer.
+    dram_hits: StripedCounter => record_dram_hit();
+    /// Requests served from the NVM buffer (directly, without promotion).
+    nvm_hits: StripedCounter => record_nvm_hit();
+    /// Requests that had to go to SSD.
+    ssd_fetches: AtomicU64 => record_ssd_fetch();
+    /// Evictions from the DRAM buffer.
+    evictions_dram: AtomicU64 => record_dram_eviction();
+    /// Evictions from the NVM buffer.
+    evictions_nvm: AtomicU64 => record_nvm_eviction();
+    /// Clean DRAM pages discarded on eviction (§3.3).
+    discards: AtomicU64 => record_discard();
+    /// Device operations retried after a transient I/O error.
+    io_retries: AtomicU64 => record_io_retry();
+    /// Device operations that failed fatally (injected fatal fault or
+    /// retry budget exhausted).
+    io_fatal: AtomicU64 => record_io_fatal();
+    /// Fetches served lock-free by the optimistic pin fast path.
+    fetch_fast: StripedCounter => record_fetch_fast();
+    /// Fetches that fell back to the descriptor-mutex slow path (miss,
+    /// closed pin word, promotion draw, or optimistic restart).
+    fetch_fallbacks: StripedCounter => record_fetch_fallback();
+    /// Optimistic pin attempts that observed a closed or concurrently
+    /// transitioning pin word and restarted into the slow path.
+    pin_restarts: StripedCounter => record_pin_restart();
+    /// Fetch misses that found no free frame and ran eviction inline
+    /// because maintenance workers had not kept up with the watermark.
+    backpressure_fallbacks: AtomicU64 => record_backpressure_fallback();
+    /// Maintenance cycles executed (worker wake-ups and manual ticks).
+    maint_cycles: AtomicU64 => record_maint_cycle();
+    /// Frames freed by maintenance pre-eviction (both tiers).
+    maint_evictions: AtomicU64 => record_maint_evictions(n);
+    /// Dirty pages written back by maintenance in batches.
+    maint_writebacks: AtomicU64 => record_maint_writebacks(n);
+    /// Shadow-copy migrations aborted at commit because a concurrent write
+    /// (or an undrained reader) invalidated the copy; the source copy
+    /// stayed authoritative and the operation was retried or degraded.
+    /// Bumped by [`BufferMetrics::record_shadow_abort`].
+    migrations_aborted: AtomicU64;
 }
 
 impl BufferMetrics {
@@ -122,218 +254,28 @@ impl BufferMetrics {
         Self::default()
     }
 
-    /// Record a request served from the DRAM buffer.
-    pub fn record_dram_hit(&self) {
-        self.dram_hits.incr();
-    }
-
-    /// Record a request served from the NVM buffer (directly, without
-    /// promotion).
-    pub fn record_nvm_hit(&self) {
-        self.nvm_hits.incr();
-    }
-
-    /// Record a request that had to go to SSD.
-    pub fn record_ssd_fetch(&self) {
-        bump_n(&self.ssd_fetches, 1);
-    }
-
     /// Record a page migration along `path`.
     pub fn record_migration(&self, path: MigrationPath) {
-        bump_n(&self.migrations[path_index(path)], 1);
-    }
-
-    /// Record an eviction from the DRAM buffer.
-    pub fn record_dram_eviction(&self) {
-        bump_n(&self.evictions_dram, 1);
-    }
-
-    /// Record an eviction from the NVM buffer.
-    pub fn record_nvm_eviction(&self) {
-        bump_n(&self.evictions_nvm, 1);
-    }
-
-    /// Record a clean DRAM page discarded on eviction.
-    pub fn record_discard(&self) {
-        bump_n(&self.discards, 1);
-    }
-
-    /// Record one retry of a device operation after a transient error.
-    pub fn record_io_retry(&self) {
-        bump_n(&self.io_retries, 1);
-    }
-
-    /// Record a device operation that failed fatally.
-    pub fn record_io_fatal(&self) {
-        bump_n(&self.io_fatal, 1);
-    }
-
-    /// Record a fetch served lock-free by the optimistic pin fast path.
-    pub fn record_fetch_fast(&self) {
-        self.fetch_fast.incr();
-    }
-
-    /// Record a fetch that took the descriptor-mutex slow path.
-    pub fn record_fetch_fallback(&self) {
-        self.fetch_fallbacks.incr();
-    }
-
-    /// Record an optimistic pin attempt that had to restart.
-    pub fn record_pin_restart(&self) {
-        self.pin_restarts.incr();
-    }
-
-    /// Record a fetch miss that fell back to inline eviction because the
-    /// free list was empty (maintenance behind the low watermark).
-    pub fn record_backpressure_fallback(&self) {
-        bump_n(&self.backpressure_fallbacks, 1);
-    }
-
-    /// Record one maintenance cycle (worker wake-up or manual tick).
-    pub fn record_maint_cycle(&self) {
-        bump_n(&self.maint_cycles, 1);
-    }
-
-    /// Record `n` frames freed by maintenance pre-eviction.
-    pub fn record_maint_evictions(&self, n: u64) {
-        bump_n(&self.maint_evictions, n);
-    }
-
-    /// Record `n` dirty pages written back by a maintenance batch.
-    pub fn record_maint_writebacks(&self, n: u64) {
-        bump_n(&self.maint_writebacks, n);
+        self.migrations[path_index(path)].add(1);
     }
 
     /// Record a shadow-copy migration aborted at commit on `path` (also
     /// bumps the path-agnostic `migrations_aborted` total).
     pub fn record_shadow_abort(&self, path: ShadowPath) {
-        bump_n(&self.migrations_aborted, 1);
-        bump_n(&self.shadow_aborts[path as usize], 1);
+        self.migrations_aborted.add(1);
+        self.shadow_aborts[path as usize].add(1);
     }
 
     /// Record a shadow-copy migration that committed on `path`.
     pub fn record_shadow_commit(&self, path: ShadowPath) {
-        bump_n(&self.shadow_commits[path as usize], 1);
-    }
-
-    /// Abort count for one shadow path (single relaxed load; the obs
-    /// gauges read this on every scrape).
-    pub fn shadow_aborts(&self, path: ShadowPath) -> u64 {
-        get(&self.shadow_aborts[path as usize])
-    }
-
-    /// Commit count for one shadow path.
-    pub fn shadow_commits(&self, path: ShadowPath) -> u64 {
-        get(&self.shadow_commits[path as usize])
+        self.shadow_commits[path as usize].add(1);
     }
 
     /// Current backpressure-fallback count (single relaxed load; the
     /// admission-control pressure probe reads this on every decision).
     pub fn backpressure_fallbacks(&self) -> u64 {
-        get(&self.backpressure_fallbacks)
+        self.backpressure_fallbacks.get()
     }
-
-    /// Point-in-time copy of all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            dram_hits: self.dram_hits.sum(),
-            nvm_hits: self.nvm_hits.sum(),
-            ssd_fetches: get(&self.ssd_fetches),
-            migrations: MigrationPath::ALL
-                .iter()
-                .map(|p| get(&self.migrations[path_index(*p)]))
-                .collect::<Vec<_>>()
-                .try_into()
-                .expect("sized by MigrationPath::ALL"),
-            evictions_dram: get(&self.evictions_dram),
-            evictions_nvm: get(&self.evictions_nvm),
-            discards: get(&self.discards),
-            io_retries: get(&self.io_retries),
-            io_fatal: get(&self.io_fatal),
-            fetch_fast: self.fetch_fast.sum(),
-            fetch_fallbacks: self.fetch_fallbacks.sum(),
-            pin_restarts: self.pin_restarts.sum(),
-            backpressure_fallbacks: get(&self.backpressure_fallbacks),
-            maint_cycles: get(&self.maint_cycles),
-            maint_evictions: get(&self.maint_evictions),
-            maint_writebacks: get(&self.maint_writebacks),
-            migrations_aborted: get(&self.migrations_aborted),
-            shadow_aborts: ShadowPath::ALL.map(|p| get(&self.shadow_aborts[p as usize])),
-            shadow_commits: ShadowPath::ALL.map(|p| get(&self.shadow_commits[p as usize])),
-        }
-    }
-
-    /// Reset all counters (between experiment phases).
-    pub fn reset(&self) {
-        self.dram_hits.reset();
-        self.nvm_hits.reset();
-        zero(&self.ssd_fetches);
-        for m in &self.migrations {
-            zero(m);
-        }
-        zero(&self.evictions_dram);
-        zero(&self.evictions_nvm);
-        zero(&self.discards);
-        zero(&self.io_retries);
-        zero(&self.io_fatal);
-        self.fetch_fast.reset();
-        self.fetch_fallbacks.reset();
-        self.pin_restarts.reset();
-        zero(&self.backpressure_fallbacks);
-        zero(&self.maint_cycles);
-        zero(&self.maint_evictions);
-        zero(&self.maint_writebacks);
-        zero(&self.migrations_aborted);
-        for c in self.shadow_aborts.iter().chain(self.shadow_commits.iter()) {
-            zero(c);
-        }
-    }
-}
-
-/// Immutable copy of [`BufferMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Requests served from DRAM.
-    pub dram_hits: u64,
-    /// Requests served directly from NVM.
-    pub nvm_hits: u64,
-    /// Requests that required an SSD read.
-    pub ssd_fetches: u64,
-    /// Migration counts indexed like [`MigrationPath::ALL`].
-    pub migrations: [u64; 6],
-    /// Evictions from the DRAM buffer.
-    pub evictions_dram: u64,
-    /// Evictions from the NVM buffer.
-    pub evictions_nvm: u64,
-    /// Clean DRAM pages discarded on eviction.
-    pub discards: u64,
-    /// Device operations retried after a transient I/O error.
-    pub io_retries: u64,
-    /// Device operations that failed fatally.
-    pub io_fatal: u64,
-    /// Fetches served lock-free by the optimistic pin fast path.
-    pub fetch_fast: u64,
-    /// Fetches that took the descriptor-mutex slow path.
-    pub fetch_fallbacks: u64,
-    /// Optimistic pin attempts that restarted into the slow path.
-    pub pin_restarts: u64,
-    /// Fetch misses that ran eviction inline because the free list was
-    /// empty (maintenance behind the low watermark).
-    pub backpressure_fallbacks: u64,
-    /// Maintenance cycles executed.
-    pub maint_cycles: u64,
-    /// Frames freed by maintenance pre-eviction.
-    pub maint_evictions: u64,
-    /// Dirty pages written back by maintenance batches.
-    pub maint_writebacks: u64,
-    /// Shadow-copy migrations aborted at commit (copy raced a write or
-    /// readers failed to drain within the spin budget).
-    pub migrations_aborted: u64,
-    /// Shadow aborts by path, indexed like [`ShadowPath::ALL`]
-    /// (promote, evict, flush). Sums to `migrations_aborted`.
-    pub shadow_aborts: [u64; 3],
-    /// Shadow commits by path, indexed like [`ShadowPath::ALL`].
-    pub shadow_commits: [u64; 3],
 }
 
 impl MetricsSnapshot {
@@ -365,39 +307,6 @@ impl MetricsSnapshot {
             return 0.0;
         }
         (self.dram_hits + self.nvm_hits) as f64 / total as f64
-    }
-
-    /// Difference between two snapshots (`self` taken after `earlier`).
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut migrations = [0u64; 6];
-        for (i, m) in migrations.iter_mut().enumerate() {
-            *m = self.migrations[i] - earlier.migrations[i];
-        }
-        MetricsSnapshot {
-            dram_hits: self.dram_hits - earlier.dram_hits,
-            nvm_hits: self.nvm_hits - earlier.nvm_hits,
-            ssd_fetches: self.ssd_fetches - earlier.ssd_fetches,
-            migrations,
-            evictions_dram: self.evictions_dram - earlier.evictions_dram,
-            evictions_nvm: self.evictions_nvm - earlier.evictions_nvm,
-            discards: self.discards - earlier.discards,
-            io_retries: self.io_retries - earlier.io_retries,
-            io_fatal: self.io_fatal - earlier.io_fatal,
-            fetch_fast: self.fetch_fast - earlier.fetch_fast,
-            fetch_fallbacks: self.fetch_fallbacks - earlier.fetch_fallbacks,
-            pin_restarts: self.pin_restarts - earlier.pin_restarts,
-            backpressure_fallbacks: self.backpressure_fallbacks - earlier.backpressure_fallbacks,
-            maint_cycles: self.maint_cycles - earlier.maint_cycles,
-            maint_evictions: self.maint_evictions - earlier.maint_evictions,
-            maint_writebacks: self.maint_writebacks - earlier.maint_writebacks,
-            migrations_aborted: self.migrations_aborted - earlier.migrations_aborted,
-            shadow_aborts: std::array::from_fn(|i| {
-                self.shadow_aborts[i] - earlier.shadow_aborts[i]
-            }),
-            shadow_commits: std::array::from_fn(|i| {
-                self.shadow_commits[i] - earlier.shadow_commits[i]
-            }),
-        }
     }
 }
 

@@ -74,11 +74,19 @@ pub struct CostModel {
 /// Threshold above which we park the thread instead of spinning.
 const SPIN_LIMIT: Duration = Duration::from_micros(100);
 
+static OVERHEAD: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+
+/// The once-per-process `charge` overhead calibration in nanoseconds, or
+/// `None` while no emulated delay has been charged yet. Read-only: looking
+/// never triggers the measurement.
+pub fn charge_overhead_calibration() -> Option<u64> {
+    OVERHEAD.get().copied()
+}
+
 /// Fixed bookkeeping overhead of one `charge` call (clock reads and the
 /// wait loop), measured once and subtracted from every emulated delay so
 /// short DRAM-scale latencies stay accurate on slow hosts.
 fn charge_overhead_ns() -> u64 {
-    static OVERHEAD: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *OVERHEAD.get_or_init(|| {
         let start = Instant::now();
         let mut sink = 0u64;

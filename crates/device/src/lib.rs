@@ -40,7 +40,7 @@ mod profile;
 mod ssd;
 mod stats;
 
-pub use cost::{AccessPattern, CostModel, TimeScale};
+pub use cost::{charge_overhead_calibration, AccessPattern, CostModel, TimeScale};
 pub use dram::DramDevice;
 pub use error::DeviceError;
 pub use fault::{

@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use spitfire_obs::json::{self, Json};
 use spitfire_obs::HistogramSet;
 use spitfire_server::{
     decode_reply, encode_request, read_frame, AdmissionConfig, Command, Reply, Request, Server,
@@ -260,35 +261,31 @@ fn run_phase(spec: &RunSpec) -> Vec<TenantResult> {
         .collect()
 }
 
-fn tenant_json(r: &TenantResult) -> String {
-    format!(
-        "{{\"tenant\": {}, \"conns\": {}, \"ops\": {}, \"ops_per_sec\": {:.0}, \
-         \"errors\": {}, \"sheds\": {}, \"retries\": {}, \"protocol_errors\": {}, \
-         \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-        r.tenant,
-        r.conns,
-        r.ops,
-        r.ops_per_sec,
-        r.errors,
-        r.sheds,
-        r.retries,
-        r.protocol_errors,
-        r.p50_ns,
-        r.p99_ns,
-        r.p999_ns
-    )
+fn tenant_json(r: &TenantResult) -> Json {
+    json::object([
+        ("tenant", Json::from(r.tenant)),
+        ("conns", r.conns.into()),
+        ("ops", r.ops.into()),
+        ("ops_per_sec", json::fixed(r.ops_per_sec, 0)),
+        ("errors", r.errors.into()),
+        ("sheds", r.sheds.into()),
+        ("retries", r.retries.into()),
+        ("protocol_errors", r.protocol_errors.into()),
+        ("p50_ns", r.p50_ns.into()),
+        ("p99_ns", r.p99_ns.into()),
+        ("p999_ns", r.p999_ns.into()),
+    ])
 }
 
-fn phase_json(name: &str, results: &[TenantResult], extra: &str) -> String {
-    let mut s = format!("    {{\"phase\": \"{name}\", {extra}\"tenants\": [");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&tenant_json(r));
+/// One bench phase: its name, the server-side shed count where one was
+/// read, and every tenant's result.
+fn phase_json(name: &str, results: &[TenantResult], server_sheds: Option<u64>) -> Json {
+    let mut fields = vec![("phase", Json::from(name))];
+    if let Some(sheds) = server_sheds {
+        fields.push(("server_sheds", sheds.into()));
     }
-    s.push_str("]}");
-    s
+    fields.push(("tenants", json::array(results.iter().map(tenant_json))));
+    json::object(fields)
 }
 
 fn quick() -> bool {
@@ -388,34 +385,33 @@ fn bench(out: &str) {
     let degr_on = cold_on.p99_ns as f64 / solo_p99.max(1) as f64;
     let degr_off = cold_off.p99_ns as f64 / solo_p99.max(1) as f64;
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"hot_conns\": {hot_conns}, \"cold_conns\": {cold_conns}, \
-         \"total_conns\": {}, \"secs\": {secs}, \"keys\": {keys}, \"theta\": 0.9, \
-         \"read_pct\": 80, \"hot_quota_ops_per_sec\": {hot_quota}, \"quick\": {}}},\n",
-        hot_conns + cold_conns,
-        quick()
-    ));
-    json.push_str("  \"phases\": [\n");
-    json.push_str(&phase_json("solo_cold_baseline", &solo, ""));
-    json.push_str(",\n");
-    json.push_str(&phase_json(
-        "skewed_quotas_on",
-        &quotas_on,
-        &format!("\"server_sheds\": {server_sheds_on}, "),
-    ));
-    json.push_str(",\n");
-    json.push_str(&phase_json(
-        "skewed_quotas_off",
-        &quotas_off,
-        &format!("\"server_sheds\": {server_sheds_off}, "),
-    ));
-    json.push_str("\n  ],\n");
-    json.push_str(&format!(
-        "  \"cold_p99_degradation_quotas_on\": {degr_on:.3},\n\
-         \"cold_p99_degradation_quotas_off\": {degr_off:.3}\n}}\n"
-    ));
-    std::fs::write(out, &json).expect("write bench json");
+    let doc = json::object([
+        (
+            "config",
+            json::object([
+                ("hot_conns", Json::from(hot_conns)),
+                ("cold_conns", cold_conns.into()),
+                ("total_conns", (hot_conns + cold_conns).into()),
+                ("secs", secs.into()),
+                ("keys", keys.into()),
+                ("theta", 0.9.into()),
+                ("read_pct", 80u32.into()),
+                ("hot_quota_ops_per_sec", hot_quota.into()),
+                ("quick", quick().into()),
+            ]),
+        ),
+        (
+            "phases",
+            json::array([
+                phase_json("solo_cold_baseline", &solo, None),
+                phase_json("skewed_quotas_on", &quotas_on, Some(server_sheds_on)),
+                phase_json("skewed_quotas_off", &quotas_off, Some(server_sheds_off)),
+            ]),
+        ),
+        ("cold_p99_degradation_quotas_on", json::fixed(degr_on, 3)),
+        ("cold_p99_degradation_quotas_off", json::fixed(degr_off, 3)),
+    ]);
+    std::fs::write(out, doc.pretty()).expect("write bench json");
     eprintln!(
         "loadgen bench: cold p99 {:.2}x solo with quotas, {:.2}x without -> {out}",
         degr_on, degr_off
@@ -462,15 +458,8 @@ fn external(addr: &str, conns: usize, tenants: usize, secs: f64, shutdown: bool)
     };
     let results = run_phase(&spec);
 
-    let mut json = String::from("{\"tenants\": [");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&tenant_json(r));
-    }
-    json.push_str("]}");
-    println!("{json}");
+    let doc = json::object([("tenants", json::array(results.iter().map(tenant_json)))]);
+    println!("{}", doc.compact());
 
     if shutdown {
         if let Ok(mut s) = TcpStream::connect(addr) {

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
+use crate::json::{self, Json};
 use crate::op::Op;
 
 /// Maximum events retained per thread before the oldest are overwritten.
@@ -133,29 +134,24 @@ pub fn to_csv(events: &[TraceEvent]) -> String {
 
 /// Render events in the chrome-trace "X" (complete-event) JSON format.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut s = String::with_capacity(events.len() * 120 + 32);
-    s.push_str("[\n");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        // chrome-trace timestamps are microseconds (floats allowed).
-        s.push_str(&format!(
-            concat!(
-                "{{\"name\":\"{}\",\"cat\":\"spitfire\",\"ph\":\"X\",",
-                "\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},",
-                "\"args\":{{\"page\":{},\"tier\":\"{}\"}}}}"
+    // chrome-trace timestamps are microseconds (floats allowed).
+    let micros = |ns: u64| json::fixed(ns as f64 / 1000.0, 3);
+    json::array(events.iter().map(|e| {
+        json::object([
+            ("name", Json::from(e.op.name())),
+            ("cat", "spitfire".into()),
+            ("ph", "X".into()),
+            ("ts", micros(e.ts_ns)),
+            ("dur", micros(e.dur_ns)),
+            ("pid", 1u32.into()),
+            ("tid", e.thread.into()),
+            (
+                "args",
+                json::object([("page", e.page.into()), ("tier", e.tier.into())]),
             ),
-            e.op.name(),
-            e.ts_ns as f64 / 1000.0,
-            e.dur_ns as f64 / 1000.0,
-            e.thread,
-            e.page,
-            e.tier
-        ));
-    }
-    s.push_str("\n]\n");
-    s
+        ])
+    }))
+    .compact()
 }
 
 #[cfg(test)]
@@ -199,8 +195,8 @@ mod tests {
         let json = to_chrome_trace(&events);
         assert!(json.trim_start().starts_with('['));
         assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":1.000"));
+        assert!(json.contains("\"ph\": \"X\""));
+        assert!(json.contains("\"ts\": 1, \"dur\": 0.005"));
         assert_eq!(json.matches("{\"name\"").count(), 2);
     }
 }

@@ -1,6 +1,9 @@
 //! The unified report: capture + Prometheus-text and JSON exporters.
 
+use std::collections::BTreeMap;
+
 use crate::hist::HistogramSnapshot;
+use crate::json::{self, Json};
 use crate::op::Op;
 use crate::sampler::SeriesPoint;
 
@@ -23,7 +26,8 @@ pub struct HistEntry {
 
 /// A unified, machine-readable observability report: per-operation latency
 /// histograms, flat counters (buffer metrics, device stats, …), gauges, and
-/// the sampled time series.
+/// the sampled time series. Counters and gauges are keyed by name, so a
+/// name appears at most once per section however many sources report it.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Latency histograms for every operation that recorded at least once.
@@ -31,18 +35,19 @@ pub struct Report {
     /// Dynamically-labeled histograms (e.g. per-tenant request latency),
     /// `(label, snapshot)`, sorted by label. See [`crate::labels`].
     pub labeled: Vec<(String, HistogramSnapshot)>,
-    /// Monotonic counters, `(name, value)`.
-    pub counters: Vec<(String, u64)>,
-    /// Point-in-time gauges, `(name, value)`.
-    pub gauges: Vec<(String, f64)>,
+    /// Monotonic counters by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Point-in-time gauges by name.
+    pub gauges: BTreeMap<String, f64>,
     /// Sampler time series (empty unless the sampler ran).
     pub series: Vec<SeriesPoint>,
 }
 
 impl Report {
-    /// Capture histograms, gauges, and the sampler series from the global
-    /// registry. Counters from other subsystems (buffer manager, database)
-    /// are added by their `fill_obs_report` methods.
+    /// Capture the whole process: histograms and the sampler series from
+    /// the global registry, plus the counters and gauges of every live
+    /// [`Source`](crate::Source) registered with
+    /// [`register_source`](crate::register_source).
     pub fn capture() -> Report {
         let mut histograms = Vec::new();
         for op in Op::ALL {
@@ -54,23 +59,24 @@ impl Report {
                 });
             }
         }
-        Report {
+        let mut report = Report {
             histograms,
             labeled: crate::labels::labeled_snapshots(),
-            counters: Vec::new(),
-            gauges: crate::sampler::gauge_values(),
             series: crate::sampler::series_snapshot(),
-        }
+            ..Report::default()
+        };
+        crate::source::collect(&mut report);
+        report
     }
 
-    /// Append a monotonic counter.
+    /// Set a monotonic counter.
     pub fn add_counter(&mut self, name: impl Into<String>, value: u64) {
-        self.counters.push((name.into(), value));
+        self.counters.insert(name.into(), value);
     }
 
-    /// Append a gauge.
+    /// Set a gauge.
     pub fn add_gauge(&mut self, name: impl Into<String>, value: f64) {
-        self.gauges.push((name.into(), value));
+        self.gauges.insert(name.into(), value);
     }
 
     /// Render in the Prometheus text exposition format. Histogram quantiles
@@ -110,7 +116,7 @@ impl Report {
                     if let Some(ns) = snap.quantile(q) {
                         s.push_str(&format!(
                             "spitfire_labeled_latency_seconds{{label=\"{}\",quantile=\"{}\"}} {}\n",
-                            escape(label),
+                            json::escape(label),
                             ql,
                             fmt_f64(ns as f64 / 1e9)
                         ));
@@ -118,7 +124,7 @@ impl Report {
                 }
                 s.push_str(&format!(
                     "spitfire_labeled_latency_seconds_count{{label=\"{}\"}} {}\n",
-                    escape(label),
+                    json::escape(label),
                     snap.count
                 ));
             }
@@ -136,93 +142,69 @@ impl Report {
         s
     }
 
-    /// Render as a single JSON object (hand-rolled; no serde dependency).
+    /// The report as a JSON tree: `histograms`, `labeled`, `counters`,
+    /// `gauges` (objects keyed by name) and `series` (array of ticks).
+    pub fn json(&self) -> Json {
+        let histograms = self.histograms.iter();
+        json::object([
+            (
+                "histograms",
+                json::object(histograms.map(|h| (h.name, snapshot_json(&h.snapshot)))),
+            ),
+            (
+                "labeled",
+                json::object(self.labeled.iter().map(|(l, s)| (l, snapshot_json(s)))),
+            ),
+            (
+                "counters",
+                json::object(self.counters.iter().map(|(n, v)| (n, Json::from(*v)))),
+            ),
+            (
+                "gauges",
+                json::object(self.gauges.iter().map(|(n, v)| (n, Json::from(*v)))),
+            ),
+            (
+                "series",
+                json::array(self.series.iter().map(|point| {
+                    json::object([
+                        ("t_ms", Json::from(point.t_ms)),
+                        (
+                            "values",
+                            json::object(point.values.iter().map(|(n, v)| (n, Json::from(*v)))),
+                        ),
+                    ])
+                })),
+            ),
+        ])
+    }
+
+    /// Render [`Self::json`] indented, for files.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {{", h.name));
-            s.push_str(&snapshot_fields(&h.snapshot));
-            s.push('}');
-        }
-        s.push_str("\n  },\n  \"labeled\": {");
-        for (i, (label, snap)) in self.labeled.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {{", escape(label)));
-            s.push_str(&snapshot_fields(snap));
-            s.push('}');
-        }
-        s.push_str("\n  },\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {}", escape(name), value));
-        }
-        s.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {}", escape(name), fmt_f64(*value)));
-        }
-        s.push_str("\n  },\n  \"series\": [");
-        for (i, point) in self.series.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {{\"t_ms\": {}, \"values\": {{", point.t_ms));
-            for (j, (name, value)) in point.values.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{}\": {}", escape(name), fmt_f64(*value)));
-            }
-            s.push_str("}}");
-        }
-        s.push_str("\n  ]\n}\n");
-        s
+        self.json().pretty()
     }
 }
 
-/// The inner `"count": …, …, "p999_ns": …` fields of one exported
-/// histogram (shared by the per-op and labeled sections).
-fn snapshot_fields(snap: &HistogramSnapshot) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("\"count\": {}, ", snap.count));
-    s.push_str(&format!("\"sum_ns\": {}, ", snap.sum));
-    s.push_str(&format!(
-        "\"min_ns\": {}, ",
-        if snap.count == 0 { 0 } else { snap.min }
-    ));
-    s.push_str(&format!("\"max_ns\": {}, ", snap.max));
-    s.push_str(&format!(
-        "\"mean_ns\": {}, ",
-        fmt_f64(snap.mean().unwrap_or(0.0))
-    ));
+/// One exported histogram (shared by the per-op and labeled sections).
+fn snapshot_json(snap: &HistogramSnapshot) -> Json {
+    let mut fields = vec![
+        ("count".to_string(), Json::from(snap.count)),
+        ("sum_ns".to_string(), snap.sum.into()),
+        (
+            "min_ns".to_string(),
+            if snap.count == 0 { 0 } else { snap.min }.into(),
+        ),
+        ("max_ns".to_string(), snap.max.into()),
+        ("mean_ns".to_string(), snap.mean().unwrap_or(0.0).into()),
+    ];
     for (q, _, short) in QUANTILES {
-        s.push_str(&format!(
-            "\"{}_ns\": {}, ",
-            short,
-            snap.quantile(q).unwrap_or(0)
-        ));
+        fields.push((format!("{short}_ns"), snap.quantile(q).unwrap_or(0).into()));
     }
-    // Trim the trailing ", ".
-    s.truncate(s.len() - 2);
-    s
+    Json::Object(fields)
 }
 
-/// Format an f64 for JSON/Prometheus (finite; no NaN/inf in the output).
+/// Format an f64 for Prometheus (finite; no NaN/inf in the output).
 fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
+    Json::from(v).compact()
 }
 
 /// Lowercase and replace non-`[a-z0-9_]` with `_` (Prometheus metric names).
@@ -237,23 +219,6 @@ fn sanitize(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Minimal JSON string escaping.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -318,8 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn escape_and_sanitize() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn sanitize_maps_to_prometheus_names() {
         assert_eq!(sanitize("Device/NVM bytes"), "device_nvm_bytes");
     }
 

@@ -9,12 +9,16 @@
 //! * **Event tracing** ([`events`]) — bounded per-thread rings of structured
 //!   trace events (op, page, tier, duration), drainable to CSV and
 //!   chrome-trace JSON.
-//! * **Gauge sampling** ([`sampler`]) — named gauges (tier occupancy, dirty
-//!   pages, admission-queue length, policy vector, SA temperature, device
-//!   byte counters) snapshotted by a background thread into a bounded
-//!   in-memory time series.
-//! * **Export** ([`export`]) — one unified [`Report`] rendered as
-//!   Prometheus text or JSON.
+//! * **Sources** ([`source`]) — every object that owns counters or gauges
+//!   (buffer manager, database, server) implements [`Source`], names each
+//!   of them once, and is registered weakly with [`register_source`].
+//! * **Sampling** ([`sampler`]) — a background thread walks the sources
+//!   (tier occupancy, dirty pages, policy vector, SA temperature, device
+//!   byte counters, …) into a bounded in-memory time series.
+//! * **Export** ([`export`]) — one unified [`Report`], captured by walking
+//!   the same sources, rendered as Prometheus text or JSON.
+//! * **JSON** ([`json`]) — the one JSON writer every artifact in the tree
+//!   (reports, STATS, `BENCH_*.json`, loadgen) is rendered through.
 //!
 //! The hot-path contract (see [`recorder`]): when recording is disabled
 //! (default), every instrumented site costs exactly one relaxed atomic
@@ -29,10 +33,12 @@
 pub mod events;
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod labels;
 pub mod op;
 pub mod recorder;
 pub mod sampler;
+pub mod source;
 
 pub use export::{HistEntry, Report};
 pub use hist::{Histogram, HistogramSet, HistogramSnapshot};
@@ -42,10 +48,8 @@ pub use recorder::{
     enabled, op_start, record_duration, record_op, record_since, sample_interval, set_enabled,
     set_sample_interval, set_tracing, tracing_enabled, DEFAULT_SAMPLE_INTERVAL,
 };
-pub use sampler::{
-    gauge_values, register_gauge, sample_now, series_snapshot, set_gauge, start_sampler,
-    stop_sampler, SeriesPoint,
-};
+pub use sampler::{sample_now, series_snapshot, start_sampler, stop_sampler, SeriesPoint};
+pub use source::{register_source, set_gauge, Source};
 
 use std::sync::OnceLock;
 

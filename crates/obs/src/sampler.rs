@@ -1,29 +1,23 @@
-//! Gauge registry and the background sampler thread.
+//! The background sampler thread and its in-memory time series.
 //!
-//! Subsystems register named gauges as closures (typically capturing a
-//! [`std::sync::Weak`] to the owning object and returning `None` once it is
-//! gone — such gauges are pruned). Manual gauges (e.g. the annealing
-//! temperature) are pushed with [`set_gauge`]. The sampler thread, started
-//! with [`start_sampler`], snapshots every gauge on a fixed tick into a
-//! bounded in-memory time series readable via [`series_snapshot`].
+//! The sampler thread, started with [`start_sampler`], walks the
+//! registered [`Source`](crate::Source)s on a fixed tick and records every
+//! counter and gauge they report (plus the manual gauges) into a bounded
+//! time series readable via [`series_snapshot`].
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
+
+use crate::export::Report;
 
 /// Maximum retained ticks in the in-memory time series.
 pub const SERIES_CAPACITY: usize = 4096;
 
-type GaugeFn = Box<dyn Fn() -> Option<f64> + Send + Sync>;
-
-struct GaugeRegistry {
-    callbacks: Mutex<Vec<(String, GaugeFn)>>,
-    /// Manual gauges: name → f64 bits.
-    manual: Mutex<BTreeMap<String, AtomicU64>>,
+struct Sampler {
     series: Mutex<SeriesBuf>,
-    sampler_running: AtomicBool,
-    sampler_stop: AtomicBool,
+    running: AtomicBool,
+    stop: AtomicBool,
 }
 
 struct SeriesBuf {
@@ -31,86 +25,26 @@ struct SeriesBuf {
     head: usize,
 }
 
-/// One sampler tick: timestamp plus every gauge value at that instant.
+/// One sampler tick: timestamp plus every counter and gauge at that
+/// instant.
 #[derive(Debug, Clone)]
 pub struct SeriesPoint {
     /// Milliseconds since the process trace epoch.
     pub t_ms: u64,
-    /// Gauge values, sorted by name.
+    /// Counter and gauge values, sorted by name.
     pub values: Vec<(String, f64)>,
 }
 
-fn registry() -> &'static GaugeRegistry {
-    static REG: OnceLock<GaugeRegistry> = OnceLock::new();
-    REG.get_or_init(|| GaugeRegistry {
-        callbacks: Mutex::new(Vec::new()),
-        manual: Mutex::new(BTreeMap::new()),
+fn registry() -> &'static Sampler {
+    static REG: OnceLock<Sampler> = OnceLock::new();
+    REG.get_or_init(|| Sampler {
         series: Mutex::new(SeriesBuf {
             points: Vec::new(),
             head: 0,
         }),
-        sampler_running: AtomicBool::new(false),
-        sampler_stop: AtomicBool::new(false),
+        running: AtomicBool::new(false),
+        stop: AtomicBool::new(false),
     })
-}
-
-/// Register a named gauge callback. Return `None` from the callback when the
-/// underlying object is gone; the gauge is then dropped from the registry.
-pub fn register_gauge(
-    name: impl Into<String>,
-    f: impl Fn() -> Option<f64> + Send + Sync + 'static,
-) {
-    registry()
-        .callbacks
-        .lock()
-        .unwrap()
-        .push((name.into(), Box::new(f)));
-}
-
-/// Set a manual gauge value (creates the gauge on first use).
-pub fn set_gauge(name: &str, value: f64) {
-    let reg = registry();
-    {
-        let manual = reg.manual.lock().unwrap();
-        if let Some(cell) = manual.get(name) {
-            // relaxed: the cell holds a self-contained f64 gauge; readers accept any published value.
-            cell.store(value.to_bits(), Ordering::Relaxed);
-            return;
-        }
-    }
-    reg.manual
-        .lock()
-        .unwrap()
-        .entry(name.to_string())
-        .or_insert_with(|| AtomicU64::new(0))
-        // relaxed: self-contained gauge cell, as above.
-        .store(value.to_bits(), Ordering::Relaxed);
-}
-
-/// Evaluate every live gauge right now, sorted by name. Dead callback gauges
-/// (returning `None`) are pruned.
-pub fn gauge_values() -> Vec<(String, f64)> {
-    let reg = registry();
-    let mut out: Vec<(String, f64)> = Vec::new();
-    {
-        let mut callbacks = reg.callbacks.lock().unwrap();
-        callbacks.retain(|(name, f)| match f() {
-            Some(v) => {
-                out.push((name.clone(), v));
-                true
-            }
-            None => false,
-        });
-    }
-    {
-        let manual = reg.manual.lock().unwrap();
-        for (name, bits) in manual.iter() {
-            // relaxed: advisory gauge read.
-            out.push((name.clone(), f64::from_bits(bits.load(Ordering::Relaxed))));
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
 }
 
 fn push_point(point: SeriesPoint) {
@@ -142,9 +76,13 @@ pub fn clear_series() {
 
 /// Record one tick synchronously (also used by the sampler thread).
 pub fn sample_now() {
+    let mut tick = Report::default();
+    crate::source::collect(&mut tick);
+    let mut values = tick.gauges;
+    values.extend(tick.counters.into_iter().map(|(n, v)| (n, v as f64)));
     push_point(SeriesPoint {
         t_ms: crate::events::now_ns() / 1_000_000,
-        values: gauge_values(),
+        values: values.into_iter().collect(),
     });
 }
 
@@ -152,55 +90,36 @@ pub fn sample_now() {
 /// thread is detached and parks itself when [`stop_sampler`] is called.
 pub fn start_sampler(interval: Duration) {
     let reg = registry();
-    if reg.sampler_running.swap(true, Ordering::SeqCst) {
+    if reg.running.swap(true, Ordering::SeqCst) {
         return;
     }
-    reg.sampler_stop.store(false, Ordering::SeqCst);
+    reg.stop.store(false, Ordering::SeqCst);
     std::thread::Builder::new()
         .name("spitfire-obs-sampler".into())
         .spawn(move || {
             let reg = registry();
-            while !reg.sampler_stop.load(Ordering::SeqCst) {
+            while !reg.stop.load(Ordering::SeqCst) {
                 sample_now();
                 std::thread::sleep(interval);
             }
-            reg.sampler_running.store(false, Ordering::SeqCst);
+            reg.running.store(false, Ordering::SeqCst);
         })
         .expect("spawn sampler thread");
 }
 
 /// Ask the background sampler to exit after its current tick.
 pub fn stop_sampler() {
-    registry().sampler_stop.store(true, Ordering::SeqCst);
+    registry().stop.store(true, Ordering::SeqCst);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn manual_and_callback_gauges_report_and_prune() {
-        set_gauge("test_manual_gauge", 1.5);
-        let obj = Arc::new(42u64);
-        let weak = Arc::downgrade(&obj);
-        register_gauge("test_weak_gauge", move || weak.upgrade().map(|v| *v as f64));
-
-        let values = gauge_values();
-        let get = |name: &str| values.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("test_manual_gauge"), Some(1.5));
-        assert_eq!(get("test_weak_gauge"), Some(42.0));
-
-        set_gauge("test_manual_gauge", 2.5);
-        drop(obj);
-        let values = gauge_values();
-        let get = |name: &str| values.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("test_manual_gauge"), Some(2.5));
-        assert_eq!(get("test_weak_gauge"), None);
-    }
+    use crate::set_gauge;
 
     #[test]
     fn series_records_ticks_in_order() {
+        let _g = crate::test_guard();
         clear_series();
         set_gauge("test_series_gauge", 7.0);
         sample_now();
@@ -218,6 +137,7 @@ mod tests {
 
     #[test]
     fn background_sampler_ticks_and_stops() {
+        let _g = crate::test_guard();
         clear_series();
         start_sampler(Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(40));

@@ -150,6 +150,32 @@ impl TenantState {
     }
 }
 
+/// Admission state: in-flight count, the pressure flag, and every
+/// tenant's counters as `tenant<N>_<counter>`.
+impl spitfire_obs::Source for Admission {
+    fn report(&self, out: &mut spitfire_obs::Report) {
+        out.add_gauge("server_inflight", self.inflight() as f64);
+        out.add_gauge(
+            "server_under_pressure",
+            f64::from(u8::from(self.under_pressure())),
+        );
+        for (i, t) in self.tenants.iter().enumerate() {
+            out.add_gauge(format!("tenant{i}_weight"), f64::from(t.weight));
+            for (name, counter) in [
+                ("admitted", &t.admitted),
+                ("shed_queue", &t.shed_queue),
+                ("shed_pressure", &t.shed_pressure),
+                ("shed_quota", &t.shed_quota),
+                ("ok_ops", &t.ok_ops),
+                ("err_ops", &t.err_ops),
+            ] {
+                // relaxed: advisory per-tenant statistics.
+                out.add_counter(format!("tenant{i}_{name}"), counter.load(Ordering::Relaxed));
+            }
+        }
+    }
+}
+
 /// Outcome of an admission decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use spitfire_core::{BufferManager, BufferManagerConfig, Maintenance};
-use spitfire_obs::HistogramSet;
+use spitfire_obs::{HistogramSet, Source};
 use spitfire_txn::{Database, DbConfig, Session, TxnError};
 
 use crate::admission::{Admission, AdmissionConfig, TenantConfig, Verdict};
@@ -216,6 +216,9 @@ impl Server {
             bm,
             db,
         });
+        spitfire_obs::register_source(&shared.bm);
+        spitfire_obs::register_source(&shared.db);
+        spitfire_obs::register_source(&shared);
 
         let mut threads = Vec::new();
         for w in 0..shared.config.workers.max(1) {
@@ -270,6 +273,12 @@ impl Server {
         &self.shared.admission
     }
 
+    /// The report a STATS frame returns (this server's buffer manager,
+    /// database and front-end sources).
+    pub fn report(&self) -> spitfire_obs::Report {
+        self.shared.stats()
+    }
+
     /// Total protocol errors observed (malformed / corrupt frames).
     pub fn protocol_errors(&self) -> u64 {
         // relaxed: advisory statistic.
@@ -315,71 +324,31 @@ impl Shared {
         }
     }
 
-    /// Build the STATS reply payload (hand-rolled JSON, like `obs`).
-    fn stats_json(&self) -> String {
-        let p = self.bm.pressure();
-        let m = self.bm.metrics();
-        let (commits, aborts) = self.db.txn_stats();
-        // Snapshot/WAL health: generation 0 and zeroed checkpoint fields
-        // mean no snapshot engine is attached (or none has completed).
-        let (snapshot_generation, last_checkpoint_ms, last_checkpoint_pages) =
-            match self.db.snapshot_engine() {
-                Some(engine) => (
-                    engine.generation(),
-                    engine.last_checkpoint_micros() as f64 / 1000.0,
-                    engine.last_checkpoint_pages(),
-                ),
-                None => (0, 0.0, 0),
-            };
-        let mut s = format!(
-            "{{\"conns\": {}, \"accepted\": {}, \"inflight\": {}, \
-             \"under_pressure\": {}, \"protocol_errors\": {}, \
-             \"commits\": {}, \"aborts\": {}, \
-             \"dram_free\": {}, \"dram_low\": {}, \
-             \"nvm_free\": {}, \"nvm_low\": {}, \
-             \"wal_bytes\": {}, \"snapshot_generation\": {}, \
-             \"last_checkpoint_ms\": {}, \"last_checkpoint_pages\": {}, \
-             \"migrations_aborted\": {}, \
-             \"tenants\": [",
-            self.conns.lock().len(),
-            // relaxed: stats-frame snapshot; all fields are advisory counters with no cross-field consistency claim.
-            self.accepted.load(Ordering::Relaxed),
-            self.admission.inflight(),
-            self.admission.under_pressure(),
-            self.protocol_errors.load(Ordering::Relaxed),
-            commits,
-            aborts,
-            p.dram_free,
-            p.dram_low,
-            p.nvm_free,
-            p.nvm_low,
-            self.db.wal().log_bytes(),
-            snapshot_generation,
-            last_checkpoint_ms,
-            last_checkpoint_pages,
-            m.migrations_aborted,
-        );
-        for (i, t) in self.admission.tenants().iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"tenant\": {}, \"weight\": {}, \"admitted\": {}, \
-                 \"shed_queue\": {}, \"shed_pressure\": {}, \"shed_quota\": {}, \
-                 \"ok_ops\": {}, \"err_ops\": {}}}",
-                i,
-                t.weight,
-                // relaxed: advisory per-tenant statistics, as above.
-                t.admitted.load(Ordering::Relaxed),
-                t.shed_queue.load(Ordering::Relaxed),
-                t.shed_pressure.load(Ordering::Relaxed),
-                t.shed_quota.load(Ordering::Relaxed),
-                t.ok_ops.load(Ordering::Relaxed),
-                t.err_ops.load(Ordering::Relaxed),
-            ));
+    /// What STATS replies with: one report built from this server's own
+    /// three sources (buffer manager, database, server), so concurrent
+    /// servers in one process never see each other's numbers.
+    fn stats(&self) -> spitfire_obs::Report {
+        let mut report = spitfire_obs::Report::default();
+        for source in [&*self.bm as &dyn Source, &*self.db, self] {
+            source.report(&mut report);
         }
-        s.push_str("]}");
-        s
+        report
+    }
+}
+
+/// The front end's own numbers; per-tenant admission counters come from
+/// [`Admission`]'s source.
+impl Source for Shared {
+    fn report(&self, out: &mut spitfire_obs::Report) {
+        out.add_gauge("server_conns", self.conns.lock().len() as f64);
+        // relaxed: advisory statistics with no cross-field consistency claim.
+        out.add_counter("server_accepted", self.accepted.load(Ordering::Relaxed));
+        out.add_counter(
+            "server_protocol_errors",
+            // relaxed: advisory statistic, as above.
+            self.protocol_errors.load(Ordering::Relaxed),
+        );
+        self.admission.report(out);
     }
 }
 
@@ -660,7 +629,7 @@ fn execute(shared: &Arc<Shared>, conn: &Arc<Conn>, item: Queued) {
             Ok(()) => Reply::Ok,
             Err(e) => Reply::from_txn_error(&e),
         },
-        Command::Stats => Reply::Stats(shared.stats_json()),
+        Command::Stats => Reply::Stats(shared.stats().json().compact()),
         Command::Shutdown => {
             if shared.config.allow_remote_shutdown {
                 Reply::Ok

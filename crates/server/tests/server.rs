@@ -165,11 +165,15 @@ fn commands_round_trip_over_tcp() {
         }
     ));
 
-    // Stats returns JSON mentioning the tenant counters.
+    // Stats is the obs report of this server's stack: per-tenant
+    // counters, the database's and the manager's, under the same names
+    // the JSON and Prometheus exports use.
     match c.call(Command::Stats) {
         Reply::Stats(json) => {
-            assert!(json.contains("\"tenants\""), "stats json: {json}");
-            assert!(json.contains("\"ok_ops\""));
+            assert!(json.contains("\"counters\": {"), "stats json: {json}");
+            assert!(json.contains("\"tenant0_ok_ops\""), "stats json: {json}");
+            assert!(json.contains("\"txn_commits\""));
+            assert!(json.contains("\"dram_free_frames\""));
             assert!(json.contains("\"wal_bytes\""), "stats json: {json}");
             // No snapshot engine is attached in this config, so the
             // gauges report the zero placeholders.

@@ -200,61 +200,6 @@ impl Database {
         )
     }
 
-    /// Add this database's transaction counters and the underlying buffer
-    /// manager's counters and gauges to an observability report.
-    pub fn fill_obs_report(&self, report: &mut spitfire_obs::Report) {
-        let (commits, aborts) = self.txn_stats();
-        report.add_counter("txn_commits", commits);
-        report.add_counter("txn_aborts", aborts);
-        report.add_gauge("wal_bytes", self.wal.log_bytes() as f64);
-        if let Some(engine) = self.snapshot_engine() {
-            report.add_gauge("snapshot_generation", engine.generation() as f64);
-            report.add_gauge(
-                "last_checkpoint_ms",
-                engine.last_checkpoint_micros() as f64 / 1000.0,
-            );
-            report.add_gauge(
-                "last_checkpoint_pages",
-                engine.last_checkpoint_pages() as f64,
-            );
-        }
-        self.bm.fill_obs_report(report);
-    }
-
-    /// Register observability gauges for this database (in-flight
-    /// transaction count) and its buffer manager. Gauges hold weak
-    /// references and disappear once the database is dropped.
-    pub fn register_obs_gauges(self: &Arc<Self>) {
-        self.bm.register_obs_gauges();
-        let w = Arc::downgrade(self);
-        spitfire_obs::register_gauge("active_txns", move || {
-            w.upgrade().map(|db| db.active.lock().len() as f64)
-        });
-        let w = Arc::downgrade(self);
-        spitfire_obs::register_gauge("wal_bytes", move || {
-            w.upgrade().map(|db| db.wal.log_bytes() as f64)
-        });
-        let w = Arc::downgrade(self);
-        spitfire_obs::register_gauge("snapshot_generation", move || {
-            w.upgrade()
-                .map(|db| db.snapshot_engine().map_or(0.0, |e| e.generation() as f64))
-        });
-        let w = Arc::downgrade(self);
-        spitfire_obs::register_gauge("last_checkpoint_ms", move || {
-            w.upgrade().map(|db| {
-                db.snapshot_engine()
-                    .map_or(0.0, |e| e.last_checkpoint_micros() as f64 / 1000.0)
-            })
-        });
-        let w = Arc::downgrade(self);
-        spitfire_obs::register_gauge("last_checkpoint_pages", move || {
-            w.upgrade().map(|db| {
-                db.snapshot_engine()
-                    .map_or(0.0, |e| e.last_checkpoint_pages() as f64)
-            })
-        });
-    }
-
     /// Create a table with `tuple_size`-byte tuples and a primary index.
     pub fn create_table(&self, table_id: u32, tuple_size: usize) -> Result<()> {
         let table = Arc::new(Table::create(Arc::clone(&self.bm), table_id, tuple_size)?);
@@ -865,6 +810,34 @@ impl Database {
             max_ts,
             max_txn,
         })
+    }
+}
+
+/// The database's own counters and gauges (transaction outcomes, WAL size,
+/// snapshot health); its buffer manager is a separate
+/// [`Source`](spitfire_obs::Source). Without a snapshot engine the three
+/// checkpoint gauges read 0.
+impl spitfire_obs::Source for Database {
+    fn report(&self, out: &mut spitfire_obs::Report) {
+        let (commits, aborts) = self.txn_stats();
+        out.add_counter("txn_commits", commits);
+        out.add_counter("txn_aborts", aborts);
+        out.add_gauge("active_txns", self.active.lock().len() as f64);
+        out.add_gauge("wal_bytes", self.wal.log_bytes() as f64);
+        let engine = self.snapshot_engine();
+        let engine = engine.as_deref();
+        out.add_gauge(
+            "snapshot_generation",
+            engine.map_or(0.0, |e| e.generation() as f64),
+        );
+        out.add_gauge(
+            "last_checkpoint_ms",
+            engine.map_or(0.0, |e| e.last_checkpoint_micros() as f64 / 1000.0),
+        );
+        out.add_gauge(
+            "last_checkpoint_pages",
+            engine.map_or(0.0, |e| e.last_checkpoint_pages() as f64),
+        );
     }
 }
 

@@ -208,4 +208,46 @@ fn removed_shims_stay_removed() {
     }
     impl KnobAbsent for BufferManagerConfigBuilder {}
     let _: Absent = BufferManagerConfig::builder().shadow_migrations(false);
+
+    // The hand bridges into obs are gone from both types: a manager or a
+    // database is an `obs::Source` registered with `register_source`, and
+    // names each metric once in its `report`.
+    trait BridgesAbsent {
+        fn register_obs_gauges(&self) -> Absent {
+            Absent
+        }
+        fn fill_obs_report(&self, _: &mut spitfire_obs::Report) -> Absent {
+            Absent
+        }
+    }
+    impl BridgesAbsent for Arc<BufferManager> {}
+    impl BridgesAbsent for Arc<spitfire_txn::Database> {}
+    let bm = manager();
+    let db = Arc::new(
+        spitfire_txn::Database::create(Arc::clone(&bm), spitfire_txn::DbConfig::default()).unwrap(),
+    );
+    let mut report = spitfire_obs::Report::default();
+    let _: Absent = bm.register_obs_gauges();
+    let _: Absent = bm.fill_obs_report(&mut report);
+    let _: Absent = db.register_obs_gauges();
+    let _: Absent = db.fill_obs_report(&mut report);
+    spitfire_obs::Source::report(&*bm, &mut report);
+    spitfire_obs::Source::report(&*db, &mut report);
+    assert!(report.counters.contains_key("dram_hits"));
+    assert!(report.counters.contains_key("txn_commits"));
+
+    // The SA tuner searches the migration policy only; its replacement
+    // axis (which no host could apply to a live pool) stays deleted.
+    trait AxisAbsent: Sized {
+        fn with_replacement_axis(self, _: PolicyConfig) -> Absent {
+            Absent
+        }
+    }
+    impl AxisAbsent for spitfire_core::adaptive::AnnealingTuner {}
+    let tuner = spitfire_core::adaptive::AnnealingTuner::new(
+        MigrationPolicy::lazy(),
+        spitfire_core::adaptive::AnnealingParams::default(),
+        1,
+    );
+    let _: Absent = tuner.with_replacement_axis(PolicyConfig::Clock);
 }
