@@ -186,15 +186,15 @@ pub fn tpcc_config(db_bytes: usize) -> TpccConfig {
     }
 }
 
-/// Create a transactional database on `bm` (counters-only log tracking —
-/// the experiments measure throughput, not crash recovery).
+/// Create a transactional database on `bm` (the log follows the manager's
+/// counters-only persistence tracking — the experiments measure
+/// throughput, not crash recovery).
 pub fn database(bm: Arc<BufferManager>) -> Database {
     Database::create(
         bm,
         DbConfig {
             log_buffer_bytes: 4 * MB,
             log_page_size: PAGE,
-            log_tracking: PersistenceTracking::Counters,
             lock_stripes: 1024,
         },
     )

@@ -187,10 +187,7 @@ fn database(chaos: &ChaosConfig) -> Database {
         .expect("static config");
     let db = Database::create(
         Arc::new(BufferManager::new(config).expect("fresh buffer manager")),
-        DbConfig {
-            log_tracking: PersistenceTracking::Full,
-            ..DbConfig::default()
-        },
+        DbConfig::default(),
     )
     .expect("create database");
     db.create_table(TABLE, TUPLE).expect("create table");

@@ -1,22 +1,22 @@
 //! Retry/backoff policy for device I/O.
 //!
 //! Injected transient faults (see `spitfire_device::fault`) are absorbed
-//! here with a bounded exponential micro-backoff; injected fatal faults —
+//! by the device crate's bounded retry loop (`spitfire_device::retry_io_with`),
+//! counted here; injected fatal faults —
 //! and transients that keep failing past the budget — escalate to
 //! [`BufferError::FatalIo`] with a `during` label naming the path that was
 //! executing. Non-injected device errors (bounds violations, missing
 //! pages, bad page sizes) pass through unchanged so callers can keep
 //! matching on them.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use spitfire_device::retry_io_with;
+pub(crate) use spitfire_device::IO_RETRY_LIMIT;
 use spitfire_obs::{record_op, Op};
 
 use crate::error::BufferError;
 use crate::metrics::BufferMetrics;
-
-/// Maximum retries of one operation after transient failures.
-pub(crate) const IO_RETRY_LIMIT: u32 = 8;
 
 /// Retry budget for *opportunistic* I/O — background maintenance
 /// pre-evictions. Failing fast is correct there: an abandoned pre-eviction
@@ -25,10 +25,9 @@ pub(crate) const IO_RETRY_LIMIT: u32 = 8;
 /// would stall an entire write-back batch behind one flaky device.
 pub(crate) const MAINT_RETRY_LIMIT: u32 = 2;
 
-/// Run `f`, retrying transient device errors up to [`IO_RETRY_LIMIT`]
-/// times with exponential micro-backoff (1 µs, 2 µs, ... capped at 64 µs).
-/// Each retry bumps `metrics.io_retries` and emits an `io_retry` obs event;
-/// escalation bumps `metrics.io_fatal`.
+/// Run `f` through the device crate's retry loop with the full
+/// [`IO_RETRY_LIMIT`] budget. Each retry bumps `metrics.io_retries` and
+/// emits an `io_retry` obs event; escalation bumps `metrics.io_fatal`.
 pub(crate) fn retry_device_io<T>(
     metrics: &BufferMetrics,
     during: &'static str,
@@ -43,25 +42,20 @@ pub(crate) fn retry_device_io_n<T>(
     metrics: &BufferMetrics,
     during: &'static str,
     limit: u32,
-    mut f: impl FnMut() -> spitfire_device::Result<T>,
+    f: impl FnMut() -> spitfire_device::Result<T>,
 ) -> Result<T, BufferError> {
-    let mut attempt = 0u32;
-    loop {
-        match f() {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() && attempt < limit => {
-                attempt += 1;
-                metrics.record_io_retry();
-                record_op(Op::IoRetry, Some(Instant::now()), u64::MAX, during);
-                std::thread::sleep(Duration::from_micros(1 << attempt.min(6)));
-            }
-            Err(e) if e.is_injected() => {
-                metrics.record_io_fatal();
-                return Err(BufferError::FatalIo { during, source: e });
-            }
-            Err(e) => return Err(BufferError::Device(e)),
+    let on_retry = || {
+        metrics.record_io_retry();
+        record_op(Op::IoRetry, Some(Instant::now()), u64::MAX, during);
+    };
+    retry_io_with(limit, on_retry, f).map_err(|e| {
+        if e.is_injected() {
+            metrics.record_io_fatal();
+            BufferError::FatalIo { during, source: e }
+        } else {
+            BufferError::Device(e)
         }
-    }
+    })
 }
 
 #[cfg(test)]

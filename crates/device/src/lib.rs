@@ -37,6 +37,7 @@ mod file_ssd;
 mod memory_mode;
 mod nvm;
 mod profile;
+mod retry;
 mod ssd;
 mod stats;
 
@@ -50,6 +51,7 @@ pub use file_ssd::FileSsdDevice;
 pub use memory_mode::MemoryModeDevice;
 pub use nvm::{NvmDevice, PersistenceTracking};
 pub use profile::{DeviceKind, DeviceProfile};
+pub use retry::{retry_io, retry_io_with, IO_RETRY_LIMIT};
 pub use ssd::{SsdBackendConfig, SsdDevice};
 pub use stats::{DeviceStats, StatsSnapshot};
 

@@ -48,7 +48,7 @@ pub enum Op {
     /// An optimistic pin attempt that raced a page transition and
     /// restarted into the descriptor-mutex slow path.
     PinRestart,
-    /// One database checkpoint (legacy flush or snapshot generation).
+    /// One database checkpoint (one snapshot generation).
     Checkpoint,
     /// Time a shadow-copy migration commit spent draining optimistic
     /// readers (the `shadow_commit` spin), successful or aborted.

@@ -63,21 +63,3 @@ impl From<spitfire_device::DeviceError> for SnapshotError {
 
 /// Result alias for snapshot operations.
 pub type Result<T> = std::result::Result<T, SnapshotError>;
-
-/// Retry transient injected faults with a short exponential backoff, the
-/// same discipline the WAL applies (`wal_retry`): snapshot I/O must ride
-/// through background fault noise without failing a checkpoint.
-pub(crate) fn snap_retry<T>(
-    mut f: impl FnMut() -> spitfire_device::Result<T>,
-) -> spitfire_device::Result<T> {
-    let mut attempt = 0u32;
-    loop {
-        match f() {
-            Err(e) if e.is_retryable() && attempt < 8 => {
-                attempt += 1;
-                std::thread::sleep(std::time::Duration::from_micros(1 << attempt.min(6)));
-            }
-            other => return other,
-        }
-    }
-}

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 
 use parking_lot::Mutex;
 use spitfire_device::{
-    DeviceError, FaultInjector, PersistenceTracking, SsdDevice, StatsSnapshot, TimeScale,
+    retry_io, DeviceError, FaultInjector, PersistenceTracking, SsdDevice, StatsSnapshot, TimeScale,
 };
 
 use crate::format::{
@@ -28,7 +28,7 @@ use crate::format::{
 };
 use spitfire_sync::crc32;
 
-use crate::{snap_retry, Result, SnapshotError, MAX_SUPERBLOCK_GENERATIONS};
+use crate::{Result, SnapshotError, MAX_SUPERBLOCK_GENERATIONS};
 
 const SUPER_HEADER: usize = 16;
 const SUPER_ENTRY: usize = 48;
@@ -126,7 +126,7 @@ impl SnapshotStore {
     /// caller falls back to full-WAL recovery).
     pub fn reload(&self) -> Result<()> {
         let mut page = vec![0u8; self.page_size];
-        let entries = match snap_retry(|| self.dev.read_page(0, &mut page)) {
+        let entries = match retry_io(|| self.dev.read_page(0, &mut page)) {
             Ok(()) => decode_superblock(&page, self.max_entries()).unwrap_or_default(),
             Err(DeviceError::PageNotFound(_)) => Vec::new(),
             Err(e) => return Err(e.into()),
@@ -217,7 +217,7 @@ impl SnapshotStore {
         let mut page = vec![0u8; self.page_size];
         for link in &chain {
             for i in 0..link.blocks {
-                match snap_retry(|| self.dev.read_page(link.start + i, &mut page)) {
+                match retry_io(|| self.dev.read_page(link.start + i, &mut page)) {
                     Ok(()) => {}
                     Err(DeviceError::PageNotFound(_)) => return Ok(false),
                     Err(e) => return Err(e.into()),
@@ -259,7 +259,7 @@ impl SnapshotStore {
         let mut manifest = None;
         for link in &chain {
             for i in 0..link.blocks {
-                snap_retry(|| self.dev.read_page(link.start + i, &mut page))?;
+                retry_io(|| self.dev.read_page(link.start + i, &mut page))?;
                 let block = decode_block(&page)?;
                 match block.kind {
                     BlockKind::PageImage => on_page(block.aux, block.payload),
@@ -308,7 +308,7 @@ impl SnapshotStore {
             .unwrap_or(1);
         let mut page = vec![0u8; self.page_size];
         encode_superblock(&mut page, &state.entries);
-        let install = snap_retry(|| {
+        let install = retry_io(|| {
             self.dev.write_page(0, &page)?;
             self.dev.sync()
         });
@@ -371,7 +371,7 @@ impl SnapshotWriter<'_> {
             aux,
             payload,
         );
-        let res = snap_retry(|| self.store.dev.append_page(self.start + self.seq, &block));
+        let res = retry_io(|| self.store.dev.append_page(self.start + self.seq, &block));
         self.block = block;
         res?;
         self.seq += 1;
@@ -444,7 +444,7 @@ impl SnapshotWriter<'_> {
             return Err(SnapshotError::Corrupt("manifest exceeds one block"));
         }
         self.write_block(BlockKind::Manifest, 0, 0, &payload)?;
-        snap_retry(|| self.store.dev.sync())?;
+        retry_io(|| self.store.dev.sync())?;
         let info = GenerationInfo {
             generation: self.generation,
             parent: self.parent,

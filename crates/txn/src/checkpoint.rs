@@ -1,8 +1,9 @@
 //! Incremental crash-consistent checkpoints (instant restart).
 //!
-//! A [`SnapshotEngine`] attached via [`Database::enable_snapshots`] turns
-//! [`Database::checkpoint`] from "flush everything and truncate the log"
-//! into a *fuzzy incremental checkpoint*:
+//! Every [`Database::checkpoint`] is a *fuzzy incremental checkpoint*
+//! written through the database's [`SnapshotEngine`] (attached by
+//! [`Database::enable_snapshots`], or with the default configuration by
+//! the first checkpoint):
 //!
 //! 1. **Fence.** Under the database's fence gate (new transactions
 //!    blocked) the checkpointer waits — bounded — for in-flight
@@ -73,9 +74,9 @@ impl Default for SnapshotConfig {
 /// Counters from one [`Database::checkpoint`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
-    /// Generation installed (0 on the legacy flush-and-truncate path).
+    /// Generation installed.
     pub generation: u64,
-    /// Page images captured (legacy path: pages flushed).
+    /// Page images captured (full generation: pages flushed to the SSD).
     pub pages: usize,
     /// Index entries dumped.
     pub index_entries: usize,
@@ -146,12 +147,16 @@ impl std::fmt::Debug for SnapshotEngine {
 impl Database {
     /// Attach a snapshot engine: checkpoints become incremental snapshot
     /// generations and recovery gains the instant-restart path. The store
-    /// lives on its own (simulated) SSD device sized to the database page.
+    /// lives on its own (simulated) SSD device sized to the database page,
+    /// built with the buffer manager's configured time scale and
+    /// persistence tracking and no fault injector — later
+    /// [`Database::set_time_scale`] / [`Database::set_fault_injector`]
+    /// calls reach it, earlier ones do not.
     pub fn enable_snapshots(&self, cfg: SnapshotConfig) -> Arc<SnapshotEngine> {
         let store = SnapshotStore::new(
             self.bm.page_size(),
             self.bm.config().time_scale,
-            spitfire_device::PersistenceTracking::Counters,
+            self.bm.config().persistence,
         );
         let engine = Arc::new(SnapshotEngine {
             store,
@@ -183,26 +188,25 @@ impl Database {
         }
     }
 
-    /// Checkpoint the database.
+    /// Checkpoint the database: write and install one snapshot generation
+    /// (see the module docs). A database that never called
+    /// [`Database::enable_snapshots`] attaches an engine with
+    /// [`SnapshotConfig::default`] first.
     ///
-    /// With a [`SnapshotEngine`] attached this writes a snapshot
-    /// generation (see the module docs); without one it falls back to the
-    /// legacy flush-everything-and-truncate protocol. Both paths require
-    /// a quiescent database: new transactions are blocked at the fence
-    /// gate and, if in-flight transactions do not drain within the
+    /// Requires a quiescent database: new transactions are blocked at the
+    /// fence gate and, if in-flight transactions do not drain within the
     /// configured wait, the call fails with the *retryable*
     /// [`TxnError::CheckpointContended`] — it never runs concurrently
     /// with live transactions' durability window.
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
-        let engine = self.snapshot_engine();
         let _serial = self.ckpt_serial.lock();
+        let engine = self
+            .snapshot_engine()
+            .unwrap_or_else(|| self.enable_snapshots(SnapshotConfig::default()));
         let started = Instant::now();
         let obs_t = spitfire_obs::op_start();
         let gate = self.fence_gate.write();
-        let wait = engine
-            .as_ref()
-            .map_or(Duration::from_millis(250), |e| e.cfg.quiesce_wait);
-        let deadline = Instant::now() + wait;
+        let deadline = Instant::now() + engine.cfg.quiesce_wait;
         while !self.active.lock().is_empty() {
             if Instant::now() >= deadline {
                 drop(gate);
@@ -210,100 +214,62 @@ impl Database {
             }
             std::thread::yield_now();
         }
-        match engine {
-            None => {
-                // Legacy: flush both tiers, truncate, stamp a checkpoint
-                // record. Runs entirely under the gate.
-                let mut flushed = self.bm.flush_all_dirty()?;
-                let batch = self.bm.config().maintenance.batch.max(1);
-                loop {
-                    let n = self.bm.flush_nvm_dirty(batch)?;
-                    if n == 0 {
-                        break;
-                    }
-                    flushed += n;
-                }
-                self.wal.truncate()?;
-                self.wal.append(&crate::wal::LogRecord {
-                    kind: RecordKind::Checkpoint,
-                    txn: 0,
-                    table: 0,
-                    key: 0,
-                    rid: NO_RID,
-                    prev_rid: NO_RID,
-                    prev_lsn: NO_RID,
-                    payload: Vec::new(),
-                })?;
-                drop(gate);
-                spitfire_obs::record_op(spitfire_obs::Op::Checkpoint, obs_t, 0, "legacy");
+        // Capture everything fence-consistent while quiescent.
+        let fence = self.wal.fence()?;
+        // relaxed: cadence counter; serialized by ckpt_serial.
+        let n = engine.checkpoints.load(Ordering::Relaxed);
+        let full = n.is_multiple_of(engine.cfg.full_every.max(1))
+            || engine.force_full.swap(false, Ordering::AcqRel);
+        let dirty = self.bm.drain_dirty_epoch();
+        let oracle_ts = self.oracle.load(Ordering::Acquire);
+        let next_txn_id = self.txn_ids.load(Ordering::Acquire);
+        let next_page_id = self.bm.page_count();
+        let tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
+        let metas: Vec<TableMeta> = tables
+            .iter()
+            .map(|t| TableMeta {
+                id: t.id,
+                tuple_size: t.tuple_size as u32,
+                catalog_head: t.catalog_head().0,
+                allocated_slots: t.allocated_slots(),
+            })
+            .collect();
+        drop(gate); // transactions resume; the copy below is fuzzy
+
+        let result = self.write_generation(
+            &engine,
+            fence,
+            full,
+            &dirty,
+            (oracle_ts, next_txn_id, next_page_id),
+            metas,
+        );
+        match result {
+            Ok((generation, pages, index_entries, full)) => {
+                let micros = started.elapsed().as_micros() as u64;
+                // relaxed: advisory gauges/counters.
+                engine.checkpoints.fetch_add(1, Ordering::Relaxed);
+                engine.last_micros.store(micros, Ordering::Relaxed);
+                engine.last_pages.store(pages as u64, Ordering::Relaxed);
+                spitfire_obs::record_op(
+                    spitfire_obs::Op::Checkpoint,
+                    obs_t,
+                    generation,
+                    "snapshot",
+                );
                 Ok(CheckpointStats {
-                    generation: 0,
-                    pages: flushed,
-                    index_entries: 0,
-                    full: true,
-                    micros: started.elapsed().as_micros() as u64,
+                    generation,
+                    pages,
+                    index_entries,
+                    full,
+                    micros,
                 })
             }
-            Some(engine) => {
-                // Capture everything fence-consistent while quiescent.
-                let fence = self.wal.fence()?;
-                // relaxed: cadence counter; serialized by ckpt_serial.
-                let n = engine.checkpoints.load(Ordering::Relaxed);
-                let full = n.is_multiple_of(engine.cfg.full_every.max(1))
-                    || engine.force_full.swap(false, Ordering::AcqRel);
-                let dirty = self.bm.drain_dirty_epoch();
-                let oracle_ts = self.oracle.load(Ordering::Acquire);
-                let next_txn_id = self.txn_ids.load(Ordering::Acquire);
-                let next_page_id = self.bm.page_count();
-                let tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
-                let metas: Vec<TableMeta> = tables
-                    .iter()
-                    .map(|t| TableMeta {
-                        id: t.id,
-                        tuple_size: t.tuple_size as u32,
-                        catalog_head: t.catalog_head().0,
-                        allocated_slots: t.allocated_slots(),
-                    })
-                    .collect();
-                drop(gate); // transactions resume; the copy below is fuzzy
-
-                let result = self.write_generation(
-                    &engine,
-                    fence,
-                    full,
-                    &dirty,
-                    (oracle_ts, next_txn_id, next_page_id),
-                    metas,
-                );
-                match result {
-                    Ok((generation, pages, index_entries, full)) => {
-                        let micros = started.elapsed().as_micros() as u64;
-                        // relaxed: advisory gauges/counters.
-                        engine.checkpoints.fetch_add(1, Ordering::Relaxed);
-                        engine.last_micros.store(micros, Ordering::Relaxed);
-                        engine.last_pages.store(pages as u64, Ordering::Relaxed);
-                        spitfire_obs::record_op(
-                            spitfire_obs::Op::Checkpoint,
-                            obs_t,
-                            generation,
-                            "snapshot",
-                        );
-                        Ok(CheckpointStats {
-                            generation,
-                            pages,
-                            index_entries,
-                            full,
-                            micros,
-                        })
-                    }
-                    Err(e) => {
-                        // The generation was never installed; put the
-                        // drained pids back so the next attempt still
-                        // covers them.
-                        self.bm.merge_dirty_epoch(&dirty);
-                        Err(e)
-                    }
-                }
+            Err(e) => {
+                // The generation was never installed; put the drained
+                // pids back so the next attempt still covers them.
+                self.bm.merge_dirty_epoch(&dirty);
+                Err(e)
             }
         }
     }

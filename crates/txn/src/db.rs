@@ -28,8 +28,6 @@ pub struct DbConfig {
     pub log_buffer_bytes: usize,
     /// Page size of the SSD log file.
     pub log_page_size: usize,
-    /// Persistence tracking for the log's NVM buffer.
-    pub log_tracking: spitfire_device::PersistenceTracking,
     /// Number of key-lock stripes.
     pub lock_stripes: usize,
 }
@@ -39,7 +37,6 @@ impl Default for DbConfig {
         DbConfig {
             log_buffer_bytes: 1 << 20,
             log_page_size: 16 * 1024,
-            log_tracking: spitfire_device::PersistenceTracking::Counters,
             lock_stripes: 1024,
         }
     }
@@ -94,8 +91,8 @@ pub struct RecoveryStats {
     pub undone: usize,
     /// Pages reconstructed from the NVM buffer scan.
     pub nvm_pages: usize,
-    /// Index entries rebuilt (table scans on the legacy path, snapshot
-    /// dump bulk-loads on the instant-restart path).
+    /// Index entries rebuilt (table scans on full-history recovery,
+    /// snapshot dump bulk-loads on the instant-restart path).
     pub index_entries: usize,
     /// Snapshot generation restored (0 = full-history recovery).
     pub snapshot_generation: u64,
@@ -122,7 +119,8 @@ pub struct Database {
     /// instant; the checkpointer holds it exclusively while it waits for
     /// the active set to drain and captures its fence (see `checkpoint`).
     pub(crate) fence_gate: RwLock<()>,
-    /// Attached snapshot engine (None = legacy checkpoints).
+    /// Attached snapshot engine (`None` until `enable_snapshots` or the
+    /// first `checkpoint`).
     pub(crate) snapshots: RwLock<Option<Arc<crate::checkpoint::SnapshotEngine>>>,
     /// Serializes checkpoints (one writer streams into the store at a
     /// time).
@@ -151,7 +149,7 @@ impl Database {
             config.log_buffer_bytes,
             config.log_page_size,
             bm.config().time_scale,
-            config.log_tracking,
+            bm.config().persistence,
         )?;
         Ok(Database {
             bm,

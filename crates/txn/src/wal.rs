@@ -17,28 +17,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spitfire_device::{
-    AccessPattern, DeviceError, FaultInjector, NvmDevice, PersistenceTracking, SsdDevice, TimeScale,
+    retry_io, AccessPattern, DeviceError, FaultInjector, NvmDevice, PersistenceTracking, SsdDevice,
+    TimeScale,
 };
 use spitfire_sync::crc32;
 
 use crate::error::TxnError;
 use crate::Result;
-
-/// Bounded retry for transient injected faults on the log devices (the
-/// WAL has no buffer-manager metrics to charge, so this is a local,
-/// lighter sibling of the core retry policy).
-fn wal_retry<T>(mut f: impl FnMut() -> spitfire_device::Result<T>) -> spitfire_device::Result<T> {
-    let mut attempt = 0u32;
-    loop {
-        match f() {
-            Err(e) if e.is_retryable() && attempt < 8 => {
-                attempt += 1;
-                std::thread::sleep(std::time::Duration::from_micros(1 << attempt.min(6)));
-            }
-            other => return other,
-        }
-    }
-}
 
 /// Types of log records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +36,6 @@ pub enum RecordKind {
     Commit,
     /// Transaction aborted.
     Abort,
-    /// A checkpoint completed; records before this are redundant.
-    Checkpoint,
 }
 
 impl RecordKind {
@@ -62,7 +45,6 @@ impl RecordKind {
             RecordKind::Insert => 2,
             RecordKind::Commit => 3,
             RecordKind::Abort => 4,
-            RecordKind::Checkpoint => 5,
         }
     }
 
@@ -72,7 +54,6 @@ impl RecordKind {
             2 => RecordKind::Insert,
             3 => RecordKind::Commit,
             4 => RecordKind::Abort,
-            5 => RecordKind::Checkpoint,
             _ => return None,
         })
     }
@@ -283,7 +264,7 @@ impl Wal {
 
     /// Persist one u64 cursor in the reserved region below [`DATA_BASE`].
     fn persist_word(&self, at: usize, value: u64) -> Result<()> {
-        wal_retry(|| {
+        retry_io(|| {
             self.nvm
                 .write(at, &value.to_le_bytes(), AccessPattern::Random)?;
             self.nvm.persist(at, 8)
@@ -292,7 +273,7 @@ impl Wal {
     }
 
     fn persist_head(&self, head: usize) -> Result<()> {
-        wal_retry(|| {
+        retry_io(|| {
             self.nvm
                 .write(0, &(head as u64).to_le_bytes(), AccessPattern::Random)?;
             self.nvm.persist(0, 8)
@@ -302,7 +283,7 @@ impl Wal {
 
     /// Persist the count of durably-synced log-file pages.
     fn persist_file_pages(&self, n: u64) -> Result<()> {
-        wal_retry(|| {
+        retry_io(|| {
             self.nvm
                 .write(FILE_PAGES_AT, &n.to_le_bytes(), AccessPattern::Random)?;
             self.nvm.persist(FILE_PAGES_AT, 8)
@@ -329,7 +310,7 @@ impl Wal {
             }
         }
         let at = state.head;
-        wal_retry(|| {
+        retry_io(|| {
             self.nvm.write(at, &bytes, AccessPattern::Sequential)?;
             self.nvm.persist(at, bytes.len())
         })?;
@@ -350,7 +331,7 @@ impl Wal {
             return Ok(());
         }
         let mut buf = vec![0u8; live];
-        wal_retry(|| {
+        retry_io(|| {
             self.nvm
                 .read(DATA_BASE, &mut buf, AccessPattern::Sequential)
         })?;
@@ -362,13 +343,13 @@ impl Wal {
             page[..4].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
             page[4..4 + chunk.len()].copy_from_slice(chunk);
             let pid = self.next_file_page.fetch_add(1, Ordering::AcqRel);
-            wal_retry(|| self.file.append_page(pid, &page))?;
+            retry_io(|| self.file.append_page(pid, &page))?;
         }
         // Durability barrier before recycling the buffer: the file pages
         // must reach stable storage before the NVM copy of the records is
         // dropped. A crash between the sync and the head reset merely
         // replays the drained records twice — redo is idempotent.
-        wal_retry(|| self.file.sync())?;
+        retry_io(|| self.file.sync())?;
         self.persist_file_pages(self.next_file_page.load(Ordering::Acquire))?;
         state.head = DATA_BASE;
         self.persist_head(DATA_BASE)?;
@@ -431,26 +412,6 @@ impl Wal {
     /// LSN the live log starts at (the last truncation point).
     pub fn base_lsn(&self) -> u64 {
         self.base_lsn.load(Ordering::Acquire)
-    }
-
-    /// Truncate the log after a checkpoint: everything before the
-    /// checkpoint record is obsolete.
-    pub fn truncate(&self) -> Result<()> {
-        let mut state = self.state.lock();
-        // Recycle the SSD file by restarting the page sequence.
-        self.next_file_page.store(0, Ordering::Release);
-        self.persist_file_pages(0)?;
-        self.file_base_page.store(0, Ordering::Release);
-        self.persist_word(FILE_BASE_AT, 0)?;
-        // Pending NVM records are discarded with the head reset below, but
-        // their bytes were already counted into the LSN cursor: the empty
-        // log logically starts at the current LSN.
-        let lsn = self.lsn.load(Ordering::Acquire);
-        self.base_lsn.store(lsn, Ordering::Release);
-        self.persist_word(BASE_LSN_AT, lsn)?;
-        state.head = DATA_BASE;
-        self.persist_head(DATA_BASE)?;
-        Ok(())
     }
 
     /// Simulate power loss on the log devices (volatile caches dropped),
@@ -524,7 +485,7 @@ impl Wal {
             Vec::with_capacity(n_pages.saturating_sub(file_base) as usize * self.page_size);
         let mut page = vec![0u8; self.page_size];
         for pid in file_base..n_pages {
-            match wal_retry(|| self.file.read_page(pid, &mut page)) {
+            match retry_io(|| self.file.read_page(pid, &mut page)) {
                 Ok(()) => {}
                 Err(DeviceError::PageNotFound(_)) => break,
                 Err(e) => return Err(e.into()),
@@ -546,11 +507,11 @@ impl Wal {
         // NVM buffer portion: head offset is persistent. Its records sit
         // in the stream directly after the drained file bytes.
         let mut head_bytes = [0u8; 8];
-        wal_retry(|| self.nvm.read(0, &mut head_bytes, AccessPattern::Random))?;
+        retry_io(|| self.nvm.read(0, &mut head_bytes, AccessPattern::Random))?;
         let head = (u64::from_le_bytes(head_bytes) as usize).clamp(DATA_BASE, self.nvm.capacity());
         if head > DATA_BASE {
             let mut buf = vec![0u8; head - DATA_BASE];
-            wal_retry(|| {
+            retry_io(|| {
                 self.nvm
                     .read(DATA_BASE, &mut buf, AccessPattern::Sequential)
             })?;
@@ -712,21 +673,6 @@ mod tests {
         let recovered = w.read_all().unwrap();
         assert_eq!(recovered.len(), 5);
         assert!(recovered.iter().all(|r| r.payload == b"durable"));
-    }
-
-    #[test]
-    fn truncate_empties_the_log() {
-        let w = wal();
-        for i in 0..5u64 {
-            w.append(&record(i, RecordKind::Update, b"old")).unwrap();
-        }
-        w.drain().unwrap();
-        w.truncate().unwrap();
-        assert!(w.read_all().unwrap().is_empty());
-        w.append(&record(77, RecordKind::Update, b"new")).unwrap();
-        let recs = w.read_all().unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].txn, 77);
     }
 
     #[test]
@@ -893,8 +839,8 @@ mod tests {
         for i in 0..5u64 {
             w.append(&record(i, RecordKind::Update, b"pre")).unwrap();
         }
-        w.drain().unwrap();
-        w.truncate().unwrap();
+        let fence = w.fence().unwrap();
+        w.truncate_to(fence).unwrap();
         // Post-truncation records only; the old file pages must not leak
         // back into the scan.
         for i in 10..13u64 {

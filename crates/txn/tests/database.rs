@@ -22,14 +22,7 @@ fn database() -> Database {
         .build()
         .unwrap();
     let bm = Arc::new(BufferManager::new(config).unwrap());
-    let db = Database::create(
-        bm,
-        DbConfig {
-            log_tracking: PersistenceTracking::Full,
-            ..DbConfig::default()
-        },
-    )
-    .unwrap();
+    let db = Database::create(bm, DbConfig::default()).unwrap();
     db.create_table(T, TUPLE).unwrap();
     db
 }

@@ -40,10 +40,7 @@ fn database() -> Database {
         .unwrap();
     let db = Database::create(
         Arc::new(BufferManager::new(config).unwrap()),
-        DbConfig {
-            log_tracking: PersistenceTracking::Full,
-            ..DbConfig::default()
-        },
+        DbConfig::default(),
     )
     .unwrap();
     db.create_table(T, TUPLE).unwrap();

@@ -1,6 +1,7 @@
 //! Instant-restart tests: incremental checkpoints, fenced WAL
-//! truncation, snapshot recovery, generation fallback on corruption, and
-//! the quiescence contract of `Database::checkpoint`.
+//! truncation, snapshot recovery, generation fallback on corruption, the
+//! quiescence contract of `Database::checkpoint`, the store's crash model,
+//! and recovery work across a database-size sweep.
 
 use std::sync::Arc;
 
@@ -25,14 +26,7 @@ fn database() -> Arc<Database> {
         .build()
         .unwrap();
     let bm = Arc::new(BufferManager::new(config).unwrap());
-    let db = Database::create(
-        bm,
-        DbConfig {
-            log_tracking: PersistenceTracking::Full,
-            ..DbConfig::default()
-        },
-    )
-    .unwrap();
+    let db = Database::create(bm, DbConfig::default()).unwrap();
     db.create_table(T, TUPLE).unwrap();
     Arc::new(db)
 }
@@ -219,14 +213,140 @@ fn checkpoint_with_transaction_in_flight_is_retryable() {
 }
 
 #[test]
-fn legacy_checkpoint_also_requires_quiescence() {
-    let db = database(); // no snapshot engine attached
+fn engineless_checkpoint_attaches_the_default_engine() {
+    let db = database(); // enable_snapshots never called
+    assert!(db.snapshot_engine().is_none());
     write_all(&db, &[(1, 1)]);
     let mut txn = db.begin();
     db.update(&mut txn, T, 1, &tuple(2)).unwrap();
     assert_eq!(db.checkpoint().unwrap_err(), TxnError::CheckpointContended);
     db.abort(&mut txn).unwrap();
-    assert_eq!(db.checkpoint().unwrap().generation, 0);
+
+    let stats = db.checkpoint().unwrap();
+    assert_eq!(stats.generation, 1);
+    assert!(stats.full, "the first generation is a chain base");
+    assert_eq!(db.snapshot_engine().unwrap().generation(), 1);
+
+    write_all(&db, &[(2, 2)]);
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!(stats.snapshot_generation, 1, "instant-restart path taken");
+    assert_eq!(stats.committed, 1, "only the tail transaction replays");
+    assert_contents(&db, &[(1, 1), (2, 2)].into_iter().collect(), 4);
+}
+
+#[test]
+fn crash_drops_uninstalled_snapshot_blocks() {
+    let db = database();
+    let engine = db.enable_snapshots(snap_config());
+    let mut model = std::collections::HashMap::new();
+    write_all(&db, &(0..30).map(|k| (k, k as u8)).collect::<Vec<_>>());
+    (0..30u64).for_each(|k| {
+        model.insert(k, k as u8);
+    });
+    db.checkpoint().unwrap();
+    write_all(&db, &[(4, 0xD4)]);
+    model.insert(4, 0xD4);
+    let installed_bytes = engine.store().used_bytes();
+
+    // A checkpoint that loses power mid-stream: blocks appended, never
+    // synced, never installed.
+    let mut writer = engine.store().begin(false, db.wal().current_lsn());
+    writer.page_image(0, &[0xEE; PAGE]).unwrap();
+    writer.page_image(1, &[0xEF; PAGE]).unwrap();
+    drop(writer);
+    assert!(engine.store().used_bytes() > installed_bytes);
+
+    // The store follows the buffer manager's `persistence(Full)`: its
+    // un-synced blocks roll back with everything else.
+    db.simulate_crash();
+    assert_eq!(
+        engine.store().used_bytes(),
+        installed_bytes,
+        "un-synced snapshot blocks survived the crash"
+    );
+    let stats = db.recover().unwrap();
+    assert_eq!(stats.snapshot_generation, 1);
+    assert_contents(&db, &model, 32);
+}
+
+/// Size-sweep history: rewrites per key (fixes the WAL records *per key*,
+/// so history grows linearly with the key count).
+const UPDATES: u64 = 4;
+const BATCH: u64 = 8;
+/// Transactions between checkpoints, independent of scale.
+const CKPT_EVERY: u64 = 64;
+const BASE_KEYS: u64 = 128;
+/// Write records one checkpoint interval appends.
+const INTERVAL_RECORDS: usize = (CKPT_EVERY * BATCH) as usize;
+
+/// Writes every key `1 + UPDATES` times in `BATCH`-key transactions,
+/// checkpointing every `CKPT_EVERY` transactions when `checkpoints` is
+/// set; crashes, recovers, and returns the recovery counters plus the live
+/// WAL bytes at the crash.
+fn crash_after_history(keys: u64, checkpoints: bool) -> (spitfire_txn::RecoveryStats, u64) {
+    let db = database();
+    if checkpoints {
+        db.enable_snapshots(snap_config());
+    }
+    let mut txns = 0u64;
+    for round in 0..=UPDATES {
+        for first in (0..keys).step_by(BATCH as usize) {
+            let pairs: Vec<(u64, u8)> = (first..(first + BATCH).min(keys))
+                .map(|k| (k, (round ^ k) as u8))
+                .collect();
+            write_all(&db, &pairs);
+            txns += 1;
+            if checkpoints && txns.is_multiple_of(CKPT_EVERY) {
+                db.checkpoint().unwrap();
+            }
+        }
+    }
+    let wal_bytes = db.wal().log_bytes();
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    let txn = db.begin();
+    let last = keys - 1;
+    assert_eq!(
+        db.read(&txn, T, last).unwrap(),
+        tuple((UPDATES ^ last) as u8),
+        "recovered state serves the final round"
+    );
+    (stats, wal_bytes)
+}
+
+#[test]
+fn snapshot_recovery_work_is_flat_across_a_size_sweep() {
+    for scale in [1u64, 2, 4, 8] {
+        let keys = BASE_KEYS * scale;
+
+        // No checkpoints: recovery redoes the whole history, ×scale.
+        let (replay, _) = crash_after_history(keys, false);
+        assert_eq!(replay.snapshot_generation, 0);
+        assert_eq!(replay.redone as u64, keys * (1 + UPDATES));
+
+        // Checkpoints every CKPT_EVERY transactions: recovery installs a
+        // bounded delta chain and redoes at most one interval's tail —
+        // under half of full replay even at 1× — and the live WAL holds
+        // at most the two newest intervals.
+        let (snap, wal_bytes) = crash_after_history(keys, true);
+        assert!(snap.snapshot_generation > 0, "{scale}x: instant restart");
+        let work = snap.redone + snap.snapshot_pages;
+        assert!(
+            work <= INTERVAL_RECORDS && 2 * work < replay.redone,
+            "{scale}x: recovery work {work} (redone {}, pages {}) vs one interval {INTERVAL_RECORDS}, \
+             full replay {}",
+            snap.redone,
+            snap.snapshot_pages,
+            replay.redone
+        );
+        // Generous per-record bound (frame header + commit-record share).
+        let interval_bytes = INTERVAL_RECORDS as u64 * (TUPLE as u64 + 64 + 16);
+        assert!(
+            wal_bytes <= 2 * interval_bytes,
+            "{scale}x: live WAL {wal_bytes} bytes was not truncated to the previous fence"
+        );
+    }
 }
 
 #[test]
@@ -280,7 +400,7 @@ fn recovery_without_any_generation_falls_back_to_full_replay() {
     // No checkpoint ever ran.
     db.simulate_crash();
     let stats = db.recover().unwrap();
-    assert_eq!(stats.snapshot_generation, 0, "legacy path");
+    assert_eq!(stats.snapshot_generation, 0, "full-history recovery");
     assert_contents(&db, &model, 24);
 }
 

@@ -35,6 +35,13 @@
 //!    3 100-line file holding two protocols for every tier move; the
 //!    limit keeps its per-concern split from silently regrowing.
 //!
+//! 6. **`gates`** — the repo has one perf gate (`benchmark/` plus counted
+//!    `cargo test`s). No `BENCH_*.json` baseline may sit at the root
+//!    other than [`ALLOWED_BASELINES`], and `.github/workflows/ci.yml`
+//!    may carry an inline `python3 - <<` threshold block only in the
+//!    [`INLINE_GATE_JOB`] job, so another ad-hoc gate cannot come back
+//!    unnoticed.
+//!
 //! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2 and 4: test
 //! code freely uses relaxed counters and raw atomics, and verifying the
 //! tests is the job of the tests themselves. The lint skips everything
@@ -59,6 +66,15 @@ const FASTPATH_END: &str = "xtask: fastpath-end";
 
 /// Longest `.rs` file allowed under `crates/core/src/` (rule 5).
 const CORE_FILE_LINE_LIMIT: usize = 800;
+
+/// Root-level bench baselines that may exist (rule 6): the migration
+/// storm bench waits for a storm workload in `benchmark/`; the server
+/// file is the loadgen fairness record.
+const ALLOWED_BASELINES: [&str; 2] = ["BENCH_migration.json", "BENCH_server.json"];
+
+/// The one CI job that may carry an inline threshold script (rule 6).
+const INLINE_GATE_JOB: &str = "migration";
+const CI_WORKFLOW: &str = ".github/workflows/ci.yml";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -120,6 +136,14 @@ fn lint() -> ExitCode {
         checked += 1;
         lint_file(&root, file, &text, &mut findings);
     }
+    let root_names: Vec<String> = std::fs::read_dir(&root)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    let ci = std::fs::read_to_string(root.join(CI_WORKFLOW)).unwrap_or_default();
+    lint_gates(&root_names, &ci, &mut findings);
     if findings.is_empty() {
         println!("xtask lint: {checked} files clean");
         ExitCode::SUCCESS
@@ -132,6 +156,47 @@ fn lint() -> ExitCode {
             findings.len()
         );
         ExitCode::FAILURE
+    }
+}
+
+/// Rule 6: stray root-level bench baselines and inline CI threshold
+/// scripts. `root_names` are the file names directly under the workspace
+/// root; `ci` is the workflow text (empty when the file is absent).
+fn lint_gates(root_names: &[String], ci: &str, findings: &mut Vec<Finding>) {
+    for name in root_names {
+        if name.starts_with("BENCH_")
+            && name.ends_with(".json")
+            && !ALLOWED_BASELINES.contains(&name.as_str())
+        {
+            findings.push(Finding {
+                file: PathBuf::from(name),
+                line: 0,
+                rule: "gates",
+                message: "ad-hoc bench baseline; timings are gated by benchmark/, \
+                          counts by `cargo test`"
+                    .into(),
+            });
+        }
+    }
+    // A job id is a key indented by exactly two spaces under `jobs:`.
+    let mut job = "";
+    for (i, raw) in ci.lines().enumerate() {
+        if let Some(key) = raw.strip_prefix("  ").and_then(|l| l.strip_suffix(':')) {
+            if !key.starts_with(' ') && !key.contains(' ') {
+                job = key;
+            }
+        }
+        if raw.contains("python3 - <<") && job != INLINE_GATE_JOB {
+            findings.push(Finding {
+                file: PathBuf::from(CI_WORKFLOW),
+                line: i + 1,
+                rule: "gates",
+                message: format!(
+                    "inline threshold script in job `{job}`; only \
+                     `{INLINE_GATE_JOB}` may carry one — assert counts in a test"
+                ),
+            });
+        }
     }
 }
 
@@ -394,6 +459,27 @@ mod tests {
             &mut findings,
         );
         assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn stray_baselines_and_inline_gates_are_flagged() {
+        let names = [
+            "BENCH_migration.json",
+            "BENCH_server.json",
+            "BENCHMARK.json",
+        ];
+        let ci = "jobs:\n  migration:\n    steps:\n      - run: |\n          python3 - <<'EOF'\n";
+        let mut findings = Vec::new();
+        lint_gates(&names.map(String::from), ci, &mut findings);
+        assert!(findings.is_empty());
+
+        let names = ["BENCH_regime.json".to_string()];
+        let ci = "jobs:\n  migration:\n    steps: []\n  regime:\n    steps:\n      - run: |\n          python3 - <<'EOF'\n";
+        lint_gates(&names, ci, &mut findings);
+        assert_eq!(findings.len(), 2);
+        assert!(findings.iter().all(|f| f.rule == "gates"));
+        assert_eq!(findings[1].line, 7);
+        assert!(findings[1].message.contains("`regime`"));
     }
 
     #[test]

@@ -30,13 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .time_scale(TimeScale::REAL)
         .build()?;
     let bm = Arc::new(BufferManager::new(config)?);
-    let db = Database::create(
-        bm,
-        DbConfig {
-            log_tracking: PersistenceTracking::Full,
-            ..DbConfig::default()
-        },
-    )?;
+    let db = Database::create(bm, DbConfig::default())?;
     db.create_table(TABLE, TUPLE)?;
 
     // Committed work: survives.

@@ -250,4 +250,28 @@ fn removed_shims_stay_removed() {
         1,
     );
     let _: Absent = tuner.with_replacement_axis(PolicyConfig::Clock);
+
+    // One durability switch and one checkpoint path. The destructuring
+    // and the match are exhaustive, so they stop compiling if
+    // `DbConfig::log_tracking` (or any other field) or
+    // `RecordKind::Checkpoint` (or any other kind) comes back; the
+    // engine-less checkpoint's `Wal::truncate` is pinned like the shims.
+    let spitfire_txn::DbConfig {
+        log_buffer_bytes: _,
+        log_page_size: _,
+        lock_stripes: _,
+    } = spitfire_txn::DbConfig::default();
+    match spitfire_txn::RecordKind::Commit {
+        spitfire_txn::RecordKind::Update
+        | spitfire_txn::RecordKind::Insert
+        | spitfire_txn::RecordKind::Commit
+        | spitfire_txn::RecordKind::Abort => {}
+    }
+    trait TruncateAbsent {
+        fn truncate(&self) -> Absent {
+            Absent
+        }
+    }
+    impl TruncateAbsent for spitfire_txn::Wal {}
+    let _: Absent = db.wal().truncate();
 }

@@ -116,16 +116,7 @@ fn tpcc_multithreaded_consistency() {
 #[test]
 fn end_to_end_crash_recovery_with_workload() {
     let bm = bm(16, 256, MigrationPolicy::lazy());
-    let db = Arc::new(
-        Database::create(
-            bm,
-            DbConfig {
-                log_tracking: PersistenceTracking::Full,
-                ..DbConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let db = Arc::new(Database::create(bm, DbConfig::default()).unwrap());
     let w = YcsbTxn::setup(
         &db,
         YcsbConfig {
@@ -163,14 +154,7 @@ fn end_to_end_crash_recovery_with_workload() {
 fn checkpoint_then_crash_preserves_state_on_every_hierarchy() {
     for (dram, nvm) in [(32usize, 64usize), (64, 0)] {
         let bm = bm(dram, nvm, MigrationPolicy::lazy());
-        let db = Database::create(
-            bm,
-            DbConfig {
-                log_tracking: PersistenceTracking::Full,
-                ..DbConfig::default()
-            },
-        )
-        .unwrap();
+        let db = Database::create(bm, DbConfig::default()).unwrap();
         db.create_table(1, 64).unwrap();
         let mut t = db.begin();
         for k in 0..50u64 {
