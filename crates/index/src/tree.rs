@@ -19,7 +19,7 @@ use parking_lot::RwLock;
 use spitfire_core::{AccessIntent, BufferError, BufferManager, PageId};
 use spitfire_sync::{ConcurrentMap, VersionLatch};
 
-use crate::node::{Node, NodeTag, NO_SIBLING};
+use crate::node::{capacity_for, Found, Header, Node, NodeTag, NO_SIBLING};
 use crate::Result;
 
 /// Maximum optimistic restarts before reporting a corrupted tree.
@@ -94,8 +94,7 @@ impl BTree {
         let root = bm.allocate_page()?;
         {
             let guard = bm.fetch(root, AccessIntent::Write)?;
-            let node = Node::new(guard);
-            node.format(NodeTag::Leaf, NO_SIBLING)?;
+            Node::new(guard).init(NodeTag::Leaf, NO_SIBLING, &[])?;
         }
         Ok(BTree {
             bm,
@@ -127,7 +126,7 @@ impl BTree {
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "bulk_load requires sorted unique keys"
         );
-        let capacity = (bm.config().page_size - crate::node::HEADER) / crate::node::ENTRY;
+        let capacity = capacity_for(bm.config().page_size);
         // Pack to ~7/8 so early post-recovery inserts do not split every
         // node they touch.
         let fill = (capacity - capacity / 8).max(1);
@@ -142,10 +141,7 @@ impl BTree {
             let pid = leaf_pids[i];
             let sibling = leaf_pids.get(i + 1).map_or(NO_SIBLING, |p| p.0);
             let guard = bm.fetch(pid, AccessIntent::Write)?;
-            let node = Node::new(guard);
-            node.format(NodeTag::Leaf, sibling)?;
-            node.write_entries(0, chunk)?;
-            node.set_count(chunk.len())?;
+            Node::new(guard).init(NodeTag::Leaf, sibling, chunk)?;
             level.push((chunk[0].0, pid));
         }
         // Inner levels bottom-up until one node remains. Each inner node
@@ -156,11 +152,8 @@ impl BTree {
             for group in level.chunks(fill + 1) {
                 let pid = bm.allocate_page()?;
                 let guard = bm.fetch(pid, AccessIntent::Write)?;
-                let node = Node::new(guard);
-                node.format(NodeTag::Inner, group[0].1 .0)?;
                 let seps: Vec<(u64, u64)> = group[1..].iter().map(|&(k, p)| (k, p.0)).collect();
-                node.write_entries(0, &seps)?;
-                node.set_count(seps.len())?;
+                Node::new(guard).init(NodeTag::Inner, group[0].1 .0, &seps)?;
                 next.push((group[0].0, pid));
             }
             level = next;
@@ -215,13 +208,12 @@ impl BTree {
                 Err(e) => return Err(e.into()),
             };
             let node = Node::new(guard);
-            let Some(tag) = node.tag()? else {
+            let Some(h) = node.header()? else {
                 return Ok(Attempt::Restart);
             };
-            let count = node.count()?;
-            match tag {
+            match h.tag {
                 NodeTag::Inner => {
-                    let child = node.child_for(key, count)?;
+                    let child = node.child_for(key, &h)?;
                     let child_latch = self.latch(child);
                     let Ok(child_version) = child_latch.read_lock() else {
                         return Ok(Attempt::Restart);
@@ -234,9 +226,9 @@ impl BTree {
                     version = child_version;
                 }
                 NodeTag::Leaf => {
-                    let result = match node.search(key, count)? {
-                        Ok(i) => Some(node.value(i)?),
-                        Err(_) => None,
+                    let result = match node.search(key, &h)? {
+                        Found::Hit { value, .. } => Some(value),
+                        Found::Miss { .. } => None,
                     };
                     if latch.read_unlock(version).is_err() {
                         return Ok(Attempt::Restart);
@@ -282,13 +274,12 @@ impl BTree {
                 Err(e) => return Err(e.into()),
             };
             let node = Node::new(guard);
-            let Some(tag) = node.tag()? else {
+            let Some(h) = node.header()? else {
                 return Ok(Attempt::Restart);
             };
-            let count = node.count()?;
-            match tag {
+            match h.tag {
                 NodeTag::Inner => {
-                    let child = node.child_for(key, count)?;
+                    let child = node.child_for(key, &h)?;
                     let child_latch = self.latch(child);
                     let Ok(child_version) = child_latch.read_lock() else {
                         return Ok(Attempt::Restart);
@@ -304,25 +295,21 @@ impl BTree {
                     if latch.upgrade(version).is_err() {
                         return Ok(Attempt::Restart);
                     }
-                    // Write latch held: the parse is now stable. All
-                    // fallible work happens inside the closure so the latch
-                    // is always released below.
+                    // Write latch held, and the upgrade proves no writer
+                    // intervened since `h` was read: it is the node's
+                    // header. All fallible work happens inside the closure
+                    // so the latch is always released below.
                     let result = (|| -> Result<Option<Option<u64>>> {
-                        let count = node.count()?;
-                        match node.search(key, count)? {
-                            Ok(i) => {
-                                let old = node.value(i)?;
-                                node.set_entry(i, key, value)?;
+                        match node.search(key, &h)? {
+                            Found::Hit { pos, value: old } => {
+                                node.set_entry(pos, key, value)?;
                                 Ok(Some(Some(old)))
                             }
-                            Err(pos) => {
-                                if count >= node.capacity() {
+                            Found::Miss { pos, .. } => {
+                                if h.count >= node.capacity() {
                                     return Ok(None); // full: pessimistic path
                                 }
-                                let tail = node.entries(pos, count)?;
-                                node.write_entries(pos + 1, &tail)?;
-                                node.set_entry(pos, key, value)?;
-                                node.set_count(count + 1)?;
+                                node.insert_at(pos, key, value, &h)?;
                                 Ok(Some(None))
                             }
                         }
@@ -365,14 +352,13 @@ impl BTree {
         {
             let guard = self.bm.fetch(pid, AccessIntent::Write)?;
             let node = Node::new(guard);
-            let count = node.count()?;
-            if count >= node.capacity() {
+            let h = node.header()?.expect("write-latched node has a valid tag");
+            if h.count >= node.capacity() {
                 let new_root_pid = self.bm.allocate_page()?;
                 {
                     let nr_guard = self.bm.fetch(new_root_pid, AccessIntent::Write)?;
-                    let new_root = Node::new(nr_guard);
-                    new_root.format(NodeTag::Inner, pid.0)?;
-                    self.split_child(&new_root, 0, &node, pid)?;
+                    let (separator, right) = self.split(&node, &h)?;
+                    Node::new(nr_guard).init(NodeTag::Inner, pid.0, &[(separator, right.0)])?;
                 }
                 let Some(new_held) = Held::acquire(self.latch(new_root_pid)) else {
                     return Ok(Attempt::Restart);
@@ -387,35 +373,38 @@ impl BTree {
         loop {
             let guard = self.bm.fetch(pid, AccessIntent::Write)?;
             let node = Node::new(guard);
-            let tag = node.tag()?.expect("write-latched node has a valid tag");
-            let count = node.count()?;
-            match tag {
+            let h = node.header()?.expect("write-latched node has a valid tag");
+            let found = node.search(key, &h)?;
+            match h.tag {
                 NodeTag::Inner => {
-                    let child_pid = node.child_for(key, count)?;
+                    let child_pid = found.child(&h);
                     let Some(child_held) = Held::acquire(self.latch(child_pid)) else {
                         return Ok(Attempt::Restart);
                     };
                     let child_guard = self.bm.fetch(child_pid, AccessIntent::Write)?;
                     let child = Node::new(child_guard);
-                    let child_count = child.count()?;
-                    if child_count >= child.capacity() {
+                    let ch = child.header()?.expect("write-latched node has a valid tag");
+                    if ch.count >= child.capacity() {
                         // Parent is guaranteed non-full (split on the way
                         // down), so the separator insert cannot overflow.
-                        let child_pos = match node.search(key, count)? {
-                            Ok(i) => i + 1,
-                            Err(i) => i,
+                        debug_assert!(h.count < node.capacity(), "parent split preemptively");
+                        // The separator goes right after the key the child
+                        // hangs off.
+                        let child_pos = match found {
+                            Found::Hit { pos, .. } => pos + 1,
+                            Found::Miss { pos, .. } => pos,
                         };
-                        self.split_child(&node, child_pos, &child, child_pid)?;
+                        let (separator, right) = self.split(&child, &ch)?;
+                        node.insert_at(child_pos, separator, right.0, &h)?;
                         // The split may have moved our key's range to the
                         // new right node; re-route.
-                        let new_child_pid = node.child_for(key, node.count()?)?;
-                        if new_child_pid != child_pid {
+                        if key >= separator {
                             drop(child_held);
-                            let Some(new_held) = Held::acquire(self.latch(new_child_pid)) else {
+                            let Some(new_held) = Held::acquire(self.latch(right)) else {
                                 return Ok(Attempt::Restart);
                             };
                             held = new_held; // parent unlocks via drop
-                            pid = new_child_pid;
+                            pid = right;
                             continue;
                         }
                     }
@@ -423,18 +412,14 @@ impl BTree {
                     pid = child_pid;
                 }
                 NodeTag::Leaf => {
-                    debug_assert!(count < node.capacity(), "leaf split preemptively");
-                    let outcome = match node.search(key, count)? {
-                        Ok(i) => {
-                            let old = node.value(i)?;
-                            node.set_entry(i, key, value)?;
+                    debug_assert!(h.count < node.capacity(), "leaf split preemptively");
+                    let outcome = match found {
+                        Found::Hit { pos, value: old } => {
+                            node.set_entry(pos, key, value)?;
                             Some(old)
                         }
-                        Err(pos) => {
-                            let tail = node.entries(pos, count)?;
-                            node.write_entries(pos + 1, &tail)?;
-                            node.set_entry(pos, key, value)?;
-                            node.set_count(count + 1)?;
+                        Found::Miss { pos, .. } => {
+                            node.insert_at(pos, key, value, &h)?;
                             None
                         }
                     };
@@ -445,55 +430,30 @@ impl BTree {
         }
     }
 
-    /// Split write-latched `child` (at `child_pos` within the write-latched
-    /// `parent`), publishing the separator and new right node.
-    fn split_child(
-        &self,
-        parent: &Node<'_>,
-        child_pos: usize,
-        child: &Node<'_>,
-        _child_pid: PageId,
-    ) -> Result<()> {
-        let tag = child.tag()?.expect("write-latched node has a valid tag");
-        let count = child.count()?;
-        let mid = count / 2;
+    /// Split the write-latched, full `node` (header `h`): its upper half
+    /// moves to a new right node. Returns the separator and the new node
+    /// for the caller to publish in the (write-latched) parent.
+    fn split(&self, node: &Node<'_>, h: &Header) -> Result<(u64, PageId)> {
+        let mid = h.count / 2;
         let new_pid = self.bm.allocate_page()?;
-        let new_guard = self.bm.fetch(new_pid, AccessIntent::Write)?;
-        let new_node = Node::new(new_guard);
-
-        let separator = match tag {
+        let new_node = Node::new(self.bm.fetch(new_pid, AccessIntent::Write)?);
+        let moved = node.entries(mid, h.count)?;
+        let (separator, right_of_separator) = moved[0];
+        match h.tag {
+            // The right half moves, first key copied up as the separator;
+            // sibling chain: node -> new -> old next.
             NodeTag::Leaf => {
-                let sep = child.key(mid)?;
-                // Right half moves; sibling chain: child -> new -> old next.
-                new_node.format(NodeTag::Leaf, child.aux()?)?;
-                let moved = child.entries(mid, count)?;
-                new_node.write_entries(0, &moved)?;
-                new_node.set_count(moved.len())?;
-                child.set_aux(new_pid.0)?;
-                child.set_count(mid)?;
-                sep
+                new_node.init(NodeTag::Leaf, h.aux, &moved)?;
+                node.truncate(mid, new_pid.0, h)?;
             }
+            // The middle key is promoted; its right child becomes the new
+            // node's leftmost child.
             NodeTag::Inner => {
-                // The middle key is promoted; its right child becomes the
-                // new node's leftmost child.
-                let sep = child.key(mid)?;
-                new_node.format(NodeTag::Inner, child.value(mid)?)?;
-                let moved = child.entries(mid + 1, count)?;
-                new_node.write_entries(0, &moved)?;
-                new_node.set_count(moved.len())?;
-                child.set_count(mid)?;
-                sep
+                new_node.init(NodeTag::Inner, right_of_separator, &moved[1..])?;
+                node.truncate(mid, h.aux, h)?;
             }
-        };
-
-        // Insert (separator, new_pid) into the parent at child_pos.
-        let pcount = parent.count()?;
-        debug_assert!(pcount < parent.capacity(), "parent split preemptively");
-        let tail = parent.entries(child_pos, pcount)?;
-        parent.write_entries(child_pos + 1, &tail)?;
-        parent.set_entry(child_pos, separator, new_pid.0)?;
-        parent.set_count(pcount + 1)?;
-        Ok(())
+        }
+        Ok((separator, new_pid))
     }
 
     /// Remove `key`; returns its value if present. Leaves are not
@@ -525,13 +485,12 @@ impl BTree {
                 Err(e) => return Err(e.into()),
             };
             let node = Node::new(guard);
-            let Some(tag) = node.tag()? else {
+            let Some(h) = node.header()? else {
                 return Ok(Attempt::Restart);
             };
-            let count = node.count()?;
-            match tag {
+            match h.tag {
                 NodeTag::Inner => {
-                    let child = node.child_for(key, count)?;
+                    let child = node.child_for(key, &h)?;
                     let child_latch = self.latch(child);
                     let Ok(child_version) = child_latch.read_lock() else {
                         return Ok(Attempt::Restart);
@@ -548,16 +507,12 @@ impl BTree {
                         return Ok(Attempt::Restart);
                     }
                     let outcome = (|| -> Result<Option<u64>> {
-                        let count = node.count()?;
-                        match node.search(key, count)? {
-                            Ok(i) => {
-                                let old = node.value(i)?;
-                                let tail = node.entries(i + 1, count)?;
-                                node.write_entries(i, &tail)?;
-                                node.set_count(count - 1)?;
+                        match node.search(key, &h)? {
+                            Found::Hit { pos, value: old } => {
+                                node.remove_at(pos, &h)?;
                                 Ok(Some(old))
                             }
-                            Err(_) => Ok(None),
+                            Found::Miss { .. } => Ok(None),
                         }
                     })();
                     latch.write_unlock();
@@ -591,13 +546,12 @@ impl BTree {
                     Err(e) => return Err(e.into()),
                 };
                 let node = Node::new(guard);
-                let Some(tag) = node.tag()? else {
+                let Some(mut h) = node.header()? else {
                     continue 'restart;
                 };
-                let count = node.count()?;
-                match tag {
+                match h.tag {
                     NodeTag::Inner => {
-                        let child = node.child_for(start, count)?;
+                        let child = node.child_for(start, &h)?;
                         let child_latch = self.latch(child);
                         let Ok(child_version) = child_latch.read_lock() else {
                             continue 'restart;
@@ -610,16 +564,13 @@ impl BTree {
                         version = child_version;
                     }
                     NodeTag::Leaf => {
-                        // Walk the sibling chain collecting entries.
+                        // Walk the sibling chain collecting entries. Only
+                        // the first leaf is searched: every later one is
+                        // taken from its first entry.
                         let mut leaf = node;
+                        let mut from = leaf.search(start, &h)?.pos();
                         loop {
-                            let count = leaf.count()?;
-                            let from = match leaf.search(start, count)? {
-                                Ok(i) => i,
-                                Err(i) => i,
-                            };
-                            let entries = leaf.entries(from, count)?;
-                            let sibling = leaf.aux()?;
+                            let entries = leaf.entries(from, h.count)?;
                             if latch.read_unlock(version).is_err() {
                                 continue 'restart;
                             }
@@ -629,10 +580,10 @@ impl BTree {
                                 }
                                 out.push(e);
                             }
-                            if sibling == NO_SIBLING || out.len() >= limit {
+                            if h.aux == NO_SIBLING || out.len() >= limit {
                                 return Ok(out);
                             }
-                            let next = PageId(sibling);
+                            let next = PageId(h.aux);
                             let next_latch = self.latch(next);
                             let Ok(next_version) = next_latch.read_lock() else {
                                 continue 'restart;
@@ -645,9 +596,11 @@ impl BTree {
                             latch = next_latch;
                             version = next_version;
                             leaf = Node::new(guard);
-                            if leaf.tag()? != Some(NodeTag::Leaf) {
-                                continue 'restart;
+                            match leaf.header()? {
+                                Some(next_h) if next_h.tag == NodeTag::Leaf => h = next_h,
+                                _ => continue 'restart,
                             }
+                            from = 0;
                         }
                     }
                 }
@@ -662,10 +615,9 @@ impl BTree {
         let mut h = 1;
         loop {
             let guard = self.bm.fetch(pid, AccessIntent::Read)?;
-            let node = Node::new(guard);
-            match node.tag()? {
-                Some(NodeTag::Inner) => {
-                    pid = PageId(node.aux()?);
+            match Node::new(guard).header()? {
+                Some(header) if header.tag == NodeTag::Inner => {
+                    pid = PageId(header.aux);
                     h += 1;
                 }
                 _ => return Ok(h),
@@ -679,5 +631,82 @@ impl std::fmt::Debug for BTree {
         f.debug_struct("BTree")
             .field("root", &self.root_page())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use spitfire_core::BufferManagerConfig;
+    use spitfire_device::TimeScale;
+    use std::collections::BTreeMap;
+
+    impl BTree {
+        /// Walk every node: stored hints must be the keys at their sample
+        /// positions. Returns (leaves, inner nodes) visited.
+        fn check_hints(&self) -> (usize, usize) {
+            let (mut leaves, mut inners) = (0, 0);
+            let mut todo = vec![self.root_page()];
+            while let Some(pid) = todo.pop() {
+                let node = Node::new(self.bm.fetch(pid, AccessIntent::Read).unwrap());
+                let h = node.header().unwrap().expect("valid tag");
+                node.check_hints(&h);
+                match h.tag {
+                    NodeTag::Leaf => leaves += 1,
+                    NodeTag::Inner => {
+                        inners += 1;
+                        todo.push(PageId(h.aux));
+                        let children = node.entries(0, h.count).unwrap();
+                        todo.extend(children.iter().map(|&(_, child)| PageId(child)));
+                    }
+                }
+            }
+            (leaves, inners)
+        }
+    }
+
+    /// After every step of a random insert / overwrite / remove sequence
+    /// the hints of every node are in step with its entries — through leaf
+    /// splits, a leaf root split, and (on the two small page sizes, where
+    /// a few thousand keys are enough) inner and inner-root splits.
+    #[test]
+    fn hints_track_entries_through_every_mutation() {
+        for (page_size, steps, min_inners) in
+            [(512, 2_500, 3), (1024, 9_000, 3), (16 * 1024, 3_000, 1)]
+        {
+            let config = BufferManagerConfig::builder()
+                .page_size(page_size)
+                .dram_capacity(512 * 1024)
+                .nvm_capacity(0)
+                .time_scale(TimeScale::ZERO)
+                .build()
+                .unwrap();
+            let tree = BTree::new(Arc::new(BufferManager::new(config).unwrap())).unwrap();
+            let mut model = BTreeMap::new();
+            let mut rng = StdRng::seed_from_u64(page_size as u64);
+            let mut shape = (0, 0);
+            for step in 0..steps {
+                // Mostly inserts, so the tree keeps growing; keys from a
+                // range twice the step count, so a fifth or so of the
+                // inserts overwrite.
+                let key = rng.gen_range(0..2 * steps);
+                if rng.gen_bool(0.8) {
+                    assert_eq!(tree.insert(key, step).unwrap(), model.insert(key, step));
+                } else {
+                    // Remove a key that exists, when there is one at or
+                    // above the draw.
+                    let key = model.range(key..).next().map_or(key, |(&k, _)| k);
+                    assert_eq!(tree.remove(key).unwrap(), model.remove(&key));
+                }
+                shape = tree.check_hints();
+            }
+            assert!(
+                shape.1 >= min_inners,
+                "{page_size} B pages ended with {shape:?} (leaves, inner nodes)"
+            );
+            let all = tree.scan_from(0, usize::MAX).unwrap();
+            assert!(all.into_iter().eq(model));
+        }
     }
 }

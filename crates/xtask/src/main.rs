@@ -42,7 +42,13 @@
 //!    [`INLINE_GATE_JOB`] job, so another ad-hoc gate cannot come back
 //!    unnoticed.
 //!
-//! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2 and 4: test
+//! 7. **`node-io`** — under `crates/index/src/` only `node.rs` touches
+//!    page bytes (`guard.read` / `guard.write` / `read_u64` /
+//!    `write_u64`). The device charges every access a whole line, so the
+//!    node reads and writes by line; a field accessor growing back in
+//!    `tree.rs` would pay a line for eight bytes again.
+//!
+//! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2, 4 and 7: test
 //! code freely uses relaxed counters and raw atomics, and verifying the
 //! tests is the job of the tests themselves. The lint skips everything
 //! from a `#[cfg(test)]` attribute line onward (test modules sit at the
@@ -66,6 +72,12 @@ const FASTPATH_END: &str = "xtask: fastpath-end";
 
 /// Longest `.rs` file allowed under `crates/core/src/` (rule 5).
 const CORE_FILE_LINE_LIMIT: usize = 800;
+
+/// Page-byte accessors that only [`NODE_IO_OWNER`] may call under
+/// [`NODE_IO_SCOPE`] (rule 7).
+const NODE_IO_NEEDLES: [&str; 4] = ["guard.read", "guard.write", "read_u64", "write_u64"];
+const NODE_IO_SCOPE: &str = "crates/index/src/";
+const NODE_IO_OWNER: &str = "crates/index/src/node.rs";
 
 /// Root-level bench baselines that may exist (rule 6): the migration
 /// storm bench waits for a storm workload in `benchmark/`; the server
@@ -283,6 +295,7 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
         && rel_str != "crates/sync/src/atomic.rs"
         && rel_str != "crates/sync/src/lock.rs";
     let whole_file_fastpath = rel_str == "crates/sync/src/pinword.rs";
+    let node_io_scoped = rel_str.starts_with(NODE_IO_SCOPE) && rel_str != NODE_IO_OWNER;
 
     if rel_str.starts_with("crates/core/src/") && lines.len() > CORE_FILE_LINE_LIMIT {
         findings.push(Finding {
@@ -366,6 +379,20 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                           `spitfire_sync::atomic` facade"
                     .into(),
             });
+        }
+
+        if node_io_scoped {
+            if let Some(needle) = NODE_IO_NEEDLES.iter().find(|n| code.contains(**n)) {
+                findings.push(Finding {
+                    file: rel.to_path_buf(),
+                    line: lineno,
+                    rule: "node-io",
+                    message: format!(
+                        "`{needle}` outside node.rs; read and write nodes through \
+                         `Node`'s line-sized accessors"
+                    ),
+                });
+            }
         }
 
         if in_fastpath {
@@ -458,6 +485,32 @@ mod tests {
             &long,
             &mut findings,
         );
+        assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn page_bytes_are_touched_only_in_node_rs() {
+        let root = Path::new("/ws");
+        let text = "let k = node.guard.read_u64(8)?;\n\
+                    guard.write(0, &line)?; // header\n\
+                    let v = self.root.read(); // a lock, not a page\n\
+                    #[cfg(test)]\n\
+                    guard.read(0, &mut buf).unwrap();\n";
+        let mut findings = Vec::new();
+        lint_file(
+            root,
+            &root.join("crates/index/src/tree.rs"),
+            text,
+            &mut findings,
+        );
+        assert_eq!(findings.len(), 2);
+        assert!(findings.iter().all(|f| f.rule == "node-io"));
+        assert_eq!((findings[0].line, findings[1].line), (1, 2));
+        // node.rs owns the accessors; other crates are out of scope.
+        findings.clear();
+        for file in ["crates/index/src/node.rs", "crates/txn/src/table.rs"] {
+            lint_file(root, &root.join(file), text, &mut findings);
+        }
         assert!(findings.is_empty());
     }
 
