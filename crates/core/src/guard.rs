@@ -159,7 +159,9 @@ impl std::fmt::Debug for PageGuard<'_> {
 ///
 /// Wraps a [`PageGuard`] but exposes no write methods, so writing through
 /// a read-intent fetch is a compile error rather than a silently
-/// mis-charged policy decision (the D_r/D_w coins differ by intent).
+/// mis-charged policy decision (the D_r/D_w coins differ by intent). A
+/// holder that read first and now has to write converts the guard with
+/// [`upgrade`](Self::upgrade), which charges the write its own coin.
 #[derive(Debug)]
 pub struct ReadGuard<'a> {
     inner: PageGuard<'a>,
@@ -194,12 +196,31 @@ impl<'a> ReadGuard<'a> {
     pub fn read_u64(&self, offset: usize) -> Result<u64> {
         self.inner.read_u64(offset)
     }
+
+    /// Trade this guard for a [`WriteGuard`] on the same page: one logical
+    /// access that reads and then writes (a tuple read that stamps its
+    /// read timestamp) pins once instead of fetching twice.
+    ///
+    /// The write still pays the coin a write-intent fetch would have: on
+    /// an NVM-resident copy with a DRAM tier above it, D_w is flipped once,
+    /// *before* anything is written. Tails keeps the pin and the write
+    /// lands in place on NVM; heads releases the pin, promotes the page
+    /// and returns a guard on its DRAM copy (or on the NVM copy again if
+    /// the promotion stood down — the coin is not re-drawn). A
+    /// DRAM-resident copy, or any copy in a hierarchy with no tier to
+    /// promote into, keeps its pin and draws nothing. Bytes read before
+    /// the upgrade stay valid only under whatever the caller holds to
+    /// keep writers off them (the heads path is unpinned for an instant).
+    pub fn upgrade(self) -> Result<WriteGuard<'a>> {
+        let bm = self.inner.bm;
+        bm.upgrade(self.inner).map(WriteGuard::new)
+    }
 }
 
 /// A writable pinned page, returned by
-/// [`BufferManager::fetch_write`](crate::BufferManager::fetch_write):
-/// everything a [`ReadGuard`] offers, plus [`write`](Self::write) /
-/// [`write_u64`](Self::write_u64).
+/// [`BufferManager::fetch_write`](crate::BufferManager::fetch_write) or
+/// [`ReadGuard::upgrade`]: everything a [`ReadGuard`] offers, plus
+/// [`write`](Self::write) / [`write_u64`](Self::write_u64).
 #[derive(Debug)]
 pub struct WriteGuard<'a> {
     inner: PageGuard<'a>,

@@ -15,7 +15,7 @@ use super::{with_page_buf, BufferManager};
 use crate::descriptor::{CopyState, FrameRef, SharedPageDesc};
 use crate::error::BufferError;
 use crate::guard::{GuardKind, PageGuard, ReadGuard, WriteGuard};
-use crate::types::{AccessIntent, FrameId, MigrationPath, PageId};
+use crate::types::{AccessIntent, FrameId, MigrationPath, PageId, Tier};
 use crate::Result;
 
 /// Direct-mapped slots in the per-thread descriptor cache. Hot working
@@ -224,23 +224,58 @@ impl BufferManager {
     /// pins; evictors and promoters skip or serve in place instead), so
     /// no notification is needed.
     pub(crate) fn unpin_fast(&self, pid: PageId, in_dram_slot: bool) {
-        let epoch = self.cache_epoch.load(Ordering::Acquire);
-        let cached = DESC_CACHE.with(|cache| {
-            let cache = cache.borrow();
-            match &cache[(pid.0 as usize) & (DESC_CACHE_SLOTS - 1)] {
-                Some(c) if c.mgr == self.mgr_id && c.epoch == epoch && c.pid == pid.0 => {
-                    c.desc.pin_word(in_dram_slot).unpin();
-                    true
-                }
-                _ => false,
-            }
-        });
-        if !cached {
+        let cached = self.with_cached_desc(pid, |desc| desc.pin_word(in_dram_slot).unpin());
+        if cached.is_none() {
             self.unpin_cold(pid, in_dram_slot);
         }
     }
 
+    /// Run `f` on `pid`'s descriptor if this thread's cache still holds it
+    /// — it does for every page the thread has pinned since the slot was
+    /// last stolen, so a guard's writes and its drop resolve the
+    /// descriptor here instead of probing the mapping table again. The
+    /// probe itself takes no lock; `f` runs with the cache borrowed and
+    /// must not fetch.
+    pub(crate) fn with_cached_desc<R>(
+        &self,
+        pid: PageId,
+        f: impl FnOnce(&SharedPageDesc) -> R,
+    ) -> Option<R> {
+        let epoch = self.cache_epoch.load(Ordering::Acquire);
+        DESC_CACHE.with(|cache| {
+            let cache = cache.borrow();
+            match &cache[(pid.0 as usize) & (DESC_CACHE_SLOTS - 1)] {
+                Some(c) if c.mgr == self.mgr_id && c.epoch == epoch && c.pid == pid.0 => {
+                    Some(f(&c.desc))
+                }
+                _ => None,
+            }
+        })
+    }
+
     // xtask: fastpath-end
+
+    /// Turn a pin taken with read intent into one the holder may write
+    /// through ([`ReadGuard::upgrade`]). A copy that cannot move up — a
+    /// DRAM-resident one, or any copy in a hierarchy without a DRAM tier —
+    /// keeps its pin and draws nothing. An NVM-resident copy flips D_w, the
+    /// coin a write-intent fetch of the same page would have flipped:
+    /// tails keeps the pin and the write lands in place; heads releases
+    /// the pin (a promotion only starts on a drained copy) and re-enters
+    /// the slow path with the coin already drawn, so the write lands on the
+    /// promoted DRAM copy.
+    pub(crate) fn upgrade<'a>(&'a self, guard: PageGuard<'a>) -> Result<PageGuard<'a>> {
+        let promote = guard.tier() == Tier::Nvm
+            && self.tier1.is_some()
+            && self.policy.flip_dw_with(|| self.draw());
+        if !promote {
+            return Ok(guard);
+        }
+        let pid = guard.page_id();
+        drop(guard);
+        let desc = self.descriptor(pid)?;
+        self.fetch_slow(&desc, pid, AccessIntent::Write, Some(true), obs::op_start())
+    }
 
     /// The descriptor-mutex fetch protocol (misses, migrations, waits).
     /// `promote` carries a promotion coin the fast path already drew for

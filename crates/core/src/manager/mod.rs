@@ -391,11 +391,19 @@ impl BufferManager {
         desc.cond.notify_all();
     }
 
-    /// Mark the pinned copy dirty (guard write).
+    /// Mark the pinned copy dirty (guard write). The descriptor comes from
+    /// the per-thread cache the guard's fetch filled, as it does for the
+    /// guard's drop; the mapping table is the fallback for a stolen slot.
     pub(crate) fn mark_dirty(&self, pid: PageId, in_dram_slot: bool) {
-        let Some(desc) = self.mapping.get(&pid.0) else {
-            return;
-        };
+        let cached = self.with_cached_desc(pid, |desc| self.mark_desc_dirty(desc, in_dram_slot));
+        if cached.is_none() {
+            if let Some(desc) = self.mapping.get(&pid.0) {
+                self.mark_desc_dirty(&desc, in_dram_slot);
+            }
+        }
+    }
+
+    fn mark_desc_dirty(&self, desc: &SharedPageDesc, in_dram_slot: bool) {
         {
             let mut st = desc.state.lock();
             if let Some(CopyState::Resident { dirty, .. } | CopyState::Busy { dirty, .. }) =
@@ -410,7 +418,7 @@ impl BufferManager {
             // re-check airtight — see `PinWord::shadow_commit`.
             desc.pin_word(in_dram_slot).bump_version();
         }
-        self.note_dirty_epoch(&desc);
+        self.note_dirty_epoch(desc);
     }
 
     /// Record `desc`'s page in the current checkpoint dirty epoch. This is

@@ -97,6 +97,70 @@ fn fully_lazy_policy_reads_nvm_in_place() {
     assert_eq!(bm.metrics().nvm_hits, 9);
 }
 
+/// A page with its first eight bytes set, resident on NVM only, under a
+/// policy whose D_w is `dw` and which otherwise moves nothing.
+fn nvm_resident(dram_pages: usize, dw: f64) -> (BufferManager, PageId) {
+    let bm = manager(dram_pages, 8, MigrationPolicy::new(0.0, 0.0, 1.0, 1.0));
+    let pid = bm.allocate_page().unwrap();
+    bm.fetch_write(pid).unwrap().write_u64(0, 41).unwrap();
+    bm.admin()
+        .set_policy(MigrationPolicy::new(0.0, dw, 1.0, 1.0));
+    (bm, pid)
+}
+
+#[test]
+fn upgrade_on_nvm_flips_dw_once_before_the_write() {
+    // Tails: the read's pin is the one written through, in place.
+    let (bm, pid) = nvm_resident(4, 0.0);
+    let before = bm.metrics();
+    let read = bm.fetch_read(pid).unwrap();
+    assert_eq!((read.tier(), read.read_u64(0).unwrap()), (Tier::Nvm, 41));
+    let write = read.upgrade().unwrap();
+    assert_eq!(write.tier(), Tier::Nvm);
+    write.write_u64(0, 42).unwrap();
+    drop(write);
+    let d = bm.metrics().delta(&before);
+    assert_eq!((d.total_requests(), d.fetch_fallbacks), (1, 0));
+    assert_eq!(d.path(MigrationPath::NvmToDram), 0);
+    assert_eq!(bm.dirty_pages(), (0, 1));
+    bm.assert_quiescent();
+
+    // Heads: the pin is released, the page promoted, and the write lands
+    // on DRAM — NVM is not written at all.
+    let (bm, pid) = nvm_resident(4, 1.0);
+    let nvm_before = bm.device_stats(Tier::Nvm).unwrap().snapshot();
+    let write = bm.fetch_read(pid).unwrap().upgrade().unwrap();
+    assert_eq!((write.tier(), write.read_u64(0).unwrap()), (Tier::Dram, 41));
+    write.write_u64(0, 42).unwrap();
+    drop(write);
+    assert_eq!(bm.metrics().path(MigrationPath::NvmToDram), 1);
+    let nvm = bm.device_stats(Tier::Nvm).unwrap().snapshot();
+    assert_eq!(nvm.delta(&nvm_before).write_ops, 0);
+    assert_eq!(bm.fetch_read(pid).unwrap().read_u64(0).unwrap(), 42);
+    bm.assert_quiescent();
+}
+
+#[test]
+fn upgrade_draws_nothing_where_nothing_can_move() {
+    // A DRAM-resident copy, and an NVM copy with no DRAM tier above it:
+    // D_w = 1 would promote if the coin were flipped.
+    let (bm, pid) = nvm_resident(4, 1.0);
+    drop(bm.fetch_write(pid).unwrap()); // promote
+    let (nvm_only, nvm_pid) = nvm_resident(0, 1.0);
+    for (bm, pid, tier) in [(&bm, pid, Tier::Dram), (&nvm_only, nvm_pid, Tier::Nvm)] {
+        let before = bm.metrics();
+        let write = bm.fetch_read(pid).unwrap().upgrade().unwrap();
+        assert_eq!(write.tier(), tier);
+        write.write_u64(8, 7).unwrap();
+        drop(write);
+        let d = bm.metrics().delta(&before);
+        assert_eq!((d.total_requests(), d.fetch_fast), (1, 1));
+        assert_eq!(d.fetch_fallbacks, 0);
+        assert_eq!(d.migrations, [0; 6]);
+        bm.assert_quiescent();
+    }
+}
+
 #[test]
 fn nr_zero_bypasses_nvm_on_reads() {
     let bm = manager(4, 8, MigrationPolicy::new(1.0, 1.0, 0.0, 1.0));

@@ -35,7 +35,7 @@
 //! WAL tail past the fence — recovery work is bounded by the checkpoint
 //! interval, not by database size or history.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,7 +45,7 @@ use spitfire_core::PageId;
 use spitfire_index::BTree;
 use spitfire_snapshot::{SnapshotStore, TableMeta};
 
-use crate::db::Database;
+use crate::db::{Database, Relation};
 use crate::error::TxnError;
 use crate::table::{Table, NO_RID};
 use crate::wal::{RecordKind, WalFence};
@@ -224,14 +224,14 @@ impl Database {
         let oracle_ts = self.oracle.load(Ordering::Acquire);
         let next_txn_id = self.txn_ids.load(Ordering::Acquire);
         let next_page_id = self.bm.page_count();
-        let tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
-        let metas: Vec<TableMeta> = tables
+        let metas: Vec<TableMeta> = self
+            .relations()
             .iter()
-            .map(|t| TableMeta {
-                id: t.id,
-                tuple_size: t.tuple_size as u32,
-                catalog_head: t.catalog_head().0,
-                allocated_slots: t.allocated_slots(),
+            .map(|rel| TableMeta {
+                id: rel.table.id,
+                tuple_size: rel.table.tuple_size as u32,
+                catalog_head: rel.table.catalog_head().0,
+                allocated_slots: rel.table.allocated_slots(),
             })
             .collect();
         drop(gate); // transactions resume; the copy below is fuzzy
@@ -328,7 +328,7 @@ impl Database {
         };
         let mut index_entries = 0usize;
         for meta in &metas {
-            let index = self.index_handle(meta.id)?;
+            let index = &self.relation(meta.id)?.index;
             let mut start = 0u64;
             loop {
                 let chunk = index.scan_from(start, 1024)?;
@@ -405,19 +405,16 @@ impl Database {
 
         // Reopen tables from the manifest: catalog chains only, no
         // allocator scans (the manifest carries the slot watermarks).
-        {
-            let mut tables = self.tables.write();
-            tables.clear();
-            for meta in &manifest.tables {
-                let table = Table::open_with_slots(
-                    Arc::clone(&self.bm),
-                    meta.id,
-                    meta.tuple_size as usize,
-                    PageId(meta.catalog_head),
-                    meta.allocated_slots,
-                )?;
-                tables.insert(meta.id, Arc::new(table));
-            }
+        let mut tables = BTreeMap::new();
+        for meta in &manifest.tables {
+            let table = Table::open_with_slots(
+                Arc::clone(&self.bm),
+                meta.id,
+                meta.tuple_size as usize,
+                PageId(meta.catalog_head),
+                meta.allocated_slots,
+            )?;
+            tables.insert(meta.id, table);
         }
 
         // Replay only the tail past the fence.
@@ -429,54 +426,47 @@ impl Database {
             .filter(|&(_, lsn)| lsn >= manifest.fence_lsn)
             .map(|(r, _)| r)
             .collect();
-        let outcome = self.replay_records(&tail, stats)?;
+        let outcome = self.replay_records(&tables, &tail, stats)?;
 
         // Rebuild indexes: bulk-load the dumped runs, then fix up the
         // keys the tail touched, in log order (a winner's newest record
         // points the key at its slot; a loser's points back at the
         // version it superseded, or removes a fresh insert).
-        {
-            let tables = self.tables.read();
-            let mut indexes = self.indexes.write();
-            indexes.clear();
-            for meta in &manifest.tables {
-                let entries = index_dumps.remove(&meta.id).unwrap_or_default();
-                stats.index_entries += entries.len();
-                let tree = BTree::bulk_load(Arc::clone(&self.bm), &entries)?;
-                indexes.insert(meta.id, Arc::new(tree));
-            }
-            // BTreeMap, not HashMap: the application order below shapes
-            // the rebuilt tree's split history, and recovery must be
-            // deterministic (the chaos explorer's replay-equality
-            // invariant depends on it).
-            let mut fix: std::collections::BTreeMap<(u32, u64), u64> =
-                std::collections::BTreeMap::new();
-            for r in &tail {
-                match r.kind {
-                    RecordKind::Update | RecordKind::Insert => {
-                        if outcome.commit_ts.contains_key(&r.txn) {
-                            fix.insert((r.table, r.key), r.rid);
-                        } else {
-                            fix.insert((r.table, r.key), r.prev_rid);
-                        }
+        let mut catalog = HashMap::with_capacity(tables.len());
+        for (id, table) in tables {
+            let entries = index_dumps.remove(&id).unwrap_or_default();
+            stats.index_entries += entries.len();
+            let index = BTree::bulk_load(Arc::clone(&self.bm), &entries)?;
+            catalog.insert(id, Arc::new(Relation { table, index }));
+        }
+        // BTreeMap, not HashMap: the application order below shapes
+        // the rebuilt tree's split history, and recovery must be
+        // deterministic (the chaos explorer's replay-equality
+        // invariant depends on it).
+        let mut fix: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        for r in &tail {
+            match r.kind {
+                RecordKind::Update | RecordKind::Insert => {
+                    if outcome.commit_ts.contains_key(&r.txn) {
+                        fix.insert((r.table, r.key), r.rid);
+                    } else {
+                        fix.insert((r.table, r.key), r.prev_rid);
                     }
-                    _ => {}
                 }
-            }
-            for ((table, key), rid) in fix {
-                let Some(index) = indexes.get(&table) else {
-                    continue;
-                };
-                if !tables.contains_key(&table) {
-                    continue;
-                }
-                if rid == NO_RID {
-                    index.remove(key)?;
-                } else {
-                    index.insert(key, rid)?;
-                }
+                _ => {}
             }
         }
+        for ((table, key), rid) in fix {
+            let Some(rel) = catalog.get(&table) else {
+                continue;
+            };
+            if rid == NO_RID {
+                rel.index.remove(key)?;
+            } else {
+                rel.index.insert(key, rid)?;
+            }
+        }
+        *self.catalog.write() = catalog;
 
         self.oracle
             .fetch_max(manifest.oracle_ts.max(outcome.max_ts), Ordering::AcqRel);

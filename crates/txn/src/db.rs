@@ -1,7 +1,7 @@
 //! The transactional database: MVTO over versioned tables, indexed by
 //! B+Trees, logged through the NVM-aware WAL, recovered ARIES-style.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ use spitfire_index::BTree;
 
 use crate::error::TxnError;
 use crate::mvto::{is_marker, marker_txn, visible, KeyLocks, ABORTED, INF, MARK};
-use crate::table::{Table, VersionHeader, NO_RID};
+use crate::table::{check_tuple_size, Field, Table, VersionHeader, NO_RID};
 use crate::wal::{LogRecord, RecordKind, Wal};
 use crate::Result;
 
@@ -100,6 +100,13 @@ pub struct RecoveryStats {
     pub snapshot_pages: usize,
 }
 
+/// A table and its primary index: what every operation on a table id
+/// needs, handed out together so an op pays one catalog lookup.
+pub(crate) struct Relation {
+    pub(crate) table: Table,
+    pub(crate) index: BTree,
+}
+
 /// A transactional multi-table database over one buffer manager.
 pub struct Database {
     pub(crate) bm: Arc<BufferManager>,
@@ -108,8 +115,9 @@ pub struct Database {
     pub(crate) oracle: AtomicU64,
     pub(crate) txn_ids: AtomicU64,
     pub(crate) root_catalog: PageId,
-    pub(crate) tables: RwLock<HashMap<u32, Arc<Table>>>,
-    pub(crate) indexes: RwLock<HashMap<u32, Arc<BTree>>>,
+    /// Table id → its table and index. Emptied by a crash; recovery
+    /// installs the reopened tables and rebuilt indexes in one piece.
+    pub(crate) catalog: RwLock<HashMap<u32, Arc<Relation>>>,
     locks: KeyLocks,
     commits: AtomicU64,
     aborts: AtomicU64,
@@ -157,8 +165,7 @@ impl Database {
             oracle: AtomicU64::new(2),
             txn_ids: AtomicU64::new(1),
             root_catalog,
-            tables: RwLock::new(HashMap::new()),
-            indexes: RwLock::new(HashMap::new()),
+            catalog: RwLock::new(HashMap::new()),
             locks: KeyLocks::new(config.lock_stripes),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
@@ -200,8 +207,8 @@ impl Database {
 
     /// Create a table with `tuple_size`-byte tuples and a primary index.
     pub fn create_table(&self, table_id: u32, tuple_size: usize) -> Result<()> {
-        let table = Arc::new(Table::create(Arc::clone(&self.bm), table_id, tuple_size)?);
-        let index = Arc::new(BTree::new(Arc::clone(&self.bm))?);
+        let table = Table::create(Arc::clone(&self.bm), table_id, tuple_size)?;
+        let index = BTree::new(Arc::clone(&self.bm))?;
         // Persist the table in the root catalog.
         {
             let guard = self.bm.fetch_write(self.root_catalog)?;
@@ -217,43 +224,29 @@ impl Database {
             guard.write(8, &((n + 1) as u32).to_le_bytes())?;
         }
         self.bm.flush_page(self.root_catalog)?;
-        self.tables.write().insert(table_id, table);
-        self.indexes.write().insert(table_id, index);
+        self.catalog
+            .write()
+            .insert(table_id, Arc::new(Relation { table, index }));
         Ok(())
     }
 
-    fn table(&self, id: u32) -> Result<Arc<Table>> {
-        self.tables
+    pub(crate) fn relation(&self, id: u32) -> Result<Arc<Relation>> {
+        self.catalog
             .read()
             .get(&id)
             .cloned()
             .ok_or(TxnError::UnknownTable(id))
     }
 
-    fn index(&self, id: u32) -> Result<Arc<BTree>> {
-        self.indexes
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or(TxnError::UnknownTable(id))
-    }
-
-    pub(crate) fn table_ids(&self) -> Vec<u32> {
-        self.tables.read().keys().copied().collect()
-    }
-
-    pub(crate) fn table_handle(&self, id: u32) -> Result<Arc<Table>> {
-        self.table(id)
+    /// Every table with its index (vacuum, checkpoint).
+    pub(crate) fn relations(&self) -> Vec<Arc<Relation>> {
+        self.catalog.read().values().cloned().collect()
     }
 
     /// Data-page ids of a table, for residency inspection (e.g. asking the
     /// buffer manager which of a tenant's pages are DRAM-resident).
     pub fn table_data_pages(&self, table_id: u32) -> Result<Vec<spitfire_core::PageId>> {
-        Ok(self.table(table_id)?.data_pages())
-    }
-
-    pub(crate) fn index_handle(&self, id: u32) -> Result<Arc<BTree>> {
-        self.index(id)
+        Ok(self.relation(table_id)?.table.data_pages())
     }
 
     pub(crate) fn lock_key(&self, table: u32, key: u64) -> parking_lot::MutexGuard<'_, ()> {
@@ -290,7 +283,9 @@ impl Database {
             .unwrap_or_else(|| self.oracle.load(Ordering::Acquire))
     }
 
-    /// Read the visible version of `key` into `buf`.
+    /// Read the visible version of `key` into `buf` (`tuple_size` bytes;
+    /// checked before anything is fetched). On error `buf` holds nothing
+    /// meaningful.
     pub fn read_into(
         &self,
         txn: &Transaction,
@@ -298,25 +293,44 @@ impl Database {
         key: u64,
         buf: &mut [u8],
     ) -> Result<()> {
+        self.read_visible(&*self.relation(table_id)?, txn, key, buf)
+    }
+
+    /// Read the visible version of `key` (allocating).
+    pub fn read(&self, txn: &Transaction, table_id: u32, key: u64) -> Result<Vec<u8>> {
+        let rel = self.relation(table_id)?;
+        let mut buf = vec![0u8; rel.table.tuple_size];
+        self.read_visible(&rel, txn, key, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// One read visit per version walked: the whole version in one access,
+    /// and on the visible one the read-timestamp stamp through the same
+    /// pin (MVTO bookkeeping, a page write even on read-only workloads —
+    /// paper §6.4).
+    fn read_visible(
+        &self,
+        rel: &Relation,
+        txn: &Transaction,
+        key: u64,
+        buf: &mut [u8],
+    ) -> Result<()> {
         if !txn.active {
             return Err(TxnError::InactiveTransaction);
         }
-        let table = self.table(table_id)?;
-        let index = self.index(table_id)?;
-        let _stripe = self.locks.lock(table_id, key);
-        let Some(mut rid) = index.get(key)? else {
+        let table = &rel.table;
+        check_tuple_size(table.tuple_size, buf.len())?;
+        let _stripe = self.locks.lock(table.id, key);
+        let Some(mut rid) = rel.index.get(key)? else {
             return Err(TxnError::NotFound);
         };
         loop {
-            let mut hdr = table.read_header(rid)?;
+            let visit = table.read_visit(rid)?;
+            let hdr = visit.version(buf)?;
             if visible(&hdr, txn.ts, txn.id) {
-                // Record the read timestamp (MVTO bookkeeping, a page
-                // write even on read-only workloads — paper §6.4).
                 if !is_marker(hdr.begin) && hdr.read_ts < txn.ts {
-                    hdr.read_ts = txn.ts;
-                    table.write_header(rid, hdr)?;
+                    visit.upgrade()?.stamp(Field::ReadTs, txn.ts)?;
                 }
-                table.read_payload(rid, buf)?;
                 return Ok(());
             }
             if hdr.prev == NO_RID {
@@ -324,14 +338,6 @@ impl Database {
             }
             rid = hdr.prev;
         }
-    }
-
-    /// Read the visible version of `key` (allocating).
-    pub fn read(&self, txn: &Transaction, table_id: u32, key: u64) -> Result<Vec<u8>> {
-        let table = self.table(table_id)?;
-        let mut buf = vec![0u8; table.tuple_size];
-        self.read_into(txn, table_id, key, &mut buf)?;
-        Ok(buf)
     }
 
     /// Install a new version of `key`. Fails with [`TxnError::Conflict`]
@@ -346,18 +352,18 @@ impl Database {
         if !txn.active {
             return Err(TxnError::InactiveTransaction);
         }
-        let table = self.table(table_id)?;
-        let index = self.index(table_id)?;
+        let rel = self.relation(table_id)?;
+        let (table, index) = (&rel.table, &rel.index);
         let _stripe = self.locks.lock(table_id, key);
         let Some(rid) = index.get(key)? else {
             return Err(TxnError::NotFound);
         };
-        let mut hdr = table.read_header(rid)?;
+        let hdr = table.read_visit(rid)?.header()?;
 
         if is_marker(hdr.begin) {
             if marker_txn(hdr.begin) == txn.id {
                 // Our own pending version: overwrite in place.
-                table.write_payload(rid, payload)?;
+                table.write_visit(rid)?.write_payload(payload)?;
                 let lsn = self.wal.append(&LogRecord {
                     kind: RecordKind::Update,
                     txn: txn.id,
@@ -390,9 +396,10 @@ impl Database {
             prev: rid,
             key,
         };
+        // Insert before stamping: a failed insert leaves the old version
+        // exactly as it was.
         let new_rid = table.insert_version(new_hdr, payload)?;
-        hdr.end = MARK | txn.id;
-        table.write_header(rid, hdr)?;
+        table.write_visit(rid)?.stamp(Field::End, MARK | txn.id)?;
         index.insert(key, new_rid)?;
         let lsn = self.wal.append(&LogRecord {
             kind: RecordKind::Update,
@@ -426,8 +433,8 @@ impl Database {
         if !txn.active {
             return Err(TxnError::InactiveTransaction);
         }
-        let table = self.table(table_id)?;
-        let index = self.index(table_id)?;
+        let rel = self.relation(table_id)?;
+        let (table, index) = (&rel.table, &rel.index);
         let _stripe = self.locks.lock(table_id, key);
         if index.get(key)?.is_some() {
             return Err(TxnError::Duplicate);
@@ -472,21 +479,35 @@ impl Database {
         if !txn.active {
             return Err(TxnError::InactiveTransaction);
         }
-        let index = self.index(table_id)?;
+        let rel = self.relation(table_id)?;
         let mut out = Vec::with_capacity(limit.min(256));
-        // Over-fetch from the index; invisible chains are filtered below.
-        let candidates = index.scan_from(start, limit.saturating_mul(2).max(limit))?;
-        for (key, _) in candidates {
-            match self.read(txn, table_id, key) {
-                Ok(payload) => {
-                    out.push((key, payload));
-                    if out.len() >= limit {
-                        break;
+        let mut buf = vec![0u8; rel.table.tuple_size];
+        let mut start = start;
+        // A candidate key may have no version visible to `txn` (inserted
+        // after it began, or aborted), so keep asking the index from where
+        // the last batch ended until `limit` rows are found or it runs out.
+        while out.len() < limit {
+            let batch = (limit - out.len()).saturating_mul(2);
+            let candidates = rel.index.scan_from(start, batch)?;
+            let Some(&(last, _)) = candidates.last() else {
+                break;
+            };
+            for &(key, _) in &candidates {
+                match self.read_visible(&rel, txn, key, &mut buf) {
+                    Ok(()) => {
+                        out.push((key, buf.clone()));
+                        if out.len() >= limit {
+                            break;
+                        }
                     }
+                    Err(TxnError::NotFound) => continue,
+                    Err(e) => return Err(e),
                 }
-                Err(TxnError::NotFound) => continue,
-                Err(e) => return Err(e),
             }
+            if candidates.len() < batch || last == u64::MAX {
+                break;
+            }
+            start = last + 1;
         }
         Ok(out)
     }
@@ -523,9 +544,8 @@ impl Database {
             if w.old_rid == NO_RID {
                 continue;
             }
-            let table = self.table(w.table)?;
-            let hdr = table.read_header(w.old_rid)?;
-            if hdr.read_ts > txn.ts {
+            let rel = self.relation(w.table)?;
+            if rel.table.read_visit(w.old_rid)?.header()?.read_ts > txn.ts {
                 drop(_guards);
                 self.rollback(txn)?;
                 return Err(TxnError::Conflict);
@@ -544,16 +564,13 @@ impl Database {
             payload: Vec::new(),
         })?;
 
-        // Stamp versions with the commit timestamp.
+        // Stamp versions with the commit timestamp: the markers are ours
+        // (key stripes held since validation), so both stamps are blind.
         for w in &txn.writes {
-            let table = self.table(w.table)?;
-            let mut new_hdr = table.read_header(w.new_rid)?;
-            new_hdr.begin = txn.ts;
-            table.write_header(w.new_rid, new_hdr)?;
+            let table = &self.relation(w.table)?.table;
+            table.write_visit(w.new_rid)?.stamp(Field::Begin, txn.ts)?;
             if w.old_rid != NO_RID {
-                let mut old_hdr = table.read_header(w.old_rid)?;
-                old_hdr.end = txn.ts;
-                table.write_header(w.old_rid, old_hdr)?;
+                table.write_visit(w.old_rid)?.stamp(Field::End, txn.ts)?;
             }
         }
         // relaxed: commit statistic.
@@ -579,19 +596,17 @@ impl Database {
 
     fn rollback(&self, txn: &Transaction) -> Result<()> {
         for w in txn.writes.iter().rev() {
-            let table = self.table(w.table)?;
-            let index = self.index(w.table)?;
+            let rel = self.relation(w.table)?;
+            let (table, index) = (&rel.table, &rel.index);
             let _stripe = self.locks.lock(w.table, w.key);
             // Unhook the new version.
-            let mut new_hdr = table.read_header(w.new_rid)?;
-            new_hdr.begin = ABORTED;
-            table.write_header(w.new_rid, new_hdr)?;
+            table.write_visit(w.new_rid)?.stamp(Field::Begin, ABORTED)?;
             if w.old_rid != NO_RID {
-                let mut old_hdr = table.read_header(w.old_rid)?;
-                if old_hdr.end == (MARK | txn.id) {
-                    old_hdr.end = INF;
-                    table.write_header(w.old_rid, old_hdr)?;
+                let old = table.write_visit(w.old_rid)?;
+                if old.header()?.end == (MARK | txn.id) {
+                    old.stamp(Field::End, INF)?;
                 }
+                drop(old);
                 index.insert(w.key, w.old_rid)?;
             } else {
                 index.remove(w.key)?;
@@ -633,8 +648,7 @@ impl Database {
         if let Some(engine) = self.snapshot_engine() {
             engine.store().simulate_crash();
         }
-        self.tables.write().clear();
-        self.indexes.write().clear();
+        self.catalog.write().clear();
         // In-flight transactions died with the process; without this,
         // their abandoned timestamps would pin the vacuum watermark and
         // make every future checkpoint report contention.
@@ -666,7 +680,7 @@ impl Database {
         }
 
         // Reload the table catalog.
-        {
+        let entries = {
             let guard = self.bm.fetch_read(self.root_catalog)?;
             let magic = guard.read_u64(0)?;
             assert_eq!(magic, ROOT_MAGIC, "root catalog corrupted");
@@ -683,17 +697,19 @@ impl Database {
                 let head = u64::from_le_bytes(e[8..16].try_into().expect("8 bytes"));
                 entries.push((table_id, tuple, PageId(head)));
             }
-            drop(guard);
-            let mut tables = self.tables.write();
-            for (table_id, tuple, head) in entries {
-                let table = Table::open(Arc::clone(&self.bm), table_id, tuple, head)?;
-                tables.insert(table_id, Arc::new(table));
-            }
+            entries
+        };
+        // Ordered: the index rebuild below allocates pages table by table,
+        // and recovery must repeat exactly.
+        let mut tables = BTreeMap::new();
+        for (table_id, tuple, head) in entries {
+            let table = Table::open(Arc::clone(&self.bm), table_id, tuple, head)?;
+            tables.insert(table_id, table);
         }
 
         // Analysis, redo, and undo over the full log.
         let records = self.wal.read_all()?;
-        let outcome = self.replay_records(&records, &mut stats)?;
+        let outcome = self.replay_records(&tables, &records, &mut stats)?;
         let mut max_ts = outcome.max_ts;
 
         // Also clear any dangling markers left by transactions that never
@@ -703,27 +719,25 @@ impl Database {
         // (Handled implicitly: markers only survive on slots whose log
         // records exist, because every install appends before returning.)
 
-        // Rebuild indexes from table scans.
-        {
-            let tables = self.tables.read();
-            let mut indexes = self.indexes.write();
-            for (id, table) in tables.iter() {
-                let index = Arc::new(BTree::new(Arc::clone(&self.bm))?);
-                for rid in 0..table.allocated_slots() {
-                    let hdr = table.read_header(rid)?;
-                    if hdr.begin == 0 || hdr.begin == ABORTED || is_marker(hdr.begin) {
-                        continue;
-                    }
-                    max_ts = max_ts.max(hdr.begin + 1).max(hdr.read_ts + 1);
-                    // Newest committed version: open-ended interval.
-                    if hdr.end == INF || is_marker(hdr.end) {
-                        index.insert(hdr.key, rid)?;
-                        stats.index_entries += 1;
-                    }
+        // Rebuild indexes from table scans, then publish both together.
+        let mut catalog = HashMap::with_capacity(tables.len());
+        for (id, table) in tables {
+            let index = BTree::new(Arc::clone(&self.bm))?;
+            table.for_each_header(|rid, hdr| {
+                if hdr.begin == 0 || hdr.begin == ABORTED || is_marker(hdr.begin) {
+                    return Ok(());
                 }
-                indexes.insert(*id, index);
-            }
+                max_ts = max_ts.max(hdr.begin + 1).max(hdr.read_ts + 1);
+                // Newest committed version: open-ended interval.
+                if hdr.end == INF || is_marker(hdr.end) {
+                    index.insert(hdr.key, rid)?;
+                    stats.index_entries += 1;
+                }
+                Ok(())
+            })?;
+            catalog.insert(id, Arc::new(Relation { table, index }));
         }
+        *self.catalog.write() = catalog;
 
         self.oracle.fetch_max(max_ts, Ordering::AcqRel);
         self.txn_ids.fetch_max(outcome.max_txn, Ordering::AcqRel);
@@ -736,6 +750,7 @@ impl Database {
     /// the winner map and timestamp watermarks.
     pub(crate) fn replay_records(
         &self,
+        tables: &BTreeMap<u32, Table>,
         records: &[LogRecord],
         stats: &mut RecoveryStats,
     ) -> Result<ReplayOutcome> {
@@ -763,7 +778,7 @@ impl Database {
             max_txn = max_txn.max(r.txn + 1);
             match r.kind {
                 RecordKind::Update | RecordKind::Insert => {
-                    let Some(table) = self.tables.read().get(&r.table).cloned() else {
+                    let Some(table) = tables.get(&r.table) else {
                         continue;
                     };
                     if let Some(&ts) = commit_ts.get(&r.txn) {
@@ -775,26 +790,27 @@ impl Database {
                             prev: r.prev_rid,
                             key: r.key,
                         };
-                        table.write_version(r.rid, hdr, &r.payload)?;
+                        table.redo_version(r.rid, hdr, &r.payload)?;
                         if r.prev_rid != NO_RID {
-                            let mut prev = table.read_header(r.prev_rid)?;
-                            prev.end = ts;
-                            table.write_header(r.prev_rid, prev)?;
+                            table
+                                .write_visit_or_grow(r.prev_rid)?
+                                .stamp(Field::End, ts)?;
                         }
                         stats.redone += 1;
                     } else {
                         // Loser: make the slot permanently invisible.
-                        let mut hdr = table.read_header(r.rid)?;
-                        hdr.begin = ABORTED;
-                        hdr.key = r.key;
-                        table.write_header(r.rid, hdr)?;
+                        {
+                            let slot = table.write_visit_or_grow(r.rid)?;
+                            slot.stamp(Field::Begin, ABORTED)?;
+                            slot.stamp(Field::Key, r.key)?;
+                        }
                         // Reopen the superseded version if the marker
                         // survived on it.
                         if r.prev_rid != NO_RID {
-                            let mut prev = table.read_header(r.prev_rid)?;
-                            if is_marker(prev.end) && marker_txn(prev.end) == r.txn {
-                                prev.end = INF;
-                                table.write_header(r.prev_rid, prev)?;
+                            let prev = table.write_visit_or_grow(r.prev_rid)?;
+                            let end = prev.header()?.end;
+                            if is_marker(end) && marker_txn(end) == r.txn {
+                                prev.stamp(Field::End, INF)?;
                             }
                         }
                         stats.undone += 1;
@@ -852,7 +868,7 @@ pub(crate) struct ReplayOutcome {
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("tables", &self.tables.read().len())
+            .field("tables", &self.catalog.read().len())
             // relaxed: debug snapshot of advisory statistics.
             .field("commits", &self.commits.load(Ordering::Relaxed))
             .field("aborts", &self.aborts.load(Ordering::Relaxed))

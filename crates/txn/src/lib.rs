@@ -34,7 +34,7 @@ pub use db::{Database, DbConfig, RecoveryStats, Transaction};
 pub use error::TxnError;
 pub use maintenance::VacuumStats;
 pub use session::Session;
-pub use table::{Table, VersionHeader, NO_RID, VERSION_HEADER};
+pub use table::{Field, ReadVisit, Table, VersionHeader, WriteVisit, NO_RID, VERSION_HEADER};
 pub use wal::{LogRecord, RecordKind, Wal, WalFence, WalScanReport};
 
 /// Result alias for transaction-layer operations.

@@ -14,7 +14,7 @@
 
 use crate::db::Database;
 use crate::mvto::{is_marker, ABORTED};
-use crate::table::{VersionHeader, NO_RID};
+use crate::table::{Field, Table, NO_RID};
 use crate::Result;
 
 /// Counters from one [`Database::vacuum`] pass.
@@ -44,9 +44,9 @@ impl Database {
     pub fn vacuum(&self) -> Result<VacuumStats> {
         let watermark = self.oldest_active_ts();
         let mut stats = VacuumStats::default();
-        for table_id in self.table_ids() {
-            let table = self.table_handle(table_id)?;
-            let index = self.index_handle(table_id)?;
+        for rel in self.relations() {
+            let (table, index) = (&rel.table, &rel.index);
+            let table_id = table.id;
             let mut start = 0u64;
             loop {
                 let chunk = index.scan_from(start, 1024)?;
@@ -62,18 +62,15 @@ impl Database {
                     stats.chains += 1;
                     let mut rid = head;
                     loop {
-                        let hdr = table.read_header(rid)?;
+                        let hdr = table.read_visit(rid)?.header()?;
                         let keeper = !is_marker(hdr.begin)
                             && hdr.begin != ABORTED
                             && hdr.begin != 0
                             && hdr.begin <= watermark;
                         if keeper {
                             if hdr.prev != NO_RID {
-                                let mut cut = hdr;
-                                let tail = cut.prev;
-                                cut.prev = NO_RID;
-                                table.write_header(rid, cut)?;
-                                stats.freed += self.free_chain(&table, tail)?;
+                                table.write_visit(rid)?.stamp(Field::Prev, NO_RID)?;
+                                stats.freed += Self::free_chain(table, hdr.prev)?;
                             }
                             break;
                         }
@@ -92,25 +89,17 @@ impl Database {
         Ok(stats)
     }
 
-    fn free_chain(&self, table: &crate::table::Table, mut rid: u64) -> Result<usize> {
+    /// Free the chain starting at `rid`: one write visit per version reads
+    /// its `prev` and zeroes its header.
+    fn free_chain(table: &Table, mut rid: u64) -> Result<usize> {
         let mut freed = 0;
         while rid != NO_RID {
-            let hdr = table.read_header(rid)?;
-            // begin = 0 marks the slot as unused for the recovery
-            // slot-allocator scan.
-            table.write_header(
-                rid,
-                VersionHeader {
-                    begin: 0,
-                    end: 0,
-                    read_ts: 0,
-                    prev: NO_RID,
-                    key: 0,
-                },
-            )?;
+            let visit = table.write_visit(rid)?;
+            let prev = visit.header()?.prev;
+            visit.clear_header()?;
             table.recycle_slot(rid);
             freed += 1;
-            rid = hdr.prev;
+            rid = prev;
         }
         Ok(freed)
     }

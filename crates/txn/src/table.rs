@@ -11,14 +11,56 @@
 //! paper observes page writes even on read-only YCSB ("Spitfire updates
 //! pages containing meta-data related to the MVTO protocol", §6.4).
 //!
+//! # Visits
+//!
+//! Version bytes are reached only through a *visit*: one fetch of the
+//! slot's page, one pin held until the visit is dropped, every access
+//! through it charged to the tier that holds the page. A visit is the
+//! unit the migration policy's coins are defined on (paper §3.5: a page
+//! on NVM is promoted "within *n* read requests"): one tuple access is one
+//! fetch, so it draws one coin per kind of access it makes, however many
+//! fields it touches.
+//!
+//! **Intent names what the caller came to do.** Lookup, validation and
+//! chain walks are [`ReadVisit`]s (`fetch_read`, D_r); anything that
+//! changes what a version says is a [`WriteVisit`] (`fetch_write`, D_w),
+//! even when it looks before it writes (rollback checks the `end` marker
+//! it is about to clear; vacuum reads `prev` from the slot it frees). The
+//! one mixed case is a tuple read, which learns only from the header
+//! whether it has to record its read timestamp:
+//! [`ReadVisit::upgrade`] keeps the pin and charges the stamp its own D_w
+//! coin before it lands (see `spitfire_core::ReadGuard::upgrade`).
+//!
+//! **A stamp is a field write.** Commit, abort, the `end` marker of an
+//! update, the read timestamp and vacuum's cut each change one `u64`;
+//! [`WriteVisit::stamp`] writes those eight bytes blind. Reading 40 bytes
+//! to write 40 back costs a second charged access and, worse, rewrites
+//! four fields the caller did not mean to touch.
+//!
+//! **What a read costs.** [`ReadVisit::version`] returns header and
+//! payload from one charged access (one latency, `slot_size` bytes of
+//! bandwidth), so a point read of a DRAM-resident tuple is 1 fetch,
+//! 1 read and — when it advances the read timestamp — 1 eight-byte
+//! write. An update is a read visit (checks), [`Table::insert_version`]
+//! (one write) and a write visit (`end` marker); its commit is a read
+//! visit (validation) and two stamps. A thread never holds two visits at
+//! once: the old and the new version of an update often share a page,
+//! and a page must not be pinned twice by one operation.
+//!
+//! Visits never grow the table: a rid past the last page is
+//! [`TxnError::NotFound`]. Only [`Table::insert_version`] and log replay
+//! ([`Table::redo_version`], [`Table::write_visit_or_grow`]) allocate
+//! pages.
+//!
 //! The table's page list is persisted in a chain of catalog pages so
 //! recovery can rediscover the data pages.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use spitfire_core::{BufferManager, PageId};
+use spitfire_core::{BufferManager, PageId, ReadGuard, WriteGuard};
 
 use crate::error::TxnError;
 use crate::Result;
@@ -66,6 +108,137 @@ impl VersionHeader {
             prev: u64::from_le_bytes(b[24..32].try_into().expect("8 bytes")),
             key: u64::from_le_bytes(b[32..40].try_into().expect("8 bytes")),
         }
+    }
+}
+
+/// One `u64` field of a [`VersionHeader`]; the discriminant is its byte
+/// offset in the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    /// [`VersionHeader::begin`].
+    Begin = 0,
+    /// [`VersionHeader::end`].
+    End = 8,
+    /// [`VersionHeader::read_ts`].
+    ReadTs = 16,
+    /// [`VersionHeader::prev`].
+    Prev = 24,
+    /// [`VersionHeader::key`].
+    Key = 32,
+}
+
+/// Run `f` on this thread's `len`-byte slot buffer: header and payload
+/// are adjacent on the page, so a whole version moves in one charged
+/// access through it.
+fn with_slot_buf<T>(len: usize, f: impl FnOnce(&mut [u8]) -> T) -> T {
+    thread_local! {
+        static SLOT_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    SLOT_BUF.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// Decode the header `read` fills in (one guard read at a slot's offset).
+fn read_header(read: impl FnOnce(&mut [u8]) -> spitfire_core::Result<()>) -> Result<VersionHeader> {
+    let mut b = [0u8; VERSION_HEADER];
+    read(&mut b)?;
+    Ok(VersionHeader::from_bytes(&b))
+}
+
+pub(crate) fn check_tuple_size(expected: usize, got: usize) -> Result<()> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(TxnError::BadTupleSize { expected, got })
+    }
+}
+
+/// A read-intent visit to one version slot (see the module docs).
+#[derive(Debug)]
+pub struct ReadVisit<'a> {
+    guard: ReadGuard<'a>,
+    offset: usize,
+    tuple_size: usize,
+}
+
+impl<'a> ReadVisit<'a> {
+    /// The version's header: one 40-byte access.
+    pub fn header(&self) -> Result<VersionHeader> {
+        read_header(|b| self.guard.read(self.offset, b))
+    }
+
+    /// The whole version — header returned, payload into `payload` (must
+    /// be `tuple_size` long) — in one access.
+    pub fn version(&self, payload: &mut [u8]) -> Result<VersionHeader> {
+        check_tuple_size(self.tuple_size, payload.len())?;
+        with_slot_buf(VERSION_HEADER + self.tuple_size, |slot| {
+            self.guard.read(self.offset, slot)?;
+            let (header, body) = slot.split_at(VERSION_HEADER);
+            payload.copy_from_slice(body);
+            Ok(VersionHeader::from_bytes(
+                header.try_into().expect("header-sized split"),
+            ))
+        })
+    }
+
+    /// Continue as a write visit on the same pin, charging the write its
+    /// own D_w coin first (`spitfire_core::ReadGuard::upgrade`). What was
+    /// read stays true only under the caller's key stripe.
+    pub fn upgrade(self) -> Result<WriteVisit<'a>> {
+        Ok(WriteVisit {
+            guard: self.guard.upgrade()?,
+            offset: self.offset,
+            tuple_size: self.tuple_size,
+        })
+    }
+}
+
+/// A write-intent visit to one version slot (see the module docs).
+#[derive(Debug)]
+pub struct WriteVisit<'a> {
+    guard: WriteGuard<'a>,
+    offset: usize,
+    tuple_size: usize,
+}
+
+impl WriteVisit<'_> {
+    /// The version's header: one 40-byte access.
+    pub fn header(&self) -> Result<VersionHeader> {
+        read_header(|b| self.guard.read(self.offset, b))
+    }
+
+    /// Set one header field: an 8-byte write that reads nothing and
+    /// leaves the other four fields and the payload as they are.
+    pub fn stamp(&self, field: Field, value: u64) -> Result<()> {
+        Ok(self.guard.write_u64(self.offset + field as usize, value)?)
+    }
+
+    /// Overwrite the whole version in one access.
+    pub fn write_version(&self, header: VersionHeader, payload: &[u8]) -> Result<()> {
+        check_tuple_size(self.tuple_size, payload.len())?;
+        with_slot_buf(VERSION_HEADER + self.tuple_size, |slot| {
+            slot[..VERSION_HEADER].copy_from_slice(&header.to_bytes());
+            slot[VERSION_HEADER..].copy_from_slice(payload);
+            Ok(self.guard.write(self.offset, slot)?)
+        })
+    }
+
+    /// Overwrite the payload in place (a transaction re-updating its own
+    /// pending version).
+    pub fn write_payload(&self, payload: &[u8]) -> Result<()> {
+        check_tuple_size(self.tuple_size, payload.len())?;
+        Ok(self.guard.write(self.offset + VERSION_HEADER, payload)?)
+    }
+
+    /// Zero the header (vacuum): `begin = 0` is what marks a slot unused
+    /// for the recovery slot-allocator scan.
+    pub fn clear_header(&self) -> Result<()> {
+        Ok(self.guard.write(self.offset, &[0u8; VERSION_HEADER])?)
     }
 }
 
@@ -141,7 +314,7 @@ impl Table {
     /// Skips the full-table allocator scan of [`Table::open`] — the
     /// manifest recorded `allocated_slots` at the checkpoint fence, and
     /// WAL-tail redo raises the watermark past it via
-    /// [`Table::write_version`]'s `fetch_max`.
+    /// [`Table::redo_version`]'s `fetch_max`.
     pub fn open_with_slots(
         bm: Arc<BufferManager>,
         id: u32,
@@ -198,91 +371,99 @@ impl Table {
         Ok(pages[page_idx])
     }
 
+    /// The page holding `page_idx`'s slots, if the table has grown that far.
+    fn page_at(&self, page_idx: usize) -> Result<PageId> {
+        self.pages
+            .read()
+            .get(page_idx)
+            .copied()
+            .ok_or(TxnError::NotFound)
+    }
+
+    /// Visit `rid` to read it. A rid past the table's last page is
+    /// [`TxnError::NotFound`].
+    pub fn read_visit(&self, rid: u64) -> Result<ReadVisit<'_>> {
+        let (page_idx, offset) = self.locate(rid);
+        Ok(ReadVisit {
+            guard: self.bm.fetch_read(self.page_at(page_idx)?)?,
+            offset,
+            tuple_size: self.tuple_size,
+        })
+    }
+
+    /// Visit `rid` to change it. A rid past the table's last page is
+    /// [`TxnError::NotFound`].
+    pub fn write_visit(&self, rid: u64) -> Result<WriteVisit<'_>> {
+        let (page_idx, offset) = self.locate(rid);
+        self.write_visit_at(self.page_at(page_idx)?, offset)
+    }
+
+    /// [`write_visit`](Self::write_visit) that grows the table up to
+    /// `rid`'s page first. For the two callers that may name a slot the
+    /// page list does not cover yet: [`insert_version`](Self::insert_version)
+    /// and log replay (a crash can lose a page's catalog entry while the
+    /// WAL record that names its slots survives).
+    pub fn write_visit_or_grow(&self, rid: u64) -> Result<WriteVisit<'_>> {
+        let (page_idx, offset) = self.locate(rid);
+        self.write_visit_at(self.page_for(page_idx)?, offset)
+    }
+
+    fn write_visit_at(&self, pid: PageId, offset: usize) -> Result<WriteVisit<'_>> {
+        Ok(WriteVisit {
+            guard: self.bm.fetch_write(pid)?,
+            offset,
+            tuple_size: self.tuple_size,
+        })
+    }
+
     /// Reserve a fresh slot (recycled if available) and write a version
-    /// into it. Returns the RID.
+    /// into it with one access. Returns the RID. On any failure the slot
+    /// goes (back) to the free list and holds nothing a reader or vacuum
+    /// could mistake for a version.
     pub fn insert_version(&self, header: VersionHeader, payload: &[u8]) -> Result<u64> {
-        if payload.len() != self.tuple_size {
-            return Err(TxnError::BadTupleSize {
-                expected: self.tuple_size,
-                got: payload.len(),
-            });
-        }
+        check_tuple_size(self.tuple_size, payload.len())?;
         let recycled = self.free_slots.lock().pop();
         let rid = recycled.unwrap_or_else(|| self.next_slot.fetch_add(1, Ordering::AcqRel));
-        let (page_idx, offset) = self.locate(rid);
-        let pid = self.page_for(page_idx)?;
-        let guard = self.bm.fetch_write(pid)?;
-        guard.write(offset, &header.to_bytes())?;
-        guard.write(offset + VERSION_HEADER, payload)?;
-        Ok(rid)
-    }
-
-    /// Read a version's header.
-    pub fn read_header(&self, rid: u64) -> Result<VersionHeader> {
-        let (page_idx, offset) = self.locate(rid);
-        let pid = self.page_for(page_idx)?;
-        let guard = self.bm.fetch_read(pid)?;
-        let mut b = [0u8; VERSION_HEADER];
-        guard.read(offset, &mut b)?;
-        Ok(VersionHeader::from_bytes(&b))
-    }
-
-    /// Overwrite a version's header (commit stamping, abort marking,
-    /// read-timestamp updates).
-    pub fn write_header(&self, rid: u64, header: VersionHeader) -> Result<()> {
-        let (page_idx, offset) = self.locate(rid);
-        let pid = self.page_for(page_idx)?;
-        let guard = self.bm.fetch_write(pid)?;
-        guard.write(offset, &header.to_bytes())?;
-        Ok(())
-    }
-
-    /// Read a version's payload into `buf` (must be `tuple_size` long).
-    pub fn read_payload(&self, rid: u64, buf: &mut [u8]) -> Result<()> {
-        if buf.len() != self.tuple_size {
-            return Err(TxnError::BadTupleSize {
-                expected: self.tuple_size,
-                got: buf.len(),
-            });
+        let written = self
+            .write_visit_or_grow(rid)
+            .and_then(|visit| visit.write_version(header, payload));
+        match written {
+            Ok(()) => Ok(rid),
+            Err(e) => {
+                self.recycle_slot(rid);
+                Err(e)
+            }
         }
-        let (page_idx, offset) = self.locate(rid);
-        let pid = self.page_for(page_idx)?;
-        let guard = self.bm.fetch_read(pid)?;
-        guard.read(offset + VERSION_HEADER, buf)?;
-        Ok(())
     }
 
-    /// Overwrite a version's payload in place (own re-update before
-    /// commit, and redo during recovery).
-    pub fn write_payload(&self, rid: u64, payload: &[u8]) -> Result<()> {
-        if payload.len() != self.tuple_size {
-            return Err(TxnError::BadTupleSize {
-                expected: self.tuple_size,
-                got: payload.len(),
-            });
-        }
-        let (page_idx, offset) = self.locate(rid);
-        let pid = self.page_for(page_idx)?;
-        let guard = self.bm.fetch_write(pid)?;
-        guard.write(offset + VERSION_HEADER, payload)?;
-        Ok(())
-    }
-
-    /// Write a full version (header + payload) in one guard (redo).
-    pub fn write_version(&self, rid: u64, header: VersionHeader, payload: &[u8]) -> Result<()> {
-        if payload.len() != self.tuple_size {
-            return Err(TxnError::BadTupleSize {
-                expected: self.tuple_size,
-                got: payload.len(),
-            });
-        }
-        let (page_idx, offset) = self.locate(rid);
-        let pid = self.page_for(page_idx)?;
-        let guard = self.bm.fetch_write(pid)?;
-        guard.write(offset, &header.to_bytes())?;
-        guard.write(offset + VERSION_HEADER, payload)?;
-        // Make sure the slot allocator never re-issues a redone RID.
+    /// Redo a logged version into `rid`, growing the table if need be, and
+    /// keep the slot allocator from ever re-issuing the slot.
+    pub fn redo_version(&self, rid: u64, header: VersionHeader, payload: &[u8]) -> Result<()> {
+        self.write_visit_or_grow(rid)?
+            .write_version(header, payload)?;
         self.next_slot.fetch_max(rid + 1, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// Call `f(rid, header)` for every allocated slot in rid order, one
+    /// pin per page (recovery's index rebuild).
+    pub fn for_each_header(
+        &self,
+        mut f: impl FnMut(u64, VersionHeader) -> Result<()>,
+    ) -> Result<()> {
+        let per_page = self.slots_per_page as u64;
+        let allocated = self.allocated_slots();
+        for (page_idx, pid) in self.data_pages().into_iter().enumerate() {
+            let first = page_idx as u64 * per_page;
+            if first >= allocated {
+                break;
+            }
+            let guard = self.bm.fetch_read(pid)?;
+            for rid in first..allocated.min(first + per_page) {
+                let offset = (rid - first) as usize * self.slot_size;
+                f(rid, read_header(|b| guard.read(offset, b))?)?;
+            }
+        }
         Ok(())
     }
 
@@ -397,25 +578,20 @@ impl Table {
     }
 
     /// Find the highest used slot (nonzero `begin`) to restore the slot
-    /// allocator after recovery.
+    /// allocator after recovery: pages newest first, one pin per page.
     fn restore_slot_allocator(&self) -> Result<()> {
-        let n_pages = self.pages.read().len();
-        let mut max_used: Option<u64> = None;
-        for page_idx in (0..n_pages).rev() {
+        let mut next = 0u64;
+        'pages: for (page_idx, pid) in self.data_pages().into_iter().enumerate().rev() {
+            let guard = self.bm.fetch_read(pid)?;
             for slot in (0..self.slots_per_page).rev() {
-                let rid = page_idx as u64 * self.slots_per_page as u64 + slot as u64;
-                let hdr = self.read_header(rid)?;
+                let hdr = read_header(|b| guard.read(slot * self.slot_size, b))?;
                 if hdr.begin != 0 {
-                    max_used = Some(rid);
-                    break;
+                    next = (page_idx * self.slots_per_page + slot) as u64 + 1;
+                    break 'pages;
                 }
             }
-            if max_used.is_some() {
-                break;
-            }
         }
-        self.next_slot
-            .store(max_used.map_or(0, |r| r + 1), Ordering::Release);
+        self.next_slot.store(next, Ordering::Release);
         Ok(())
     }
 }
@@ -476,9 +652,9 @@ mod tests {
         let r0 = t.insert_version(hdr(5), &[7u8; 100]).unwrap();
         let r1 = t.insert_version(hdr(6), &[8u8; 100]).unwrap();
         assert_eq!((r0, r1), (0, 1));
-        assert_eq!(t.read_header(r0).unwrap().begin, 5);
+        assert_eq!(t.read_visit(r0).unwrap().header().unwrap().begin, 5);
         let mut buf = [0u8; 100];
-        t.read_payload(r1, &mut buf).unwrap();
+        assert_eq!(t.read_visit(r1).unwrap().version(&mut buf).unwrap(), hdr(6));
         assert_eq!(buf, [8u8; 100]);
     }
 
@@ -494,7 +670,22 @@ mod tests {
         ));
         let mut small = [0u8; 10];
         t.insert_version(hdr(1), &[0u8; 100]).unwrap();
-        assert!(t.read_payload(0, &mut small).is_err());
+        assert!(t.read_visit(0).unwrap().version(&mut small).is_err());
+        assert!(t.write_visit(0).unwrap().write_payload(&small).is_err());
+    }
+
+    #[test]
+    fn visits_never_grow_the_table() {
+        let t = Table::create(bm(), 1, 100).unwrap();
+        t.insert_version(hdr(1), &[0u8; 100]).unwrap();
+        let stray = t.slots_per_page() as u64 * 3;
+        assert_eq!(t.read_visit(stray).unwrap_err(), TxnError::NotFound);
+        assert_eq!(t.write_visit(stray).unwrap_err(), TxnError::NotFound);
+        assert_eq!(t.data_pages().len(), 1);
+        // Redo may name a slot whose page the crash un-catalogued.
+        t.redo_version(stray, hdr(2), &[1u8; 100]).unwrap();
+        assert_eq!(t.data_pages().len(), 4);
+        assert_eq!(t.allocated_slots(), stray + 1);
     }
 
     #[test]
@@ -507,7 +698,10 @@ mod tests {
         }
         assert_eq!(t.data_pages().len(), 4);
         let mut buf = [0u8; 100];
-        t.read_payload(spp * 2 + 1, &mut buf).unwrap();
+        t.read_visit(spp * 2 + 1)
+            .unwrap()
+            .version(&mut buf)
+            .unwrap();
         assert_eq!(buf[0], (spp * 2 + 1) as u8);
     }
 
@@ -515,11 +709,22 @@ mod tests {
     fn header_updates_persist() {
         let t = Table::create(bm(), 3, 64).unwrap();
         let rid = t.insert_version(hdr(1), &[0u8; 64]).unwrap();
-        let mut h = t.read_header(rid).unwrap();
-        h.read_ts = 99;
-        h.end = 120;
-        t.write_header(rid, h).unwrap();
-        assert_eq!(t.read_header(rid).unwrap(), h);
+        {
+            let visit = t.write_visit(rid).unwrap();
+            visit.stamp(Field::ReadTs, 99).unwrap();
+            visit.stamp(Field::End, 120).unwrap();
+        }
+        let expect = VersionHeader {
+            read_ts: 99,
+            end: 120,
+            ..hdr(1)
+        };
+        assert_eq!(t.read_visit(rid).unwrap().header().unwrap(), expect);
+        // A read visit that goes on to write sees and changes the same slot.
+        let visit = t.read_visit(rid).unwrap().upgrade().unwrap();
+        assert_eq!(visit.header().unwrap(), expect);
+        visit.clear_header().unwrap();
+        assert_eq!(visit.header().unwrap().begin, 0);
     }
 
     #[test]
@@ -537,7 +742,7 @@ mod tests {
         assert_eq!(t2.allocated_slots(), next);
         assert_eq!(t2.data_pages().len(), 2);
         let mut buf = [0u8; 100];
-        t2.read_payload(0, &mut buf).unwrap();
+        t2.read_visit(0).unwrap().version(&mut buf).unwrap();
         assert_eq!(buf, [0u8; 100]);
         // New inserts continue after the restored watermark.
         let rid = t2.insert_version(hdr(50), &[9u8; 100]).unwrap();
@@ -561,7 +766,7 @@ mod tests {
         assert_eq!(t2.data_pages().len(), 130);
         assert_eq!(t2.allocated_slots(), 130);
         let mut buf = [0u8; 960];
-        t2.read_payload(129, &mut buf).unwrap();
+        t2.read_visit(129).unwrap().version(&mut buf).unwrap();
         assert_eq!(buf[0], 129);
     }
 }

@@ -1,0 +1,316 @@
+//! What a tuple access costs, as counts: fetches, charged device accesses
+//! and policy decisions per `read_into` / update + commit / vacuum, plus the
+//! error paths of a visit. Device delays are off and there is one thread,
+//! so every count repeats exactly; each measurement is taken on two fresh
+//! databases and must come out the same.
+//!
+//! The fixtures keep the table's data page and the index on *different*
+//! tiers under a policy that moves nothing (D_r = D_w = 0), so one device's
+//! counters and one hit counter see the table's accesses alone.
+
+use std::sync::Arc;
+
+use spitfire_core::{
+    BufferManager, BufferManagerConfig, MetricsSnapshot, MigrationPath, MigrationPolicy, Tier,
+};
+use spitfire_device::{
+    DeviceKind, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, StatsSnapshot, TimeScale,
+    Trigger,
+};
+use spitfire_txn::{Database, DbConfig, Table, TxnError, VersionHeader, NO_RID};
+
+const PAGE: usize = 4096;
+const T: u32 = 1;
+const TUPLE: usize = 100;
+const KEY: u64 = 7;
+
+/// Serve everything where it lies: no promotion on either intent, SSD
+/// misses land on NVM.
+fn stay() -> MigrationPolicy {
+    MigrationPolicy::new(0.0, 0.0, 1.0, 1.0)
+}
+
+fn database(dram_pages: usize, policy: MigrationPolicy) -> Database {
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE)
+        .dram_capacity(dram_pages * PAGE)
+        .nvm_capacity(64 * (PAGE + 64))
+        .policy(policy)
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    let db = Database::create(
+        Arc::new(BufferManager::new(config).unwrap()),
+        DbConfig::default(),
+    )
+    .unwrap();
+    db.create_table(T, TUPLE).unwrap();
+    db
+}
+
+fn put(db: &Database, key: u64, byte: u8) {
+    let mut t = db.begin();
+    let payload = [byte; TUPLE];
+    match db.update(&mut t, T, key, &payload) {
+        Ok(()) => {}
+        Err(TxnError::NotFound) => db.insert(&mut t, T, key, &payload).unwrap(),
+        Err(e) => panic!("{e}"),
+    }
+    db.commit(&mut t).unwrap();
+}
+
+/// Index in DRAM (created under an eager policy), `KEY`'s data page in NVM
+/// (first touched with write intent under D_w = 0).
+fn data_in_nvm() -> Database {
+    let db = database(32, MigrationPolicy::eager());
+    db.buffer_manager().admin().set_policy(stay());
+    put(&db, KEY, 1);
+    let page = db.table_data_pages(T).unwrap()[0];
+    assert!(!db.buffer_manager().is_dram_resident(page));
+    db
+}
+
+/// Index in NVM (created under D_w = 0), `KEY`'s data page promoted to DRAM
+/// by one direct read under D_r = 1.
+fn data_in_dram() -> Database {
+    let db = database(32, stay());
+    put(&db, KEY, 1);
+    let bm = db.buffer_manager();
+    let page = db.table_data_pages(T).unwrap()[0];
+    bm.admin()
+        .set_policy(MigrationPolicy::new(1.0, 0.0, 1.0, 1.0));
+    drop(bm.fetch_read(page).unwrap());
+    bm.admin().set_policy(stay());
+    assert!(bm.is_dram_resident(page));
+    db
+}
+
+#[derive(Debug, PartialEq, Eq)]
+struct Cost {
+    bm: MetricsSnapshot,
+    dram: StatsSnapshot,
+    nvm: StatsSnapshot,
+}
+
+impl Cost {
+    fn of(db: &Database, op: impl FnOnce()) -> Cost {
+        let bm = db.buffer_manager();
+        let stats = |tier| {
+            bm.device_stats(tier)
+                .map(|s| s.snapshot())
+                .unwrap_or_default()
+        };
+        let before = (bm.metrics(), stats(Tier::Dram), stats(Tier::Nvm));
+        op();
+        Cost {
+            bm: bm.metrics().delta(&before.0),
+            dram: stats(Tier::Dram).delta(&before.1),
+            nvm: stats(Tier::Nvm).delta(&before.2),
+        }
+    }
+}
+
+/// The same measurement on two fresh databases.
+fn twice(measure: impl Fn() -> Cost) -> Cost {
+    let first = measure();
+    assert_eq!(first, measure(), "counts must repeat exactly");
+    first
+}
+
+fn read_key(db: &Database) {
+    let t = db.begin();
+    let mut buf = [0u8; TUPLE];
+    db.read_into(&t, T, KEY, &mut buf).unwrap();
+    assert_eq!(buf, [1u8; TUPLE]);
+}
+
+#[test]
+fn dram_resident_read_is_one_fetch_one_read_one_write() {
+    let cost = twice(|| {
+        let db = data_in_dram();
+        Cost::of(&db, || read_key(&db))
+    });
+    // The index lives in NVM, so every DRAM count is the data page's.
+    assert_eq!(cost.bm.dram_hits, 1, "one pinned visit");
+    assert_eq!(
+        (cost.dram.read_ops, cost.dram.write_ops),
+        (1, 1),
+        "header + payload in one read, read_ts in one write"
+    );
+    assert_eq!(cost.dram.bytes_written, 64, "the stamp is one line");
+    assert_eq!(cost.bm.total_requests(), cost.bm.nvm_hits + 1);
+    assert_eq!(cost.nvm.write_ops, 0);
+    assert_eq!(cost.bm.fetch_fallbacks, 0);
+}
+
+#[test]
+fn update_and_commit_are_six_table_fetches_and_six_accesses() {
+    let cost = twice(|| {
+        let db = data_in_nvm();
+        Cost::of(&db, || put(&db, KEY, 2))
+    });
+    // Index in DRAM: NVM hits and NVM device ops are the table's alone.
+    // update: read visit, insert, `end` marker; commit: validate, two stamps.
+    assert_eq!(cost.bm.nvm_hits, 6);
+    assert_eq!(cost.nvm.read_ops + cost.nvm.write_ops, 6);
+    assert_eq!((cost.nvm.read_ops, cost.nvm.write_ops), (2, 4));
+    assert_eq!(cost.bm.path(MigrationPath::NvmToDram), 0);
+}
+
+#[test]
+fn stamp_on_nvm_draws_dw_before_it_lands() {
+    // D_w = 1: the upgrade promotes first, the stamp lands on DRAM and NVM
+    // is never written.
+    let heads = twice(|| {
+        let db = data_in_nvm();
+        db.buffer_manager()
+            .admin()
+            .set_policy(MigrationPolicy::new(0.0, 1.0, 1.0, 1.0));
+        let cost = Cost::of(&db, || read_key(&db));
+        let page = db.table_data_pages(T).unwrap()[0];
+        assert!(db.buffer_manager().is_dram_resident(page));
+        cost
+    });
+    assert_eq!(
+        heads.bm.nvm_hits, 1,
+        "the read visit itself is served in place"
+    );
+    assert_eq!(heads.bm.path(MigrationPath::NvmToDram), 1);
+    assert_eq!(heads.nvm.write_ops, 0);
+    assert_eq!(heads.nvm.bytes_flushed, 0);
+
+    // D_w = 0: one 8-byte write in place, one flushed line, no promotion,
+    // and the pin taken for the read is the pin written through.
+    let tails = twice(|| {
+        let db = data_in_nvm();
+        Cost::of(&db, || read_key(&db))
+    });
+    assert_eq!(tails.bm.nvm_hits, 1);
+    assert_eq!(tails.bm.fetch_fallbacks, 0);
+    assert_eq!(tails.bm.path(MigrationPath::NvmToDram), 0);
+    assert_eq!((tails.nvm.read_ops, tails.nvm.write_ops), (1, 1));
+    assert_eq!(tails.nvm.bytes_written, 256, "8 bytes cost one media block");
+    assert_eq!((tails.nvm.bytes_flushed, tails.nvm.fences), (64, 1));
+    assert_eq!(tails.dram.write_ops, 0);
+}
+
+#[test]
+fn nvm_ssd_hierarchy_draws_no_coin() {
+    // No DRAM tier: even D_w = 1 has nowhere to promote to, so the upgrade
+    // must not leave the fast path.
+    let measure = |key: u64| {
+        twice(|| {
+            let db = database(0, MigrationPolicy::eager());
+            put(&db, KEY, 1);
+            Cost::of(&db, || {
+                let t = db.begin();
+                let mut buf = [0u8; TUPLE];
+                match db.read_into(&t, T, key, &mut buf) {
+                    Ok(()) => assert_eq!(key, KEY),
+                    Err(e) => assert_eq!((key, e), (KEY + 1, TxnError::NotFound)),
+                }
+            })
+        })
+    };
+    let index_only = measure(KEY + 1);
+    let read = measure(KEY);
+    assert_eq!(read.bm.total_requests(), index_only.bm.total_requests() + 1);
+    assert_eq!(read.bm.fetch_fallbacks, 0);
+    assert_eq!(read.bm.fetch_fast, read.bm.total_requests());
+    assert_eq!(read.nvm.write_ops, 1);
+}
+
+#[test]
+fn vacuum_frees_each_version_in_one_write_visit() {
+    let cost = twice(|| {
+        let db = data_in_nvm();
+        for byte in 2..=4 {
+            put(&db, KEY, byte);
+        }
+        Cost::of(&db, || assert_eq!(db.vacuum().unwrap().freed, 3))
+    });
+    // Walk to the keeper (the head), cut its `prev`, then one write visit
+    // per freed version: read `prev`, zero the header.
+    assert_eq!(cost.bm.nvm_hits, 1 + 1 + 3);
+    assert_eq!((cost.nvm.read_ops, cost.nvm.write_ops), (1 + 3, 1 + 3));
+}
+
+#[test]
+fn wrong_sized_buffer_fails_before_anything_is_touched() {
+    let db = data_in_nvm();
+    let mut writer = db.begin();
+    let reader = db.begin(); // younger than the writer
+    let cost = Cost::of(&db, || {
+        let mut small = [0u8; TUPLE - 1];
+        assert_eq!(
+            db.read_into(&reader, T, KEY, &mut small),
+            Err(TxnError::BadTupleSize {
+                expected: TUPLE,
+                got: TUPLE - 1
+            })
+        );
+    });
+    assert_eq!(
+        cost.bm.total_requests(),
+        0,
+        "validated before the first fetch"
+    );
+    assert_eq!((cost.nvm.write_ops, cost.dram.write_ops), (0, 0));
+    assert_eq!(cost.nvm.bytes_flushed, 0);
+    // The failed read left no read timestamp behind: the older writer is
+    // still in timestamp order.
+    db.update(&mut writer, T, KEY, &[9u8; TUPLE]).unwrap();
+    db.commit(&mut writer).unwrap();
+}
+
+fn header(begin: u64) -> VersionHeader {
+    VersionHeader {
+        begin,
+        end: u64::MAX,
+        read_ts: 0,
+        prev: NO_RID,
+        key: KEY,
+    }
+}
+
+fn fail_writes_on(bm: &BufferManager, device: DeviceKind) {
+    let rule = FaultRule::any(Trigger::Always, FaultKind::Fatal)
+        .on_device(device)
+        .on_op(FaultOp::Write);
+    let plan = FaultPlan::new(1).rule(rule);
+    bm.admin()
+        .set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+}
+
+#[test]
+fn failed_insert_returns_its_slot() {
+    let db = database(32, MigrationPolicy::eager());
+    let bm = Arc::clone(db.buffer_manager());
+    let table = Table::create(Arc::clone(&bm), 9, TUPLE).unwrap();
+
+    // The table cannot grow: the fresh slot must not be lost with the page.
+    fail_writes_on(&bm, DeviceKind::Ssd);
+    assert!(table.insert_version(header(5), &[1u8; TUPLE]).is_err());
+    assert_eq!((table.recycled_slots(), table.data_pages().len()), (1, 0));
+    bm.admin().set_fault_injector(None);
+    assert_eq!(table.insert_version(header(5), &[1u8; TUPLE]), Ok(0));
+    assert_eq!(table.recycled_slots(), 0);
+
+    // The version write fails: nothing of it is on the page (no marker
+    // header for vacuum to trip over) and the slot is handed out again,
+    // whether it was fresh or recycled.
+    fail_writes_on(&bm, DeviceKind::Dram);
+    for _ in 0..2 {
+        assert!(table.insert_version(header(6), &[2u8; TUPLE]).is_err());
+        assert_eq!((table.recycled_slots(), table.allocated_slots()), (1, 2));
+    }
+    bm.admin().set_fault_injector(None);
+    assert_eq!(table.read_visit(1).unwrap().header().unwrap().begin, 0);
+    assert_eq!(table.insert_version(header(6), &[2u8; TUPLE]), Ok(1));
+    let mut buf = [0u8; TUPLE];
+    assert_eq!(
+        table.read_visit(1).unwrap().version(&mut buf).unwrap(),
+        header(6)
+    );
+    assert_eq!(buf, [2u8; TUPLE]);
+}

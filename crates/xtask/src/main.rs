@@ -1,7 +1,11 @@
 //! Workspace automation (`cargo xtask <task>`).
 //!
-//! The only task so far is `lint`: the atomics-discipline (and
-//! file-length) lint that CI runs tree-wide. It is textual on purpose — no syn, no rustc plumbing,
+//! `bench-diff <parent.jsonl> <change.jsonl>` judges repeated benchmark
+//! runs of two commits against `BENCHMARK.json`'s bounds (see
+//! [`bench_diff`]).
+//!
+//! `lint` is the atomics-discipline (and file-length) lint that CI runs
+//! tree-wide. It is textual on purpose — no syn, no rustc plumbing,
 //! no dependencies — because the disciplines it enforces are *comment*
 //! conventions and module-level import rules that a line scanner checks
 //! reliably:
@@ -57,6 +61,9 @@
 //! the needles it scans for, and vendored third-party code follows its
 //! own conventions.
 
+mod bench_diff;
+mod json;
+
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -89,15 +96,14 @@ const INLINE_GATE_JOB: &str = "migration";
 const CI_WORKFLOW: &str = ".github/workflows/ci.yml";
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => lint(),
-        Some(other) => {
-            eprintln!("xtask: unknown task `{other}` (try `cargo xtask lint`)");
-            ExitCode::FAILURE
-        }
-        None => {
-            eprintln!("xtask: no task given (try `cargo xtask lint`)");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.split_first() {
+        Some((task, [])) if task == "lint" => lint(),
+        Some((task, rest)) if task == "bench-diff" => bench_diff::run(&workspace_root(), rest),
+        _ => {
+            eprintln!(
+                "xtask: expected `lint` or `bench-diff <parent.jsonl> <change.jsonl>`, got {args:?}"
+            );
             ExitCode::FAILURE
         }
     }
