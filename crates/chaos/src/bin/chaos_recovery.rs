@@ -19,12 +19,14 @@ use spitfire_chaos::{
 };
 
 const USAGE: &str = "usage: chaos_recovery [--seed N] [--schedule S] [--txns N] [--keys N] \
-     [--fault-probability P] [--file-ssd] [--matrix]
+     [--checkpoint-every N] [--fault-probability P] [--file-ssd] [--matrix]
   --seed N               rng seed for ops and crash points (default 1)
   --schedule S           every-K-fences | every-N-ops | at-op-N | every-K-migrations |
                          mid-checkpoint-M | torn-ssd-writes | random | none
   --txns N               transactions per run (default 200)
   --keys N               key-space size (default 16)
+  --checkpoint-every N   checkpoint every N transactions (default 64; at 16 a run takes
+                         12, so crashes land on reused snapshot blocks)
   --fault-probability P  background transient-fault rate, e.g. 0.01 (default 0)
   --file-ssd             back the SSD tier with a real file (O_DIRECT when supported)
   --matrix               run the fixed CI grid (seeds 1..=8 x 7 schedules)";
@@ -79,6 +81,7 @@ fn run_one(
     schedule: CrashSchedule,
     txns: u64,
     keys: u64,
+    checkpoint_every: u64,
     p: f64,
     file_ssd: bool,
 ) -> bool {
@@ -87,6 +90,7 @@ fn run_one(
         schedule,
         txns,
         keys,
+        checkpoint_every: Some(checkpoint_every),
         plan: noise_plan(seed, p),
         file_ssd,
         ..ChaosConfig::default()
@@ -101,6 +105,7 @@ fn main() -> ExitCode {
     let mut schedule = CrashSchedule::None;
     let mut txns = 200u64;
     let mut keys = 16u64;
+    let mut checkpoint_every = 64u64;
     let mut probability = 0.0f64;
     let mut file_ssd = false;
     let mut matrix = false;
@@ -134,6 +139,10 @@ fn main() -> ExitCode {
             "--keys" => match value(&mut i).and_then(|v| v.parse().ok()) {
                 Some(n) => keys = n,
                 None => return usage_error("--keys needs an integer"),
+            },
+            "--checkpoint-every" => match value(&mut i).and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => checkpoint_every = n,
+                _ => return usage_error("--checkpoint-every needs a positive integer"),
             },
             "--fault-probability" => match value(&mut i).and_then(|v| v.parse().ok()) {
                 Some(p) => probability = p,
@@ -175,7 +184,7 @@ fn main() -> ExitCode {
         let total = 8 * schedules.len();
         for seed in 1..=8u64 {
             for schedule in schedules {
-                if !run_one(seed, schedule, txns, keys, 0.01, file_ssd) {
+                if !run_one(seed, schedule, txns, keys, checkpoint_every, 0.01, file_ssd) {
                     failures += 1;
                 }
             }
@@ -189,7 +198,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if run_one(seed, schedule, txns, keys, probability, file_ssd) {
+    if run_one(
+        seed,
+        schedule,
+        txns,
+        keys,
+        checkpoint_every,
+        probability,
+        file_ssd,
+    ) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

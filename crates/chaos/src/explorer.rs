@@ -232,6 +232,16 @@ fn crash_and_verify(
         return;
     }
 
+    // Invariant: the snapshot store's allocator agrees with what the
+    // surviving generations reference (nothing free that is referenced,
+    // nothing referenced that is missing, nothing leaked).
+    if let Some(engine) = db.snapshot_engine() {
+        if let Err(e) = engine.store().check() {
+            v.violations
+                .push(format!("snapshot store after recovery: {e}"));
+        }
+    }
+
     // Invariant: tier bookkeeping is consistent after the mapping-table
     // rebuild. Checked before the verification reads below repopulate
     // DRAM and would mask an inconsistency.

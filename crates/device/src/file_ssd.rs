@@ -411,6 +411,21 @@ impl FileSsdDevice {
         st.dirty.clear();
     }
 
+    /// Forget pages `pids`: they leave the presence set (and the dirty
+    /// set and the undo log, so a crash rollback cannot bring them back).
+    /// The bytes stay in the file — punching the hole needs `fallocate`,
+    /// which `std` does not expose — until ROADMAP item 6 gives the
+    /// devices a data directory of their own. Only the buffer manager's
+    /// SSD runs on this backend today, and it never discards.
+    pub fn discard(&self, pids: std::ops::Range<u64>) {
+        let mut st = self.state.lock();
+        for pid in pids {
+            st.present.remove(&pid);
+            st.dirty.remove(&pid);
+            st.undo.remove(&pid);
+        }
+    }
+
     /// Whether page `pid` exists.
     pub fn contains(&self, pid: u64) -> bool {
         self.state.lock().present.contains(&pid)

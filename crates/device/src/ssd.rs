@@ -426,6 +426,34 @@ impl SsdDevice {
         }
     }
 
+    /// Give pages `pids` back to the device (TRIM): they stop existing at
+    /// once and stay gone across [`SsdDevice::simulate_crash`], whether or
+    /// not they were ever synced. The caller must already have made
+    /// durable whatever stops it from reading them again (the WAL persists
+    /// its new base cursor first). Absent pages are skipped; nothing is
+    /// charged or counted, and no fault is injected.
+    ///
+    /// The emulated backend frees the images (page map, dirty set, synced
+    /// image). The file backend only forgets the pages — see
+    /// [`FileSsdDevice::discard`].
+    pub fn discard(&self, pids: std::ops::Range<u64>) {
+        match &self.backend {
+            Backend::Mem { durability, .. } => {
+                for pid in pids.clone() {
+                    self.shard(pid).write().remove(&pid);
+                }
+                if let Some(d) = durability {
+                    let (mut dirty, mut synced) = (d.dirty.lock(), d.synced.lock());
+                    for pid in pids {
+                        dirty.remove(&pid);
+                        synced.remove(&pid);
+                    }
+                }
+            }
+            Backend::File(f) => f.discard(pids),
+        }
+    }
+
     /// Whether page `pid` exists on the device.
     pub fn contains(&self, pid: u64) -> bool {
         match &self.backend {
@@ -585,6 +613,38 @@ mod tests {
             "never-synced page vanishes"
         );
         assert_eq!(d.page_count(), 1);
+    }
+
+    #[test]
+    fn discarded_pages_are_gone_for_good() {
+        for d in [
+            SsdDevice::with_tracking(4096, TimeScale::ZERO, PersistenceTracking::Full),
+            file_ssd(PersistenceTracking::Full),
+        ] {
+            for pid in 0..4u64 {
+                d.write_page(pid, &vec![pid as u8; 4096]).unwrap();
+            }
+            d.sync().unwrap();
+            d.write_page(2, &vec![9u8; 4096]).unwrap(); // dirty again
+            d.write_page(4, &vec![4u8; 4096]).unwrap(); // never synced
+            let before = d.stats().snapshot();
+            d.discard(1..5);
+            assert_eq!(d.stats().snapshot(), before, "discard is not charged");
+            assert_eq!(d.page_count(), 1);
+            assert_eq!(d.used_bytes(), 4096);
+            // Neither the synced image nor a pre-image brings them back.
+            d.simulate_crash();
+            assert!(d.contains(0));
+            assert!((1..5).all(|pid| !d.contains(pid)));
+            d.sync().unwrap();
+            d.simulate_crash();
+            assert_eq!(d.page_count(), 1);
+            // A discarded id is an ordinary fresh page afterwards.
+            d.write_page(2, &vec![7u8; 4096]).unwrap();
+            let mut buf = vec![0u8; 4096];
+            d.read_page(2, &mut buf).unwrap();
+            assert_eq!(buf[0], 7);
+        }
     }
 
     #[test]

@@ -1,87 +1,94 @@
-//! On-disk layout of snapshot blocks, manifests, and the superblock.
+//! On-disk layout of the snapshot store: image blocks, metadata blocks,
+//! directory entries, manifests, and the superblock.
 //!
-//! All integers are little-endian. A store page is `BLOCK_HEADER` bytes of
-//! header followed by a payload whose capacity equals the database page
-//! size, so one page-image block carries exactly one buffer-pool page.
+//! All integers are little-endian. A store block is exactly one database
+//! page (and so one device transfer unit). An **image block** is a raw
+//! page image with no framing at all; its identity and checksum live in
+//! the owning generation's directory. A **metadata block** (index run,
+//! directory, manifest) carries a `BLOCK_HEADER`-byte header *inside* the
+//! page, followed by up to `page_size - BLOCK_HEADER` payload bytes.
 //!
-//! Block header (48 bytes):
+//! Metadata block header (48 bytes):
 //!
 //! | off | size | field                                        |
 //! |-----|------|----------------------------------------------|
-//! | 0   | 8    | magic `SPIFBLK1`                             |
+//! | 0   | 8    | magic `SPIFBLK2`                             |
 //! | 8   | 4    | CRC-32 over bytes `12..48+payload_len`       |
-//! | 12  | 1    | kind (1 page image, 2 index run, 3 manifest) |
+//! | 12  | 1    | kind (1 index run, 2 directory, 3 manifest)  |
 //! | 13  | 3    | zero padding                                 |
 //! | 16  | 4    | tag (table id for index runs, else 0)        |
 //! | 20  | 4    | payload length in bytes                      |
 //! | 24  | 8    | generation number                            |
-//! | 32  | 8    | sequence number within the generation        |
-//! | 40  | 8    | aux (page id for page images, else 0)        |
+//! | 32  | 8    | sequence number in the manifest's block list |
+//! | 40  | 8    | reserved (zero)                              |
+//!
+//! Payloads: an index run is packed `(key u64, rid u64)` pairs; a
+//! directory block is packed [`DIRECTORY_ENTRY`]-byte entries
+//! `(pid u64, block u64, crc u32)`, page ids strictly ascending across
+//! the generation's directory blocks; the manifest is described at
+//! [`Manifest`].
 
 use spitfire_sync::crc32;
 
 use crate::{Result, SnapshotError};
 
-/// Bytes of header preceding every block payload.
+/// Bytes of header at the start of every metadata block.
 pub const BLOCK_HEADER: usize = 48;
 
-/// Most generations a superblock may list. The store garbage-collects down
-/// to the chains of the two newest generations well before this bound; it
-/// exists so the superblock always fits one page.
-pub const MAX_SUPERBLOCK_GENERATIONS: usize = 32;
+/// Bytes of one directory entry: page id, block number, image CRC-32.
+pub const DIRECTORY_ENTRY: usize = 20;
 
-pub(crate) const BLOCK_MAGIC: u64 = 0x5350_4946_424C_4B31; // "SPIFBLK1"
-pub(crate) const SUPER_MAGIC: u64 = 0x5350_4946_5355_5031; // "SPIFSUP1"
-pub(crate) const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E31; // "SPIFMAN1"
+pub(crate) const BLOCK_MAGIC: u64 = 0x5350_4946_424C_4B32; // "SPIFBLK2"
+pub(crate) const SUPER_MAGIC: u64 = 0x5350_4946_5355_5032; // "SPIFSUP2"
+pub(crate) const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E32; // "SPIFMAN2"
 
-/// What a snapshot block carries.
+/// What a metadata block carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockKind {
-    /// One buffer-pool page image; `aux` is the page id.
-    PageImage,
     /// A run of sorted `(key, rid)` index entries; `tag` is the table id.
     IndexRun,
-    /// The generation's trailing manifest.
+    /// A run of the generation's page directory.
+    Directory,
+    /// The generation's manifest.
     Manifest,
 }
 
 impl BlockKind {
     fn to_byte(self) -> u8 {
         match self {
-            BlockKind::PageImage => 1,
-            BlockKind::IndexRun => 2,
+            BlockKind::IndexRun => 1,
+            BlockKind::Directory => 2,
             BlockKind::Manifest => 3,
         }
     }
 
     fn from_byte(b: u8) -> Option<Self> {
         match b {
-            1 => Some(BlockKind::PageImage),
-            2 => Some(BlockKind::IndexRun),
+            1 => Some(BlockKind::IndexRun),
+            2 => Some(BlockKind::Directory),
             3 => Some(BlockKind::Manifest),
             _ => None,
         }
     }
 }
 
-/// A decoded block header plus borrowed payload.
+/// A decoded metadata block header plus borrowed payload.
 pub(crate) struct Block<'a> {
     pub kind: BlockKind,
     pub tag: u32,
     pub gen: u64,
     pub seq: u64,
-    pub aux: u64,
     pub payload: &'a [u8],
 }
 
-/// Frame `payload` into `page` (a full store page) as a checksummed block.
+/// Frame `payload` into `page` (a full store page) as a checksummed
+/// metadata block.
 pub(crate) fn encode_block(
     page: &mut [u8],
     kind: BlockKind,
     tag: u32,
     gen: u64,
     seq: u64,
-    aux: u64,
     payload: &[u8],
 ) {
     assert!(payload.len() <= page.len() - BLOCK_HEADER);
@@ -92,13 +99,12 @@ pub(crate) fn encode_block(
     page[20..24].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     page[24..32].copy_from_slice(&gen.to_le_bytes());
     page[32..40].copy_from_slice(&seq.to_le_bytes());
-    page[40..48].copy_from_slice(&aux.to_le_bytes());
     page[BLOCK_HEADER..BLOCK_HEADER + payload.len()].copy_from_slice(payload);
     let crc = crc32(&page[12..BLOCK_HEADER + payload.len()]);
     page[8..12].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decode and CRC-check one store page as a block.
+/// Decode and CRC-check one store page as a metadata block.
 pub(crate) fn decode_block(page: &[u8]) -> Result<Block<'_>> {
     if page.len() < BLOCK_HEADER {
         return Err(SnapshotError::Corrupt("short block"));
@@ -122,9 +128,41 @@ pub(crate) fn decode_block(page: &[u8]) -> Result<Block<'_>> {
         tag: u32_at(16),
         gen: u64_at(24),
         seq: u64_at(32),
-        aux: u64_at(40),
         payload: &page[BLOCK_HEADER..BLOCK_HEADER + payload_len],
     })
+}
+
+/// One directory entry: where a page's newest image as of this generation
+/// lives, and the CRC-32 the block must have. The checksum sits here, not
+/// in the image block, so the block stays one device page *and* a block
+/// that was since reused for another image (or still holds an older image
+/// of the same page) fails the check instead of passing its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DirEntry {
+    pub pid: u64,
+    pub block: u64,
+    pub crc: u32,
+}
+
+impl DirEntry {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.pid.to_le_bytes());
+        out.extend_from_slice(&self.block.to_le_bytes());
+        out.extend_from_slice(&self.crc.to_le_bytes());
+    }
+
+    /// Decode a directory block's payload, appending to `out`.
+    pub(crate) fn decode_run(payload: &[u8], out: &mut Vec<DirEntry>) -> Result<()> {
+        if payload.len() % DIRECTORY_ENTRY != 0 {
+            return Err(SnapshotError::Corrupt("ragged directory block"));
+        }
+        out.extend(payload.chunks_exact(DIRECTORY_ENTRY).map(|c| DirEntry {
+            pid: u64::from_le_bytes(c[0..8].try_into().unwrap()),
+            block: u64::from_le_bytes(c[8..16].try_into().unwrap()),
+            crc: u32::from_le_bytes(c[16..20].try_into().unwrap()),
+        }));
+        Ok(())
+    }
 }
 
 /// Per-table metadata recorded in the manifest so recovery can reopen a
@@ -141,15 +179,20 @@ pub struct TableMeta {
     pub allocated_slots: u64,
 }
 
-/// The checksummed manifest that closes a generation. Everything recovery
-/// needs besides the page images, index runs, and the WAL tail lives here.
+/// The checksummed manifest of a generation, held in the one block the
+/// superblock entry names. Everything recovery needs besides the page
+/// images, index runs, and the WAL tail lives here — including the list
+/// of the generation's other metadata blocks, so a generation is found
+/// from its manifest alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// This generation's number.
     pub generation: u64,
-    /// Parent generation (0 for a full snapshot).
+    /// The generation whose directory this one inherited (0 for a full
+    /// snapshot). Lineage only: nothing is ever read through it.
     pub parent: u64,
-    /// Whether this generation is a full snapshot (chain base).
+    /// Whether this generation is a full snapshot (SSD-backed, so its
+    /// directory holds only what the writer was handed — normally nothing).
     pub full: bool,
     /// WAL fence: recovery replays only records with LSN ≥ this.
     pub fence_lsn: u64,
@@ -161,18 +204,23 @@ pub struct Manifest {
     pub oracle_ts: u64,
     /// Transaction-id counter at the fence.
     pub next_txn_id: u64,
-    /// Number of page-image blocks in this generation.
+    /// Number of page images this generation wrote itself.
     pub page_images: u64,
+    /// Number of pages its directory names (written + inherited).
+    pub directory_pages: u64,
     /// Per-table metadata.
     pub tables: Vec<TableMeta>,
+    /// The generation's index-run and directory blocks, in sequence order.
+    pub meta_blocks: Vec<u64>,
 }
 
-const MANIFEST_FIXED: usize = 80;
+const MANIFEST_FIXED: usize = 96;
 const TABLE_META: usize = 24;
 
 impl Manifest {
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0u8; MANIFEST_FIXED + self.tables.len() * TABLE_META];
+        let blocks_at = MANIFEST_FIXED + self.tables.len() * TABLE_META;
+        let mut out = vec![0u8; blocks_at + self.meta_blocks.len() * 8];
         out[0..8].copy_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out[8..16].copy_from_slice(&self.generation.to_le_bytes());
         out[16..24].copy_from_slice(&self.parent.to_le_bytes());
@@ -184,12 +232,18 @@ impl Manifest {
         out[64..72].copy_from_slice(&self.page_images.to_le_bytes());
         out[72..76].copy_from_slice(&(self.tables.len() as u32).to_le_bytes());
         out[76..80].copy_from_slice(&u32::from(self.full).to_le_bytes());
+        out[80..88].copy_from_slice(&self.directory_pages.to_le_bytes());
+        out[88..92].copy_from_slice(&(self.meta_blocks.len() as u32).to_le_bytes());
         for (i, t) in self.tables.iter().enumerate() {
             let o = MANIFEST_FIXED + i * TABLE_META;
             out[o..o + 4].copy_from_slice(&t.id.to_le_bytes());
             out[o + 4..o + 8].copy_from_slice(&t.tuple_size.to_le_bytes());
             out[o + 8..o + 16].copy_from_slice(&t.catalog_head.to_le_bytes());
             out[o + 16..o + 24].copy_from_slice(&t.allocated_slots.to_le_bytes());
+        }
+        for (i, b) in self.meta_blocks.iter().enumerate() {
+            let o = blocks_at + i * 8;
+            out[o..o + 8].copy_from_slice(&b.to_le_bytes());
         }
         out
     }
@@ -204,8 +258,12 @@ impl Manifest {
             return Err(SnapshotError::Corrupt("bad manifest magic"));
         }
         let n_tables = u32_at(72) as usize;
-        if payload.len() < MANIFEST_FIXED + n_tables * TABLE_META {
-            return Err(SnapshotError::Corrupt("short manifest table list"));
+        let n_blocks = u32_at(88) as usize;
+        let blocks_at = MANIFEST_FIXED + n_tables * TABLE_META;
+        // Both counts are bounded by the payload (one block) before
+        // anything is allocated for them.
+        if payload.len() != blocks_at + n_blocks * 8 {
+            return Err(SnapshotError::Corrupt("manifest length mismatch"));
         }
         let tables = (0..n_tables)
             .map(|i| {
@@ -228,7 +286,9 @@ impl Manifest {
             oracle_ts: u64_at(48),
             next_txn_id: u64_at(56),
             page_images: u64_at(64),
+            directory_pages: u64_at(80),
             tables,
+            meta_blocks: (0..n_blocks).map(|i| u64_at(blocks_at + i * 8)).collect(),
         })
     }
 }
@@ -239,12 +299,12 @@ mod tests {
 
     #[test]
     fn block_round_trip_and_crc() {
-        let mut page = vec![0u8; BLOCK_HEADER + 256];
+        let mut page = vec![0u8; 256];
         let payload: Vec<u8> = (0..200u32).map(|i| (i * 7) as u8).collect();
-        encode_block(&mut page, BlockKind::PageImage, 0, 3, 17, 42, &payload);
+        encode_block(&mut page, BlockKind::IndexRun, 5, 3, 17, &payload);
         let b = decode_block(&page).unwrap();
-        assert_eq!(b.kind, BlockKind::PageImage);
-        assert_eq!((b.gen, b.seq, b.aux), (3, 17, 42));
+        assert_eq!(b.kind, BlockKind::IndexRun);
+        assert_eq!((b.tag, b.gen, b.seq), (5, 3, 17));
         assert_eq!(b.payload, &payload[..]);
 
         // Any flipped payload bit must fail the CRC.
@@ -253,6 +313,29 @@ mod tests {
             decode_block(&page),
             Err(SnapshotError::Corrupt("block CRC mismatch"))
         ));
+    }
+
+    #[test]
+    fn directory_run_round_trip_and_ragged_tail() {
+        let entries = [
+            DirEntry {
+                pid: 3,
+                block: 9,
+                crc: 0xDEAD_BEEF,
+            },
+            DirEntry {
+                pid: u64::MAX,
+                block: 1,
+                crc: 0,
+            },
+        ];
+        let mut bytes = Vec::new();
+        entries.iter().for_each(|e| e.encode_into(&mut bytes));
+        assert_eq!(bytes.len(), 2 * DIRECTORY_ENTRY);
+        let mut out = Vec::new();
+        DirEntry::decode_run(&bytes, &mut out).unwrap();
+        assert_eq!(out, entries);
+        assert!(DirEntry::decode_run(&bytes[..30], &mut out).is_err());
     }
 
     #[test]
@@ -267,6 +350,7 @@ mod tests {
             oracle_ts: 1000,
             next_txn_id: 55,
             page_images: 12,
+            directory_pages: 40,
             tables: vec![
                 TableMeta {
                     id: 1,
@@ -281,7 +365,11 @@ mod tests {
                     allocated_slots: 0,
                 },
             ],
+            meta_blocks: vec![4, 5, 17],
         };
-        assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
+        let bytes = m.encode();
+        assert_eq!(Manifest::decode(&bytes).unwrap(), m);
+        // A manifest is exactly as long as its counts say.
+        assert!(Manifest::decode(&bytes[..bytes.len() - 8]).is_err());
     }
 }

@@ -15,25 +15,34 @@
 //! 2. **Fuzzy copy.** The gate drops and transactions resume while the
 //!    generation's payload is produced. An *incremental* generation
 //!    copies the drained dirty-epoch pages under short read guards into
-//!    the snapshot store. A *full* generation is **SSD-backed**: it
-//!    flushes both buffer tiers and syncs the main SSD instead of
-//!    copying O(database) images, so the chain base lives where the data
-//!    already belongs and recovery never re-installs it. Either way the
+//!    the snapshot store, one raw device page each, and inherits the
+//!    directory entry of every page it did not copy from the generation
+//!    before it — so its own directory names the newest image of every
+//!    page dirtied since the last full generation, and it never needs an
+//!    ancestor. A *full* generation is **SSD-backed**: it flushes both
+//!    buffer tiers and syncs the main SSD instead of copying O(database)
+//!    images, so its directory is empty, the base lives where the data
+//!    already belongs, and recovery never re-installs it. Either way the
 //!    copied/flushed state may contain *post-fence* effects; that is
 //!    fine because recovery replays the WAL tail from the fence, and
 //!    redo rewrites whole version slots idempotently.
-//! 3. **Install + truncate.** The generation's manifest (fence LSN,
-//!    catalog root, oracle state, per-table watermarks) is written,
-//!    CRC-checked, and atomically installed. The WAL is then truncated to
-//!    the *previous* generation's fence — one generation of slack, so a
-//!    CRC-mismatch fallback one generation back still finds its tail.
+//! 3. **Install + truncate.** The generation's directory and manifest
+//!    (fence LSN, catalog root, oracle state, per-table watermarks, the
+//!    list of its metadata blocks) are written, CRC-checked, and
+//!    atomically installed; the store keeps this generation and the one
+//!    before it and reuses every block neither references. The WAL is
+//!    then truncated to the *previous* generation's fence — one
+//!    generation of slack, so a CRC-mismatch fallback one generation back
+//!    still finds its tail — and the truncated file pages go back to the
+//!    log device.
 //!
-//! Recovery ([`Database::recover`]) loads the newest generation whose
-//! whole chain validates, installs its (bounded) delta page images over
-//! the SSD-backed base, reopens tables from the manifest (no allocator
-//! scans), bulk-loads indexes from the dumped runs, and replays only the
-//! WAL tail past the fence — recovery work is bounded by the checkpoint
-//! interval, not by database size or history.
+//! Recovery ([`Database::recover`]) loads the newest generation that
+//! validates, installs each page its directory names — once, at its
+//! newest image — over the SSD-backed base, reopens tables from the
+//! manifest (no allocator scans), bulk-loads indexes from the dumped
+//! runs, and replays only the WAL tail past the fence — recovery work is
+//! bounded by the pages dirtied since the last full generation plus one
+//! checkpoint interval of log, not by database size or history.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,8 +63,8 @@ use crate::{RecoveryStats, Result};
 /// Tuning knobs for the snapshot engine.
 #[derive(Debug, Clone)]
 pub struct SnapshotConfig {
-    /// Every `full_every`-th checkpoint writes a full generation (chain
-    /// base); the rest are incremental deltas over the dirty-epoch set.
+    /// Every `full_every`-th checkpoint writes a full (SSD-backed)
+    /// generation; the rest are incremental over the dirty-epoch set.
     pub full_every: u64,
     /// How long a checkpoint waits for in-flight transactions to drain
     /// before giving up with [`TxnError::CheckpointContended`].
@@ -80,7 +89,7 @@ pub struct CheckpointStats {
     pub pages: usize,
     /// Index entries dumped.
     pub index_entries: usize,
-    /// Whether this generation is a full chain base.
+    /// Whether this generation is a full (SSD-backed) one.
     pub full: bool,
     /// Wall-clock duration in microseconds.
     pub micros: u64,
@@ -97,8 +106,8 @@ pub struct SnapshotEngine {
     /// truncates the WAL here. `None` right after recovery (no truncation
     /// until a new generation exists).
     last_fence: Mutex<Option<WalFence>>,
-    /// Force the next generation to be a full chain base (set by
-    /// recovery: the dirty-epoch set does not span the crash).
+    /// Force the next generation to be a full one (set by recovery: the
+    /// dirty-epoch set does not span the crash).
     force_full: AtomicBool,
     last_micros: AtomicU64,
     last_pages: AtomicU64,
@@ -275,21 +284,22 @@ impl Database {
     }
 
     /// Stream one snapshot generation: page images (the drained dirty set
-    /// for a delta; a full generation is *SSD-backed* instead), full index
-    /// dumps, manifest, install, then WAL truncation to the previous fence.
+    /// for an incremental one; a full generation is *SSD-backed* instead),
+    /// full index dumps, directory and manifest, install, then WAL
+    /// truncation to the previous fence.
     ///
     /// A full generation copies no page images into the store. It flushes
     /// both buffer tiers — DRAM dirty pages reconcile into their NVM
     /// copies or the SSD, NVM dirty pages write back to the SSD — and
     /// syncs the SSD *before* the generation installs, so the durable
     /// base state lives where it already belongs: the main SSD plus the
-    /// persistent NVM buffer. Recovery therefore installs only the
-    /// (bounded) delta images and stays O(checkpoint interval), not
+    /// persistent NVM buffer. Recovery therefore installs only the pages
+    /// dirtied since then and stays O(checkpoint interval), not
     /// O(database). Crash-consistency of the in-place flush: home-slot
     /// overwrites only add effects newer than every fence the WAL still
     /// covers, and tail redo rewrites whole version slots idempotently,
     /// so a half-flushed, never-installed full generation cannot corrupt
-    /// the fallback chain.
+    /// the fallback generation.
     fn write_generation(
         &self,
         engine: &SnapshotEngine,
@@ -360,10 +370,11 @@ impl Database {
         Ok((info.generation, pages, index_entries, full))
     }
 
-    /// Instant-restart recovery: load the newest valid snapshot chain and
-    /// replay only the WAL tail past its fence. Returns `Ok(None)` when
-    /// there is nothing to restore (no generation ever installed, or all
-    /// chains corrupt) — the caller falls back to full-history recovery.
+    /// Instant-restart recovery: load the newest valid snapshot generation
+    /// and replay only the WAL tail past its fence. Returns `Ok(None)`
+    /// when there is nothing to restore (no generation ever installed, or
+    /// both retained ones corrupt) — the caller falls back to full-history
+    /// recovery.
     pub(crate) fn recover_from_snapshot(
         &self,
         engine: &SnapshotEngine,
@@ -374,7 +385,7 @@ impl Database {
             return Ok(None);
         };
 
-        // Install page images (chain base first; newer deltas overwrite).
+        // Install each page the directory names, once.
         let mut page_err: Option<spitfire_core::BufferError> = None;
         let mut pages_installed = 0usize;
         let mut index_dumps: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();

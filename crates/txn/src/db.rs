@@ -96,7 +96,8 @@ pub struct RecoveryStats {
     pub index_entries: usize,
     /// Snapshot generation restored (0 = full-history recovery).
     pub snapshot_generation: u64,
-    /// Page images installed from the snapshot chain.
+    /// Page images installed from the snapshot generation's directory
+    /// (each page once, at its newest image).
     pub snapshot_pages: usize,
 }
 
@@ -670,7 +671,7 @@ impl Database {
         };
         self.bm.recover_page_allocator();
 
-        // Instant restart: restore the newest valid snapshot chain and
+        // Instant restart: restore the newest valid snapshot generation and
         // replay only the WAL tail past its fence. Falls through to the
         // full-history path when no generation is restorable.
         if let Some(engine) = self.snapshot_engine() {
@@ -827,10 +828,10 @@ impl Database {
     }
 }
 
-/// The database's own counters and gauges (transaction outcomes, WAL size,
-/// snapshot health); its buffer manager is a separate
-/// [`Source`](spitfire_obs::Source). Without a snapshot engine the three
-/// checkpoint gauges read 0.
+/// The database's own counters and gauges (transaction outcomes, WAL and
+/// snapshot-store size, snapshot health); its buffer manager is a separate
+/// [`Source`](spitfire_obs::Source). Without a snapshot engine the
+/// checkpoint and store gauges read 0.
 impl spitfire_obs::Source for Database {
     fn report(&self, out: &mut spitfire_obs::Report) {
         let (commits, aborts) = self.txn_stats();
@@ -838,8 +839,22 @@ impl spitfire_obs::Source for Database {
         out.add_counter("txn_aborts", aborts);
         out.add_gauge("active_txns", self.active.lock().len() as f64);
         out.add_gauge("wal_bytes", self.wal.log_bytes() as f64);
+        out.add_gauge("wal_file_pages", self.wal.file_pages() as f64);
         let engine = self.snapshot_engine();
         let engine = engine.as_deref();
+        let store = engine.map(|e| e.store());
+        out.add_gauge(
+            "snapshot_store_used_bytes",
+            store.map_or(0.0, |s| s.used_bytes() as f64),
+        );
+        out.add_gauge(
+            "snapshot_store_free_blocks",
+            store.map_or(0.0, |s| s.free_blocks() as f64),
+        );
+        out.add_gauge(
+            "snapshot_directory_pages",
+            store.map_or(0.0, |s| s.directory_pages() as f64),
+        );
         out.add_gauge(
             "snapshot_generation",
             engine.map_or(0.0, |e| e.generation() as f64),

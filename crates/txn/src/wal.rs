@@ -11,6 +11,11 @@
 //! appended (NVM is persistent); recovery first drains them to the log
 //! file ("the NVM log buffer needs to be appended to the log file since
 //! the buffer is persistent") and then replays the file.
+//!
+//! The log file does not grow with history: a checkpoint's
+//! [`Wal::truncate_to`] moves the persistent base cursors to the previous
+//! generation's fence and then hands the file pages below it back to the
+//! device, so the file occupies at most two checkpoint intervals.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -374,16 +379,20 @@ impl Wal {
         })
     }
 
-    /// Logically truncate everything before `fence`: subsequent scans
-    /// start at `fence.file_page` with LSNs measured from `fence.lsn`. No
-    /// pages move — this only advances the persistent base cursors. A
-    /// checkpoint truncates to the *previous* generation's fence so a
-    /// CRC-mismatch fallback one generation still finds its WAL tail.
+    /// Truncate everything before `fence`: subsequent scans start at
+    /// `fence.file_page` with LSNs measured from `fence.lsn`, and the file
+    /// pages `[old base, fence.file_page)` go back to the device
+    /// ([`SsdDevice::discard`]) — the log file occupies its live pages,
+    /// not every page it was ever handed. A checkpoint truncates to the
+    /// *previous* generation's fence so a CRC-mismatch fallback one
+    /// generation still finds its WAL tail.
     ///
     /// The base LSN is persisted before the base page: a crash between the
     /// two makes the next scan label the leftover prefix with LSNs at or
     /// above the fence, so recovery replays extra (idempotent) records —
-    /// never skips live ones.
+    /// never skips live ones. The pages are discarded only after both
+    /// cursors are durable; a crash in between strands them (unread, one
+    /// interval at most), it never loses a live page.
     pub fn truncate_to(&self, fence: WalFence) -> Result<()> {
         let _state = self.state.lock();
         if fence.lsn <= self.base_lsn.load(Ordering::Acquire) {
@@ -391,9 +400,9 @@ impl Wal {
         }
         self.base_lsn.store(fence.lsn, Ordering::Release);
         self.persist_word(BASE_LSN_AT, fence.lsn)?;
-        self.file_base_page
-            .store(fence.file_page, Ordering::Release);
+        let old_base = self.file_base_page.swap(fence.file_page, Ordering::AcqRel);
         self.persist_word(FILE_BASE_AT, fence.file_page)?;
+        self.file.discard(old_base..fence.file_page);
         Ok(())
     }
 
@@ -535,6 +544,12 @@ impl Wal {
     pub fn set_time_scale(&self, scale: TimeScale) {
         self.nvm.set_time_scale(scale);
         self.file.set_time_scale(scale);
+    }
+
+    /// Pages the log file occupies on its device (live pages only: a
+    /// truncation gives its prefix back).
+    pub fn file_pages(&self) -> usize {
+        self.file.page_count()
     }
 
     /// Device statistics for the NVM log buffer.
@@ -895,7 +910,11 @@ mod tests {
             .collect();
         assert_eq!(past, vec![5, 6, 7]);
 
+        let pages_before = w.file_pages();
         w.truncate_to(fence).unwrap();
+        // The truncated prefix is given back to the device, crash or not.
+        assert_eq!(fence.file_page as usize, pages_before);
+        assert_eq!(w.file_pages(), 0);
         let tail_len = 3 * record(0, RecordKind::Update, &[0u8; 60]).frame_len() as u64;
         assert_eq!(w.log_bytes(), tail_len);
         let report = w.read_all_checked().unwrap();
@@ -905,8 +924,12 @@ mod tests {
         );
         assert!(report.lsns.iter().all(|&l| l >= fence.lsn));
 
-        // The cursors and the recomputed LSN survive a crash.
+        // The cursors and the recomputed LSN survive a crash; the
+        // discarded pages stay gone.
+        w.drain().unwrap();
+        let live_pages = w.file_pages();
         w.simulate_crash();
+        assert_eq!(w.file_pages(), live_pages);
         assert_eq!(w.base_lsn(), fence.lsn);
         assert_eq!(w.log_bytes(), tail_len);
         let report = w.read_all_checked().unwrap();

@@ -1,14 +1,17 @@
 //! Instant-restart tests: incremental checkpoints, fenced WAL
 //! truncation, snapshot recovery, generation fallback on corruption, the
 //! quiescence contract of `Database::checkpoint`, the store's crash model,
-//! and recovery work across a database-size sweep.
+//! torn and interrupted block reuse, the steady state of the store and the
+//! log file, and recovery work across a database-size sweep.
 
 use std::sync::Arc;
 
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
 use spitfire_device::{
-    FaultInjector, FaultKind, FaultPlan, FaultRule, PersistenceTracking, TimeScale, Trigger,
+    DeviceProfile, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, PersistenceTracking,
+    TimeScale, Trigger,
 };
+use spitfire_snapshot::{BLOCK_HEADER, DIRECTORY_ENTRY};
 use spitfire_txn::{Database, DbConfig, SnapshotConfig, TxnError};
 
 const PAGE: usize = 1024;
@@ -159,38 +162,46 @@ fn checkpoints_bound_the_wal() {
 
 #[test]
 fn corrupt_newest_generation_falls_back_one() {
-    let db = database();
-    let engine = db.enable_snapshots(snap_config());
-    let mut model = std::collections::HashMap::new();
+    // Rot, in turn, an image block, the directory block and the manifest
+    // of the newest generation: each costs exactly one generation.
+    for victim in ["image", "directory", "manifest"] {
+        let db = database();
+        let engine = db.enable_snapshots(snap_config());
+        let store = engine.store();
+        let mut model = std::collections::HashMap::new();
 
-    write_all(&db, &(0..30).map(|k| (k, k as u8)).collect::<Vec<_>>());
-    (0..30u64).for_each(|k| {
-        model.insert(k, k as u8);
-    });
-    db.checkpoint().unwrap();
+        write_all(&db, &(0..30).map(|k| (k, k as u8)).collect::<Vec<_>>());
+        (0..30u64).for_each(|k| {
+            model.insert(k, k as u8);
+        });
+        db.checkpoint().unwrap();
 
-    // Generation 2 supersedes key 9 — then rots on disk.
-    write_all(&db, &[(9, 0xF9)]);
-    model.insert(9, 0xF9);
-    db.checkpoint().unwrap();
-    let g2 = engine.store().entry(2).unwrap();
-    let garbage = vec![0xEEu8; PAGE + 48];
-    engine
-        .store()
-        .device()
-        .write_page(g2.start, &garbage)
-        .unwrap();
-    engine.store().device().sync().unwrap();
+        // Generation 2 supersedes key 9 — then rots on disk.
+        write_all(&db, &[(9, 0xF9)]);
+        model.insert(9, 0xF9);
+        db.checkpoint().unwrap();
+        let block = match victim {
+            "image" => store.directory(2).unwrap()[0].1,
+            "directory" => {
+                let manifest = store.load(2, |_, _| {}, |_, _| {}).unwrap();
+                *manifest.meta_blocks.last().unwrap()
+            }
+            _ => store.entry(2).unwrap().manifest,
+        };
+        store.device().write_page(block, &[0xEE; PAGE]).unwrap();
+        store.device().sync().unwrap();
 
-    db.simulate_crash();
-    let stats = db.recover().unwrap();
-    assert_eq!(
-        stats.snapshot_generation, 1,
-        "fell back past the corrupt generation"
-    );
-    // Generation 1's fence predates the key-9 update, and the WAL was
-    // only truncated to generation 1's fence — the tail still carries it.
-    assert_contents(&db, &model, 32);
+        db.simulate_crash();
+        let stats = db.recover().unwrap();
+        assert_eq!(
+            stats.snapshot_generation, 1,
+            "{victim}: fell back past the corrupt generation"
+        );
+        store.check().unwrap();
+        // Generation 1's fence predates the key-9 update, and the WAL was
+        // only truncated to generation 1's fence — the tail still carries it.
+        assert_contents(&db, &model, 32);
+    }
 }
 
 #[test]
@@ -224,7 +235,7 @@ fn engineless_checkpoint_attaches_the_default_engine() {
 
     let stats = db.checkpoint().unwrap();
     assert_eq!(stats.generation, 1);
-    assert!(stats.full, "the first generation is a chain base");
+    assert!(stats.full, "the first generation is a full one");
     assert_eq!(db.snapshot_engine().unwrap().generation(), 1);
 
     write_all(&db, &[(2, 2)]);
@@ -249,7 +260,7 @@ fn crash_drops_uninstalled_snapshot_blocks() {
     model.insert(4, 0xD4);
     let installed_bytes = engine.store().used_bytes();
 
-    // A checkpoint that loses power mid-stream: blocks appended, never
+    // A checkpoint that loses power mid-stream: blocks written, never
     // synced, never installed.
     let mut writer = engine.store().begin(false, db.wal().current_lsn());
     writer.page_image(0, &[0xEE; PAGE]).unwrap();
@@ -326,7 +337,7 @@ fn snapshot_recovery_work_is_flat_across_a_size_sweep() {
         assert_eq!(replay.redone as u64, keys * (1 + UPDATES));
 
         // Checkpoints every CKPT_EVERY transactions: recovery installs a
-        // bounded delta chain and redoes at most one interval's tail —
+        // bounded set of page images and redoes at most one interval's tail —
         // under half of full replay even at 1× — and the live WAL holds
         // at most the two newest intervals.
         let (snap, wal_bytes) = crash_after_history(keys, true);
@@ -426,4 +437,294 @@ fn loser_tail_transactions_are_undone_on_instant_restart() {
     assert_eq!(stats.snapshot_generation, 1);
     assert_eq!(stats.losers, 1);
     assert_contents(&db, &model, 32);
+}
+
+/// Rewrite every key with `byte` and checkpoint, `rounds` times: the
+/// steady state, in which every checkpoint finds every page dirty.
+fn rewrite_and_checkpoint(
+    db: &Database,
+    model: &mut std::collections::HashMap<u64, u8>,
+    keys: u64,
+    rounds: std::ops::Range<u8>,
+) {
+    for round in rounds {
+        write_all(db, &(0..keys).map(|k| (k, round)).collect::<Vec<_>>());
+        (0..keys).for_each(|k| {
+            model.insert(k, round);
+        });
+        db.vacuum().unwrap();
+        db.checkpoint().unwrap();
+    }
+}
+
+/// Fails the superblock write (store page 0) and nothing else.
+fn superblock_write_fails() -> FaultRule {
+    FaultRule::any(Trigger::Always, FaultKind::Fatal)
+        .on_op(FaultOp::Write)
+        .in_range(0, PAGE as u64)
+}
+
+#[test]
+fn interrupted_and_torn_reuse_leave_both_retained_generations_intact() {
+    let steady = SnapshotConfig {
+        full_every: 8,
+        ..SnapshotConfig::default()
+    };
+    for scenario in ["power-loss", "torn-uninstalled", "torn-installed"] {
+        let db = database();
+        let engine = db.enable_snapshots(steady.clone());
+        let store = engine.store();
+        let mut model = std::collections::HashMap::new();
+        rewrite_and_checkpoint(&db, &mut model, 40, 0..4);
+        assert_eq!(engine.generation(), 4);
+        let free = store.free_blocks();
+        assert!(free >= 4, "{scenario}: generation 2's blocks are reusable");
+        let used = store.used_bytes();
+
+        // Tail past generation 4's fence, dirtying every page again.
+        write_all(&db, &(0..40).map(|k| (k, 0xA0)).collect::<Vec<_>>());
+        (0..40u64).for_each(|k| {
+            model.insert(k, 0xA0);
+        });
+
+        let recovered_from = match scenario {
+            "power-loss" => {
+                // The writer overwrites reused blocks, the device makes
+                // them durable, and power fails before the install.
+                let mut writer = store.begin(false, db.wal().current_lsn());
+                for pid in 0..4u64 {
+                    writer.page_image(pid, &[0xEE; PAGE]).unwrap();
+                }
+                store.device().sync().unwrap();
+                drop(writer);
+                4
+            }
+            torn => {
+                // The second block the checkpoint writes tears silently
+                // (a `Truncate` outcome on a reused block). Either the
+                // install then fails, or it goes through and generation 5
+                // carries an image that cannot pass its directory CRC.
+                let mut plan = FaultPlan::new(11);
+                if torn == "torn-uninstalled" {
+                    plan = plan.rule(superblock_write_fails());
+                }
+                let plan = plan.rule(
+                    FaultRule::any(Trigger::NthOp(2), FaultKind::TornWrite).on_op(FaultOp::Write),
+                );
+                let injector = Arc::new(FaultInjector::new(plan));
+                db.set_snapshot_fault_injector(Some(Arc::clone(&injector)));
+                let outcome = db.checkpoint();
+                db.set_snapshot_fault_injector(None);
+                assert_eq!(injector.stats().torn, 1);
+                assert_eq!(outcome.is_ok(), torn == "torn-installed");
+                4
+            }
+        };
+        assert_eq!(
+            store.used_bytes(),
+            used,
+            "{scenario}: only free blocks were written"
+        );
+
+        db.simulate_crash();
+        let stats = db.recover().unwrap();
+        store.check().unwrap();
+        assert_eq!(stats.snapshot_generation, recovered_from, "{scenario}");
+        assert!(store.validate(4).unwrap(), "{scenario}");
+        if scenario == "torn-installed" {
+            assert!(
+                store.validate(3).is_ok_and(|v| !v),
+                "{scenario}: 3 was retired"
+            );
+            assert!(!store.validate(5).unwrap(), "{scenario}: 5 is torn");
+        } else {
+            assert!(store.validate(3).unwrap(), "{scenario}");
+        }
+        assert_contents(&db, &model, 48);
+
+        // And the store carries on from there.
+        rewrite_and_checkpoint(&db, &mut model, 40, 0xB0..0xB3);
+        store.check().unwrap();
+        db.simulate_crash();
+        db.recover().unwrap();
+        assert_contents(&db, &model, 48);
+    }
+}
+
+#[test]
+fn failed_superblock_write_forgets_nothing() {
+    let db = database();
+    let engine = db.enable_snapshots(SnapshotConfig {
+        full_every: 8,
+        ..SnapshotConfig::default()
+    });
+    let store = engine.store();
+    let mut model = std::collections::HashMap::new();
+    rewrite_and_checkpoint(&db, &mut model, 40, 0..4);
+    write_all(&db, &[(7, 0xC7)]);
+    model.insert(7, 0xC7);
+
+    let before = (store.generations(), store.free_blocks(), store.used_bytes());
+    let plan = FaultPlan::new(3).rule(superblock_write_fails());
+    db.set_snapshot_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+    assert!(db.checkpoint().is_err());
+    db.set_snapshot_fault_injector(None);
+    store.check().unwrap();
+    // The generation the install would have retired is still listed, and
+    // still whole: the durable superblock names it.
+    assert_eq!(
+        (store.generations(), store.free_blocks(), store.used_bytes()),
+        before
+    );
+    assert!(store.validate(3).unwrap() && store.validate(4).unwrap());
+
+    // The next checkpoint succeeds and retires generation 3 for real.
+    let stats = db.checkpoint().unwrap();
+    assert!(!stats.full);
+    store.check().unwrap();
+    let gens: Vec<u64> = store.generations().iter().map(|g| g.generation).collect();
+    assert_eq!(gens, vec![4, stats.generation]);
+    assert!(store.validate(4).unwrap(), "the fallback generation");
+    db.simulate_crash();
+    assert_eq!(db.recover().unwrap().snapshot_generation, stats.generation);
+    assert_contents(&db, &model, 48);
+}
+
+/// One deterministic steady-state run on 16 KB pages (the device's
+/// transfer unit, so a block charged as two would show): a fixed working
+/// set rewritten, vacuumed and checkpointed `rounds` times at
+/// `full_every = 8`, then a crash. Returns every number observed, for the
+/// run-twice equality, after asserting the per-round invariants.
+fn steady_state_run(rounds: u8) -> Vec<u64> {
+    const PAGE16: usize = 16 * 1024;
+    const KEYS: u64 = 400;
+    const BIG: usize = 1000;
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE16)
+        .dram_capacity(32 * PAGE16)
+        .nvm_capacity(96 * (PAGE16 + 64))
+        .policy(MigrationPolicy::lazy())
+        .persistence(PersistenceTracking::Full)
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    let bm = Arc::new(BufferManager::new(config).unwrap());
+    let db = Database::create(Arc::clone(&bm), DbConfig::default()).unwrap();
+    db.create_table(T, BIG).unwrap();
+    let engine = db.enable_snapshots(SnapshotConfig {
+        full_every: 8,
+        ..SnapshotConfig::default()
+    });
+    let store = engine.store();
+    let unit = DeviceProfile::optane_ssd().effective_transfer(PAGE16) as u64;
+    assert_eq!(unit, PAGE16 as u64);
+    let payload = PAGE16 - BLOCK_HEADER;
+
+    let mut seen = Vec::new();
+    let mut appended = vec![0u64]; // log-file pages appended, per round
+    let mut used_at_4 = 0;
+    let mut most_images = 0;
+    for round in 0..rounds {
+        let log_before = db.wal().file_stats().snapshot().write_ops;
+        rewrite_big(&db, KEYS, BIG, |k| round ^ k as u8);
+        db.vacuum().unwrap();
+        let before = store.stats();
+        let stats = db.checkpoint().unwrap();
+        let wrote = store.stats().delta(&before);
+        appended.push(db.wal().file_stats().snapshot().write_ops - log_before);
+
+        // The log file holds at most the two newest intervals.
+        let two_intervals: u64 = appended.iter().rev().take(2).sum();
+        assert!(
+            db.wal().file_pages() as u64 <= two_intervals,
+            "round {round}: {} log pages live, two intervals are {two_intervals}",
+            db.wal().file_pages()
+        );
+
+        // Every block — image or metadata — is one device page, written
+        // once: images + index runs + directory + manifest + superblock.
+        let images = if stats.full { 0 } else { stats.pages as u64 };
+        let index_runs = stats.index_entries.div_ceil(payload / 16) as u64;
+        let directory = store.directory_pages().div_ceil(payload / DIRECTORY_ENTRY) as u64;
+        assert_eq!(stats.full, round % 8 == 0);
+        assert_eq!(
+            wrote.write_ops,
+            images + index_runs + directory + 1 + 1,
+            "round {round}"
+        );
+        assert_eq!(wrote.bytes_written, wrote.write_ops * unit, "round {round}");
+        assert!(store.directory_pages() as u64 <= bm.page_count());
+        store.check().unwrap();
+
+        most_images = most_images.max(images + index_runs + directory + 1);
+        if round == 3 {
+            used_at_4 = store.used_bytes();
+        }
+        seen.extend([
+            stats.pages as u64,
+            wrote.write_ops,
+            store.used_bytes(),
+            store.free_blocks() as u64,
+            db.wal().file_pages() as u64,
+        ]);
+    }
+    if rounds > 4 {
+        // Flat from the fourth round on, at no more than three
+        // generations' worth of blocks (two retained + the writer).
+        assert_eq!(store.used_bytes(), used_at_4);
+        assert!(store.used_bytes() <= (3 * most_images + 1) * PAGE16 as u64);
+    }
+
+    // Tail, crash, recover: each dirty page is installed once, however
+    // many generations lie between the crash and the last full one.
+    rewrite_big(&db, KEYS, BIG, |_| 0x5A);
+    db.simulate_crash();
+    let recovery = db.recover().unwrap();
+    store.check().unwrap();
+    assert_eq!(recovery.snapshot_generation, u64::from(rounds));
+    assert!(
+        recovery.snapshot_pages as u64 <= bm.page_count(),
+        "{} images installed for {} pages",
+        recovery.snapshot_pages,
+        bm.page_count()
+    );
+    let txn = db.begin();
+    assert_eq!(db.read(&txn, T, KEYS - 1).unwrap(), vec![0x5A; BIG]);
+    seen.extend([recovery.snapshot_pages as u64, recovery.redone as u64]);
+    seen
+}
+
+/// Write every key once (`size`-byte tuples filled with `byte(key)`),
+/// eight keys a transaction.
+fn rewrite_big(db: &Database, keys: u64, size: usize, byte: impl Fn(u64) -> u8) {
+    for first in (0..keys).step_by(8) {
+        let mut txn = db.begin();
+        for k in first..first + 8 {
+            let value = vec![byte(k); size];
+            match db.update(&mut txn, T, k, &value) {
+                Err(TxnError::NotFound) => db.insert(&mut txn, T, k, &value).unwrap(),
+                other => other.unwrap(),
+            }
+        }
+        db.commit(&mut txn).unwrap();
+    }
+}
+
+#[test]
+fn store_and_log_reach_a_steady_state() {
+    let run = steady_state_run(24);
+    assert_eq!(run, steady_state_run(24), "counts repeat run to run");
+}
+
+#[test]
+fn recovery_installs_each_dirty_page_once_however_long_the_run_of_increments() {
+    // Crash 1 and 7 generations after the full one.
+    let near = steady_state_run(2);
+    let far = steady_state_run(8);
+    assert_eq!(near, steady_state_run(2));
+    let installed = |run: &[u64]| run[run.len() - 2];
+    assert!(installed(&near) > 0);
+    // The same working set either way: what 7 increments leave to
+    // install is what 1 does, give or take a page that was clean once.
+    assert!(installed(&far) <= installed(&near) + 2);
 }

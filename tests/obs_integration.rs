@@ -281,7 +281,10 @@ const FULL_STACK_SCHEMA: &[&str] = &[
     "shadow_commits_evict",
     "shadow_commits_flush",
     "shadow_commits_promote",
+    "snapshot_directory_pages",
     "snapshot_generation",
+    "snapshot_store_free_blocks",
+    "snapshot_store_used_bytes",
     "ssd_bytes_flushed",
     "ssd_bytes_read",
     "ssd_bytes_written",
@@ -299,6 +302,7 @@ const FULL_STACK_SCHEMA: &[&str] = &[
     "txn_aborts",
     "txn_commits",
     "wal_bytes",
+    "wal_file_pages",
 ];
 
 #[test]
