@@ -35,6 +35,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::config::MAINTENANCE_WORKERS;
 use crate::manager::BufferManager;
 
 /// What one maintenance cycle accomplished (returned by
@@ -136,9 +137,8 @@ impl Maintenance {
             st.paused = false;
             st.kicked = true; // fill to the high watermark right away
         }
-        let m = &self.bm.config().maintenance;
-        let interval = Duration::from_micros(m.interval_us.max(1));
-        for _ in 0..m.workers.max(1) {
+        let interval = Duration::from_micros(self.bm.config().maintenance.interval_us.max(1));
+        for _ in 0..MAINTENANCE_WORKERS {
             let bm = Arc::clone(&self.bm);
             let sig = Arc::clone(&self.sig);
             workers.push(std::thread::spawn(move || worker_loop(&bm, &sig, interval)));

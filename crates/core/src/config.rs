@@ -45,9 +45,6 @@ pub enum ConfigError {
     MiniPagesNeedGranule,
     /// Memory mode needs both a DRAM cache size and NVM capacity.
     BadMemoryMode,
-    /// Maintenance watermarks/batching are inconsistent (the payload names
-    /// the offending field).
-    BadMaintenance(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -83,92 +80,62 @@ impl std::fmt::Display for ConfigError {
                     "memory mode requires nonzero DRAM (cache) and NVM capacities"
                 )
             }
-            ConfigError::BadMaintenance(what) => {
-                write!(f, "bad maintenance configuration: {what}")
-            }
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// Background maintenance tuning: per-tier free-frame watermarks and
-/// write-back batching (see the [`crate::Maintenance`] handle).
-///
-/// Watermarks are *fractions of the pool's frame count* kept free. When a
-/// tier's free frames drop below `low`, maintenance workers pre-evict CLOCK
-/// victims until `high` is reached, so a fetch miss can take a frame from
-/// the free list instead of running eviction I/O inline.
-#[derive(Debug, Clone, Copy, PartialEq)]
+// Background maintenance constants: values, not options — no binary,
+// server, benchmark workload or example has a reason to set one.
+
+/// Free-frame fraction of the DRAM pool below which maintenance workers
+/// refill. When a tier's free frames drop below its *low* mark, workers
+/// pre-evict replacement victims until the *high* mark is reached, so a
+/// fetch miss takes a frame from the free list instead of running eviction
+/// I/O inline. `low` must leave enough slack to absorb an allocation burst
+/// while a worker wakes up; `high` is the refill target and bounds the
+/// standing capacity loss.
+pub(crate) const DRAM_LOW_WATERMARK: f64 = 1.0 / 8.0;
+/// Free-frame fraction the DRAM refill aims for.
+pub(crate) const DRAM_HIGH_WATERMARK: f64 = 1.0 / 4.0;
+/// NVM low mark. Proportionally slimmer than DRAM's: the pool is larger,
+/// demand per frame lower, and every standing free frame is resident
+/// capacity given up.
+pub(crate) const NVM_LOW_WATERMARK: f64 = 1.0 / 16.0;
+/// Free-frame fraction the NVM refill aims for.
+pub(crate) const NVM_HIGH_WATERMARK: f64 = 1.0 / 8.0;
+/// Max pages written back per maintenance or checkpoint-flush batch; dirty
+/// NVM victims in one batch share a single SSD sync barrier, amortizing
+/// the device cost model's per-op latency. Trades fsync amortization
+/// against how long the batch's frames stay claimed-but-unfreed.
+pub const MAINTENANCE_BATCH: usize = 4;
+/// Worker threads [`crate::Maintenance::start`] spawns: two, so a DRAM
+/// refill is never stuck behind an in-flight NVM write-back batch.
+pub(crate) const MAINTENANCE_WORKERS: usize = 2;
+
+// The relations the maintenance code relies on, checked at compile time.
+const _: () = {
+    assert!(0.0 < DRAM_LOW_WATERMARK && DRAM_LOW_WATERMARK < DRAM_HIGH_WATERMARK);
+    assert!(0.0 < NVM_LOW_WATERMARK && NVM_LOW_WATERMARK < NVM_HIGH_WATERMARK);
+    assert!(DRAM_HIGH_WATERMARK <= 0.9 && NVM_HIGH_WATERMARK <= 0.9);
+    assert!(MAINTENANCE_BATCH >= 1 && MAINTENANCE_WORKERS >= 1);
+};
+
+/// Background maintenance tuning (see the [`crate::Maintenance`] handle).
+/// The free-frame watermarks (DRAM ⅛ → ¼, NVM 1⁄16 → ⅛ of the pool), the
+/// write-back batch ([`MAINTENANCE_BATCH`]) and the worker count (2) are
+/// constants of this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintenanceConfig {
-    /// Free-frame fraction of the DRAM pool below which workers refill.
-    pub dram_low: f64,
-    /// Free-frame fraction the DRAM refill aims for (`> dram_low`).
-    pub dram_high: f64,
-    /// Free-frame fraction of the NVM pool below which workers refill.
-    pub nvm_low: f64,
-    /// Free-frame fraction the NVM refill aims for (`> nvm_low`).
-    pub nvm_high: f64,
-    /// Max pages written back per batch; dirty NVM victims in one batch
-    /// share a single SSD sync barrier, amortizing the device cost model's
-    /// per-op latency.
-    pub batch: usize,
     /// Worker wake-up period in microseconds when not kicked by a
     /// low-watermark signal.
     pub interval_us: u64,
-    /// Number of worker threads spawned by [`crate::Maintenance::start`].
-    pub workers: usize,
 }
 
 impl Default for MaintenanceConfig {
     fn default() -> Self {
-        MaintenanceConfig {
-            // The demand kick fires when free frames drop below `low`, so
-            // `low` must leave enough slack to absorb an alloc burst while
-            // a worker wakes up; `high` is the refill target and bounds
-            // the standing capacity loss.
-            dram_low: 1.0 / 8.0,
-            dram_high: 1.0 / 4.0,
-            // NVM watermarks are proportionally slimmer than DRAM's: the
-            // pool is larger, demand per frame lower, and every standing
-            // free frame is resident capacity given up.
-            nvm_low: 1.0 / 16.0,
-            nvm_high: 1.0 / 8.0,
-            // Batch size trades fsync amortization against how long the
-            // batch's frames stay claimed-but-unfreed.
-            batch: 4,
-            interval_us: 500,
-            // Two workers so a DRAM refill is never stuck behind an
-            // in-flight NVM write-back batch.
-            workers: 2,
-        }
-    }
-}
-
-impl MaintenanceConfig {
-    fn validate(&self) -> Result<(), ConfigError> {
-        for (low, high) in [
-            (self.dram_low, self.dram_high),
-            (self.nvm_low, self.nvm_high),
-        ] {
-            if !(0.0..=0.9).contains(&low) || !(0.0..=0.9).contains(&high) {
-                return Err(ConfigError::BadMaintenance(
-                    "watermarks must lie in [0, 0.9]",
-                ));
-            }
-            if low > high {
-                return Err(ConfigError::BadMaintenance(
-                    "low watermark above high watermark",
-                ));
-            }
-        }
-        if self.batch == 0 {
-            return Err(ConfigError::BadMaintenance("batch must be at least 1"));
-        }
-        if self.workers == 0 {
-            return Err(ConfigError::BadMaintenance("workers must be at least 1"));
-        }
-        Ok(())
+        MaintenanceConfig { interval_us: 500 }
     }
 }
 
@@ -202,7 +169,7 @@ pub struct BufferManagerConfig {
     pub admission_queue_capacity: Option<usize>,
     /// Seed for the policy's coin flips (reproducible experiments).
     pub seed: u64,
-    /// Background maintenance tuning (watermarks, batch size, workers).
+    /// Background maintenance tuning (the workers' wake-up period).
     pub maintenance: MaintenanceConfig,
     /// SSD backing store: the in-memory emulation (default) or a real
     /// file with direct I/O.
@@ -309,7 +276,6 @@ impl BufferManagerConfig {
         } else if self.mini_pages {
             return Err(ConfigError::MiniPagesNeedGranule);
         }
-        self.maintenance.validate()?;
         Ok(())
     }
 }
@@ -387,25 +353,9 @@ impl BufferManagerConfigBuilder {
         self
     }
 
-    /// Set the full background-maintenance tuning block.
+    /// Set the background-maintenance tuning block.
     pub fn maintenance(mut self, maintenance: MaintenanceConfig) -> Self {
         self.config.maintenance = maintenance;
-        self
-    }
-
-    /// Set both tiers' free-frame watermarks (fractions of each pool's
-    /// frame count; `low <= high`, both in `[0, 0.9]`).
-    pub fn watermarks(mut self, low: f64, high: f64) -> Self {
-        self.config.maintenance.dram_low = low;
-        self.config.maintenance.dram_high = high;
-        self.config.maintenance.nvm_low = low;
-        self.config.maintenance.nvm_high = high;
-        self
-    }
-
-    /// Set the maintenance write-back batch size (pages per SSD sync).
-    pub fn maintenance_batch(mut self, pages: usize) -> Self {
-        self.config.maintenance.batch = pages;
         self
     }
 
@@ -526,31 +476,12 @@ mod tests {
 
     #[test]
     fn maintenance_validation() {
-        assert!(BufferManagerConfig::builder()
-            .watermarks(0.1, 0.25)
-            .maintenance_batch(16)
-            .build()
-            .is_ok());
-        assert!(matches!(
-            BufferManagerConfig::builder().watermarks(0.5, 0.1).build(),
-            Err(ConfigError::BadMaintenance(_))
-        ));
-        assert!(matches!(
-            BufferManagerConfig::builder().watermarks(-0.1, 0.1).build(),
-            Err(ConfigError::BadMaintenance(_))
-        ));
-        assert!(matches!(
-            BufferManagerConfig::builder().maintenance_batch(0).build(),
-            Err(ConfigError::BadMaintenance(_))
-        ));
-        let m = MaintenanceConfig {
-            workers: 0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            BufferManagerConfig::builder().maintenance(m).build(),
-            Err(ConfigError::BadMaintenance(_))
-        ));
+        // What is left to set is a period, and any period builds; the
+        // watermark / batch / worker invariants are compile-time asserts
+        // on the constants above.
+        let m = MaintenanceConfig { interval_us: 0 };
+        let c = BufferManagerConfig::builder().maintenance(m).build();
+        assert_eq!(c.unwrap().maintenance, m);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use spitfire_sync::atomic::AtomicU64;
-use spitfire_sync::{CachePadded, PinWord};
+use spitfire_sync::{CachePadded, PinWord, VersionLatch};
 
 use crate::types::{FrameId, PageId};
 
@@ -167,6 +167,25 @@ impl PageState {
 /// (b) two descriptors allocated back-to-back never share a pin-word
 /// line. This is the ROADMAP "flat hit-path scaling" fix: before padding,
 /// unrelated hot pages could ping-pong one line between cores.
+///
+/// The content [`latch`](Self::latch) sits with the cold fields (`pid`,
+/// `ckpt_epoch`, the mutex), on neither pin-word line: a pin CAS on a hot
+/// page must not invalidate the line its optimistic readers validate
+/// against, and a latch write must not bounce the word every fetch CASes.
+/// It is not given a line of its own — its readers only load it, so a
+/// read-mostly page keeps the line shared in every core's cache, and the
+/// fields beside it are written by whoever writes the page anyway
+/// (`mark_dirty` takes the mutex under the same write latch).
+///
+/// # Identity
+///
+/// A pid's descriptor is created once, on the page's first fetch, and is
+/// never replaced while the manager runs: evictions, reloads, promotions
+/// and aborted shadow moves change its *state*, not its address. Only
+/// `simulate_crash` drops descriptors (the whole mapping table at once).
+/// The latch relies on this — whoever holds a pin on the page reaches the
+/// same latch word whichever tier the copy is in — and
+/// `descriptor_identity_survives_tier_moves` pins it.
 #[derive(Debug)]
 pub(crate) struct SharedPageDesc {
     /// The logical page this descriptor tracks.
@@ -185,6 +204,12 @@ pub(crate) struct SharedPageDesc {
     /// lets `mark_dirty` skip the shared dirty-set mutex for repeat writes
     /// within one epoch. `u64::MAX` = never recorded.
     pub ckpt_epoch: AtomicU64,
+    /// Optimistic latch over the page's *content*, for whoever structures
+    /// it (the B+tree's lock coupling). The buffer manager never takes it:
+    /// it only keeps it where a pin on the page finds it, so it follows
+    /// the page across DRAM / NVM / SSD. Reached through
+    /// [`PageGuard::latch`](crate::PageGuard::latch).
+    pub latch: VersionLatch,
 }
 
 impl SharedPageDesc {
@@ -197,6 +222,7 @@ impl SharedPageDesc {
             dram_pin: CachePadded::new(PinWord::new()),
             nvm_pin: CachePadded::new(PinWord::new()),
             ckpt_epoch: AtomicU64::new(u64::MAX),
+            latch: VersionLatch::new(),
         }
     }
 
@@ -257,5 +283,9 @@ mod tests {
         assert_eq!(a % spitfire_sync::CACHE_LINE, 0);
         assert_eq!(b % spitfire_sync::CACHE_LINE, 0);
         assert!(a.abs_diff(b) >= spitfire_sync::CACHE_LINE);
+        // The content latch shares a line with neither.
+        let latch = std::ptr::addr_of!(d.latch) as usize / spitfire_sync::CACHE_LINE;
+        assert_ne!(latch, a / spitfire_sync::CACHE_LINE);
+        assert_ne!(latch, b / spitfire_sync::CACHE_LINE);
     }
 }

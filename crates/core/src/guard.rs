@@ -7,6 +7,7 @@
 //! instead of DRAM latency.
 
 use spitfire_device::AccessPattern;
+use spitfire_sync::VersionLatch;
 
 use crate::manager::BufferManager;
 use crate::types::{FrameId, PageId, Tier};
@@ -132,6 +133,23 @@ impl<'a> PageGuard<'a> {
     /// Page size in bytes (content addressable through this guard).
     pub fn page_size(&self) -> usize {
         self.bm.page_size()
+    }
+
+    /// Run `f` on the page's content latch: one optimistic
+    /// [`VersionLatch`] per page, kept in the page's descriptor, so every
+    /// guard on the page — on whichever tier its copy sits, before and
+    /// after any migration — reaches the same word. The buffer manager
+    /// never takes it; it is for whoever structures the page's bytes (the
+    /// B+tree couples these down a descent).
+    ///
+    /// The descriptor is resolved the way this guard's writes and its drop
+    /// resolve it: from the per-thread cache the fetch filled, no lock and
+    /// no reference count, with the mapping table as the fallback when the
+    /// slot was stolen. `f` must not fetch a page. `None` means the
+    /// descriptor is gone — `simulate_crash` ran under this guard, and the
+    /// latch state died with every other volatile structure.
+    pub fn latch<R>(&self, f: impl FnOnce(&VersionLatch) -> R) -> Option<R> {
+        self.bm.with_desc(self.pid, |desc| f(&desc.latch))
     }
 }
 

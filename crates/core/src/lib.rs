@@ -45,13 +45,13 @@
 //!     .nvm_capacity(64 * 4096)
 //!     .policy(MigrationPolicy::lazy())
 //!     .time_scale(TimeScale::ZERO) // no emulated delays in doc tests
-//!     .watermarks(1.0 / 16.0, 1.0 / 8.0) // per-tier free-frame targets
 //!     .build()
 //!     .unwrap();
 //! let bm = Arc::new(BufferManager::new(config).unwrap());
 //!
-//! // Background maintenance: pre-evicts CLOCK victims and batches dirty
-//! // write-backs so a fetch miss is a free-list pop, not inline I/O.
+//! // Background maintenance: pre-evicts CLOCK victims (fixed free-frame
+//! // watermarks per tier) and batches dirty write-backs so a fetch miss
+//! // is a free-list pop, not inline I/O.
 //! let maintenance = bm.maintenance();
 //! maintenance.start();
 //!
@@ -81,6 +81,9 @@
 //! ## Module map
 //!
 //! * [`manager`] / [`BufferManager`] — fetch, migration, eviction (§5).
+//!   Every page's descriptor also carries one optimistic content latch,
+//!   reached through a pin ([`PageGuard::latch`]); the manager never takes
+//!   it — the B+tree in `spitfire-index` couples them down a descent.
 //! * [`background`] / [`Maintenance`] — watermark pre-eviction and batched
 //!   write-back off the miss path.
 //! * [`policy`] — the ⟨D_r, D_w, N_r, N_w⟩ taxonomy (§3) and presets
@@ -112,6 +115,7 @@ mod types;
 pub use background::{CycleStats, Maintenance};
 pub use config::{
     BufferManagerConfig, BufferManagerConfigBuilder, ConfigError, Hierarchy, MaintenanceConfig,
+    MAINTENANCE_BATCH,
 };
 pub use error::BufferError;
 pub use guard::{PageGuard, ReadGuard, WriteGuard};

@@ -12,6 +12,7 @@ use spitfire_sync::atomic::Ordering;
 use super::maintain::watermark_frames;
 use super::shadow::{Claim, ShadowEnd};
 use super::{with_page_buf, BufferManager};
+use crate::config::{DRAM_LOW_WATERMARK, NVM_LOW_WATERMARK};
 use crate::descriptor::{CopyState, FrameRef, PageState, SharedPageDesc};
 use crate::error::BufferError;
 use crate::io::{retry_device_io, retry_device_io_n, IO_RETRY_LIMIT, MAINT_RETRY_LIMIT};
@@ -39,8 +40,11 @@ impl BufferManager {
         // both paths are correct on their own.
         if self.maint_active.load(Ordering::Relaxed) {
             if let Some(f) = pool.try_alloc() {
-                let m = &self.config.maintenance;
-                let low = if dram { m.dram_low } else { m.nvm_low };
+                let low = if dram {
+                    DRAM_LOW_WATERMARK
+                } else {
+                    NVM_LOW_WATERMARK
+                };
                 if pool.free_frames() < watermark_frames(pool.n_frames(), low) {
                     self.kick_maintenance();
                 }

@@ -225,7 +225,7 @@ impl BufferManager {
     /// no notification is needed.
     pub(crate) fn unpin_fast(&self, pid: PageId, in_dram_slot: bool) {
         let cached = self.with_cached_desc(pid, |desc| desc.pin_word(in_dram_slot).unpin());
-        if cached.is_none() {
+        if cached.is_err() {
             self.unpin_cold(pid, in_dram_slot);
         }
     }
@@ -235,20 +235,21 @@ impl BufferManager {
     /// last stolen, so a guard's writes and its drop resolve the
     /// descriptor here instead of probing the mapping table again. The
     /// probe itself takes no lock; `f` runs with the cache borrowed and
-    /// must not fetch.
-    pub(crate) fn with_cached_desc<R>(
+    /// must not fetch. On a miss `f` comes back unrun, for the caller's
+    /// fallback.
+    pub(crate) fn with_cached_desc<R, F: FnOnce(&SharedPageDesc) -> R>(
         &self,
         pid: PageId,
-        f: impl FnOnce(&SharedPageDesc) -> R,
-    ) -> Option<R> {
+        f: F,
+    ) -> std::result::Result<R, F> {
         let epoch = self.cache_epoch.load(Ordering::Acquire);
         DESC_CACHE.with(|cache| {
             let cache = cache.borrow();
             match &cache[(pid.0 as usize) & (DESC_CACHE_SLOTS - 1)] {
                 Some(c) if c.mgr == self.mgr_id && c.epoch == epoch && c.pid == pid.0 => {
-                    Some(f(&c.desc))
+                    Ok(f(&c.desc))
                 }
-                _ => None,
+                _ => Err(f),
             }
         })
     }

@@ -9,6 +9,10 @@ use spitfire_sync::atomic::Ordering;
 use super::evict::ClaimedNvm;
 use super::BufferManager;
 use crate::background::{CycleStats, MaintSignal, Maintenance};
+use crate::config::{
+    DRAM_HIGH_WATERMARK, DRAM_LOW_WATERMARK, MAINTENANCE_BATCH, NVM_HIGH_WATERMARK,
+    NVM_LOW_WATERMARK,
+};
 use crate::pool::Pool;
 use crate::types::FrameId;
 
@@ -39,13 +43,18 @@ impl BufferManager {
     /// maintenance is not keeping up and fetches are about to run eviction
     /// I/O inline.
     pub fn pressure(&self) -> MemoryPressure {
-        let m = &self.config.maintenance;
         let (dram_free, dram_low) = match &self.tier1 {
-            Some(p) => (p.free_frames(), watermark_frames(p.n_frames(), m.dram_low)),
+            Some(p) => (
+                p.free_frames(),
+                watermark_frames(p.n_frames(), DRAM_LOW_WATERMARK),
+            ),
             None => (0, 0),
         };
         let (nvm_free, nvm_low) = match &self.nvm {
-            Some(p) => (p.free_frames(), watermark_frames(p.n_frames(), m.nvm_low)),
+            Some(p) => (
+                p.free_frames(),
+                watermark_frames(p.n_frames(), NVM_LOW_WATERMARK),
+            ),
             None => (0, 0),
         };
         MemoryPressure {
@@ -93,16 +102,15 @@ impl BufferManager {
     /// and aborts when `simulate_crash` invalidates it mid-cycle.
     pub(crate) fn maintenance_cycle(&self) -> CycleStats {
         let epoch0 = self.cache_epoch.load(Ordering::Acquire);
-        let m = &self.config.maintenance;
         let mut stats = CycleStats::default();
         self.metrics.record_maint_cycle();
         if let Some(pool) = &self.tier1 {
-            let target = watermark_frames(pool.n_frames(), m.dram_high);
+            let target = watermark_frames(pool.n_frames(), DRAM_HIGH_WATERMARK);
             stats.freed_dram = self.refill_dram(pool, target, epoch0);
         }
         if let Some(pool) = &self.nvm {
-            let target = watermark_frames(pool.n_frames(), m.nvm_high);
-            let (freed, wrote) = self.refill_nvm(pool, target, m.batch.max(1), epoch0);
+            let target = watermark_frames(pool.n_frames(), NVM_HIGH_WATERMARK);
+            let (freed, wrote) = self.refill_nvm(pool, target, MAINTENANCE_BATCH, epoch0);
             stats.freed_nvm = freed;
             stats.nvm_writebacks = wrote;
         }

@@ -391,16 +391,24 @@ impl BufferManager {
         desc.cond.notify_all();
     }
 
-    /// Mark the pinned copy dirty (guard write). The descriptor comes from
-    /// the per-thread cache the guard's fetch filled, as it does for the
-    /// guard's drop; the mapping table is the fallback for a stolen slot.
-    pub(crate) fn mark_dirty(&self, pid: PageId, in_dram_slot: bool) {
-        let cached = self.with_cached_desc(pid, |desc| self.mark_desc_dirty(desc, in_dram_slot));
-        if cached.is_none() {
-            if let Some(desc) = self.mapping.get(&pid.0) {
-                self.mark_desc_dirty(&desc, in_dram_slot);
-            }
+    /// Run `f` on the descriptor of a page the caller holds pinned: from
+    /// the per-thread cache the guard's fetch filled, as for the guard's
+    /// drop, with the mapping table as the fallback for a stolen slot.
+    /// `None` when the descriptor died in a crash. `f` must not fetch.
+    pub(crate) fn with_desc<R>(
+        &self,
+        pid: PageId,
+        f: impl FnOnce(&SharedPageDesc) -> R,
+    ) -> Option<R> {
+        match self.with_cached_desc(pid, f) {
+            Ok(r) => Some(r),
+            Err(f) => self.mapping.get(&pid.0).map(|desc| f(&desc)),
         }
+    }
+
+    /// Mark the pinned copy dirty (guard write).
+    pub(crate) fn mark_dirty(&self, pid: PageId, in_dram_slot: bool) {
+        self.with_desc(pid, |desc| self.mark_desc_dirty(desc, in_dram_slot));
     }
 
     fn mark_desc_dirty(&self, desc: &SharedPageDesc, in_dram_slot: bool) {

@@ -655,6 +655,56 @@ mod tests {
         }
     }
 
+    /// The invariant `SharedPageDesc`'s latch rests on (`descriptor.rs`,
+    /// "Identity"): a pid keeps one descriptor through eviction, reload
+    /// and an aborted shadow move, and loses it only to a crash.
+    #[test]
+    fn descriptor_identity_survives_tier_moves() {
+        let bm = manager();
+        let pid = bm.allocate_page().unwrap();
+        let desc = bm.descriptor(pid).unwrap();
+        let same = |when: &str| {
+            let now = bm.mapping.get(&pid.0).expect(when);
+            assert!(Arc::ptr_eq(&now, &desc), "descriptor replaced {when}");
+        };
+        // Load, then churn both pools (8 + 8 frames) until the page is out.
+        bm.fetch_write(pid).unwrap().write_u64(0, 7).unwrap();
+        same("after the load");
+        for _ in 0..40 {
+            let other = bm.allocate_page().unwrap();
+            bm.fetch_write(other).unwrap().write_u64(0, 1).unwrap();
+        }
+        {
+            let st = desc.state.lock();
+            assert!(st.dram.is_none() && st.nvm.is_none(), "evicted to SSD");
+        }
+        same("after the eviction");
+        assert_eq!(bm.fetch_read(pid).unwrap().read_u64(0).unwrap(), 7);
+        same("after the reload");
+        // An aborted shadow move (a write raced its copy window).
+        let (dram, src) = {
+            let st = desc.state.lock();
+            match (&st.dram, &st.nvm) {
+                (Some(CopyState::Resident { frame, .. }), _) => (true, frame.frame()),
+                (None, Some(CopyState::Resident { frame, .. })) => (false, frame.frame()),
+                other => panic!("reloaded page is resident somewhere: {other:?}"),
+            }
+        };
+        let claim = {
+            let mut st = desc.state.lock();
+            BufferManager::shadow_claim(&desc, &mut st, dram, src, None).unwrap()
+        };
+        desc.pin_word(dram).bump_version();
+        assert!(!bm.shadow_finish(&desc, claim, ShadowEnd::Flush, true));
+        same("after the shadow abort");
+        // Only a crash drops it; the page's next fetch builds a new one.
+        bm.simulate_crash();
+        assert!(bm.mapping.get(&pid.0).is_none());
+        drop(bm.fetch_read(pid).unwrap());
+        let rebuilt = bm.mapping.get(&pid.0).unwrap();
+        assert!(!Arc::ptr_eq(&rebuilt, &desc));
+    }
+
     #[test]
     fn closed_nvm_word_declines_the_claim() {
         // A DRAM copy shadows the NVM copy: its word is closed, and the

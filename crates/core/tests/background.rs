@@ -71,7 +71,6 @@ fn backpressure_fallback_when_workers_stalled() {
     // deterministic.
     let maint = MaintenanceConfig {
         interval_us: 60_000_000,
-        ..MaintenanceConfig::default()
     };
     // Eager D_w routes writes through DRAM and N_w admits evicted dirty
     // pages to NVM: after the fill below, both pools are full of dirty
@@ -123,11 +122,7 @@ fn backpressure_fallback_when_workers_stalled() {
 /// post-recovery state is consistent.
 #[test]
 fn maintenance_parks_across_crash() {
-    let maint = MaintenanceConfig {
-        interval_us: 200,
-        workers: 2,
-        ..MaintenanceConfig::default()
-    };
+    let maint = MaintenanceConfig { interval_us: 200 };
     let bm = manager(maint, MigrationPolicy::lazy());
     let maintenance = bm.maintenance();
     maintenance.start();
@@ -169,11 +164,7 @@ fn maintenance_parks_across_crash() {
 /// its own writes and the manager must be quiescent afterwards.
 #[test]
 fn fetch_storm_races_maintenance_workers() {
-    let maint = MaintenanceConfig {
-        interval_us: 50,
-        workers: 2,
-        ..MaintenanceConfig::default()
-    };
+    let maint = MaintenanceConfig { interval_us: 50 };
     let bm = manager(maint, MigrationPolicy::lazy());
     let maintenance = bm.maintenance();
     maintenance.start();

@@ -140,6 +140,58 @@ fn upgrade_on_nvm_flips_dw_once_before_the_write() {
     bm.assert_quiescent();
 }
 
+/// The content latch lives in the page's descriptor, so it follows the
+/// page: write-latched while the only copy is on NVM, it is still locked —
+/// for any handle, on any thread — after the page was promoted to DRAM
+/// and evicted back, and its version carries on from where it was.
+#[test]
+fn content_latch_follows_the_page_across_tiers() {
+    let (bm, pid) = nvm_resident(4, 0.0);
+    let guard = bm.fetch(pid, AccessIntent::Write).unwrap();
+    assert_eq!(guard.tier(), Tier::Nvm);
+    let v0 = guard.latch(|l| l.read_lock().unwrap()).unwrap();
+    guard.latch(|l| l.upgrade(v0).unwrap()).unwrap();
+    drop(guard); // the pin goes, the latch stays locked
+
+    // Promote: D_w = 1 moves the page to DRAM on the next write fetch.
+    bm.admin()
+        .set_policy(MigrationPolicy::new(0.0, 1.0, 1.0, 1.0));
+    let guard = bm.fetch(pid, AccessIntent::Write).unwrap();
+    assert_eq!(guard.tier(), Tier::Dram);
+    assert_eq!(bm.metrics().path(MigrationPath::NvmToDram), 1);
+    assert!(guard.latch(|l| l.read_lock().is_err()).unwrap());
+    drop(guard);
+
+    // Evict it back: twelve more write fetches through four DRAM frames.
+    for _ in 0..12 {
+        let other = bm.allocate_page().unwrap();
+        drop(bm.fetch(other, AccessIntent::Write).unwrap());
+    }
+    bm.admin()
+        .set_policy(MigrationPolicy::new(0.0, 0.0, 1.0, 1.0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let second = bm.fetch(pid, AccessIntent::Read).unwrap();
+            assert_eq!(second.tier(), Tier::Nvm, "back on NVM only");
+            assert_eq!(second.latch(|l| l.is_locked()), Some(true));
+            assert!(second.latch(|l| l.read_lock().is_err()).unwrap());
+            // Whoever holds a pin can release it; the version moved on by
+            // exactly this one write.
+            second.latch(|l| l.write_unlock()).unwrap();
+            let v1 = second.latch(|l| l.read_lock().unwrap()).unwrap();
+            assert!(v1 > v0);
+            assert!(second.latch(|l| l.upgrade(v0).is_err()).unwrap());
+        });
+    });
+    bm.assert_quiescent();
+
+    // A guard that outlives a crash finds no descriptor: nothing to
+    // unlock, like its unpin.
+    let guard = bm.fetch(pid, AccessIntent::Read).unwrap();
+    bm.simulate_crash();
+    assert_eq!(guard.latch(|l| l.is_locked()), None);
+}
+
 #[test]
 fn upgrade_draws_nothing_where_nothing_can_move() {
     // A DRAM-resident copy, and an NVM copy with no DRAM tier above it:

@@ -10,9 +10,18 @@
 //!   page;
 //! * readers descend optimistically, validating per-node version latches
 //!   ([`spitfire_sync::VersionLatch`]) instead of taking shared locks;
+//! * a node's latch is its page's: the buffer manager keeps it in the
+//!   page's descriptor and hands it out through the pin
+//!   ([`spitfire_core::PageGuard::latch`]), so it follows the node across
+//!   tiers and the tree holds no per-page state — no side table, no hash
+//!   order, no reference counts on the way down (`cargo xtask lint` rule
+//!   `index-state` keeps it that way);
+//! * there is one optimistic descent and one bounded, counted restart
+//!   loop ([`BTree::restarts`]); every operation is built on them;
 //! * writers take a write latch only on the leaf they modify; structural
 //!   changes (splits) restart the descent pessimistically, splitting full
-//!   nodes top-down while never holding more than two write latches.
+//!   nodes top-down while never holding more than two write latches and
+//!   fetching each level once.
 //!
 //! Keys and values are `u64` — the workloads in `spitfire-wkld` map YCSB
 //! primary keys and TPC-C composite keys onto `u64` and store tuple

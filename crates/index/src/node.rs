@@ -46,6 +46,7 @@
 use std::cmp::Ordering;
 
 use spitfire_core::{PageGuard, PageId};
+use spitfire_sync::VersionLatch;
 
 use crate::Result;
 
@@ -167,6 +168,17 @@ impl<'a> Node<'a> {
     /// Maximum number of keys a node holds.
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The page this node lives on.
+    pub(crate) fn page_id(&self) -> PageId {
+        self.guard.page_id()
+    }
+
+    /// Run `f` on the node's version latch — its page's latch, reached
+    /// through the pin ([`PageGuard::latch`]).
+    pub(crate) fn latch<R>(&self, f: impl FnOnce(&VersionLatch) -> R) -> Option<R> {
+        self.guard.latch(f)
     }
 
     fn offset(i: usize) -> usize {

@@ -5,6 +5,16 @@
 //! re-validates. Writers bump the version, forcing concurrent readers to
 //! restart (Leis et al., the paper's \[24\]).
 //!
+//! A node's latch is its page's latch: the buffer manager keeps one
+//! [`VersionLatch`] in every page's descriptor and hands it out through
+//! the pin ([`spitfire_core::PageGuard::latch`]), so whoever fetched a
+//! node already holds the way to its latch — the tree keeps no state per
+//! page, and the latch stays with the node whichever tier it sits in.
+//!
+//! There is one way down ([`BTree::descend`]) and one restart loop
+//! ([`BTree::retry`]); `get`, `remove`, the optimistic insert and a scan's
+//! first leaf are built on them.
+//!
 //! Inserts use the optimistic path while the target leaf has room. When a
 //! split is needed they fall back to a pessimistic top-down descent that
 //! holds at most two write latches (parent + child) and splits every full
@@ -13,11 +23,13 @@
 //! since splits are amortized-rare this serialization is invisible in the
 //! workloads.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use spitfire_core::{AccessIntent, BufferError, BufferManager, PageId};
-use spitfire_sync::{ConcurrentMap, VersionLatch};
+use spitfire_sync::atomic::{AtomicU64, Ordering};
+use spitfire_sync::VersionLatch;
 
 use crate::node::{capacity_for, Found, Header, Node, NodeTag, NO_SIBLING};
 use crate::Result;
@@ -80,15 +92,48 @@ enum Attempt<T> {
     Restart,
 }
 
+/// Validate an optimistic read of `node` begun at `version`.
+fn validate(node: &Node<'_>, version: u64) -> bool {
+    node.latch(|l| l.read_unlock(version).is_ok()) == Some(true)
+}
+
+/// A write-latched node: unlocks (bumping the version), then unpins, on
+/// drop — so a transient buffer error (`?`) cannot leak a locked latch and
+/// livelock the subtree.
+struct Held<'a>(Node<'a>);
+
+impl<'a> Deref for Held<'a> {
+    type Target = Node<'a>;
+
+    fn deref(&self) -> &Node<'a> {
+        &self.0
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.0.latch(VersionLatch::write_unlock);
+    }
+}
+
 /// A concurrent B+Tree mapping `u64` keys to `u64` values, stored in
 /// buffer-managed pages.
 pub struct BTree {
     bm: Arc<BufferManager>,
     root: RwLock<PageId>,
-    latches: ConcurrentMap<u64, Arc<VersionLatch>>,
+    /// Optimistic attempts that had to start over.
+    restarts: AtomicU64,
 }
 
 impl BTree {
+    fn with_root(bm: Arc<BufferManager>, root: PageId) -> Self {
+        BTree {
+            bm,
+            root: RwLock::new(root),
+            restarts: AtomicU64::new(0),
+        }
+    }
+
     /// Create an empty tree (allocates the root leaf).
     pub fn new(bm: Arc<BufferManager>) -> Result<Self> {
         let root = bm.allocate_page()?;
@@ -96,20 +141,12 @@ impl BTree {
             let guard = bm.fetch(root, AccessIntent::Write)?;
             Node::new(guard).init(NodeTag::Leaf, NO_SIBLING, &[])?;
         }
-        Ok(BTree {
-            bm,
-            root: RwLock::new(root),
-            latches: ConcurrentMap::new(),
-        })
+        Ok(Self::with_root(bm, root))
     }
 
     /// Re-open a tree whose root page is already known (after recovery).
     pub fn open(bm: Arc<BufferManager>, root: PageId) -> Self {
-        BTree {
-            bm,
-            root: RwLock::new(root),
-            latches: ConcurrentMap::new(),
-        }
+        Self::with_root(bm, root)
     }
 
     /// Build a tree in one pass from sorted, strictly-ascending
@@ -158,11 +195,8 @@ impl BTree {
             }
             level = next;
         }
-        Ok(BTree {
-            bm,
-            root: RwLock::new(level[0].1),
-            latches: ConcurrentMap::new(),
-        })
+        let root = level[0].1;
+        Ok(Self::with_root(bm, root))
     }
 
     /// The current root page id (persist this to reopen the tree).
@@ -175,265 +209,213 @@ impl BTree {
         &self.bm
     }
 
-    fn latch(&self, pid: PageId) -> Arc<VersionLatch> {
-        self.latches
-            .get_or_insert_with(pid.0, || Arc::new(VersionLatch::new()))
+    /// Optimistic attempts that restarted since the tree was built — every
+    /// operation's, summed. A healthy tree restarts only under write
+    /// contention.
+    pub fn restarts(&self) -> u64 {
+        // relaxed: a statistic; publishes nothing.
+        self.restarts.load(Ordering::Relaxed)
+    }
+
+    /// Run `attempt` until it completes, backing off after each restart;
+    /// [`IndexError::RestartLimit`] once `limit` attempts have restarted.
+    fn retry<T>(&self, limit: usize, mut attempt: impl FnMut() -> Result<Attempt<T>>) -> Result<T> {
+        for n in 0..limit {
+            match attempt()? {
+                Attempt::Done(v) => return Ok(v),
+                Attempt::Restart => {
+                    // relaxed: a statistic; publishes nothing.
+                    self.restarts.fetch_add(1, Ordering::Relaxed);
+                    backoff(n);
+                }
+            }
+        }
+        Err(IndexError::RestartLimit)
+    }
+
+    /// Pin `pid` and begin an optimistic read of it: the node and the
+    /// latch version everything read from it must be validated against.
+    /// `None` means restart — the node is write-latched, or `pid` is a
+    /// torn child pointer naming a page that was never allocated.
+    fn pin_versioned(&self, pid: PageId, intent: AccessIntent) -> Result<Option<(Node<'_>, u64)>> {
+        let node = match self.bm.fetch(pid, intent) {
+            Ok(guard) => Node::new(guard),
+            Err(BufferError::UnknownPage(_)) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let version = node.latch(|l| l.read_lock().ok()).flatten();
+        Ok(version.map(|version| (node, version)))
+    }
+
+    /// The one optimistic descent: from the root to the leaf covering
+    /// `key`, fetching every node with `intent`. Returns the pinned leaf,
+    /// its header, and the version that header was read under; the caller
+    /// validates (a read) or upgrades (a write) against it.
+    ///
+    /// Lock coupling, one level at a time: pin the child, take the child's
+    /// version, *then* validate the parent — so the child pointer came out
+    /// of a parent nobody wrote, and the child's version predates anything
+    /// read from it.
+    fn descend(&self, key: u64, intent: AccessIntent) -> Result<Attempt<(Node<'_>, Header, u64)>> {
+        let root = *self.root.read();
+        let Some((mut node, mut version)) = self.pin_versioned(root, intent)? else {
+            return Ok(Attempt::Restart);
+        };
+        if *self.root.read() != root {
+            return Ok(Attempt::Restart);
+        }
+        loop {
+            let Some(h) = node.header()? else {
+                return Ok(Attempt::Restart);
+            };
+            if h.tag == NodeTag::Leaf {
+                return Ok(Attempt::Done((node, h, version)));
+            }
+            let child = node.child_for(key, &h)?;
+            let Some((child, child_version)) = self.pin_versioned(child, intent)? else {
+                return Ok(Attempt::Restart);
+            };
+            if !validate(&node, version) {
+                return Ok(Attempt::Restart);
+            }
+            node = child;
+            version = child_version;
+        }
+    }
+
+    /// Descend to `key`'s leaf with write intent and upgrade its latch.
+    /// The upgrade proves no writer intervened since the header was read:
+    /// it is the latched node's header.
+    fn descend_for_write(&self, key: u64) -> Result<Attempt<(Held<'_>, Header)>> {
+        let Attempt::Done((leaf, h, version)) = self.descend(key, AccessIntent::Write)? else {
+            return Ok(Attempt::Restart);
+        };
+        if leaf.latch(|l| l.upgrade(version).is_ok()) != Some(true) {
+            return Ok(Attempt::Restart);
+        }
+        Ok(Attempt::Done((Held(leaf), h)))
     }
 
     /// Point lookup.
     pub fn get(&self, key: u64) -> Result<Option<u64>> {
-        for attempt in 0..MAX_RESTARTS {
-            match self.try_get(key)? {
-                Attempt::Done(v) => return Ok(v),
-                Attempt::Restart => backoff(attempt),
-            }
-        }
-        Err(IndexError::RestartLimit)
-    }
-
-    fn try_get(&self, key: u64) -> Result<Attempt<Option<u64>>> {
-        let mut pid = *self.root.read();
-        let mut latch = self.latch(pid);
-        let Ok(mut version) = latch.read_lock() else {
-            return Ok(Attempt::Restart);
-        };
-        if *self.root.read() != pid {
-            return Ok(Attempt::Restart);
-        }
-        loop {
-            let guard = match self.bm.fetch(pid, AccessIntent::Read) {
-                Ok(g) => g,
-                // A torn child pointer can reference an unallocated page.
-                Err(BufferError::UnknownPage(_)) => return Ok(Attempt::Restart),
-                Err(e) => return Err(e.into()),
-            };
-            let node = Node::new(guard);
-            let Some(h) = node.header()? else {
+        self.retry(MAX_RESTARTS, || {
+            let Attempt::Done((leaf, h, version)) = self.descend(key, AccessIntent::Read)? else {
                 return Ok(Attempt::Restart);
             };
-            match h.tag {
-                NodeTag::Inner => {
-                    let child = node.child_for(key, &h)?;
-                    let child_latch = self.latch(child);
-                    let Ok(child_version) = child_latch.read_lock() else {
-                        return Ok(Attempt::Restart);
-                    };
-                    if latch.read_unlock(version).is_err() {
-                        return Ok(Attempt::Restart);
-                    }
-                    pid = child;
-                    latch = child_latch;
-                    version = child_version;
-                }
-                NodeTag::Leaf => {
-                    let result = match node.search(key, &h)? {
-                        Found::Hit { value, .. } => Some(value),
-                        Found::Miss { .. } => None,
-                    };
-                    if latch.read_unlock(version).is_err() {
-                        return Ok(Attempt::Restart);
-                    }
-                    return Ok(Attempt::Done(result));
-                }
-            }
-        }
+            let value = match leaf.search(key, &h)? {
+                Found::Hit { value, .. } => Some(value),
+                Found::Miss { .. } => None,
+            };
+            Ok(if validate(&leaf, version) {
+                Attempt::Done(value)
+            } else {
+                Attempt::Restart
+            })
+        })
     }
 
     /// Insert or update; returns the previous value for `key`, if any.
     pub fn insert(&self, key: u64, value: u64) -> Result<Option<u64>> {
-        for attempt in 0..MAX_RESTARTS {
-            match self.try_insert_optimistic(key, value)? {
-                Attempt::Done(Some(outcome)) => return Ok(outcome),
-                // Leaf full: go pessimistic (splits on the way down).
-                Attempt::Done(None) => match self.insert_pessimistic(key, value)? {
-                    Attempt::Done(outcome) => return Ok(outcome),
-                    Attempt::Restart => backoff(attempt),
-                },
-                Attempt::Restart => backoff(attempt),
-            }
-        }
-        Err(IndexError::RestartLimit)
-    }
-
-    /// Optimistic insert. `Done(Some(old))` on success; `Done(None)` when
-    /// the leaf is full (caller switches to the pessimistic path).
-    #[allow(clippy::type_complexity)]
-    fn try_insert_optimistic(&self, key: u64, value: u64) -> Result<Attempt<Option<Option<u64>>>> {
-        let mut pid = *self.root.read();
-        let mut latch = self.latch(pid);
-        let Ok(mut version) = latch.read_lock() else {
-            return Ok(Attempt::Restart);
-        };
-        if *self.root.read() != pid {
-            return Ok(Attempt::Restart);
-        }
-        loop {
-            let guard = match self.bm.fetch(pid, AccessIntent::Write) {
-                Ok(g) => g,
-                Err(BufferError::UnknownPage(_)) => return Ok(Attempt::Restart),
-                Err(e) => return Err(e.into()),
-            };
-            let node = Node::new(guard);
-            let Some(h) = node.header()? else {
+        self.retry(MAX_RESTARTS, || {
+            let Attempt::Done((leaf, h)) = self.descend_for_write(key)? else {
                 return Ok(Attempt::Restart);
             };
-            match h.tag {
-                NodeTag::Inner => {
-                    let child = node.child_for(key, &h)?;
-                    let child_latch = self.latch(child);
-                    let Ok(child_version) = child_latch.read_lock() else {
-                        return Ok(Attempt::Restart);
-                    };
-                    if latch.read_unlock(version).is_err() {
-                        return Ok(Attempt::Restart);
-                    }
-                    pid = child;
-                    latch = child_latch;
-                    version = child_version;
+            match leaf.search(key, &h)? {
+                Found::Hit { pos, value: old } => {
+                    leaf.set_entry(pos, key, value)?;
+                    Ok(Attempt::Done(Some(old)))
                 }
-                NodeTag::Leaf => {
-                    if latch.upgrade(version).is_err() {
-                        return Ok(Attempt::Restart);
-                    }
-                    // Write latch held, and the upgrade proves no writer
-                    // intervened since `h` was read: it is the node's
-                    // header. All fallible work happens inside the closure
-                    // so the latch is always released below.
-                    let result = (|| -> Result<Option<Option<u64>>> {
-                        match node.search(key, &h)? {
-                            Found::Hit { pos, value: old } => {
-                                node.set_entry(pos, key, value)?;
-                                Ok(Some(Some(old)))
-                            }
-                            Found::Miss { pos, .. } => {
-                                if h.count >= node.capacity() {
-                                    return Ok(None); // full: pessimistic path
-                                }
-                                node.insert_at(pos, key, value, &h)?;
-                                Ok(Some(None))
-                            }
-                        }
-                    })();
-                    latch.write_unlock();
-                    return Ok(Attempt::Done(result?));
+                Found::Miss { pos, .. } if h.count < leaf.capacity() => {
+                    leaf.insert_at(pos, key, value, &h)?;
+                    Ok(Attempt::Done(None))
+                }
+                // Leaf full: go pessimistic (splits on the way down).
+                Found::Miss { .. } => {
+                    drop(leaf);
+                    self.insert_pessimistic(key, value).map(Attempt::Done)
                 }
             }
-        }
+        })
+    }
+
+    /// Write-latch a pinned node and read its header.
+    fn write_latch<'a>(node: Node<'a>) -> Result<(Held<'a>, Header)> {
+        node.latch(VersionLatch::write_lock);
+        let node = Held(node);
+        let h = node.header()?.expect("write-latched node has a valid tag");
+        Ok((node, h))
     }
 
     /// Pessimistic top-down insert: hold the root pointer lock, write-latch
-    /// parent + child, split every full node encountered. Write latches are
-    /// held by RAII guards so transient buffer errors (`?`) cannot leak a
-    /// locked latch and livelock the subtree.
-    fn insert_pessimistic(&self, key: u64, value: u64) -> Result<Attempt<Option<u64>>> {
-        /// RAII write latch: unlocks (bumping the version) on drop.
-        struct Held(Option<Arc<VersionLatch>>);
-        impl Held {
-            fn acquire(latch: Arc<VersionLatch>) -> Option<Held> {
-                latch.write_lock().ok()?;
-                Some(Held(Some(latch)))
-            }
-        }
-        impl Drop for Held {
-            fn drop(&mut self) {
-                if let Some(latch) = self.0.take() {
-                    latch.write_unlock();
-                }
-            }
-        }
-
-        let mut root_guard = self.root.write();
-        let mut pid = *root_guard;
-        let Some(mut held) = Held::acquire(self.latch(pid)) else {
-            return Ok(Attempt::Restart);
-        };
+    /// parent + child, split every full node encountered. Each level is
+    /// fetched once — the latched child becomes the next parent.
+    fn insert_pessimistic(&self, key: u64, value: u64) -> Result<Option<u64>> {
+        let mut root = self.root.write();
+        let (mut parent, mut h) =
+            Self::write_latch(Node::new(self.bm.fetch(*root, AccessIntent::Write)?))?;
 
         // Split the root first if it is full (grows the tree by one level).
-        {
-            let guard = self.bm.fetch(pid, AccessIntent::Write)?;
-            let node = Node::new(guard);
-            let h = node.header()?.expect("write-latched node has a valid tag");
-            if h.count >= node.capacity() {
-                let new_root_pid = self.bm.allocate_page()?;
-                {
-                    let nr_guard = self.bm.fetch(new_root_pid, AccessIntent::Write)?;
-                    let (separator, right) = self.split(&node, &h)?;
-                    Node::new(nr_guard).init(NodeTag::Inner, pid.0, &[(separator, right.0)])?;
-                }
-                let Some(new_held) = Held::acquire(self.latch(new_root_pid)) else {
-                    return Ok(Attempt::Restart);
-                };
-                held = new_held; // old root unlocks via drop
-                *root_guard = new_root_pid;
-                pid = new_root_pid;
-            }
+        // Nobody reaches the new root before the pointer names it.
+        if h.count >= parent.capacity() {
+            let new_root = self.bm.allocate_page()?;
+            let above = Node::new(self.bm.fetch(new_root, AccessIntent::Write)?);
+            let (separator, right) = self.split(&parent, &h)?;
+            above.init(NodeTag::Inner, root.0, &[(separator, right.page_id().0)])?;
+            drop(right);
+            (parent, h) = Self::write_latch(above)?; // old root unlocks via drop
+            *root = new_root;
         }
 
-        // Descend holding parent write latch; child is split before entry.
+        // Descend holding the parent's write latch; a full child is split
+        // before it is entered.
         loop {
-            let guard = self.bm.fetch(pid, AccessIntent::Write)?;
-            let node = Node::new(guard);
-            let h = node.header()?.expect("write-latched node has a valid tag");
-            let found = node.search(key, &h)?;
-            match h.tag {
-                NodeTag::Inner => {
-                    let child_pid = found.child(&h);
-                    let Some(child_held) = Held::acquire(self.latch(child_pid)) else {
-                        return Ok(Attempt::Restart);
-                    };
-                    let child_guard = self.bm.fetch(child_pid, AccessIntent::Write)?;
-                    let child = Node::new(child_guard);
-                    let ch = child.header()?.expect("write-latched node has a valid tag");
-                    if ch.count >= child.capacity() {
-                        // Parent is guaranteed non-full (split on the way
-                        // down), so the separator insert cannot overflow.
-                        debug_assert!(h.count < node.capacity(), "parent split preemptively");
-                        // The separator goes right after the key the child
-                        // hangs off.
-                        let child_pos = match found {
-                            Found::Hit { pos, .. } => pos + 1,
-                            Found::Miss { pos, .. } => pos,
-                        };
-                        let (separator, right) = self.split(&child, &ch)?;
-                        node.insert_at(child_pos, separator, right.0, &h)?;
-                        // The split may have moved our key's range to the
-                        // new right node; re-route.
-                        if key >= separator {
-                            drop(child_held);
-                            let Some(new_held) = Held::acquire(self.latch(right)) else {
-                                return Ok(Attempt::Restart);
-                            };
-                            held = new_held; // parent unlocks via drop
-                            pid = right;
-                            continue;
-                        }
+            let found = parent.search(key, &h)?;
+            if h.tag == NodeTag::Leaf {
+                debug_assert!(h.count < parent.capacity(), "leaf split preemptively");
+                return Ok(match found {
+                    Found::Hit { pos, value: old } => {
+                        parent.set_entry(pos, key, value)?;
+                        Some(old)
                     }
-                    held = child_held; // parent unlocks via drop
-                    pid = child_pid;
-                }
-                NodeTag::Leaf => {
-                    debug_assert!(h.count < node.capacity(), "leaf split preemptively");
-                    let outcome = match found {
-                        Found::Hit { pos, value: old } => {
-                            node.set_entry(pos, key, value)?;
-                            Some(old)
-                        }
-                        Found::Miss { pos, .. } => {
-                            node.insert_at(pos, key, value, &h)?;
-                            None
-                        }
-                    };
-                    drop(held);
-                    return Ok(Attempt::Done(outcome));
+                    Found::Miss { pos, .. } => {
+                        parent.insert_at(pos, key, value, &h)?;
+                        None
+                    }
+                });
+            }
+            let child = self.bm.fetch(found.child(&h), AccessIntent::Write)?;
+            let (mut child, mut ch) = Self::write_latch(Node::new(child))?;
+            if ch.count >= child.capacity() {
+                // Parent is guaranteed non-full (split on the way down), so
+                // the separator insert cannot overflow.
+                debug_assert!(h.count < parent.capacity(), "parent split preemptively");
+                // The separator goes right after the key the child hangs
+                // off.
+                let child_pos = match found {
+                    Found::Hit { pos, .. } => pos + 1,
+                    Found::Miss { pos, .. } => pos,
+                };
+                let (separator, right) = self.split(&child, &ch)?;
+                parent.insert_at(child_pos, separator, right.page_id().0, &h)?;
+                // The split may have moved our key's range to the new right
+                // node; re-route. Either way the header changed.
+                if key >= separator {
+                    drop(child);
+                    (child, ch) = Self::write_latch(right)?;
+                } else {
+                    drop(right);
+                    ch = child.header()?.expect("write-latched node has a valid tag");
                 }
             }
+            (parent, h) = (child, ch); // parent unlocks via drop
         }
     }
 
     /// Split the write-latched, full `node` (header `h`): its upper half
-    /// moves to a new right node. Returns the separator and the new node
-    /// for the caller to publish in the (write-latched) parent.
-    fn split(&self, node: &Node<'_>, h: &Header) -> Result<(u64, PageId)> {
+    /// moves to a new right node. Returns the separator and the new node,
+    /// still pinned, for the caller to publish in the (write-latched)
+    /// parent.
+    fn split(&self, node: &Node<'_>, h: &Header) -> Result<(u64, Node<'_>)> {
         let mid = h.count / 2;
         let new_pid = self.bm.allocate_page()?;
         let new_node = Node::new(self.bm.fetch(new_pid, AccessIntent::Write)?);
@@ -453,160 +435,66 @@ impl BTree {
                 node.truncate(mid, h.aux, h)?;
             }
         }
-        Ok((separator, new_pid))
+        Ok((separator, new_node))
     }
 
     /// Remove `key`; returns its value if present. Leaves are not
     /// rebalanced (lazy deletion, as in LeanStore): under-full leaves are
     /// absorbed by future inserts.
     pub fn remove(&self, key: u64) -> Result<Option<u64>> {
-        for attempt in 0..MAX_RESTARTS {
-            match self.try_remove(key)? {
-                Attempt::Done(v) => return Ok(v),
-                Attempt::Restart => backoff(attempt),
-            }
-        }
-        Err(IndexError::RestartLimit)
-    }
-
-    fn try_remove(&self, key: u64) -> Result<Attempt<Option<u64>>> {
-        let mut pid = *self.root.read();
-        let mut latch = self.latch(pid);
-        let Ok(mut version) = latch.read_lock() else {
-            return Ok(Attempt::Restart);
-        };
-        if *self.root.read() != pid {
-            return Ok(Attempt::Restart);
-        }
-        loop {
-            let guard = match self.bm.fetch(pid, AccessIntent::Write) {
-                Ok(g) => g,
-                Err(BufferError::UnknownPage(_)) => return Ok(Attempt::Restart),
-                Err(e) => return Err(e.into()),
-            };
-            let node = Node::new(guard);
-            let Some(h) = node.header()? else {
+        self.retry(MAX_RESTARTS, || {
+            let Attempt::Done((leaf, h)) = self.descend_for_write(key)? else {
                 return Ok(Attempt::Restart);
             };
-            match h.tag {
-                NodeTag::Inner => {
-                    let child = node.child_for(key, &h)?;
-                    let child_latch = self.latch(child);
-                    let Ok(child_version) = child_latch.read_lock() else {
-                        return Ok(Attempt::Restart);
-                    };
-                    if latch.read_unlock(version).is_err() {
-                        return Ok(Attempt::Restart);
-                    }
-                    pid = child;
-                    latch = child_latch;
-                    version = child_version;
+            Ok(Attempt::Done(match leaf.search(key, &h)? {
+                Found::Hit { pos, value: old } => {
+                    leaf.remove_at(pos, &h)?;
+                    Some(old)
                 }
-                NodeTag::Leaf => {
-                    if latch.upgrade(version).is_err() {
-                        return Ok(Attempt::Restart);
-                    }
-                    let outcome = (|| -> Result<Option<u64>> {
-                        match node.search(key, &h)? {
-                            Found::Hit { pos, value: old } => {
-                                node.remove_at(pos, &h)?;
-                                Ok(Some(old))
-                            }
-                            Found::Miss { .. } => Ok(None),
-                        }
-                    })();
-                    latch.write_unlock();
-                    return Ok(Attempt::Done(outcome?));
-                }
-            }
-        }
+                Found::Miss { .. } => None,
+            }))
+        })
     }
 
     /// Collect up to `limit` entries with keys in `[start, ∞)`, in key
     /// order (used by TPC-C order scans).
     pub fn scan_from(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
-        'restart: for attempt in 0..MAX_RESTARTS {
-            if attempt > 0 {
-                backoff(attempt);
-            }
+        self.retry(MAX_RESTARTS, || {
             let mut out = Vec::with_capacity(limit.min(1024));
-            // Descend to the leaf containing `start`.
-            let mut pid = *self.root.read();
-            let mut latch = self.latch(pid);
-            let Ok(mut version) = latch.read_lock() else {
-                continue 'restart;
+            let Attempt::Done((mut leaf, mut h, mut version)) =
+                self.descend(start, AccessIntent::Read)?
+            else {
+                return Ok(Attempt::Restart);
             };
-            if *self.root.read() != pid {
-                continue 'restart;
-            }
+            // Walk the sibling chain collecting entries. Only the first
+            // leaf is searched: every later one is taken from its first
+            // entry.
+            let mut from = leaf.search(start, &h)?.pos();
             loop {
-                let guard = match self.bm.fetch(pid, AccessIntent::Read) {
-                    Ok(g) => g,
-                    Err(BufferError::UnknownPage(_)) => continue 'restart,
-                    Err(e) => return Err(e.into()),
-                };
-                let node = Node::new(guard);
-                let Some(mut h) = node.header()? else {
-                    continue 'restart;
-                };
-                match h.tag {
-                    NodeTag::Inner => {
-                        let child = node.child_for(start, &h)?;
-                        let child_latch = self.latch(child);
-                        let Ok(child_version) = child_latch.read_lock() else {
-                            continue 'restart;
-                        };
-                        if latch.read_unlock(version).is_err() {
-                            continue 'restart;
-                        }
-                        pid = child;
-                        latch = child_latch;
-                        version = child_version;
-                    }
-                    NodeTag::Leaf => {
-                        // Walk the sibling chain collecting entries. Only
-                        // the first leaf is searched: every later one is
-                        // taken from its first entry.
-                        let mut leaf = node;
-                        let mut from = leaf.search(start, &h)?.pos();
-                        loop {
-                            let entries = leaf.entries(from, h.count)?;
-                            if latch.read_unlock(version).is_err() {
-                                continue 'restart;
-                            }
-                            for e in entries {
-                                if out.len() >= limit {
-                                    return Ok(out);
-                                }
-                                out.push(e);
-                            }
-                            if h.aux == NO_SIBLING || out.len() >= limit {
-                                return Ok(out);
-                            }
-                            let next = PageId(h.aux);
-                            let next_latch = self.latch(next);
-                            let Ok(next_version) = next_latch.read_lock() else {
-                                continue 'restart;
-                            };
-                            let guard = match self.bm.fetch(next, AccessIntent::Read) {
-                                Ok(g) => g,
-                                Err(BufferError::UnknownPage(_)) => continue 'restart,
-                                Err(e) => return Err(e.into()),
-                            };
-                            latch = next_latch;
-                            version = next_version;
-                            leaf = Node::new(guard);
-                            match leaf.header()? {
-                                Some(next_h) if next_h.tag == NodeTag::Leaf => h = next_h,
-                                _ => continue 'restart,
-                            }
-                            from = 0;
-                        }
-                    }
+                let entries = leaf.entries(from, h.count)?;
+                if !validate(&leaf, version) {
+                    return Ok(Attempt::Restart);
                 }
+                for e in entries {
+                    if out.len() >= limit {
+                        return Ok(Attempt::Done(out));
+                    }
+                    out.push(e);
+                }
+                if h.aux == NO_SIBLING || out.len() >= limit {
+                    return Ok(Attempt::Done(out));
+                }
+                let Some(next) = self.pin_versioned(PageId(h.aux), AccessIntent::Read)? else {
+                    return Ok(Attempt::Restart);
+                };
+                (leaf, version) = next;
+                match leaf.header()? {
+                    Some(next_h) if next_h.tag == NodeTag::Leaf => h = next_h,
+                    _ => return Ok(Attempt::Restart),
+                }
+                from = 0;
             }
-        }
-        Err(IndexError::RestartLimit)
+        })
     }
 
     /// Height of the tree (levels from root to leaf), for diagnostics.
@@ -664,6 +552,75 @@ mod tests {
             }
             (leaves, inners)
         }
+    }
+
+    fn tiny_tree() -> BTree {
+        let config = BufferManagerConfig::builder()
+            .page_size(512)
+            .dram_capacity(16 * 512)
+            .nvm_capacity(0)
+            .time_scale(TimeScale::ZERO)
+            .build()
+            .unwrap();
+        BTree::new(Arc::new(BufferManager::new(config).unwrap())).unwrap()
+    }
+
+    /// The restart loop is bounded by its argument and counts restarts,
+    /// and only restarts.
+    #[test]
+    fn retry_is_bounded_and_counted() {
+        let tree = tiny_tree();
+        let mut calls = 0;
+        let stuck: Result<()> = tree.retry(7, || {
+            calls += 1;
+            Ok(Attempt::Restart)
+        });
+        assert_eq!(stuck, Err(IndexError::RestartLimit));
+        assert_eq!((calls, tree.restarts()), (7, 7));
+        // Two restarts, then done: two more counted, the completion not.
+        let mut calls = 0;
+        let done = tree.retry(7, || {
+            calls += 1;
+            Ok(if calls < 3 {
+                Attempt::Restart
+            } else {
+                Attempt::Done(calls)
+            })
+        });
+        assert_eq!((done, tree.restarts()), (Ok(3), 9));
+        // An error ends the loop at once.
+        let failed: Result<()> = tree.retry(7, || Err(IndexError::RestartLimit));
+        assert_eq!(
+            (failed, tree.restarts()),
+            (Err(IndexError::RestartLimit), 9)
+        );
+    }
+
+    /// A reader that meets a write-latched node restarts — counted — until
+    /// the holder unlocks, then sees what the holder wrote. The latch is
+    /// the page's: the holder reaches it through a plain fetch of the root
+    /// page, not through the tree.
+    #[test]
+    fn operations_restart_against_a_held_latch_and_are_counted() {
+        let tree = tiny_tree();
+        tree.insert(1, 10).unwrap();
+        assert_eq!(tree.restarts(), 0, "uncontended operations never restart");
+        let root = tree
+            .bm
+            .fetch(tree.root_page(), AccessIntent::Write)
+            .unwrap();
+        root.latch(VersionLatch::write_lock).unwrap();
+        drop(root); // the pin goes, the latch stays
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| tree.get(1).unwrap());
+            while tree.restarts() == 0 {
+                std::thread::yield_now();
+            }
+            assert!(!reader.is_finished());
+            let root = tree.bm.fetch(tree.root_page(), AccessIntent::Read).unwrap();
+            root.latch(VersionLatch::write_unlock).unwrap();
+            assert_eq!(reader.join().unwrap(), Some(10));
+        });
     }
 
     /// After every step of a random insert / overwrite / remove sequence

@@ -160,45 +160,113 @@ fn concurrent_inserts_disjoint_ranges() {
     assert_eq!(all.len() as u64, THREADS * PER);
 }
 
+/// Writers overwrite their own key ranges and grow the tree with fresh
+/// keys (so leaves split under the readers) while readers look up keys
+/// that are always present; afterwards the whole tree must equal the
+/// model the writers kept.
+fn readers_and_writers_agree_with_the_model(t: BTree) {
+    let t = &t;
+    let mut model: BTreeMap<u64, u64> = (0..2000u64).map(|k| (k, 1)).collect();
+    for (&k, &v) in &model {
+        t.insert(k, v).unwrap();
+    }
+    let stop = &std::sync::atomic::AtomicBool::new(false);
+    let written: Vec<BTreeMap<u64, u64>> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2u64)
+            .map(|tid| {
+                s.spawn(move || {
+                    let mut mine = BTreeMap::new();
+                    let mut round = 1u64;
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        for k in (tid * 1000)..(tid * 1000 + 200) {
+                            t.insert(k, round).unwrap();
+                            mine.insert(k, round);
+                        }
+                        // Fresh keys above everyone's range, a few a round.
+                        for i in 0..8 {
+                            let k = 10_000 + (round * 8 + i) * 2 + tid;
+                            assert_eq!(t.insert(k, round).unwrap(), None);
+                            mine.insert(k, round);
+                        }
+                        round += 1;
+                    }
+                    mine
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..4u64)
+            .map(|_| {
+                s.spawn(move || {
+                    for k in 0..2000u64 {
+                        let v = t.get(k).unwrap();
+                        assert!(v.is_some(), "key {k} must always be present");
+                    }
+                })
+            })
+            .collect();
+        for h in readers {
+            h.join().unwrap();
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        writers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for mine in written {
+        model.extend(mine);
+    }
+    let all = t.scan_from(0, usize::MAX).unwrap();
+    assert_eq!(all.len(), model.len());
+    assert!(all.into_iter().eq(model), "tree diverged from the model");
+    t.buffer_manager().assert_quiescent();
+}
+
 #[test]
 fn concurrent_readers_and_writers() {
-    let t = Arc::new(small_page_tree());
-    for k in 0..2000u64 {
-        t.insert(k, 1).unwrap();
-    }
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let writers: Vec<_> = (0..2u64)
-        .map(|tid| {
-            let t = Arc::clone(&t);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut round = 1u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    for k in (tid * 1000)..(tid * 1000 + 200) {
-                        t.insert(k, round).unwrap();
-                    }
-                    round += 1;
-                }
-            })
-        })
-        .collect();
-    let readers: Vec<_> = (0..4u64)
-        .map(|_| {
-            let t = Arc::clone(&t);
-            std::thread::spawn(move || {
-                for k in 0..2000u64 {
-                    let v = t.get(k).unwrap();
-                    assert!(v.is_some(), "key {k} must always be present");
-                }
-            })
-        })
-        .collect();
-    for h in readers {
-        h.join().unwrap();
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    for h in writers {
-        h.join().unwrap();
+    readers_and_writers_agree_with_the_model(small_page_tree());
+    // Three tiers a fraction of the tree's size (≈ 150 nodes): nodes are
+    // evicted, reloaded and promoted while their latches are held and
+    // their versions are being validated, so a latch that did not follow
+    // its page would lose an update or let a torn node through.
+    let config = BufferManagerConfig::builder()
+        .page_size(512)
+        .dram_capacity(12 * 512)
+        .nvm_capacity(24 * (512 + 64))
+        .policy(MigrationPolicy::new(0.2, 0.2, 0.5, 0.5))
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    let bm = Arc::new(BufferManager::new(config).unwrap());
+    readers_and_writers_agree_with_the_model(BTree::new(Arc::clone(&bm)).unwrap());
+    let m = bm.metrics();
+    assert!(
+        m.migrations.iter().all(|&n| n > 0),
+        "every tier move ran under the test: {:?}",
+        m.migrations
+    );
+}
+
+/// The pessimistic insert fetches each level once. A full leaf under a
+/// height-2 tree: the optimistic attempt fetches root and leaf, finds the
+/// leaf full, and the pessimistic descent fetches root, leaf and the new
+/// right sibling — five. (Holding latches apart from nodes, the descent
+/// fetched every level a second time as the next parent: seven.)
+#[test]
+fn pessimistic_insert_fetches_each_level_once() {
+    // 28-key nodes, bulk-packed to 25: three leaves under one root.
+    let entries: Vec<(u64, u64)> = (0..75u64).map(|k| (k * 10, k)).collect();
+    // One key that stays in the split leaf, one that moves to the new one.
+    for key in [5, 235] {
+        let bm = small_page_bm();
+        let t = BTree::bulk_load(Arc::clone(&bm), &entries).unwrap();
+        assert_eq!(t.height().unwrap(), 2);
+        for k in 1..=3 {
+            t.insert(k, 0).unwrap(); // fills the first leaf: 28 of 28
+        }
+        let before = bm.metrics();
+        assert_eq!(t.insert(key, 7).unwrap(), None);
+        assert_eq!(bm.metrics().delta(&before).total_requests(), 5, "key {key}");
+        assert_eq!(t.height().unwrap(), 2);
+        assert_eq!(t.get(key).unwrap(), Some(7));
+        assert_eq!(t.scan_from(0, usize::MAX).unwrap().len(), 75 + 3 + 1);
     }
 }
 

@@ -73,4 +73,8 @@ pub enum Mutation {
     /// the word: a shadow copy that raced a writer commits anyway and the
     /// write is lost when the stale copy is installed.
     ShadowSkipVersionCheck,
+    /// `VersionLatch::write_unlock`'s RMW downgraded `Release` →
+    /// `Relaxed`: a reader can take the new version without the writes
+    /// made under the lock, and validate a torn read.
+    LatchUnlockRelaxed,
 }

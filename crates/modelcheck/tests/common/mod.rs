@@ -16,7 +16,7 @@ use spitfire_modelcheck::cell::RaceCell;
 use spitfire_modelcheck::thread;
 use spitfire_sync::atomic::{AtomicU64, Ordering};
 use spitfire_sync::{
-    AtomicBitmap, ConcurrentMap, PinAttempt, PinWord, ShadowOutcome, StripedCounter,
+    AtomicBitmap, ConcurrentMap, PinAttempt, PinWord, ShadowOutcome, StripedCounter, VersionLatch,
 };
 
 /// PinWord quiescence: a transition may only proceed after `close()`
@@ -213,6 +213,56 @@ pub fn shadow_retire_after_quiescence() {
         ShadowOutcome::RacedWrite | ShadowOutcome::Draining => word.open(1),
     }
     reader.join();
+}
+
+/// VersionLatch optimistic read vs write — the B+tree's node protocol: a
+/// writer takes the latch (once by upgrading an optimistic read, the
+/// leaf-write path; once by `write_lock`, the split path), writes both
+/// halves of a pair, unlocks; a reader read-locks, reads both halves,
+/// validates. A read that validates never saw a torn pair.
+///
+/// The halves are instrumented atomics, not [`RaceCell`]s: an optimistic
+/// reader *legitimately* races the writer's stores — detecting that
+/// through the version and throwing the read away is the protocol. They
+/// are Release stores and Acquire loads because that is what the bytes
+/// behind them are on the hardware the index runs on: page content moves
+/// by plain loads and stores, which x86-TSO never reorders against the
+/// loads of the latch word around them. Under C++11 `Relaxed` data the
+/// latch as written would need a fence before its validating load and
+/// after its locking CAS (the checker shows the torn pair at once); the
+/// model of the data, not the latch's orderings, is what this scenario
+/// assumes, and ROADMAP 3(b) — validation moves onto the `PinWord` — is
+/// where the fences get decided.
+///
+/// Kills `LatchUnlockRelaxed`: without the release on `write_unlock` a
+/// reader takes the new version, still reads the first half from before
+/// the write, reads the second from after it, and validates.
+pub fn version_latch_read_vs_write() {
+    let latch = Arc::new(VersionLatch::new());
+    let pair = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+
+    let l = Arc::clone(&latch);
+    let p = Arc::clone(&pair);
+    let writer = thread::spawn(move || {
+        let v = l.read_lock().expect("no other writer");
+        l.upgrade(v).expect("no other writer");
+        p.0.store(1, Ordering::Release);
+        p.1.store(1, Ordering::Release);
+        l.write_unlock();
+        l.write_lock();
+        p.0.store(2, Ordering::Release);
+        p.1.store(2, Ordering::Release);
+        l.write_unlock();
+    });
+
+    if let Ok(v) = latch.read_lock() {
+        let a = pair.0.load(Ordering::Acquire);
+        let b = pair.1.load(Ordering::Acquire);
+        if latch.read_unlock(v).is_ok() {
+            assert_eq!(a, b, "validated read saw a torn pair");
+        }
+    }
+    writer.join();
 }
 
 /// ConcurrentMap read-lock upgrade: two threads missing on the same key

@@ -125,10 +125,22 @@ fn map_upgrade_without_recheck_is_killed() {
     );
 }
 
+#[test]
+fn latch_unlock_without_release_is_killed() {
+    let failure = Checker::new()
+        .mutation(Mutation::LatchUnlockRelaxed)
+        .check(common::version_latch_read_vs_write)
+        .assert_fail();
+    assert!(failure.message.contains("torn pair"), "{}", failure.message);
+}
+
 /// The mutations are seeded into `spitfire-sync` behind runtime switches;
 /// with no mutation active the same bodies must still pass (guards
 /// against a hook that accidentally fires unconditionally).
 #[test]
 fn no_mutation_means_no_bug() {
     Checker::new().check(common::pin_quiescence).assert_pass();
+    Checker::new()
+        .check(common::version_latch_read_vs_write)
+        .assert_pass();
 }

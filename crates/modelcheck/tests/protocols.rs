@@ -55,6 +55,14 @@ fn shadow_retire_after_quiescence_exhaustive() {
 }
 
 #[test]
+fn version_latch_read_vs_write_exhaustive() {
+    let report = Checker::new()
+        .check(common::version_latch_read_vs_write)
+        .assert_pass();
+    assert!(report.executions > 1, "scenario has no concurrency");
+}
+
+#[test]
 fn concurrent_map_read_lock_upgrade_exhaustive() {
     let report = Checker::new()
         .check(common::map_get_or_insert)

@@ -6,7 +6,10 @@
 //!    page descriptors — [`ConcurrentMap`];
 //! 2. a concurrent bitmap backing the CLOCK replacement policy —
 //!    [`AtomicBitmap`];
-//! 3. optimistic lock coupling for the B+Tree — [`VersionLatch`];
+//! 3. optimistic lock coupling for the B+Tree — [`VersionLatch`], one per
+//!    page, held in the buffer manager's page descriptor beside the pin
+//!    words (lock bit + version; no obsolete bit — the tree deletes lazily
+//!    and never unlinks a node);
 //! 4. the optimistic pin word that makes buffer hits latch-free, and whose
 //!    shadow API carries thread-safe page migration — [`PinWord`].
 //!

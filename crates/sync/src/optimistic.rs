@@ -7,14 +7,17 @@
 //! latches down the tree, which is the "optimistic lock coupling" technique
 //! the paper credits for reducing index contention once NVM removes most of
 //! the I/O bottleneck.
+//!
+//! The word is a lock bit under a version counter. There is one latch per
+//! page, in the buffer manager's page descriptor; `spitfire-modelcheck`
+//! checks read-vs-write exhaustively (`version_latch_read_vs_write`) and
+//! must kill the seeded `LatchUnlockRelaxed` mutant.
 
 use crate::atomic::{AtomicU64, Ordering};
 
-/// Low bit 1 = write-locked; low bit 2 = node obsolete (unlinked); the rest
-/// is the version counter.
+/// Low bit = write-locked; the rest is the version counter.
 const LOCKED: u64 = 0b01;
-const OBSOLETE: u64 = 0b10;
-const VERSION_STEP: u64 = 0b100;
+const VERSION_STEP: u64 = 0b10;
 
 /// Returned when an optimistic read or upgrade must restart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,10 +46,10 @@ impl VersionLatch {
     }
 
     /// Begin an optimistic read: returns the current version, or an error if
-    /// the latch is write-locked or the node is obsolete.
+    /// the latch is write-locked.
     pub fn read_lock(&self) -> Result<u64, OptimisticError> {
         let v = self.word.load(Ordering::Acquire);
-        if v & (LOCKED | OBSOLETE) != 0 {
+        if v & LOCKED != 0 {
             return Err(OptimisticError);
         }
         Ok(v)
@@ -77,20 +80,12 @@ impl VersionLatch {
     }
 
     /// Acquire the write lock, spinning until it is free.
-    ///
-    /// Returns an error if the node became obsolete (the caller must
-    /// restart from the parent).
-    pub fn write_lock(&self) -> Result<(), OptimisticError> {
+    pub fn write_lock(&self) {
         let mut spins = 0u32;
         loop {
             // relaxed: spin-loop seed and CAS failure are both retried;
             // the successful acquire CAS orders the critical section.
-            // (OBSOLETE is sticky, so acting on a stale sighting of it is
-            // safe: the restart path re-validates from the parent.)
             let v = self.word.load(Ordering::Relaxed);
-            if v & OBSOLETE != 0 {
-                return Err(OptimisticError);
-            }
             if v & LOCKED == 0
                 && self
                     .word
@@ -98,7 +93,7 @@ impl VersionLatch {
                     .compare_exchange_weak(v, v | LOCKED, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
-                return Ok(());
+                return;
             }
             spins += 1;
             if spins < 16 {
@@ -113,21 +108,13 @@ impl VersionLatch {
     /// restart.
     pub fn write_unlock(&self) {
         // Clear LOCKED (+1 step wraps the low bits correctly because the
-        // word was `version | LOCKED`).
-        self.word
-            .fetch_add(VERSION_STEP - LOCKED, Ordering::Release);
-    }
-
-    /// Release a write lock and mark the node obsolete (it was unlinked from
-    /// the structure); readers and writers will restart from the parent.
-    pub fn write_unlock_obsolete(&self) {
-        self.word
-            .fetch_add(VERSION_STEP - LOCKED + OBSOLETE, Ordering::Release);
-    }
-
-    /// Whether the node has been marked obsolete.
-    pub fn is_obsolete(&self) -> bool {
-        self.word.load(Ordering::Acquire) & OBSOLETE != 0
+        // word was `version | LOCKED`). Release pairs with `read_lock`'s
+        // acquire: whoever reads the new version reads everything written
+        // under the lock. (Mutant LatchUnlockRelaxed drops it; the
+        // read-vs-write model check must then validate a torn pair.)
+        // relaxed: the weak arm is the seeded mutant only.
+        let order = mutant_ordering!(LatchUnlockRelaxed, Ordering::Release, Ordering::Relaxed);
+        self.word.fetch_add(VERSION_STEP - LOCKED, order);
     }
 
     /// Whether the latch is currently write-locked (diagnostics only).
@@ -154,7 +141,7 @@ mod tests {
     fn write_invalidates_concurrent_read() {
         let l = VersionLatch::new();
         let v = l.read_lock().unwrap();
-        l.write_lock().unwrap();
+        l.write_lock();
         l.write_unlock();
         assert_eq!(l.read_unlock(v), Err(OptimisticError));
     }
@@ -162,7 +149,7 @@ mod tests {
     #[test]
     fn read_fails_while_locked() {
         let l = VersionLatch::new();
-        l.write_lock().unwrap();
+        l.write_lock();
         assert_eq!(l.read_lock(), Err(OptimisticError));
         l.write_unlock();
         assert!(l.read_lock().is_ok());
@@ -179,16 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn obsolete_rejects_everything() {
-        let l = VersionLatch::new();
-        l.write_lock().unwrap();
-        l.write_unlock_obsolete();
-        assert!(l.is_obsolete());
-        assert_eq!(l.read_lock(), Err(OptimisticError));
-        assert_eq!(l.write_lock(), Err(OptimisticError));
-    }
-
-    #[test]
     fn concurrent_writers_serialize() {
         const PER: u64 = if cfg!(miri) { 25 } else { 500 };
         let latch = Arc::new(VersionLatch::new());
@@ -199,7 +176,7 @@ mod tests {
                 let value = Arc::clone(&value);
                 std::thread::spawn(move || {
                     for _ in 0..PER {
-                        latch.write_lock().unwrap();
+                        latch.write_lock();
                         let v = value.load(Ordering::Relaxed);
                         value.store(v + 1, Ordering::Relaxed);
                         latch.write_unlock();
@@ -217,10 +194,10 @@ mod tests {
     fn version_advances_monotonically() {
         let l = VersionLatch::new();
         let v0 = l.read_lock().unwrap();
-        l.write_lock().unwrap();
+        l.write_lock();
         l.write_unlock();
         let v1 = l.read_lock().unwrap();
         assert!(v1 > v0);
-        assert_eq!(v1 & (LOCKED | OBSOLETE), 0);
+        assert_eq!(v1 & LOCKED, 0);
     }
 }

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use spitfire_core::PageId;
+use spitfire_core::{PageId, MAINTENANCE_BATCH};
 use spitfire_index::BTree;
 use spitfire_snapshot::{SnapshotStore, TableMeta};
 
@@ -313,9 +313,8 @@ impl Database {
         let full = writer.is_full(); // the store forces full when empty
         let pages = if full {
             let mut flushed = self.bm.flush_all_dirty()?;
-            let batch = self.bm.config().maintenance.batch.max(1);
             loop {
-                let n = self.bm.flush_nvm_dirty(batch)?;
+                let n = self.bm.flush_nvm_dirty(MAINTENANCE_BATCH)?;
                 if n == 0 {
                     break;
                 }

@@ -837,6 +837,8 @@ impl spitfire_obs::Source for Database {
         let (commits, aborts) = self.txn_stats();
         out.add_counter("txn_commits", commits);
         out.add_counter("txn_aborts", aborts);
+        let index_restarts = self.relations().iter().map(|r| r.index.restarts()).sum();
+        out.add_counter("index_restarts", index_restarts);
         out.add_gauge("active_txns", self.active.lock().len() as f64);
         out.add_gauge("wal_bytes", self.wal.log_bytes() as f64);
         out.add_gauge("wal_file_pages", self.wal.file_pages() as f64);

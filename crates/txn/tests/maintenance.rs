@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
+use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy, MAINTENANCE_BATCH};
 use spitfire_device::TimeScale;
 use spitfire_txn::{Database, DbConfig, TxnError};
 
@@ -160,9 +160,8 @@ fn flush_entry_points_clean_dirty_pages() {
     // What a checkpoint does before truncating the WAL: flush dirty DRAM
     // pages, then drain dirty NVM pages a batch at a time.
     let bm = db.buffer_manager();
-    let batch = bm.config().maintenance.batch.max(1);
     assert!(bm.flush_all_dirty().unwrap() > 0, "the load dirtied pages");
-    while bm.flush_nvm_dirty(batch).unwrap() > 0 {}
+    while bm.flush_nvm_dirty(MAINTENANCE_BATCH).unwrap() > 0 {}
     assert_eq!(bm.dirty_pages().1, 0, "NVM drain left dirty pages");
     // A second flush finds little or nothing dirty.
     let remaining = bm.flush_all_dirty().unwrap();

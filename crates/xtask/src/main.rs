@@ -52,7 +52,14 @@
 //!    node reads and writes by line; a field accessor growing back in
 //!    `tree.rs` would pay a line for eight bytes again.
 //!
-//! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2, 4 and 7: test
+//! 8. **`index-state`** — nothing under `crates/index/src/` names a
+//!    `ConcurrentMap`, a `HashMap` or an `Arc<VersionLatch>`. A node's
+//!    latch is its page's, kept in the buffer manager's descriptor and
+//!    reached through the pin; the tree holds no per-page state, and a
+//!    pid-keyed side table (with its hash order, its shard lock and its
+//!    reference counts on every node visit) must not grow back unnoticed.
+//!
+//! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2, 4, 7 and 8: test
 //! code freely uses relaxed counters and raw atomics, and verifying the
 //! tests is the job of the tests themselves. The lint skips everything
 //! from a `#[cfg(test)]` attribute line onward (test modules sit at the
@@ -85,6 +92,10 @@ const CORE_FILE_LINE_LIMIT: usize = 800;
 const NODE_IO_NEEDLES: [&str; 4] = ["guard.read", "guard.write", "read_u64", "write_u64"];
 const NODE_IO_SCOPE: &str = "crates/index/src/";
 const NODE_IO_OWNER: &str = "crates/index/src/node.rs";
+
+/// Per-page side-table types that may not appear anywhere under
+/// [`NODE_IO_SCOPE`] (rule 8).
+const INDEX_STATE_NEEDLES: [&str; 3] = ["ConcurrentMap", "HashMap", "Arc<VersionLatch>"];
 
 /// Root-level bench baselines that may exist (rule 6): the migration
 /// storm bench waits for a storm workload in `benchmark/`; the server
@@ -301,7 +312,8 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
         && rel_str != "crates/sync/src/atomic.rs"
         && rel_str != "crates/sync/src/lock.rs";
     let whole_file_fastpath = rel_str == "crates/sync/src/pinword.rs";
-    let node_io_scoped = rel_str.starts_with(NODE_IO_SCOPE) && rel_str != NODE_IO_OWNER;
+    let index_scoped = rel_str.starts_with(NODE_IO_SCOPE);
+    let node_io_scoped = index_scoped && rel_str != NODE_IO_OWNER;
 
     if rel_str.starts_with("crates/core/src/") && lines.len() > CORE_FILE_LINE_LIMIT {
         findings.push(Finding {
@@ -396,6 +408,20 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                     message: format!(
                         "`{needle}` outside node.rs; read and write nodes through \
                          `Node`'s line-sized accessors"
+                    ),
+                });
+            }
+        }
+
+        if index_scoped {
+            if let Some(needle) = INDEX_STATE_NEEDLES.iter().find(|n| code.contains(**n)) {
+                findings.push(Finding {
+                    file: rel.to_path_buf(),
+                    line: lineno,
+                    rule: "index-state",
+                    message: format!(
+                        "`{needle}` in the index; a node's latch is its page's \
+                         (`PageGuard::latch`) and the tree keeps no per-page table"
                     ),
                 });
             }
@@ -517,6 +543,34 @@ mod tests {
         for file in ["crates/index/src/node.rs", "crates/txn/src/table.rs"] {
             lint_file(root, &root.join(file), text, &mut findings);
         }
+        assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn the_index_keeps_no_per_page_table() {
+        let root = Path::new("/ws");
+        let text = "use spitfire_sync::{ConcurrentMap, VersionLatch};\n\
+                    latches: HashMap<u64, Arc<VersionLatch>>,\n\
+                    node.latch(VersionLatch::write_unlock); // the page's latch\n\
+                    // a ConcurrentMap in a comment\n\
+                    #[cfg(test)]\n\
+                    let model: HashMap<u64, u64> = HashMap::new();\n";
+        let mut findings = Vec::new();
+        for file in ["crates/index/src/tree.rs", "crates/index/src/node.rs"] {
+            lint_file(root, &root.join(file), text, &mut findings);
+        }
+        assert_eq!(findings.len(), 4);
+        assert!(findings.iter().all(|f| f.rule == "index-state"));
+        assert_eq!(findings.iter().filter(|f| f.line == 1).count(), 2);
+        assert_eq!(findings.iter().filter(|f| f.line == 2).count(), 2);
+        // The mapping table lives in core, where it is the design.
+        findings.clear();
+        lint_file(
+            root,
+            &root.join("crates/core/src/manager/mod.rs"),
+            text,
+            &mut findings,
+        );
         assert!(findings.is_empty());
     }
 

@@ -91,30 +91,21 @@ fn error_api_contract() {
     assert!(!fatal.is_retryable());
 }
 
-/// Config surface: builder methods for the maintenance service and the
-/// public `MaintenanceConfig` fields.
+/// Config surface: what is left of the maintenance block — the workers'
+/// wake-up period — and the batch size as the constant it became.
 #[test]
 fn maintenance_config_surface() {
-    let m = MaintenanceConfig {
-        dram_low: 0.1,
-        dram_high: 0.2,
-        nvm_low: 0.1,
-        nvm_high: 0.2,
-        batch: 4,
-        interval_us: 100,
-        workers: 2,
-    };
+    let m = MaintenanceConfig { interval_us: 100 };
     let config = BufferManagerConfig::builder()
         .page_size(1024)
         .dram_capacity(8 * 1024)
         .nvm_capacity(16 * (1024 + 64))
         .maintenance(m)
-        .watermarks(1.0 / 16.0, 1.0 / 8.0)
-        .maintenance_batch(8)
         .time_scale(TimeScale::ZERO)
         .build()
         .unwrap();
-    assert_eq!(config.maintenance.batch, 8);
+    assert_eq!(config.maintenance, m);
+    assert_eq!(spitfire_core::MAINTENANCE_BATCH, 4);
     let _: Hierarchy = config.hierarchy();
 }
 
@@ -208,6 +199,23 @@ fn removed_shims_stay_removed() {
     }
     impl KnobAbsent for BufferManagerConfigBuilder {}
     let _: Absent = BufferManagerConfig::builder().shadow_migrations(false);
+
+    // The maintenance watermarks, batch size and worker count are
+    // constants: no builder method sets them, and the exhaustive pattern
+    // stops compiling if `dram_low` / `dram_high` / `nvm_low` / `nvm_high`
+    // / `batch` / `workers` (or any other field) comes back.
+    trait MaintenanceKnobsAbsent: Sized {
+        fn watermarks(self, _: f64, _: f64) -> Absent {
+            Absent
+        }
+        fn maintenance_batch(self, _: usize) -> Absent {
+            Absent
+        }
+    }
+    impl MaintenanceKnobsAbsent for BufferManagerConfigBuilder {}
+    let _: Absent = BufferManagerConfig::builder().watermarks(0.1, 0.2);
+    let _: Absent = BufferManagerConfig::builder().maintenance_batch(8);
+    let MaintenanceConfig { interval_us: _ } = MaintenanceConfig::default();
 
     // The hand bridges into obs are gone from both types: a manager or a
     // database is an `obs::Source` registered with `register_source`, and

@@ -236,6 +236,7 @@ const FULL_STACK_SCHEMA: &[&str] = &[
     "fetch_fallbacks",
     "fetch_fast",
     "inclusivity",
+    "index_restarts",
     "io_fatal",
     "io_retries",
     "last_checkpoint_ms",
