@@ -313,11 +313,16 @@ impl SsdDevice {
         };
         match &self.backend {
             Backend::Mem { .. } => {
-                {
-                    let mut shard = self.shard(pid).write();
+                if keep == self.page_size {
+                    // In place where the page exists: snapshot blocks are
+                    // reused lowest-first, so most appends land on one.
+                    self.mem_store(pid, data, keep);
+                } else {
+                    // A torn append leaves zeros, not the old image, past
+                    // what it kept.
                     let mut page = vec![0u8; self.page_size].into_boxed_slice();
                     page[..keep].copy_from_slice(&data[..keep]);
-                    shard.insert(pid, page);
+                    self.shard(pid).write().insert(pid, page);
                 }
                 self.mem_mark_dirty(pid);
                 let eff = self
@@ -562,6 +567,33 @@ mod tests {
         d.read_page(9, &mut buf).unwrap();
         assert_eq!(buf[0], 2);
         assert_eq!(d.page_count(), 1);
+    }
+
+    #[test]
+    fn append_over_an_existing_page_replaces_the_whole_image() {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule, Trigger};
+        let d = ssd();
+        let mut buf = vec![0u8; 4096];
+        d.append_page(3, &vec![1u8; 4096]).unwrap();
+        d.append_page(3, &vec![2u8; 4096]).unwrap();
+        d.read_page(3, &mut buf).unwrap();
+        assert_eq!(buf, vec![2u8; 4096]);
+        assert_eq!(d.page_count(), 1);
+
+        // Torn: a prefix of the new image, then zeros — never the old tail.
+        let torn = FaultRule::any(Trigger::Always, FaultKind::TornWrite);
+        d.set_fault_injector(Some(Arc::new(FaultInjector::new(
+            FaultPlan::new(5).rule(torn),
+        ))));
+        d.append_page(3, &vec![9u8; 4096]).unwrap();
+        d.set_fault_injector(None);
+        d.read_page(3, &mut buf).unwrap();
+        let kept = buf.iter().take_while(|&&b| b == 9).count();
+        assert!(kept < 4096);
+        assert!(
+            buf[kept..].iter().all(|&b| b == 0),
+            "old image past the tear"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  len         total frame length, header included
-//!      4     4  crc         CRC-32 (IEEE) over bytes [8, len)
+//!      4     4  crc         CRC-32C over bytes [8, len)
 //!      8     1  version     protocol version (PROTOCOL_VERSION)
 //!      9     1  opcode      command (request) / echoed command (reply)
 //!     10     2  flags       reply: bit 0 = error, bit 1 = retryable

@@ -55,8 +55,9 @@
 //! that cannot list its metadata blocks in one block is an error, never a
 //! truncation.
 //!
-//! The checksum is the canonical [`spitfire_sync::crc32`] shared with the
-//! WAL framing and the server wire protocol. This crate knows nothing
+//! The checksum is the canonical [`spitfire_sync::crc32`] — CRC-32C, the
+//! polynomial the CPU has an instruction for — shared with the WAL framing
+//! and the server wire protocol. This crate knows nothing
 //! about transactions: the checkpointer and the recovery path in
 //! `crates/txn` drive it.
 

@@ -2,7 +2,7 @@
 //! B+Trees, logged through the NVM-aware WAL, recovered ARIES-style.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -119,7 +119,11 @@ pub struct Database {
     /// Table id → its table and index. Emptied by a crash; recovery
     /// installs the reopened tables and rebuilt indexes in one piece.
     pub(crate) catalog: RwLock<HashMap<u32, Arc<Relation>>>,
-    locks: KeyLocks,
+    /// Key stripes, each with the vacuum debts of its keys.
+    pub(crate) locks: KeyLocks,
+    /// The debts died in a crash: the next vacuum finds its chains through
+    /// the indexes. Set by [`Database::recover`].
+    pub(crate) debts_lost: AtomicBool,
     commits: AtomicU64,
     aborts: AtomicU64,
     /// Timestamps of in-flight transactions (vacuum watermark).
@@ -168,6 +172,7 @@ impl Database {
             root_catalog,
             catalog: RwLock::new(HashMap::new()),
             locks: KeyLocks::new(config.lock_stripes),
+            debts_lost: AtomicBool::new(false),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
             active: parking_lot::Mutex::new(std::collections::BTreeSet::new()),
@@ -250,8 +255,10 @@ impl Database {
         Ok(self.relation(table_id)?.table.data_pages())
     }
 
-    pub(crate) fn lock_key(&self, table: u32, key: u64) -> parking_lot::MutexGuard<'_, ()> {
-        self.locks.lock(table, key)
+    /// A table's free-slot list, for inspection: what vacuum reclaimed and
+    /// inserts have not reused yet, the next slot handed out last.
+    pub fn table_free_slots(&self, table_id: u32) -> Result<Vec<u64>> {
+        Ok(self.relation(table_id)?.table.free_slots())
     }
 
     /// Begin a transaction. Briefly holds the checkpoint fence gate
@@ -537,7 +544,7 @@ impl Database {
             .collect();
         stripes.sort_unstable();
         stripes.dedup();
-        let _guards = self.locks.lock_many(&stripes);
+        let mut guards = self.locks.lock_many(&stripes);
 
         // Validation: a later transaction may have read a version we are
         // about to supersede; committing would break timestamp order.
@@ -547,7 +554,7 @@ impl Database {
             }
             let rel = self.relation(w.table)?;
             if rel.table.read_visit(w.old_rid)?.header()?.read_ts > txn.ts {
-                drop(_guards);
+                drop(guards);
                 self.rollback(txn)?;
                 return Err(TxnError::Conflict);
             }
@@ -567,11 +574,17 @@ impl Database {
 
         // Stamp versions with the commit timestamp: the markers are ours
         // (key stripes held since validation), so both stamps are blind.
+        // A write that superseded a version leaves its key in debt to
+        // vacuum, which will start from `new_rid`.
         for w in &txn.writes {
             let table = &self.relation(w.table)?.table;
             table.write_visit(w.new_rid)?.stamp(Field::Begin, txn.ts)?;
             if w.old_rid != NO_RID {
                 table.write_visit(w.old_rid)?.stamp(Field::End, txn.ts)?;
+                let held = stripes
+                    .binary_search(&self.locks.stripe_of(w.table, w.key))
+                    .expect("every written key's stripe was locked above");
+                guards[held].debts.insert((w.table, w.key), w.new_rid);
             }
         }
         // relaxed: commit statistic.
@@ -649,6 +662,7 @@ impl Database {
         if let Some(engine) = self.snapshot_engine() {
             engine.store().simulate_crash();
         }
+        self.locks.forget_debts();
         self.catalog.write().clear();
         // In-flight transactions died with the process; without this,
         // their abandoned timestamps would pin the vacuum watermark and
@@ -669,6 +683,7 @@ impl Database {
             nvm_pages: self.bm.recover_nvm_buffer().len(),
             ..RecoveryStats::default()
         };
+        self.debts_lost.store(true, Ordering::Release);
         self.bm.recover_page_allocator();
 
         // Instant restart: restore the newest valid snapshot generation and

@@ -1,9 +1,9 @@
 //! Maintenance: version-chain vacuum.
 //!
 //! MVTO version chains grow with every update. [`Database::vacuum`]
-//! truncates each key's chain below the *watermark* — the oldest active
-//! transaction timestamp — and recycles the freed slots, bounding the
-//! table footprint of long write-heavy runs.
+//! truncates the chains that grew since its last pass below the
+//! *watermark* — the oldest active transaction timestamp — and recycles
+//! the freed slots, bounding the table footprint of long write-heavy runs.
 //!
 //! Dirty-page flushing is not a service of this crate: the buffer
 //! manager's own [`spitfire_core::Maintenance`] workers keep free frames
@@ -11,6 +11,9 @@
 //! ([`spitfire_core::BufferManager::flush_all_dirty`], then
 //! [`spitfire_core::BufferManager::flush_nvm_dirty`] a batch at a time)
 //! before it truncates the WAL.
+
+use std::collections::btree_map::Entry;
+use std::sync::atomic::Ordering;
 
 use crate::db::Database;
 use crate::mvto::{is_marker, ABORTED};
@@ -20,7 +23,8 @@ use crate::Result;
 /// Counters from one [`Database::vacuum`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VacuumStats {
-    /// Version chains inspected.
+    /// Version chains walked: the keys that were in debt (every indexed
+    /// key on the first pass after a recovery).
     pub chains: usize,
     /// Versions unlinked and recycled.
     pub freed: usize,
@@ -32,9 +36,20 @@ impl Database {
     ///
     /// A version is unreachable once a newer *committed* version exists
     /// with `begin ≤ watermark`: every active or future transaction reads
-    /// that newer version (or something newer still). Vacuum walks each
-    /// chain under its key stripe, cuts at the first such keeper, and
-    /// returns everything below the cut to the table's slot free list.
+    /// that newer version (or something newer still). Vacuum walks a chain
+    /// under its key stripe, cuts at the first such keeper, and returns
+    /// everything below the cut to the table's slot free list.
+    ///
+    /// Only a chain *in debt* has anything below a keeper, and commit
+    /// recorded which those are and where each starts (see
+    /// [`Stripe`](crate::mvto::Stripe)): a pass drains the stripes in
+    /// order, each stripe's keys in `(table, key)` order, and touches
+    /// neither an index nor a key that was not updated, so it costs what
+    /// changed since the last one. An entry whose recorded version an
+    /// older reader still keeps above the watermark is cut as far as the
+    /// watermark allows and stays for the next pass. The debts are
+    /// volatile: the first pass after [`Database::recover`] takes its
+    /// keys and chain heads from the indexes instead — every key, once.
     ///
     /// Note: recycled slots may still be named as `prev` by pre-vacuum log
     /// records. Recovery rebuilds indexes from newest-committed versions
@@ -44,9 +59,41 @@ impl Database {
     pub fn vacuum(&self) -> Result<VacuumStats> {
         let watermark = self.oldest_active_ts();
         let mut stats = VacuumStats::default();
+        if self.debts_lost.load(Ordering::Acquire) {
+            self.vacuum_indexed(watermark, &mut stats)?;
+            // Only a pass that reached every key stands in for the debts.
+            self.debts_lost.store(false, Ordering::Release);
+            return Ok(stats);
+        }
+        let catalog = self.catalog.read().clone();
+        for index in 0..self.locks.stripe_count() {
+            let mut stripe = self.locks.lock_stripe(index);
+            let mut failed = None;
+            stripe.debts.retain(|&(table_id, _), &mut newest| {
+                if failed.is_some() {
+                    return true;
+                }
+                let table = &catalog[&table_id].table;
+                match Self::truncate_chain(table, newest, watermark, &mut stats) {
+                    Ok(keeper) => keeper != Some(newest),
+                    Err(e) => {
+                        failed = Some(e);
+                        true
+                    }
+                }
+            });
+            if let Some(e) = failed {
+                return Err(e);
+            }
+        }
+        Ok(stats)
+    }
+
+    /// The pass that needs no debts: every indexed key, its chain walked
+    /// from the index entry re-read under the stripe.
+    fn vacuum_indexed(&self, watermark: u64, stats: &mut VacuumStats) -> Result<()> {
         for rel in self.relations() {
             let (table, index) = (&rel.table, &rel.index);
-            let table_id = table.id;
             let mut start = 0u64;
             loop {
                 let chunk = index.scan_from(start, 1024)?;
@@ -54,30 +101,18 @@ impl Database {
                     break;
                 };
                 for &(key, _) in &chunk {
-                    let _stripe = self.lock_key(table_id, key);
+                    let mut stripe = self.locks.lock(table.id, key);
                     // Re-read the head under the stripe (it may have moved).
                     let Some(head) = index.get(key)? else {
                         continue;
                     };
-                    stats.chains += 1;
-                    let mut rid = head;
-                    loop {
-                        let hdr = table.read_visit(rid)?.header()?;
-                        let keeper = !is_marker(hdr.begin)
-                            && hdr.begin != ABORTED
-                            && hdr.begin != 0
-                            && hdr.begin <= watermark;
-                        if keeper {
-                            if hdr.prev != NO_RID {
-                                table.write_visit(rid)?.stamp(Field::Prev, NO_RID)?;
-                                stats.freed += Self::free_chain(table, hdr.prev)?;
-                            }
-                            break;
+                    let keeper = Self::truncate_chain(table, head, watermark, stats)?;
+                    // A commit since the recovery may have put the key in
+                    // debt again; this walk settles that too.
+                    if let Entry::Occupied(debt) = stripe.debts.entry((table.id, key)) {
+                        if keeper == Some(*debt.get()) {
+                            debt.remove();
                         }
-                        if hdr.prev == NO_RID {
-                            break;
-                        }
-                        rid = hdr.prev;
                     }
                 }
                 if last_key == u64::MAX {
@@ -86,7 +121,38 @@ impl Database {
                 start = last_key + 1;
             }
         }
-        Ok(stats)
+        Ok(())
+    }
+
+    /// Walk one chain down from `rid` to its keeper, cut the keeper's
+    /// `prev` and free everything below. Returns the keeper's rid, `None`
+    /// when no version of the chain is below the watermark yet. The
+    /// caller holds the key's stripe.
+    fn truncate_chain(
+        table: &Table,
+        mut rid: u64,
+        watermark: u64,
+        stats: &mut VacuumStats,
+    ) -> Result<Option<u64>> {
+        stats.chains += 1;
+        loop {
+            let hdr = table.read_visit(rid)?.header()?;
+            let keeper = !is_marker(hdr.begin)
+                && hdr.begin != ABORTED
+                && hdr.begin != 0
+                && hdr.begin <= watermark;
+            if keeper {
+                if hdr.prev != NO_RID {
+                    table.write_visit(rid)?.stamp(Field::Prev, NO_RID)?;
+                    stats.freed += Self::free_chain(table, hdr.prev)?;
+                }
+                return Ok(Some(rid));
+            }
+            if hdr.prev == NO_RID {
+                return Ok(None);
+            }
+            rid = hdr.prev;
+        }
     }
 
     /// Free the chain starting at `rid`: one write visit per version reads

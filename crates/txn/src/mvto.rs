@@ -15,6 +15,8 @@
 //! with the commit timestamp, abort replaces the new version's `begin`
 //! with `ABORTED`.
 
+use std::collections::BTreeMap;
+
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::table::VersionHeader;
@@ -66,14 +68,32 @@ pub fn visible(h: &VersionHeader, ts: u64, id: u64) -> bool {
     }
 }
 
+/// What one stripe's mutex guards beside the chains of its keys: which of
+/// those keys are *in debt* — have a committed version that superseded
+/// another since vacuum last cut the chain.
+///
+/// `(table, key)` maps to the rid of the key's newest committed version,
+/// which is where vacuum starts its walk. Commit, which holds the stripe
+/// already, replaces a key's entry in place, so the map holds one entry
+/// per key in debt however often it was updated; a `BTreeMap` because its
+/// order is a function of its contents (vacuum's drain order decides which
+/// slots the next inserts reuse, and every count downstream must repeat
+/// from run to run) and because an empty one owns no memory. Volatile: a
+/// crash forgets it, and the first vacuum after recovery reads the index
+/// instead.
+#[derive(Debug, Default)]
+pub struct Stripe {
+    pub(crate) debts: BTreeMap<(u32, u64), u64>,
+}
+
 /// Striped per-key mutexes serializing MVTO chain manipulation.
 ///
-/// Chain reads, version installs, commit stamping, and abort rollback for
-/// one key all run under its stripe. The stripe count bounds false
-/// sharing; multi-key commits acquire stripes in sorted order to stay
-/// deadlock-free.
+/// Chain reads, version installs, commit stamping, abort rollback, and
+/// vacuum's truncation for one key all run under its stripe. The stripe
+/// count bounds false sharing; multi-key commits acquire stripes in sorted
+/// order to stay deadlock-free.
 pub struct KeyLocks {
-    stripes: Vec<Mutex<()>>,
+    stripes: Vec<Mutex<Stripe>>,
 }
 
 impl KeyLocks {
@@ -81,8 +101,13 @@ impl KeyLocks {
     pub fn new(n: usize) -> Self {
         let n = n.next_power_of_two().max(64);
         KeyLocks {
-            stripes: (0..n).map(|_| Mutex::new(())).collect(),
+            stripes: (0..n).map(|_| Mutex::default()).collect(),
         }
+    }
+
+    /// Number of stripes.
+    pub(crate) fn stripe_count(&self) -> usize {
+        self.stripes.len()
     }
 
     /// Stripe index for `(table, key)`.
@@ -93,12 +118,24 @@ impl KeyLocks {
     }
 
     /// Lock the stripe for one key.
-    pub fn lock(&self, table: u32, key: u64) -> MutexGuard<'_, ()> {
-        self.stripes[self.stripe_of(table, key)].lock()
+    pub fn lock(&self, table: u32, key: u64) -> MutexGuard<'_, Stripe> {
+        self.lock_stripe(self.stripe_of(table, key))
+    }
+
+    /// Lock stripe `index` (vacuum's drain, which goes stripe by stripe).
+    pub(crate) fn lock_stripe(&self, index: usize) -> MutexGuard<'_, Stripe> {
+        self.stripes[index].lock()
+    }
+
+    /// Drop every stripe's debts (a crash: they are volatile).
+    pub(crate) fn forget_debts(&self) {
+        for stripe in &self.stripes {
+            stripe.lock().debts.clear();
+        }
     }
 
     /// Lock a *sorted, deduplicated* set of stripe indices.
-    pub fn lock_many(&self, sorted_stripes: &[usize]) -> Vec<MutexGuard<'_, ()>> {
+    pub fn lock_many(&self, sorted_stripes: &[usize]) -> Vec<MutexGuard<'_, Stripe>> {
         debug_assert!(sorted_stripes.windows(2).all(|w| w[0] < w[1]));
         sorted_stripes
             .iter()

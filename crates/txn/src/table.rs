@@ -479,6 +479,11 @@ impl Table {
         self.free_slots.lock().len()
     }
 
+    /// The slots awaiting reuse, the next one handed out last (snapshot).
+    pub fn free_slots(&self) -> Vec<u64> {
+        self.free_slots.lock().clone()
+    }
+
     // ---- catalog persistence -------------------------------------------
 
     fn write_catalog(&self) -> Result<()> {

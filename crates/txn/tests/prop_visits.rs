@@ -8,7 +8,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
 use spitfire_device::{PersistenceTracking, TimeScale};
-use spitfire_txn::{Database, DbConfig, Field, Table, Transaction, TxnError, VersionHeader};
+use spitfire_txn::{
+    Database, DbConfig, Field, Table, Transaction, TxnError, VacuumStats, VersionHeader,
+};
 
 const T: u32 = 1;
 const TUPLE: usize = 64;
@@ -143,6 +145,18 @@ impl Model {
             chain.pending = None;
         }
     }
+
+    /// Drop what no transaction at or above `watermark` can see: every
+    /// committed version older than the newest one that began at or below
+    /// it. Returns how many went.
+    fn vacuum(&mut self, watermark: u64) -> usize {
+        let mut freed = 0;
+        for chain in &mut self.keys {
+            let keeper = chain.committed.iter().rposition(|v| v.begin <= watermark);
+            freed += chain.committed.drain(..keeper.unwrap_or(0)).count();
+        }
+        freed
+    }
 }
 
 // ---- the schedule -----------------------------------------------------
@@ -156,7 +170,10 @@ enum Op {
     Abort,
 }
 
-fn op_strategy() -> impl Strategy<Value = (usize, Op, usize, u8)> {
+/// Transaction slot, what it does, key, value.
+type OpSpec = (usize, Op, usize, u8);
+
+fn op_strategy() -> impl Strategy<Value = OpSpec> {
     let kind = prop_oneof![
         2 => Just(Op::Insert),
         4 => Just(Op::Read),
@@ -196,6 +213,68 @@ fn check_reads(db: &Database, model: &mut Model, t: &Transaction, m: &ModelTxn) 
     }
 }
 
+type OpenTxns = [Option<(Transaction, ModelTxn)>; 3];
+
+fn fresh() -> (Database, Model) {
+    let db = Database::create(buffer_manager(1024), DbConfig::default()).unwrap();
+    db.create_table(T, TUPLE).unwrap();
+    (db, Model::default())
+}
+
+/// Play `ops` over three transaction slots on the database and the model,
+/// holding every outcome against the model's. Returns what is still open.
+fn play(db: &Database, model: &mut Model, ops: &[OpSpec]) -> OpenTxns {
+    let mut slots: OpenTxns = [None, None, None];
+    for &(slot, op, k, val) in ops {
+        let (mut t, mut m) = slots[slot].take().unwrap_or_else(|| begin(db));
+        let payload = [val; TUPLE];
+        match op {
+            Op::Read => assert_eq!(db_read(db, &t, k), model.read(&m, k)),
+            Op::Update => {
+                let got = db.update(&mut t, T, k as u64, &payload);
+                assert_eq!(got, model.update(&mut m, k, val));
+            }
+            Op::Insert => {
+                let got = db.insert(&mut t, T, k as u64, &payload);
+                assert_eq!(got, model.insert(&mut m, k, val));
+            }
+            // Finished either way: a failed validation rolls back.
+            Op::Commit => {
+                assert_eq!(db.commit(&mut t), model.commit(m));
+                assert!(!t.is_active());
+                continue;
+            }
+            Op::Abort => {
+                db.abort(&mut t).unwrap();
+                model.abort(m);
+                continue;
+            }
+        }
+        slots[slot] = Some((t, m));
+    }
+    slots
+}
+
+/// Update every key in one fresh transaction (an absent key is `NotFound`
+/// on both sides). Returns how many versions were written.
+fn update_every_key(db: &Database, model: &mut Model) -> usize {
+    let (mut t, mut m) = begin(db);
+    let mut written = 0;
+    for k in 0..KEYS {
+        let got = db.update(&mut t, T, k as u64, &[k as u8; TUPLE]);
+        assert_eq!(got, model.update(&mut m, k, k as u8));
+        written += got.is_ok() as usize;
+    }
+    assert_eq!(db.commit(&mut t), model.commit(m));
+    written
+}
+
+fn check_reads_as_newcomer(db: &Database, model: &mut Model) {
+    let (mut t, m) = begin(db);
+    check_reads(db, model, &t, &m);
+    db.commit(&mut t).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -206,63 +285,63 @@ proptest! {
     fn interleaved_schedule_matches_the_mvto_model(
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        let db = Database::create(buffer_manager(1024), DbConfig::default()).unwrap();
-        db.create_table(T, TUPLE).unwrap();
-        let mut model = Model::default();
-        let mut slots: [Option<(Transaction, ModelTxn)>; 3] = [None, None, None];
-
-        for (slot, op, k, val) in ops {
-            let (mut t, mut m) = slots[slot].take().unwrap_or_else(|| begin(&db));
-            let payload = [val; TUPLE];
-            match op {
-                Op::Read => prop_assert_eq!(db_read(&db, &t, k), model.read(&m, k)),
-                Op::Update => {
-                    let got = db.update(&mut t, T, k as u64, &payload);
-                    prop_assert_eq!(got, model.update(&mut m, k, val));
-                }
-                Op::Insert => {
-                    let got = db.insert(&mut t, T, k as u64, &payload);
-                    prop_assert_eq!(got, model.insert(&mut m, k, val));
-                }
-                // Finished either way: a failed validation rolls back.
-                Op::Commit => {
-                    prop_assert_eq!(db.commit(&mut t), model.commit(m));
-                    prop_assert!(!t.is_active());
-                    continue;
-                }
-                Op::Abort => {
-                    db.abort(&mut t).unwrap();
-                    model.abort(m);
-                    continue;
-                }
-            }
-            slots[slot] = Some((t, m));
-        }
+        let (db, mut model) = fresh();
+        let slots = play(&db, &mut model, &ops);
 
         // Vacuum under whatever is still open must not take a version any
-        // of them (or a newcomer) can see.
-        db.vacuum().unwrap();
+        // of them (or a newcomer) can see, and takes every one they cannot.
+        let freed = db.vacuum().unwrap().freed;
+        prop_assert_eq!(freed, model.vacuum(db.oldest_active_ts()));
         for (t, m) in slots.iter().flatten() {
             check_reads(&db, &mut model, t, m);
         }
-        let (mut t, m) = begin(&db);
-        check_reads(&db, &mut model, &t, &m);
-        db.commit(&mut t).unwrap();
+        check_reads_as_newcomer(&db, &mut model);
 
         // Crash with the open transactions in flight: they are losers.
         db.simulate_crash();
         model.crash();
         db.recover().unwrap();
-        let (mut t, mut m) = begin(&db);
-        check_reads(&db, &mut model, &t, &m);
+        check_reads_as_newcomer(&db, &mut model);
         // The recovered chains (and vacuum's recycled slots) take writes.
-        for k in 0..KEYS {
-            let got = db.update(&mut t, T, k as u64, &[k as u8; TUPLE]);
-            prop_assert_eq!(got, model.update(&mut m, k, k as u8));
-        }
-        prop_assert_eq!(db.commit(&mut t), model.commit(m));
-        let (t, m) = begin(&db);
-        check_reads(&db, &mut model, &t, &m);
+        update_every_key(&db, &mut model);
+        check_reads_as_newcomer(&db, &mut model);
+    }
+
+    /// Vacuum's debts die with the process. The first pass after recovery
+    /// finds through the index every version superseded before the crash,
+    /// their slots take the next writes, and the pass after that — driven
+    /// by debts again — frees in an order the ops alone decide: the same
+    /// schedule twice leaves the same free lists.
+    #[test]
+    fn debt_from_before_a_crash_is_collected_after_it(
+        ops in proptest::collection::vec(op_strategy(), 1..80),
+    ) {
+        let run = || {
+            let (db, mut model) = fresh();
+            drop(play(&db, &mut model, &ops)); // whatever is open is a loser
+            db.simulate_crash();
+            model.crash();
+            db.recover().unwrap();
+
+            // Nothing is active: every chain is cut to its newest version.
+            let superseded = model.vacuum(u64::MAX);
+            assert_eq!(db.vacuum().unwrap().freed, superseded);
+            let after_recovery = db.table_free_slots(T).unwrap();
+            assert_eq!(after_recovery.len(), superseded);
+            assert_eq!(db.vacuum().unwrap(), VacuumStats::default());
+            check_reads_as_newcomer(&db, &mut model);
+
+            let written = update_every_key(&db, &mut model);
+            let left = db.table_free_slots(T).unwrap();
+            assert_eq!(left.len(), superseded.saturating_sub(written));
+            assert!(after_recovery.starts_with(&left), "a freed slot was passed over");
+
+            let stats = db.vacuum().unwrap();
+            assert_eq!((stats.chains, stats.freed), (written, model.vacuum(u64::MAX)));
+            check_reads_as_newcomer(&db, &mut model);
+            (after_recovery, db.table_free_slots(T).unwrap())
+        };
+        prop_assert_eq!(run(), run());
     }
 
     /// A stamp writes its own eight bytes: the other four fields and the

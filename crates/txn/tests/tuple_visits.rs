@@ -236,6 +236,75 @@ fn vacuum_frees_each_version_in_one_write_visit() {
 }
 
 #[test]
+fn vacuum_visits_only_chains_in_debt_and_no_index_page() {
+    const VERSIONS: u64 = 3; // superseded, per key in debt
+    let in_debt = [2, 5, 6];
+    let load = || {
+        let db = data_in_nvm(); // holds KEY
+        for key in 0..KEY {
+            put(&db, key, 1);
+        }
+        for byte in 0..VERSIONS as u8 {
+            for key in in_debt {
+                put(&db, key, 2 + byte);
+            }
+        }
+        db
+    };
+    let cost = twice(|| {
+        let db = load();
+        Cost::of(&db, || {
+            let stats = db.vacuum().unwrap();
+            assert_eq!((stats.chains, stats.freed), (3, 3 * VERSIONS as usize));
+        })
+    });
+    // Index in DRAM: a DRAM hit would be an index page. Per key in debt
+    // the walk finds the keeper at the recorded rid, cuts it, and frees.
+    assert_eq!(cost.bm.dram_hits, 0, "vacuum fetched an index page");
+    assert_eq!(cost.bm.nvm_hits, 3 * (1 + 1 + VERSIONS));
+    assert_eq!(cost.bm.total_requests(), cost.bm.nvm_hits);
+
+    let again = twice(|| {
+        let db = load();
+        db.vacuum().unwrap();
+        Cost::of(&db, || assert_eq!(db.vacuum().unwrap().chains, 0))
+    });
+    assert_eq!(
+        again.bm.total_requests(),
+        0,
+        "nothing in debt, nothing read"
+    );
+    assert_eq!(again.nvm.read_ops + again.dram.read_ops, 0);
+}
+
+#[test]
+fn debt_held_back_by_a_reader_is_collected_once_it_ends() {
+    let db = data_in_nvm();
+    put(&db, KEY, 2);
+    let mut reader = db.begin(); // sees 2: keeps it and everything newer
+    put(&db, KEY, 3);
+
+    // Chain 3 → 2 → 1 with the watermark between 2 and 3: version 1 goes,
+    // and the key stays in debt because 2 is still below its newest.
+    let held = Cost::of(&db, || assert_eq!(db.vacuum().unwrap().freed, 1));
+    assert_eq!(held.bm.nvm_hits, 2 + 1 + 1, "walk past 3, cut at 2, free 1");
+    let mut buf = [0u8; TUPLE];
+    db.read_into(&reader, T, KEY, &mut buf).unwrap();
+    assert_eq!(buf, [2u8; TUPLE]);
+    db.commit(&mut reader).unwrap();
+
+    // No commit touched the key since: the entry alone brings vacuum back.
+    let after = Cost::of(&db, || {
+        let stats = db.vacuum().unwrap();
+        assert_eq!((stats.chains, stats.freed), (1, 1));
+    });
+    assert_eq!(after.bm.nvm_hits, 1 + 1 + 1);
+    assert_eq!(after.bm.dram_hits, 0);
+    let settled = Cost::of(&db, || assert_eq!(db.vacuum().unwrap().chains, 0));
+    assert_eq!(settled.bm.total_requests(), 0);
+}
+
+#[test]
 fn wrong_sized_buffer_fails_before_anything_is_touched() {
     let db = data_in_nvm();
     let mut writer = db.begin();
