@@ -2,8 +2,8 @@
 //!
 //! The unified mapping table stores one [`SharedPageDesc`] per logical page.
 //! The descriptor records where copies of the page live (DRAM and/or NVM),
-//! how many threads currently use each copy, and whether each copy is
-//! dirty. An *exclusive* claim moves a copy through the
+//! how many threads currently use each copy, and how dirty each copy is
+//! ([`Dirt`]). An *exclusive* claim moves a copy through the
 //! [`CopyState::Busy`] / [`CopyState::Loading`] states, which is the
 //! non-blocking formulation of the paper's per-tier migration latches: a
 //! fetch that encounters a copy in a transitional state waits on the
@@ -51,21 +51,42 @@ impl FrameRef {
     }
 }
 
+/// How far a copy is ahead of the tier below it. Ordered: a copy built
+/// from several sources (an admission, a merge) carries the max of their
+/// dirt, and a write raises a copy's dirt, never lowers it.
+///
+/// The rule for `Hint` is one sentence: *hint dirt moves between DRAM and
+/// NVM exactly like data dirt and is never written to SSD.* A copy whose
+/// only changes since it was clean are hint writes
+/// ([`WriteGuard::write_hint`](crate::WriteGuard::write_hint)) is dropped
+/// like a clean one when it leaves the buffer tiers — no I/O — and the
+/// changes are lost, which their writer declared acceptable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Dirt {
+    /// The copy equals the tier below it.
+    Clean,
+    /// Changed only by hint writes: may be dropped without write-back.
+    Hint,
+    /// Changed by a write that must reach the tier below before the copy
+    /// is dropped.
+    Data,
+}
+
 /// Lifecycle of one tier's copy of a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum CopyState {
     /// Being installed by a migration; not yet readable. Waiters block on
     /// the descriptor condvar until it becomes `Resident`.
     Loading,
-    /// Present and usable. `pins` counts outstanding guards; `dirty` means
-    /// the copy is newer than the tier below it.
+    /// Present and usable. `pins` counts outstanding guards; `dirt` says
+    /// how the copy differs from the tier below it.
     Resident {
         /// Where the bytes live.
         frame: FrameRef,
         /// Number of outstanding page guards on this copy.
         pins: u32,
-        /// Whether this copy must be written down before being dropped.
-        dirty: bool,
+        /// What must happen to this copy's changes before it is dropped.
+        dirt: Dirt,
     },
     /// Under migration (eviction or promotion-source drain): existing pins
     /// may still drain, but no new pins are granted.
@@ -74,8 +95,8 @@ pub(crate) enum CopyState {
         frame: FrameRef,
         /// Pins still draining.
         pins: u32,
-        /// Dirty flag carried through the migration.
-        dirty: bool,
+        /// Dirt carried through the migration.
+        dirt: Dirt,
     },
 }
 
@@ -245,19 +266,26 @@ mod tests {
         let r = CopyState::Resident {
             frame: FrameRef::Full(FrameId(1)),
             pins: 2,
-            dirty: false,
+            dirt: Dirt::Clean,
         };
         assert_eq!(r.pins(), 2);
         assert!(!r.in_transition());
         let b = CopyState::Busy {
             frame: FrameRef::Full(FrameId(1)),
             pins: 1,
-            dirty: true,
+            dirt: Dirt::Data,
         };
         assert!(b.in_transition());
         assert_eq!(b.pins(), 1);
         assert!(CopyState::Loading.in_transition());
         assert_eq!(CopyState::Loading.pins(), 0);
+    }
+
+    #[test]
+    fn dirt_merges_take_the_max() {
+        assert!(Dirt::Clean < Dirt::Hint && Dirt::Hint < Dirt::Data);
+        assert_eq!(Dirt::Clean.max(Dirt::Hint), Dirt::Hint);
+        assert_eq!(Dirt::Data.max(Dirt::Hint), Dirt::Data);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use spitfire_device::AccessPattern;
 
-use crate::descriptor::{CopyState, FrameRef, SharedPageDesc};
+use crate::descriptor::{CopyState, Dirt, FrameRef, SharedPageDesc};
 use crate::error::BufferError;
 use crate::fgpage::{FinePage, MiniPage};
 use crate::guard::{GuardKind, PageGuard};
@@ -33,7 +33,7 @@ impl BufferManager {
         &self,
         desc: &SharedPageDesc,
         nvm_frame: FrameId,
-        nvm_dirty: bool,
+        nvm_dirt: Dirt,
     ) -> Result<PageGuard<'_>> {
         let mig_t = spitfire_obs::op_start();
         let pid = desc.pid;
@@ -55,12 +55,12 @@ impl BufferManager {
         st.dram = Some(CopyState::Resident {
             frame: fref,
             pins: 1,
-            dirty: false,
+            dirt: Dirt::Clean,
         });
         st.nvm = Some(CopyState::Resident {
             frame: FrameRef::Full(nvm_frame),
             pins: 1, // backing pin held by the fine-grained copy
-            dirty: nvm_dirty,
+            dirt: nvm_dirt,
         });
         desc.cond.notify_all();
         drop(st);
@@ -103,6 +103,7 @@ impl BufferManager {
 
     /// Write through a fine-grained DRAM copy. Granules fully covered by
     /// the write are not loaded first; partially covered granules are.
+    /// Every write here is data: granule masks have no hint level.
     pub(crate) fn fg_write(&self, pid: PageId, offset: usize, data: &[u8]) -> Result<()> {
         let desc = self.mapping_get(pid)?;
         let granule = self.granule();
@@ -131,8 +132,8 @@ impl BufferManager {
             }
             FrameRef::Full(_) => unreachable!("fine-grained guard on a full frame"),
         }
-        if let Some(CopyState::Resident { dirty, .. }) = &mut st.dram {
-            *dirty = true;
+        if let Some(CopyState::Resident { dirt, .. }) = &mut st.dram {
+            *dirt = Dirt::Data;
         }
         Ok(())
     }
@@ -219,12 +220,12 @@ impl BufferManager {
         let granule = self.granule();
         let mini = self.mini.as_ref().expect("mini slabs exist");
         let new_frame = self.alloc_frame(true)?;
-        let (pins, was_dirty, mp) = match dram.take() {
+        let (pins, dirt, mp) = match dram.take() {
             Some(CopyState::Resident {
                 frame: FrameRef::Mini(mp),
                 pins,
-                dirty,
-            }) => (pins, dirty, mp),
+                dirt,
+            }) => (pins, dirt, mp),
             other => {
                 *dram = other;
                 self.tier1_pool().free(new_frame);
@@ -251,7 +252,7 @@ impl BufferManager {
         *dram = Some(CopyState::Resident {
             frame: FrameRef::Fine(Box::new(fp)),
             pins,
-            dirty: was_dirty,
+            dirt,
         });
         Ok(())
     }
@@ -270,7 +271,7 @@ impl BufferManager {
         let (first, last) = granule_range(offset, len, granule);
         let Some(CopyState::Resident {
             frame: FrameRef::Fine(fp),
-            dirty,
+            dirt,
             ..
         }) = dram
         else {
@@ -297,7 +298,7 @@ impl BufferManager {
             MiniIo::Write(data) => {
                 self.tier1_pool()
                     .write(frame, offset, data, AccessPattern::Random)?;
-                *dirty = true;
+                *dirt = Dirt::Data;
             }
         }
         self.tier1_pool().touch(frame);

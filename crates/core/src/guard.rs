@@ -9,6 +9,7 @@
 use spitfire_device::AccessPattern;
 use spitfire_sync::VersionLatch;
 
+use crate::descriptor::Dirt;
 use crate::manager::BufferManager;
 use crate::types::{FrameId, PageId, Tier};
 use crate::Result;
@@ -99,6 +100,15 @@ impl<'a> PageGuard<'a> {
     /// NVM buffer (§5.2: NVM-resident pages are never flushed to SSD on
     /// checkpoint because they are already persistent).
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<()> {
+        self.write_dirt(offset, data, Dirt::Data)
+    }
+
+    /// [`write`](Self::write), raising the copy's dirt to at most `dirt`
+    /// ([`WriteGuard::write_hint`] passes [`Dirt::Hint`]). The device
+    /// write, the NVM persist and the pin-word version bump are the same
+    /// whatever `dirt` is; only data dirt enters the checkpoint dirty
+    /// epoch. Fine-grained and mini copies take every write as data.
+    pub(crate) fn write_dirt(&self, offset: usize, data: &[u8], dirt: Dirt) -> Result<()> {
         match self.kind {
             GuardKind::FullDram(f) => {
                 self.bm
@@ -113,7 +123,7 @@ impl<'a> PageGuard<'a> {
             GuardKind::FineGrained => self.bm.fg_write(self.pid, offset, data)?,
         }
         if !matches!(self.kind, GuardKind::FineGrained) {
-            self.bm.mark_dirty(self.pid, self.in_dram_slot);
+            self.bm.mark_dirty(self.pid, self.in_dram_slot, dirt);
         }
         Ok(())
     }
@@ -238,7 +248,9 @@ impl<'a> ReadGuard<'a> {
 /// A writable pinned page, returned by
 /// [`BufferManager::fetch_write`](crate::BufferManager::fetch_write) or
 /// [`ReadGuard::upgrade`]: everything a [`ReadGuard`] offers, plus
-/// [`write`](Self::write) / [`write_u64`](Self::write_u64).
+/// [`write`](Self::write) / [`write_u64`](Self::write_u64) and their
+/// may-be-lost twins [`write_hint`](Self::write_hint) /
+/// [`write_u64_hint`](Self::write_u64_hint).
 #[derive(Debug)]
 pub struct WriteGuard<'a> {
     inner: PageGuard<'a>,
@@ -283,5 +295,25 @@ impl<'a> WriteGuard<'a> {
     /// Write a little-endian `u64` at `offset`.
     pub fn write_u64(&self, offset: usize, value: u64) -> Result<()> {
         self.inner.write_u64(offset, value)
+    }
+
+    /// Write `data` as a *hint*: bytes the page may lose. The write itself
+    /// is [`write`](Self::write)'s — same device write, same NVM persist,
+    /// same pin-word version bump, so readers and shadow copies see it like
+    /// any other — but it raises a clean copy only to hint dirt, never
+    /// lowers data dirt, and does not enter the checkpoint dirty epoch.
+    /// Hint dirt moves between DRAM and NVM exactly like data dirt and is
+    /// never written to SSD: a copy holding nothing else is dropped like a
+    /// clean one when it leaves the buffer, and the hint is gone. Use it
+    /// only for bytes whose loss no reader can observe (an MVTO read
+    /// timestamp no live transaction can consult). Fine-grained and mini
+    /// copies treat it as a plain write.
+    pub fn write_hint(&self, offset: usize, data: &[u8]) -> Result<()> {
+        self.inner.write_dirt(offset, data, Dirt::Hint)
+    }
+
+    /// [`write_hint`](Self::write_hint) of a little-endian `u64`.
+    pub fn write_u64_hint(&self, offset: usize, value: u64) -> Result<()> {
+        self.write_hint(offset, &value.to_le_bytes())
     }
 }

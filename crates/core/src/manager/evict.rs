@@ -1,7 +1,9 @@
 //! Making room: frame allocation with inline eviction fallback, DRAM and
 //! NVM eviction, and the staged NVM → SSD batch write-back that
 //! maintenance cycles and `flush_nvm_dirty` share. Each eviction picks
-//! shadow or exclusive claim from the victim's state (see `shadow`).
+//! shadow or exclusive claim from the victim's state (see `shadow`), and
+//! what it writes from the victim's [`Dirt`]: a copy leaving the buffer
+//! tiers with hint dirt only is dropped like a clean one.
 
 use std::sync::Arc;
 
@@ -13,7 +15,7 @@ use super::maintain::watermark_frames;
 use super::shadow::{Claim, ShadowEnd};
 use super::{with_page_buf, BufferManager};
 use crate::config::{DRAM_LOW_WATERMARK, NVM_LOW_WATERMARK};
-use crate::descriptor::{CopyState, FrameRef, PageState, SharedPageDesc};
+use crate::descriptor::{CopyState, Dirt, FrameRef, PageState, SharedPageDesc};
 use crate::error::BufferError;
 use crate::io::{retry_device_io, retry_device_io_n, IO_RETRY_LIMIT, MAINT_RETRY_LIMIT};
 use crate::types::{FrameId, MigrationPath, Tier};
@@ -119,7 +121,7 @@ impl BufferManager {
         let Some(CopyState::Resident {
             frame,
             pins: 0,
-            dirty,
+            dirt,
         }) = &st.dram
         else {
             return false;
@@ -128,16 +130,18 @@ impl BufferManager {
             return false;
         }
         let fref = frame.clone();
-        let dirty = *dirty;
+        let dirt = *dirt;
         let fine = !matches!(fref, FrameRef::Full(_));
 
         // Dirty full-frame copies take the shadow write-back: the device
         // write runs while the copy stays `Resident` and its word open, so
-        // readers never stall behind it. Clean copies are discarded
-        // without I/O (nothing to shadow) and fine/mini copies are claimed
-        // exclusively (granule write-back needs the mutex).
-        if dirty && !fine {
-            return self.evict_dram_shadow(desc, st, victim);
+        // readers never stall behind it. Hint dirt goes the same way — it
+        // moves to NVM like data — and only its SSD leg differs. Clean
+        // copies are discarded without I/O (nothing to shadow) and
+        // fine/mini copies are claimed exclusively (granule write-back
+        // needs the mutex).
+        if dirt != Dirt::Clean && !fine {
+            return self.evict_dram_shadow(desc, st, victim, dirt);
         }
 
         // Stop optimistic pinners before committing to the eviction: a
@@ -152,21 +156,21 @@ impl BufferManager {
 
         // A dirty fine-grained copy writes its dirty granules back into
         // the backing NVM copy, claimed here while we can still see it.
-        let backing = if dirty {
+        let backing = if dirt != Dirt::Clean {
             match &st.nvm {
                 // Fine-grained copies hold one backing pin on the NVM
                 // copy; anything beyond that means concurrent readers.
                 Some(CopyState::Resident {
                     frame: nf,
                     pins,
-                    dirty: nvm_dirty,
+                    dirt: nvm_dirt,
                 }) if *pins <= 1 => {
                     let nvm_frame = nf.frame();
-                    let d = *nvm_dirty;
+                    let d = *nvm_dirt;
                     st.nvm = Some(CopyState::Busy {
                         frame: FrameRef::Full(nvm_frame),
                         pins: 0,
-                        dirty: d,
+                        dirt: d,
                     });
                     Some(nvm_frame)
                 }
@@ -185,7 +189,7 @@ impl BufferManager {
         st.dram = Some(CopyState::Busy {
             frame: fref.clone(),
             pins: 0,
-            dirty,
+            dirt,
         });
         drop(st);
 
@@ -212,7 +216,9 @@ impl BufferManager {
     /// word open, so hit-path readers never stall behind the device write.
     /// The destination is an existing NVM copy (merge), a freshly admitted
     /// NVM frame (coin flip `N_w` or admission queue), or — bypassing NVM
-    /// (§3.4) — the SSD. If the move aborts, the DRAM copy stays resident,
+    /// (§3.4) — the SSD. A copy with only hint dirt (`dirt`) has nothing
+    /// the SSD must keep, so its SSD leg is a drop: no write, the same
+    /// commit. If the move aborts, the DRAM copy stays resident,
     /// dirty, and authoritative, and the destination bytes (which may be
     /// torn) are either re-marked dirty (merge) or left as an unsynced,
     /// superseded SSD image. Takes the descriptor lock held by
@@ -222,6 +228,7 @@ impl BufferManager {
         desc: &SharedPageDesc,
         mut st: parking_lot::MutexGuard<'_, PageState>,
         victim: FrameId,
+        dirt: Dirt,
     ) -> bool {
         // A pre-existing NVM copy is the merge target, claimed along with
         // the source; one that is pinned or in transition means back off.
@@ -270,7 +277,9 @@ impl BufferManager {
             // The eviction write is left unsynced; durability barriers
             // (checkpoint, NVM write-back) sync before relying on SSD
             // images.
-            admitted.is_some() || self.write_dram_copy_to_ssd(desc, victim).is_ok()
+            admitted.is_some()
+                || dirt == Dirt::Hint
+                || self.write_dram_copy_to_ssd(desc, victim).is_ok()
         };
         if !self.shadow_finish(desc, claim, ShadowEnd::Evict(admitted), io_ok) {
             return false;
@@ -278,6 +287,8 @@ impl BufferManager {
         if merge.is_some() || admitted.is_some() {
             self.metrics.record_migration(MigrationPath::DramToNvm);
             obs::record_op(Op::MigDramToNvm, mig_t, desc.pid.0, "nvm");
+        } else if dirt == Dirt::Hint {
+            self.metrics.record_hint_discard();
         } else {
             self.metrics.record_migration(MigrationPath::DramToSsd);
             obs::record_op(Op::MigDramToSsd, mig_t, desc.pid.0, "ssd");
@@ -306,8 +317,9 @@ impl BufferManager {
     }
 
     /// Finish an exclusively claimed DRAM eviction: clear the DRAM slot,
-    /// hand the `backing` NVM copy back (`Resident`, dirty — granules were
-    /// just written into it), free the frame or mini slot, notify.
+    /// hand the `backing` NVM copy back (`Resident` with data dirt —
+    /// granules were just written into it), free the frame or mini slot,
+    /// notify.
     fn release_dram_copy(&self, desc: &SharedPageDesc, fref: FrameRef, backing: Option<FrameId>) {
         // Free the frame *after* clearing the slot so a racing fetch cannot
         // observe a freed frame id in a Resident state.
@@ -317,7 +329,7 @@ impl BufferManager {
             st.nvm = Some(CopyState::Resident {
                 frame: FrameRef::Full(nvm_frame),
                 pins: 0,
-                dirty: true,
+                dirt: Dirt::Data,
             });
         } else if !matches!(fref, FrameRef::Full(_)) {
             // Clean fine-grained copy discarded: release the backing pin.
@@ -346,13 +358,13 @@ impl BufferManager {
 
     /// Claim `victim`'s NVM copy for eviction or write-back: the copy must
     /// be `Resident` with zero mutex pins, occupying `victim`. `None`
-    /// means back off and pick another victim. Returns the copy's dirty
-    /// flag and how it was claimed (see [`Self::claim_nvm_copy`]).
+    /// means back off and pick another victim. Returns the copy's dirt and
+    /// how it was claimed (see [`Self::claim_nvm_copy`]).
     pub(super) fn claim_nvm_victim(
         &self,
         desc: &SharedPageDesc,
         victim: FrameId,
-    ) -> Option<(bool, Claim)> {
+    ) -> Option<(Dirt, Claim)> {
         let mut st = desc.state.try_lock()?;
         if st.shadow_nvm || st.shadow_dram {
             return None;
@@ -360,7 +372,7 @@ impl BufferManager {
         let Some(CopyState::Resident {
             frame,
             pins: 0,
-            dirty,
+            dirt,
         }) = &st.nvm
         else {
             return None;
@@ -368,28 +380,29 @@ impl BufferManager {
         if frame.frame() != victim {
             return None;
         }
-        let dirty = *dirty;
-        Some((dirty, Self::claim_nvm_copy(desc, &mut st, victim, dirty)?))
+        let dirt = *dirt;
+        Some((dirt, Self::claim_nvm_copy(desc, &mut st, victim, dirt)?))
     }
 
     /// Claim the `Resident`, zero-mutex-pin NVM copy in `victim` (caller
     /// holds the descriptor mutex and saw no shadow operation in flight).
     ///
-    /// A *dirty* copy whose word is open is shadow-claimed: the slot stays
-    /// `Resident` and readers keep hitting it until
+    /// A copy with *data* dirt whose word is open is shadow-claimed: the
+    /// slot stays `Resident` and readers keep hitting it until
     /// [`Self::finish_nvm_claim`] resolves the claim once the SSD image is
-    /// durable — nobody stalls behind the device write + sync. Clean
-    /// copies (no I/O ahead of the retirement) and copies whose word is
-    /// already closed (a DRAM copy shadows them, so readers use DRAM and
-    /// closing stalls nobody) are claimed exclusively: slot `Busy`, word
-    /// closed. `None` means optimistic readers are mid-access: back off.
+    /// durable — nobody stalls behind the device write + sync. Copies with
+    /// no I/O ahead of the retirement (clean, or hint dirt only) and copies
+    /// whose word is already closed (a DRAM copy shadows them, so readers
+    /// use DRAM and closing stalls nobody) are claimed exclusively: slot
+    /// `Busy`, word closed. `None` means optimistic readers are
+    /// mid-access: back off.
     pub(super) fn claim_nvm_copy(
         desc: &SharedPageDesc,
         st: &mut PageState,
         victim: FrameId,
-        dirty: bool,
+        dirt: Dirt,
     ) -> Option<Claim> {
-        if dirty {
+        if dirt == Dirt::Data {
             if let Some(claim) = Self::shadow_claim(desc, st, false, victim, None) {
                 return Some(Claim::Shadow(claim));
             }
@@ -404,17 +417,17 @@ impl BufferManager {
         st.nvm = Some(CopyState::Busy {
             frame: FrameRef::Full(victim),
             pins: 0,
-            dirty,
+            dirt,
         });
         Some(Claim::Exclusive)
     }
 
-    /// Resolve a claimed dirty NVM copy after its write-back I/O. With
-    /// `retire`, an accepted copy is left `Busy`, clean, word closed —
+    /// Resolve a claimed NVM copy with data dirt after its write-back I/O.
+    /// With `retire`, an accepted copy is left `Busy`, clean, word closed —
     /// exclusively held for [`Self::finish_nvm_eviction`]; without, it
     /// goes back to `Resident` clean. A copy whose I/O failed, or whose
-    /// shadow claim raced a write or a late reader, stays `Resident` and
-    /// dirty: the synced SSD image may be stale or torn, but the NVM bytes
+    /// shadow claim raced a write or a late reader, stays `Resident` with
+    /// data dirt: the synced SSD image may be stale or torn, but the NVM bytes
     /// and frame header remain authoritative for both runtime reads and
     /// crash recovery. Returns whether the SSD image was accepted.
     fn finish_nvm_claim(
@@ -437,7 +450,8 @@ impl BufferManager {
             // Nobody could touch the `Busy` copy: the image is current.
             Claim::Exclusive => {
                 if !(retire && io_ok) {
-                    self.restore_nvm_resident(desc, victim, !io_ok);
+                    let dirt = if io_ok { Dirt::Clean } else { Dirt::Data };
+                    self.restore_nvm_resident(desc, victim, dirt);
                 }
                 io_ok
             }
@@ -446,20 +460,31 @@ impl BufferManager {
 
     /// Restore a claimed NVM copy to `Resident` (after a failed or
     /// non-evicting operation) and wake waiters.
-    fn restore_nvm_resident(&self, desc: &SharedPageDesc, victim: FrameId, dirty: bool) {
+    fn restore_nvm_resident(&self, desc: &SharedPageDesc, victim: FrameId, dirt: Dirt) {
         let mut st = desc.state.lock();
         st.nvm = Some(CopyState::Resident {
             frame: FrameRef::Full(victim),
             pins: 0,
-            dirty,
+            dirt,
         });
         Self::reopen_nvm_word(desc, &st);
         desc.cond.notify_all();
     }
 
+    /// Retire a claimed NVM copy that owes the SSD nothing — clean, or
+    /// holding hint dirt only (counted as a hint discard: its hints are
+    /// lost here) — without I/O.
+    pub(super) fn discard_nvm_copy(&self, desc: &SharedPageDesc, victim: FrameId, dirt: Dirt) {
+        debug_assert_ne!(dirt, Dirt::Data, "page {}: data dropped", desc.pid);
+        if dirt == Dirt::Hint {
+            self.metrics.record_hint_discard();
+        }
+        self.finish_nvm_eviction(desc, victim);
+    }
+
     /// Complete an NVM eviction whose content is already durable on SSD
-    /// (clean copy, or dirty copy written back and synced): clear the
-    /// frame header, empty the slot, free the frame.
+    /// (a copy that owed the SSD nothing, or one written back and synced):
+    /// clear the frame header, empty the slot, free the frame.
     pub(super) fn finish_nvm_eviction(&self, desc: &SharedPageDesc, victim: FrameId) {
         let _ = self.nvm_pool().clear_frame_header(victim);
         let mut st = desc.state.lock();
@@ -473,11 +498,13 @@ impl BufferManager {
     /// Evict the NVM copy of `desc` if it occupies `victim` and is
     /// evictable (paths ⑤ / discard).
     fn try_evict_nvm(&self, desc: &SharedPageDesc, victim: FrameId) -> bool {
-        let Some((dirty, claim)) = self.claim_nvm_victim(desc, victim) else {
+        let Some((dirt, claim)) = self.claim_nvm_victim(desc, victim) else {
             return false;
         };
         let evict_t = obs::op_start();
-        if dirty {
+        if dirt != Dirt::Data {
+            self.discard_nvm_copy(desc, victim, dirt);
+        } else {
             let mig_t = obs::op_start();
             let page = self.config.page_size;
             // The SSD image must be *synced* before the NVM frame header is
@@ -501,13 +528,13 @@ impl BufferManager {
             }
             self.metrics.record_migration(MigrationPath::NvmToSsd);
             obs::record_op(Op::MigNvmToSsd, mig_t, desc.pid.0, "ssd");
+            self.finish_nvm_eviction(desc, victim);
         }
-        self.finish_nvm_eviction(desc, victim);
         obs::record_op(Op::EvictNvm, evict_t, desc.pid.0, "nvm");
         true
     }
 
-    /// Write a batch of *claimed dirty* NVM copies to SSD with a single
+    /// Write a batch of *claimed* NVM copies with data dirt to SSD with a single
     /// fsync: the page images are staged in memory (batches are small —
     /// the maintenance default is 4 pages) and submitted as one sorted
     /// multi-page write ([`spitfire_device::SsdDevice::write_pages`] —

@@ -12,7 +12,7 @@ use spitfire_sync::PinAttempt;
 
 use super::shadow::{ShadowClaim, ShadowEnd};
 use super::{with_page_buf, BufferManager};
-use crate::descriptor::{CopyState, FrameRef, SharedPageDesc};
+use crate::descriptor::{CopyState, Dirt, FrameRef, SharedPageDesc};
 use crate::error::BufferError;
 use crate::guard::{GuardKind, PageGuard, ReadGuard, WriteGuard};
 use crate::types::{AccessIntent, FrameId, MigrationPath, PageId, Tier};
@@ -320,10 +320,10 @@ impl BufferManager {
             // 2. NVM copy.
             if self.nvm.is_some() {
                 match &mut st.nvm {
-                    Some(CopyState::Resident { frame, pins, dirty }) => {
+                    Some(CopyState::Resident { frame, pins, dirt }) => {
                         let f = frame.frame();
                         let cur_pins = *pins;
-                        let dirty0 = *dirty;
+                        let dirt0 = *dirt;
                         // A shadow operation owns this copy's transitions:
                         // serve in place rather than promote from under it.
                         let shadowed = st.shadow_nvm;
@@ -395,11 +395,11 @@ impl BufferManager {
                         st.nvm = Some(CopyState::Busy {
                             frame: FrameRef::Full(f),
                             pins: 0,
-                            dirty: dirty0,
+                            dirt: dirt0,
                         });
                         st.dram = Some(CopyState::Loading);
                         drop(st);
-                        match self.promote_fine(desc, f, dirty0) {
+                        match self.promote_fine(desc, f, dirt0) {
                             Ok(guard) => {
                                 obs::record_op(Op::FetchNvmHit, obs_t, pid.0, "dram");
                                 return Ok(guard);
@@ -411,7 +411,7 @@ impl BufferManager {
                                 st.nvm = Some(CopyState::Resident {
                                     frame: FrameRef::Full(f),
                                     pins: u32::from(serve_from_nvm),
-                                    dirty: dirty0,
+                                    dirt: dirt0,
                                 });
                                 Self::reopen_nvm_word(desc, &st);
                                 desc.cond.notify_all();
@@ -558,7 +558,7 @@ impl BufferManager {
         *st.slot_mut(to_dram) = Some(CopyState::Resident {
             frame: FrameRef::Full(frame),
             pins: 1,
-            dirty: false,
+            dirt: Dirt::Clean,
         });
         // Waiters block on our Loading marker, so no other copy exists:
         // whichever tier this is, the copy is optimistically pinnable.

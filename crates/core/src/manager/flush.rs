@@ -5,7 +5,7 @@
 use super::evict::ClaimedNvm;
 use super::shadow::ShadowEnd;
 use super::BufferManager;
-use crate::descriptor::{CopyState, FrameRef};
+use crate::descriptor::{CopyState, Dirt, FrameRef};
 use crate::io::retry_device_io;
 use crate::types::PageId;
 use crate::Result;
@@ -15,8 +15,9 @@ impl BufferManager {
     /// (single fsync), marking them clean but keeping them resident. This
     /// is what lets the WAL truncate past NVM-resident dirty pages: after
     /// the sync their SSD images are durable, so replay no longer needs
-    /// the log records that produced them. Pages with a dirty (or
-    /// in-transition) DRAM copy are skipped — [`Self::flush_page`]
+    /// the log records that produced them. Copies with hint dirt only are
+    /// left alone (nothing the SSD must hold), and so are pages whose DRAM
+    /// copy has data dirt (or is in transition) — [`Self::flush_page`]
     /// reconciles those into NVM first. Returns the number written.
     pub fn flush_nvm_dirty(&self, max: usize) -> Result<usize> {
         if self.nvm.is_none() || max == 0 {
@@ -39,20 +40,19 @@ impl BufferManager {
                 continue;
             }
             // A dirty or transitioning DRAM copy shadows the NVM bytes.
-            if matches!(
-                &st.dram,
-                Some(
-                    CopyState::Loading
-                        | CopyState::Busy { .. }
-                        | CopyState::Resident { dirty: true, .. }
-                )
-            ) {
+            // Hint dirt does not: its data part equals the NVM copy.
+            let shadowed = match &st.dram {
+                Some(CopyState::Resident { dirt, .. }) => *dirt == Dirt::Data,
+                Some(_) => true,
+                None => false,
+            };
+            if shadowed {
                 continue;
             }
             let Some(CopyState::Resident {
                 frame,
                 pins: 0,
-                dirty: true,
+                dirt: Dirt::Data,
             }) = &st.nvm
             else {
                 continue;
@@ -61,7 +61,7 @@ impl BufferManager {
             // Shadow claim where the word is open (the copy stays readable
             // for the whole batch write + sync); exclusive where a clean
             // DRAM copy already shadows it.
-            let Some(claim) = Self::claim_nvm_copy(&desc, &mut st, victim, true) else {
+            let Some(claim) = Self::claim_nvm_copy(&desc, &mut st, victim, Dirt::Data) else {
                 continue;
             };
             drop(st);
@@ -79,7 +79,8 @@ impl BufferManager {
     /// Write the dirty DRAM copy of `pid` down to SSD without evicting it
     /// (checkpointer; paper §5.2 Recovery: DRAM pages are flushed for log
     /// truncation, NVM pages are not because NVM is persistent). Returns
-    /// `true` if a flush happened; pinned or busy pages are skipped.
+    /// `true` if a flush happened; pinned or busy pages, and copies with
+    /// hint dirt only, are skipped.
     pub fn flush_page(&self, pid: PageId) -> Result<bool> {
         let Some(desc) = self.mapping.get(&pid.0) else {
             return Ok(false);
@@ -93,7 +94,7 @@ impl BufferManager {
         let Some(CopyState::Resident {
             frame,
             pins: 0,
-            dirty: true,
+            dirt: Dirt::Data,
         }) = &st.dram
         else {
             return Ok(false);

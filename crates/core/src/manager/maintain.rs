@@ -13,6 +13,7 @@ use crate::config::{
     DRAM_HIGH_WATERMARK, DRAM_LOW_WATERMARK, MAINTENANCE_BATCH, NVM_HIGH_WATERMARK,
     NVM_LOW_WATERMARK,
 };
+use crate::descriptor::Dirt;
 use crate::pool::Pool;
 use crate::types::FrameId;
 
@@ -148,10 +149,11 @@ impl BufferManager {
         freed
     }
 
-    /// Refill the NVM free list to `target` frames. Clean victims are
-    /// dropped immediately; dirty ones accumulate into batches of `batch`
-    /// pages evicted with one fsync each (the maintenance service's
-    /// amortization of the device cost model's per-sync latency).
+    /// Refill the NVM free list to `target` frames. Victims that owe the
+    /// SSD nothing (clean, or hint dirt only) are dropped immediately; ones
+    /// with data dirt accumulate into batches of `batch` pages evicted with
+    /// one fsync each (the maintenance service's amortization of the device
+    /// cost model's per-sync latency).
     fn refill_nvm(&self, pool: &Pool, target: usize, batch: usize, epoch0: u64) -> (usize, usize) {
         let mut freed = 0;
         let mut wrote = 0;
@@ -186,12 +188,12 @@ impl BufferManager {
                     continue;
                 };
                 match self.claim_nvm_victim(&desc, victim) {
-                    // Clean copy: durable on SSD already, drop it now.
-                    Some((false, _)) => {
-                        self.finish_nvm_eviction(&desc, victim);
+                    Some((Dirt::Data, claim)) => dirty_batch.push((desc, victim, claim)),
+                    // What must survive is on SSD already: drop it now.
+                    Some((dirt, _)) => {
+                        self.discard_nvm_copy(&desc, victim, dirt);
                         freed += 1;
                     }
-                    Some((true, claim)) => dirty_batch.push((desc, victim, claim)),
                     None => {}
                 }
             }

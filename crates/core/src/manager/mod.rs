@@ -78,7 +78,7 @@ use spitfire_sync::{AdmissionQueue, ConcurrentMap};
 
 use crate::background::MaintSignal;
 use crate::config::{BufferManagerConfig, Hierarchy};
-use crate::descriptor::{CopyState, SharedPageDesc};
+use crate::descriptor::{CopyState, Dirt, SharedPageDesc};
 use crate::error::BufferError;
 use crate::fgpage::MiniSlabs;
 use crate::io::retry_device_io;
@@ -406,18 +406,18 @@ impl BufferManager {
         }
     }
 
-    /// Mark the pinned copy dirty (guard write).
-    pub(crate) fn mark_dirty(&self, pid: PageId, in_dram_slot: bool) {
-        self.with_desc(pid, |desc| self.mark_desc_dirty(desc, in_dram_slot));
+    /// Raise the pinned copy's dirt to `dirt` (guard write).
+    pub(crate) fn mark_dirty(&self, pid: PageId, in_dram_slot: bool, dirt: Dirt) {
+        self.with_desc(pid, |desc| self.mark_desc_dirty(desc, in_dram_slot, dirt));
     }
 
-    fn mark_desc_dirty(&self, desc: &SharedPageDesc, in_dram_slot: bool) {
+    fn mark_desc_dirty(&self, desc: &SharedPageDesc, in_dram_slot: bool, dirt: Dirt) {
         {
             let mut st = desc.state.lock();
-            if let Some(CopyState::Resident { dirty, .. } | CopyState::Busy { dirty, .. }) =
+            if let Some(CopyState::Resident { dirt: d, .. } | CopyState::Busy { dirt: d, .. }) =
                 st.slot_mut(in_dram_slot)
             {
-                *dirty = true;
+                *d = (*d).max(dirt);
             }
             // Stamp the write end onto the pin word: a shadow copy taken
             // during this write's window observes the bump and discards its
@@ -426,13 +426,16 @@ impl BufferManager {
             // re-check airtight — see `PinWord::shadow_commit`.
             desc.pin_word(in_dram_slot).bump_version();
         }
-        self.note_dirty_epoch(desc);
+        if dirt == Dirt::Data {
+            self.note_dirty_epoch(desc);
+        }
     }
 
     /// Record `desc`'s page in the current checkpoint dirty epoch. This is
     /// the single content-mutation hook: every guard write funnels through
     /// `mark_dirty`, so draining the set yields exactly the pages whose
-    /// images an incremental checkpoint must copy.
+    /// images an incremental checkpoint must copy — the pages a data write
+    /// changed; a hint write may be lost, so it never asks for an image.
     fn note_dirty_epoch(&self, desc: &SharedPageDesc) {
         // relaxed: fast-path skip hint only. A stale read can at worst
         // take the mutex below unnecessarily; it can never skip a page

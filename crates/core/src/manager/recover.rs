@@ -8,7 +8,7 @@ use spitfire_device::AccessPattern;
 use spitfire_sync::atomic::Ordering;
 
 use super::BufferManager;
-use crate::descriptor::{CopyState, FrameRef, SharedPageDesc};
+use crate::descriptor::{CopyState, Dirt, FrameRef, SharedPageDesc};
 use crate::io::retry_device_io;
 use crate::types::{FrameId, PageId};
 use crate::Result;
@@ -53,8 +53,8 @@ impl BufferManager {
     /// Rebuild the mapping table from the persistent NVM buffer (paper
     /// §5.2 Recovery, step 1: "scanning the NVM buffer to collect the page
     /// ids and to construct the mapping table"). Returns the recovered page
-    /// ids. NVM-resident pages are marked dirty: they may be newer than
-    /// their SSD counterparts.
+    /// ids. NVM-resident pages get data dirt: they may be newer than their
+    /// SSD counterparts, and whether by hints only is not recorded.
     pub fn recover_nvm_buffer(&self) -> Vec<PageId> {
         let Some(nvm) = &self.nvm else {
             return Vec::new();
@@ -69,7 +69,7 @@ impl BufferManager {
             st.nvm = Some(CopyState::Resident {
                 frame: FrameRef::Full(frame),
                 pins: 0,
-                dirty: true,
+                dirt: Dirt::Data,
             });
             // Recovered pages have no DRAM copy: optimistically pinnable.
             desc.nvm_pin.open(frame.0);

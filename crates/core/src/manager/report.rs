@@ -7,7 +7,7 @@ use spitfire_obs as obs;
 use spitfire_sync::AdmissionQueue;
 
 use super::BufferManager;
-use crate::descriptor::{CopyState, FrameRef};
+use crate::descriptor::{CopyState, Dirt, FrameRef};
 use crate::metrics::{inclusivity_ratio, ShadowPath};
 use crate::pool::Pool;
 use crate::types::{PageId, Tier};
@@ -63,12 +63,15 @@ impl BufferManager {
         )
     }
 
-    /// Number of dirty resident pages in (DRAM, NVM).
+    /// Number of resident pages in (DRAM, NVM) holding changes that must
+    /// be written down before the copy may go. A copy changed only by hint
+    /// writes does not count: it is never written down.
     pub fn dirty_pages(&self) -> (usize, usize) {
         fn is_dirty(slot: &Option<CopyState>) -> bool {
             matches!(
                 slot,
-                Some(CopyState::Resident { dirty: true, .. } | CopyState::Busy { dirty: true, .. })
+                Some(CopyState::Resident { dirt, .. } | CopyState::Busy { dirt, .. })
+                    if *dirt == Dirt::Data
             )
         }
         let mut dram = 0;

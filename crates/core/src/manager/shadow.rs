@@ -18,8 +18,13 @@
 //!   and authoritative, and whatever landed in the destination is
 //!   discarded or left dirty.
 //!
-//! On every abort the source slot is `Resident` with its dirty flag
-//! untouched and its word open (reopened if a failed commit closed it).
+//! A copy's [`Dirt`] travels with its bytes: a committed promotion is
+//! clean, an admitted copy carries the source's dirt and a merge target
+//! the max of its own and the source's. Hint dirt moves exactly like data
+//! dirt here; only the callers' SSD legs tell them apart.
+//!
+//! On every abort the source slot is `Resident` with its dirt untouched
+//! and its word open (reopened if a failed commit closed it).
 //! Retiring moves (`Promote`, `Evict`, `WriteBack`) commit through
 //! [`spitfire_sync::PinWord::shadow_commit`], which closes the word; a
 //! `Flush` never closes it and commits through
@@ -32,7 +37,7 @@ use spitfire_obs::{self as obs, Op};
 use spitfire_sync::{ShadowOutcome, ShadowToken};
 
 use super::{with_page_buf, BufferManager};
-use crate::descriptor::{CopyState, FrameRef, PageState, SharedPageDesc};
+use crate::descriptor::{CopyState, Dirt, FrameRef, PageState, SharedPageDesc};
 use crate::metrics::ShadowPath;
 use crate::types::{FrameId, PageId};
 use crate::Result;
@@ -55,8 +60,9 @@ pub(super) struct ShadowClaim {
     src: FrameId,
     /// Version snapshot of the source word at claim time.
     token: ShadowToken,
-    /// NVM copy marked `Busy` as the merge target of a DRAM-source move.
-    merge: Option<FrameId>,
+    /// NVM copy marked `Busy` as the merge target of a DRAM-source move,
+    /// with the dirt it had before the claim.
+    merge: Option<(FrameId, Dirt)>,
 }
 
 impl ShadowClaim {
@@ -171,7 +177,7 @@ impl BufferManager {
     /// other shadow operation in flight (the caller checked all of that
     /// under the descriptor mutex it holds). `merge` names an NVM copy —
     /// `Resident`, zero pins — that the move will overwrite; it is marked
-    /// `Busy` and dirty for the duration.
+    /// `Busy` with data dirt for the duration.
     ///
     /// Returns `None`, with nothing changed, when the source word is
     /// closed. For an NVM source that is the expected answer whenever a
@@ -197,13 +203,18 @@ impl BufferManager {
         );
         let token = token?;
         *st.shadow_mut(src_dram) = true;
-        if let Some(nf) = merge {
+        let merge = merge.map(|nf| {
+            let target = match &st.nvm {
+                Some(CopyState::Resident { dirt, .. }) => *dirt,
+                _ => Dirt::Data,
+            };
             st.nvm = Some(CopyState::Busy {
                 frame: FrameRef::Full(nf),
                 pins: 0,
-                dirty: true,
+                dirt: Dirt::Data,
             });
-        }
+            (nf, target)
+        });
         Some(ShadowClaim {
             src_dram,
             src,
@@ -226,10 +237,11 @@ impl BufferManager {
     /// unpin, so the pin checks close the window a pinned writer leaves).
     ///
     /// Whatever the outcome the claim is released, a merge target goes
-    /// back to `Resident` *dirty* (it now holds either the reconciled
-    /// bytes, which supersede its old content, or a torn/partial merge —
-    /// both must be written down before being discarded), waiters are
-    /// woken, and the frame that lost its page is freed: the source on a
+    /// back to `Resident` — committed, with the max of its own and the
+    /// source's dirt (it holds the reconciled bytes); aborted, with data
+    /// dirt (the merge may be torn, so it must be written down before it
+    /// is discarded) — waiters are woken, and the frame that lost its page
+    /// is freed: the source on a
     /// committed eviction, the destination on an abort. An attempt whose
     /// I/O succeeded counts as a commit or an abort on `end`'s
     /// [`ShadowPath`]; a failed I/O is not a protocol outcome and counts
@@ -250,19 +262,13 @@ impl BufferManager {
         let word = desc.pin_word(src_dram);
         let mut st = desc.state.lock();
         *st.shadow_mut(src_dram) = false;
-        if let Some(nf) = merge {
-            st.nvm = Some(CopyState::Resident {
-                frame: FrameRef::Full(nf),
-                pins: 0,
-                dirty: true,
-            });
-        }
         // The shadow flag kept the slots stable (exclusions in eviction,
         // flush, and fetch): the source is still `Resident` and no copy
-        // appeared beside it; only pins and the dirty flag may have moved.
-        let mutex_pins = match st.slot_mut(src_dram) {
-            Some(CopyState::Resident { pins, .. }) => *pins,
-            _ => u32::MAX,
+        // appeared beside it; only pins and the dirt may have moved — and
+        // the dirt only if a write did, which fails the commit below.
+        let (mutex_pins, src_dirt) = match st.slot_mut(src_dram) {
+            Some(CopyState::Resident { pins, dirt, .. }) => (*pins, *dirt),
+            _ => (u32::MAX, Dirt::Data),
         };
         let has_destination = !matches!(end, ShadowEnd::Promote(None));
         let committed = io_ok
@@ -288,6 +294,17 @@ impl BufferManager {
                     outcome == ShadowOutcome::Committed
                 }
             };
+        if let Some((nf, target)) = merge {
+            st.nvm = Some(CopyState::Resident {
+                frame: FrameRef::Full(nf),
+                pins: 0,
+                dirt: if committed {
+                    target.max(src_dirt)
+                } else {
+                    Dirt::Data
+                },
+            });
+        }
         if committed {
             match end {
                 // The NVM word stays closed: a DRAM copy shadows it now.
@@ -296,7 +313,7 @@ impl BufferManager {
                     st.dram = Some(CopyState::Resident {
                         frame: FrameRef::Full(f),
                         pins: 1,
-                        dirty: false,
+                        dirt: Dirt::Clean,
                     });
                     desc.dram_pin.open(f.0);
                 }
@@ -309,7 +326,7 @@ impl BufferManager {
                         st.nvm = Some(CopyState::Resident {
                             frame: FrameRef::Full(nf),
                             pins: 0,
-                            dirty: true,
+                            dirt: src_dirt,
                         });
                     }
                     Self::reopen_nvm_word(desc, &st);
@@ -320,12 +337,12 @@ impl BufferManager {
                     st.nvm = Some(CopyState::Busy {
                         frame: FrameRef::Full(src),
                         pins: 0,
-                        dirty: false,
+                        dirt: Dirt::Clean,
                     });
                 }
                 ShadowEnd::Flush => {
-                    if let Some(CopyState::Resident { dirty, .. }) = st.slot_mut(src_dram) {
-                        *dirty = false;
+                    if let Some(CopyState::Resident { dirt, .. }) = st.slot_mut(src_dram) {
+                        *dirt = Dirt::Clean;
                     }
                 }
             }
@@ -397,25 +414,30 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Slot {
         Empty,
-        Resident { dirty: bool },
-        Busy { dirty: bool },
+        Resident(Dirt),
+        Busy(Dirt),
     }
 
     fn slot(s: &Option<CopyState>) -> Slot {
         match s {
             None => Slot::Empty,
-            Some(CopyState::Resident { dirty, .. }) => Slot::Resident { dirty: *dirty },
-            Some(CopyState::Busy { dirty, .. }) => Slot::Busy { dirty: *dirty },
+            Some(CopyState::Resident { dirt, .. }) => Slot::Resident(*dirt),
+            Some(CopyState::Busy { dirt, .. }) => Slot::Busy(*dirt),
             Some(CopyState::Loading) => panic!("shadow moves never leave a slot Loading"),
         }
     }
 
-    /// Expected state after `shadow_finish`. Frame deltas are free-frame
-    /// counts relative to the moment of the claim (before any destination
-    /// frame was allocated): a linked destination costs one, a freed
-    /// source gives one back, a freed destination nets to zero.
+    /// One move from one starting state, and the state `shadow_finish`
+    /// must leave. `src` is the source copy's dirt; `target` the starting
+    /// dirt of the NVM copy a DRAM-source move merges into (unused by the
+    /// other moves). Frame deltas are free-frame counts relative to the
+    /// moment of the claim (before any destination frame was allocated): a
+    /// linked destination costs one, a freed source gives one back, a freed
+    /// destination nets to zero.
     struct Row {
         mv: Move,
+        src: Dirt,
+        target: Dirt,
         committed: bool,
         dram: Slot,
         nvm: Slot,
@@ -426,31 +448,48 @@ mod tests {
         path: ShadowPath,
     }
 
-    const DIRTY: Slot = Slot::Resident { dirty: true };
-    const CLEAN: Slot = Slot::Resident { dirty: false };
+    use Dirt::{Clean as C, Data as D, Hint as H};
+    const DATA: Slot = Slot::Resident(D);
+    const HINT: Slot = Slot::Resident(H);
+    const CLEAN: Slot = Slot::Resident(C);
     use ShadowPath::{Evict, Flush, Promote};
 
     #[rustfmt::skip]
-    const TABLE: [Row; 14] = [
+    const TABLE: [Row; 25] = [
         // Promotion: the NVM source is untouched either way; committed, the DRAM copy shadows it.
-        Row { mv: Move::Promote, committed: true,  dram: CLEAN, nvm: DIRTY, dram_open: true,  nvm_open: false, dram_free: -1, nvm_free: 0, path: Promote },
-        Row { mv: Move::Promote, committed: false, dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Promote },
+        Row { mv: Move::Promote, src: D, target: C, committed: true,  dram: CLEAN, nvm: DATA, dram_open: true,  nvm_open: false, dram_free: -1, nvm_free: 0, path: Promote },
+        Row { mv: Move::Promote, src: D, target: C, committed: false, dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Promote },
         // Merge: the (initially clean) NVM target ends dirty whether or not the move commits.
-        Row { mv: Move::EvictMerge, committed: true,  dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictMerge, committed: false, dram: DIRTY, nvm: DIRTY, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: D, target: C, committed: false, dram: DATA, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
         // Admit: the fresh NVM frame is linked on commit, scrubbed and freed on abort.
-        Row { mv: Move::EvictAdmit, committed: true,  dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: -1, path: Evict },
-        Row { mv: Move::EvictAdmit, committed: false, dram: DIRTY, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictToSsd, committed: true,  dram: Slot::Empty, nvm: Slot::Empty, dram_open: false, nvm_open: false, dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictToSsd, committed: false, dram: DIRTY, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictAdmit, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: -1, path: Evict },
+        Row { mv: Move::EvictAdmit, src: D, target: C, committed: false, dram: DATA, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: Slot::Empty, dram_open: false, nvm_open: false, dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, src: D, target: C, committed: false, dram: DATA, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
         // Write-back: committed, the copy is held Busy/clean/closed for `finish_nvm_eviction`.
-        Row { mv: Move::NvmWriteBack, committed: true,  dram: Slot::Empty, nvm: Slot::Busy { dirty: false }, dram_open: false, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
-        Row { mv: Move::NvmWriteBack, committed: false, dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::NvmWriteBack, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: Slot::Busy(C), dram_open: false, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::NvmWriteBack, src: D, target: C, committed: false, dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Evict },
         // Flushes never close the word; the copy only goes clean.
-        Row { mv: Move::NvmFlush, committed: true,  dram: Slot::Empty, nvm: CLEAN, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Flush },
-        Row { mv: Move::NvmFlush, committed: false, dram: Slot::Empty, nvm: DIRTY, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Flush },
-        Row { mv: Move::DramFlush, committed: true,  dram: CLEAN, nvm: DIRTY, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
-        Row { mv: Move::DramFlush, committed: false, dram: DIRTY, nvm: DIRTY, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::NvmFlush, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: CLEAN, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::NvmFlush, src: D, target: C, committed: false, dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::DramFlush, src: D, target: C, committed: true,  dram: CLEAN, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::DramFlush, src: D, target: C, committed: false, dram: DATA, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
+        // Hint sources move exactly like data: a promotion leaves the source's dirt alone, an
+        // admitted copy carries it, a merge target ends with the max of both, and an aborted
+        // merge target has data dirt (its bytes may be torn).
+        Row { mv: Move::Promote, src: H, target: C, committed: true,  dram: CLEAN, nvm: HINT, dram_open: true,  nvm_open: false, dram_free: -1, nvm_free: 0, path: Promote },
+        Row { mv: Move::Promote, src: H, target: C, committed: false, dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Promote },
+        Row { mv: Move::EvictMerge, src: H, target: C, committed: true,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: H, target: C, committed: false, dram: HINT, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: H, target: H, committed: true,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: H, target: D, committed: true,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: D, target: H, committed: true,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictAdmit, src: H, target: C, committed: true,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: -1, path: Evict },
+        Row { mv: Move::EvictAdmit, src: H, target: C, committed: false, dram: HINT, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        // The SSD leg of a hint copy writes nothing, but commits (or aborts) the same way.
+        Row { mv: Move::EvictToSsd, src: H, target: C, committed: true,  dram: Slot::Empty, nvm: Slot::Empty, dram_open: false, nvm_open: false, dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, src: H, target: C, committed: false, dram: HINT, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
     ];
 
     const PAGE: usize = 1024;
@@ -469,7 +508,7 @@ mod tests {
 
     /// Install a `Resident`, zero-pin, full-frame copy of `pid` in one
     /// slot, by hand.
-    fn install(bm: &BufferManager, desc: &SharedPageDesc, dram: bool, dirty: bool) -> FrameId {
+    fn install(bm: &BufferManager, desc: &SharedPageDesc, dram: bool, dirt: Dirt) -> FrameId {
         let f = bm.alloc_frame(dram).unwrap();
         let pool = if dram { bm.tier1_pool() } else { bm.nvm_pool() };
         pool.set_owner(f, desc.pid);
@@ -477,7 +516,7 @@ mod tests {
         *st.slot_mut(dram) = Some(CopyState::Resident {
             frame: FrameRef::Full(f),
             pins: 0,
-            dirty,
+            dirt,
         });
         // The word/slot invariant: DRAM open; NVM open iff no DRAM copy.
         if dram {
@@ -496,7 +535,7 @@ mod tests {
     }
 
     fn run(row: &Row, window: Window) {
-        let ctx = format!("{:?} / {window:?}", row.mv);
+        let ctx = format!("{:?} {:?}→{:?} / {window:?}", row.mv, row.src, row.target);
         let bm = manager();
         let pid = bm.allocate_page().unwrap();
         let desc: Arc<SharedPageDesc> = bm.descriptor(pid).unwrap();
@@ -504,11 +543,10 @@ mod tests {
             row.mv,
             Move::EvictMerge | Move::EvictAdmit | Move::EvictToSsd | Move::DramFlush
         );
-        // An NVM copy that is the source is dirty; one that is only the
-        // merge target starts clean, so "left dirty" is observable.
+        let nvm_dirt = if src_dram { row.target } else { row.src };
         let nvm = (!src_dram || matches!(row.mv, Move::EvictMerge | Move::DramFlush))
-            .then(|| install(&bm, &desc, false, !src_dram));
-        let dram = src_dram.then(|| install(&bm, &desc, true, true));
+            .then(|| install(&bm, &desc, false, nvm_dirt));
+        let dram = src_dram.then(|| install(&bm, &desc, true, row.src));
         let src = if src_dram { dram } else { nvm }.unwrap();
         let merge = if src_dram { nvm } else { None };
         let (dram_free0, nvm_free0) = bm.free_frames();
@@ -522,11 +560,11 @@ mod tests {
             assert!(*st.shadow_mut(src_dram), "{ctx}: flag raised");
             assert_eq!(
                 slot(st.slot_mut(src_dram)),
-                DIRTY,
+                Slot::Resident(row.src),
                 "{ctx}: source in window"
             );
             if merge.is_some() {
-                assert_eq!(slot(&st.nvm), Slot::Busy { dirty: true }, "{ctx}: target");
+                assert_eq!(slot(&st.nvm), Slot::Busy(D), "{ctx}: target");
             }
             claim
         };
@@ -642,7 +680,7 @@ mod tests {
             let bm = manager();
             let pid = bm.allocate_page().unwrap();
             let desc = bm.descriptor(pid).unwrap();
-            let src = install(&bm, &desc, false, true);
+            let src = install(&bm, &desc, false, Dirt::Data);
             let claim = {
                 let mut st = desc.state.lock();
                 BufferManager::shadow_claim(&desc, &mut st, false, src, None).unwrap()
@@ -712,8 +750,8 @@ mod tests {
         let bm = manager();
         let pid = bm.allocate_page().unwrap();
         let desc = bm.descriptor(pid).unwrap();
-        let nvm = install(&bm, &desc, false, true);
-        install(&bm, &desc, true, false);
+        let nvm = install(&bm, &desc, false, Dirt::Data);
+        install(&bm, &desc, true, Dirt::Clean);
         let mut st = desc.state.lock();
         assert!(BufferManager::shadow_claim(&desc, &mut st, false, nvm, None).is_none());
         assert!(!st.shadow_nvm, "a declined claim changes nothing");

@@ -219,6 +219,9 @@ buffer_counters! {
     evictions_nvm: AtomicU64 => record_nvm_eviction();
     /// Clean DRAM pages discarded on eviction (§3.3).
     discards: AtomicU64 => record_discard();
+    /// Copies dropped from either buffer tier with only hint dirt, without
+    /// writing them to SSD (their hint writes are lost by design).
+    hint_discards: AtomicU64 => record_hint_discard();
     /// Device operations retried after a transient I/O error.
     io_retries: AtomicU64 => record_io_retry();
     /// Device operations that failed fatally (injected fatal fault or

@@ -2,8 +2,8 @@
 //! plans, policy effects, hierarchies, crash recovery.
 
 use spitfire_core::{
-    AccessIntent, BufferError, BufferManager, BufferManagerConfig, MigrationPath, MigrationPolicy,
-    PageId, Tier,
+    AccessIntent, BufferError, BufferManager, BufferManagerConfig, MetricsSnapshot, MigrationPath,
+    MigrationPolicy, PageId, Tier,
 };
 use spitfire_device::{PersistenceTracking, TimeScale};
 
@@ -609,5 +609,184 @@ fn promotion_probability_reaches_one_in_steady_state() {
     assert!(
         promoted,
         "a D_r = 0.1 page must be promoted within 500 reads"
+    );
+}
+
+// ---- hint dirt ------------------------------------------------------------
+
+/// A page whose first word is 41, written down to SSD and resident on NVM
+/// clean, in a pool of `nvm_pages` frames under a policy that serves
+/// everything where it lies (SSD misses land on NVM). Persistence is
+/// tracked, so a simulated crash rolls back what was never persisted.
+fn clean_on_nvm(nvm_pages: usize) -> (BufferManager, PageId) {
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE)
+        .dram_capacity(4 * PAGE)
+        .nvm_capacity(nvm_pages * (PAGE + 64))
+        .policy(MigrationPolicy::new(0.0, 0.0, 1.0, 1.0))
+        .persistence(PersistenceTracking::Full)
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    let bm = BufferManager::new(config).unwrap();
+    let pid = bm.allocate_page().unwrap();
+    let g = bm.fetch_write(pid).unwrap();
+    assert_eq!(g.tier(), Tier::Nvm);
+    g.write_u64(0, 41).unwrap();
+    drop(g);
+    assert_eq!(bm.flush_nvm_dirty(8).unwrap(), 1);
+    bm.drain_dirty_epoch();
+    (bm, pid)
+}
+
+/// Read fresh pages (the policy must load SSD reads into NVM) until
+/// `gone` says the page under test left NVM; every page read is clean, so
+/// whatever the SSD is written meanwhile is the page under test's. Returns
+/// the SSD writes made meanwhile.
+fn push_out_of_nvm(bm: &BufferManager, gone: impl Fn(&MetricsSnapshot) -> bool) -> u64 {
+    let others: Vec<PageId> = (0..16).map(|_| bm.allocate_page().unwrap()).collect();
+    let ssd0 = bm.device_stats(Tier::Ssd).unwrap().snapshot();
+    for other in others {
+        drop(bm.fetch_read(other).unwrap());
+        if gone(&bm.metrics()) {
+            let ssd = bm.device_stats(Tier::Ssd).unwrap().snapshot();
+            return ssd.delta(&ssd0).write_ops;
+        }
+    }
+    panic!("the page never left NVM");
+}
+
+#[test]
+fn hint_write_is_lost_with_its_copy_and_costs_no_ssd_write() {
+    let (bm, pid) = clean_on_nvm(2);
+    let g = bm.fetch_write(pid).unwrap();
+    g.write_u64_hint(8, 99).unwrap();
+    drop(g);
+    // Out of the checkpoint's epoch, not a dirty page, nothing to flush —
+    // but there, for as long as the copy is.
+    assert_eq!(bm.dirty_epoch_len(), 0);
+    assert_eq!(bm.dirty_pages(), (0, 0));
+    assert_eq!(bm.flush_nvm_dirty(8).unwrap(), 0);
+    assert_eq!(bm.fetch_read(pid).unwrap().read_u64(8).unwrap(), 99);
+
+    let before = bm.metrics();
+    let ssd_writes = push_out_of_nvm(&bm, |m| m.hint_discards > before.hint_discards);
+    let d = bm.metrics().delta(&before);
+    assert_eq!(ssd_writes, 0, "a hint copy is dropped, not written back");
+    assert_eq!(d.hint_discards, 1);
+    assert_eq!(d.path(MigrationPath::NvmToSsd), 0);
+
+    // The frame header went with it: a crash finds nothing to adopt, and
+    // the page is its SSD image — the data, without the hint.
+    bm.simulate_crash();
+    assert!(!bm.recover_nvm_buffer().contains(&pid));
+    let g = bm.fetch_read(pid).unwrap();
+    assert_eq!((g.read_u64(0).unwrap(), g.read_u64(8).unwrap()), (41, 0));
+}
+
+#[test]
+fn data_write_after_a_hint_restores_the_write_back() {
+    let (bm, pid) = clean_on_nvm(2);
+    let g = bm.fetch_write(pid).unwrap();
+    g.write_u64_hint(8, 99).unwrap();
+    g.write_u64(16, 7).unwrap();
+    drop(g);
+    assert_eq!(bm.dirty_epoch_len(), 1);
+    assert_eq!(bm.dirty_pages(), (0, 1));
+
+    let before = bm.metrics();
+    let ssd_writes = push_out_of_nvm(&bm, |m| {
+        m.path(MigrationPath::NvmToSsd) > before.path(MigrationPath::NvmToSsd)
+    });
+    assert_eq!(ssd_writes, 1, "one page image, hint included");
+    assert_eq!(bm.metrics().delta(&before).hint_discards, 0);
+    bm.simulate_crash();
+    assert!(!bm.recover_nvm_buffer().contains(&pid));
+    let g = bm.fetch_read(pid).unwrap();
+    let words: Vec<u64> = [0, 8, 16].iter().map(|&o| g.read_u64(o).unwrap()).collect();
+    assert_eq!(words, [41, 99, 7]);
+}
+
+#[test]
+fn hint_dirt_moves_to_nvm_like_data_and_never_to_ssd() {
+    // One DRAM frame: the next read evicts the hinted DRAM copy. N_r = 0
+    // loads SSD reads into DRAM; N_w decides the eviction's destination.
+    for nw in [1.0, 0.0] {
+        let bm = manager(1, 2, MigrationPolicy::new(1.0, 1.0, 0.0, nw));
+        let pid = bm.allocate_page().unwrap();
+        drop(bm.fetch_read(pid).unwrap());
+        let g = bm.fetch_write(pid).unwrap();
+        assert_eq!(g.tier(), Tier::Dram);
+        g.write_u64_hint(0, 5).unwrap();
+        drop(g);
+        // The checkpointer leaves a hint copy alone.
+        assert!(!bm.flush_page(pid).unwrap());
+        assert_eq!(bm.flush_all_dirty().unwrap(), 0);
+        assert_eq!(bm.dirty_epoch_len(), 0);
+
+        let other = bm.allocate_page().unwrap();
+        let ssd0 = bm.device_stats(Tier::Ssd).unwrap().snapshot();
+        let before = bm.metrics();
+        drop(bm.fetch_read(other).unwrap());
+        let d = bm.metrics().delta(&before);
+        assert_eq!(d.evictions_dram, 1);
+        if nw == 1.0 {
+            // Admitted like a data copy: the hint is on NVM now.
+            assert_eq!(d.path(MigrationPath::DramToNvm), 1);
+            assert_eq!(d.hint_discards, 0);
+            bm.admin()
+                .set_policy(MigrationPolicy::new(0.0, 0.0, 1.0, 1.0));
+            let before = bm.metrics();
+            let ssd = bm.device_stats(Tier::Ssd).unwrap().snapshot();
+            assert_eq!(ssd.delta(&ssd0).write_ops, 0);
+            let writes = push_out_of_nvm(&bm, |m| m.hint_discards > before.hint_discards);
+            assert_eq!(writes, 0);
+        } else {
+            // The SSD leg of a hint copy is a drop.
+            assert_eq!(d.path(MigrationPath::DramToSsd), 0);
+            assert_eq!(d.hint_discards, 1);
+            let ssd = bm.device_stats(Tier::Ssd).unwrap().snapshot();
+            assert_eq!(ssd.delta(&ssd0).write_ops, 0);
+        }
+        assert_eq!(bm.fetch_read(pid).unwrap().read_u64(0).unwrap(), 0);
+        bm.admin()
+            .set_policy(MigrationPolicy::new(1.0, 1.0, 0.0, nw));
+
+        // A data write makes the copy the checkpointer's again.
+        bm.fetch_write(pid).unwrap().write_u64(8, 6).unwrap();
+        assert!(bm.flush_page(pid).unwrap());
+        bm.assert_quiescent();
+    }
+}
+
+#[test]
+fn upgrade_draws_one_dw_before_a_hint_write_as_before_a_data_write() {
+    // D_w = 0.5 draws a real coin; D_r = 0 draws none. Each access is one
+    // fetch and one write, and the page is promoted on the access whose
+    // D_w coin lands heads. Same seed, same coins: the access that promotes
+    // is the same whether the upgraded write is a hint or data, and the
+    // same as for a write fetch, which draws exactly one D_w.
+    let promoted_at = |access: &dyn Fn(&BufferManager, PageId)| {
+        let (bm, pid) = nvm_resident(4, 0.5);
+        (1..=64)
+            .find(|_| {
+                access(&bm, pid);
+                bm.metrics().path(MigrationPath::NvmToDram) == 1
+            })
+            .expect("a fair coin lands heads within 64 flips")
+    };
+    let hint = promoted_at(&|bm, pid| {
+        let w = bm.fetch_read(pid).unwrap().upgrade().unwrap();
+        w.write_u64_hint(8, 1).unwrap();
+    });
+    let data = promoted_at(&|bm, pid| {
+        let w = bm.fetch_read(pid).unwrap().upgrade().unwrap();
+        w.write_u64(8, 1).unwrap();
+    });
+    let fetch = promoted_at(&|bm, pid| bm.fetch_write(pid).unwrap().write_u64(8, 1).unwrap());
+    assert_eq!((hint, data), (fetch, fetch));
+    assert!(
+        fetch > 1,
+        "the first coin landed heads: nothing was compared"
     );
 }

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use spitfire_modelcheck::cell::RaceCell;
 use spitfire_modelcheck::thread;
 use spitfire_sync::atomic::{AtomicU64, Ordering};
+use spitfire_sync::lock::Mutex;
 use spitfire_sync::{
     AtomicBitmap, ConcurrentMap, PinAttempt, PinWord, ShadowOutcome, StripedCounter, VersionLatch,
 };
@@ -335,4 +336,133 @@ pub fn bitmap_touch_sweep() {
     assert!(!bits.get(1), "cleared bit resurrected by a racing touch");
     assert!(bits.get(5), "acquired frame bit was lost");
     assert_eq!(bits.count_ones(), 2);
+}
+
+/// The orderings of `Database::begin` and `Database::commit` an
+/// [`oldest_reader_rule`] run models.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxnOrdering {
+    /// As shipped: the timestamp is drawn under the `active` lock, and a
+    /// writer retires after it validated.
+    Shipped,
+    /// The timestamp is drawn before the `active` lock is taken (how
+    /// `begin` used to do it).
+    TimestampBeforeLock,
+    /// The writer retires before it validates (how `commit` used to do
+    /// it).
+    RetireBeforeValidation,
+}
+
+/// The transaction manager's part of MVTO, as far as the oldest-reader
+/// rule needs it: the timestamp oracle, the `active` set, and the key's
+/// read stamp — modelled only when it is a hint, as the timestamp of the
+/// reader that wrote it.
+///
+/// In the database every step on `active` holds its mutex. Only `begin`
+/// holds it across two steps — draw a timestamp, insert it — so only
+/// `begin` takes the lock here (with the oracle a counter it guards); every
+/// other step is one read or one read-modify-write of the set, so the set
+/// is one atomic word (bit `t`: timestamp `t` is active) and those steps
+/// are single atomic operations on it. The stamp is one word too: a
+/// writer's validation reads it, a reader's look and stamp write it, and
+/// in the database the key's stripe keeps a validation from falling
+/// between a look and its stamp — here it may, which only adds schedules
+/// in which the validation sees no stamp. Fewer lock operations keep the
+/// exhaustive search small.
+#[derive(Default)]
+struct TxnModel {
+    /// Next timestamp, drawn under the lock by `begin`.
+    next_ts: Mutex<u64>,
+    /// The parent's oracle, drawn before the lock is taken.
+    oracle: AtomicU64,
+    active: AtomicU64,
+    /// Timestamp of the reader whose stamp is a hint, plus one (0: none).
+    hint: AtomicU64,
+}
+
+impl TxnModel {
+    fn begin(&self, ordering: TxnOrdering) -> u64 {
+        let insert = |ts: u64| self.active.fetch_or(1 << ts, Ordering::AcqRel);
+        if ordering == TxnOrdering::TimestampBeforeLock {
+            // relaxed: the timestamp only has to be unique, and this
+            // ordering is the one under test for being too weak.
+            let ts = self.oracle.fetch_add(1, Ordering::Relaxed);
+            let _lock = self.next_ts.lock();
+            insert(ts);
+            ts
+        } else {
+            let mut next_ts = self.next_ts.lock();
+            let ts = *next_ts;
+            *next_ts += 1;
+            insert(ts);
+            ts
+        }
+    }
+
+    fn retire(&self, ts: u64) {
+        self.active.fetch_and(!(1 << ts), Ordering::AcqRel);
+    }
+
+    /// A read of the key: the one look at `active` that decides whether
+    /// its read stamp is a hint (`Database::read_into`) — is no smaller
+    /// timestamp active? — and the stamp.
+    fn read(&self, ts: u64) {
+        let older = self.active.load(Ordering::Acquire) & ((1 << ts) - 1);
+        if older == 0 {
+            self.hint.store(ts + 1, Ordering::Release);
+        }
+    }
+
+    /// A writer's commit validation of the key: the stamp it checks may be
+    /// a lost hint, so no hint may belong to a reader younger than the
+    /// writer.
+    fn validate(&self, ts: u64) {
+        if let Some(reader) = self.hint.load(Ordering::Acquire).checked_sub(1) {
+            assert!(
+                ts > reader,
+                "writer {ts} validated after reader {reader} judged itself the oldest"
+            );
+        }
+    }
+}
+
+/// MVTO's oldest-reader rule: a reader that finds itself first in
+/// `active` writes its read stamp as a hint the buffer manager may lose.
+/// That is sound only if no writer with a smaller timestamp validates
+/// after the reader judged itself oldest — the writer's validation would
+/// read a stamp that may be gone and let it supersede what the younger
+/// reader saw. Two writers and one reader, each beginning a transaction;
+/// the reader reads the key, each writer validates the key and retires, in
+/// the order `ordering` names. (The reader's own retire comes after
+/// everything it could race with and is left out.)
+///
+/// Passes with [`TxnOrdering::Shipped`]. Fails with either of the parent's
+/// orderings: a timestamp drawn before the lock lets the younger reader
+/// look at `active` while an older writer sits between its draw and its
+/// insert; a retire before validation lets the reader look after the
+/// writer left `active` but before it validated.
+pub fn oldest_reader_rule(ordering: TxnOrdering) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let txns = Arc::new(TxnModel::default());
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let txns = Arc::clone(&txns);
+                thread::spawn(move || {
+                    let ts = txns.begin(ordering);
+                    if ordering == TxnOrdering::RetireBeforeValidation {
+                        txns.retire(ts);
+                        txns.validate(ts);
+                    } else {
+                        txns.validate(ts);
+                        txns.retire(ts);
+                    }
+                })
+            })
+            .collect();
+        let ts = txns.begin(ordering);
+        txns.read(ts);
+        for writer in writers {
+            writer.join();
+        }
+    }
 }

@@ -4,7 +4,9 @@
 //! variant of a protocol, compiled behind `cfg(spitfire_modelcheck)` in
 //! `spitfire-sync` — and asserts the explorer *finds* the bug
 //! (`assert_fail`). A checker that passed the protocols but also passed
-//! these mutants would be vacuous; CI runs both.
+//! these mutants would be vacuous; CI runs both. Protocols modelled in the
+//! test body itself (the MVTO oldest-reader rule) carry their broken
+//! variants as a parameter of the body instead.
 //!
 //! Run with:
 //!
@@ -134,6 +136,30 @@ fn latch_unlock_without_release_is_killed() {
     assert!(failure.message.contains("torn pair"), "{}", failure.message);
 }
 
+#[test]
+fn timestamp_before_lock_is_killed() {
+    // An older writer draws its timestamp, the younger reader begins and
+    // finds itself first in `active`, then the writer inserts and validates.
+    let failure = Checker::new()
+        .check(common::oldest_reader_rule(
+            common::TxnOrdering::TimestampBeforeLock,
+        ))
+        .assert_fail();
+    assert!(failure.message.contains("oldest"), "{}", failure.message);
+}
+
+#[test]
+fn retire_before_validation_is_killed() {
+    // The writer leaves `active`, the younger reader finds itself first,
+    // then the writer validates.
+    let failure = Checker::new()
+        .check(common::oldest_reader_rule(
+            common::TxnOrdering::RetireBeforeValidation,
+        ))
+        .assert_fail();
+    assert!(failure.message.contains("oldest"), "{}", failure.message);
+}
+
 /// The mutations are seeded into `spitfire-sync` behind runtime switches;
 /// with no mutation active the same bodies must still pass (guards
 /// against a hook that accidentally fires unconditionally).
@@ -142,5 +168,8 @@ fn no_mutation_means_no_bug() {
     Checker::new().check(common::pin_quiescence).assert_pass();
     Checker::new()
         .check(common::version_latch_read_vs_write)
+        .assert_pass();
+    Checker::new()
+        .check(common::oldest_reader_rule(common::TxnOrdering::Shipped))
         .assert_pass();
 }

@@ -83,3 +83,11 @@ fn bitmap_touch_vs_sweep_exhaustive() {
         .assert_pass();
     assert!(report.executions > 1, "scenario has no concurrency");
 }
+
+#[test]
+fn oldest_reader_rule_exhaustive() {
+    let report = Checker::new()
+        .check(common::oldest_reader_rule(common::TxnOrdering::Shipped))
+        .assert_pass();
+    assert!(report.executions > 1, "scenario has no concurrency");
+}

@@ -126,7 +126,11 @@ pub struct Database {
     pub(crate) debts_lost: AtomicBool,
     commits: AtomicU64,
     aborts: AtomicU64,
-    /// Timestamps of in-flight transactions (vacuum watermark).
+    /// Timestamps of in-flight transactions (vacuum watermark, and which
+    /// read stamps may be hints — see [`Database::read_into`]). A leaf
+    /// lock: nothing is acquired while it is held. A timestamp is drawn
+    /// under it and leaves it only when its transaction has nothing left
+    /// to do.
     pub(crate) active: parking_lot::Mutex<std::collections::BTreeSet<u64>>,
     /// Checkpoint fence gate: [`Database::begin`] holds it shared for an
     /// instant; the checkpointer holds it exclusively while it waits for
@@ -264,10 +268,19 @@ impl Database {
     /// Begin a transaction. Briefly holds the checkpoint fence gate
     /// shared: a checkpoint that is waiting for the active set to drain
     /// blocks new transactions here until its fence is captured.
+    ///
+    /// The timestamp is drawn under the `active` lock, so `active` never
+    /// lacks a timestamp smaller than one it holds: a transaction that
+    /// finds itself first in `active` is older than every transaction that
+    /// has not retired.
     pub fn begin(&self) -> Transaction {
         let _gate = self.fence_gate.read();
-        let ts = self.oracle.fetch_add(1, Ordering::AcqRel);
-        self.active.lock().insert(ts);
+        let ts = {
+            let mut active = self.active.lock();
+            let ts = self.oracle.fetch_add(1, Ordering::AcqRel);
+            active.insert(ts);
+            ts
+        };
         Transaction {
             id: self.txn_ids.fetch_add(1, Ordering::AcqRel),
             ts,
@@ -277,8 +290,15 @@ impl Database {
         }
     }
 
+    /// The last thing a transaction does: after this, no step of it —
+    /// no validation, no stamp, no rollback — is still to come.
     fn retire(&self, txn: &Transaction) {
         self.active.lock().remove(&txn.ts);
+    }
+
+    /// Whether `txn` is the oldest transaction still active.
+    fn is_oldest(&self, txn: &Transaction) -> bool {
+        self.active.lock().first() == Some(&txn.ts)
     }
 
     /// The vacuum watermark: no active transaction has a timestamp below
@@ -294,6 +314,16 @@ impl Database {
     /// Read the visible version of `key` into `buf` (`tuple_size` bytes;
     /// checked before anything is fetched). On error `buf` holds nothing
     /// meaningful.
+    ///
+    /// The read advances the version's read timestamp (MVTO: a writer with
+    /// a smaller timestamp must not supersede what a later transaction
+    /// read). When the reader is the oldest active transaction that stamp
+    /// can never be consulted — every transaction with a smaller timestamp
+    /// has retired, each after its last validation, and every new one
+    /// draws a larger timestamp — so it is written as a hint
+    /// ([`spitfire_core::WriteGuard::write_hint`]): it may be lost when the
+    /// page leaves the buffer tiers, and costs no SSD write-back. Any other
+    /// reader's stamp is data.
     pub fn read_into(
         &self,
         txn: &Transaction,
@@ -315,7 +345,8 @@ impl Database {
     /// One read visit per version walked: the whole version in one access,
     /// and on the visible one the read-timestamp stamp through the same
     /// pin (MVTO bookkeeping, a page write even on read-only workloads —
-    /// paper §6.4).
+    /// paper §6.4) — a hint when `txn` is the oldest active transaction
+    /// (see [`Database::read_into`]).
     fn read_visible(
         &self,
         rel: &Relation,
@@ -337,7 +368,12 @@ impl Database {
             let hdr = visit.version(buf)?;
             if visible(&hdr, txn.ts, txn.id) {
                 if !is_marker(hdr.begin) && hdr.read_ts < txn.ts {
-                    visit.upgrade()?.stamp(Field::ReadTs, txn.ts)?;
+                    let visit = visit.upgrade()?;
+                    if self.is_oldest(txn) {
+                        visit.stamp_hint(Field::ReadTs, txn.ts)?;
+                    } else {
+                        visit.stamp(Field::ReadTs, txn.ts)?;
+                    }
                 }
                 return Ok(());
             }
@@ -522,18 +558,31 @@ impl Database {
 
     /// Commit: validate MVTO read timestamps, persist the commit record in
     /// the NVM log buffer (the durability point, paper §5.2), then stamp
-    /// all versions with the commit timestamp.
+    /// all versions with the commit timestamp — and only then retire. A
+    /// writer still validating must be visible in `active`: a reader that
+    /// judged itself the oldest active transaction has written its read
+    /// stamp as a hint that may be gone (see [`Database::read_into`]), and
+    /// `checkpoint` waits for `active` to drain before it takes its fence.
     pub fn commit(&self, txn: &mut Transaction) -> Result<()> {
         if !txn.active {
             return Err(TxnError::InactiveTransaction);
         }
         let obs_t = spitfire_obs::op_start();
         txn.active = false;
+        let result = self.commit_writes(txn);
         self.retire(txn);
+        result?;
+        // relaxed: commit statistic.
+        self.commits.fetch_add(1, Ordering::Relaxed);
+        spitfire_obs::record_op(spitfire_obs::Op::TxnCommit, obs_t, txn.id, "");
+        Ok(())
+    }
+
+    /// Everything a commit does before it retires: validation, the commit
+    /// record, the stamps. A failed validation rolls the writes back and is
+    /// a [`TxnError::Conflict`].
+    fn commit_writes(&self, txn: &Transaction) -> Result<()> {
         if txn.writes.is_empty() {
-            // relaxed: commit statistic.
-            self.commits.fetch_add(1, Ordering::Relaxed);
-            spitfire_obs::record_op(spitfire_obs::Op::TxnCommit, obs_t, txn.id, "");
             return Ok(()); // read-only: nothing to log or stamp
         }
         // Lock every touched stripe in sorted order (deadlock freedom).
@@ -587,9 +636,6 @@ impl Database {
                 guards[held].debts.insert((w.table, w.key), w.new_rid);
             }
         }
-        // relaxed: commit statistic.
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        spitfire_obs::record_op(spitfire_obs::Op::TxnCommit, obs_t, txn.id, "");
         Ok(())
     }
 
@@ -600,8 +646,8 @@ impl Database {
         }
         let obs_t = spitfire_obs::op_start();
         txn.active = false;
-        self.retire(txn);
         let result = self.rollback(txn);
+        self.retire(txn);
         if result.is_ok() {
             spitfire_obs::record_op(spitfire_obs::Op::TxnAbort, obs_t, txn.id, "");
         }

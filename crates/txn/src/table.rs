@@ -35,7 +35,10 @@
 //! update, the read timestamp and vacuum's cut each change one `u64`;
 //! [`WriteVisit::stamp`] writes those eight bytes blind. Reading 40 bytes
 //! to write 40 back costs a second charged access and, worse, rewrites
-//! four fields the caller did not mean to touch.
+//! four fields the caller did not mean to touch. A read timestamp that no
+//! live transaction can consult goes through [`WriteVisit::stamp_hint`]:
+//! the same write, which the buffer manager may lose instead of writing
+//! the page back to SSD for it (`Database::read_into` says when).
 //!
 //! **What a read costs.** [`ReadVisit::version`] returns header and
 //! payload from one charged access (one latency, `slot_size` bytes of
@@ -216,6 +219,15 @@ impl WriteVisit<'_> {
     /// leaves the other four fields and the payload as they are.
     pub fn stamp(&self, field: Field, value: u64) -> Result<()> {
         Ok(self.guard.write_u64(self.offset + field as usize, value)?)
+    }
+
+    /// [`stamp`](Self::stamp) as a hint
+    /// ([`WriteGuard::write_u64_hint`]): the stamp may be lost when the
+    /// page leaves the buffer tiers without another change.
+    pub fn stamp_hint(&self, field: Field, value: u64) -> Result<()> {
+        Ok(self
+            .guard
+            .write_u64_hint(self.offset + field as usize, value)?)
     }
 
     /// Overwrite the whole version in one access.

@@ -11,7 +11,8 @@
 use std::sync::Arc;
 
 use spitfire_core::{
-    BufferManager, BufferManagerConfig, MetricsSnapshot, MigrationPath, MigrationPolicy, Tier,
+    BufferManager, BufferManagerConfig, MetricsSnapshot, MigrationPath, MigrationPolicy, PageId,
+    Tier,
 };
 use spitfire_device::{
     DeviceKind, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, StatsSnapshot, TimeScale,
@@ -382,4 +383,109 @@ fn failed_insert_returns_its_slot() {
         header(6)
     );
     assert_eq!(buf, [2u8; TUPLE]);
+}
+
+// ---- which read stamps are hints --------------------------------------
+
+/// NVM frames of the [`tiny`] stack: a handful of reads cycles them.
+const TINY_NVM: usize = 4;
+
+/// A three-tier stack whose NVM pool is [`TINY_NVM`] frames. The index
+/// lives in DRAM (created under an eager policy), the table on NVM under
+/// [`stay`]: `KEY` on data page 0, and enough keys behind it for
+/// `2 * TINY_NVM` more data pages to push page 0 out of NVM with. Every
+/// NVM copy is clean when this returns. Also returns those other pages.
+fn tiny() -> (Database, Vec<PageId>) {
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE)
+        .dram_capacity(32 * PAGE)
+        .nvm_capacity(TINY_NVM * (PAGE + 64))
+        .policy(MigrationPolicy::eager())
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    let bm = Arc::new(BufferManager::new(config).unwrap());
+    let db = Database::create(Arc::clone(&bm), DbConfig::default()).unwrap();
+    db.create_table(T, TUPLE).unwrap();
+    bm.admin().set_policy(stay());
+    let per_page = (PAGE / (TUPLE + spitfire_txn::VERSION_HEADER)) as u64;
+    for key in 0..per_page * (2 * TINY_NVM as u64 + 1) {
+        put(&db, key, 1);
+    }
+    while bm.flush_nvm_dirty(8).unwrap() > 0 {}
+    let pages = db.table_data_pages(T).unwrap();
+    assert!(pages.len() > 2 * TINY_NVM);
+    (db, pages[1..].to_vec())
+}
+
+/// Read `others` straight through the buffer manager — no stamps, nothing
+/// dirtied — until `gone` says page 0 left NVM. Returns the SSD writes
+/// made meanwhile: page 0's trip down, if it had one.
+fn push_out(db: &Database, others: &[PageId], gone: impl Fn(&MetricsSnapshot) -> bool) -> u64 {
+    let bm = db.buffer_manager();
+    let ssd0 = bm.device_stats(Tier::Ssd).unwrap().snapshot();
+    for &page in others.iter().cycle().take(4 * others.len()) {
+        drop(bm.fetch_read(page).unwrap());
+        if gone(&bm.metrics()) {
+            let ssd = bm.device_stats(Tier::Ssd).unwrap().snapshot();
+            return ssd.delta(&ssd0).write_ops;
+        }
+    }
+    panic!("page 0 never left NVM");
+}
+
+#[test]
+fn sole_readers_stamp_is_a_hint_and_never_reaches_the_ssd() {
+    let (db, others) = tiny();
+    let bm = db.buffer_manager();
+    let page0 = db.table_data_pages(T).unwrap()[0];
+    bm.drain_dirty_epoch();
+
+    // The only transaction, so the oldest: its stamp may be lost.
+    let mut reader = db.begin();
+    let mut buf = [0u8; TUPLE];
+    db.read_into(&reader, T, KEY, &mut buf).unwrap();
+    db.commit(&mut reader).unwrap();
+    assert!(!bm.drain_dirty_epoch().contains(&page0));
+
+    let before = bm.metrics();
+    let writes = push_out(&db, &others, |m| m.hint_discards > before.hint_discards);
+    assert_eq!(writes, 0, "page 0 left NVM without a write-back");
+    let d = bm.metrics().delta(&before);
+    assert_eq!((d.hint_discards, d.path(MigrationPath::NvmToSsd)), (1, 0));
+
+    // Nobody could have needed it: the next writer is younger anyway.
+    put(&db, KEY, 2);
+}
+
+#[test]
+fn stamp_under_an_older_transaction_is_data_and_still_refuses_it() {
+    let (db, others) = tiny();
+    let bm = db.buffer_manager();
+    let page0 = db.table_data_pages(T).unwrap()[0];
+    bm.drain_dirty_epoch();
+
+    let mut older = db.begin();
+    let mut reader = db.begin();
+    let mut buf = [0u8; TUPLE];
+    db.read_into(&reader, T, KEY, &mut buf).unwrap();
+    db.commit(&mut reader).unwrap();
+    assert!(bm.drain_dirty_epoch().contains(&page0));
+
+    let before = bm.metrics();
+    let writes = push_out(&db, &others, |m| {
+        m.path(MigrationPath::NvmToSsd) > before.path(MigrationPath::NvmToSsd)
+    });
+    assert_eq!(writes, 1, "page 0 was written back with its stamp");
+    assert_eq!(bm.metrics().delta(&before).hint_discards, 0);
+
+    // Page 0 comes back from SSD with the younger reader's stamp on it, and
+    // MVTO refuses the older transaction's write.
+    let fetched = bm.metrics().ssd_fetches;
+    assert_eq!(
+        db.update(&mut older, T, KEY, &[9u8; TUPLE]),
+        Err(TxnError::Conflict)
+    );
+    assert!(bm.metrics().ssd_fetches > fetched, "page 0 was reloaded");
+    db.abort(&mut older).unwrap();
 }

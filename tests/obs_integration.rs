@@ -235,6 +235,7 @@ const FULL_STACK_SCHEMA: &[&str] = &[
     "evictions_nvm",
     "fetch_fallbacks",
     "fetch_fast",
+    "hint_discards",
     "inclusivity",
     "index_restarts",
     "io_fatal",
