@@ -30,10 +30,12 @@ pub enum CrashSchedule {
     EveryNOps(u64),
     /// Crash at seeded-random operation counts (1..=64 ops apart).
     RandomOps,
-    /// Sabotage every `m`th checkpoint: a one-shot fatal fault kills the
-    /// snapshot-generation write partway through its block stream, then
-    /// the explorer crashes. Recovery must fall back to the last
-    /// *installed* generation plus the (untruncated) WAL tail.
+    /// Sabotage every `m`th checkpoint: a one-shot fatal fault kills
+    /// either its home flush (a main-SSD write or sync) or the generation's
+    /// block stream, then the explorer crashes. Recovery must fall back to
+    /// the last *installed* generation plus the (untruncated) WAL tail,
+    /// over whatever homes the flush had rewritten and NVM copies it had
+    /// dropped.
     MidCheckpoint(u64),
     /// Crash whenever the buffer manager's migration counters (completed
     /// paths plus shadow-commit aborts) have advanced by `k` since the
@@ -194,12 +196,8 @@ fn database(chaos: &ChaosConfig) -> Database {
     // Every chaos run exercises the instant-restart path: explicit
     // checkpoints write snapshot generations, and crash_and_verify's
     // recoveries load them (falling back to full WAL replay only before
-    // the first generation exists). `full_every: 3` mixes full and
-    // incremental generations within one run.
-    db.enable_snapshots(SnapshotConfig {
-        full_every: 3,
-        ..SnapshotConfig::default()
-    });
+    // the first generation exists).
+    db.enable_snapshots(SnapshotConfig::default());
     db
 }
 
@@ -377,33 +375,51 @@ pub fn run(config: &ChaosConfig) -> Verdict {
         if let Some(every) = config.checkpoint_every {
             if t > 0 && t % every == 0 {
                 ckpt_attempts += 1;
-                let sabotage = matches!(
-                    config.schedule,
-                    CrashSchedule::MidCheckpoint(m) if ckpt_attempts.is_multiple_of(m.max(1))
-                );
-                if sabotage {
-                    // Kill this checkpoint partway through: a one-shot
-                    // fatal fault on the k-th snapshot-store write leaves
-                    // a partial (never-installed) generation behind, then
-                    // the plug is pulled. Recovery must ignore the
-                    // partial blocks and restart from the last installed
-                    // generation plus the WAL tail, which the failed
-                    // checkpoint must not have truncated.
-                    // A full (SSD-backed) generation writes only index
-                    // runs plus a manifest, so even the smallest
-                    // generation has two store writes: alternate between
-                    // killing the first and second.
-                    let kth = 1 + (config.seed ^ ckpt_attempts) % 2;
-                    let plan = FaultPlan::new(config.seed.wrapping_add(ckpt_attempts)).rule(
-                        FaultRule::any(Trigger::NthOp(kth), FaultKind::Fatal).on_op(FaultOp::Write),
-                    );
-                    db.set_snapshot_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+                let sabotage = match config.schedule {
+                    CrashSchedule::MidCheckpoint(m) if ckpt_attempts.is_multiple_of(m.max(1)) => {
+                        Some(config.seed ^ (ckpt_attempts / m.max(1)))
+                    }
+                    _ => None,
+                };
+                if let Some(turn) = sabotage {
+                    // Kill this checkpoint partway through with a one-shot
+                    // fatal fault, then pull the plug. Half the turns fail
+                    // the k-th snapshot-store write (k = 1 or 2: even the
+                    // smallest generation writes an index run and a
+                    // manifest), leaving a partial, never-installed
+                    // generation. The other half fail the k-th main-SSD
+                    // write or sync (k = 1..=3) of the home flush, leaving
+                    // some homes rewritten and their NVM copies dropped;
+                    // should the flush be too short to reach k, the first
+                    // store write fails instead. Recovery must ignore the partial work and
+                    // restart from the last installed generation plus the
+                    // WAL tail, which the failed checkpoint must not have
+                    // truncated.
+                    let once = |rule: FaultRule| {
+                        let plan =
+                            FaultPlan::new(config.seed.wrapping_add(ckpt_attempts)).rule(rule);
+                        Some(Arc::new(FaultInjector::new(plan)))
+                    };
+                    let fatal = |kth| FaultRule::any(Trigger::NthOp(kth), FaultKind::Fatal);
+                    let (k, home) = (turn / 2, turn % 2 == 1);
+                    if home {
+                        let rule = fatal(1 + k % 3)
+                            .on_device(DeviceKind::Ssd)
+                            .on_op(FaultOp::Write)
+                            .on_op(FaultOp::Sync);
+                        db.buffer_manager().admin().set_fault_injector(once(rule));
+                    }
+                    let store_kth = if home { 1 } else { 1 + k % 2 };
+                    db.set_snapshot_fault_injector(once(fatal(store_kth).on_op(FaultOp::Write)));
                     if db.checkpoint().is_ok() {
                         v.violations
                             .push("sabotaged checkpoint unexpectedly succeeded".to_string());
                     }
                     // Restore the run-wide background-noise injector (or
-                    // none) before recovery reads the store.
+                    // none) before recovery reads the devices.
+                    db.buffer_manager()
+                        .admin()
+                        .set_fault_injector(injector.clone());
                     db.set_snapshot_fault_injector(injector.clone());
                     maintenance.pause_for_crash();
                     crash_and_verify(

@@ -105,8 +105,8 @@ pub(crate) const DRAM_HIGH_WATERMARK: f64 = 1.0 / 4.0;
 pub(crate) const NVM_LOW_WATERMARK: f64 = 1.0 / 16.0;
 /// Free-frame fraction the NVM refill aims for.
 pub(crate) const NVM_HIGH_WATERMARK: f64 = 1.0 / 8.0;
-/// Max pages written back per maintenance or checkpoint-flush batch; dirty
-/// NVM victims in one batch share a single SSD sync barrier, amortizing
+/// Max pages written back per maintenance batch; dirty NVM victims in
+/// one batch share a single SSD sync barrier, amortizing
 /// the device cost model's per-op latency. Trades fsync amortization
 /// against how long the batch's frames stay claimed-but-unfreed.
 pub const MAINTENANCE_BATCH: usize = 4;

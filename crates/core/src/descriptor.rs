@@ -18,7 +18,6 @@
 //! move does device I/O, exclusive otherwise.
 
 use parking_lot::{Condvar, Mutex};
-use spitfire_sync::atomic::AtomicU64;
 use spitfire_sync::{CachePadded, PinWord, VersionLatch};
 
 use crate::types::{FrameId, PageId};
@@ -190,13 +189,13 @@ impl PageState {
 /// unrelated hot pages could ping-pong one line between cores.
 ///
 /// The content [`latch`](Self::latch) sits with the cold fields (`pid`,
-/// `ckpt_epoch`, the mutex), on neither pin-word line: a pin CAS on a hot
-/// page must not invalidate the line its optimistic readers validate
+/// the mutex), on neither pin-word line: a pin CAS on a hot page must not
+/// invalidate the line its optimistic readers validate
 /// against, and a latch write must not bounce the word every fetch CASes.
 /// It is not given a line of its own — its readers only load it, so a
 /// read-mostly page keeps the line shared in every core's cache, and the
-/// fields beside it are written by whoever writes the page anyway
-/// (`mark_dirty` takes the mutex under the same write latch).
+/// mutex beside it is taken by whoever writes the page anyway
+/// (`mark_dirty` takes it under the same write latch).
 ///
 /// # Identity
 ///
@@ -221,10 +220,6 @@ pub(crate) struct SharedPageDesc {
     pub dram_pin: CachePadded<PinWord>,
     /// Optimistic pin word for the NVM copy (own cache line).
     pub nvm_pin: CachePadded<PinWord>,
-    /// Last checkpoint epoch this page was recorded dirty in — a hint that
-    /// lets `mark_dirty` skip the shared dirty-set mutex for repeat writes
-    /// within one epoch. `u64::MAX` = never recorded.
-    pub ckpt_epoch: AtomicU64,
     /// Optimistic latch over the page's *content*, for whoever structures
     /// it (the B+tree's lock coupling). The buffer manager never takes it:
     /// it only keeps it where a pin on the page finds it, so it follows
@@ -242,7 +237,6 @@ impl SharedPageDesc {
             cond: Condvar::new(),
             dram_pin: CachePadded::new(PinWord::new()),
             nvm_pin: CachePadded::new(PinWord::new()),
-            ckpt_epoch: AtomicU64::new(u64::MAX),
             latch: VersionLatch::new(),
         }
     }

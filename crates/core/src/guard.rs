@@ -106,8 +106,8 @@ impl<'a> PageGuard<'a> {
     /// [`write`](Self::write), raising the copy's dirt to at most `dirt`
     /// ([`WriteGuard::write_hint`] passes [`Dirt::Hint`]). The device
     /// write, the NVM persist and the pin-word version bump are the same
-    /// whatever `dirt` is; only data dirt enters the checkpoint dirty
-    /// epoch. Fine-grained and mini copies take every write as data.
+    /// whatever `dirt` is; only data dirt is ever written to SSD.
+    /// Fine-grained and mini copies take every write as data.
     pub(crate) fn write_dirt(&self, offset: usize, data: &[u8], dirt: Dirt) -> Result<()> {
         match self.kind {
             GuardKind::FullDram(f) => {
@@ -300,9 +300,8 @@ impl<'a> WriteGuard<'a> {
     /// Write `data` as a *hint*: bytes the page may lose. The write itself
     /// is [`write`](Self::write)'s — same device write, same NVM persist,
     /// same pin-word version bump, so readers and shadow copies see it like
-    /// any other — but it raises a clean copy only to hint dirt, never
-    /// lowers data dirt, and does not enter the checkpoint dirty epoch.
-    /// Hint dirt moves between DRAM and NVM exactly like data dirt and is
+    /// any other — but it raises a clean copy only to hint dirt and never
+    /// lowers data dirt. Hint dirt moves between DRAM and NVM exactly like data dirt and is
     /// never written to SSD: a copy holding nothing else is dropped like a
     /// clean one when it leaves the buffer, and the hint is gone. Use it
     /// only for bytes whose loss no reader can observe (an MVTO read

@@ -119,7 +119,7 @@ pub use config::{
 };
 pub use error::BufferError;
 pub use guard::{PageGuard, ReadGuard, WriteGuard};
-pub use manager::{Admin, BufferManager, MemoryPressure};
+pub use manager::{Admin, BufferManager, HomeFlush, MemoryPressure};
 pub use metrics::{MetricsSnapshot, ShadowPath};
 pub use policy::{MigrationPolicy, NvmAdmission, PolicyCell};
 pub use replacement::{PolicyConfig, ReplacementPolicy};

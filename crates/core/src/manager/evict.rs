@@ -1,9 +1,9 @@
 //! Making room: frame allocation with inline eviction fallback, DRAM and
-//! NVM eviction, and the staged NVM → SSD batch write-back that
-//! maintenance cycles and `flush_nvm_dirty` share. Each eviction picks
-//! shadow or exclusive claim from the victim's state (see `shadow`), and
-//! what it writes from the victim's [`Dirt`]: a copy leaving the buffer
-//! tiers with hint dirt only is dropped like a clean one.
+//! NVM eviction, and the staged NVM → SSD batch write-back of maintenance
+//! cycles. Each eviction picks shadow or exclusive claim from the victim's
+//! state (see `shadow`), and what it writes from the victim's [`Dirt`]: a
+//! copy leaving the buffer tiers with hint dirt only is dropped like a
+//! clean one.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use super::{with_page_buf, BufferManager};
 use crate::config::{DRAM_LOW_WATERMARK, NVM_LOW_WATERMARK};
 use crate::descriptor::{CopyState, Dirt, FrameRef, PageState, SharedPageDesc};
 use crate::error::BufferError;
-use crate::io::{retry_device_io, retry_device_io_n, IO_RETRY_LIMIT, MAINT_RETRY_LIMIT};
+use crate::io::{retry_device_io, retry_device_io_n, MAINT_RETRY_LIMIT};
 use crate::types::{FrameId, MigrationPath, Tier};
 use crate::Result;
 
@@ -423,49 +423,40 @@ impl BufferManager {
     }
 
     /// Resolve a claimed NVM copy with data dirt after its write-back I/O.
-    /// With `retire`, an accepted copy is left `Busy`, clean, word closed —
-    /// exclusively held for [`Self::finish_nvm_eviction`]; without, it
-    /// goes back to `Resident` clean. A copy whose I/O failed, or whose
-    /// shadow claim raced a write or a late reader, stays `Resident` with
-    /// data dirt: the synced SSD image may be stale or torn, but the NVM bytes
-    /// and frame header remain authoritative for both runtime reads and
-    /// crash recovery. Returns whether the SSD image was accepted.
+    /// An accepted copy is left `Busy`, clean, word closed — exclusively
+    /// held for [`Self::finish_nvm_eviction`]. A copy whose I/O failed, or
+    /// whose shadow claim raced a write or a late reader, stays `Resident`
+    /// with data dirt: the synced SSD image may be stale or torn, but the
+    /// NVM bytes and frame header remain authoritative for both runtime
+    /// reads and crash recovery. Returns whether the SSD image was
+    /// accepted.
     fn finish_nvm_claim(
         &self,
         desc: &SharedPageDesc,
         victim: FrameId,
         claim: Claim,
-        retire: bool,
         io_ok: bool,
     ) -> bool {
         match claim {
-            Claim::Shadow(claim) => {
-                let end = if retire {
-                    ShadowEnd::WriteBack
-                } else {
-                    ShadowEnd::Flush
-                };
-                self.shadow_finish(desc, claim, end, io_ok)
-            }
+            Claim::Shadow(claim) => self.shadow_finish(desc, claim, ShadowEnd::WriteBack, io_ok),
             // Nobody could touch the `Busy` copy: the image is current.
             Claim::Exclusive => {
-                if !(retire && io_ok) {
-                    let dirt = if io_ok { Dirt::Clean } else { Dirt::Data };
-                    self.restore_nvm_resident(desc, victim, dirt);
+                if !io_ok {
+                    self.restore_nvm_resident(desc, victim);
                 }
                 io_ok
             }
         }
     }
 
-    /// Restore a claimed NVM copy to `Resident` (after a failed or
-    /// non-evicting operation) and wake waiters.
-    fn restore_nvm_resident(&self, desc: &SharedPageDesc, victim: FrameId, dirt: Dirt) {
+    /// Restore a claimed NVM copy to `Resident` with data dirt after a
+    /// failed write-back, and wake waiters.
+    fn restore_nvm_resident(&self, desc: &SharedPageDesc, victim: FrameId) {
         let mut st = desc.state.lock();
         st.nvm = Some(CopyState::Resident {
             frame: FrameRef::Full(victim),
             pins: 0,
-            dirt,
+            dirt: Dirt::Data,
         });
         Self::reopen_nvm_word(desc, &st);
         desc.cond.notify_all();
@@ -523,7 +514,7 @@ impl BufferManager {
                 })?;
                 Ok(())
             });
-            if !self.finish_nvm_claim(desc, victim, claim, true, res.is_ok()) {
+            if !self.finish_nvm_claim(desc, victim, claim, res.is_ok()) {
                 return false;
             }
             self.metrics.record_migration(MigrationPath::NvmToSsd);
@@ -534,31 +525,26 @@ impl BufferManager {
         true
     }
 
-    /// Write a batch of *claimed* NVM copies with data dirt to SSD with a single
-    /// fsync: the page images are staged in memory (batches are small —
-    /// the maintenance default is 4 pages) and submitted as one sorted
-    /// multi-page write ([`spitfire_device::SsdDevice::write_pages`] —
-    /// coalesced into few large direct-I/O submissions on the file
-    /// backend), then one sync barrier makes the whole batch durable, and
-    /// only then is each claim resolved ([`Self::finish_nvm_claim`]).
-    ///
-    /// With `retire` (maintenance eviction) an accepted copy is evicted —
-    /// frame header cleared, frame freed: the same
+    /// Evict a batch of *claimed* NVM copies with data dirt, writing them
+    /// to SSD with a single fsync: the page images are staged in memory
+    /// (batches are small — the maintenance default is 4 pages) and
+    /// submitted as one sorted multi-page write
+    /// ([`spitfire_device::SsdDevice::write_pages`] — coalesced into few
+    /// large direct-I/O submissions on the file backend), then one sync
+    /// barrier makes the whole batch durable, and only then is each claim
+    /// resolved ([`Self::finish_nvm_claim`]) and each accepted copy evicted
+    /// — frame header cleared, frame freed: the same
     /// sync-before-header-clear ordering as [`Self::try_evict_nvm`],
-    /// amortized over the batch — and the write fails fast
-    /// ([`MAINT_RETRY_LIMIT`]). Without (`flush_nvm_dirty`), an accepted
-    /// copy stays resident and is only marked clean — never before its
-    /// image is durable, or eviction could discard it while the image
-    /// sits in the volatile write cache. A failed read, write, or sync
-    /// releases the affected claims with every copy still dirty (nothing
-    /// was retired, so a retry is idempotent).
+    /// amortized over the batch. The write fails fast
+    /// ([`MAINT_RETRY_LIMIT`]). A failed read, write, or sync releases the
+    /// affected claims with every copy still dirty (nothing was retired,
+    /// so a retry is idempotent).
     ///
-    /// Returns the number of accepted pages and the error, if any — the
+    /// Returns the number of evicted pages and the error, if any — the
     /// batch write/sync error, else the first failed read.
     pub(super) fn write_back_nvm_batch(
         &self,
         batch: Vec<ClaimedNvm>,
-        retire: bool,
     ) -> (usize, Option<BufferError>) {
         let page = self.config.page_size;
         let mut first_err: Option<BufferError> = None;
@@ -571,7 +557,7 @@ impl BufferManager {
             {
                 Ok(()) => staged.push(((desc, victim, claim), buf)),
                 Err(e) => {
-                    self.finish_nvm_claim(&desc, victim, claim, retire, false);
+                    self.finish_nvm_claim(&desc, victim, claim, false);
                     first_err.get_or_insert(e);
                 }
             }
@@ -583,23 +569,19 @@ impl BufferManager {
             .iter()
             .map(|((desc, _, _), buf)| (desc.pid.0, buf.as_slice()))
             .collect();
-        let (write_what, sync_what, write_retries) = if retire {
-            ("nvm batch write-back", "nvm batch sync", MAINT_RETRY_LIMIT)
-        } else {
-            ("nvm flush write", "nvm flush sync", IO_RETRY_LIMIT)
-        };
-        let res = retry_device_io_n(&self.metrics, write_what, write_retries, || {
-            self.ssd.write_pages(&mut submission).map(|_| ())
-        })
-        .and_then(|()| retry_device_io(&self.metrics, sync_what, || self.ssd.sync()));
+        let res = retry_device_io_n(
+            &self.metrics,
+            "nvm batch write-back",
+            MAINT_RETRY_LIMIT,
+            || self.ssd.write_pages(&mut submission).map(|_| ()),
+        )
+        .and_then(|()| retry_device_io(&self.metrics, "nvm batch sync", || self.ssd.sync()));
         drop(submission);
         let mut n = 0usize;
         for ((desc, victim, claim), _) in staged {
-            if self.finish_nvm_claim(&desc, victim, claim, retire, res.is_ok()) {
-                if retire {
-                    self.metrics.record_migration(MigrationPath::NvmToSsd);
-                    self.finish_nvm_eviction(&desc, victim);
-                }
+            if self.finish_nvm_claim(&desc, victim, claim, res.is_ok()) {
+                self.metrics.record_migration(MigrationPath::NvmToSsd);
+                self.finish_nvm_eviction(&desc, victim);
                 n += 1;
             }
         }

@@ -1,158 +1,302 @@
-//! Write-backs that leave the page resident: the checkpointer's DRAM
-//! flush and the batched NVM flush that lets the WAL truncate past
-//! NVM-resident dirty pages.
+//! Write-backs that leave the page resident: the checkpointer's home
+//! flush and the catalog's single-page flush.
 
-use super::evict::ClaimedNvm;
-use super::shadow::ShadowEnd;
+use std::sync::Arc;
+
+use super::shadow::{ShadowClaim, ShadowEnd};
 use super::BufferManager;
-use crate::descriptor::{CopyState, Dirt, FrameRef};
+use crate::descriptor::{CopyState, Dirt, FrameRef, SharedPageDesc};
 use crate::io::retry_device_io;
-use crate::types::PageId;
+use crate::types::{FrameId, PageId};
 use crate::Result;
 
+/// What a home flush did: the DRAM copies it wrote to their SSD homes, and
+/// the dirty ones it had to leave behind.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HomeFlush {
+    /// DRAM copies written home and synced — raced ones included: their
+    /// image holds every change made before the flush began.
+    pub written: usize,
+    /// Pages whose DRAM copy holds data dirt the flush could not claim: a
+    /// shadow move in flight, a mutex pin, a busy NVM copy, or a
+    /// fine-grained or mini-page frame.
+    pub left_behind: Vec<PageId>,
+}
+
+/// Why a DRAM copy was not claimed for a flush.
+enum Skip {
+    /// No data dirt: nothing the SSD must hold.
+    NotDirty,
+    /// Data dirt, but the copy cannot be claimed right now.
+    Busy,
+}
+
+/// A DRAM copy shadow-claimed for a flush: its descriptor and frame, the
+/// NVM copy it shadows (if any), and the claim.
+type ClaimedDram = (Arc<SharedPageDesc>, FrameId, Option<FrameId>, ShadowClaim);
+
 impl BufferManager {
-    /// Write back up to `max` dirty NVM-resident pages to SSD in one batch
-    /// (single fsync), marking them clean but keeping them resident. This
-    /// is what lets the WAL truncate past NVM-resident dirty pages: after
-    /// the sync their SSD images are durable, so replay no longer needs
-    /// the log records that produced them. Copies with hint dirt only are
-    /// left alone (nothing the SSD must hold), and so are pages whose DRAM
-    /// copy has data dirt (or is in transition) — [`Self::flush_page`]
-    /// reconciles those into NVM first. Returns the number written.
-    pub fn flush_nvm_dirty(&self, max: usize) -> Result<usize> {
-        if self.nvm.is_none() || max == 0 {
-            return Ok(0);
-        }
+    /// [`Self::flush_home`] over every mapped page.
+    pub fn flush_all_dirty(&self) -> Result<HomeFlush> {
         let mut pids = Vec::new();
-        self.mapping.for_each(|pid, _| pids.push(*pid));
-        let mut claimed: Vec<ClaimedNvm> = Vec::new();
-        for pid in pids {
-            if claimed.len() >= max {
-                break;
-            }
-            let Some(desc) = self.mapping.get(&pid) else {
-                continue;
-            };
-            let Some(mut st) = desc.state.try_lock() else {
-                continue;
-            };
-            if st.shadow_nvm || st.shadow_dram {
-                continue;
-            }
-            // A dirty or transitioning DRAM copy shadows the NVM bytes.
-            // Hint dirt does not: its data part equals the NVM copy.
-            let shadowed = match &st.dram {
-                Some(CopyState::Resident { dirt, .. }) => *dirt == Dirt::Data,
-                Some(_) => true,
-                None => false,
-            };
-            if shadowed {
-                continue;
-            }
-            let Some(CopyState::Resident {
-                frame,
-                pins: 0,
-                dirt: Dirt::Data,
-            }) = &st.nvm
-            else {
-                continue;
-            };
-            let victim = frame.frame();
-            // Shadow claim where the word is open (the copy stays readable
-            // for the whole batch write + sync); exclusive where a clean
-            // DRAM copy already shadows it.
-            let Some(claim) = Self::claim_nvm_copy(&desc, &mut st, victim, Dirt::Data) else {
-                continue;
-            };
-            drop(st);
-            claimed.push((desc, victim, claim));
-        }
-        if claimed.is_empty() {
-            return Ok(0);
-        }
-        match self.write_back_nvm_batch(claimed, false) {
-            (_, Some(e)) => Err(e),
-            (n, None) => Ok(n),
-        }
+        self.mapping.for_each(|pid, _| pids.push(PageId(*pid)));
+        self.flush_home(&pids)
     }
 
-    /// Write the dirty DRAM copy of `pid` down to SSD without evicting it
-    /// (checkpointer; paper §5.2 Recovery: DRAM pages are flushed for log
-    /// truncation, NVM pages are not because NVM is persistent). Returns
-    /// `true` if a flush happened; pinned or busy pages, and copies with
-    /// hint dirt only, are skipped.
-    pub fn flush_page(&self, pid: PageId) -> Result<bool> {
-        let Some(desc) = self.mapping.get(&pid.0) else {
-            return Ok(false);
-        };
-        let mut st = desc.state.lock();
-        if st.shadow_dram || st.shadow_nvm {
-            // A shadow operation owns this page's transitions right now;
-            // the checkpointer will come back.
-            return Ok(false);
+    /// The checkpointer's flush (paper §5.2 Recovery: DRAM pages are
+    /// flushed so the log can be truncated; NVM pages are not, because NVM
+    /// is persistent). Each of `pids` whose DRAM copy holds data dirt is
+    /// written to its SSD home and synced, without being evicted. An NVM
+    /// copy the DRAM copy shadowed is older than home from then on, so it
+    /// is dropped — its frame header cleared and persisted, its frame
+    /// freed — which costs the NVM 16 bytes where reconciling the page
+    /// into it would cost a page. NVM-resident dirt stays where it is:
+    /// recovery adopts it.
+    ///
+    /// A write that races the copy leaves the DRAM copy dirty but still
+    /// counts as written: the home image holds every change made before
+    /// the flush began, so the shadowed NVM copy goes all the same. Copies
+    /// that cannot be claimed are skipped, never waited on, and reported
+    /// in [`HomeFlush::left_behind`]; an I/O error stops the flush and
+    /// leaves the failed page's copies as they were.
+    pub fn flush_home(&self, pids: &[PageId]) -> Result<HomeFlush> {
+        let mut out = HomeFlush::default();
+        for &pid in pids {
+            let (desc, frame, nvm, claim) = match self.claim_flush(pid, false) {
+                Ok(claimed) => claimed,
+                Err(Skip::NotDirty) => continue,
+                Err(Skip::Busy) => {
+                    out.left_behind.push(pid);
+                    continue;
+                }
+            };
+            // The shadowed copy's header goes only once the home image is
+            // durable: until then it is what recovery must adopt.
+            let res = self
+                .write_dram_copy_to_ssd(&desc, frame)
+                .and_then(|()| retry_device_io(&self.metrics, "home sync", || self.ssd.sync()))
+                .and_then(|()| nvm.map_or(Ok(()), |nf| self.nvm_pool().clear_frame_header(nf)));
+            self.shadow_finish(&desc, claim, ShadowEnd::Home(nvm), res.is_ok());
+            res?;
+            out.written += 1;
         }
-        let Some(CopyState::Resident {
-            frame,
-            pins: 0,
-            dirt: Dirt::Data,
-        }) = &st.dram
-        else {
+        Ok(out)
+    }
+
+    /// Make `pid`'s dirty DRAM copy durable without evicting it: the
+    /// catalog's single-page durability point. The copy is reconciled into
+    /// the page's NVM copy when there is one (NVM is persistent, and a
+    /// stale NVM copy left beside a clean DRAM copy would shadow it once
+    /// the DRAM copy is discarded), else written to SSD and synced.
+    /// Returns `true` if the copy went clean; copies that cannot be
+    /// claimed, copies with hint dirt only and raced flushes report
+    /// `false` and stay dirty.
+    pub fn flush_page(&self, pid: PageId) -> Result<bool> {
+        let Ok((desc, frame, nvm, claim)) = self.claim_flush(pid, true) else {
             return Ok(false);
         };
-        let FrameRef::Full(frame) = *frame else {
-            // Fine-grained copies flush through their NVM backing on
-            // eviction; the NVM copy is persistent already.
-            return Ok(false);
-        };
-        // If the page also has an NVM copy, reconcile into NVM instead of
-        // SSD — the NVM copy may be stale relative to DRAM, and leaving it
-        // stale-dirty would shadow the flushed version after the clean DRAM
-        // copy is discarded. This also matches the paper's recovery
-        // protocol: NVM-resident modified pages are not flushed to SSD
-        // because NVM is persistent.
-        let nvm_target = match &st.nvm {
-            Some(CopyState::Resident {
-                frame: nf, pins: 0, ..
-            }) => Some(nf.frame()),
-            Some(_) => return Ok(false), // NVM copy pinned or in transition
-            None => None,
-        };
-        // Shadow flush: write the copy down without ever closing its pin
-        // word, so hit-path readers never stall behind the checkpointer's
-        // device write + sync.
-        let Some(claim) = Self::shadow_claim(&desc, &mut st, true, frame, nvm_target) else {
-            return Ok(false);
-        };
-        drop(st);
-        let res = match nvm_target {
+        let res = match nvm {
             Some(nf) => self.copy_frame(false, frame, nf, None),
-            // A flush is a durability point (checkpoints and catalog writes
-            // rely on it), so it must survive a crash: sync.
             None => self
                 .write_dram_copy_to_ssd(&desc, frame)
                 .and_then(|()| retry_device_io(&self.metrics, "flush sync", || self.ssd.sync())),
         };
-        // The copy goes clean only if the flushed image is provably untorn.
-        // A raced flush is reported as *not flushed*: the synced SSD image
-        // may be torn or stale and must not let the WAL truncate past this
-        // page. On an I/O failure the copy stays dirty (nothing was lost)
-        // and the error propagates to the checkpointer.
+        // The copy goes clean only if the flushed image is provably untorn;
+        // on an I/O failure it stays dirty (nothing was lost) and the error
+        // propagates.
         let clean = self.shadow_finish(&desc, claim, ShadowEnd::Flush, res.is_ok());
         res?;
         Ok(clean)
     }
 
-    /// Flush every dirty, unpinned DRAM page to SSD. Returns the number of
-    /// pages flushed.
-    pub fn flush_all_dirty(&self) -> Result<usize> {
-        let mut pids = Vec::new();
-        self.mapping.for_each(|pid, _| pids.push(PageId(*pid)));
-        let mut flushed = 0;
-        for pid in pids {
-            if self.flush_page(pid)? {
-                flushed += 1;
-            }
+    /// Shadow-claim `pid`'s DRAM copy for a flush: it must hold data dirt
+    /// in a full frame with zero mutex pins, on a page with no shadow move
+    /// in flight and an NVM copy, if any, that is `Resident` and unpinned.
+    /// With `merge` that NVM copy becomes the claim's merge target. The
+    /// word stays open, so readers never stall behind the flush's I/O.
+    fn claim_flush(&self, pid: PageId, merge: bool) -> std::result::Result<ClaimedDram, Skip> {
+        let desc = self.mapping.get(&pid.0).ok_or(Skip::NotDirty)?;
+        let mut st = desc.state.lock();
+        let dirty = matches!(
+            &st.dram,
+            Some(CopyState::Resident { dirt, .. } | CopyState::Busy { dirt, .. }) if *dirt == Dirt::Data
+        );
+        if !dirty {
+            return Err(Skip::NotDirty);
         }
-        Ok(flushed)
+        // A shadow move owns the page's transitions right now.
+        if st.shadow_dram || st.shadow_nvm {
+            return Err(Skip::Busy);
+        }
+        let Some(CopyState::Resident {
+            frame: FrameRef::Full(frame),
+            pins: 0,
+            ..
+        }) = st.dram
+        else {
+            return Err(Skip::Busy);
+        };
+        let nvm = match &st.nvm {
+            None => None,
+            Some(CopyState::Resident {
+                frame: nf, pins: 0, ..
+            }) => Some(nf.frame()),
+            Some(_) => return Err(Skip::Busy),
+        };
+        let target = if merge { nvm } else { None };
+        let claim = Self::shadow_claim(&desc, &mut st, true, frame, target).ok_or(Skip::Busy)?;
+        drop(st);
+        Ok((desc, frame, nvm, claim))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_support::{install, manager, set_mutex_pins};
+    use super::*;
+    use crate::config::BufferManagerConfig;
+    use crate::policy::MigrationPolicy;
+    use spitfire_device::TimeScale;
+
+    /// A page whose DRAM copy holds data dirt over a clean NVM copy.
+    fn dirty_over_nvm() -> (BufferManager, Arc<SharedPageDesc>) {
+        let bm = manager();
+        let pid = bm.allocate_page().unwrap();
+        let desc = bm.descriptor(pid).unwrap();
+        install(&bm, &desc, false, Dirt::Clean);
+        install(&bm, &desc, true, Dirt::Data);
+        (bm, desc)
+    }
+
+    /// The flush leaves the page behind, touching nothing; once `release`
+    /// has run, it writes the page home.
+    fn left_behind_until(bm: &BufferManager, desc: &SharedPageDesc, release: impl FnOnce()) {
+        let pid = desc.pid;
+        let ssd0 = bm.ssd.stats().snapshot().write_ops;
+        let flush = bm.flush_home(&[pid]).unwrap();
+        assert_eq!(flush.left_behind, vec![pid]);
+        assert_eq!(flush.written, 0);
+        assert_eq!(bm.ssd.stats().snapshot().write_ops, ssd0, "no I/O");
+        assert_eq!(bm.metrics().nvm_home_drops, 0);
+        release();
+        let flush = bm.flush_home(&[pid]).unwrap();
+        assert_eq!((flush.written, flush.left_behind), (1, Vec::new()));
+        bm.assert_quiescent();
+    }
+
+    #[test]
+    fn a_shadow_move_in_flight_is_left_behind() {
+        let (bm, desc) = dirty_over_nvm();
+        let dram = match &desc.state.lock().dram {
+            Some(CopyState::Resident { frame, .. }) => frame.frame(),
+            other => panic!("{other:?}"),
+        };
+        // An eviction's claim, as a `Maintenance` worker would hold it.
+        let claim = {
+            let mut st = desc.state.lock();
+            BufferManager::shadow_claim(&desc, &mut st, true, dram, None).unwrap()
+        };
+        left_behind_until(&bm, &desc, || {
+            assert!(!bm.shadow_finish(&desc, claim, ShadowEnd::Evict(None), false));
+        });
+    }
+
+    #[test]
+    fn a_mutex_pin_is_left_behind() {
+        let (bm, desc) = dirty_over_nvm();
+        set_mutex_pins(&desc, true, 1);
+        left_behind_until(&bm, &desc, || set_mutex_pins(&desc, true, 0));
+    }
+
+    #[test]
+    fn a_busy_nvm_copy_is_left_behind() {
+        let (bm, desc) = dirty_over_nvm();
+        let make = |busy: bool| {
+            let mut st = desc.state.lock();
+            let Some(CopyState::Resident { frame, dirt, .. } | CopyState::Busy { frame, dirt, .. }) =
+                st.nvm.take()
+            else {
+                panic!("no NVM copy");
+            };
+            st.nvm = Some(if busy {
+                CopyState::Busy {
+                    frame,
+                    pins: 0,
+                    dirt,
+                }
+            } else {
+                CopyState::Resident {
+                    frame,
+                    pins: 0,
+                    dirt,
+                }
+            });
+        };
+        make(true);
+        left_behind_until(&bm, &desc, || make(false));
+        assert!(desc.state.lock().nvm.is_none(), "then dropped");
+    }
+
+    #[test]
+    fn a_failed_home_write_or_sync_keeps_the_nvm_copy_adoptable() {
+        use spitfire_device::{
+            DeviceKind, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule,
+        };
+        for op in [FaultOp::Write, FaultOp::Sync] {
+            let (bm, desc) = dirty_over_nvm();
+            let nvm = match &desc.state.lock().nvm {
+                Some(CopyState::Resident { frame, .. }) => frame.frame(),
+                other => panic!("{other:?}"),
+            };
+            let adoptable = || {
+                let headers = bm.nvm_pool().scan_frame_headers();
+                headers.iter().any(|&(f, pid)| (f, pid) == (nvm, desc.pid))
+            };
+            let rule = FaultRule::any(spitfire_device::Trigger::Always, FaultKind::Fatal)
+                .on_device(DeviceKind::Ssd)
+                .on_op(op);
+            let plan = FaultPlan::new(1).rule(rule);
+            bm.admin()
+                .set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+            assert!(bm.flush_home(&[desc.pid]).is_err(), "{op:?}");
+            // Until the home image is durable, the NVM copy is what
+            // recovery must find.
+            assert!(adoptable(), "{op:?}");
+            {
+                let st = desc.state.lock();
+                assert!(matches!(
+                    st.dram,
+                    Some(CopyState::Resident {
+                        dirt: Dirt::Data,
+                        ..
+                    })
+                ));
+                assert!(matches!(st.nvm, Some(CopyState::Resident { .. })));
+            }
+            bm.admin().set_fault_injector(None);
+            assert_eq!(bm.flush_home(&[desc.pid]).unwrap().written, 1);
+            assert!(!adoptable(), "{op:?}: dropped once home");
+            bm.assert_quiescent();
+        }
+    }
+
+    #[test]
+    fn a_fine_grained_copy_is_left_behind() {
+        let config = BufferManagerConfig::builder()
+            .page_size(1024)
+            .dram_capacity(8 * 1024)
+            .nvm_capacity(8 * (1024 + 64))
+            .policy(MigrationPolicy::eager())
+            .fine_grained(256)
+            .time_scale(TimeScale::ZERO)
+            .build()
+            .unwrap();
+        let bm = BufferManager::new(config).unwrap();
+        let pid = bm.allocate_page().unwrap();
+        drop(bm.fetch_read(pid).unwrap()); // SSD → NVM
+        bm.fetch_write(pid).unwrap().write_u64(0, 7).unwrap(); // fine DRAM copy
+        assert_eq!(bm.dirty_pages().0, 1);
+        let flush = bm.flush_all_dirty().unwrap();
+        assert_eq!((flush.written, flush.left_behind), (0, vec![pid]));
     }
 }

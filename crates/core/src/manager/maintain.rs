@@ -203,7 +203,7 @@ impl BufferManager {
                 }
                 continue;
             }
-            let (n, _) = self.write_back_nvm_batch(dirty_batch, true);
+            let (n, _) = self.write_back_nvm_batch(dirty_batch);
             wrote += n;
             freed += n;
             if n == 0 && freed == freed_before {

@@ -32,7 +32,7 @@
 //! move does device I/O; exclusive claim otherwise.**
 //!
 //! * A *shadow* move (promotion NVM→DRAM, dirty DRAM eviction, dirty NVM
-//!   write-back, checkpoint flush of a full-frame copy) copies the bytes
+//!   write-back, flush of a full-frame DRAM copy) copies the bytes
 //!   while the source stays `Resident` with its word open, and commits
 //!   through [`spitfire_sync::PinWord::shadow_commit`] only if no write
 //!   overlapped the copy window and every pin drained. Readers never stall
@@ -53,7 +53,8 @@
 //! The `impl BufferManager` is split by concern across sibling files (the
 //! `fgops` precedent): `fetch` (hit fast path, mutex slow path, loads),
 //! `evict` (frame allocation, DRAM/NVM eviction, batched write-back),
-//! `flush` (checkpoint flushes), `shadow` (the shadow claim/finish pair),
+//! `flush` (the checkpoint's home flush and the catalog's single-page
+//! flush), `shadow` (the shadow claim/finish pair),
 //! `maintain` (watermark refill cycles, pressure probe), `recover` (crash
 //! simulation and NVM-scan recovery), `report` (gauges, obs export,
 //! quiescence assertions).
@@ -65,7 +66,10 @@ mod maintain;
 mod recover;
 mod report;
 mod shadow;
+#[cfg(test)]
+mod test_support;
 
+pub use flush::HomeFlush;
 pub use maintain::MemoryPressure;
 
 use std::cell::Cell;
@@ -119,14 +123,6 @@ pub struct BufferManager {
     /// True while maintenance workers are running — the allocation path
     /// checks this flag (relaxed) before paying for watermark math.
     maint_active: AtomicBool,
-    /// Checkpoint dirty-epoch tracking: the current epoch number, bumped by
-    /// [`BufferManager::drain_dirty_epoch`].
-    dirty_epoch: AtomicU64,
-    /// Pages whose content changed since the last epoch drain. The
-    /// per-descriptor `ckpt_epoch` hint keeps repeat writers off this
-    /// mutex; an incremental checkpoint drains it to learn which page
-    /// images to copy.
-    dirty_since: parking_lot::Mutex<std::collections::BTreeSet<u64>>,
 }
 
 impl BufferManager {
@@ -199,8 +195,6 @@ impl BufferManager {
             mini,
             maint: RwLock::new(None),
             maint_active: AtomicBool::new(false),
-            dirty_epoch: AtomicU64::new(0),
-            dirty_since: parking_lot::Mutex::new(std::collections::BTreeSet::new()),
             config,
         })
     }
@@ -408,11 +402,7 @@ impl BufferManager {
 
     /// Raise the pinned copy's dirt to `dirt` (guard write).
     pub(crate) fn mark_dirty(&self, pid: PageId, in_dram_slot: bool, dirt: Dirt) {
-        self.with_desc(pid, |desc| self.mark_desc_dirty(desc, in_dram_slot, dirt));
-    }
-
-    fn mark_desc_dirty(&self, desc: &SharedPageDesc, in_dram_slot: bool, dirt: Dirt) {
-        {
+        self.with_desc(pid, |desc| {
             let mut st = desc.state.lock();
             if let Some(CopyState::Resident { dirt: d, .. } | CopyState::Busy { dirt: d, .. }) =
                 st.slot_mut(in_dram_slot)
@@ -425,58 +415,7 @@ impl BufferManager {
             // held is what makes the shadow commit's drain + version
             // re-check airtight — see `PinWord::shadow_commit`.
             desc.pin_word(in_dram_slot).bump_version();
-        }
-        if dirt == Dirt::Data {
-            self.note_dirty_epoch(desc);
-        }
-    }
-
-    /// Record `desc`'s page in the current checkpoint dirty epoch. This is
-    /// the single content-mutation hook: every guard write funnels through
-    /// `mark_dirty`, so draining the set yields exactly the pages whose
-    /// images an incremental checkpoint must copy — the pages a data write
-    /// changed; a hint write may be lost, so it never asks for an image.
-    fn note_dirty_epoch(&self, desc: &SharedPageDesc) {
-        // relaxed: fast-path skip hint only. A stale read can at worst
-        // take the mutex below unnecessarily; it can never skip a page
-        // that belongs in the current epoch, because the hint is written
-        // under the set mutex with the then-current epoch, and the epoch
-        // only advances under that same mutex.
-        let hint = desc.ckpt_epoch.load(Ordering::Relaxed);
-        // relaxed: see above — re-read under the mutex before recording.
-        if hint == self.dirty_epoch.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut set = self.dirty_since.lock();
-        set.insert(desc.pid.0);
-        // relaxed: written under the set mutex, paired with the re-read in
-        // the fast path above.
-        desc.ckpt_epoch
-            .store(self.dirty_epoch.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Number of pages dirtied since the last [`Self::drain_dirty_epoch`].
-    pub fn dirty_epoch_len(&self) -> usize {
-        self.dirty_since.lock().len()
-    }
-
-    /// Start a new checkpoint epoch and return the pages dirtied during
-    /// the previous one. The caller (the incremental checkpointer) copies
-    /// these page images; writes racing with the drain land in the new
-    /// epoch and are picked up by the next checkpoint.
-    pub fn drain_dirty_epoch(&self) -> Vec<PageId> {
-        let mut set = self.dirty_since.lock();
-        // relaxed: the epoch bump is published by the set mutex; `mark_dirty`
-        // re-reads it under the same mutex before stamping its hint.
-        self.dirty_epoch.fetch_add(1, Ordering::Relaxed);
-        std::mem::take(&mut *set).into_iter().map(PageId).collect()
-    }
-
-    /// Put pages back into the dirty-epoch set after a failed checkpoint so
-    /// the next attempt re-copies them.
-    pub fn merge_dirty_epoch(&self, pids: &[PageId]) {
-        let mut set = self.dirty_since.lock();
-        set.extend(pids.iter().map(|p| p.0));
+        });
     }
 }
 

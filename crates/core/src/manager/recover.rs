@@ -1,17 +1,14 @@
 //! Crash simulation and the buffer manager's part of recovery (paper
-//! §5.2 Recovery): NVM-scan mapping rebuild, snapshot image install, and
-//! page-id allocator restoration.
+//! §5.2 Recovery): NVM-scan mapping rebuild and page-id allocator
+//! restoration.
 
 use std::sync::Arc;
 
-use spitfire_device::AccessPattern;
 use spitfire_sync::atomic::Ordering;
 
 use super::BufferManager;
 use crate::descriptor::{CopyState, Dirt, FrameRef, SharedPageDesc};
-use crate::io::retry_device_io;
 use crate::types::{FrameId, PageId};
-use crate::Result;
 
 impl BufferManager {
     /// Simulate a process crash with power loss: volatile state (mapping
@@ -20,10 +17,6 @@ impl BufferManager {
     /// [`spitfire_device::PersistenceTracking::Full`].
     pub fn simulate_crash(&self) {
         self.mapping.clear();
-        // The dirty-epoch set tracked volatile state that just died with
-        // the mapping table; recovery repopulates it through `mark_dirty`
-        // as redo rewrites pages.
-        self.dirty_since.lock().clear();
         // Release-bump *after* clearing: a fast path that observes the new
         // epoch (Acquire) also observes the cleared table and cannot
         // re-cache a dead descriptor under it.
@@ -78,37 +71,6 @@ impl BufferManager {
             self.next_pid.fetch_max(pid.0 + 1, Ordering::AcqRel);
         }
         recovered
-    }
-
-    /// Install a snapshot page image during recovery: write it to the SSD
-    /// home location and, if the NVM scan adopted a (possibly *older*)
-    /// persistent copy of the same page, overwrite that copy too so it
-    /// cannot shadow the image. An NVM copy can predate the snapshot —
-    /// the page may have been re-dirtied in DRAM and flushed again after
-    /// its NVM write-back — so NVM content must not take precedence here.
-    /// Any effects newer than the image are reconstructed by the WAL-tail
-    /// replay that follows. The caller batches images and calls
-    /// [`BufferManager::sync_ssd`] once at the end.
-    pub fn install_page_image(&self, pid: PageId, image: &[u8]) -> Result<()> {
-        assert_eq!(image.len(), self.config.page_size, "page image size");
-        retry_device_io(&self.metrics, "snapshot install", || {
-            self.ssd.write_page(pid.0, image)
-        })?;
-        self.next_pid.fetch_max(pid.0 + 1, Ordering::AcqRel);
-        let Some(desc) = self.mapping.get(&pid.0) else {
-            return Ok(());
-        };
-        let st = desc.state.lock();
-        if let Some(CopyState::Resident {
-            frame: FrameRef::Full(frame),
-            ..
-        }) = &st.nvm
-        {
-            let pool = self.nvm_pool();
-            pool.write(*frame, 0, image, AccessPattern::Sequential)?;
-            pool.persist(*frame, 0, image.len())?;
-        }
-        Ok(())
     }
 
     /// Restore the page-id allocator from the persistent devices: the SSD

@@ -27,8 +27,11 @@
 //! and its word open (reopened if a failed commit closed it).
 //! Retiring moves (`Promote`, `Evict`, `WriteBack`) commit through
 //! [`spitfire_sync::PinWord::shadow_commit`], which closes the word; a
-//! `Flush` never closes it and commits through
+//! flush (`Flush`, `Home`) never closes it and commits through
 //! [`spitfire_sync::PinWord::shadow_still_clean`] plus a zero pin count.
+//! A `Home` flush also drops the NVM copy its source shadowed whenever its
+//! I/O succeeded, committed or not: the home image is newer than that
+//! copy either way.
 //! DESIGN.md "Shadow-copy migrations" tabulates every move's source and
 //! destination states; the unit tests below check that table row by row.
 
@@ -94,8 +97,14 @@ pub(super) enum ShadowEnd {
     /// Dirty NVM copy written to SSD and synced, about to be retired: left
     /// `Busy` and clean with its word closed for `finish_nvm_eviction`.
     WriteBack,
-    /// Write-back that leaves the copy resident; it only goes clean.
+    /// DRAM copy reconciled into the claim's merge target, or written to
+    /// SSD and synced; it stays resident and only goes clean.
     Flush,
+    /// DRAM copy written to its SSD home and synced; it stays resident and
+    /// only goes clean. `Some` is the NVM copy it shadowed, whose frame
+    /// header the mover cleared after the sync: it is dropped and its
+    /// frame freed if the I/O succeeded, even when the flush itself raced.
+    Home(Option<FrameId>),
 }
 
 impl ShadowEnd {
@@ -103,7 +112,7 @@ impl ShadowEnd {
         match self {
             ShadowEnd::Promote(_) => ShadowPath::Promote,
             ShadowEnd::Evict(_) | ShadowEnd::WriteBack => ShadowPath::Evict,
-            ShadowEnd::Flush => ShadowPath::Flush,
+            ShadowEnd::Flush | ShadowEnd::Home(_) => ShadowPath::Flush,
         }
     }
 }
@@ -232,20 +241,20 @@ impl BufferManager {
     /// is live on the source — a mutex-held pin may be a writer whose
     /// bytes are not yet version-stamped — and the word agrees: a retiring
     /// move closes it and demands an unchanged version plus drained
-    /// optimistic pins; a [`ShadowEnd::Flush`] leaves it open and demands
-    /// zero pins and an unchanged version (a guard write bumps before its
-    /// unpin, so the pin checks close the window a pinned writer leaves).
+    /// optimistic pins; a flush leaves it open and demands zero pins and
+    /// an unchanged version (a guard write bumps before its unpin, so the
+    /// pin checks close the window a pinned writer leaves).
     ///
     /// Whatever the outcome the claim is released, a merge target goes
     /// back to `Resident` — committed, with the max of its own and the
     /// source's dirt (it holds the reconciled bytes); aborted, with data
     /// dirt (the merge may be torn, so it must be written down before it
     /// is discarded) — waiters are woken, and the frame that lost its page
-    /// is freed: the source on a
-    /// committed eviction, the destination on an abort. An attempt whose
-    /// I/O succeeded counts as a commit or an abort on `end`'s
-    /// [`ShadowPath`]; a failed I/O is not a protocol outcome and counts
-    /// as neither.
+    /// is freed: the source on a committed eviction, the destination on an
+    /// abort, and a home flush's shadowed NVM copy once its I/O succeeded.
+    /// An attempt whose I/O succeeded counts as a commit or an abort on
+    /// `end`'s [`ShadowPath`]; a failed I/O is not a protocol outcome and
+    /// counts as neither.
     pub(super) fn shadow_finish(
         &self,
         desc: &SharedPageDesc,
@@ -275,7 +284,9 @@ impl BufferManager {
             && has_destination
             && mutex_pins == 0
             && match end {
-                ShadowEnd::Flush => word.pins() == 0 && word.shadow_still_clean(&token),
+                ShadowEnd::Flush | ShadowEnd::Home(_) => {
+                    word.pins() == 0 && word.shadow_still_clean(&token)
+                }
                 _ => {
                     let stall_t = obs::op_start();
                     let outcome = word.shadow_commit(&token, SHADOW_COMMIT_SPIN);
@@ -305,6 +316,20 @@ impl BufferManager {
                 },
             });
         }
+        // The home image is durable and newer than the shadowed NVM copy,
+        // whose header is gone: the slot stops naming it, raced or not.
+        let dropped = match end {
+            ShadowEnd::Home(Some(nf)) if io_ok => {
+                debug_assert!(
+                    matches!(&st.nvm, Some(CopyState::Resident { frame, .. }) if frame.frame() == nf),
+                    "page {}: home flush dropped an NVM copy it did not shadow",
+                    desc.pid
+                );
+                st.nvm = None;
+                Some(nf)
+            }
+            _ => None,
+        };
         if committed {
             match end {
                 // The NVM word stays closed: a DRAM copy shadows it now.
@@ -340,7 +365,7 @@ impl BufferManager {
                         dirt: Dirt::Clean,
                     });
                 }
-                ShadowEnd::Flush => {
+                ShadowEnd::Flush | ShadowEnd::Home(_) => {
                     if let Some(CopyState::Resident { dirt, .. }) = st.slot_mut(src_dram) {
                         *dirt = Dirt::Clean;
                     }
@@ -363,6 +388,10 @@ impl BufferManager {
             }
             _ => {}
         }
+        if let Some(nf) = dropped {
+            self.nvm_pool().free(nf);
+            self.metrics.record_nvm_home_drop();
+        }
         if committed {
             self.metrics.record_shadow_commit(end.path());
         } else if io_ok {
@@ -374,10 +403,8 @@ impl BufferManager {
 
 #[cfg(test)]
 mod tests {
+    use super::super::test_support::{install, manager, set_mutex_pins};
     use super::*;
-    use crate::config::BufferManagerConfig;
-    use crate::policy::MigrationPolicy;
-    use spitfire_device::TimeScale;
     use spitfire_sync::PinAttempt;
     use std::sync::Arc;
 
@@ -389,9 +416,10 @@ mod tests {
         EvictAdmit,
         EvictToSsd,
         NvmWriteBack,
-        NvmFlush,
         /// With an NVM merge target (the SSD leg differs only in the I/O).
         DramFlush,
+        /// To the SSD home, over an NVM copy the DRAM copy shadows.
+        DramHome,
     }
 
     /// What happens between claim and finish.
@@ -404,12 +432,19 @@ mod tests {
         IoFailed,
     }
 
+    const QUIET: [Window; 1] = [Window::Quiet];
     const ABORTS: [Window; 4] = [
         Window::RacedWrite,
         Window::ReaderDraining,
         Window::MutexPinLive,
         Window::IoFailed,
     ];
+    const RACES: [Window; 3] = [
+        Window::RacedWrite,
+        Window::ReaderDraining,
+        Window::MutexPinLive,
+    ];
+    const IO_FAILED: [Window; 1] = [Window::IoFailed];
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Slot {
@@ -428,17 +463,19 @@ mod tests {
     }
 
     /// One move from one starting state, and the state `shadow_finish`
-    /// must leave. `src` is the source copy's dirt; `target` the starting
-    /// dirt of the NVM copy a DRAM-source move merges into (unused by the
-    /// other moves). Frame deltas are free-frame counts relative to the
-    /// moment of the claim (before any destination frame was allocated): a
-    /// linked destination costs one, a freed source gives one back, a freed
+    /// must leave after each of `windows` — a commit after a quiet one, an
+    /// abort or a failed I/O after any other. `src` is the source copy's
+    /// dirt; `target` the starting dirt of the NVM copy a DRAM-source move
+    /// merges into or shadows (unused by the other moves). Frame deltas
+    /// are free-frame counts relative to the moment of the claim (before
+    /// any destination frame was allocated): a linked destination costs
+    /// one, a freed source or dropped copy gives one back, a freed
     /// destination nets to zero.
     struct Row {
         mv: Move,
         src: Dirt,
         target: Dirt,
-        committed: bool,
+        windows: &'static [Window],
         dram: Slot,
         nvm: Slot,
         dram_open: bool,
@@ -455,100 +492,63 @@ mod tests {
     use ShadowPath::{Evict, Flush, Promote};
 
     #[rustfmt::skip]
-    const TABLE: [Row; 25] = [
+    const TABLE: [Row; 26] = [
         // Promotion: the NVM source is untouched either way; committed, the DRAM copy shadows it.
-        Row { mv: Move::Promote, src: D, target: C, committed: true,  dram: CLEAN, nvm: DATA, dram_open: true,  nvm_open: false, dram_free: -1, nvm_free: 0, path: Promote },
-        Row { mv: Move::Promote, src: D, target: C, committed: false, dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Promote },
+        Row { mv: Move::Promote, src: D, target: C, windows: &QUIET,  dram: CLEAN, nvm: DATA, dram_open: true,  nvm_open: false, dram_free: -1, nvm_free: 0, path: Promote },
+        Row { mv: Move::Promote, src: D, target: C, windows: &ABORTS, dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Promote },
         // Merge: the (initially clean) NVM target ends dirty whether or not the move commits.
-        Row { mv: Move::EvictMerge, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictMerge, src: D, target: C, committed: false, dram: DATA, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: D, target: C, windows: &QUIET,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: D, target: C, windows: &ABORTS, dram: DATA, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
         // Admit: the fresh NVM frame is linked on commit, scrubbed and freed on abort.
-        Row { mv: Move::EvictAdmit, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: -1, path: Evict },
-        Row { mv: Move::EvictAdmit, src: D, target: C, committed: false, dram: DATA, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictToSsd, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: Slot::Empty, dram_open: false, nvm_open: false, dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictToSsd, src: D, target: C, committed: false, dram: DATA, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictAdmit, src: D, target: C, windows: &QUIET,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: -1, path: Evict },
+        Row { mv: Move::EvictAdmit, src: D, target: C, windows: &ABORTS, dram: DATA, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, src: D, target: C, windows: &QUIET,  dram: Slot::Empty, nvm: Slot::Empty, dram_open: false, nvm_open: false, dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, src: D, target: C, windows: &ABORTS, dram: DATA, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
         // Write-back: committed, the copy is held Busy/clean/closed for `finish_nvm_eviction`.
-        Row { mv: Move::NvmWriteBack, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: Slot::Busy(C), dram_open: false, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
-        Row { mv: Move::NvmWriteBack, src: D, target: C, committed: false, dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::NvmWriteBack, src: D, target: C, windows: &QUIET,  dram: Slot::Empty, nvm: Slot::Busy(C), dram_open: false, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::NvmWriteBack, src: D, target: C, windows: &ABORTS, dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Evict },
         // Flushes never close the word; the copy only goes clean.
-        Row { mv: Move::NvmFlush, src: D, target: C, committed: true,  dram: Slot::Empty, nvm: CLEAN, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Flush },
-        Row { mv: Move::NvmFlush, src: D, target: C, committed: false, dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Flush },
-        Row { mv: Move::DramFlush, src: D, target: C, committed: true,  dram: CLEAN, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
-        Row { mv: Move::DramFlush, src: D, target: C, committed: false, dram: DATA, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::DramFlush, src: D, target: C, windows: &QUIET,  dram: CLEAN, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
+        Row { mv: Move::DramFlush, src: D, target: C, windows: &ABORTS, dram: DATA, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
+        // Home: once the home image is durable the shadowed NVM copy is dropped, raced or not;
+        // only a failed I/O leaves both copies as they were.
+        Row { mv: Move::DramHome, src: D, target: D, windows: &QUIET,  dram: CLEAN, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 1, path: Flush },
+        Row { mv: Move::DramHome, src: D, target: D, windows: &RACES,  dram: DATA, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 1, path: Flush },
+        Row { mv: Move::DramHome, src: D, target: D, windows: &IO_FAILED, dram: DATA, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Flush },
         // Hint sources move exactly like data: a promotion leaves the source's dirt alone, an
         // admitted copy carries it, a merge target ends with the max of both, and an aborted
         // merge target has data dirt (its bytes may be torn).
-        Row { mv: Move::Promote, src: H, target: C, committed: true,  dram: CLEAN, nvm: HINT, dram_open: true,  nvm_open: false, dram_free: -1, nvm_free: 0, path: Promote },
-        Row { mv: Move::Promote, src: H, target: C, committed: false, dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Promote },
-        Row { mv: Move::EvictMerge, src: H, target: C, committed: true,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictMerge, src: H, target: C, committed: false, dram: HINT, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictMerge, src: H, target: H, committed: true,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictMerge, src: H, target: D, committed: true,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictMerge, src: D, target: H, committed: true,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictAdmit, src: H, target: C, committed: true,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: -1, path: Evict },
-        Row { mv: Move::EvictAdmit, src: H, target: C, committed: false, dram: HINT, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::Promote, src: H, target: C, windows: &QUIET,  dram: CLEAN, nvm: HINT, dram_open: true,  nvm_open: false, dram_free: -1, nvm_free: 0, path: Promote },
+        Row { mv: Move::Promote, src: H, target: C, windows: &ABORTS, dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true, dram_free: 0, nvm_free: 0, path: Promote },
+        Row { mv: Move::EvictMerge, src: H, target: C, windows: &QUIET,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: H, target: C, windows: &ABORTS, dram: HINT, nvm: DATA, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: H, target: H, windows: &QUIET,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: H, target: D, windows: &QUIET,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictMerge, src: D, target: H, windows: &QUIET,  dram: Slot::Empty, nvm: DATA, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictAdmit, src: H, target: C, windows: &QUIET,  dram: Slot::Empty, nvm: HINT, dram_open: false, nvm_open: true,  dram_free: 1, nvm_free: -1, path: Evict },
+        Row { mv: Move::EvictAdmit, src: H, target: C, windows: &ABORTS, dram: HINT, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
         // The SSD leg of a hint copy writes nothing, but commits (or aborts) the same way.
-        Row { mv: Move::EvictToSsd, src: H, target: C, committed: true,  dram: Slot::Empty, nvm: Slot::Empty, dram_open: false, nvm_open: false, dram_free: 1, nvm_free: 0, path: Evict },
-        Row { mv: Move::EvictToSsd, src: H, target: C, committed: false, dram: HINT, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, src: H, target: C, windows: &QUIET,  dram: Slot::Empty, nvm: Slot::Empty, dram_open: false, nvm_open: false, dram_free: 1, nvm_free: 0, path: Evict },
+        Row { mv: Move::EvictToSsd, src: H, target: C, windows: &ABORTS, dram: HINT, nvm: Slot::Empty, dram_open: true, nvm_open: false, dram_free: 0, nvm_free: 0, path: Evict },
     ];
-
-    const PAGE: usize = 1024;
-
-    fn manager() -> BufferManager {
-        let config = BufferManagerConfig::builder()
-            .page_size(PAGE)
-            .dram_capacity(8 * PAGE)
-            .nvm_capacity(8 * (PAGE + 64))
-            .policy(MigrationPolicy::lazy())
-            .time_scale(TimeScale::ZERO)
-            .build()
-            .unwrap();
-        BufferManager::new(config).unwrap()
-    }
-
-    /// Install a `Resident`, zero-pin, full-frame copy of `pid` in one
-    /// slot, by hand.
-    fn install(bm: &BufferManager, desc: &SharedPageDesc, dram: bool, dirt: Dirt) -> FrameId {
-        let f = bm.alloc_frame(dram).unwrap();
-        let pool = if dram { bm.tier1_pool() } else { bm.nvm_pool() };
-        pool.set_owner(f, desc.pid);
-        let mut st = desc.state.lock();
-        *st.slot_mut(dram) = Some(CopyState::Resident {
-            frame: FrameRef::Full(f),
-            pins: 0,
-            dirt,
-        });
-        // The word/slot invariant: DRAM open; NVM open iff no DRAM copy.
-        if dram {
-            desc.nvm_pin.close();
-            desc.dram_pin.open(f.0);
-        } else if st.dram.is_none() {
-            desc.nvm_pin.open(f.0);
-        }
-        f
-    }
-
-    fn set_mutex_pins(desc: &SharedPageDesc, dram: bool, n: u32) {
-        if let Some(CopyState::Resident { pins, .. }) = desc.state.lock().slot_mut(dram) {
-            *pins = n;
-        }
-    }
 
     fn run(row: &Row, window: Window) {
         let ctx = format!("{:?} {:?}→{:?} / {window:?}", row.mv, row.src, row.target);
         let bm = manager();
         let pid = bm.allocate_page().unwrap();
         let desc: Arc<SharedPageDesc> = bm.descriptor(pid).unwrap();
-        let src_dram = matches!(
-            row.mv,
-            Move::EvictMerge | Move::EvictAdmit | Move::EvictToSsd | Move::DramFlush
-        );
+        let src_dram = !matches!(row.mv, Move::Promote | Move::NvmWriteBack);
         let nvm_dirt = if src_dram { row.target } else { row.src };
-        let nvm = (!src_dram || matches!(row.mv, Move::EvictMerge | Move::DramFlush))
-            .then(|| install(&bm, &desc, false, nvm_dirt));
+        let nvm = (!src_dram
+            || matches!(row.mv, Move::EvictMerge | Move::DramFlush | Move::DramHome))
+        .then(|| install(&bm, &desc, false, nvm_dirt));
         let dram = src_dram.then(|| install(&bm, &desc, true, row.src));
         let src = if src_dram { dram } else { nvm }.unwrap();
-        let merge = if src_dram { nvm } else { None };
+        let merge = if src_dram && row.mv != Move::DramHome {
+            nvm
+        } else {
+            None
+        };
         let (dram_free0, nvm_free0) = bm.free_frames();
         let word = desc.pin_word(src_dram);
 
@@ -586,7 +586,15 @@ mod tests {
             }
             Move::EvictMerge | Move::EvictToSsd => ShadowEnd::Evict(None),
             Move::NvmWriteBack => ShadowEnd::WriteBack,
-            Move::NvmFlush | Move::DramFlush => ShadowEnd::Flush,
+            Move::DramFlush => ShadowEnd::Flush,
+            Move::DramHome => {
+                // After a good write and sync the mover clears the shadowed
+                // copy's header; a failed I/O never gets that far.
+                if window != Window::IoFailed {
+                    bm.nvm_pool().clear_frame_header(nvm.unwrap()).unwrap();
+                }
+                ShadowEnd::Home(nvm)
+            }
         };
         match window {
             Window::RacedWrite => word.bump_version(),
@@ -598,7 +606,7 @@ mod tests {
         }
 
         let committed = bm.shadow_finish(&desc, claim, end, window != Window::IoFailed);
-        assert_eq!(committed, row.committed, "{ctx}: outcome");
+        assert_eq!(committed, window == Window::Quiet, "{ctx}: outcome");
 
         {
             let st = desc.state.lock();
@@ -619,17 +627,28 @@ mod tests {
             row.nvm_free,
             "{ctx}: nvm frames"
         );
+        let adoptable = |f: FrameId| {
+            let headers = bm.nvm_pool().scan_frame_headers();
+            headers.iter().any(|(frame, _)| *frame == f)
+        };
         if let (ShadowEnd::Evict(Some(f)), false) = (end, committed) {
-            let adoptable = bm.nvm_pool().scan_frame_headers();
             assert!(
-                adoptable.iter().all(|(frame, _)| *frame != f),
+                !adoptable(f),
                 "{ctx}: aborted admission left a header recovery would adopt"
+            );
+        }
+        if let ShadowEnd::Home(Some(f)) = end {
+            assert_eq!(
+                adoptable(f),
+                window == Window::IoFailed,
+                "{ctx}: recovery adopts the shadowed copy iff it stayed"
             );
         }
         // A live mutex pin or a failed I/O never reaches the word, and a
         // flush never closes it: the version does not move.
         let untouched = matches!(window, Window::MutexPinLive | Window::IoFailed)
-            || (matches!(end, ShadowEnd::Flush) && window != Window::RacedWrite);
+            || (matches!(end, ShadowEnd::Flush | ShadowEnd::Home(_))
+                && window != Window::RacedWrite);
         if untouched {
             assert_eq!(word.version(), version0, "{ctx}: word untouched");
         }
@@ -647,6 +666,8 @@ mod tests {
         assert_eq!(m.shadow_commits, commits, "{ctx}: commit counters");
         assert_eq!(m.shadow_aborts, aborts, "{ctx}: abort counters");
         assert_eq!(m.migrations_aborted, aborts.iter().sum::<u64>(), "{ctx}");
+        let dropped = row.mv == Move::DramHome && window != Window::IoFailed;
+        assert_eq!(m.nvm_home_drops, u64::from(dropped), "{ctx}: home drops");
 
         // Drop the pins the scenario (or a committed promotion's guard)
         // holds; the table-wide word/slot invariants must then hold.
@@ -664,12 +685,8 @@ mod tests {
     #[test]
     fn shadow_finish_transition_table() {
         for row in &TABLE {
-            if row.committed {
-                run(row, Window::Quiet);
-            } else {
-                for window in ABORTS {
-                    run(row, window);
-                }
+            for &window in row.windows {
+                run(row, window);
             }
         }
     }

@@ -25,8 +25,8 @@ pub enum ShadowPath {
     Promote,
     /// Downward eviction (DRAM → NVM/SSD, NVM → SSD).
     Evict,
-    /// Dirty write-back that leaves the page resident (checkpoint or
-    /// maintenance flush).
+    /// Dirty DRAM write-back that leaves the page resident (a checkpoint's
+    /// home flush or a catalog flush).
     Flush,
 }
 
@@ -222,6 +222,9 @@ buffer_counters! {
     /// Copies dropped from either buffer tier with only hint dirt, without
     /// writing them to SSD (their hint writes are lost by design).
     hint_discards: AtomicU64 => record_hint_discard();
+    /// NVM copies a home flush dropped: a dirty DRAM copy went to its SSD
+    /// home, so the older NVM copy it shadowed lost its header and frame.
+    nvm_home_drops: AtomicU64 => record_nvm_home_drop();
     /// Device operations retried after a transient I/O error.
     io_retries: AtomicU64 => record_io_retry();
     /// Device operations that failed fatally (injected fatal fault or

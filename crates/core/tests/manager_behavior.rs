@@ -482,9 +482,9 @@ fn flush_all_dirty_clears_dirty_pages() {
         fill_page(&bm, *pid, i as u8 + 1);
     }
     let flushed = bm.flush_all_dirty().unwrap();
-    assert_eq!(flushed, 3);
+    assert_eq!((flushed.written, flushed.left_behind), (3, Vec::new()));
     // A second flush finds nothing dirty.
-    assert_eq!(bm.flush_all_dirty().unwrap(), 0);
+    assert_eq!(bm.flush_all_dirty().unwrap().written, 0);
     for (i, pid) in pids.iter().enumerate() {
         check_page(&bm, *pid, i as u8 + 1);
     }
@@ -618,6 +618,8 @@ fn promotion_probability_reaches_one_in_steady_state() {
 /// clean, in a pool of `nvm_pages` frames under a policy that serves
 /// everything where it lies (SSD misses land on NVM). Persistence is
 /// tracked, so a simulated crash rolls back what was never persisted.
+/// The page is written on NVM, pushed out — which writes it down — and
+/// read back in.
 fn clean_on_nvm(nvm_pages: usize) -> (BufferManager, PageId) {
     let config = BufferManagerConfig::builder()
         .page_size(PAGE)
@@ -634,8 +636,9 @@ fn clean_on_nvm(nvm_pages: usize) -> (BufferManager, PageId) {
     assert_eq!(g.tier(), Tier::Nvm);
     g.write_u64(0, 41).unwrap();
     drop(g);
-    assert_eq!(bm.flush_nvm_dirty(8).unwrap(), 1);
-    bm.drain_dirty_epoch();
+    push_out_of_nvm(&bm, |m| m.path(MigrationPath::NvmToSsd) == 1);
+    assert_eq!(bm.fetch_read(pid).unwrap().tier(), Tier::Nvm);
+    assert_eq!(bm.dirty_pages(), (0, 0));
     (bm, pid)
 }
 
@@ -662,11 +665,8 @@ fn hint_write_is_lost_with_its_copy_and_costs_no_ssd_write() {
     let g = bm.fetch_write(pid).unwrap();
     g.write_u64_hint(8, 99).unwrap();
     drop(g);
-    // Out of the checkpoint's epoch, not a dirty page, nothing to flush —
-    // but there, for as long as the copy is.
-    assert_eq!(bm.dirty_epoch_len(), 0);
+    // Not a dirty page — but there, for as long as the copy is.
     assert_eq!(bm.dirty_pages(), (0, 0));
-    assert_eq!(bm.flush_nvm_dirty(8).unwrap(), 0);
     assert_eq!(bm.fetch_read(pid).unwrap().read_u64(8).unwrap(), 99);
 
     let before = bm.metrics();
@@ -691,7 +691,6 @@ fn data_write_after_a_hint_restores_the_write_back() {
     g.write_u64_hint(8, 99).unwrap();
     g.write_u64(16, 7).unwrap();
     drop(g);
-    assert_eq!(bm.dirty_epoch_len(), 1);
     assert_eq!(bm.dirty_pages(), (0, 1));
 
     let before = bm.metrics();
@@ -719,10 +718,10 @@ fn hint_dirt_moves_to_nvm_like_data_and_never_to_ssd() {
         assert_eq!(g.tier(), Tier::Dram);
         g.write_u64_hint(0, 5).unwrap();
         drop(g);
-        // The checkpointer leaves a hint copy alone.
+        // The flushes leave a hint copy alone.
         assert!(!bm.flush_page(pid).unwrap());
-        assert_eq!(bm.flush_all_dirty().unwrap(), 0);
-        assert_eq!(bm.dirty_epoch_len(), 0);
+        assert_eq!(bm.flush_all_dirty().unwrap(), Default::default());
+        assert_eq!(bm.dirty_pages(), (0, 0));
 
         let other = bm.allocate_page().unwrap();
         let ssd0 = bm.device_stats(Tier::Ssd).unwrap().snapshot();

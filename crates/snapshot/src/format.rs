@@ -1,12 +1,11 @@
-//! On-disk layout of the snapshot store: image blocks, metadata blocks,
-//! directory entries, manifests, and the superblock.
+//! On-disk layout of the snapshot store: metadata blocks, manifests, and
+//! the superblock.
 //!
 //! All integers are little-endian. A store block is exactly one database
-//! page (and so one device transfer unit). An **image block** is a raw
-//! page image with no framing at all; its identity and checksum live in
-//! the owning generation's directory. A **metadata block** (index run,
-//! directory, manifest) carries a `BLOCK_HEADER`-byte header *inside* the
-//! page, followed by up to `page_size - BLOCK_HEADER` payload bytes.
+//! page (and so one device transfer unit). Every block but the superblock
+//! is a **metadata block** (index run, manifest): a `BLOCK_HEADER`-byte
+//! header *inside* the page, followed by up to `page_size - BLOCK_HEADER`
+//! payload bytes.
 //!
 //! Metadata block header (48 bytes):
 //!
@@ -14,7 +13,7 @@
 //! |-----|------|----------------------------------------------|
 //! | 0   | 8    | magic `SPIFBLK2`                             |
 //! | 8   | 4    | CRC-32 over bytes `12..48+payload_len`       |
-//! | 12  | 1    | kind (1 index run, 2 directory, 3 manifest)  |
+//! | 12  | 1    | kind (1 index run, 2 manifest)               |
 //! | 13  | 3    | zero padding                                 |
 //! | 16  | 4    | tag (table id for index runs, else 0)        |
 //! | 20  | 4    | payload length in bytes                      |
@@ -22,11 +21,8 @@
 //! | 32  | 8    | sequence number in the manifest's block list |
 //! | 40  | 8    | reserved (zero)                              |
 //!
-//! Payloads: an index run is packed `(key u64, rid u64)` pairs; a
-//! directory block is packed [`DIRECTORY_ENTRY`]-byte entries
-//! `(pid u64, block u64, crc u32)`, page ids strictly ascending across
-//! the generation's directory blocks; the manifest is described at
-//! [`Manifest`].
+//! Payloads: an index run is packed `(key u64, rid u64)` pairs; the
+//! manifest is described at [`Manifest`].
 
 use spitfire_sync::crc32;
 
@@ -34,9 +30,6 @@ use crate::{Result, SnapshotError};
 
 /// Bytes of header at the start of every metadata block.
 pub const BLOCK_HEADER: usize = 48;
-
-/// Bytes of one directory entry: page id, block number, image CRC-32.
-pub const DIRECTORY_ENTRY: usize = 20;
 
 pub(crate) const BLOCK_MAGIC: u64 = 0x5350_4946_424C_4B32; // "SPIFBLK2"
 pub(crate) const SUPER_MAGIC: u64 = 0x5350_4946_5355_5032; // "SPIFSUP2"
@@ -47,8 +40,6 @@ pub(crate) const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E32; // "SPIFMAN2"
 pub enum BlockKind {
     /// A run of sorted `(key, rid)` index entries; `tag` is the table id.
     IndexRun,
-    /// A run of the generation's page directory.
-    Directory,
     /// The generation's manifest.
     Manifest,
 }
@@ -57,16 +48,14 @@ impl BlockKind {
     fn to_byte(self) -> u8 {
         match self {
             BlockKind::IndexRun => 1,
-            BlockKind::Directory => 2,
-            BlockKind::Manifest => 3,
+            BlockKind::Manifest => 2,
         }
     }
 
     fn from_byte(b: u8) -> Option<Self> {
         match b {
             1 => Some(BlockKind::IndexRun),
-            2 => Some(BlockKind::Directory),
-            3 => Some(BlockKind::Manifest),
+            2 => Some(BlockKind::Manifest),
             _ => None,
         }
     }
@@ -132,39 +121,6 @@ pub(crate) fn decode_block(page: &[u8]) -> Result<Block<'_>> {
     })
 }
 
-/// One directory entry: where a page's newest image as of this generation
-/// lives, and the CRC-32 the block must have. The checksum sits here, not
-/// in the image block, so the block stays one device page *and* a block
-/// that was since reused for another image (or still holds an older image
-/// of the same page) fails the check instead of passing its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DirEntry {
-    pub pid: u64,
-    pub block: u64,
-    pub crc: u32,
-}
-
-impl DirEntry {
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.pid.to_le_bytes());
-        out.extend_from_slice(&self.block.to_le_bytes());
-        out.extend_from_slice(&self.crc.to_le_bytes());
-    }
-
-    /// Decode a directory block's payload, appending to `out`.
-    pub(crate) fn decode_run(payload: &[u8], out: &mut Vec<DirEntry>) -> Result<()> {
-        if payload.len() % DIRECTORY_ENTRY != 0 {
-            return Err(SnapshotError::Corrupt("ragged directory block"));
-        }
-        out.extend(payload.chunks_exact(DIRECTORY_ENTRY).map(|c| DirEntry {
-            pid: u64::from_le_bytes(c[0..8].try_into().unwrap()),
-            block: u64::from_le_bytes(c[8..16].try_into().unwrap()),
-            crc: u32::from_le_bytes(c[16..20].try_into().unwrap()),
-        }));
-        Ok(())
-    }
-}
-
 /// Per-table metadata recorded in the manifest so recovery can reopen a
 /// table without the legacy reverse slot-allocator scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,21 +135,31 @@ pub struct TableMeta {
     pub allocated_slots: u64,
 }
 
+/// Decode an index-run payload: packed `(key, rid)` pairs.
+pub(crate) fn decode_index_run(payload: &[u8]) -> Result<Vec<(u64, u64)>> {
+    if payload.len() % 16 != 0 {
+        return Err(SnapshotError::Corrupt("ragged index run"));
+    }
+    Ok(payload
+        .chunks_exact(16)
+        .map(|c| {
+            (
+                u64::from_le_bytes(c[0..8].try_into().unwrap()),
+                u64::from_le_bytes(c[8..16].try_into().unwrap()),
+            )
+        })
+        .collect())
+}
+
 /// The checksummed manifest of a generation, held in the one block the
-/// superblock entry names. Everything recovery needs besides the page
-/// images, index runs, and the WAL tail lives here — including the list
-/// of the generation's other metadata blocks, so a generation is found
-/// from its manifest alone.
+/// superblock entry names. Everything recovery needs besides the pages'
+/// homes, the persistent NVM buffer, the index runs and the WAL tail lives
+/// here — including the list of the generation's index-run blocks, so a
+/// generation is found from its manifest alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// This generation's number.
     pub generation: u64,
-    /// The generation whose directory this one inherited (0 for a full
-    /// snapshot). Lineage only: nothing is ever read through it.
-    pub parent: u64,
-    /// Whether this generation is a full snapshot (SSD-backed, so its
-    /// directory holds only what the writer was handed — normally nothing).
-    pub full: bool,
     /// WAL fence: recovery replays only records with LSN ≥ this.
     pub fence_lsn: u64,
     /// Root catalog page id of the database.
@@ -204,17 +170,13 @@ pub struct Manifest {
     pub oracle_ts: u64,
     /// Transaction-id counter at the fence.
     pub next_txn_id: u64,
-    /// Number of page images this generation wrote itself.
-    pub page_images: u64,
-    /// Number of pages its directory names (written + inherited).
-    pub directory_pages: u64,
     /// Per-table metadata.
     pub tables: Vec<TableMeta>,
-    /// The generation's index-run and directory blocks, in sequence order.
+    /// The generation's index-run blocks, in sequence order.
     pub meta_blocks: Vec<u64>,
 }
 
-const MANIFEST_FIXED: usize = 96;
+const MANIFEST_FIXED: usize = 64;
 const TABLE_META: usize = 24;
 
 impl Manifest {
@@ -223,17 +185,13 @@ impl Manifest {
         let mut out = vec![0u8; blocks_at + self.meta_blocks.len() * 8];
         out[0..8].copy_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out[8..16].copy_from_slice(&self.generation.to_le_bytes());
-        out[16..24].copy_from_slice(&self.parent.to_le_bytes());
-        out[24..32].copy_from_slice(&self.fence_lsn.to_le_bytes());
-        out[32..40].copy_from_slice(&self.catalog_root.to_le_bytes());
-        out[40..48].copy_from_slice(&self.next_page_id.to_le_bytes());
-        out[48..56].copy_from_slice(&self.oracle_ts.to_le_bytes());
-        out[56..64].copy_from_slice(&self.next_txn_id.to_le_bytes());
-        out[64..72].copy_from_slice(&self.page_images.to_le_bytes());
-        out[72..76].copy_from_slice(&(self.tables.len() as u32).to_le_bytes());
-        out[76..80].copy_from_slice(&u32::from(self.full).to_le_bytes());
-        out[80..88].copy_from_slice(&self.directory_pages.to_le_bytes());
-        out[88..92].copy_from_slice(&(self.meta_blocks.len() as u32).to_le_bytes());
+        out[16..24].copy_from_slice(&self.fence_lsn.to_le_bytes());
+        out[24..32].copy_from_slice(&self.catalog_root.to_le_bytes());
+        out[32..40].copy_from_slice(&self.next_page_id.to_le_bytes());
+        out[40..48].copy_from_slice(&self.oracle_ts.to_le_bytes());
+        out[48..56].copy_from_slice(&self.next_txn_id.to_le_bytes());
+        out[56..60].copy_from_slice(&(self.tables.len() as u32).to_le_bytes());
+        out[60..64].copy_from_slice(&(self.meta_blocks.len() as u32).to_le_bytes());
         for (i, t) in self.tables.iter().enumerate() {
             let o = MANIFEST_FIXED + i * TABLE_META;
             out[o..o + 4].copy_from_slice(&t.id.to_le_bytes());
@@ -257,8 +215,8 @@ impl Manifest {
         if u64_at(0) != MANIFEST_MAGIC {
             return Err(SnapshotError::Corrupt("bad manifest magic"));
         }
-        let n_tables = u32_at(72) as usize;
-        let n_blocks = u32_at(88) as usize;
+        let n_tables = u32_at(56) as usize;
+        let n_blocks = u32_at(60) as usize;
         let blocks_at = MANIFEST_FIXED + n_tables * TABLE_META;
         // Both counts are bounded by the payload (one block) before
         // anything is allocated for them.
@@ -278,15 +236,11 @@ impl Manifest {
             .collect();
         Ok(Manifest {
             generation: u64_at(8),
-            parent: u64_at(16),
-            full: u32_at(76) != 0,
-            fence_lsn: u64_at(24),
-            catalog_root: u64_at(32),
-            next_page_id: u64_at(40),
-            oracle_ts: u64_at(48),
-            next_txn_id: u64_at(56),
-            page_images: u64_at(64),
-            directory_pages: u64_at(80),
+            fence_lsn: u64_at(16),
+            catalog_root: u64_at(24),
+            next_page_id: u64_at(32),
+            oracle_ts: u64_at(40),
+            next_txn_id: u64_at(48),
             tables,
             meta_blocks: (0..n_blocks).map(|i| u64_at(blocks_at + i * 8)).collect(),
         })
@@ -316,41 +270,25 @@ mod tests {
     }
 
     #[test]
-    fn directory_run_round_trip_and_ragged_tail() {
-        let entries = [
-            DirEntry {
-                pid: 3,
-                block: 9,
-                crc: 0xDEAD_BEEF,
-            },
-            DirEntry {
-                pid: u64::MAX,
-                block: 1,
-                crc: 0,
-            },
-        ];
-        let mut bytes = Vec::new();
-        entries.iter().for_each(|e| e.encode_into(&mut bytes));
-        assert_eq!(bytes.len(), 2 * DIRECTORY_ENTRY);
-        let mut out = Vec::new();
-        DirEntry::decode_run(&bytes, &mut out).unwrap();
-        assert_eq!(out, entries);
-        assert!(DirEntry::decode_run(&bytes[..30], &mut out).is_err());
+    fn index_run_round_trip_and_ragged_tail() {
+        let entries = [(3u64, 9u64), (u64::MAX, 1)];
+        let bytes: Vec<u8> = entries
+            .iter()
+            .flat_map(|&(k, r)| k.to_le_bytes().into_iter().chain(r.to_le_bytes()))
+            .collect();
+        assert_eq!(decode_index_run(&bytes).unwrap(), entries);
+        assert!(decode_index_run(&bytes[..30]).is_err());
     }
 
     #[test]
     fn manifest_round_trip() {
         let m = Manifest {
             generation: 9,
-            parent: 8,
-            full: false,
             fence_lsn: 123_456,
             catalog_root: 0,
             next_page_id: 77,
             oracle_ts: 1000,
             next_txn_id: 55,
-            page_images: 12,
-            directory_pages: 40,
             tables: vec![
                 TableMeta {
                     id: 1,

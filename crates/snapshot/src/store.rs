@@ -4,15 +4,14 @@
 //! | block | holds                                                        |
 //! |-------|--------------------------------------------------------------|
 //! | 0     | the superblock: the two newest generations, whole-page CRC   |
-//! | ≥ 1   | an image block (one raw page), or a metadata block (index    |
-//! |       | run, directory run, manifest) — see [`crate::format`]        |
+//! | ≥ 1   | a metadata block (index run, manifest) — see                 |
+//! |       | [`crate::format`]                                            |
 //!
 //! **Liveness rule.** A block is free exactly when no retained generation
 //! and no writer in flight references it. A generation references its
-//! manifest block, the metadata blocks the manifest lists, and every block
-//! its directory names — including the ones it inherited. The writer takes
-//! the lowest free block first (else the next block past the high-water
-//! mark), so block addresses stay bounded by the high water of
+//! manifest block and the index-run blocks the manifest lists. The writer
+//! takes the lowest free block first (else the next block past the
+//! high-water mark), so block addresses stay bounded by the high water of
 //! `retained generations + one writer`, not by history; a writer that is
 //! dropped or fails hands its blocks back.
 //!
@@ -31,8 +30,7 @@
 //! reuse cannot damage the newest generation or its fallback. A failure in
 //! step 2 leaves memory exactly as it was.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashSet};
 
 use parking_lot::Mutex;
 use spitfire_device::{
@@ -40,15 +38,15 @@ use spitfire_device::{
 };
 
 use crate::format::{
-    decode_block, encode_block, BlockKind, DirEntry, Manifest, TableMeta, BLOCK_HEADER,
-    DIRECTORY_ENTRY, SUPER_MAGIC,
+    decode_block, decode_index_run, encode_block, BlockKind, Manifest, TableMeta, BLOCK_HEADER,
+    SUPER_MAGIC,
 };
 use spitfire_sync::crc32;
 
 use crate::{Result, SnapshotError};
 
 const SUPER_HEADER: usize = 16;
-const SUPER_ENTRY: usize = 32;
+const SUPER_ENTRY: usize = 24;
 
 /// Generations the superblock keeps: the newest and its fallback.
 const RETAINED: usize = 2;
@@ -66,26 +64,20 @@ pub struct GenerationInfo {
     pub manifest: u64,
     /// WAL fence LSN recorded at the generation's checkpoint.
     pub fence_lsn: u64,
-    /// Whether this generation is a full (SSD-backed) snapshot.
-    pub full: bool,
 }
 
 /// A retained generation and everything it references.
 struct Retained {
     info: GenerationInfo,
-    /// Page directory, page ids strictly ascending. Shared with the writer
-    /// of the next incremental generation, which inherits it.
-    directory: Arc<[DirEntry]>,
-    /// Index-run and directory blocks (the manifest's list).
+    /// Index-run blocks (the manifest's list).
     meta: Vec<u64>,
 }
 
 impl Retained {
     fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.directory
+        self.meta
             .iter()
-            .map(|e| e.block)
-            .chain(self.meta.iter().copied())
+            .copied()
             .chain(std::iter::once(self.info.manifest))
     }
 }
@@ -149,8 +141,8 @@ fn is_invalid(e: &SnapshotError) -> bool {
 
 impl SnapshotStore {
     /// Create a store for a database with `page_size`-byte pages. The
-    /// backing device uses the same page size, so every block — image or
-    /// metadata — is one device page.
+    /// backing device uses the same page size, so every block is one
+    /// device page.
     pub fn new(page_size: usize, scale: TimeScale, tracking: PersistenceTracking) -> Self {
         assert!(page_size >= MIN_PAGE, "snapshot page size too small");
         SnapshotStore {
@@ -199,29 +191,14 @@ impl SnapshotStore {
         self.state.lock().free.len()
     }
 
-    /// Pages the newest generation's directory names (0 with no
-    /// generation, or a full one).
-    pub fn directory_pages(&self) -> usize {
-        let state = self.state.lock();
-        state.retained.last().map_or(0, |r| r.directory.len())
-    }
-
-    /// `gen`'s directory as `(page id, block)` pairs, page ids ascending —
-    /// which block holds which page. `None` if `gen` is not retained.
-    pub fn directory(&self, gen: u64) -> Option<Vec<(u64, u64)>> {
-        let state = self.state.lock();
-        let r = state.retained.iter().find(|r| r.info.generation == gen)?;
-        Some(r.directory.iter().map(|e| (e.pid, e.block)).collect())
-    }
-
-    /// Re-read the superblock and the metadata of the generations it
-    /// names, replacing the in-memory state: the generation list, each
-    /// directory, and the free set (every block below the highest
-    /// referenced one that no readable generation references). A missing
-    /// or checksum-invalid superblock yields an empty store (the caller
-    /// falls back to full-WAL recovery). A generation whose metadata does
-    /// not read back cleanly is dead — its damage is permanent, it could
-    /// never validate — so it is dropped here and its blocks are free.
+    /// Re-read the superblock and the manifests of the generations it
+    /// names, replacing the in-memory state: the generation list and the
+    /// free set (every block below the highest referenced one that no
+    /// readable generation references). A missing or checksum-invalid
+    /// superblock yields an empty store (the caller falls back to full-WAL
+    /// recovery). A generation whose metadata does not read back cleanly
+    /// is dead — its damage is permanent, it could never validate — so it
+    /// is dropped here and its blocks are free.
     pub fn reload(&self) -> Result<()> {
         let mut page = vec![0u8; self.page_size];
         let entries = match retry_io(|| self.dev.read_page(0, &mut page)) {
@@ -233,9 +210,8 @@ impl SnapshotStore {
         for info in &entries {
             state.next_generation = state.next_generation.max(info.generation + 1);
             match self.read_metadata(info, &mut page, |_, _| {}) {
-                Ok((manifest, directory)) => state.retained.push(Retained {
+                Ok(manifest) => state.retained.push(Retained {
                     info: *info,
-                    directory: directory.into(),
                     meta: manifest.meta_blocks,
                 }),
                 Err(e) if is_invalid(&e) => {}
@@ -269,27 +245,16 @@ impl SnapshotStore {
         Some(r.info)
     }
 
-    /// Start streaming a new generation. `full` starts from an empty
-    /// directory (also implied when the store is empty); an incremental
-    /// generation inherits the directory of the current newest one. The
-    /// generation becomes visible only when [`SnapshotWriter::finish`]
-    /// installs it.
-    pub fn begin(&self, full: bool, fence_lsn: u64) -> SnapshotWriter<'_> {
+    /// Start streaming a new generation fenced at `fence_lsn`. It becomes
+    /// visible only when [`SnapshotWriter::finish`] installs it.
+    pub fn begin(&self, fence_lsn: u64) -> SnapshotWriter<'_> {
         let mut state = self.state.lock();
         let generation = state.next_generation;
         state.next_generation += 1;
-        let (full, parent, inherited) = match state.retained.last() {
-            Some(newest) if !full => (false, newest.info.generation, Arc::clone(&newest.directory)),
-            _ => (true, 0, Arc::from(Vec::new())),
-        };
         SnapshotWriter {
             store: self,
             generation,
-            parent,
-            full,
             fence_lsn,
-            inherited,
-            images: Vec::new(),
             meta: Vec::new(),
             manifest: None,
             index_table: 0,
@@ -308,53 +273,36 @@ impl SnapshotStore {
             .find(|&g| self.validate(g).unwrap_or(false))
     }
 
-    /// Check every block `gen` references, re-reading all of them from
-    /// the device: the metadata blocks against their own CRCs, each image
-    /// against the CRC its directory entry records. No payloads are
-    /// delivered.
+    /// Check every block `gen` references against its own CRC, re-reading
+    /// all of them from the device. No payloads are delivered.
     pub fn validate(&self, gen: u64) -> Result<bool> {
-        match self.load(gen, |_, _| {}, |_, _| {}) {
+        match self.load(gen, |_, _| {}) {
             Ok(_) => Ok(true),
             Err(e) if is_invalid(&e) => Ok(false),
             Err(e) => Err(e),
         }
     }
 
-    /// Stream `gen` to the callbacks: its index runs, then each page its
-    /// directory names, once, at its newest image as of `gen`. Returns
-    /// `gen`'s manifest. Every block is re-read from the device and
-    /// checked as in [`SnapshotStore::validate`] — run that first: a
-    /// checksum failure here is an error, not a fallback.
-    pub fn load(
-        &self,
-        gen: u64,
-        mut on_page: impl FnMut(u64, &[u8]),
-        on_index: impl FnMut(u32, &[(u64, u64)]),
-    ) -> Result<Manifest> {
+    /// Stream `gen`'s index runs to `on_index` and return its manifest.
+    /// Every block is re-read from the device and checked as in
+    /// [`SnapshotStore::validate`] — run that first: a checksum failure
+    /// here is an error, not a fallback.
+    pub fn load(&self, gen: u64, on_index: impl FnMut(u32, &[(u64, u64)])) -> Result<Manifest> {
         let info = self
             .entry(gen)
             .ok_or(SnapshotError::Corrupt("generation not retained"))?;
         let mut page = vec![0u8; self.page_size];
-        let (manifest, directory) = self.read_metadata(&info, &mut page, on_index)?;
-        for e in &directory {
-            retry_io(|| self.dev.read_page(e.block, &mut page))?;
-            if crc32(&page) != e.crc {
-                return Err(SnapshotError::Corrupt("image CRC mismatch"));
-            }
-            on_page(e.pid, &page);
-        }
-        Ok(manifest)
+        self.read_metadata(&info, &mut page, on_index)
     }
 
-    /// Read and check `info`'s manifest and the metadata blocks it lists,
-    /// from the device. Index runs go to `on_index`; the directory is
-    /// returned, page ids strictly ascending.
+    /// Read and check `info`'s manifest and the index-run blocks it lists,
+    /// from the device, delivering the runs to `on_index`.
     fn read_metadata(
         &self,
         info: &GenerationInfo,
         page: &mut [u8],
         mut on_index: impl FnMut(u32, &[(u64, u64)]),
-    ) -> Result<(Manifest, Vec<DirEntry>)> {
+    ) -> Result<Manifest> {
         retry_io(|| self.dev.read_page(info.manifest, page))?;
         let block = decode_block(page)?;
         if block.kind != BlockKind::Manifest || block.gen != info.generation {
@@ -363,48 +311,22 @@ impl SnapshotStore {
         let manifest = Manifest::decode(block.payload)?;
         if manifest.generation != info.generation
             || manifest.fence_lsn != info.fence_lsn
-            || manifest.full != info.full
             || block.seq != manifest.meta_blocks.len() as u64
         {
             return Err(SnapshotError::Corrupt("manifest disagrees with superblock"));
         }
-        let mut directory = Vec::new();
         for (seq, &at) in manifest.meta_blocks.iter().enumerate() {
             retry_io(|| self.dev.read_page(at, page))?;
             let block = decode_block(page)?;
             if block.gen != info.generation || block.seq != seq as u64 {
                 return Err(SnapshotError::Corrupt("metadata block out of place"));
             }
-            match block.kind {
-                BlockKind::IndexRun => {
-                    if block.payload.len() % 16 != 0 {
-                        return Err(SnapshotError::Corrupt("ragged index run"));
-                    }
-                    let entries: Vec<(u64, u64)> = block
-                        .payload
-                        .chunks_exact(16)
-                        .map(|c| {
-                            (
-                                u64::from_le_bytes(c[0..8].try_into().unwrap()),
-                                u64::from_le_bytes(c[8..16].try_into().unwrap()),
-                            )
-                        })
-                        .collect();
-                    on_index(block.tag, &entries);
-                }
-                BlockKind::Directory => DirEntry::decode_run(block.payload, &mut directory)?,
-                BlockKind::Manifest => {
-                    return Err(SnapshotError::Corrupt("manifest listed as metadata"))
-                }
+            if block.kind != BlockKind::IndexRun {
+                return Err(SnapshotError::Corrupt("manifest listed as metadata"));
             }
+            on_index(block.tag, &decode_index_run(block.payload)?);
         }
-        if directory.len() as u64 != manifest.directory_pages {
-            return Err(SnapshotError::Corrupt("directory length mismatch"));
-        }
-        if !directory.windows(2).all(|w| w[0].pid < w[1].pid) {
-            return Err(SnapshotError::Corrupt("directory names a page twice"));
-        }
-        Ok((manifest, directory))
+        Ok(manifest)
     }
 
     fn alloc(&self) -> u64 {
@@ -426,18 +348,16 @@ impl SnapshotStore {
 
     /// Make `new` the newest generation: write and sync a superblock that
     /// names it and the previous newest, *then* swap the in-memory list
-    /// and free what only the retired generation referenced, plus whatever
-    /// of `allocated` (the writer's blocks) `new` does not reference.
-    /// `parent` is the generation whose directory `new` inherited.
-    /// Called by the writer after its blocks are durable. On failure the
-    /// state is untouched — the durable superblock still describes it.
-    fn install(&self, new: Retained, parent: u64, allocated: &[u64]) -> Result<()> {
+    /// and free what only the retired generation referenced. `held` counts
+    /// the writer's blocks, all of which `new` references. Called by the
+    /// writer after its blocks are durable. On failure the state is
+    /// untouched — the durable superblock still describes it.
+    fn install(&self, new: Retained, held: u64) -> Result<()> {
         let mut state = self.state.lock();
-        // An inherited directory is only protected while its owner is the
-        // newest generation: had another writer installed meanwhile, the
-        // blocks it names could already be free.
+        // A writer that began before another installed carries an older
+        // number: installing it would put the list out of order.
         let newest = state.retained.last().map_or(0, |r| r.info.generation);
-        if new.info.generation <= newest || !(new.info.full || parent == newest) {
+        if new.info.generation <= newest {
             return Err(SnapshotError::Corrupt(
                 "generation superseded while it was written",
             ));
@@ -457,24 +377,16 @@ impl SnapshotStore {
 
         let retired: Vec<Retained> = state.retained.drain(..retire).collect();
         state.retained.push(new);
-        let live: HashSet<u64> = state.retained.iter().flat_map(Retained::blocks).collect();
-        let dead: Vec<u64> = retired
-            .iter()
-            .flat_map(Retained::blocks)
-            .chain(allocated.iter().copied())
-            .filter(|b| !live.contains(b))
-            .collect();
-        state.in_flight = state.in_flight.saturating_sub(allocated.len() as u64);
-        state.release(dead);
+        state.in_flight = state.in_flight.saturating_sub(held);
+        state.release(retired.iter().flat_map(Retained::blocks));
         Ok(())
     }
 
     /// Walk the allocator's invariants: at most two generations, ascending;
-    /// every directory names a page at most once; every block a retained
-    /// generation references exists on the device, lies below the
-    /// high-water mark, is referenced once within its generation and is
-    /// not free; and free, referenced and in-flight blocks together are
-    /// exactly `1..high_water` — nothing leaks.
+    /// every block a retained generation references exists on the device,
+    /// lies below the high-water mark, is referenced once and is not free;
+    /// and free, referenced and in-flight blocks together are exactly
+    /// `1..high_water` — nothing leaks.
     pub fn check(&self) -> std::result::Result<(), String> {
         let state = self.state.lock();
         if state.retained.len() > RETAINED {
@@ -487,15 +399,11 @@ impl SnapshotStore {
                 state.next_generation
             ));
         }
-        let mut referenced = BTreeSet::new();
+        let mut referenced = HashSet::new();
         for r in &state.retained {
             let gen = r.info.generation;
-            if !r.directory.windows(2).all(|w| w[0].pid < w[1].pid) {
-                return Err(format!("generation {gen}: directory names a page twice"));
-            }
-            let mut own = HashSet::new();
             for b in r.blocks() {
-                if !own.insert(b) {
+                if !referenced.insert(b) {
                     return Err(format!("generation {gen}: block {b} referenced twice"));
                 }
                 if b == 0 || b >= state.high_water || !self.dev.contains(b) {
@@ -504,7 +412,6 @@ impl SnapshotStore {
                 if state.free.contains(&b) {
                     return Err(format!("generation {gen}: block {b} is free"));
                 }
-                referenced.insert(b);
             }
         }
         if state.free.iter().any(|&b| b == 0 || b >= state.high_water) {
@@ -539,21 +446,13 @@ impl std::fmt::Debug for SnapshotStore {
 }
 
 /// Streams one generation's blocks; see [`SnapshotStore::begin`]. Memory
-/// is one block of scratch plus one directory entry (20 bytes on disk)
-/// per image written; the inherited directory is shared, not copied,
-/// until [`SnapshotWriter::finish`] merges the two.
+/// is one block of scratch plus the pending index run.
 pub struct SnapshotWriter<'a> {
     store: &'a SnapshotStore,
     generation: u64,
-    parent: u64,
-    full: bool,
     fence_lsn: u64,
-    /// The parent's directory (empty for a full generation).
-    inherited: Arc<[DirEntry]>,
-    /// One entry per image written, in write order. With `meta` and
-    /// `manifest`, these are exactly the blocks this writer holds.
-    images: Vec<DirEntry>,
-    /// Index-run and directory blocks written, in sequence order.
+    /// Index-run blocks written, in sequence order. With `manifest`, these
+    /// are exactly the blocks this writer holds.
     meta: Vec<u64>,
     manifest: Option<u64>,
     index_table: u32,
@@ -568,22 +467,12 @@ impl SnapshotWriter<'_> {
         self.generation
     }
 
-    /// Whether this generation is a full snapshot.
-    pub fn is_full(&self) -> bool {
-        self.full
-    }
-
     fn payload_capacity(&self) -> usize {
         self.store.page_size - BLOCK_HEADER
     }
 
     fn held_blocks(&self) -> Vec<u64> {
-        self.images
-            .iter()
-            .map(|e| e.block)
-            .chain(self.meta.iter().copied())
-            .chain(self.manifest)
-            .collect()
+        self.meta.iter().copied().chain(self.manifest).collect()
     }
 
     /// Write one metadata block into a fresh block; its sequence number
@@ -595,28 +484,10 @@ impl SnapshotWriter<'_> {
         // Recorded before the write: a failed write still holds the block.
         match kind {
             BlockKind::Manifest => self.manifest = Some(at),
-            BlockKind::IndexRun | BlockKind::Directory => self.meta.push(at),
+            BlockKind::IndexRun => self.meta.push(at),
         }
         encode_block(&mut self.block, kind, tag, self.generation, seq, payload);
         retry_io(|| self.store.dev.append_page(at, &self.block))?;
-        Ok(())
-    }
-
-    /// Write one page image, raw, into a fresh block; its identity and
-    /// CRC go to the directory. A page written twice keeps the later image.
-    pub fn page_image(&mut self, pid: u64, image: &[u8]) -> Result<()> {
-        assert_eq!(
-            image.len(),
-            self.store.page_size,
-            "page image size mismatch"
-        );
-        let block = self.store.alloc();
-        self.images.push(DirEntry {
-            pid,
-            block,
-            crc: crc32(image),
-        });
-        retry_io(|| self.store.dev.append_page(block, image))?;
         Ok(())
     }
 
@@ -649,22 +520,11 @@ impl SnapshotWriter<'_> {
         Ok(())
     }
 
-    /// This generation's whole directory: every inherited entry whose
-    /// page was not rewritten, plus the newest image of each page that
-    /// was. Page ids strictly ascending.
-    fn merged_directory(&self) -> Vec<DirEntry> {
-        let mut merged: BTreeMap<u64, DirEntry> =
-            self.inherited.iter().map(|e| (e.pid, *e)).collect();
-        // In write order: a page written twice keeps the later image.
-        merged.extend(self.images.iter().map(|e| (e.pid, *e)));
-        merged.into_values().collect()
-    }
-
     /// Close the generation: flush the pending index run, write the
-    /// directory and the manifest that lists every metadata block, sync,
-    /// then atomically install the generation in the superblock. Nothing
-    /// becomes visible on failure, and the blocks go back to the free set.
-    /// A manifest too large for one block is an error, never a truncation.
+    /// manifest that lists every index-run block, sync, then atomically
+    /// install the generation in the superblock. Nothing becomes visible
+    /// on failure, and the blocks go back to the free set. A manifest too
+    /// large for one block is an error, never a truncation.
     pub fn finish(
         mut self,
         catalog_root: u64,
@@ -674,25 +534,13 @@ impl SnapshotWriter<'_> {
         tables: Vec<TableMeta>,
     ) -> Result<GenerationInfo> {
         self.flush_index_run()?;
-        let directory = self.merged_directory();
-        let per_block = self.payload_capacity() / DIRECTORY_ENTRY;
-        let mut payload = Vec::with_capacity(per_block * DIRECTORY_ENTRY);
-        for run in directory.chunks(per_block) {
-            payload.clear();
-            run.iter().for_each(|e| e.encode_into(&mut payload));
-            self.write_meta(BlockKind::Directory, 0, &payload)?;
-        }
         let manifest = Manifest {
             generation: self.generation,
-            parent: self.parent,
-            full: self.full,
             fence_lsn: self.fence_lsn,
             catalog_root,
             next_page_id,
             oracle_ts,
             next_txn_id,
-            page_images: self.images.len() as u64,
-            directory_pages: directory.len() as u64,
             tables,
             meta_blocks: self.meta.clone(),
         };
@@ -706,17 +554,14 @@ impl SnapshotWriter<'_> {
             generation: self.generation,
             manifest: self.manifest.expect("manifest block just written"),
             fence_lsn: self.fence_lsn,
-            full: self.full,
         };
         let new = Retained {
             info,
-            directory: directory.into(),
             meta: manifest.meta_blocks,
         };
-        let held = self.held_blocks();
-        self.store.install(new, self.parent, &held)?;
-        // Installed: the blocks are the generation's (or already freed).
-        self.images.clear();
+        let held = self.held_blocks().len() as u64;
+        self.store.install(new, held)?;
+        // Installed: the blocks are the generation's.
         self.meta.clear();
         self.manifest = None;
         Ok(info)
@@ -737,7 +582,6 @@ impl std::fmt::Debug for SnapshotWriter<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotWriter")
             .field("generation", &self.generation)
-            .field("images", &self.images.len())
             .field("meta_blocks", &self.meta.len())
             .finish_non_exhaustive()
     }
@@ -753,7 +597,6 @@ fn encode_superblock(page: &mut [u8], entries: &[GenerationInfo]) {
         page[o..o + 8].copy_from_slice(&e.generation.to_le_bytes());
         page[o + 8..o + 16].copy_from_slice(&e.manifest.to_le_bytes());
         page[o + 16..o + 24].copy_from_slice(&e.fence_lsn.to_le_bytes());
-        page[o + 24..o + 32].copy_from_slice(&u64::from(e.full).to_le_bytes());
     }
     let crc_at = page.len() - 4;
     let crc = crc32(&page[..crc_at]);
@@ -784,7 +627,6 @@ fn decode_superblock(page: &[u8]) -> Option<Vec<GenerationInfo>> {
                 generation: u64_at(o),
                 manifest: u64_at(o + 8),
                 fence_lsn: u64_at(o + 16),
-                full: u64_at(o + 24) != 0,
             }
         })
         .collect();
@@ -796,36 +638,39 @@ fn decode_superblock(page: &[u8]) -> Option<Vec<GenerationInfo>> {
 mod tests {
     use super::*;
     use spitfire_device::{FaultKind, FaultOp, FaultPlan, FaultRule, Trigger};
+    use std::sync::Arc;
 
     const PAGE: usize = 256;
+    /// Index entries one block holds: 208 payload bytes, 16 an entry.
+    const PER_BLOCK: usize = (PAGE - BLOCK_HEADER) / 16;
 
     fn store() -> SnapshotStore {
         SnapshotStore::new(PAGE, TimeScale::ZERO, PersistenceTracking::Full)
     }
 
-    fn image(fill: u8) -> Vec<u8> {
-        vec![fill; PAGE]
+    /// `blocks` full index-run blocks' worth of entries, every rid `fill`.
+    fn entries(blocks: usize, fill: u64) -> Vec<(u64, u64)> {
+        (0..(blocks * PER_BLOCK) as u64)
+            .map(|k| (k, fill))
+            .collect()
     }
 
-    /// Install one generation holding `pages` (`(pid, fill)`) and a
-    /// one-entry index run.
-    fn generation(s: &SnapshotStore, full: bool, pages: &[(u64, u8)]) -> GenerationInfo {
-        let mut w = s.begin(full, 0);
-        for &(pid, fill) in pages {
-            w.page_image(pid, &image(fill)).unwrap();
-        }
-        w.index_entries(1, &[(1, 10)]).unwrap();
+    /// Install one generation of `blocks` index-run blocks (table 1).
+    fn generation(s: &SnapshotStore, blocks: usize, fill: u64) -> GenerationInfo {
+        let mut w = s.begin(0);
+        w.index_entries(1, &entries(blocks, fill)).unwrap();
         let info = w.finish(0, 0, 0, 0, Vec::new()).unwrap();
         s.check().unwrap();
         info
     }
 
-    /// What `load` delivers for `gen`: `pid -> fill`, each page once.
-    fn pages_of(s: &SnapshotStore, gen: u64) -> Vec<(u64, u8)> {
-        let mut pages = Vec::new();
-        s.load(gen, |pid, img| pages.push((pid, img[0])), |_, _| {})
+    /// The one rid every entry `load` delivers for `gen` carries.
+    fn fill_of(s: &SnapshotStore, gen: u64) -> u64 {
+        let mut rids = BTreeSet::new();
+        s.load(gen, |_, e| rids.extend(e.iter().map(|&(_, rid)| rid)))
             .unwrap();
-        pages
+        assert_eq!(rids.len(), 1, "generation {gen}: {rids:?}");
+        rids.pop_first().unwrap()
     }
 
     fn allocator(s: &SnapshotStore) -> (Vec<u64>, u64, u64) {
@@ -856,10 +701,9 @@ mod tests {
     #[test]
     fn write_install_reload_round_trip() {
         let s = store();
-        let mut w = s.begin(true, 100);
-        w.page_image(7, &image(0xAA)).unwrap();
-        w.page_image(9, &image(0xBB)).unwrap();
+        let mut w = s.begin(100);
         w.index_entries(1, &[(1, 10), (2, 20)]).unwrap();
+        w.index_entries(2, &[(5, 50)]).unwrap();
         let info = w
             .finish(
                 0,
@@ -875,11 +719,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(info.generation, 1);
-        assert!(info.full);
-        // Two images, one index run, one directory block, the manifest,
-        // the superblock: every block is exactly one device page.
-        assert_eq!(s.used_bytes(), 6 * PAGE as u64);
-        assert_eq!(s.stats().write_ops, 6);
+        // Two index runs, the manifest, the superblock: every block is
+        // exactly one device page.
+        assert_eq!(s.used_bytes(), 4 * PAGE as u64);
+        assert_eq!(s.stats().write_ops, 4);
 
         // A crash after install keeps the generation (everything synced).
         s.simulate_crash();
@@ -887,29 +730,20 @@ mod tests {
         s.check().unwrap();
         assert_eq!(s.newest_valid(), Some(1));
 
-        let mut pages = Vec::new();
         let mut idx = Vec::new();
-        let m = s
-            .load(
-                1,
-                |pid, img| pages.push((pid, img[0])),
-                |t, e| idx.push((t, e.to_vec())),
-            )
-            .unwrap();
-        assert_eq!(pages, vec![(7, 0xAA), (9, 0xBB)]);
-        assert_eq!(idx, vec![(1, vec![(1, 10), (2, 20)])]);
+        let m = s.load(1, |t, e| idx.push((t, e.to_vec()))).unwrap();
+        assert_eq!(idx, vec![(1, vec![(1, 10), (2, 20)]), (2, vec![(5, 50)])]);
         assert_eq!(m.fence_lsn, 100);
-        assert_eq!(m.oracle_ts, 500);
+        assert_eq!((m.next_page_id, m.oracle_ts, m.next_txn_id), (12, 500, 6));
         assert_eq!(m.tables.len(), 1);
-        assert_eq!((m.page_images, m.directory_pages), (2, 2));
-        assert_eq!(s.directory_pages(), 2);
     }
 
     #[test]
     fn uninstalled_generation_vanishes_on_crash() {
         let s = store();
-        let mut w = s.begin(true, 0);
-        w.page_image(1, &image(1)).unwrap();
+        let mut w = s.begin(0);
+        w.index_entries(1, &entries(1, 1)).unwrap();
+        assert_eq!(s.stats().write_ops, 1);
         drop(w); // never finished: no superblock update
         s.simulate_crash();
         s.reload().unwrap();
@@ -921,76 +755,38 @@ mod tests {
 
     #[test]
     fn corrupt_newest_falls_back_a_generation() {
-        // Victim: an image block, the directory block, the manifest.
-        for victim in 0..3 {
+        for victim in ["index run", "manifest"] {
             let s = store();
-            generation(&s, true, &[(3, 1)]);
-            generation(&s, false, &[(3, 2), (4, 2)]);
-            let g3 = generation(&s, false, &[(4, 3)]);
+            generation(&s, 1, 1);
+            generation(&s, 2, 2);
+            let g3 = generation(&s, 1, 3);
             assert_eq!(s.newest_valid(), Some(3));
-            let manifest = s.load(3, |_, _| {}, |_, _| {}).unwrap();
             let block = match victim {
-                0 => s.directory(3).unwrap()[1].1,
-                1 => *manifest.meta_blocks.last().unwrap(),
+                "index run" => s.load(3, |_, _| {}).unwrap().meta_blocks[0],
                 _ => g3.manifest,
             };
             rot(&s, block);
-            assert!(!s.validate(3).unwrap(), "victim {victim}");
-            assert!(s.load(3, |_, _| {}, |_, _| {}).is_err());
-            assert_eq!(s.newest_valid(), Some(2), "victim {victim}");
-            assert_eq!(pages_of(&s, 2), vec![(3, 2), (4, 2)]);
+            assert!(!s.validate(3).unwrap(), "{victim}");
+            assert!(s.load(3, |_, _| {}).is_err());
+            assert_eq!(s.newest_valid(), Some(2), "{victim}");
+            assert_eq!(fill_of(&s, 2), 2);
 
             // Reload drops the dead generation but not its number.
             s.simulate_crash();
             s.reload().unwrap();
             s.check().unwrap();
             let gens: Vec<u64> = s.generations().iter().map(|e| e.generation).collect();
-            if victim == 0 {
-                // Metadata reads back; only validation sees the image.
-                assert_eq!(gens, vec![2, 3]);
-            } else {
-                assert_eq!(gens, vec![2]);
-            }
+            assert_eq!(gens, vec![2], "{victim}");
             assert_eq!(s.newest_valid(), Some(2));
-            assert_eq!(s.begin(false, 0).generation(), 4);
+            assert_eq!(s.begin(0).generation(), 4);
         }
-    }
-
-    #[test]
-    fn rot_in_an_inherited_image_disqualifies_every_generation_naming_it() {
-        let s = store();
-        generation(&s, true, &[(3, 1), (4, 1)]);
-        generation(&s, false, &[(4, 2)]);
-        // Page 3's only image is shared by both directories.
-        let shared = s.directory(2).unwrap()[0];
-        assert_eq!(shared, s.directory(1).unwrap()[0]);
-        rot(&s, shared.1);
-        assert_eq!(s.newest_valid(), None);
-    }
-
-    #[test]
-    fn stale_image_of_the_same_page_fails_the_directory_crc() {
-        let s = store();
-        generation(&s, true, &[(7, 1)]);
-        generation(&s, false, &[(7, 2)]);
-        let old = s.directory(1).unwrap()[0].1;
-        let new = s.directory(2).unwrap()[0].1;
-        assert_ne!(old, new);
-        // A lost write: generation 2's block still holds the older image
-        // of the very page its entry names. No header could tell.
-        let mut stale = image(0);
-        s.device().read_page(old, &mut stale).unwrap();
-        s.device().write_page(new, &stale).unwrap();
-        s.device().sync().unwrap();
-        assert!(!s.validate(2).unwrap());
-        assert_eq!(s.newest_valid(), Some(1));
     }
 
     #[test]
     fn superblock_keeps_the_two_newest_generations() {
         let s = store();
-        for i in 0..6u8 {
-            generation(&s, i % 3 == 0, &[(1, i)]);
+        for i in 0..6u64 {
+            generation(&s, 1, i);
         }
         let gens: Vec<u64> = s.generations().iter().map(|e| e.generation).collect();
         assert_eq!(gens, vec![5, 6]);
@@ -1006,102 +802,58 @@ mod tests {
     }
 
     #[test]
-    fn incremental_directory_inherits_then_overrides() {
-        let s = store();
-        generation(&s, true, &[(1, 0x11), (2, 0x22)]);
-        generation(&s, false, &[(2, 0x99)]);
-        generation(&s, false, &[(5, 0x55)]);
-        generation(&s, false, &[(1, 0x77)]);
-        // Generations 1 and 2 are retired, and 4 needs neither: each page
-        // once, at its newest image, inherited or not.
-        assert_eq!(pages_of(&s, 4), vec![(1, 0x77), (2, 0x99), (5, 0x55)]);
-        assert_eq!(pages_of(&s, 3), vec![(1, 0x11), (2, 0x99), (5, 0x55)]);
-        let m = s.load(4, |_, _| {}, |_, _| {}).unwrap();
-        assert_eq!((m.parent, m.full), (3, false));
-        assert_eq!((m.page_images, m.directory_pages), (1, 3));
-        // The same from the device alone.
-        s.simulate_crash();
-        s.reload().unwrap();
-        assert_eq!(pages_of(&s, 4), vec![(1, 0x77), (2, 0x99), (5, 0x55)]);
-
-        // A page written twice keeps the later image, and gives the
-        // earlier block back.
-        let mut w = s.begin(false, 0);
-        w.page_image(2, &image(0xA1)).unwrap();
-        w.page_image(2, &image(0xA2)).unwrap();
-        w.finish(0, 0, 0, 0, Vec::new()).unwrap();
-        s.check().unwrap();
-        assert_eq!(pages_of(&s, 5), vec![(1, 0x77), (2, 0xA2), (5, 0x55)]);
-
-        // A full generation starts from an empty directory.
-        generation(&s, true, &[]);
-        assert_eq!(pages_of(&s, 6), vec![]);
-        assert_eq!(s.directory_pages(), 0);
-    }
-
-    #[test]
     fn index_runs_split_across_blocks() {
         let s = store();
-        let mut w = s.begin(true, 0);
-        // 208-byte payload = 13 entries per block; write 40.
-        let entries: Vec<(u64, u64)> = (0..40u64).map(|k| (k, k * 2)).collect();
-        w.index_entries(3, &entries).unwrap();
+        let mut w = s.begin(0);
+        // 13 entries per block; write 40.
+        let many: Vec<(u64, u64)> = (0..40u64).map(|k| (k, k * 2)).collect();
+        w.index_entries(3, &many).unwrap();
         w.finish(0, 0, 0, 0, Vec::new()).unwrap();
-        generation(&s, false, &[]);
+        generation(&s, 1, 7);
         let read_index = |gen| {
             let mut got = Vec::new();
-            s.load(gen, |_, _| {}, |t, e| got.push((t, e.to_vec())))
-                .unwrap();
+            s.load(gen, |t, e| got.push((t, e.to_vec()))).unwrap();
             got
         };
         let runs = read_index(1);
         assert_eq!(runs.len(), 4);
         assert!(runs.iter().all(|(t, _)| *t == 3));
         let flat: Vec<(u64, u64)> = runs.into_iter().flat_map(|(_, e)| e).collect();
-        assert_eq!(flat, entries);
-        // Index runs are never inherited.
-        assert_eq!(read_index(2), vec![(1, vec![(1, 10)])]);
+        assert_eq!(flat, many);
+        // A generation carries its own runs only.
+        assert_eq!(read_index(2), vec![(1, entries(1, 7))]);
     }
 
     #[test]
     fn blocks_are_reused_and_addresses_stay_bounded() {
         let s = store();
-        let all: Vec<(u64, u8)> = (0..5u64).map(|p| (p, 0)).collect();
         let mut used = Vec::new();
-        for round in 0..12u8 {
-            let pages: Vec<(u64, u8)> = all.iter().map(|&(p, _)| (p, round)).collect();
-            generation(&s, round == 0, &pages);
-            assert!(allocator(&s).1 <= 1 + 3 * 8);
+        for round in 0..12u64 {
+            generation(&s, 5, round);
+            assert!(allocator(&s).1 <= 1 + 3 * 6);
             used.push(s.used_bytes());
         }
-        // Two retained generations plus the writer: three images per page
-        // (+ 3 metadata blocks each), reached by the third round and
-        // never exceeded.
-        assert!(used[2..].iter().all(|&u| u == (1 + 3 * 8) * PAGE as u64));
-        assert_eq!(allocator(&s).0.len() as u64 + 1 + 2 * 8, allocator(&s).1);
-        assert_eq!(
-            pages_of(&s, 12),
-            (0..5).map(|p| (p, 11)).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            pages_of(&s, 11),
-            (0..5).map(|p| (p, 10)).collect::<Vec<_>>()
-        );
+        // Two retained generations plus the writer, six blocks each (five
+        // runs + the manifest): reached by the third round and never
+        // exceeded.
+        assert!(used[2..].iter().all(|&u| u == (1 + 3 * 6) * PAGE as u64));
+        assert_eq!(allocator(&s).0.len() as u64 + 1 + 2 * 6, allocator(&s).1);
+        assert_eq!(fill_of(&s, 12), 11);
+        assert_eq!(fill_of(&s, 11), 10);
     }
 
     #[test]
     fn failed_superblock_write_leaves_the_store_as_it_was() {
         let s = store();
-        for round in 0..4u8 {
-            generation(&s, round == 0, &[(1, round), (2, round)]);
+        for round in 0..4u64 {
+            generation(&s, 2, round);
         }
         let before = (s.generations(), allocator(&s), s.used_bytes());
         assert!(!before.1 .0.is_empty(), "the failing writer reuses blocks");
 
         s.set_fault_injector(Some(failing_superblock()));
-        let mut w = s.begin(false, 0);
-        w.page_image(1, &image(0xF1)).unwrap();
-        w.page_image(2, &image(0xF2)).unwrap();
+        let mut w = s.begin(0);
+        w.index_entries(1, &entries(2, 0xF1)).unwrap();
         assert!(w.finish(0, 0, 0, 0, Vec::new()).is_err());
         s.set_fault_injector(None);
         s.check().unwrap();
@@ -1111,9 +863,9 @@ mod tests {
         assert!(s.validate(3).unwrap() && s.validate(4).unwrap());
 
         // The next generation installs; the failed one burnt its number.
-        let g = generation(&s, false, &[(1, 0xA1)]);
+        let g = generation(&s, 1, 0xA1);
         assert_eq!(g.generation, 6);
-        assert_eq!(pages_of(&s, 6), vec![(1, 0xA1), (2, 3)]);
+        assert_eq!(fill_of(&s, 6), 0xA1);
         // What the durable superblock says is what memory says.
         let gens = s.generations();
         s.simulate_crash();
@@ -1124,26 +876,22 @@ mod tests {
     #[test]
     fn dropped_or_failed_writer_leaves_the_free_set_as_it_found_it() {
         let s = store();
-        for round in 0..4u8 {
-            generation(&s, round == 0, &[(1, round), (2, round)]);
+        for round in 0..4u64 {
+            generation(&s, 2, round);
         }
         let before = allocator(&s);
         // Dropped mid-stream, past the free blocks and the high water.
-        let mut w = s.begin(false, 0);
-        for pid in 0..20u64 {
-            w.page_image(pid, &image(9)).unwrap();
-        }
-        w.index_entries(1, &[(1, 1)]).unwrap();
+        let mut w = s.begin(0);
+        w.index_entries(1, &entries(20, 9)).unwrap();
         assert_eq!(allocator(&s).2, 20);
         drop(w);
         s.check().unwrap();
         assert_eq!(allocator(&s), before);
 
-        // A manifest that cannot list its metadata blocks is an error,
-        // not a shorter list: (208 - 96) / 8 = 14 blocks at most.
-        let mut w = s.begin(false, 0);
-        let entries: Vec<(u64, u64)> = (0..13 * 14).map(|k| (k, k)).collect();
-        w.index_entries(1, &entries).unwrap();
+        // A manifest that cannot list its index-run blocks is an error,
+        // not a shorter list: (208 - 64) / 8 = 18 blocks at most.
+        let mut w = s.begin(0);
+        w.index_entries(1, &entries(19, 9)).unwrap();
         assert_eq!(
             w.finish(0, 0, 0, 0, Vec::new()),
             Err(SnapshotError::Corrupt("manifest exceeds one block"))
@@ -1157,16 +905,16 @@ mod tests {
     fn torn_or_interrupted_reuse_never_damages_a_retained_generation() {
         for torn in [false, true] {
             let s = store();
-            for round in 0..4u8 {
-                let fill = 0x10 + round;
-                generation(&s, round == 0, &[(1, fill), (2, fill), (3, fill)]);
+            for round in 0..4u64 {
+                generation(&s, 3, 0x10 + round);
             }
             let reusable = allocator(&s).0;
             assert!(reusable.len() >= 3);
-            let mut was = image(0);
+            let mut was = vec![0u8; PAGE];
             s.device().read_page(reusable[0], &mut was).unwrap();
+            let mut w = s.begin(0);
             if torn {
-                // Every image write tears (reported as success), the
+                // Every block write tears (reported as success), the
                 // blocks are synced, and the install then fails.
                 let plan = FaultPlan::new(5)
                     .rule(
@@ -1179,46 +927,40 @@ mod tests {
                     );
                 let inj = Arc::new(FaultInjector::new(plan));
                 s.set_fault_injector(Some(Arc::clone(&inj)));
-                let mut w = s.begin(false, 0);
-                for pid in 1..=3u64 {
-                    w.page_image(pid, &image(0xEE)).unwrap();
-                }
+                w.index_entries(1, &entries(3, 0xEE)).unwrap();
                 assert!(w.finish(0, 0, 0, 0, Vec::new()).is_err());
                 s.set_fault_injector(None);
                 assert!(inj.stats().torn >= 3);
             } else {
                 // Power fails mid-stream, after the device had already
                 // made the overwritten blocks durable.
-                let mut w = s.begin(false, 0);
-                for pid in 1..=3u64 {
-                    w.page_image(pid, &image(0xEE)).unwrap();
-                }
+                w.index_entries(1, &entries(3, 0xEE)).unwrap();
                 s.device().sync().unwrap();
                 drop(w);
             }
-            let mut now = image(0);
+            let mut now = vec![0u8; PAGE];
             s.device().read_page(reusable[0], &mut now).unwrap();
             assert_ne!(now, was, "the reused block was overwritten");
             s.simulate_crash();
             s.reload().unwrap();
             s.check().unwrap();
             assert!(s.validate(3).unwrap() && s.validate(4).unwrap());
-            assert_eq!(pages_of(&s, 4), vec![(1, 0x13), (2, 0x13), (3, 0x13)]);
-            assert_eq!(pages_of(&s, 3), vec![(1, 0x12), (2, 0x12), (3, 0x12)]);
-            generation(&s, false, &[(2, 9)]);
-            assert_eq!(pages_of(&s, 5), vec![(1, 0x13), (2, 9), (3, 0x13)]);
+            assert_eq!(fill_of(&s, 4), 0x13);
+            assert_eq!(fill_of(&s, 3), 0x12);
+            generation(&s, 1, 9);
+            assert_eq!(fill_of(&s, 5), 9);
         }
     }
 
     #[test]
     fn a_superseded_writer_cannot_install() {
         let s = store();
-        generation(&s, true, &[(1, 1)]);
-        let mut slow = s.begin(false, 0);
-        slow.page_image(2, &image(2)).unwrap();
-        generation(&s, false, &[(1, 3)]);
-        // `slow` inherited generation 1's directory, which is no longer
-        // the newest: its blocks are one install from being free.
+        generation(&s, 1, 1);
+        let mut slow = s.begin(0);
+        slow.index_entries(1, &entries(1, 2)).unwrap();
+        generation(&s, 1, 3);
+        // `slow` drew generation 2 before generation 3 installed:
+        // installing it now would put the list out of order.
         assert!(slow.finish(0, 0, 0, 0, Vec::new()).is_err());
         s.check().unwrap();
         assert_eq!(s.latest().unwrap().generation, 3);

@@ -7,7 +7,7 @@
 //! re-exported it from `spitfire-snapshot` through `spitfire_txn::wal`).
 //!
 //! The polynomial is Castagnoli's because x86-64 has an instruction for it
-//! (SSE4.2 `crc32`): a checkpoint checksums every 16 KB page image it
+//! (SSE4.2 `crc32`): a checkpoint checksums every 16 KB snapshot block it
 //! writes and recovery every one it reads, and the table code below costs
 //! ≈ 0.65 ns a byte where the instruction costs ≈ 0.1. Hosts without the
 //! instruction (and Miri, which does not interpret it) take the table
@@ -48,7 +48,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32C of `data`. Recovery checksums every block of a snapshot
-/// generation and every WAL record, and a checkpoint every page image it
+/// generation and every WAL record, and a checkpoint every block it
 /// writes, so this sits on both the restart and the maintenance path. This
 /// is the one checksum used by the snapshot blocks, the WAL framing, and
 /// the server wire protocol.

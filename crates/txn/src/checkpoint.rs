@@ -1,34 +1,32 @@
-//! Incremental crash-consistent checkpoints (instant restart).
+//! Crash-consistent checkpoints (instant restart).
 //!
-//! Every [`Database::checkpoint`] is a *fuzzy incremental checkpoint*
-//! written through the database's [`SnapshotEngine`] (attached by
-//! [`Database::enable_snapshots`], or with the default configuration by
-//! the first checkpoint):
+//! Every [`Database::checkpoint`] writes one snapshot generation through
+//! the database's [`SnapshotEngine`] (attached by
+//! [`Database::enable_snapshots`], or by the first checkpoint):
 //!
 //! 1. **Fence.** Under the database's fence gate (new transactions
 //!    blocked) the checkpointer waits — bounded — for in-flight
-//!    transactions to drain, captures a [`WalFence`] (every appended
-//!    record durable in the log file), and drains the buffer manager's
-//!    dirty-epoch set. A non-quiescent database yields the *retryable*
-//!    [`TxnError::CheckpointContended`] instead of silently corrupting
-//!    state.
-//! 2. **Fuzzy copy.** The gate drops and transactions resume while the
-//!    generation's payload is produced. An *incremental* generation
-//!    copies the drained dirty-epoch pages under short read guards into
-//!    the snapshot store, one raw device page each, and inherits the
-//!    directory entry of every page it did not copy from the generation
-//!    before it — so its own directory names the newest image of every
-//!    page dirtied since the last full generation, and it never needs an
-//!    ancestor. A *full* generation is **SSD-backed**: it flushes both
-//!    buffer tiers and syncs the main SSD instead of copying O(database)
-//!    images, so its directory is empty, the base lives where the data
-//!    already belongs, and recovery never re-installs it. Either way the
-//!    copied/flushed state may contain *post-fence* effects; that is
-//!    fine because recovery replays the WAL tail from the fence, and
-//!    redo rewrites whole version slots idempotently.
-//! 3. **Install + truncate.** The generation's directory and manifest
-//!    (fence LSN, catalog root, oracle state, per-table watermarks, the
-//!    list of its metadata blocks) are written, CRC-checked, and
+//!    transactions to drain and captures a [`WalFence`] (every appended
+//!    record durable in the log file). A non-quiescent database yields
+//!    the *retryable* [`TxnError::CheckpointContended`] instead of
+//!    silently corrupting state.
+//! 2. **Home flush.** The gate drops and transactions resume while every
+//!    DRAM copy with data dirt is written to its SSD home and synced
+//!    ([`spitfire_core::BufferManager::flush_home`]). An NVM copy such a
+//!    DRAM copy shadowed is older than home from then on and is dropped
+//!    (16 bytes of header, not a 16 KB reconcile); NVM-resident dirt stays
+//!    where it is, because NVM is persistent and recovery adopts it. The
+//!    flush is fuzzy — a home image may carry post-fence effects, which
+//!    is fine because recovery replays the WAL tail from the fence and
+//!    redo rewrites whole version slots idempotently. Pages the flush had
+//!    to leave behind (a shadow move in flight, a pinned or fine-grained
+//!    copy) are retried a few times; if any are still left, the
+//!    checkpoint fails with `CheckpointContended` and leaves the WAL and
+//!    the store untouched, because the WAL may only be truncated once
+//!    every pre-fence change is home or in NVM.
+//! 3. **Install + truncate.** The main SSD is synced, the index runs and
+//!    the manifest (fence LSN, catalog root, oracle state, per-table
+//!    watermarks, the list of the runs) are written, CRC-checked, and
 //!    atomically installed; the store keeps this generation and the one
 //!    before it and reuses every block neither references. The WAL is
 //!    then truncated to the *previous* generation's fence — one
@@ -36,21 +34,19 @@
 //!    still finds its tail — and the truncated file pages go back to the
 //!    log device.
 //!
-//! Recovery ([`Database::recover`]) loads the newest generation that
-//! validates, installs each page its directory names — once, at its
-//! newest image — over the SSD-backed base, reopens tables from the
-//! manifest (no allocator scans), bulk-loads indexes from the dumped
-//! runs, and replays only the WAL tail past the fence — recovery work is
-//! bounded by the pages dirtied since the last full generation plus one
+//! Recovery ([`Database::recover`]) scans the NVM buffer, loads the newest
+//! generation that validates, reopens tables from its manifest (no
+//! allocator scans), bulk-loads indexes from its runs, and replays only
+//! the WAL tail past its fence — recovery work is bounded by one
 //! checkpoint interval of log, not by database size or history.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use spitfire_core::{PageId, MAINTENANCE_BATCH};
+use spitfire_core::PageId;
 use spitfire_index::BTree;
 use spitfire_snapshot::{SnapshotStore, TableMeta};
 
@@ -60,37 +56,29 @@ use crate::table::{Table, NO_RID};
 use crate::wal::{RecordKind, WalFence};
 use crate::{RecoveryStats, Result};
 
-/// Tuning knobs for the snapshot engine.
-#[derive(Debug, Clone)]
-pub struct SnapshotConfig {
-    /// Every `full_every`-th checkpoint writes a full (SSD-backed)
-    /// generation; the rest are incremental over the dirty-epoch set.
-    pub full_every: u64,
-    /// How long a checkpoint waits for in-flight transactions to drain
-    /// before giving up with [`TxnError::CheckpointContended`].
-    pub quiesce_wait: Duration,
-}
+/// How long a checkpoint waits for in-flight transactions to drain before
+/// giving up with [`TxnError::CheckpointContended`].
+const QUIESCE_WAIT: Duration = Duration::from_millis(250);
 
-impl Default for SnapshotConfig {
-    fn default() -> Self {
-        SnapshotConfig {
-            full_every: 8,
-            quiesce_wait: Duration::from_millis(250),
-        }
-    }
-}
+/// Retries of the pages a home flush left behind; the n-th waits
+/// `FLUSH_BACKOFF << n` first (≈ 5 ms in all).
+const FLUSH_RETRIES: u32 = 8;
+const FLUSH_BACKOFF: Duration = Duration::from_micros(20);
+
+/// Options of the snapshot engine. There are none left; the type stays so
+/// callers keep one spelling for "the default engine".
+#[derive(Debug, Clone, Default)]
+pub struct SnapshotConfig {}
 
 /// Counters from one [`Database::checkpoint`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Generation installed.
     pub generation: u64,
-    /// Page images captured (full generation: pages flushed to the SSD).
+    /// DRAM pages the home flush wrote.
     pub pages: usize,
     /// Index entries dumped.
     pub index_entries: usize,
-    /// Whether this generation is a full (SSD-backed) one.
-    pub full: bool,
     /// Wall-clock duration in microseconds.
     pub micros: u64,
 }
@@ -98,17 +86,12 @@ pub struct CheckpointStats {
 /// The checkpointer state attached to a [`Database`].
 pub struct SnapshotEngine {
     store: SnapshotStore,
-    cfg: SnapshotConfig,
-    /// Checkpoints completed by this engine (drives the full/incremental
-    /// cadence).
+    /// Checkpoints completed by this engine.
     checkpoints: AtomicU64,
     /// Fence of the newest installed generation; the *next* install
     /// truncates the WAL here. `None` right after recovery (no truncation
     /// until a new generation exists).
     last_fence: Mutex<Option<WalFence>>,
-    /// Force the next generation to be a full one (set by recovery: the
-    /// dirty-epoch set does not span the crash).
-    force_full: AtomicBool,
     last_micros: AtomicU64,
     last_pages: AtomicU64,
 }
@@ -131,7 +114,7 @@ impl SnapshotEngine {
         self.last_micros.load(Ordering::Relaxed)
     }
 
-    /// Page images captured by the last completed checkpoint.
+    /// DRAM pages the last completed checkpoint wrote home.
     pub fn last_checkpoint_pages(&self) -> u64 {
         // relaxed: advisory gauge.
         self.last_pages.load(Ordering::Relaxed)
@@ -154,14 +137,14 @@ impl std::fmt::Debug for SnapshotEngine {
 }
 
 impl Database {
-    /// Attach a snapshot engine: checkpoints become incremental snapshot
-    /// generations and recovery gains the instant-restart path. The store
+    /// Attach a snapshot engine: checkpoints become snapshot generations
+    /// and recovery gains the instant-restart path. The store
     /// lives on its own (simulated) SSD device sized to the database page,
     /// built with the buffer manager's configured time scale and
     /// persistence tracking and no fault injector — later
     /// [`Database::set_time_scale`] / [`Database::set_fault_injector`]
     /// calls reach it, earlier ones do not.
-    pub fn enable_snapshots(&self, cfg: SnapshotConfig) -> Arc<SnapshotEngine> {
+    pub fn enable_snapshots(&self, _cfg: SnapshotConfig) -> Arc<SnapshotEngine> {
         let store = SnapshotStore::new(
             self.bm.page_size(),
             self.bm.config().time_scale,
@@ -169,10 +152,8 @@ impl Database {
         );
         let engine = Arc::new(SnapshotEngine {
             store,
-            cfg,
             checkpoints: AtomicU64::new(0),
             last_fence: Mutex::new(None),
-            force_full: AtomicBool::new(false),
             last_micros: AtomicU64::new(0),
             last_pages: AtomicU64::new(0),
         });
@@ -203,10 +184,11 @@ impl Database {
     /// [`SnapshotConfig::default`] first.
     ///
     /// Requires a quiescent database: new transactions are blocked at the
-    /// fence gate and, if in-flight transactions do not drain within the
-    /// configured wait, the call fails with the *retryable*
+    /// fence gate and, if in-flight transactions do not drain within a
+    /// quarter second, the call fails with the *retryable*
     /// [`TxnError::CheckpointContended`] — it never runs concurrently
-    /// with live transactions' durability window.
+    /// with live transactions' durability window. The same error reports
+    /// a home flush that could not write every dirty DRAM page.
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
         let _serial = self.ckpt_serial.lock();
         let engine = self
@@ -215,7 +197,7 @@ impl Database {
         let started = Instant::now();
         let obs_t = spitfire_obs::op_start();
         let gate = self.fence_gate.write();
-        let deadline = Instant::now() + engine.cfg.quiesce_wait;
+        let deadline = Instant::now() + QUIESCE_WAIT;
         while !self.active.lock().is_empty() {
             if Instant::now() >= deadline {
                 drop(gate);
@@ -225,11 +207,6 @@ impl Database {
         }
         // Capture everything fence-consistent while quiescent.
         let fence = self.wal.fence()?;
-        // relaxed: cadence counter; serialized by ckpt_serial.
-        let n = engine.checkpoints.load(Ordering::Relaxed);
-        let full = n.is_multiple_of(engine.cfg.full_every.max(1))
-            || engine.force_full.swap(false, Ordering::AcqRel);
-        let dirty = self.bm.drain_dirty_epoch();
         let oracle_ts = self.oracle.load(Ordering::Acquire);
         let next_txn_id = self.txn_ids.load(Ordering::Acquire);
         let next_page_id = self.bm.page_count();
@@ -243,98 +220,61 @@ impl Database {
                 allocated_slots: rel.table.allocated_slots(),
             })
             .collect();
-        drop(gate); // transactions resume; the copy below is fuzzy
+        drop(gate); // transactions resume; the flush below is fuzzy
 
-        let result = self.write_generation(
+        let pages = self.flush_home()?;
+        let (generation, index_entries) = self.write_generation(
             &engine,
             fence,
-            full,
-            &dirty,
             (oracle_ts, next_txn_id, next_page_id),
             metas,
-        );
-        match result {
-            Ok((generation, pages, index_entries, full)) => {
-                let micros = started.elapsed().as_micros() as u64;
-                // relaxed: advisory gauges/counters.
-                engine.checkpoints.fetch_add(1, Ordering::Relaxed);
-                engine.last_micros.store(micros, Ordering::Relaxed);
-                engine.last_pages.store(pages as u64, Ordering::Relaxed);
-                spitfire_obs::record_op(
-                    spitfire_obs::Op::Checkpoint,
-                    obs_t,
-                    generation,
-                    "snapshot",
-                );
-                Ok(CheckpointStats {
-                    generation,
-                    pages,
-                    index_entries,
-                    full,
-                    micros,
-                })
-            }
-            Err(e) => {
-                // The generation was never installed; put the drained
-                // pids back so the next attempt still covers them.
-                self.bm.merge_dirty_epoch(&dirty);
-                Err(e)
-            }
-        }
+        )?;
+        let micros = started.elapsed().as_micros() as u64;
+        // relaxed: advisory gauges/counters.
+        engine.checkpoints.fetch_add(1, Ordering::Relaxed);
+        engine.last_micros.store(micros, Ordering::Relaxed);
+        engine.last_pages.store(pages as u64, Ordering::Relaxed);
+        spitfire_obs::record_op(spitfire_obs::Op::Checkpoint, obs_t, generation, "snapshot");
+        Ok(CheckpointStats {
+            generation,
+            pages,
+            index_entries,
+            micros,
+        })
     }
 
-    /// Stream one snapshot generation: page images (the drained dirty set
-    /// for an incremental one; a full generation is *SSD-backed* instead),
-    /// full index dumps, directory and manifest, install, then WAL
-    /// truncation to the previous fence.
-    ///
-    /// A full generation copies no page images into the store. It flushes
-    /// both buffer tiers — DRAM dirty pages reconcile into their NVM
-    /// copies or the SSD, NVM dirty pages write back to the SSD — and
-    /// syncs the SSD *before* the generation installs, so the durable
-    /// base state lives where it already belongs: the main SSD plus the
-    /// persistent NVM buffer. Recovery therefore installs only the pages
-    /// dirtied since then and stays O(checkpoint interval), not
-    /// O(database). Crash-consistency of the in-place flush: home-slot
-    /// overwrites only add effects newer than every fence the WAL still
-    /// covers, and tail redo rewrites whole version slots idempotently,
-    /// so a half-flushed, never-installed full generation cannot corrupt
-    /// the fallback generation.
+    /// Write every dirty DRAM page home (see the module docs), retrying
+    /// the pages left behind, then sync the main SSD so DRAM evictions'
+    /// unsynced home writes are durable too. Returns the pages written.
+    fn flush_home(&self) -> Result<usize> {
+        let mut flush = self.bm.flush_all_dirty()?;
+        let mut written = flush.written;
+        for attempt in 0..FLUSH_RETRIES {
+            if flush.left_behind.is_empty() {
+                break;
+            }
+            std::thread::sleep(FLUSH_BACKOFF * (1 << attempt));
+            flush = self.bm.flush_home(&flush.left_behind)?;
+            written += flush.written;
+        }
+        if !flush.left_behind.is_empty() {
+            return Err(TxnError::CheckpointContended);
+        }
+        self.bm.sync_ssd()?;
+        Ok(written)
+    }
+
+    /// Stream one snapshot generation — full index dumps and the manifest
+    /// — install it, then truncate the WAL to the previous fence. Returns
+    /// the generation and the index entries dumped.
     fn write_generation(
         &self,
         engine: &SnapshotEngine,
         fence: WalFence,
-        full: bool,
-        dirty: &[PageId],
         (oracle_ts, next_txn_id, next_page_id): (u64, u64, u64),
         metas: Vec<TableMeta>,
-    ) -> Result<(u64, usize, usize, bool)> {
-        let mut writer = engine.store.begin(full, fence.lsn);
-        let full = writer.is_full(); // the store forces full when empty
-        let pages = if full {
-            let mut flushed = self.bm.flush_all_dirty()?;
-            loop {
-                let n = self.bm.flush_nvm_dirty(MAINTENANCE_BATCH)?;
-                if n == 0 {
-                    break;
-                }
-                flushed += n;
-            }
-            self.bm.sync_ssd()?;
-            flushed
-        } else {
-            let mut pids: Vec<u64> = dirty.iter().map(|p| p.0).collect();
-            pids.sort_unstable();
-            let mut buf = vec![0u8; self.bm.page_size()];
-            for &pid in &pids {
-                {
-                    let guard = self.bm.fetch_read(PageId(pid))?;
-                    guard.read(0, &mut buf)?;
-                }
-                writer.page_image(pid, &buf)?;
-            }
-            pids.len()
-        };
+    ) -> Result<(u64, usize)> {
+        let mut writer = engine.store.begin(fence.lsn);
         let mut index_entries = 0usize;
         for meta in &metas {
             let index = &self.relation(meta.id)?.index;
@@ -366,14 +306,15 @@ impl Database {
         if let Some(prev) = prev {
             self.wal.truncate_to(prev)?;
         }
-        Ok((info.generation, pages, index_entries, full))
+        Ok((info.generation, index_entries))
     }
 
-    /// Instant-restart recovery: load the newest valid snapshot generation
-    /// and replay only the WAL tail past its fence. Returns `Ok(None)`
-    /// when there is nothing to restore (no generation ever installed, or
-    /// both retained ones corrupt) — the caller falls back to full-history
-    /// recovery.
+    /// Instant-restart recovery: over the pages' SSD homes and the NVM
+    /// buffer [`Database::recover`] has already scanned, load the newest
+    /// valid snapshot generation and replay only the WAL tail past its
+    /// fence. Returns `Ok(None)` when there is nothing to restore (no
+    /// generation ever installed, or both retained ones corrupt) — the
+    /// caller falls back to full-history recovery.
     pub(crate) fn recover_from_snapshot(
         &self,
         engine: &SnapshotEngine,
@@ -384,33 +325,14 @@ impl Database {
             return Ok(None);
         };
 
-        // Install each page the directory names, once.
-        let mut page_err: Option<spitfire_core::BufferError> = None;
-        let mut pages_installed = 0usize;
         let mut index_dumps: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
-        let manifest = engine.store.load(
-            gen,
-            |pid, image| {
-                if page_err.is_none() {
-                    match self.bm.install_page_image(PageId(pid), image) {
-                        Ok(()) => pages_installed += 1,
-                        Err(e) => page_err = Some(e),
-                    }
-                }
-            },
-            |table, entries| {
-                index_dumps
-                    .entry(table)
-                    .or_default()
-                    .extend_from_slice(entries);
-            },
-        )?;
-        if let Some(e) = page_err {
-            return Err(e.into());
-        }
+        let manifest = engine.store.load(gen, |table, entries| {
+            index_dumps
+                .entry(table)
+                .or_default()
+                .extend_from_slice(entries);
+        })?;
         stats.snapshot_generation = gen;
-        stats.snapshot_pages = pages_installed;
-        self.bm.sync_ssd()?;
         self.bm.admin().set_next_page_id(manifest.next_page_id);
 
         // Reopen tables from the manifest: catalog chains only, no
@@ -483,9 +405,7 @@ impl Database {
         self.txn_ids
             .fetch_max(manifest.next_txn_id.max(outcome.max_txn), Ordering::AcqRel);
 
-        // The dirty-epoch set does not span the crash; force the next
-        // generation to re-base. No WAL truncation until it installs.
-        engine.force_full.store(true, Ordering::Release);
+        // No WAL truncation until a generation of this run installs.
         *engine.last_fence.lock() = None;
         Ok(Some(()))
     }

@@ -96,8 +96,9 @@ pub struct RecoveryStats {
     pub index_entries: usize,
     /// Snapshot generation restored (0 = full-history recovery).
     pub snapshot_generation: u64,
-    /// Page images installed from the snapshot generation's directory
-    /// (each page once, at its newest image).
+    /// Page images installed from the snapshot generation: always 0, since
+    /// a checkpoint writes pages home instead of into the store. Kept for
+    /// the benchmark's `snapshot.recover_pages`.
     pub snapshot_pages: usize,
 }
 
@@ -913,10 +914,6 @@ impl spitfire_obs::Source for Database {
         out.add_gauge(
             "snapshot_store_free_blocks",
             store.map_or(0.0, |s| s.free_blocks() as f64),
-        );
-        out.add_gauge(
-            "snapshot_directory_pages",
-            store.map_or(0.0, |s| s.directory_pages() as f64),
         );
         out.add_gauge(
             "snapshot_generation",

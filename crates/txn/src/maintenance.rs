@@ -7,10 +7,10 @@
 //!
 //! Dirty-page flushing is not a service of this crate: the buffer
 //! manager's own [`spitfire_core::Maintenance`] workers keep free frames
-//! stocked, and [`Database::checkpoint`] flushes both tiers
-//! ([`spitfire_core::BufferManager::flush_all_dirty`], then
-//! [`spitfire_core::BufferManager::flush_nvm_dirty`] a batch at a time)
-//! before it truncates the WAL.
+//! stocked, and [`Database::checkpoint`] writes every dirty DRAM page to
+//! its SSD home ([`spitfire_core::BufferManager::flush_all_dirty`])
+//! before it truncates the WAL; NVM-resident pages are persistent where
+//! they lie.
 
 use std::collections::btree_map::Entry;
 use std::sync::atomic::Ordering;

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy, MAINTENANCE_BATCH};
+use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
 use spitfire_device::TimeScale;
 use spitfire_txn::{Database, DbConfig, TxnError, VacuumStats};
 
@@ -160,13 +160,13 @@ fn flush_entry_points_clean_dirty_pages() {
         }
         db.commit(&mut t).unwrap();
     }
-    // What a checkpoint does before truncating the WAL: flush dirty DRAM
-    // pages, then drain dirty NVM pages a batch at a time.
+    // What a checkpoint does before truncating the WAL: write every dirty
+    // DRAM page home. Dirty NVM pages are persistent and stay dirty.
     let bm = db.buffer_manager();
-    assert!(bm.flush_all_dirty().unwrap() > 0, "the load dirtied pages");
-    while bm.flush_nvm_dirty(MAINTENANCE_BATCH).unwrap() > 0 {}
-    assert_eq!(bm.dirty_pages().1, 0, "NVM drain left dirty pages");
-    // A second flush finds little or nothing dirty.
-    let remaining = bm.flush_all_dirty().unwrap();
-    assert!(remaining <= 4, "flush left {remaining} dirty pages");
+    let flush = bm.flush_all_dirty().unwrap();
+    assert!(flush.written > 0, "the load dirtied pages");
+    assert!(flush.left_behind.is_empty());
+    assert_eq!(bm.dirty_pages().0, 0, "DRAM dirt left behind");
+    // A second flush finds nothing dirty.
+    assert_eq!(bm.flush_all_dirty().unwrap(), Default::default());
 }

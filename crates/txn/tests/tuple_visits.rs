@@ -394,7 +394,9 @@ const TINY_NVM: usize = 4;
 /// lives in DRAM (created under an eager policy), the table on NVM under
 /// [`stay`]: `KEY` on data page 0, and enough keys behind it for
 /// `2 * TINY_NVM` more data pages to push page 0 out of NVM with. Every
-/// NVM copy is clean when this returns. Also returns those other pages.
+/// NVM copy is clean when this returns — the data pages are cycled through
+/// the pool until each copy in it was loaded from SSD. Also returns those
+/// other pages.
 fn tiny() -> (Database, Vec<PageId>) {
     let config = BufferManagerConfig::builder()
         .page_size(PAGE)
@@ -412,9 +414,12 @@ fn tiny() -> (Database, Vec<PageId>) {
     for key in 0..per_page * (2 * TINY_NVM as u64 + 1) {
         put(&db, key, 1);
     }
-    while bm.flush_nvm_dirty(8).unwrap() > 0 {}
     let pages = db.table_data_pages(T).unwrap();
     assert!(pages.len() > 2 * TINY_NVM);
+    for &page in pages.iter().cycle().take(2 * pages.len()) {
+        drop(bm.fetch_read(page).unwrap());
+    }
+    assert_eq!(bm.dirty_pages().1, 0);
     (db, pages[1..].to_vec())
 }
 
@@ -438,15 +443,13 @@ fn push_out(db: &Database, others: &[PageId], gone: impl Fn(&MetricsSnapshot) ->
 fn sole_readers_stamp_is_a_hint_and_never_reaches_the_ssd() {
     let (db, others) = tiny();
     let bm = db.buffer_manager();
-    let page0 = db.table_data_pages(T).unwrap()[0];
-    bm.drain_dirty_epoch();
 
     // The only transaction, so the oldest: its stamp may be lost.
     let mut reader = db.begin();
     let mut buf = [0u8; TUPLE];
     db.read_into(&reader, T, KEY, &mut buf).unwrap();
     db.commit(&mut reader).unwrap();
-    assert!(!bm.drain_dirty_epoch().contains(&page0));
+    assert_eq!(bm.dirty_pages().1, 0, "a hint stamp is no data dirt");
 
     let before = bm.metrics();
     let writes = push_out(&db, &others, |m| m.hint_discards > before.hint_discards);
@@ -462,15 +465,13 @@ fn sole_readers_stamp_is_a_hint_and_never_reaches_the_ssd() {
 fn stamp_under_an_older_transaction_is_data_and_still_refuses_it() {
     let (db, others) = tiny();
     let bm = db.buffer_manager();
-    let page0 = db.table_data_pages(T).unwrap()[0];
-    bm.drain_dirty_epoch();
 
     let mut older = db.begin();
     let mut reader = db.begin();
     let mut buf = [0u8; TUPLE];
     db.read_into(&reader, T, KEY, &mut buf).unwrap();
     db.commit(&mut reader).unwrap();
-    assert!(bm.drain_dirty_epoch().contains(&page0));
+    assert_eq!(bm.dirty_pages().1, 1, "page 0 holds a data stamp");
 
     let before = bm.metrics();
     let writes = push_out(&db, &others, |m| {

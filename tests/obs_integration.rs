@@ -260,6 +260,7 @@ const FULL_STACK_SCHEMA: &[&str] = &[
     "nvm_frames_total",
     "nvm_free_frames",
     "nvm_hits",
+    "nvm_home_drops",
     "nvm_low_watermark_frames",
     "nvm_occupied_frames",
     "nvm_read_ops",
@@ -283,7 +284,6 @@ const FULL_STACK_SCHEMA: &[&str] = &[
     "shadow_commits_evict",
     "shadow_commits_flush",
     "shadow_commits_promote",
-    "snapshot_directory_pages",
     "snapshot_generation",
     "snapshot_store_free_blocks",
     "snapshot_store_used_bytes",
