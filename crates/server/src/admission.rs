@@ -1,8 +1,8 @@
 //! Admission control: bounded queues, memory-pressure shedding, and
 //! per-tenant token-bucket quotas.
 //!
-//! Every request passes [`Admission::admit`] *before* it is queued, on the
-//! connection's reader thread. The checks, in order:
+//! Every request passes [`Admission::admit`] *before* it is queued or run
+//! inline, on the connection's reader thread. The checks, in order:
 //!
 //! 1. **Per-connection queue bound** — a slow or flooding connection may
 //!    buffer at most `per_conn_queue` requests; beyond that it is shed
@@ -179,8 +179,8 @@ impl spitfire_obs::Source for Admission {
 /// Outcome of an admission decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Queue it. The global in-flight count has been charged; the caller
-    /// must release it via [`Admission::release`] when the request
+    /// Run or queue it. The global in-flight count has been charged; the
+    /// caller must release it via [`Admission::release`] when the request
     /// finishes (or is discarded).
     Admit,
     /// Reject with a retryable typed error; nothing was charged.

@@ -5,6 +5,8 @@
 //!     --quota 1:5000 --weight 0:4 --allow-remote-shutdown --max-secs 60
 //! ```
 //!
+//! `--workers N` bounds the threads executing database work at once: the
+//! worker pool plus any connection readers running a request inline.
 //! `--quota T:OPS` caps tenant `T` at `OPS` admitted ops/s; `--weight T:W`
 //! sets its fair-share weight. Both repeat. The process exits when a
 //! SHUTDOWN frame arrives (with `--allow-remote-shutdown`) or after
@@ -64,7 +66,10 @@ fn main() {
                      [--value-bytes N] [--preload-keys N] [--dram-mb N] [--nvm-mb N]\n\
                      [--conn-queue N] [--global-inflight N] [--no-pressure-shedding]\n\
                      [--quota T:OPS]... [--weight T:W]... [--allow-remote-shutdown]\n\
-                     [--max-secs N]"
+                     [--max-secs N]\n\
+                     \n\
+                     --workers N  threads executing database work at once, readers\n\
+                     \x20            running a request inline included (default 4)"
                 );
                 return;
             }

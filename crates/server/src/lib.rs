@@ -11,10 +11,12 @@
 //!   [`spitfire_core::BufferManager::pressure`], and per-tenant
 //!   token-bucket quotas. Shed requests get typed, retryable errors.
 //! * [`scheduler`] — deficit round-robin over per-tenant rings so a
-//!   flooding tenant cannot starve a quiet one.
-//! * [`server`] — the listener, per-connection reader threads, the
-//!   worker pool executing against per-connection [`spitfire_txn::Session`]s,
-//!   and the pressure monitor.
+//!   flooding tenant cannot starve a quiet one, and the execution slots
+//!   that bound how many threads run database work at once.
+//! * [`server`] — the listener, per-connection reader threads (which run
+//!   a request themselves when nothing waits behind or ahead of it), the
+//!   worker pool executing against per-connection
+//!   [`spitfire_txn::Session`]s, and the pressure monitor.
 //!
 //! ```no_run
 //! use spitfire_server::{Server, ServerConfig, TenantConfig};

@@ -9,6 +9,13 @@
 //! every tenant's deficit (or ring) is exhausted. A tenant flooding the
 //! server with ready connections therefore cannot starve a light tenant —
 //! the light tenant's ring is visited every cycle.
+//!
+//! The scheduler also owns the server's *execution slots*: a dispatch from
+//! [`Scheduler::next`] holds one until [`Scheduler::release`], and so does
+//! a reader that runs a request itself after [`Scheduler::try_claim`]. The
+//! claim succeeds only while no connection is ready, so an inline run never
+//! overtakes a connection waiting in a ring, and inline runs and worker
+//! dispatches together never exceed the slot count.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -31,22 +38,39 @@ struct Rings<T> {
     cursor: usize,
     /// Total ready items across all rings.
     ready: usize,
+    /// Execution slots currently held (dispatches plus inline claims).
+    busy: usize,
     shutdown: bool,
 }
 
-/// Deficit round-robin scheduler; `next()` blocks until an item or
-/// shutdown.
+impl<T> Rings<T> {
+    fn can_dispatch(&self, slots: usize) -> bool {
+        self.ready > 0 && self.busy < slots
+    }
+}
+
+/// Deficit round-robin scheduler; `next()` blocks until an item is ready
+/// and an execution slot is free, or shutdown.
 pub struct Scheduler<T> {
     inner: Mutex<Rings<T>>,
     available: Condvar,
     weights: Vec<u32>,
     /// Dispatch credit granted per weight unit per refill.
     quantum: u32,
+    /// Execution slots; `usize::MAX` for a scheduler that never bounds.
+    slots: usize,
 }
 
 impl<T: Schedulable> Scheduler<T> {
-    /// Scheduler for `weights.len()` tenants.
+    /// Scheduler for `weights.len()` tenants with unbounded execution
+    /// slots: `next` never waits for a [`Scheduler::release`].
     pub fn new(weights: Vec<u32>) -> Self {
+        Self::with_slots(weights, usize::MAX)
+    }
+
+    /// Scheduler for `weights.len()` tenants whose dispatches and inline
+    /// claims together hold at most `slots` (≥ 1) execution slots.
+    pub fn with_slots(weights: Vec<u32>, slots: usize) -> Self {
         let n = weights.len();
         let weights: Vec<u32> = weights.into_iter().map(|w| w.max(1)).collect();
         Scheduler {
@@ -55,11 +79,13 @@ impl<T: Schedulable> Scheduler<T> {
                 deficit: weights.clone(),
                 cursor: 0,
                 ready: 0,
+                busy: 0,
                 shutdown: false,
             }),
             available: Condvar::new(),
             weights,
             quantum: 1,
+            slots: slots.max(1),
         }
     }
 
@@ -78,14 +104,16 @@ impl<T: Schedulable> Scheduler<T> {
     }
 
     /// Dequeue the next item in weighted-fair order; blocks until one is
-    /// ready. Returns `None` after [`Scheduler::stop`].
+    /// ready and an execution slot is free. The caller holds that slot
+    /// until [`Scheduler::release`]. Returns `None` after
+    /// [`Scheduler::stop`].
     pub fn next(&self) -> Option<Arc<T>> {
         let mut g = self.inner.lock();
         loop {
             if g.shutdown {
                 return None;
             }
-            if g.ready > 0 {
+            if g.can_dispatch(self.slots) {
                 return Some(self.pick(&mut g));
             }
             self.available.wait(&mut g);
@@ -100,7 +128,7 @@ impl<T: Schedulable> Scheduler<T> {
             if g.shutdown {
                 return None;
             }
-            if g.ready > 0 {
+            if g.can_dispatch(self.slots) {
                 return Some(self.pick(&mut g));
             }
             if self.available.wait_for(&mut g, timeout).timed_out() {
@@ -109,10 +137,37 @@ impl<T: Schedulable> Scheduler<T> {
         }
     }
 
-    /// DRR scan. Invariant: `g.ready > 0`, so some ring is non-empty and
-    /// the scan terminates after at most two passes (one to exhaust stale
-    /// deficits, one after the refill).
+    /// Claim an execution slot for work that bypasses the rings. Refused
+    /// while any item is ready (it would be overtaken), while every slot
+    /// is held, and after [`Scheduler::stop`]. On success the caller
+    /// holds the slot until [`Scheduler::release`].
+    pub fn try_claim(&self) -> bool {
+        let mut g = self.inner.lock();
+        if g.shutdown || g.ready > 0 || g.busy >= self.slots {
+            return false;
+        }
+        g.busy += 1;
+        true
+    }
+
+    /// Return a slot taken by [`Scheduler::next`] or
+    /// [`Scheduler::try_claim`], waking a waiter if an item is ready.
+    pub fn release(&self) {
+        let mut g = self.inner.lock();
+        debug_assert!(g.busy > 0, "release without a held slot");
+        g.busy -= 1;
+        let wake = g.ready > 0;
+        drop(g);
+        if wake {
+            self.available.notify_one();
+        }
+    }
+
+    /// DRR scan; takes a slot for the dispatch. Invariant: `g.ready > 0`,
+    /// so some ring is non-empty and the scan terminates after at most
+    /// two passes (one to exhaust stale deficits, one after the refill).
     fn pick(&self, g: &mut Rings<T>) -> Arc<T> {
+        g.busy += 1;
         let n = g.rings.len();
         loop {
             let mut visited = 0;
@@ -229,5 +284,64 @@ mod tests {
         let s = Scheduler::<Item>::new(vec![1]);
         assert!(s.next_timeout(Duration::from_millis(10)).is_none());
         assert!(!s.is_stopped());
+    }
+
+    #[test]
+    fn claim_refused_while_ready_or_slots_full() {
+        let s = Scheduler::with_slots(vec![1], 2);
+        s.enqueue(Arc::new(Item(0)));
+        assert!(!s.try_claim(), "a ready item must not be overtaken");
+        let _dispatched = s.next().expect("ready");
+        assert!(s.try_claim(), "one slot of two is free");
+        assert!(!s.try_claim(), "every slot is held");
+        s.release();
+        assert!(s.try_claim());
+        s.release();
+        s.release();
+        s.stop();
+        assert!(!s.try_claim(), "no claims after stop");
+    }
+
+    #[test]
+    fn next_waits_for_a_slot_once_slots_are_outstanding() {
+        let s = Scheduler::with_slots(vec![1], 2);
+        for _ in 0..3 {
+            s.enqueue(Arc::new(Item(0)));
+        }
+        assert!(s.next().is_some());
+        assert!(s.next().is_some());
+        // Both slots are out: the third item stays ready until one comes
+        // back.
+        assert!(s.next_timeout(Duration::from_millis(20)).is_none());
+        s.release();
+        assert!(s.next_timeout(Duration::from_millis(20)).is_some());
+        assert!(s.next_timeout(Duration::from_millis(20)).is_none());
+    }
+
+    #[test]
+    fn release_wakes_a_worker_waiting_for_a_slot() {
+        let s = Arc::new(Scheduler::with_slots(vec![1], 1));
+        assert!(s.try_claim());
+        s.enqueue(Arc::new(Item(0)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let s2 = Arc::clone(&s);
+        let h = std::thread::spawn(move || tx.send(s2.next().is_some()).unwrap());
+        // The worker sees a ready item but no free slot, so it waits.
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        s.release();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn new_is_unbounded() {
+        // Callers of `new` may dispatch forever without returning a slot.
+        let s = Scheduler::new(vec![1]);
+        let item = Arc::new(Item(0));
+        for _ in 0..10_000 {
+            s.enqueue(Arc::clone(&item));
+            assert!(s.next_timeout(Duration::from_secs(1)).is_some());
+        }
+        assert!(s.try_claim());
     }
 }

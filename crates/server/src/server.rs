@@ -3,13 +3,17 @@
 //!
 //! # Threading model
 //!
-//! * **Acceptor** — one thread polling a non-blocking listener; spawns a
-//!   small-stack reader thread per connection.
-//! * **Readers** — one per connection; block in [`read_frame`], decode,
-//!   run [`Admission::admit`], and either write a shed reply inline or
-//!   push the request onto the connection's bounded queue and mark the
-//!   connection ready in the [`Scheduler`]. Readers never touch the
-//!   buffer manager, so a flood of connections cannot monopolise it.
+//! * **Acceptor** — one thread blocked in `accept`; spawns a reader
+//!   thread per connection. Stopping the server wakes it with one
+//!   connection to its own address.
+//! * **Readers** — one per connection; block in [`read_frame`] on a
+//!   buffered stream, decode, run [`Admission::admit`], and write a shed
+//!   reply themselves. An admitted request that nothing waits behind runs
+//!   to completion on the reader: its buffer holds no further bytes, the
+//!   connection has nothing queued and no worker has claimed it, and
+//!   [`Scheduler::try_claim`] finds no connection ready and an execution
+//!   slot free. Otherwise the reader pushes it onto the connection's
+//!   bounded queue and marks the connection ready in the [`Scheduler`].
 //! * **Workers** — a small pool (one per-thread descriptor cache each, as
 //!   everywhere else in the tree); each pulls a *connection* from the
 //!   weighted-fair scheduler, executes a batch of its requests against
@@ -18,14 +22,19 @@
 //!   raises the admission shed signal while free frames sit below the
 //!   maintenance low watermark or miss-path backpressure fallbacks climb.
 //!
+//! Worker dispatches and inline runs draw on the same
+//! [`ServerConfig::workers`] execution slots, so at most that many threads
+//! execute database work at once however many connections there are, and
+//! a connection's requests still run one at a time, in arrival order.
+//!
 //! A connection is pinned to the tenant of its first request; frames that
 //! later name a different tenant are protocol errors. Disconnects abort
 //! any open transaction (the [`Session`] drop / explicit abort) and
 //! release every queued request's admission charge.
 
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,7 +62,9 @@ const WORKER_BATCH: usize = 8;
 pub struct ServerConfig {
     /// Listen address, e.g. `"127.0.0.1:0"` (port 0 = ephemeral).
     pub addr: String,
-    /// Worker threads executing database operations.
+    /// Threads executing database operations at once: the worker pool's
+    /// size, and the bound on workers plus readers running a request
+    /// inline.
     pub workers: usize,
     /// Buffer-manager page size in bytes.
     pub page_size: usize,
@@ -111,7 +122,9 @@ pub struct Conn {
     tenant: AtomicU32,
     queue: Mutex<Vec<Queued>>,
     /// True while the connection sits in (or is claimed from) the
-    /// scheduler; guards against double-enqueue.
+    /// scheduler; guards against double-enqueue, and while it is set a
+    /// worker may hold requests drained from `queue`, so the reader must
+    /// not run one inline.
     scheduled: AtomicBool,
     closed: AtomicBool,
     session: Mutex<Session>,
@@ -147,10 +160,17 @@ struct Shared {
     admission: Admission,
     sched: Scheduler<Conn>,
     stop: AtomicBool,
+    /// The bound address; stopping connects to it once to wake the
+    /// acceptor.
+    addr: SocketAddr,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     next_conn: AtomicU64,
     accepted: AtomicU64,
     protocol_errors: AtomicU64,
+    /// Requests a reader ran itself.
+    inline_ops: AtomicU64,
+    /// Requests a worker ran from a connection's queue.
+    queued_ops: AtomicU64,
     /// Server-side request latency (admission → reply), one per tenant.
     tenant_hists: Vec<Arc<HistogramSet>>,
 }
@@ -159,7 +179,6 @@ struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     maintenance: Maintenance,
-    addr: std::net::SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -197,7 +216,6 @@ impl Server {
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let weights: Vec<u32> = config.tenants.iter().map(|t| t.weight).collect();
         let tenant_hists = (0..config.tenants.len())
@@ -205,12 +223,15 @@ impl Server {
             .collect();
         let shared = Arc::new(Shared {
             admission: Admission::new(config.admission.clone(), &config.tenants),
-            sched: Scheduler::new(weights),
+            sched: Scheduler::with_slots(weights, config.workers.max(1)),
             stop: AtomicBool::new(false),
+            addr,
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            inline_ops: AtomicU64::new(0),
+            queued_ops: AtomicU64::new(0),
             tenant_hists,
             config,
             bm,
@@ -248,14 +269,13 @@ impl Server {
         Ok(Server {
             shared,
             maintenance,
-            addr,
             threads,
         })
     }
 
     /// The bound address (use with `addr: "127.0.0.1:0"`).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+    pub fn local_addr(&self) -> SocketAddr {
+        self.shared.addr
     }
 
     /// The underlying database (tests inspect residency and txn stats).
@@ -322,6 +342,15 @@ impl Shared {
         for conn in self.conns.lock().values() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
+        // The acceptor checks `stop` after every accept; give it one.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
     }
 
     /// What STATS replies with: one report built from this server's own
@@ -343,11 +372,14 @@ impl Source for Shared {
         out.add_gauge("server_conns", self.conns.lock().len() as f64);
         // relaxed: advisory statistics with no cross-field consistency claim.
         out.add_counter("server_accepted", self.accepted.load(Ordering::Relaxed));
-        out.add_counter(
-            "server_protocol_errors",
-            // relaxed: advisory statistic, as above.
-            self.protocol_errors.load(Ordering::Relaxed),
-        );
+        // relaxed: advisory statistics, as above.
+        for (name, counter) in [
+            ("server_protocol_errors", &self.protocol_errors),
+            ("server_inline_ops", &self.inline_ops),
+            ("server_queued_ops", &self.queued_ops),
+        ] {
+            out.add_counter(name, counter.load(Ordering::Relaxed));
+        }
         self.admission.report(out);
     }
 }
@@ -395,8 +427,12 @@ pub fn decode_value(tuple: &[u8]) -> Option<&[u8]> {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 // relaxed: the accept counter is a statistic and the conn id needs only the uniqueness the RMW provides.
                 shared.accepted.fetch_add(1, Ordering::Relaxed);
@@ -418,26 +454,23 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                 });
                 shared.conns.lock().insert(id, Arc::clone(&conn));
                 let s = Arc::clone(shared);
-                // Small stacks: readers only frame/decode, and there may
-                // be thousands of them.
+                // Readers get a worker's default stack: they run requests
+                // inline, down through the index and the buffer manager.
                 let spawned = std::thread::Builder::new()
                     .name(format!("spitfire-conn-{id}"))
-                    .stack_size(128 * 1024)
                     .spawn(move || reader_loop(&s, &conn));
                 if spawned.is_err() {
                     shared.conns.lock().remove(&id);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // Out of descriptors or memory: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
 }
 
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
-    let mut reader = &conn.stream;
+    let mut reader = BufReader::new(&conn.stream);
     while let Ok(Some(frame)) = read_frame(&mut reader) {
         let req = match crate::protocol::decode_request(&frame) {
             Ok(req) => req,
@@ -457,16 +490,16 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
                 break;
             }
         };
-        if !handle_request(shared, conn, req) {
-            break;
-        }
+        let pipelined = !reader.buffer().is_empty();
+        handle_request(shared, conn, req, pipelined);
     }
     disconnect(shared, conn);
 }
 
-/// Validate, admit, and queue (or shed) one decoded request. Returns
-/// `false` when the connection should close.
-fn handle_request(shared: &Arc<Shared>, conn: &Arc<Conn>, req: Request) -> bool {
+/// Validate and admit one decoded request, then run it here or queue it
+/// for a worker (or shed it). `pipelined`: the client already sent more
+/// bytes behind this request.
+fn handle_request(shared: &Arc<Shared>, conn: &Arc<Conn>, req: Request, pipelined: bool) {
     let opcode = req.cmd.opcode();
     if req.tenant as usize >= shared.admission.tenant_count() {
         // relaxed: protocol-error statistic.
@@ -480,7 +513,7 @@ fn handle_request(shared: &Arc<Shared>, conn: &Arc<Conn>, req: Request) -> bool 
                 message: format!("unknown tenant {}", req.tenant),
             },
         );
-        return true;
+        return;
     }
     // Pin the connection's tenant on first use.
     // relaxed: the tenant pin is only written by this connection's handler thread (the atomic serves cross-thread advisory reads); the error counter is a statistic.
@@ -498,7 +531,7 @@ fn handle_request(shared: &Arc<Shared>, conn: &Arc<Conn>, req: Request) -> bool 
                 message: format!("connection is pinned to tenant {pinned}"),
             },
         );
-        return true;
+        return;
     }
     let depth = conn.queue.lock().len();
     match shared
@@ -507,17 +540,32 @@ fn handle_request(shared: &Arc<Shared>, conn: &Arc<Conn>, req: Request) -> bool 
     {
         Verdict::Shed(code, reason) => {
             conn.send(opcode, req.request_id, &Reply::shed(code, reason));
-            true
         }
         Verdict::Admit => {
-            conn.queue.lock().push(Queued {
+            let item = Queued {
                 req,
                 enqueued: Instant::now(),
-            });
+            };
+            // Run it here when nothing waits behind or ahead of it. Only
+            // this thread grows the queue, so an empty one stays empty; a
+            // clear `scheduled` (Acquire, pairing with the worker's
+            // Release) means no worker holds a drained request either.
+            // `try_claim` refuses while any connection is ready.
+            if !pipelined
+                && depth == 0
+                && !conn.scheduled.load(Ordering::Acquire)
+                && shared.sched.try_claim()
+            {
+                // relaxed: where-it-ran statistic.
+                shared.inline_ops.fetch_add(1, Ordering::Relaxed);
+                execute(shared, conn, item);
+                shared.sched.release();
+                return;
+            }
+            conn.queue.lock().push(item);
             if !conn.scheduled.swap(true, Ordering::AcqRel) {
                 shared.sched.enqueue(Arc::clone(conn));
             }
-            true
         }
     }
 }
@@ -556,10 +604,14 @@ fn worker_loop(shared: &Arc<Shared>) {
                 shared.admission.release();
                 continue;
             }
+            // relaxed: where-it-ran statistic.
+            shared.queued_ops.fetch_add(1, Ordering::Relaxed);
             execute(shared, &conn, item);
         }
         // Re-arm: clear the claim, then re-enqueue if more arrived. The
         // second swap keeps exactly one scheduler entry per connection.
+        // Re-enqueue before returning the slot, so a reader that sees the
+        // slot free also sees this connection ready and does not pass it.
         conn.scheduled.store(false, Ordering::Release);
         if !conn.queue.lock().is_empty()
             && !conn.closed.load(Ordering::Acquire)
@@ -567,6 +619,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         {
             shared.sched.enqueue(conn);
         }
+        shared.sched.release();
     }
 }
 

@@ -1,10 +1,11 @@
 //! End-to-end server tests over real TCP connections: basic command
-//! coverage, overload shedding, disconnect-mid-transaction cleanup, and
-//! multi-tenant fairness under a flood.
+//! coverage, overload shedding, disconnect-mid-transaction cleanup,
+//! per-connection order across inline and queued execution, prompt
+//! shutdown, and multi-tenant fairness under a flood.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,15 +33,24 @@ impl Client {
     }
 
     fn send(&mut self, cmd: Command) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = encode_request(&Request {
-            tenant: self.tenant,
-            request_id: id,
-            cmd,
-        });
-        self.stream.write_all(&frame).expect("send");
-        id
+        self.send_all(vec![cmd])[0]
+    }
+
+    /// Pipeline `cmds` in one write; returns their request ids.
+    fn send_all(&mut self, cmds: Vec<Command>) -> Vec<u64> {
+        let mut bytes = Vec::new();
+        let mut ids = Vec::new();
+        for cmd in cmds {
+            ids.push(self.next_id);
+            bytes.extend(encode_request(&Request {
+                tenant: self.tenant,
+                request_id: self.next_id,
+                cmd,
+            }));
+            self.next_id += 1;
+        }
+        self.stream.write_all(&bytes).expect("send");
+        ids
     }
 
     fn recv(&mut self) -> ReplyFrame {
@@ -56,6 +66,11 @@ impl Client {
         assert_eq!(reply.request_id, id, "replies arrive in order");
         reply.reply
     }
+}
+
+/// A front-end counter from the server's obs report.
+fn counter(server: &Server, name: &str) -> u64 {
+    server.report().counters[name]
 }
 
 fn small_config(tenants: Vec<TenantConfig>) -> ServerConfig {
@@ -193,6 +208,10 @@ fn commands_round_trip_over_tcp() {
     ));
 
     assert_eq!(server.protocol_errors(), 0);
+    // A closed-loop client with nothing queued ahead of it and idle workers
+    // never waits for one: every request ran on its reader.
+    assert_eq!(counter(&server, "server_inline_ops"), c.next_id);
+    assert_eq!(counter(&server, "server_queued_ops"), 0);
     server.shutdown();
 }
 
@@ -263,12 +282,15 @@ fn overload_sheds_with_retryable_errors() {
     };
     let server = Server::start(config).unwrap();
 
-    // Pipeline far more requests than the queue bound allows.
+    // Pipeline far more requests than the queue bound allows, in one
+    // write: pipelined requests take the queued path, where the bound is.
     let mut c = Client::connect(&server, 0);
     const PIPELINED: usize = 256;
-    for i in 0..PIPELINED {
-        c.send(Command::Get { key: i as u64 % 16 });
-    }
+    c.send_all(
+        (0..PIPELINED)
+            .map(|i| Command::Get { key: i as u64 % 16 })
+            .collect(),
+    );
     let mut ok = 0u64;
     let mut shed = 0u64;
     for _ in 0..PIPELINED {
@@ -288,6 +310,7 @@ fn overload_sheds_with_retryable_errors() {
     assert!(ok > 0, "some requests must be served");
     assert!(shed > 0, "queue bound must shed under pipelined overload");
     assert_eq!(server.admission().tenant(0).shed_total(), shed);
+    assert!(counter(&server, "server_queued_ops") > 0);
 
     // The server remains healthy afterwards.
     assert_eq!(c.call(Command::Get { key: 0 }), Reply::Value(vec![]));
@@ -396,4 +419,84 @@ fn flooding_tenant_cannot_starve_quiet_tenant() {
         quiet_pages.len()
     );
     server.shutdown();
+}
+
+/// One connection alternates pipelined bursts (`PUT k=i; GET k` in one
+/// write) with single calls while a second connection keeps the workers
+/// busy, so its requests cross between running on the reader and waiting
+/// for a worker. Every GET must see the PUT before it, and replies must
+/// come back in request order.
+fn order_holds_across_inline_and_queued(workers: usize) {
+    let mut config = small_config(vec![TenantConfig::default()]);
+    config.workers = workers;
+    let server = Server::start(config).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+
+    // Busy: pipelined bursts of reads on keys the checked connection
+    // never writes.
+    let busy = {
+        let mut c = Client::connect(&server, 0);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            // relaxed: test stop flag; one extra burst is harmless.
+            while !stop.load(Ordering::Relaxed) {
+                let burst = (0..8).map(|k| Command::Get { key: 128 + k }).collect();
+                for id in c.send_all(burst) {
+                    let reply = c.recv();
+                    assert_eq!(reply.request_id, id, "busy replies in order");
+                    assert_eq!(reply.reply, Reply::Value(vec![]));
+                }
+            }
+        })
+    };
+
+    let mut c = Client::connect(&server, 0);
+    for i in 0..2000u32 {
+        let key = u64::from(i % 64);
+        let value = i.to_le_bytes().to_vec();
+        let ids = c.send_all(vec![
+            Command::Put {
+                key,
+                value: value.clone(),
+            },
+            Command::Get { key },
+        ]);
+        let put = c.recv();
+        assert_eq!((put.request_id, put.reply), (ids[0], Reply::Ok));
+        let get = c.recv();
+        assert_eq!(get.request_id, ids[1], "replies in request order");
+        assert_eq!(get.reply, Reply::Value(value.clone()), "round {i}");
+        assert_eq!(c.call(Command::Get { key }), Reply::Value(value));
+    }
+    // relaxed: test stop flag.
+    stop.store(true, Ordering::Relaxed);
+    busy.join().unwrap();
+
+    assert!(counter(&server, "server_inline_ops") > 0);
+    assert!(counter(&server, "server_queued_ops") > 0);
+    assert_eq!(server.protocol_errors(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn order_holds_across_inline_and_queued_one_worker() {
+    order_holds_across_inline_and_queued(1);
+}
+
+#[test]
+fn order_holds_across_inline_and_queued_four_workers() {
+    order_holds_across_inline_and_queued(4);
+}
+
+/// The acceptor blocks in `accept`; stopping must still wake it at once.
+#[test]
+fn idle_server_shuts_down_promptly() {
+    let server = Server::start(small_config(vec![TenantConfig::default()])).unwrap();
+    let t = Instant::now();
+    server.shutdown();
+    assert!(
+        t.elapsed() < Duration::from_millis(100),
+        "shutdown took {:?}",
+        t.elapsed()
+    );
 }

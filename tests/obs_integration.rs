@@ -273,7 +273,9 @@ const FULL_STACK_SCHEMA: &[&str] = &[
     "server_accepted",
     "server_conns",
     "server_inflight",
+    "server_inline_ops",
     "server_protocol_errors",
+    "server_queued_ops",
     "server_under_pressure",
     "shadow_abort_rate_evict",
     "shadow_abort_rate_flush",
