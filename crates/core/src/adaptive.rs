@@ -35,29 +35,6 @@ pub enum CostObjective {
         /// Weight of the write-volume penalty.
         lambda: f64,
     },
-    /// `cost = (1 + λ · p99_ms) / throughput`: folds the observed p99
-    /// operation latency (milliseconds, e.g. from the `workload_op`
-    /// observability histogram) into the cost, steering the search toward
-    /// policies with good tail latency rather than raw throughput alone.
-    /// Falls back to the plain objective for epochs without a p99 sample.
-    TailLatency {
-        /// Weight of the tail-latency penalty (per millisecond of p99).
-        lambda: f64,
-    },
-}
-
-/// Per-epoch measurements fed back to the tuner via
-/// [`AnnealingTuner::observe_epoch`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpochStats {
-    /// Operations per second achieved under the candidate policy.
-    pub throughput: f64,
-    /// NVM write volume in MB per operation (endurance objective).
-    pub nvm_mb_per_op: f64,
-    /// 99th-percentile operation latency in nanoseconds (tail objective),
-    /// typically `spitfire_obs::registry().histogram(Op::WorkloadOp)`'s
-    /// epoch-delta quantile.
-    pub p99_latency_ns: Option<u64>,
 }
 
 /// Tuning parameters (defaults follow §6.4: α = 0.9, γ = 10, t₀ = 800,
@@ -171,31 +148,15 @@ impl AnnealingTuner {
     }
 
     /// Feed back throughput *and* the NVM write volume (MB per operation)
-    /// observed during the epoch; the endurance-aware objective folds the
-    /// volume into the cost.
+    /// observed during the epoch; the configured [`CostObjective`] decides
+    /// whether the volume enters the cost. Also publishes the annealing
+    /// temperature as the `sa_temperature` observability gauge.
     pub fn observe_with(&mut self, throughput: f64, nvm_mb_per_op: f64) -> MigrationPolicy {
-        self.observe_epoch(EpochStats {
-            throughput,
-            nvm_mb_per_op,
-            p99_latency_ns: None,
-        })
-    }
-
-    /// Feed back a full epoch measurement (throughput, NVM write volume,
-    /// tail latency); the configured [`CostObjective`] decides which parts
-    /// enter the cost. Also publishes the annealing temperature as the
-    /// `sa_temperature` observability gauge.
-    pub fn observe_epoch(&mut self, stats: EpochStats) -> MigrationPolicy {
-        let throughput = stats.throughput;
         let penalty = match self.params.objective {
             CostObjective::Throughput => 1.0,
             CostObjective::ThroughputWithEndurance { lambda } => {
-                1.0 + lambda * stats.nvm_mb_per_op.max(0.0)
+                1.0 + lambda * nvm_mb_per_op.max(0.0)
             }
-            CostObjective::TailLatency { lambda } => match stats.p99_latency_ns {
-                Some(p99) => 1.0 + lambda * (p99 as f64 / 1e6),
-                None => 1.0,
-            },
         };
         let cost = penalty / throughput.max(1e-9);
         let accepted = match self.current_cost {
@@ -356,45 +317,6 @@ mod tests {
         assert!(
             endurance.accepted,
             "endurance objective must accept 10% slower for 2 MB/op fewer writes"
-        );
-    }
-
-    #[test]
-    fn tail_latency_objective_penalizes_high_p99() {
-        // Two synthetic policies: "fast but spiky" (high p99) vs "slower
-        // but smooth". The plain objective prefers the first; the
-        // tail-latency objective must prefer the second.
-        let observe_both = |params: AnnealingParams| {
-            let mut t = AnnealingTuner::new(MigrationPolicy::eager(), params, 5);
-            let spiky = EpochStats {
-                throughput: 1000.0,
-                nvm_mb_per_op: 0.0,
-                p99_latency_ns: Some(10_000_000), // 10 ms
-            };
-            // Establish the fast/spiky point as current and cool fully.
-            for _ in 0..201 {
-                t.observe_epoch(spiky);
-            }
-            // Offer the slower/smooth point.
-            t.observe_epoch(EpochStats {
-                throughput: 900.0,
-                nvm_mb_per_op: 0.0,
-                p99_latency_ns: Some(1_000_000), // 1 ms
-            });
-            t.history().last().copied().expect("history")
-        };
-        let plain = observe_both(AnnealingParams::default());
-        assert!(
-            !plain.accepted,
-            "plain objective must reject the 10% slower policy"
-        );
-        let tail = observe_both(AnnealingParams {
-            objective: CostObjective::TailLatency { lambda: 1.0 },
-            ..AnnealingParams::default()
-        });
-        assert!(
-            tail.accepted,
-            "tail objective must accept 10% slower for 10x lower p99"
         );
     }
 

@@ -3,7 +3,6 @@
 use spitfire_device::{PersistenceTracking, SsdBackendConfig, TimeScale};
 
 use crate::policy::MigrationPolicy;
-use crate::replacement::PolicyConfig;
 
 /// Default page size: 16 KB, as in HyMem and the paper's experiments.
 pub const DEFAULT_PAGE_SIZE: usize = 16 * 1024;
@@ -86,6 +85,16 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// The replacement policy a pool runs. There is one: the paper's per-tier
+/// CLOCK (§5.2), which every pool runs inline. The type stays only so
+/// callers of [`BufferManagerConfigBuilder::dram_policy`] /
+/// [`BufferManagerConfigBuilder::nvm_policy`] keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PolicyConfig {
+    /// CLOCK second-chance sweep over the pool's occupied frames.
+    Clock,
+}
+
 // Background maintenance constants: values, not options — no binary,
 // server, benchmark workload or example has a reason to set one.
 
@@ -164,9 +173,6 @@ pub struct BufferManagerConfig {
     pub mini_pages: bool,
     /// Run tier 1 in memory mode (DRAM as hardware cache over NVM).
     pub memory_mode: bool,
-    /// Capacity of the HyMem admission queue in pages; defaults to half the
-    /// NVM buffer's page count (§6.5).
-    pub admission_queue_capacity: Option<usize>,
     /// Seed for the policy's coin flips (reproducible experiments).
     pub seed: u64,
     /// Background maintenance tuning (the workers' wake-up period).
@@ -174,10 +180,6 @@ pub struct BufferManagerConfig {
     /// SSD backing store: the in-memory emulation (default) or a real
     /// file with direct I/O.
     pub ssd_backend: SsdBackendConfig,
-    /// Replacement policy for the DRAM (tier 1) pool.
-    pub dram_policy: PolicyConfig,
-    /// Replacement policy for the NVM (tier 2) pool.
-    pub nvm_policy: PolicyConfig,
 }
 
 impl BufferManagerConfig {
@@ -199,12 +201,9 @@ impl BufferManagerConfig {
             fine_grained: None,
             mini_pages: false,
             memory_mode: false,
-            admission_queue_capacity: None,
             seed: 0x5f17f17e,
             maintenance: MaintenanceConfig::default(),
             ssd_backend: SsdBackendConfig::default(),
-            dram_policy: PolicyConfig::Clock,
-            nvm_policy: PolicyConfig::Clock,
         }
     }
 
@@ -341,12 +340,6 @@ impl BufferManagerConfigBuilder {
         self
     }
 
-    /// Override the admission queue capacity in pages.
-    pub fn admission_queue_capacity(mut self, pages: usize) -> Self {
-        self.config.admission_queue_capacity = Some(pages);
-        self
-    }
-
     /// Seed the policy coin flips.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -365,15 +358,15 @@ impl BufferManagerConfigBuilder {
         self
     }
 
-    /// Choose the DRAM pool's replacement policy (default: CLOCK).
-    pub fn dram_policy(mut self, policy: PolicyConfig) -> Self {
-        self.config.dram_policy = policy;
+    /// The DRAM pool's replacement policy: CLOCK, the only one, so this
+    /// sets nothing. Kept only because `benchmark/src/ycsb.rs` calls it.
+    pub fn dram_policy(self, _: PolicyConfig) -> Self {
         self
     }
 
-    /// Choose the NVM pool's replacement policy (default: CLOCK).
-    pub fn nvm_policy(mut self, policy: PolicyConfig) -> Self {
-        self.config.nvm_policy = policy;
+    /// The NVM pool's replacement policy: CLOCK, the only one, so this
+    /// sets nothing. Kept only because `benchmark/src/ycsb.rs` calls it.
+    pub fn nvm_policy(self, _: PolicyConfig) -> Self {
         self
     }
 

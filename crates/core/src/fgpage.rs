@@ -57,12 +57,6 @@ impl GranuleMask {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Number of set granules.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Iterate over set granule indices.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, w)| {
@@ -234,12 +228,6 @@ impl MiniSlabs {
         }
     }
 
-    /// Minis hosted per slab frame.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn minis_per_slab(&self) -> usize {
-        self.minis_per_slab
-    }
-
     /// Byte offset of slot `j`'s granule `k` within the slab frame.
     pub(crate) fn content_offset(&self, slot: MiniSlot, j: usize, granule: usize) -> usize {
         slot.index as usize * self.stride + 64 + j * granule
@@ -312,6 +300,20 @@ impl MiniSlabs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GranuleMask {
+        /// Number of set granules.
+        fn count(&self) -> usize {
+            self.words.iter().map(|w| w.count_ones() as usize).sum()
+        }
+    }
+
+    impl MiniSlabs {
+        /// Minis hosted per slab frame.
+        fn minis_per_slab(&self) -> usize {
+            self.minis_per_slab
+        }
+    }
 
     #[test]
     fn mask_set_get_iter() {

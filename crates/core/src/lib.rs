@@ -109,20 +109,20 @@ pub mod manager;
 pub mod metrics;
 pub mod policy;
 mod pool;
-pub mod replacement;
+#[cfg(test)]
+mod replacement;
 mod types;
 
 pub use background::{CycleStats, Maintenance};
 pub use config::{
     BufferManagerConfig, BufferManagerConfigBuilder, ConfigError, Hierarchy, MaintenanceConfig,
-    MAINTENANCE_BATCH,
+    PolicyConfig, MAINTENANCE_BATCH,
 };
 pub use error::BufferError;
 pub use guard::{PageGuard, ReadGuard, WriteGuard};
 pub use manager::{Admin, BufferManager, HomeFlush, MemoryPressure};
 pub use metrics::{MetricsSnapshot, ShadowPath};
 pub use policy::{MigrationPolicy, NvmAdmission, PolicyCell};
-pub use replacement::{PolicyConfig, ReplacementPolicy};
 pub use types::{AccessIntent, FrameId, MigrationPath, PageId, Tier};
 
 /// Result alias for buffer manager operations.

@@ -139,40 +139,28 @@ impl BufferManager {
                     config.dram_capacity,
                     page,
                     scale,
-                    config.dram_policy,
                     Arc::clone(&metrics),
                 )),
                 None,
             )
         } else {
-            let t1 = (config.dram_capacity > 0).then(|| {
-                Pool::dram(
-                    config.dram_capacity,
-                    page,
-                    scale,
-                    config.dram_policy,
-                    Arc::clone(&metrics),
-                )
-            });
+            let t1 = (config.dram_capacity > 0)
+                .then(|| Pool::dram(config.dram_capacity, page, scale, Arc::clone(&metrics)));
             let t2 = (config.nvm_capacity > 0).then(|| {
                 Pool::nvm(
                     config.nvm_capacity,
                     page,
                     scale,
                     config.persistence,
-                    config.nvm_policy,
                     Arc::clone(&metrics),
                 )
             });
             (t1, t2)
         };
-        let admission = nvm.as_ref().map(|pool| {
-            let cap = config
-                .admission_queue_capacity
-                .unwrap_or(pool.n_frames() / 2)
-                .max(1);
-            AdmissionQueue::new(cap)
-        });
+        // HyMem's admission queue holds half the NVM buffer's pages (§6.5).
+        let admission = nvm
+            .as_ref()
+            .map(|pool| AdmissionQueue::new((pool.n_frames() / 2).max(1)));
         let mini = config
             .mini_pages
             .then(|| MiniSlabs::new(page, config.fine_grained.expect("validated")));

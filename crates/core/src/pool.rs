@@ -1,5 +1,5 @@
-//! Per-tier buffer pools: frame allocation, pluggable replacement state,
-//! and device-backed frame I/O.
+//! Per-tier buffer pools: frame allocation, CLOCK replacement (paper
+//! §5.2), and device-backed frame I/O.
 
 use spitfire_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -12,7 +12,6 @@ use spitfire_sync::AtomicBitmap;
 
 use crate::io::retry_device_io;
 use crate::metrics::BufferMetrics;
-use crate::replacement::{PolicyConfig, ReplacementPolicy};
 use crate::types::{FrameId, PageId};
 use crate::Result;
 
@@ -72,11 +71,16 @@ impl PoolDevice {
 
 /// One tier's buffer pool.
 ///
-/// The pool owns frame allocation (a lock-free bitmap), a pluggable
-/// [`ReplacementPolicy`] (reference-tracking + victim selection), the
-/// frame→page ownership table, and the device I/O for frame contents. Pin
-/// counts and dirty bits live in the shared page descriptors (paper
-/// Figure 4), not here.
+/// The pool owns frame allocation (a lock-free bitmap), CLOCK replacement
+/// (one reference bit per frame and a rotating hand), the frame→page
+/// ownership table, and the device I/O for frame contents. Pin counts and
+/// dirty bits live in the shared page descriptors (paper Figure 4), not
+/// here.
+///
+/// CLOCK is wholly lock-free: [`Pool::touch`] runs on the fetch fast path,
+/// and [`Pool::next_victim`] may run concurrently from fetch misses and
+/// maintenance workers. A victim is a *candidate*: the caller re-validates
+/// it (owner, pins, shadow ops) and asks again if the eviction fails.
 pub(crate) struct Pool {
     device: PoolDevice,
     page_size: usize,
@@ -86,9 +90,13 @@ pub(crate) struct Pool {
     header: usize,
     n_frames: usize,
     occupied: AtomicBitmap,
-    /// Replacement policy: hears about every allocation (`admit`), free
-    /// (`evict`), and buffer hit (`touch`), and names eviction victims.
-    policy: Box<dyn ReplacementPolicy>,
+    /// CLOCK reference bits. Padded: every buffer hit sets one, so this
+    /// bitmap is hit-path-hot; a dense layout would pack 64 frames' bits
+    /// per cache line and bounce it between cores on hits to neighboring
+    /// frames.
+    ref_bits: AtomicBitmap,
+    /// CLOCK hand: the next frame the victim sweep inspects.
+    hand: AtomicUsize,
     owners: Vec<AtomicU64>,
     /// Cheap O(1) free-frame count (the bitmap is the source of truth;
     /// this trails it by at most the in-flight alloc/free window). Kept for
@@ -106,7 +114,6 @@ impl Pool {
         capacity: usize,
         page_size: usize,
         scale: TimeScale,
-        policy: PolicyConfig,
         metrics: Arc<BufferMetrics>,
     ) -> Self {
         let n_frames = capacity / page_size;
@@ -115,7 +122,6 @@ impl Pool {
             page_size,
             0,
             n_frames,
-            policy,
             metrics,
         )
     }
@@ -127,7 +133,6 @@ impl Pool {
         dram_cache: usize,
         page_size: usize,
         scale: TimeScale,
-        policy: PolicyConfig,
         metrics: Arc<BufferMetrics>,
     ) -> Self {
         let n_frames = nvm_capacity / page_size;
@@ -136,7 +141,6 @@ impl Pool {
             page_size,
             0,
             n_frames,
-            policy,
             metrics,
         )
     }
@@ -148,7 +152,6 @@ impl Pool {
         page_size: usize,
         scale: TimeScale,
         tracking: PersistenceTracking,
-        policy: PolicyConfig,
         metrics: Arc<BufferMetrics>,
     ) -> Self {
         let stride = page_size + NVM_FRAME_HEADER;
@@ -160,7 +163,6 @@ impl Pool {
             page_size,
             NVM_FRAME_HEADER,
             n_frames.max(if capacity >= page_size { 1 } else { 0 }),
-            policy,
             metrics,
         )
     }
@@ -170,7 +172,6 @@ impl Pool {
         page_size: usize,
         header: usize,
         n_frames: usize,
-        policy: PolicyConfig,
         metrics: Arc<BufferMetrics>,
     ) -> Self {
         Pool {
@@ -180,7 +181,8 @@ impl Pool {
             header,
             n_frames,
             occupied: AtomicBitmap::new(n_frames),
-            policy: policy.build(n_frames),
+            ref_bits: AtomicBitmap::new_padded(n_frames),
+            hand: AtomicUsize::new(0),
             owners: (0..n_frames).map(|_| AtomicU64::new(NO_OWNER)).collect(),
             free_count: AtomicUsize::new(n_frames),
             metrics,
@@ -200,17 +202,6 @@ impl Pool {
     /// Number of frames in this pool.
     pub(crate) fn n_frames(&self) -> usize {
         self.n_frames
-    }
-
-    /// Page size served by this pool.
-    #[allow(dead_code)]
-    pub(crate) fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Name of the replacement policy this pool runs.
-    pub(crate) fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Number of occupied frames (snapshot).
@@ -261,12 +252,13 @@ impl Pool {
         }
     }
 
-    /// Try to claim a free frame without evicting. The claimed frame is
-    /// admitted to the replacement policy immediately — mini-page slab
-    /// frames never receive an owner, so admission cannot wait for
-    /// [`Pool::set_owner`].
+    /// Try to claim a free frame without evicting. The scan starts at the
+    /// CLOCK hand, where the sweep just vacated frames. The claimed frame
+    /// gets its reference bit at once — mini-page slab frames never
+    /// receive an owner, so admission cannot wait for [`Pool::set_owner`].
     pub(crate) fn try_alloc(&self) -> Option<FrameId> {
-        let hint = self.policy.alloc_hint();
+        // relaxed: the hand is only a search-start hint; any value works.
+        let hint = self.hand.load(Ordering::Relaxed);
         let bit = self
             .occupied
             .acquire_first_clear(hint % self.n_frames.max(1))?;
@@ -274,11 +266,17 @@ impl Pool {
         // the counter is an advisory mirror for watermark checks.
         self.free_count.fetch_sub(1, Ordering::Relaxed);
         let frame = FrameId(bit as u32);
-        self.policy.admit(frame);
+        self.admit(frame);
         Some(frame)
     }
 
-    /// Record `frame` as holding `pid` (the policy already admitted it in
+    /// A freshly claimed frame starts with its reference bit set so it
+    /// survives the sweep currently in flight.
+    fn admit(&self, frame: FrameId) {
+        self.ref_bits.set(frame.0 as usize);
+    }
+
+    /// Record `frame` as holding `pid` (its reference bit was set in
     /// [`Pool::try_alloc`]).
     pub(crate) fn set_owner(&self, frame: FrameId, pid: PageId) {
         self.owners[frame.0 as usize].store(pid.0, Ordering::Release);
@@ -294,31 +292,59 @@ impl Pool {
     pub(crate) fn free(&self, frame: FrameId) {
         let i = frame.0 as usize;
         self.owners[i].store(NO_OWNER, Ordering::Release);
-        self.policy.evict(frame);
+        self.ref_bits.clear(i);
         if self.occupied.clear(i) {
             // relaxed: advisory mirror of the bitmap (see `try_alloc`).
             self.free_count.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Mark `frame` recently used. Hit-path hot: delegates to the
-    /// policy's lock-free `touch`.
+    /// Mark `frame` recently used. Hit-path hot and wait-free. Test-first:
+    /// if the bit is already set (the common case for a hot frame) a plain
+    /// load keeps the line in the Shared state everywhere, where an
+    /// unconditional fetch_or would invalidate it on every hit.
     pub(crate) fn touch(&self, frame: FrameId) {
-        self.policy.touch(frame);
+        let i = frame.0 as usize;
+        if !self.ref_bits.get(i) {
+            self.ref_bits.set(i);
+        }
     }
 
-    /// Ask the replacement policy for the next eviction candidate. The
-    /// caller re-validates (owner, pins, shadow ops) and simply asks again
-    /// if the eviction fails.
+    /// Advance the CLOCK hand to the next eviction candidate: an occupied
+    /// frame whose reference bit is clear. Reference bits seen along the
+    /// way get their second chance (cleared). Returns `None` when a bounded
+    /// sweep finds no candidate (e.g. everything is freshly referenced).
     pub(crate) fn next_victim(&self) -> Option<FrameId> {
-        self.policy.victim(&self.occupied)
+        if self.n_frames == 0 {
+            return None;
+        }
+        // Two full sweeps: the first clears reference bits, the second is
+        // then guaranteed to find one unless everything is re-referenced
+        // concurrently.
+        for _ in 0..self.n_frames * 2 {
+            // relaxed: the hand is a rotor, not a lock; concurrent sweeps
+            // interleaving over it only change which frame each inspects.
+            let i = self.hand.fetch_add(1, Ordering::Relaxed) % self.n_frames;
+            if !self.occupied.get(i) {
+                continue;
+            }
+            if self.ref_bits.clear(i) {
+                continue; // had a reference bit; second chance
+            }
+            return Some(FrameId(i as u32));
+        }
+        None
     }
 
     /// Batched victim selection for maintenance workers: up to `max`
-    /// candidates in one policy call (queue-based policies lock once per
-    /// batch instead of once per frame).
+    /// candidates, stopping early when a sweep comes up empty.
     pub(crate) fn next_victims(&self, max: usize, out: &mut Vec<FrameId>) {
-        self.policy.victims(&self.occupied, max, out);
+        for _ in 0..max {
+            match self.next_victim() {
+                Some(f) => out.push(f),
+                None => break,
+            }
+        }
     }
 
     fn content_base(&self, frame: FrameId) -> usize {
@@ -435,7 +461,7 @@ impl Pool {
             self.free_count.fetch_sub(1, Ordering::Relaxed);
         }
         self.owners[i].store(pid.0, Ordering::Release);
-        self.policy.admit(frame);
+        self.admit(frame);
     }
 }
 
@@ -445,7 +471,6 @@ impl std::fmt::Debug for Pool {
             .field("frames", &self.n_frames)
             .field("occupied", &self.occupied_frames())
             .field("page_size", &self.page_size)
-            .field("policy", &self.policy_name())
             .finish()
     }
 }
@@ -455,15 +480,10 @@ mod tests {
     use super::*;
 
     fn dram_pool(frames: usize) -> Pool {
-        dram_pool_with(frames, PolicyConfig::Clock)
-    }
-
-    fn dram_pool_with(frames: usize, policy: PolicyConfig) -> Pool {
         Pool::dram(
             frames * 4096,
             4096,
             TimeScale::ZERO,
-            policy,
             Arc::new(BufferMetrics::new()),
         )
     }
@@ -524,50 +544,71 @@ mod tests {
     fn empty_pool_has_no_victims() {
         let p = dram_pool(2);
         assert!(p.next_victim().is_none());
-        let zero = Pool::dram(
-            0,
-            4096,
-            TimeScale::ZERO,
-            PolicyConfig::Clock,
-            Arc::new(BufferMetrics::new()),
-        );
+        let zero = Pool::dram(0, 4096, TimeScale::ZERO, Arc::new(BufferMetrics::new()));
         assert!(zero.next_victim().is_none());
         assert!(zero.try_alloc().is_none());
     }
 
     #[test]
-    fn non_clock_policies_track_unowned_frames() {
-        // Mini-page slab frames are allocated but never set_owner'd; the
-        // policy must still name them as victims or slabs pin the pool
-        // full forever.
-        for policy in [PolicyConfig::Sieve, PolicyConfig::TwoQ] {
-            let p = dram_pool_with(4, policy);
-            let frames: Vec<FrameId> = (0..4).map(|_| p.try_alloc().unwrap()).collect();
-            // No owners set at all. Every frame must eventually be named.
-            let mut named = std::collections::HashSet::new();
-            for _ in 0..16 {
-                if let Some(v) = p.next_victim() {
-                    named.insert(v);
-                }
+    fn unowned_frames_are_named_as_victims() {
+        // Mini-page slab frames are allocated but never set_owner'd; CLOCK
+        // must still name them as victims or slabs pin the pool full
+        // forever.
+        let p = dram_pool(4);
+        let frames: Vec<FrameId> = (0..4).map(|_| p.try_alloc().unwrap()).collect();
+        let mut named = std::collections::HashSet::new();
+        for _ in 0..16 {
+            if let Some(v) = p.next_victim() {
+                named.insert(v);
             }
-            for f in &frames {
-                assert!(named.contains(f), "{policy}: frame {f:?} never named");
-            }
+        }
+        for f in &frames {
+            assert!(named.contains(f), "frame {f:?} never named");
         }
     }
 
     #[test]
-    fn batched_victims_cover_the_pool() {
-        for policy in [PolicyConfig::Clock, PolicyConfig::Sieve, PolicyConfig::TwoQ] {
-            let p = dram_pool_with(4, policy);
-            for _ in 0..4 {
-                p.try_alloc().unwrap();
-            }
-            let mut out = Vec::new();
-            p.next_victims(3, &mut out);
-            assert!(!out.is_empty(), "{policy}: no batched victims");
-            assert!(out.len() <= 3, "{policy}: batch over max");
+    fn clock_conformance() {
+        let n = 8;
+        let p = dram_pool(n);
+        let hot = p.try_alloc().unwrap();
+        for _ in 1..n {
+            p.try_alloc().unwrap();
         }
+        // A frame touched before every pick outlives the n-1 others.
+        let mut evicted = Vec::new();
+        for _ in 0..n - 1 {
+            p.touch(hot);
+            p.touch(hot);
+            // CLOCK may name the hot frame once (its bit cleared earlier in
+            // the same sweep); callers re-ask on rejection, so do the same.
+            let v = (0..4)
+                .map(|_| p.next_victim().expect("ran dry"))
+                .find(|c| *c != hot)
+                .expect("kept naming the hot frame");
+            p.free(v);
+            evicted.push(v);
+        }
+        assert_eq!(evicted.len(), n - 1);
+        assert_eq!(p.occupied_frames(), 1);
+        // Freed frames can be claimed again and are victims like any other.
+        for _ in 0..n - 1 {
+            assert!(evicted.contains(&p.try_alloc().unwrap()));
+        }
+        assert!(p.try_alloc().is_none());
+        assert!(p.next_victim().is_some());
+    }
+
+    #[test]
+    fn batched_victims_cover_the_pool() {
+        let p = dram_pool(4);
+        for _ in 0..4 {
+            p.try_alloc().unwrap();
+        }
+        let mut out = Vec::new();
+        p.next_victims(3, &mut out);
+        assert!(!out.is_empty(), "no batched victims");
+        assert!(out.len() <= 3, "batch over max");
     }
 
     #[test]
@@ -587,7 +628,6 @@ mod tests {
             4096,
             TimeScale::ZERO,
             PersistenceTracking::Counters,
-            PolicyConfig::Clock,
             Arc::new(BufferMetrics::new()),
         );
         assert_eq!(p.n_frames(), 4);
@@ -609,7 +649,6 @@ mod tests {
             4096,
             TimeScale::ZERO,
             PersistenceTracking::Full,
-            PolicyConfig::Clock,
             Arc::new(BufferMetrics::new()),
         );
         let f = p.try_alloc().unwrap();
@@ -649,7 +688,6 @@ mod tests {
             4096,
             TimeScale::ZERO,
             PersistenceTracking::Counters,
-            PolicyConfig::Clock,
             Arc::new(BufferMetrics::new()),
         );
         p.adopt(FrameId(1), PageId(55));

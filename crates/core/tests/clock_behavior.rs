@@ -4,8 +4,11 @@
 //! tandem to place the pages in the appropriate tiers based on their
 //! access frequency").
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use spitfire_core::{
-    AccessIntent, BufferManager, BufferManagerConfig, MigrationPolicy, PageId, Tier,
+    AccessIntent, BufferManager, BufferManagerConfig, MetricsSnapshot, MigrationPolicy, PageId,
+    Tier,
 };
 use spitfire_device::TimeScale;
 
@@ -140,4 +143,62 @@ fn touch_on_hit_refreshes_reference_bit() {
     // The device never read more pages than fetch misses (no double I/O).
     let ssd = bm.device_stats(Tier::Ssd).unwrap().snapshot();
     assert!(ssd.read_ops >= m2.ssd_fetches);
+}
+
+/// 12 000 Zipf(0.9) operations, half reads and half writes, single-threaded
+/// and seeded, over 96 pages: DRAM holds half of them and NVM all of them
+/// twice over, so a DRAM miss is an NVM hit and the DRAM hit count measures
+/// CLOCK alone.
+fn skewed_nvm_resident_run() -> MetricsSnapshot {
+    const DB_PAGES: usize = 96;
+    let bm = manager(DB_PAGES / 2, 2 * DB_PAGES, MigrationPolicy::eager());
+    let pages: Vec<PageId> = (0..DB_PAGES)
+        .map(|i| {
+            let pid = bm.allocate_page().unwrap();
+            bm.fetch_write(pid)
+                .unwrap()
+                .write(0, &(i as u64).to_le_bytes())
+                .unwrap();
+            pid
+        })
+        .collect();
+    // Inverse-CDF Zipf ranks, scattered over the pages by a multiplier
+    // coprime to DB_PAGES so the hot pages are not simply the oldest.
+    let mut acc = 0.0;
+    let cdf: Vec<f64> = (1..=DB_PAGES)
+        .map(|i| {
+            acc += 1.0 / (i as f64).powf(0.9);
+            acc
+        })
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(0x5F17_F17E);
+    let mut buf = [0u8; 64];
+    bm.reset_metrics();
+    for _ in 0..12_000 {
+        let u = rng.gen::<f64>() * acc;
+        let rank = cdf.partition_point(|&c| c <= u).min(DB_PAGES - 1);
+        let pid = pages[rank * 7919 % DB_PAGES];
+        if rng.gen::<bool>() {
+            bm.fetch_write(pid)
+                .unwrap()
+                .write(64, &rng.gen::<u64>().to_le_bytes())
+                .unwrap();
+        } else {
+            bm.fetch_read(pid).unwrap().read(0, &mut buf).unwrap();
+        }
+    }
+    bm.metrics()
+}
+
+#[test]
+fn same_seed_gives_the_same_counts() {
+    let m = skewed_nvm_resident_run();
+    // Every counter, fetch and DRAM-hit counts included, repeats exactly.
+    assert_eq!(m, skewed_nvm_resident_run());
+    assert_eq!(
+        m.ssd_fetches, 0,
+        "the database is NVM-resident: a DRAM miss must be served from NVM"
+    );
+    // Skew over a DRAM tier half the database: CLOCK keeps most hits there.
+    assert!(m.dram_hits > 6_000, "CLOCK lost the hot set: {m:?}");
 }

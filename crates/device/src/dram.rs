@@ -89,19 +89,6 @@ impl Arena {
         }
         Ok(())
     }
-
-    /// Copy `len` bytes within the arena (used by crash simulation).
-    #[allow(dead_code)]
-    pub(crate) fn copy_within(&self, src: usize, dst: usize, len: usize) -> Result<()> {
-        self.check(src, len)?;
-        self.check(dst, len)?;
-        // SAFETY: ranges checked; `copy` handles overlap.
-        unsafe {
-            let base = (*self.data.get()).as_mut_ptr();
-            std::ptr::copy(base.add(src), base.add(dst), len);
-        }
-        Ok(())
-    }
 }
 
 /// Emulated DRAM device: a byte arena fronted by a DRAM [`CostModel`].

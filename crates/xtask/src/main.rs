@@ -59,7 +59,12 @@
 //!    pid-keyed side table (with its hash order, its shard lock and its
 //!    reference counts on every node visit) must not grow back unnoticed.
 //!
-//! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2, 4, 7 and 8: test
+//! 9. **`dead-code`** — no `allow(dead_code)` in non-test source under
+//!    `crates/*/src/`. Code nothing calls is deleted; a helper only tests
+//!    call lives in (or under) a `#[cfg(test)]` module, where the compiler
+//!    still checks that something uses it.
+//!
+//! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2, 4, 7, 8 and 9: test
 //! code freely uses relaxed counters and raw atomics, and verifying the
 //! tests is the job of the tests themselves. The lint skips everything
 //! from a `#[cfg(test)]` attribute line onward (test modules sit at the
@@ -314,6 +319,10 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
     let whole_file_fastpath = rel_str == "crates/sync/src/pinword.rs";
     let index_scoped = rel_str.starts_with(NODE_IO_SCOPE);
     let node_io_scoped = index_scoped && rel_str != NODE_IO_OWNER;
+    let crate_src = rel_str
+        .strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .is_some_and(|(_, r)| r.starts_with("src/"));
 
     if rel_str.starts_with("crates/core/src/") && lines.len() > CORE_FILE_LINE_LIMIT {
         findings.push(Finding {
@@ -425,6 +434,17 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                     ),
                 });
             }
+        }
+
+        if crate_src && code.contains("allow(") && code.contains("dead_code") {
+            findings.push(Finding {
+                file: rel.to_path_buf(),
+                line: lineno,
+                rule: "dead-code",
+                message: "`allow(dead_code)` outside tests; delete the code, or move a \
+                          test-only helper under `#[cfg(test)]`"
+                    .into(),
+            });
         }
 
         if in_fastpath {
@@ -571,6 +591,30 @@ mod tests {
             text,
             &mut findings,
         );
+        assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn dead_code_allowances_are_flagged_outside_tests() {
+        let root = Path::new("/ws");
+        let text = "#[allow(dead_code)]\n\
+                    pub(crate) fn unused() {}\n\
+                    #[cfg_attr(not(test), allow(dead_code))]\n\
+                    // allow(dead_code) in a comment\n\
+                    #[cfg(test)]\n\
+                    #[allow(dead_code)]\n";
+        let mut findings = Vec::new();
+        for file in ["crates/core/src/pool.rs", "crates/device/src/dram.rs"] {
+            lint_file(root, &root.join(file), text, &mut findings);
+        }
+        assert_eq!(findings.len(), 4);
+        assert!(findings.iter().all(|f| f.rule == "dead-code"));
+        assert!(findings.iter().all(|f| f.line == 1 || f.line == 3));
+        // Integration tests and code outside a crate's src/ are out of scope.
+        findings.clear();
+        for file in ["crates/core/tests/stress.rs", "benchmark/src/main.rs"] {
+            lint_file(root, &root.join(file), text, &mut findings);
+        }
         assert!(findings.is_empty());
     }
 
