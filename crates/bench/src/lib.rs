@@ -194,7 +194,6 @@ pub fn database(bm: Arc<BufferManager>) -> Database {
         bm,
         DbConfig {
             log_buffer_bytes: 4 * MB,
-            log_page_size: PAGE,
             lock_stripes: 1024,
         },
     )

@@ -314,7 +314,6 @@ fn bench(out: &str) {
         preload_keys: keys,
         tenants,
         admission: AdmissionConfig::default(),
-        pressure_poll: Duration::from_millis(5),
         allow_remote_shutdown: false,
     };
     // Hot tenant: weight 1 and (when enabled) a quota well below what its

@@ -10,10 +10,14 @@
 //! `--quota T:OPS` caps tenant `T` at `OPS` admitted ops/s; `--weight T:W`
 //! sets its fair-share weight. Both repeat. The process exits when a
 //! SHUTDOWN frame arrives (with `--allow-remote-shutdown`) or after
-//! `--max-secs`.
+//! `--max-secs`; its last line reports the newest snapshot generation and
+//! the live log bytes (`snapshot_generation N wal_bytes B`), which show
+//! that maintenance kept checkpointing under load.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use spitfire_obs::Source;
 use spitfire_server::{Server, ServerConfig, TenantConfig};
 
 fn main() {
@@ -112,8 +116,14 @@ fn main() {
             }
         }
     }
+    let db = Arc::clone(server.database());
     server.shutdown();
-    println!("spitfire-server exited cleanly");
+    let mut report = spitfire_obs::Report::default();
+    db.report(&mut report);
+    println!(
+        "spitfire-server exited cleanly: snapshot_generation {} wal_bytes {}",
+        report.gauges["snapshot_generation"], report.gauges["wal_bytes"]
+    );
 }
 
 fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {

@@ -21,6 +21,10 @@
 //! * **Pressure monitor** — samples [`BufferManager::pressure`] and
 //!   raises the admission shed signal while free frames sit below the
 //!   maintenance low watermark or miss-path backpressure fallbacks climb.
+//!   On the same poll it calls [`Database::maintain`], which vacuums and
+//!   checkpoints once per DRAM tier's worth of log, so the tables and the
+//!   log a restart replays stay bounded however long the server runs. A
+//!   pass running at stop finishes before the monitor exits.
 //!
 //! Worker dispatches and inline runs draw on the same
 //! [`ServerConfig::workers`] execution slots, so at most that many threads
@@ -57,6 +61,9 @@ const TENANT_UNSET: u32 = u32::MAX;
 /// the connection (bounds head-of-line blocking by one busy connection).
 const WORKER_BATCH: usize = 8;
 
+/// Pressure-monitor sampling interval.
+const PRESSURE_POLL: Duration = Duration::from_millis(5);
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -80,8 +87,6 @@ pub struct ServerConfig {
     pub tenants: Vec<TenantConfig>,
     /// Queue bounds and pressure shedding.
     pub admission: AdmissionConfig,
-    /// Pressure-monitor sampling interval.
-    pub pressure_poll: Duration,
     /// Whether a SHUTDOWN frame may stop the server (CI smoke uses this).
     pub allow_remote_shutdown: bool,
 }
@@ -98,7 +103,6 @@ impl Default for ServerConfig {
             preload_keys: 1024,
             tenants: vec![TenantConfig::default()],
             admission: AdmissionConfig::default(),
-            pressure_poll: Duration::from_millis(5),
             allow_remote_shutdown: false,
         }
     }
@@ -183,8 +187,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build the storage stack, preload tables, bind, and spin up the
-    /// acceptor, worker pool, and pressure monitor.
+    /// Build the storage stack, preload tables, install snapshot
+    /// generation 1, bind, and spin up the acceptor, worker pool, and
+    /// pressure monitor.
     pub fn start(config: ServerConfig) -> Result<Server, Box<dyn std::error::Error>> {
         assert!(!config.tenants.is_empty(), "need at least one tenant");
         assert!(
@@ -198,18 +203,14 @@ impl Server {
             .build()?;
         let bm = Arc::new(BufferManager::new(bm_config)?);
         let maintenance = bm.maintenance();
-        let db = Arc::new(Database::create(
-            Arc::clone(&bm),
-            DbConfig {
-                log_page_size: config.page_size,
-                ..DbConfig::default()
-            },
-        )?);
+        let db = Arc::new(Database::create(Arc::clone(&bm), DbConfig::default())?);
         let tuple_size = 2 + config.value_bytes;
         for t in 0..config.tenants.len() as u32 {
             db.create_table(t, tuple_size)?;
             preload(&db, t, config.preload_keys, tuple_size)?;
         }
+        // A restart from here on loads a generation and replays its tail.
+        db.checkpoint()?;
         // Start background maintenance only after the bulk preload, so the
         // load phase doesn't race the watermark evictor.
         maintenance.start();
@@ -742,13 +743,16 @@ fn delete_key(
 fn pressure_loop(shared: &Arc<Shared>) {
     let mut last_fallbacks = shared.bm.pressure().backpressure_fallbacks;
     while !shared.stop.load(Ordering::Acquire) {
-        std::thread::sleep(shared.config.pressure_poll);
+        std::thread::sleep(PRESSURE_POLL);
         let p = shared.bm.pressure();
         let fallbacks_climbing = p.backpressure_fallbacks > last_fallbacks;
         last_fallbacks = p.backpressure_fallbacks;
         shared
             .admission
             .set_pressure(p.below_low_watermark() || fallbacks_climbing);
+        // A failed pass is retried an interval of log later, like a
+        // contended one; the log and the last generation stay valid.
+        let _ = shared.db.maintain();
     }
 }
 

@@ -3,6 +3,7 @@
 //! per-connection order across inline and queued execution, prompt
 //! shutdown, and multi-tenant fairness under a flood.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -10,8 +11,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spitfire_server::{
-    decode_reply, encode_request, read_frame, AdmissionConfig, Command, ErrorCode, Reply,
-    ReplyFrame, Request, Server, ServerConfig, TenantConfig,
+    decode_reply, decode_value, encode_request, read_frame, AdmissionConfig, Command, ErrorCode,
+    Reply, ReplyFrame, Request, Server, ServerConfig, TenantConfig,
 };
 
 /// A blocking test client: one request on the wire at a time.
@@ -73,6 +74,10 @@ fn counter(server: &Server, name: &str) -> u64 {
     server.report().counters[name]
 }
 
+fn gauge(server: &Server, name: &str) -> f64 {
+    server.report().gauges[name]
+}
+
 fn small_config(tenants: Vec<TenantConfig>) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -84,7 +89,6 @@ fn small_config(tenants: Vec<TenantConfig>) -> ServerConfig {
         preload_keys: 256,
         tenants,
         admission: AdmissionConfig::default(),
-        pressure_poll: Duration::from_millis(5),
         allow_remote_shutdown: false,
     }
 }
@@ -190,10 +194,16 @@ fn commands_round_trip_over_tcp() {
             assert!(json.contains("\"txn_commits\""));
             assert!(json.contains("\"dram_free_frames\""));
             assert!(json.contains("\"wal_bytes\""), "stats json: {json}");
-            // No snapshot engine is attached in this config, so the
-            // gauges report the zero placeholders.
-            assert!(json.contains("\"snapshot_generation\": 0"));
-            assert!(json.contains("\"last_checkpoint_pages\": 0"));
+            // Generation 1 installed before the server listened, and
+            // these few ops are far from an interval of log.
+            assert!(
+                json.contains("\"snapshot_generation\": 1"),
+                "stats json: {json}"
+            );
+            assert!(
+                json.contains("\"maint_contended\": 0"),
+                "stats json: {json}"
+            );
         }
         other => panic!("expected stats, got {other:?}"),
     }
@@ -499,4 +509,112 @@ fn idle_server_shuts_down_promptly() {
         "shutdown took {:?}",
         t.elapsed()
     );
+}
+
+/// DRAM tier of the maintenance tests: one maintenance interval of log.
+const INTERVAL: usize = 256 << 10;
+
+fn put_ok(c: &mut Client, key: u64, value: &[u8]) {
+    let reply = c.call(Command::Put {
+        key,
+        value: value.to_vec(),
+    });
+    assert_eq!(reply, Reply::Ok, "PUT {key}");
+}
+
+/// Under a stream of PUTs the server vacuums and checkpoints once per
+/// DRAM tier's worth of log: the live log stays bounded while the log
+/// written grows, and a restart loads a generation, replays its tail,
+/// and reads back every acknowledged PUT.
+#[test]
+fn the_server_checkpoints_every_dram_capacity_of_log() {
+    const GENERATIONS: f64 = 8.0;
+    let server = Server::start(ServerConfig {
+        dram_bytes: INTERVAL,
+        ..small_config(vec![TenantConfig::default()])
+    })
+    .unwrap();
+    let mut c = Client::connect(&server, 0);
+    let mut acked = HashMap::new();
+    let mut most_log = 0f64;
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut i = 0u64;
+    while gauge(&server, "snapshot_generation") < GENERATIONS {
+        assert!(Instant::now() < deadline, "too few generations in time");
+        for _ in 0..32 {
+            let key = i % 256;
+            let value = i.to_le_bytes();
+            put_ok(&mut c, key, &value);
+            acked.insert(key, value);
+            i += 1;
+        }
+        most_log = most_log.max(gauge(&server, "wal_bytes"));
+    }
+    // Generation 8 started at 7 intervals of log or more. The live log
+    // reaches back to the fence before the newest one: two intervals,
+    // plus what the client wrote while the monitor waited for the CPU and
+    // while a pass ran, which on a loaded test host approaches two more.
+    let written = server.database().wal().current_lsn() as f64;
+    assert!(written >= (GENERATIONS - 1.0) * INTERVAL as f64);
+    assert!(
+        most_log <= 4.0 * INTERVAL as f64,
+        "live log reached {most_log} bytes, intervals of {INTERVAL}"
+    );
+    drop(c);
+
+    let db = Arc::clone(server.database());
+    server.shutdown();
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert!(stats.snapshot_generation >= GENERATIONS as u64, "{stats:?}");
+    let mut t = db.begin();
+    for (&key, value) in &acked {
+        let tuple = db.read(&t, 0, key).unwrap();
+        assert_eq!(decode_value(&tuple), Some(&value[..]), "key {key}");
+    }
+    db.commit(&mut t).unwrap();
+}
+
+/// An explicit transaction held open across a due pass: the pass's
+/// checkpoint is contended and counted, the other connection's
+/// autocommit requests still complete, and the next pass waits for
+/// another interval of log after the COMMIT.
+#[test]
+fn an_open_transaction_costs_one_contended_pass() {
+    let server = Server::start(ServerConfig {
+        dram_bytes: INTERVAL,
+        ..small_config(vec![TenantConfig::default()])
+    })
+    .unwrap();
+    let mut holder = Client::connect(&server, 0);
+    assert!(matches!(holder.call(Command::Begin), Reply::TxnId(_)));
+    put_ok(&mut holder, 0, b"held");
+
+    let mut c = Client::connect(&server, 0);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut i = 0u64;
+    while counter(&server, "maint_contended") == 0 {
+        assert!(Instant::now() < deadline, "no pass became due");
+        put_ok(&mut c, 1 + i % 255, &i.to_le_bytes());
+        i += 1;
+    }
+    assert_eq!(gauge(&server, "snapshot_generation"), 1.0);
+    assert_eq!(holder.call(Command::Commit), Reply::Ok);
+
+    // Committed, but no pass is due before another interval of log.
+    let wal = || server.database().wal().current_lsn();
+    let contended_at = wal();
+    while wal() < contended_at + INTERVAL as u64 / 4 {
+        put_ok(&mut c, 1 + i % 255, &i.to_le_bytes());
+        i += 1;
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(gauge(&server, "snapshot_generation"), 1.0);
+    while gauge(&server, "snapshot_generation") < 2.0 {
+        assert!(Instant::now() < deadline, "no generation after the COMMIT");
+        put_ok(&mut c, 1 + i % 255, &i.to_le_bytes());
+        i += 1;
+    }
+    assert_eq!(counter(&server, "maint_contended"), 1);
+    server.shutdown();
 }

@@ -9,7 +9,9 @@
 //!    transactions to drain and captures a [`WalFence`] (every appended
 //!    record durable in the log file). A non-quiescent database yields
 //!    the *retryable* [`TxnError::CheckpointContended`] instead of
-//!    silently corrupting state.
+//!    silently corrupting state. With the fence, every table *seals* the
+//!    slots vacuum retired so far: their cuts happened before the fence,
+//!    so the home flush below makes them durable.
 //! 2. **Home flush.** The gate drops and transactions resume while every
 //!    DRAM copy with data dirt is written to its SSD home and synced
 //!    ([`spitfire_core::BufferManager::flush_home`]). An NVM copy such a
@@ -32,7 +34,15 @@
 //!    then truncated to the *previous* generation's fence — one
 //!    generation of slack, so a CRC-mismatch fallback one generation back
 //!    still finds its tail — and the truncated file pages go back to the
-//!    log device.
+//!    log device. Last, the sealed slots join their tables' free lists in
+//!    vacuum order: no record past this generation's fence names them, so
+//!    a restart from it never links a chain into a reused slot. A failed
+//!    checkpoint keeps its sealed slots for the next one.
+//!
+//! One edge stays open: a fallback to the *older* retained generation
+//! (the newest failed its CRC) replays records from before the newest
+//! fence, and those may still link a keeper to a slot released at the
+//! newest install.
 //!
 //! Recovery ([`Database::recover`]) scans the NVM buffer, loads the newest
 //! generation that validates, reopens tables from its manifest (no
@@ -210,8 +220,11 @@ impl Database {
         let oracle_ts = self.oracle.load(Ordering::Acquire);
         let next_txn_id = self.txn_ids.load(Ordering::Acquire);
         let next_page_id = self.bm.page_count();
-        let metas: Vec<TableMeta> = self
-            .relations()
+        let relations = self.relations();
+        for rel in &relations {
+            rel.table.seal_retired();
+        }
+        let metas: Vec<TableMeta> = relations
             .iter()
             .map(|rel| TableMeta {
                 id: rel.table.id,
@@ -229,6 +242,9 @@ impl Database {
             (oracle_ts, next_txn_id, next_page_id),
             metas,
         )?;
+        for rel in &relations {
+            rel.table.release_sealed();
+        }
         let micros = started.elapsed().as_micros() as u64;
         // relaxed: advisory gauges/counters.
         engine.checkpoints.fetch_add(1, Ordering::Relaxed);

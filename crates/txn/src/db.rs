@@ -21,13 +21,16 @@ const ROOT_MAGIC: u64 = 0x5350_4946_5245_4442; // "SPIFREDB"
 const ROOT_HEADER: usize = 16;
 const ROOT_ENTRY: usize = 16;
 
+/// Page size of the SSD log file: the SSD's write unit
+/// (`DeviceProfile::optane_ssd().access_granularity`), so a drained log
+/// page costs one device write of its own size.
+const LOG_PAGE: usize = 16 * 1024;
+
 /// Database construction options.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
     /// NVM log buffer capacity in bytes.
     pub log_buffer_bytes: usize,
-    /// Page size of the SSD log file.
-    pub log_page_size: usize,
     /// Number of key-lock stripes.
     pub lock_stripes: usize,
 }
@@ -36,7 +39,6 @@ impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             log_buffer_bytes: 1 << 20,
-            log_page_size: 16 * 1024,
             lock_stripes: 1024,
         }
     }
@@ -143,6 +145,11 @@ pub struct Database {
     /// Serializes checkpoints (one writer streams into the store at a
     /// time).
     pub(crate) ckpt_serial: parking_lot::Mutex<()>,
+    /// Log position the last [`Database::maintain`] pass started at; held
+    /// for the length of a pass.
+    pub(crate) maint_from: parking_lot::Mutex<u64>,
+    /// Maintenance passes whose checkpoint was contended.
+    pub(crate) maint_contended: AtomicU64,
 }
 
 impl Database {
@@ -165,7 +172,7 @@ impl Database {
         bm.flush_page(root_catalog)?;
         let wal = Wal::new(
             config.log_buffer_bytes,
-            config.log_page_size,
+            LOG_PAGE,
             bm.config().time_scale,
             bm.config().persistence,
         )?;
@@ -184,6 +191,8 @@ impl Database {
             fence_gate: RwLock::new(()),
             snapshots: RwLock::new(None),
             ckpt_serial: parking_lot::Mutex::new(()),
+            maint_from: parking_lot::Mutex::new(0),
+            maint_contended: AtomicU64::new(0),
         })
     }
 
@@ -901,6 +910,11 @@ impl spitfire_obs::Source for Database {
         out.add_counter("txn_aborts", aborts);
         let index_restarts = self.relations().iter().map(|r| r.index.restarts()).sum();
         out.add_counter("index_restarts", index_restarts);
+        // relaxed: advisory counter.
+        out.add_counter(
+            "maint_contended",
+            self.maint_contended.load(Ordering::Relaxed),
+        );
         out.add_gauge("active_txns", self.active.lock().len() as f64);
         out.add_gauge("wal_bytes", self.wal.log_bytes() as f64);
         out.add_gauge("wal_file_pages", self.wal.file_pages() as f64);
@@ -948,5 +962,18 @@ impl std::fmt::Debug for Database {
             .field("commits", &self.commits.load(Ordering::Relaxed))
             .field("aborts", &self.aborts.load(Ordering::Relaxed))
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use spitfire_device::DeviceProfile;
+
+    #[test]
+    fn a_log_page_is_one_ssd_write_unit() {
+        assert_eq!(
+            super::LOG_PAGE,
+            DeviceProfile::optane_ssd().access_granularity
+        );
     }
 }

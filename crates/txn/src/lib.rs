@@ -32,7 +32,7 @@ mod wal;
 pub use checkpoint::{CheckpointStats, SnapshotConfig, SnapshotEngine};
 pub use db::{Database, DbConfig, RecoveryStats, Transaction};
 pub use error::TxnError;
-pub use maintenance::VacuumStats;
+pub use maintenance::{MaintainStats, VacuumStats};
 pub use session::Session;
 pub use table::{Field, ReadVisit, Table, VersionHeader, WriteVisit, NO_RID, VERSION_HEADER};
 pub use wal::{LogRecord, RecordKind, Wal, WalFence, WalScanReport};

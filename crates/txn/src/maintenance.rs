@@ -1,9 +1,13 @@
-//! Maintenance: version-chain vacuum.
+//! Maintenance: version-chain vacuum, and the pass that pairs it with a
+//! checkpoint.
 //!
 //! MVTO version chains grow with every update. [`Database::vacuum`]
 //! truncates the chains that grew since its last pass below the
-//! *watermark* — the oldest active transaction timestamp — and recycles
-//! the freed slots, bounding the table footprint of long write-heavy runs.
+//! *watermark* — the oldest active transaction timestamp — and retires
+//! the freed slots; the next checkpoint that installs makes them
+//! reusable. [`Database::maintain`] runs one vacuum and one checkpoint
+//! per DRAM tier's worth of log, which bounds both the table footprint
+//! and the log a restart replays.
 //!
 //! Dirty-page flushing is not a service of this crate: the buffer
 //! manager's own [`spitfire_core::Maintenance`] workers keep free frames
@@ -15,7 +19,9 @@
 use std::collections::btree_map::Entry;
 use std::sync::atomic::Ordering;
 
+use crate::checkpoint::CheckpointStats;
 use crate::db::Database;
+use crate::error::TxnError;
 use crate::mvto::{is_marker, ABORTED};
 use crate::table::{Field, Table, NO_RID};
 use crate::Result;
@@ -26,19 +32,70 @@ pub struct VacuumStats {
     /// Version chains walked: the keys that were in debt (every indexed
     /// key on the first pass after a recovery).
     pub chains: usize,
-    /// Versions unlinked and recycled.
+    /// Versions unlinked and retired.
     pub freed: usize,
 }
 
+/// What one [`Database::maintain`] pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MaintainStats {
+    /// The vacuum.
+    pub vacuum: VacuumStats,
+    /// The checkpoint; `None` when it was contended.
+    pub checkpoint: Option<CheckpointStats>,
+}
+
 impl Database {
+    /// Run one maintenance pass — [`vacuum`](Self::vacuum), then
+    /// [`checkpoint`](Self::checkpoint) — if the log has grown by the top
+    /// buffer tier's capacity (DRAM's, or NVM's without one) since the
+    /// last pass started; otherwise, or while another pass runs, do
+    /// nothing and return `Ok(None)`. Cheap enough to call on every poll
+    /// of a monitor loop.
+    ///
+    /// Every version a commit creates is logged, so the versions made
+    /// between two passes never outgrow DRAM, and a restart replays at
+    /// most about one interval of log. A pass records where it started
+    /// whatever its outcome: a contended checkpoint (an explicit
+    /// transaction held open past the fence's quiesce wait) is counted as
+    /// `maint_contended` and retried only after another interval of log,
+    /// so an open transaction stalls new ones at most once per interval.
+    pub fn maintain(&self) -> Result<Option<MaintainStats>> {
+        let Some(mut from) = self.maint_from.try_lock() else {
+            return Ok(None);
+        };
+        let config = self.bm.config();
+        let interval = if config.dram_capacity > 0 {
+            config.dram_capacity
+        } else {
+            config.nvm_capacity
+        };
+        let lsn = self.wal.current_lsn();
+        if lsn.saturating_sub(*from) < interval as u64 {
+            return Ok(None);
+        }
+        *from = lsn;
+        let vacuum = self.vacuum()?;
+        let checkpoint = match self.checkpoint() {
+            Ok(stats) => Some(stats),
+            Err(TxnError::CheckpointContended) => {
+                // relaxed: advisory counter.
+                self.maint_contended.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(Some(MaintainStats { vacuum, checkpoint }))
+    }
+
     /// Truncate version chains below the oldest active transaction
-    /// timestamp and recycle the freed slots.
+    /// timestamp and retire the freed slots.
     ///
     /// A version is unreachable once a newer *committed* version exists
     /// with `begin ≤ watermark`: every active or future transaction reads
     /// that newer version (or something newer still). Vacuum walks a chain
-    /// under its key stripe, cuts at the first such keeper, and returns
-    /// everything below the cut to the table's slot free list.
+    /// under its key stripe, cuts at the first such keeper, and retires
+    /// everything below the cut.
     ///
     /// Only a chain *in debt* has anything below a keeper, and commit
     /// recorded which those are and where each starts (see
@@ -51,11 +108,12 @@ impl Database {
     /// volatile: the first pass after [`Database::recover`] takes its
     /// keys and chain heads from the indexes instead — every key, once.
     ///
-    /// Note: recycled slots may still be named as `prev` by pre-vacuum log
-    /// records. Recovery rebuilds indexes from newest-committed versions
-    /// only and fresh transactions never walk below them, so this is
-    /// harmless; run [`Database::checkpoint`] before vacuum to truncate
-    /// those records entirely.
+    /// A retired slot is reused only after the next checkpoint that
+    /// installs: until its cut is durable, the log records that link the
+    /// keeper to it are still replayed after a crash, and a slot reused in
+    /// the meantime would put another key's version into the keeper's
+    /// chain. A vacuum with no checkpoint after it therefore frees no slot
+    /// for inserts (see `Table::retire_slot`).
     pub fn vacuum(&self) -> Result<VacuumStats> {
         let watermark = self.oldest_active_ts();
         let mut stats = VacuumStats::default();
@@ -156,14 +214,14 @@ impl Database {
     }
 
     /// Free the chain starting at `rid`: one write visit per version reads
-    /// its `prev` and zeroes its header.
+    /// its `prev` and clears its header, and the slot is retired.
     fn free_chain(table: &Table, mut rid: u64) -> Result<usize> {
         let mut freed = 0;
         while rid != NO_RID {
             let visit = table.write_visit(rid)?;
             let prev = visit.header()?.prev;
             visit.clear_header()?;
-            table.recycle_slot(rid);
+            table.retire_slot(rid);
             freed += 1;
             rid = prev;
         }

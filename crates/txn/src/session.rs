@@ -29,10 +29,7 @@ use crate::Result;
 /// #     .build()
 /// #     .unwrap();
 /// # let bm = Arc::new(BufferManager::new(config).unwrap());
-/// # let db = Arc::new(Database::create(
-/// #     bm,
-/// #     DbConfig { log_page_size: 4096, ..DbConfig::default() },
-/// # ).unwrap());
+/// # let db = Arc::new(Database::create(bm, DbConfig::default()).unwrap());
 /// db.create_table(1, 64).unwrap();
 /// let mut session = Session::new(Arc::clone(&db));
 /// session.put(1, 7, &[1u8; 64]).unwrap();          // autocommit

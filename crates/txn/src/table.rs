@@ -247,10 +247,19 @@ impl WriteVisit<'_> {
         Ok(self.guard.write(self.offset + VERSION_HEADER, payload)?)
     }
 
-    /// Zero the header (vacuum): `begin = 0` is what marks a slot unused
-    /// for the recovery slot-allocator scan.
+    /// Clear the header (vacuum): `begin = 0` is what marks a slot unused
+    /// for the recovery slot-allocator scan, and `prev = NO_RID` stops
+    /// every chain walk that still reaches the slot — redo may re-link a
+    /// keeper to it until the checkpoint that makes the cut durable.
     pub fn clear_header(&self) -> Result<()> {
-        Ok(self.guard.write(self.offset, &[0u8; VERSION_HEADER])?)
+        let cleared = VersionHeader {
+            begin: 0,
+            end: 0,
+            read_ts: 0,
+            prev: NO_RID,
+            key: 0,
+        };
+        Ok(self.guard.write(self.offset, &cleared.to_bytes())?)
     }
 }
 
@@ -275,6 +284,18 @@ pub struct Table {
     next_slot: AtomicU64,
     /// Slots reclaimed by vacuum, reused before extending the table.
     free_slots: parking_lot::Mutex<Vec<u64>>,
+    /// Slots vacuum freed that no installed checkpoint has released yet.
+    retired: parking_lot::Mutex<Retired>,
+}
+
+/// A table's vacuumed slots on their way to the free list, each list in
+/// vacuum order (see [`Table::retire_slot`]).
+#[derive(Default)]
+struct Retired {
+    /// Freed since the last checkpoint fence.
+    open: Vec<u64>,
+    /// Freed before a fence whose generation has not installed yet.
+    sealed: Vec<u64>,
 }
 
 impl Table {
@@ -305,6 +326,7 @@ impl Table {
             catalog_head,
             next_slot: AtomicU64::new(0),
             free_slots: parking_lot::Mutex::new(Vec::new()),
+            retired: parking_lot::Mutex::new(Retired::default()),
         }
     }
 
@@ -430,8 +452,9 @@ impl Table {
 
     /// Reserve a fresh slot (recycled if available) and write a version
     /// into it with one access. Returns the RID. On any failure the slot
-    /// goes (back) to the free list and holds nothing a reader or vacuum
-    /// could mistake for a version.
+    /// goes (back) to the free list — straight back, since it was never in
+    /// a chain — and holds nothing a reader or vacuum could mistake for a
+    /// version.
     pub fn insert_version(&self, header: VersionHeader, payload: &[u8]) -> Result<u64> {
         check_tuple_size(self.tuple_size, payload.len())?;
         let recycled = self.free_slots.lock().pop();
@@ -442,7 +465,7 @@ impl Table {
         match written {
             Ok(()) => Ok(rid),
             Err(e) => {
-                self.recycle_slot(rid);
+                self.free_slots.lock().push(rid);
                 Err(e)
             }
         }
@@ -479,11 +502,31 @@ impl Table {
         Ok(())
     }
 
-    /// Return `rid` to the free list for reuse (vacuum). The caller must
-    /// have already unlinked it from every version chain and marked its
-    /// header invisible.
-    pub fn recycle_slot(&self, rid: u64) {
-        self.free_slots.lock().push(rid);
+    /// Retire `rid` (vacuum). The caller must have already unlinked it
+    /// from every version chain and cleared its header.
+    ///
+    /// A retired slot is not reused yet: until a checkpoint makes the cut
+    /// durable, a crash replays log records that link a keeper back to it.
+    /// The checkpoint seals the slots retired before its fence
+    /// ([`seal_retired`](Self::seal_retired)) and, once its generation has
+    /// installed, moves them to the free list
+    /// ([`release_sealed`](Self::release_sealed)).
+    pub(crate) fn retire_slot(&self, rid: u64) {
+        self.retired.lock().open.push(rid);
+    }
+
+    /// Seal every slot retired so far (the checkpoint fence). Slots a
+    /// failed checkpoint sealed stay sealed, ahead of these.
+    pub(crate) fn seal_retired(&self) {
+        let retired = &mut *self.retired.lock();
+        retired.sealed.append(&mut retired.open);
+    }
+
+    /// Append the sealed slots to the free list in vacuum order (their
+    /// checkpoint's generation installed).
+    pub(crate) fn release_sealed(&self) {
+        let mut sealed = std::mem::take(&mut self.retired.lock().sealed);
+        self.free_slots.lock().append(&mut sealed);
     }
 
     /// Number of slots currently awaiting reuse.

@@ -407,8 +407,10 @@ impl Wal {
     }
 
     /// Bytes of live log: everything appended past the last truncation
-    /// point (including records still pending in the NVM buffer). The
-    /// checkpoint trigger compares this against its threshold.
+    /// point (including records still pending in the NVM buffer). What
+    /// [`Database::maintain`](crate::Database::maintain) paces its passes
+    /// by is [`current_lsn`](Self::current_lsn), which truncation does not
+    /// move back.
     pub fn log_bytes(&self) -> u64 {
         self.lsn.load(Ordering::Acquire) - self.base_lsn.load(Ordering::Acquire)
     }

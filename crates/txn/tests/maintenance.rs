@@ -1,21 +1,30 @@
-//! Tests for version-chain vacuum and the dirty-page flush entry points.
+//! Tests for version-chain vacuum, the recycle rule (a vacuumed slot is
+//! reused only after the checkpoint that makes its cut durable), the
+//! maintenance pass, and the dirty-page flush entry points.
 
+use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Duration;
 
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
-use spitfire_device::TimeScale;
+use spitfire_device::{
+    FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, PersistenceTracking, TimeScale,
+    Trigger,
+};
 use spitfire_txn::{Database, DbConfig, TxnError, VacuumStats};
 
 const PAGE: usize = 1024;
+const DRAM: usize = 64 * PAGE;
 const T: u32 = 1;
 const TUPLE: usize = 100;
 
 fn database() -> Database {
     let config = BufferManagerConfig::builder()
         .page_size(PAGE)
-        .dram_capacity(64 * PAGE)
+        .dram_capacity(DRAM)
         .nvm_capacity(256 * (PAGE + 64))
         .policy(MigrationPolicy::lazy())
+        .persistence(PersistenceTracking::Full)
         .time_scale(TimeScale::ZERO)
         .build()
         .unwrap();
@@ -96,15 +105,157 @@ fn vacuum_recycles_slots_for_new_inserts() {
     }
     let before = db.vacuum().unwrap();
     assert_eq!(before.freed, 4);
-    // New writes reuse the freed slots instead of growing the table.
+    db.checkpoint().unwrap();
+    assert_eq!(db.table_free_slots(T).unwrap().len(), 4);
+    // After the checkpoint, new writes reuse the freed slots instead of
+    // growing the table.
     for round in 0..4u8 {
         write(&db, 8 + round as u64, 0xAA);
     }
+    assert_eq!(db.table_free_slots(T).unwrap(), Vec::<u64>::new());
     let t = db.begin();
     assert_eq!(db.read(&t, T, 7).unwrap(), vec![4u8; TUPLE]);
     for k in 8..12u64 {
         assert_eq!(db.read(&t, T, k).unwrap(), vec![0xAA; TUPLE]);
     }
+}
+
+#[test]
+fn a_vacuum_with_no_checkpoint_after_it_frees_no_slot() {
+    let db = database();
+    for round in 0..5u8 {
+        write(&db, 7, round);
+    }
+    assert_eq!(db.vacuum().unwrap().freed, 4);
+    assert_eq!(db.table_free_slots(T).unwrap(), Vec::<u64>::new());
+    // The next write grows the table instead.
+    write(&db, 8, 0xAA);
+    assert_eq!(db.table_free_slots(T).unwrap(), Vec::<u64>::new());
+}
+
+/// Vacuum → reuse → crash with no checkpoint in between: redo of the tail
+/// past the generation re-links the keeper to the slot vacuum freed. Were
+/// that slot reused, it would now hold another key's version, and the
+/// first vacuum after recovery would walk from one chain into the other.
+#[test]
+fn a_recycled_slot_survives_a_crash_before_the_next_checkpoint() {
+    let db = Arc::new(database());
+    write(&db, 1, 1);
+    write(&db, 2, 1);
+    db.checkpoint().unwrap();
+    write(&db, 1, 2);
+    assert_eq!(db.vacuum().unwrap().freed, 1);
+    write(&db, 2, 2);
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!((stats.snapshot_generation, stats.redone), (1, 2));
+
+    // A walk that never ends must fail the test, not hang it: the helper
+    // is joined only once it has signalled (or died).
+    let (done, finished) = mpsc::channel();
+    let helper = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.vacuum().unwrap();
+            let mut t = db.begin();
+            let values = [1, 2].map(|key| db.read(&t, T, key).unwrap());
+            db.commit(&mut t).unwrap();
+            let _ = done.send(());
+            values
+        })
+    };
+    let outcome = finished.recv_timeout(Duration::from_secs(10));
+    assert_ne!(
+        outcome,
+        Err(mpsc::RecvTimeoutError::Timeout),
+        "vacuum or read-back after recovery did not return within 10 s"
+    );
+    let values = helper.join().unwrap();
+    assert_eq!(values, [vec![2u8; TUPLE], vec![2u8; TUPLE]]);
+}
+
+#[test]
+fn a_failed_checkpoint_releases_nothing_and_the_next_releases_in_vacuum_order() {
+    let db = database();
+    // Key 1 in rids 0 → 1 → 2; vacuum frees 1, then 0.
+    for round in 0..3u8 {
+        write(&db, 1, round);
+    }
+    assert_eq!(db.vacuum().unwrap().freed, 2);
+
+    // Contended at the fence: nothing is sealed, nothing released.
+    let mut open = db.begin();
+    assert_eq!(db.checkpoint(), Err(TxnError::CheckpointContended));
+    db.commit(&mut open).unwrap();
+    assert_eq!(db.table_free_slots(T).unwrap(), Vec::<u64>::new());
+
+    // Failed after the fence (no generation installs): the sealed slots
+    // wait for the next checkpoint.
+    let superblock = FaultRule::any(Trigger::Always, FaultKind::Fatal)
+        .on_op(FaultOp::Write)
+        .in_range(0, PAGE as u64);
+    let plan = FaultPlan::new(3).rule(superblock);
+    db.set_snapshot_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+    assert!(db.checkpoint().is_err());
+    db.set_snapshot_fault_injector(None);
+    assert_eq!(db.table_free_slots(T).unwrap(), Vec::<u64>::new());
+
+    // Key 2 in fresh rids 3 → 4 → 5; vacuum frees 4, then 3.
+    for round in 0..3u8 {
+        write(&db, 2, round);
+    }
+    assert_eq!(db.vacuum().unwrap().freed, 2);
+    db.checkpoint().unwrap();
+    assert_eq!(db.table_free_slots(T).unwrap(), vec![1, 0, 4, 3]);
+}
+
+/// Write `key` with fresh values until the log has grown by `bytes`.
+fn write_log(db: &Database, key: u64, bytes: u64) {
+    let until = db.wal().current_lsn() + bytes;
+    let mut round = 0u8;
+    while db.wal().current_lsn() < until {
+        write(db, key, round);
+        round = round.wrapping_add(1);
+    }
+}
+
+fn maint_contended(db: &Database) -> u64 {
+    let mut report = spitfire_obs::Report::default();
+    spitfire_obs::Source::report(db, &mut report);
+    report.counters["maint_contended"]
+}
+
+#[test]
+fn maintain_runs_one_pass_per_dram_capacity_of_log() {
+    let db = database();
+    write(&db, 1, 0);
+    assert_eq!(db.maintain().unwrap(), None, "not an interval of log yet");
+    write_log(&db, 1, DRAM as u64);
+    let pass = db.maintain().unwrap().expect("an interval of log: a pass");
+    assert!(pass.vacuum.freed > 0);
+    assert_eq!(pass.checkpoint.expect("quiescent").generation, 1);
+    assert_eq!(db.maintain().unwrap(), None, "the pass restarted the count");
+    assert!(!db.table_free_slots(T).unwrap().is_empty());
+}
+
+#[test]
+fn an_open_transaction_costs_one_contended_pass_per_interval() {
+    let db = database();
+    let mut open = db.begin();
+    write_log(&db, 2, DRAM as u64);
+    let pass = db.maintain().unwrap().expect("due");
+    assert_eq!(pass.checkpoint, None);
+    assert_eq!(maint_contended(&db), 1);
+    // Not retried until another interval of log, open or not.
+    write(&db, 2, 0xEE);
+    assert_eq!(db.maintain().unwrap(), None);
+    db.commit(&mut open).unwrap();
+    assert_eq!(db.maintain().unwrap(), None);
+    assert!(db.snapshot_engine().is_some_and(|e| e.generation() == 0));
+    write_log(&db, 2, DRAM as u64);
+    let pass = db.maintain().unwrap().expect("due again");
+    assert_eq!(pass.checkpoint.expect("nothing open").generation, 1);
+    assert_eq!(maint_contended(&db), 1);
 }
 
 #[test]

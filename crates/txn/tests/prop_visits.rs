@@ -307,29 +307,38 @@ proptest! {
         check_reads_as_newcomer(&db, &mut model);
     }
 
-    /// Vacuum's debts die with the process. The first pass after recovery
-    /// finds through the index every version superseded before the crash,
-    /// their slots take the next writes, and the pass after that — driven
-    /// by debts again — frees in an order the ops alone decide: the same
-    /// schedule twice leaves the same free lists.
+    /// Vacuum's debts die with the process, and so do the slots a vacuum
+    /// before the crash retired: no checkpoint released them, and redo
+    /// re-links every version it cut. The first pass after recovery finds
+    /// through the index every version superseded before the crash, the
+    /// checkpoint after it releases their slots, they take the next
+    /// writes, and the pass after that — driven by debts again — frees in
+    /// an order the ops alone decide: the same schedule twice leaves the
+    /// same free lists.
     #[test]
     fn debt_from_before_a_crash_is_collected_after_it(
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
         let run = || {
             let (db, mut model) = fresh();
-            drop(play(&db, &mut model, &ops)); // whatever is open is a loser
+            let open = play(&db, &mut model, &ops); // whatever is open is a loser
+            let cut = db.vacuum().unwrap().freed;
+            assert_eq!(cut, model.vacuum(db.oldest_active_ts()));
+            assert_eq!(db.table_free_slots(T).unwrap(), Vec::<u64>::new());
+            drop(open);
             db.simulate_crash();
             model.crash();
             db.recover().unwrap();
 
             // Nothing is active: every chain is cut to its newest version.
-            let superseded = model.vacuum(u64::MAX);
+            let superseded = cut + model.vacuum(u64::MAX);
             assert_eq!(db.vacuum().unwrap().freed, superseded);
-            let after_recovery = db.table_free_slots(T).unwrap();
-            assert_eq!(after_recovery.len(), superseded);
+            assert_eq!(db.table_free_slots(T).unwrap(), Vec::<u64>::new());
             assert_eq!(db.vacuum().unwrap(), VacuumStats::default());
             check_reads_as_newcomer(&db, &mut model);
+            db.checkpoint().unwrap();
+            let after_recovery = db.table_free_slots(T).unwrap();
+            assert_eq!(after_recovery.len(), superseded);
 
             let written = update_every_key(&db, &mut model);
             let left = db.table_free_slots(T).unwrap();

@@ -59,8 +59,9 @@ fn write_pair(db: &Database, i: u64, byte: u8) -> Result<(), TxnError> {
 #[test]
 fn readers_see_whole_pairs_while_pages_cycle_through_ssd() {
     // 8 + 8 frames under a table that grows to thousands of pages (the
-    // maintenance thread vacuums behind the writers): about a quarter of
-    // all fetches miss to SSD.
+    // maintenance thread vacuums behind the writers, and checkpoints so
+    // that the vacuumed slots are reused): about a quarter of all fetches
+    // miss to SSD.
     let config = BufferManagerConfig::builder()
         .page_size(PAGE)
         .dram_capacity(8 * PAGE)
@@ -92,6 +93,10 @@ fn readers_see_whole_pairs_while_pages_cycle_through_ssd() {
                 maint.tick();
                 if n % 256 == 0 {
                     db.vacuum().unwrap();
+                    match db.checkpoint() {
+                        Ok(_) | Err(TxnError::CheckpointContended) => {}
+                        Err(e) => panic!("checkpoint: {e}"),
+                    }
                 }
                 std::thread::yield_now();
             }

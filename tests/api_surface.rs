@@ -246,16 +246,29 @@ fn removed_shims_stay_removed() {
     );
     let _: Absent = tuner.with_replacement_axis(PolicyConfig::Clock);
 
-    // One durability switch and one checkpoint path. The destructuring
-    // and the match are exhaustive, so they stop compiling if
-    // `DbConfig::log_tracking` (or any other field) or
+    // One durability switch, one log page size and one checkpoint path.
+    // The destructurings and the match are exhaustive, so they stop
+    // compiling if `DbConfig::log_tracking` or `DbConfig::log_page_size`
+    // (the log file's page is the SSD's write unit), the server's
+    // `pressure_poll` (a constant), any other field, or
     // `RecordKind::Checkpoint` (or any other kind) comes back; the
     // engine-less checkpoint's `Wal::truncate` is pinned like the shims.
     let spitfire_txn::DbConfig {
         log_buffer_bytes: _,
-        log_page_size: _,
         lock_stripes: _,
     } = spitfire_txn::DbConfig::default();
+    let spitfire_server::ServerConfig {
+        addr: _,
+        workers: _,
+        page_size: _,
+        dram_bytes: _,
+        nvm_bytes: _,
+        value_bytes: _,
+        preload_keys: _,
+        tenants: _,
+        admission: _,
+        allow_remote_shutdown: _,
+    } = spitfire_server::ServerConfig::default();
     match spitfire_txn::RecordKind::Commit {
         spitfire_txn::RecordKind::Update
         | spitfire_txn::RecordKind::Insert

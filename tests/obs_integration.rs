@@ -242,6 +242,7 @@ const FULL_STACK_SCHEMA: &[&str] = &[
     "io_retries",
     "last_checkpoint_ms",
     "last_checkpoint_pages",
+    "maint_contended",
     "maint_cycles",
     "maint_evictions",
     "maint_writebacks",
