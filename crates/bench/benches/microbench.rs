@@ -184,7 +184,7 @@ fn bench_obs(c: &mut Criterion) {
     g.bench_function("record_disabled", |b| {
         b.iter(|| {
             let t = spitfire_obs::op_start();
-            spitfire_obs::record_op(Op::FetchDramHit, t, 0, "dram");
+            spitfire_obs::record_since(Op::FetchDramHit, t);
         })
     });
     spitfire_obs::set_enabled(true);
@@ -192,14 +192,14 @@ fn bench_obs(c: &mut Criterion) {
     g.bench_function("record_timed", |b| {
         b.iter(|| {
             let t = spitfire_obs::op_start();
-            spitfire_obs::record_op(Op::FetchDramHit, t, 0, "dram");
+            spitfire_obs::record_since(Op::FetchDramHit, t);
         })
     });
     spitfire_obs::set_sample_interval(spitfire_obs::DEFAULT_SAMPLE_INTERVAL);
     g.bench_function("record_sampled", |b| {
         b.iter(|| {
             let t = spitfire_obs::op_start();
-            spitfire_obs::record_op(Op::FetchDramHit, t, 0, "dram");
+            spitfire_obs::record_since(Op::FetchDramHit, t);
         })
     });
     spitfire_obs::set_enabled(false);

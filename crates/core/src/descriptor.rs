@@ -1,9 +1,9 @@
 //! Shared page descriptors (paper §5.1, Figure 4).
 //!
 //! The unified mapping table stores one [`SharedPageDesc`] per logical page.
-//! The descriptor records where copies of the page live (DRAM and/or NVM),
-//! how many threads currently use each copy, and how dirty each copy is
-//! ([`Dirt`]). An *exclusive* claim moves a copy through the
+//! The descriptor records where copies of the page live (DRAM and/or NVM)
+//! and how dirty each copy is ([`Dirt`]); how many threads currently use
+//! each copy is counted in that copy's [`PinWord`] alone. An *exclusive* claim moves a copy through the
 //! [`CopyState::Busy`] / [`CopyState::Loading`] states, which is the
 //! non-blocking formulation of the paper's per-tier migration latches: a
 //! fetch that encounters a copy in a transitional state waits on the
@@ -77,38 +77,25 @@ pub(crate) enum CopyState {
     /// Being installed by a migration; not yet readable. Waiters block on
     /// the descriptor condvar until it becomes `Resident`.
     Loading,
-    /// Present and usable. `pins` counts outstanding guards; `dirt` says
-    /// how the copy differs from the tier below it.
+    /// Present and usable; its guards are counted in the slot's pin word.
+    /// `dirt` says how the copy differs from the tier below it.
     Resident {
         /// Where the bytes live.
         frame: FrameRef,
-        /// Number of outstanding page guards on this copy.
-        pins: u32,
         /// What must happen to this copy's changes before it is dropped.
         dirt: Dirt,
     },
-    /// Under migration (eviction or promotion-source drain): existing pins
-    /// may still drain, but no new pins are granted.
+    /// Under migration (eviction or promotion-source drain): claimed with
+    /// a zero pin count, and no new pins are granted.
     Busy {
         /// Where the bytes live.
         frame: FrameRef,
-        /// Pins still draining.
-        pins: u32,
         /// Dirt carried through the migration.
         dirt: Dirt,
     },
 }
 
 impl CopyState {
-    /// Pins currently held on this copy.
-    #[cfg(test)]
-    pub(crate) fn pins(&self) -> u32 {
-        match self {
-            CopyState::Loading => 0,
-            CopyState::Resident { pins, .. } | CopyState::Busy { pins, .. } => *pins,
-        }
-    }
-
     /// Whether this copy is in a transitional state.
     #[cfg(test)]
     pub(crate) fn in_transition(&self) -> bool {
@@ -155,11 +142,15 @@ impl PageState {
 
 /// Shared page descriptor stored in the mapping table (Figure 4).
 ///
-/// # Optimistic pin words
+/// # Pin words
 ///
-/// The two [`PinWord`]s let the fetch fast path pin a stably resident
-/// copy without the mutex. They are opened and closed *only* under the
-/// descriptor mutex, maintaining two invariants:
+/// Each copy's guards are counted in one [`PinWord`], and nowhere else.
+/// The fast path pins a stably resident copy with a CAS on an open word,
+/// without the mutex; the slow path pins under the mutex with
+/// [`PinWord::pin_locked`], open word or not. Fine-grained and mini copies
+/// count on the DRAM word too, which stays closed over them. The words
+/// are opened and closed *only* under the descriptor mutex, maintaining
+/// two invariants:
 ///
 /// * `dram_pin` is open ⇔ the DRAM slot holds a `Resident` copy in a
 ///   full frame (fine-grained and mini copies never open the word —
@@ -169,14 +160,15 @@ impl PageState {
 ///   NVM copy, so serving NVM optimistically while one exists would read
 ///   stale bytes.
 ///
-/// A copy leaves `Resident` only once its word is closed with a zero
-/// optimistic pin count: an exclusive claim closes the word *first* (see
+/// A copy leaves `Resident` only once its word is closed with a zero pin
+/// count: an exclusive claim closes the word *first* (see
 /// [`PinWord::close`]) and backs off if readers are draining; a shadow
 /// move does its device I/O with the word still open and closes it only
 /// at commit ([`PinWord::shadow_commit`]), aborting if the version moved
 /// or pins did not drain. A shadow *flush* never closes the word — the
-/// copy stays `Resident` and merely goes clean. The total pin count of a
-/// copy is the mutex `pins` field plus its word's optimistic count.
+/// copy stays `Resident` and merely goes clean. An NVM copy under a
+/// fine-grained or mini DRAM copy holds no pin for it: the partial copy's
+/// presence is what keeps eviction off it.
 ///
 /// # Layout
 ///
@@ -216,9 +208,9 @@ pub(crate) struct SharedPageDesc {
     /// Signalled on every state transition; waiters re-check under the
     /// mutex.
     pub cond: Condvar,
-    /// Optimistic pin word for the DRAM copy (own cache line).
+    /// Pin word for the DRAM copy (own cache line).
     pub dram_pin: CachePadded<PinWord>,
-    /// Optimistic pin word for the NVM copy (own cache line).
+    /// Pin word for the NVM copy (own cache line).
     pub nvm_pin: CachePadded<PinWord>,
     /// Optimistic latch over the page's *content*, for whoever structures
     /// it (the B+tree's lock coupling). The buffer manager never takes it:
@@ -241,7 +233,7 @@ impl SharedPageDesc {
         }
     }
 
-    /// The optimistic pin word guarding the copy in the given slot.
+    /// The pin word counting the guards on the copy in the given slot.
     pub(crate) fn pin_word(&self, dram: bool) -> &PinWord {
         if dram {
             &self.dram_pin
@@ -259,20 +251,15 @@ mod tests {
     fn copy_state_helpers() {
         let r = CopyState::Resident {
             frame: FrameRef::Full(FrameId(1)),
-            pins: 2,
             dirt: Dirt::Clean,
         };
-        assert_eq!(r.pins(), 2);
         assert!(!r.in_transition());
         let b = CopyState::Busy {
             frame: FrameRef::Full(FrameId(1)),
-            pins: 1,
             dirt: Dirt::Data,
         };
         assert!(b.in_transition());
-        assert_eq!(b.pins(), 1);
         assert!(CopyState::Loading.in_transition());
-        assert_eq!(CopyState::Loading.pins(), 0);
     }
 
     #[test]

@@ -25,10 +25,11 @@ impl BufferManager {
     }
 
     /// Promote an NVM-resident page to a fine-grained (or mini) DRAM copy:
-    /// no data is copied up front; granules load on demand. The NVM copy
-    /// takes a *backing pin* so it cannot be evicted while the partial DRAM
-    /// copy references it (the paper's pointer from the cache-line-grained
-    /// page to the underlying NVM page, Figure 2a).
+    /// no data is copied up front; granules load on demand. NVM eviction
+    /// refuses the NVM copy while the partial DRAM copy references it (the
+    /// paper's pointer from the cache-line-grained page to the underlying
+    /// NVM page, Figure 2a). The returned guard's pin is on the DRAM word,
+    /// which stays closed over a partial copy.
     pub(crate) fn promote_fine(
         &self,
         desc: &SharedPageDesc,
@@ -54,21 +55,20 @@ impl BufferManager {
         let mut st = desc.state.lock();
         st.dram = Some(CopyState::Resident {
             frame: fref,
-            pins: 1,
             dirt: Dirt::Clean,
         });
         st.nvm = Some(CopyState::Resident {
             frame: FrameRef::Full(nvm_frame),
-            pins: 1, // backing pin held by the fine-grained copy
             dirt: nvm_dirt,
         });
+        desc.dram_pin.pin_locked();
         desc.cond.notify_all();
         drop(st);
         // Promotion of the page *identity*; granule traffic is charged as
         // it happens.
         self.metrics.record_migration(MigrationPath::NvmToDram);
-        spitfire_obs::record_op(spitfire_obs::Op::MigNvmToDram, mig_t, pid.0, "dram");
-        Ok(PageGuard::new(self, pid, GuardKind::FineGrained, false))
+        spitfire_obs::record_since(spitfire_obs::Op::MigNvmToDram, mig_t);
+        Ok(PageGuard::new(self, pid, GuardKind::FineGrained))
     }
 
     /// Read through a fine-grained DRAM copy, loading missing granules from
@@ -220,12 +220,11 @@ impl BufferManager {
         let granule = self.granule();
         let mini = self.mini.as_ref().expect("mini slabs exist");
         let new_frame = self.alloc_frame(true)?;
-        let (pins, dirt, mp) = match dram.take() {
+        let (dirt, mp) = match dram.take() {
             Some(CopyState::Resident {
                 frame: FrameRef::Mini(mp),
-                pins,
                 dirt,
-            }) => (pins, dirt, mp),
+            }) => (dirt, mp),
             other => {
                 *dram = other;
                 self.tier1_pool().free(new_frame);
@@ -251,7 +250,6 @@ impl BufferManager {
         self.tier1_pool().set_owner(new_frame, pid);
         *dram = Some(CopyState::Resident {
             frame: FrameRef::Fine(Box::new(fp)),
-            pins,
             dirt,
         });
         Ok(())

@@ -36,31 +36,21 @@ pub struct PageGuard<'a> {
     pid: PageId,
     kind: GuardKind,
     /// True if the pinned copy lives in the DRAM slot of the descriptor
-    /// (fine-grained copies always do).
+    /// (fine-grained copies always do), so its pin is on the DRAM word.
     in_dram_slot: bool,
-    /// True if the pin is held in the descriptor's optimistic pin word
-    /// (lock-free fast path) rather than the mutex-guarded `pins` field.
-    /// The drop must release through the same mechanism.
-    optimistic: bool,
 }
 
 impl<'a> PageGuard<'a> {
-    /// Wrap a pin the caller already took on the copy `kind` names —
-    /// through the descriptor's pin word (`optimistic`) or its mutex
-    /// `pins` field.
+    /// Wrap a pin the caller already took on the copy `kind` names, in
+    /// that copy's pin word — lock-free or under the descriptor mutex, the
+    /// drop is the same.
     #[inline]
-    pub(crate) fn new(
-        bm: &'a BufferManager,
-        pid: PageId,
-        kind: GuardKind,
-        optimistic: bool,
-    ) -> Self {
+    pub(crate) fn new(bm: &'a BufferManager, pid: PageId, kind: GuardKind) -> Self {
         PageGuard {
             bm,
             pid,
             kind,
             in_dram_slot: !matches!(kind, GuardKind::FullNvm(_)),
-            optimistic,
         }
     }
 
@@ -165,11 +155,7 @@ impl<'a> PageGuard<'a> {
 
 impl Drop for PageGuard<'_> {
     fn drop(&mut self) {
-        if self.optimistic {
-            self.bm.unpin_fast(self.pid, self.in_dram_slot);
-        } else {
-            self.bm.unpin(self.pid, self.in_dram_slot);
-        }
+        self.bm.unpin_fast(self.pid, self.in_dram_slot);
     }
 }
 

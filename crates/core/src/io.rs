@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use spitfire_device::retry_io_with;
 pub(crate) use spitfire_device::IO_RETRY_LIMIT;
-use spitfire_obs::{record_op, Op};
+use spitfire_obs::{record_since, Op};
 
 use crate::error::BufferError;
 use crate::metrics::BufferMetrics;
@@ -46,7 +46,7 @@ pub(crate) fn retry_device_io_n<T>(
 ) -> Result<T, BufferError> {
     let on_retry = || {
         metrics.record_io_retry();
-        record_op(Op::IoRetry, Some(Instant::now()), u64::MAX, during);
+        record_since(Op::IoRetry, Some(Instant::now()));
     };
     retry_io_with(limit, on_retry, f).map_err(|e| {
         if e.is_injected() {

@@ -118,12 +118,7 @@ impl BufferManager {
             // A shadow operation owns this page's transitions right now.
             return false;
         }
-        let Some(CopyState::Resident {
-            frame,
-            pins: 0,
-            dirt,
-        }) = &st.dram
-        else {
+        let Some(CopyState::Resident { frame, dirt }) = &st.dram else {
             return false;
         };
         if frame.frame() != victim {
@@ -139,17 +134,21 @@ impl BufferManager {
         // moves to NVM like data — and only its SSD leg differs. Clean
         // copies are discarded without I/O (nothing to shadow) and
         // fine/mini copies are claimed exclusively (granule write-back
-        // needs the mutex).
+        // needs the mutex). A pinned copy is skipped before any I/O: the
+        // move retires it, so its commit could only abort.
         if dirt != Dirt::Clean && !fine {
+            if desc.dram_pin.pins() > 0 {
+                return false;
+            }
             return self.evict_dram_shadow(desc, st, victim, dirt);
         }
 
-        // Stop optimistic pinners before committing to the eviction: a
-        // non-zero fast count means readers are mid-access — re-open and
-        // pick another victim. (Fine/mini copies never open the word, so
-        // `close` is a no-op returning zero for them.)
-        let fast_pins = desc.dram_pin.close();
-        if fast_pins > 0 {
+        // Stop pinners before committing to the eviction: a non-zero count
+        // means readers are mid-access — re-open and pick another victim.
+        // (Fine/mini copies never open the word; `close` just reports
+        // their count.)
+        let pins = desc.dram_pin.close();
+        if pins > 0 {
             Self::reopen_dram_word(desc, &st);
             return false;
         }
@@ -158,18 +157,16 @@ impl BufferManager {
         // the backing NVM copy, claimed here while we can still see it.
         let backing = if dirt != Dirt::Clean {
             match &st.nvm {
-                // Fine-grained copies hold one backing pin on the NVM
-                // copy; anything beyond that means concurrent readers.
+                // No guard can hold the NVM copy while a DRAM copy is
+                // above it: fetches take the DRAM copy.
                 Some(CopyState::Resident {
                     frame: nf,
-                    pins,
                     dirt: nvm_dirt,
-                }) if *pins <= 1 => {
+                }) => {
                     let nvm_frame = nf.frame();
                     let d = *nvm_dirt;
                     st.nvm = Some(CopyState::Busy {
                         frame: FrameRef::Full(nvm_frame),
-                        pins: 0,
                         dirt: d,
                     });
                     Some(nvm_frame)
@@ -188,7 +185,6 @@ impl BufferManager {
         };
         st.dram = Some(CopyState::Busy {
             frame: fref.clone(),
-            pins: 0,
             dirt,
         });
         drop(st);
@@ -201,13 +197,13 @@ impl BufferManager {
         self.release_dram_copy(desc, fref, backing);
         if backing.is_some() {
             self.metrics.record_migration(MigrationPath::DramToNvm);
-            obs::record_op(Op::MigDramToNvm, mig_t, desc.pid.0, "nvm");
+            obs::record_since(Op::MigDramToNvm, mig_t);
         } else {
             // Clean copy (§3.3 — unmodified pages are simply discarded).
             self.metrics.record_discard();
         }
         self.metrics.record_dram_eviction();
-        obs::record_op(Op::EvictDram, evict_t, desc.pid.0, "dram");
+        obs::record_since(Op::EvictDram, evict_t);
         true
     }
 
@@ -231,11 +227,9 @@ impl BufferManager {
         dirt: Dirt,
     ) -> bool {
         // A pre-existing NVM copy is the merge target, claimed along with
-        // the source; one that is pinned or in transition means back off.
+        // the source; one in transition means back off.
         let merge = match &st.nvm {
-            Some(CopyState::Resident {
-                frame: nf, pins: 0, ..
-            }) => Some(nf.frame()),
+            Some(CopyState::Resident { frame: nf, .. }) => Some(nf.frame()),
             Some(_) => return false,
             None => None,
         };
@@ -286,15 +280,15 @@ impl BufferManager {
         }
         if merge.is_some() || admitted.is_some() {
             self.metrics.record_migration(MigrationPath::DramToNvm);
-            obs::record_op(Op::MigDramToNvm, mig_t, desc.pid.0, "nvm");
+            obs::record_since(Op::MigDramToNvm, mig_t);
         } else if dirt == Dirt::Hint {
             self.metrics.record_hint_discard();
         } else {
             self.metrics.record_migration(MigrationPath::DramToSsd);
-            obs::record_op(Op::MigDramToSsd, mig_t, desc.pid.0, "ssd");
+            obs::record_since(Op::MigDramToSsd, mig_t);
         }
         self.metrics.record_dram_eviction();
-        obs::record_op(Op::EvictDram, evict_t, desc.pid.0, "dram");
+        obs::record_since(Op::EvictDram, evict_t);
         true
     }
 
@@ -328,16 +322,8 @@ impl BufferManager {
         if let Some(nvm_frame) = backing {
             st.nvm = Some(CopyState::Resident {
                 frame: FrameRef::Full(nvm_frame),
-                pins: 0,
                 dirt: Dirt::Data,
             });
-        } else if !matches!(fref, FrameRef::Full(_)) {
-            // Clean fine-grained copy discarded: release the backing pin.
-            if let Some(CopyState::Resident { pins, .. } | CopyState::Busy { pins, .. }) =
-                &mut st.nvm
-            {
-                *pins = pins.saturating_sub(1);
-            }
         }
         // With the DRAM copy gone, a surviving Resident NVM copy becomes
         // optimistically pinnable again.
@@ -357,7 +343,9 @@ impl BufferManager {
     }
 
     /// Claim `victim`'s NVM copy for eviction or write-back: the copy must
-    /// be `Resident` with zero mutex pins, occupying `victim`. `None`
+    /// be `Resident`, unpinned and backing no partial DRAM copy, occupying
+    /// `victim`. The pin check comes before any I/O because the move
+    /// retires the copy: a pinned one could only abort at commit. `None`
     /// means back off and pick another victim. Returns the copy's dirt and
     /// how it was claimed (see [`Self::claim_nvm_copy`]).
     pub(super) fn claim_nvm_victim(
@@ -366,26 +354,21 @@ impl BufferManager {
         victim: FrameId,
     ) -> Option<(Dirt, Claim)> {
         let mut st = desc.state.try_lock()?;
-        if st.shadow_nvm || st.shadow_dram {
+        if st.shadow_nvm || st.shadow_dram || backs_partial_copy(&st) {
             return None;
         }
-        let Some(CopyState::Resident {
-            frame,
-            pins: 0,
-            dirt,
-        }) = &st.nvm
-        else {
+        let Some(CopyState::Resident { frame, dirt }) = &st.nvm else {
             return None;
         };
-        if frame.frame() != victim {
+        if frame.frame() != victim || desc.nvm_pin.pins() > 0 {
             return None;
         }
         let dirt = *dirt;
         Some((dirt, Self::claim_nvm_copy(desc, &mut st, victim, dirt)?))
     }
 
-    /// Claim the `Resident`, zero-mutex-pin NVM copy in `victim` (caller
-    /// holds the descriptor mutex and saw no shadow operation in flight).
+    /// Claim the `Resident`, unpinned NVM copy in `victim` (caller holds
+    /// the descriptor mutex and saw no shadow operation in flight).
     ///
     /// A copy with *data* dirt whose word is open is shadow-claimed: the
     /// slot stays `Resident` and readers keep hitting it until
@@ -394,8 +377,8 @@ impl BufferManager {
     /// no I/O ahead of the retirement (clean, or hint dirt only) and copies
     /// whose word is already closed (a DRAM copy shadows them, so readers
     /// use DRAM and closing stalls nobody) are claimed exclusively: slot
-    /// `Busy`, word closed. `None` means optimistic readers are
-    /// mid-access: back off.
+    /// `Busy`, word closed. `None` means readers are mid-access: back
+    /// off.
     pub(super) fn claim_nvm_copy(
         desc: &SharedPageDesc,
         st: &mut PageState,
@@ -407,16 +390,14 @@ impl BufferManager {
                 return Some(Claim::Shadow(claim));
             }
         }
-        // Stop optimistic pinners; back off if any are mid-access. (The
-        // word is already closed whenever a DRAM copy shadows this one.)
-        let fast_pins = desc.nvm_pin.close();
-        if fast_pins > 0 {
+        // Stop pinners; back off if any are mid-access. (The word is
+        // already closed whenever a DRAM copy shadows this one.)
+        if desc.nvm_pin.close() > 0 {
             Self::reopen_nvm_word(desc, st);
             return None;
         }
         st.nvm = Some(CopyState::Busy {
             frame: FrameRef::Full(victim),
-            pins: 0,
             dirt,
         });
         Some(Claim::Exclusive)
@@ -455,7 +436,6 @@ impl BufferManager {
         let mut st = desc.state.lock();
         st.nvm = Some(CopyState::Resident {
             frame: FrameRef::Full(victim),
-            pins: 0,
             dirt: Dirt::Data,
         });
         Self::reopen_nvm_word(desc, &st);
@@ -518,10 +498,10 @@ impl BufferManager {
                 return false;
             }
             self.metrics.record_migration(MigrationPath::NvmToSsd);
-            obs::record_op(Op::MigNvmToSsd, mig_t, desc.pid.0, "ssd");
+            obs::record_since(Op::MigNvmToSsd, mig_t);
             self.finish_nvm_eviction(desc, victim);
         }
-        obs::record_op(Op::EvictNvm, evict_t, desc.pid.0, "nvm");
+        obs::record_since(Op::EvictNvm, evict_t);
         true
     }
 
@@ -587,5 +567,78 @@ impl BufferManager {
         }
         self.metrics.record_maint_writebacks(n as u64);
         (n, res.err().or(first_err))
+    }
+}
+
+/// Whether the NVM copy backs a fine-grained or mini DRAM copy, which
+/// loads its missing granules from it: such a copy holds no pin, but must
+/// not be evicted from under the partial copy.
+fn backs_partial_copy(st: &PageState) -> bool {
+    matches!(
+        &st.dram,
+        Some(CopyState::Resident { frame, .. } | CopyState::Busy { frame, .. })
+            if !matches!(frame, FrameRef::Full(_))
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_support::{fine_manager, install, manager};
+    use super::*;
+
+    #[test]
+    fn nvm_eviction_refuses_a_copy_backing_a_fine_copy() {
+        let bm = fine_manager();
+        let pid = bm.allocate_page().unwrap();
+        drop(bm.fetch_read(pid).unwrap()); // SSD → NVM
+        drop(bm.fetch_read(pid).unwrap()); // a fine DRAM copy over it
+        let desc = bm.mapping.get(&pid.0).unwrap();
+        let (dram, nvm) = {
+            let st = desc.state.lock();
+            assert!(backs_partial_copy(&st));
+            match (&st.dram, &st.nvm) {
+                (
+                    Some(CopyState::Resident { frame: d, .. }),
+                    Some(CopyState::Resident { frame: n, .. }),
+                ) => (d.frame(), n.frame()),
+                other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(desc.nvm_pin.pins(), 0, "no count on the backing copy");
+        assert!(bm.claim_nvm_victim(&desc, nvm).is_none());
+        assert!(!bm.try_evict_victim(false, nvm));
+        // Once the fine copy is gone, the NVM copy is a victim like any.
+        assert!(bm.try_evict_victim(true, dram));
+        assert!(bm.try_evict_victim(false, nvm));
+        bm.assert_quiescent();
+    }
+
+    #[test]
+    fn a_pinned_dirty_dram_victim_costs_no_write() {
+        for over_nvm in [false, true] {
+            let bm = manager();
+            let pid = bm.allocate_page().unwrap();
+            let desc = bm.descriptor(pid).unwrap();
+            if over_nvm {
+                install(&bm, &desc, false, Dirt::Clean);
+            }
+            let dram = install(&bm, &desc, true, Dirt::Data);
+            {
+                let _st = desc.state.lock();
+                desc.dram_pin.pin_locked();
+            }
+            let writes = || {
+                let ssd = bm.ssd.stats().snapshot().write_ops;
+                (ssd, bm.nvm_pool().device_stats().snapshot().write_ops)
+            };
+            let (w0, m0) = (writes(), bm.metrics());
+            assert!(!bm.try_evict_victim(true, dram), "over NVM: {over_nvm}");
+            assert_eq!(writes(), w0, "over NVM: {over_nvm}");
+            let d = bm.metrics().delta(&m0);
+            assert_eq!(d.migrations_aborted, 0, "skipped, never started");
+            desc.dram_pin.unpin();
+            assert!(bm.try_evict_victim(true, dram), "over NVM: {over_nvm}");
+            bm.assert_quiescent();
+        }
     }
 }

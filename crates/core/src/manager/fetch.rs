@@ -158,19 +158,14 @@ impl BufferManager {
                         self.tier1_pool().touch(f);
                         self.metrics.record_dram_hit();
                         self.metrics.record_fetch_fast();
-                        obs::record_op(Op::FetchDramHit, obs_t, pid.0, "dram");
-                        return FastOutcome::Hit(PageGuard::new(
-                            self,
-                            pid,
-                            GuardKind::FullDram(f),
-                            true,
-                        ));
+                        obs::record_since(Op::FetchDramHit, obs_t);
+                        return FastOutcome::Hit(PageGuard::new(self, pid, GuardKind::FullDram(f)));
                     }
                     PinAttempt::Raced => {
                         // A transition closed the word between our load
                         // and CAS: restart into the mutex protocol.
                         self.metrics.record_pin_restart();
-                        obs::record_op(Op::PinRestart, obs_t, pid.0, "dram");
+                        obs::record_since(Op::PinRestart, obs_t);
                         return FastOutcome::Slow(Arc::clone(desc), None);
                     }
                     PinAttempt::Closed => {}
@@ -196,19 +191,14 @@ impl BufferManager {
                         self.nvm_pool().touch(f);
                         self.metrics.record_nvm_hit();
                         self.metrics.record_fetch_fast();
-                        obs::record_op(Op::FetchNvmHit, obs_t, pid.0, "nvm");
-                        return FastOutcome::Hit(PageGuard::new(
-                            self,
-                            pid,
-                            GuardKind::FullNvm(f),
-                            true,
-                        ));
+                        obs::record_since(Op::FetchNvmHit, obs_t);
+                        return FastOutcome::Hit(PageGuard::new(self, pid, GuardKind::FullNvm(f)));
                     }
                     PinAttempt::Raced | PinAttempt::Closed => {
                         // The coin was already drawn (tails): pass it
                         // down so the slow path does not re-draw.
                         self.metrics.record_pin_restart();
-                        obs::record_op(Op::PinRestart, obs_t, pid.0, "nvm");
+                        obs::record_since(Op::PinRestart, obs_t);
                         return FastOutcome::Slow(Arc::clone(desc), Some(false));
                     }
                 }
@@ -217,12 +207,12 @@ impl BufferManager {
         })
     }
 
-    /// Drop an optimistic pin (guard drop). Mirrors `fetch_fast`: the
+    /// Drop a guard's pin, however it was taken. Mirrors `fetch_fast`: the
     /// descriptor comes from the per-thread cache when possible, and the
     /// unpin is a single CAS — no mutex, no condvar. Nothing ever blocks
-    /// waiting for optimistic pins to drain (`Busy` states start at zero
-    /// pins; evictors and promoters skip or serve in place instead), so
-    /// no notification is needed.
+    /// waiting for pins to drain (`Busy` states start at zero pins;
+    /// evictors and promoters skip or serve in place instead), so no
+    /// notification is needed.
     pub(crate) fn unpin_fast(&self, pid: PageId, in_dram_slot: bool) {
         let cached = self.with_cached_desc(pid, |desc| desc.pin_word(in_dram_slot).unpin());
         if cached.is_err() {
@@ -295,9 +285,11 @@ impl BufferManager {
         loop {
             // 1. Tier-1 (DRAM) copy.
             if self.tier1.is_some() {
-                match &mut st.dram {
-                    Some(CopyState::Resident { frame, pins, .. }) => {
-                        *pins += 1;
+                match &st.dram {
+                    Some(CopyState::Resident { frame, .. }) => {
+                        // A fine or mini copy counts here too: its word
+                        // stays closed, so the fast path still falls back.
+                        desc.dram_pin.pin_locked();
                         let kind = match frame {
                             FrameRef::Full(f) => GuardKind::FullDram(*f),
                             FrameRef::Fine(_) | FrameRef::Mini(_) => GuardKind::FineGrained,
@@ -305,13 +297,13 @@ impl BufferManager {
                         self.tier1_pool().touch(frame.frame());
                         drop(st);
                         self.metrics.record_dram_hit();
-                        obs::record_op(Op::FetchDramHit, obs_t, pid.0, "dram");
-                        return Ok(PageGuard::new(self, pid, kind, false));
+                        obs::record_since(Op::FetchDramHit, obs_t);
+                        return Ok(PageGuard::new(self, pid, kind));
                     }
                     Some(_) => {
                         let stall_t = obs::op_start();
                         desc.cond.wait(&mut st);
-                        obs::record_op(Op::ReaderStall, stall_t, pid.0, "dram");
+                        obs::record_since(Op::ReaderStall, stall_t);
                         continue;
                     }
                     None => {}
@@ -319,10 +311,9 @@ impl BufferManager {
             }
             // 2. NVM copy.
             if self.nvm.is_some() {
-                match &mut st.nvm {
-                    Some(CopyState::Resident { frame, pins, dirt }) => {
+                match &st.nvm {
+                    Some(CopyState::Resident { frame, dirt }) => {
                         let f = frame.frame();
-                        let cur_pins = *pins;
                         let dirt0 = *dirt;
                         // A shadow operation owns this copy's transitions:
                         // serve in place rather than promote from under it.
@@ -339,7 +330,9 @@ impl BufferManager {
                                     AccessIntent::Write => self.policy.flip_dw_with(|| self.draw()),
                                 },
                             };
-                        let promoting = want_promote && cur_pins == 0;
+                        // A promotion retires the NVM copy's word: skip it
+                        // before any I/O while a guard holds the copy.
+                        let promoting = want_promote && desc.nvm_pin.pins() == 0;
                         if promoting && self.config.fine_grained.is_none() {
                             // Shadow promotion: copy NVM→DRAM while the NVM
                             // word stays open, so hit-path readers never
@@ -348,7 +341,7 @@ impl BufferManager {
                                 drop(st);
                                 match self.promote_shadow(desc, claim) {
                                     Ok(Some(guard)) => {
-                                        obs::record_op(Op::FetchNvmHit, obs_t, pid.0, "dram");
+                                        obs::record_since(Op::FetchNvmHit, obs_t);
                                         return Ok(guard);
                                     }
                                     Ok(None) => {
@@ -368,40 +361,36 @@ impl BufferManager {
                         // there is no I/O window to shadow — so it claims
                         // the NVM copy exclusively; if it is pinned, serve
                         // from NVM instead (§5.2's drain, formulated as only
-                        // starting when drained). Optimistic pins count too:
-                        // closing the word is what proves there are none and
-                        // stops new ones.
+                        // starting when drained). Closing the word is what
+                        // proves there are no pins and stops new ones.
                         let claimed = promoting && self.config.fine_grained.is_some() && {
-                            let fast_pins = desc.nvm_pin.close();
-                            if fast_pins > 0 {
+                            let pins = desc.nvm_pin.close();
+                            if pins > 0 {
                                 // Readers still draining: re-open and
                                 // serve in place.
                                 desc.nvm_pin.open(f.0);
                             }
-                            fast_pins == 0
+                            pins == 0
                         };
                         if !claimed {
-                            if let Some(CopyState::Resident { pins, .. }) = &mut st.nvm {
-                                *pins += 1;
-                            }
+                            desc.nvm_pin.pin_locked();
                             self.nvm_pool().touch(f);
                             drop(st);
                             self.metrics.record_nvm_hit();
-                            obs::record_op(Op::FetchNvmHit, obs_t, pid.0, "nvm");
-                            return Ok(PageGuard::new(self, pid, GuardKind::FullNvm(f), false));
+                            obs::record_since(Op::FetchNvmHit, obs_t);
+                            return Ok(PageGuard::new(self, pid, GuardKind::FullNvm(f)));
                         }
-                        // The NVM word is now closed with zero optimistic
-                        // pins: the copy is exclusively ours to promote.
+                        // The NVM word is now closed with zero pins: the
+                        // copy is exclusively ours to promote.
                         st.nvm = Some(CopyState::Busy {
                             frame: FrameRef::Full(f),
-                            pins: 0,
                             dirt: dirt0,
                         });
                         st.dram = Some(CopyState::Loading);
                         drop(st);
                         match self.promote_fine(desc, f, dirt0) {
                             Ok(guard) => {
-                                obs::record_op(Op::FetchNvmHit, obs_t, pid.0, "dram");
+                                obs::record_since(Op::FetchNvmHit, obs_t);
                                 return Ok(guard);
                             }
                             Err(e) => {
@@ -410,23 +399,20 @@ impl BufferManager {
                                 let serve_from_nvm = matches!(e, BufferError::NoFrames { .. });
                                 st.nvm = Some(CopyState::Resident {
                                     frame: FrameRef::Full(f),
-                                    pins: u32::from(serve_from_nvm),
                                     dirt: dirt0,
                                 });
                                 Self::reopen_nvm_word(desc, &st);
+                                if serve_from_nvm {
+                                    desc.nvm_pin.pin_locked();
+                                }
                                 desc.cond.notify_all();
                                 drop(st);
                                 if serve_from_nvm {
                                     // DRAM had no evictable frame: degrade
                                     // gracefully to an in-place NVM access.
                                     self.metrics.record_nvm_hit();
-                                    obs::record_op(Op::FetchNvmHit, obs_t, pid.0, "nvm");
-                                    return Ok(PageGuard::new(
-                                        self,
-                                        pid,
-                                        GuardKind::FullNvm(f),
-                                        false,
-                                    ));
+                                    obs::record_since(Op::FetchNvmHit, obs_t);
+                                    return Ok(PageGuard::new(self, pid, GuardKind::FullNvm(f)));
                                 }
                                 return Err(e);
                             }
@@ -435,7 +421,7 @@ impl BufferManager {
                     Some(_) => {
                         let stall_t = obs::op_start();
                         desc.cond.wait(&mut st);
-                        obs::record_op(Op::ReaderStall, stall_t, pid.0, "nvm");
+                        obs::record_since(Op::ReaderStall, stall_t);
                         continue;
                     }
                     None => {}
@@ -458,14 +444,13 @@ impl BufferManager {
             loop {
                 let e = match self.load_from_ssd(pid, dest) {
                     Ok(guard) => {
-                        let tier = if dest { "dram" } else { "nvm" };
-                        obs::record_op(Op::FetchSsdMiss, obs_t, pid.0, tier);
+                        obs::record_since(Op::FetchSsdMiss, obs_t);
                         return Ok(guard);
                     }
                     Err(e) => e,
                 };
                 // The chosen pool has no evictable frame (e.g. every NVM
-                // frame is pinned as fine-grained backing): fall back to
+                // frame backs a fine-grained copy): fall back to
                 // the other tier, once. No other thread can have installed
                 // a copy meanwhile — they all wait on our Loading marker.
                 let fall_back = dest == to_dram
@@ -520,12 +505,12 @@ impl BufferManager {
             return Ok(None);
         }
         self.metrics.record_migration(MigrationPath::NvmToDram);
-        obs::record_op(Op::MigNvmToDram, mig_t, desc.pid.0, "dram");
+        obs::record_since(Op::MigNvmToDram, mig_t);
+        // The commit pinned the new copy for this guard.
         Ok(Some(PageGuard::new(
             self,
             desc.pid,
             GuardKind::FullDram(dram_frame),
-            false,
         )))
     }
 
@@ -557,23 +542,98 @@ impl BufferManager {
         let mut st = desc.state.lock();
         *st.slot_mut(to_dram) = Some(CopyState::Resident {
             frame: FrameRef::Full(frame),
-            pins: 1,
             dirt: Dirt::Clean,
         });
         // Waiters block on our Loading marker, so no other copy exists:
         // whichever tier this is, the copy is optimistically pinnable.
-        desc.pin_word(to_dram).open(frame.0);
+        let word = desc.pin_word(to_dram);
+        word.open(frame.0);
+        word.pin_locked();
         desc.cond.notify_all();
         drop(st);
-        let (path, op, tier, kind) = if to_dram {
+        let (path, op, kind) = if to_dram {
             let kind = GuardKind::FullDram(frame);
-            (MigrationPath::SsdToDram, Op::MigSsdToDram, "dram", kind)
+            (MigrationPath::SsdToDram, Op::MigSsdToDram, kind)
         } else {
             let kind = GuardKind::FullNvm(frame);
-            (MigrationPath::SsdToNvm, Op::MigSsdToNvm, "nvm", kind)
+            (MigrationPath::SsdToNvm, Op::MigSsdToNvm, kind)
         };
         self.metrics.record_migration(path);
-        obs::record_op(op, mig_t, pid.0, tier);
-        Ok(PageGuard::new(self, pid, kind, false))
+        obs::record_since(op, mig_t);
+        Ok(PageGuard::new(self, pid, kind))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_support::{fine_manager, manager};
+    use super::*;
+    use crate::policy::MigrationPolicy;
+
+    /// The pin counts on `pid`'s (DRAM, NVM) words.
+    fn pins(bm: &BufferManager, pid: PageId) -> (u32, u32) {
+        let desc = bm.mapping.get(&pid.0).unwrap();
+        (desc.dram_pin.pins(), desc.nvm_pin.pins())
+    }
+
+    /// `guard` came from `route` onto `tier` and holds one pin on that
+    /// copy's word; dropping it leaves both words at zero.
+    fn pinned_once(bm: &BufferManager, guard: PageGuard<'_>, tier: Tier, route: &str) {
+        let pid = guard.page_id();
+        assert_eq!(guard.tier(), tier, "{route}");
+        let want = if tier == Tier::Dram { (1, 0) } else { (0, 1) };
+        assert_eq!(pins(bm, pid), want, "{route}: while live");
+        drop(guard);
+        assert_eq!(pins(bm, pid), (0, 0), "{route}: after drop");
+    }
+
+    /// A slow-path fetch of `pid` that draws no coin.
+    fn slow(bm: &BufferManager, pid: PageId) -> PageGuard<'_> {
+        let desc = bm.descriptor(pid).unwrap();
+        bm.fetch_slow(&desc, pid, AccessIntent::Read, Some(false), None)
+            .unwrap()
+    }
+
+    #[test]
+    fn every_slow_path_guard_pins_its_copys_word() {
+        let bm = manager();
+        let set = |dr, nr| bm.admin().set_policy(MigrationPolicy::new(dr, dr, nr, 1.0));
+        let read = |pid| bm.fetch(pid, AccessIntent::Read).unwrap();
+        let (a, b) = (bm.allocate_page().unwrap(), bm.allocate_page().unwrap());
+        set(0.0, 0.0);
+        pinned_once(&bm, read(a), Tier::Dram, "SSD→DRAM");
+        pinned_once(&bm, slow(&bm, a), Tier::Dram, "DRAM hit, slow path");
+        set(0.0, 1.0);
+        pinned_once(&bm, read(b), Tier::Nvm, "SSD→NVM");
+        pinned_once(&bm, slow(&bm, b), Tier::Nvm, "NVM in place, slow path");
+        set(1.0, 1.0);
+        let before = bm.metrics();
+        let promoted = read(b);
+        assert_eq!(bm.metrics().delta(&before).shadow_commits, [1, 0, 0]);
+        pinned_once(&bm, promoted, Tier::Dram, "shadow promotion");
+        bm.assert_quiescent();
+    }
+
+    #[test]
+    fn fine_copies_pin_the_closed_dram_word() {
+        let bm = fine_manager();
+        let fine = |pid| {
+            drop(bm.fetch_read(pid).unwrap()); // SSD → NVM
+            bm.fetch(pid, AccessIntent::Read).unwrap() // promoted to a fine copy
+        };
+        let pid = bm.allocate_page().unwrap();
+        pinned_once(&bm, fine(pid), Tier::Dram, "fine promotion");
+        pinned_once(&bm, slow(&bm, pid), Tier::Dram, "fine copy, slow path");
+        assert!(!bm.mapping.get(&pid.0).unwrap().dram_pin.is_open());
+
+        // Every DRAM frame holds a pinned fine copy: the next promotion
+        // finds no frame and serves the NVM copy in place instead.
+        let held: Vec<_> = (0..bm.dram_frames())
+            .map(|_| fine(bm.allocate_page().unwrap()))
+            .collect();
+        let last = bm.allocate_page().unwrap();
+        pinned_once(&bm, fine(last), Tier::Nvm, "NVM, fine promotion failed");
+        drop(held);
+        bm.assert_quiescent();
     }
 }

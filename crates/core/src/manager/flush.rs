@@ -14,12 +14,13 @@ use crate::Result;
 /// the dirty ones it had to leave behind.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HomeFlush {
-    /// DRAM copies written home and synced — raced ones included: their
-    /// image holds every change made before the flush began.
+    /// DRAM copies written home and synced — raced and pinned ones
+    /// included: their image holds every change made before the flush
+    /// began. A pinned copy stays dirty, since a guard may still write it.
     pub written: usize,
     /// Pages whose DRAM copy holds data dirt the flush could not claim: a
-    /// shadow move in flight, a mutex pin, a busy NVM copy, or a
-    /// fine-grained or mini-page frame.
+    /// shadow move in flight, a busy NVM copy, or a fine-grained or
+    /// mini-page frame. A pin alone never leaves a page behind.
     pub left_behind: Vec<PageId>,
 }
 
@@ -110,10 +111,13 @@ impl BufferManager {
     }
 
     /// Shadow-claim `pid`'s DRAM copy for a flush: it must hold data dirt
-    /// in a full frame with zero mutex pins, on a page with no shadow move
-    /// in flight and an NVM copy, if any, that is `Resident` and unpinned.
-    /// With `merge` that NVM copy becomes the claim's merge target. The
-    /// word stays open, so readers never stall behind the flush's I/O.
+    /// in a full frame, on a page with no shadow move in flight and an NVM
+    /// copy, if any, that is `Resident`. With `merge` that NVM copy
+    /// becomes the claim's merge target. The word stays open, so readers
+    /// never stall behind the flush's I/O. A pinned copy is claimed all
+    /// the same: unlike a retiring move, a flush has something to show for
+    /// its I/O whatever the commit says (`flush_home` counts the image
+    /// written), and the copy just stays dirty.
     fn claim_flush(&self, pid: PageId, merge: bool) -> std::result::Result<ClaimedDram, Skip> {
         let desc = self.mapping.get(&pid.0).ok_or(Skip::NotDirty)?;
         let mut st = desc.state.lock();
@@ -130,7 +134,6 @@ impl BufferManager {
         }
         let Some(CopyState::Resident {
             frame: FrameRef::Full(frame),
-            pins: 0,
             ..
         }) = st.dram
         else {
@@ -138,9 +141,7 @@ impl BufferManager {
         };
         let nvm = match &st.nvm {
             None => None,
-            Some(CopyState::Resident {
-                frame: nf, pins: 0, ..
-            }) => Some(nf.frame()),
+            Some(CopyState::Resident { frame: nf, .. }) => Some(nf.frame()),
             Some(_) => return Err(Skip::Busy),
         };
         let target = if merge { nvm } else { None };
@@ -152,11 +153,8 @@ impl BufferManager {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{install, manager, set_mutex_pins};
+    use super::super::test_support::{fine_manager, install, manager};
     use super::*;
-    use crate::config::BufferManagerConfig;
-    use crate::policy::MigrationPolicy;
-    use spitfire_device::TimeScale;
 
     /// A page whose DRAM copy holds data dirt over a clean NVM copy.
     fn dirty_over_nvm() -> (BufferManager, Arc<SharedPageDesc>) {
@@ -201,11 +199,29 @@ mod tests {
         });
     }
 
+    /// A guard the slow path pinned (a writer's, say) does not hold the
+    /// flush up: the copy is written home, its shadowed NVM copy dropped,
+    /// and it stays dirty until a flush finds it unpinned.
     #[test]
-    fn a_mutex_pin_is_left_behind() {
+    fn a_pinned_copy_is_written_and_stays_dirty() {
         let (bm, desc) = dirty_over_nvm();
-        set_mutex_pins(&desc, true, 1);
-        left_behind_until(&bm, &desc, || set_mutex_pins(&desc, true, 0));
+        let pid = desc.pid;
+        {
+            let _st = desc.state.lock();
+            desc.dram_pin.pin_locked();
+        }
+        let ssd0 = bm.ssd.stats().snapshot().write_ops;
+        let flush = bm.flush_home(&[pid]).unwrap();
+        assert_eq!((flush.written, flush.left_behind), (1, Vec::new()));
+        assert_eq!(bm.ssd.stats().snapshot().write_ops, ssd0 + 1);
+        assert_eq!(bm.metrics().nvm_home_drops, 1);
+        assert!(desc.state.lock().nvm.is_none(), "the shadowed copy went");
+        assert_eq!(bm.dirty_pages(), (1, 0), "data dirt kept under the pin");
+        desc.dram_pin.unpin();
+        let flush = bm.flush_home(&[pid]).unwrap();
+        assert_eq!((flush.written, flush.left_behind), (1, Vec::new()));
+        assert_eq!(bm.dirty_pages(), (0, 0));
+        bm.assert_quiescent();
     }
 
     #[test]
@@ -219,17 +235,9 @@ mod tests {
                 panic!("no NVM copy");
             };
             st.nvm = Some(if busy {
-                CopyState::Busy {
-                    frame,
-                    pins: 0,
-                    dirt,
-                }
+                CopyState::Busy { frame, dirt }
             } else {
-                CopyState::Resident {
-                    frame,
-                    pins: 0,
-                    dirt,
-                }
+                CopyState::Resident { frame, dirt }
             });
         };
         make(true);
@@ -282,16 +290,7 @@ mod tests {
 
     #[test]
     fn a_fine_grained_copy_is_left_behind() {
-        let config = BufferManagerConfig::builder()
-            .page_size(1024)
-            .dram_capacity(8 * 1024)
-            .nvm_capacity(8 * (1024 + 64))
-            .policy(MigrationPolicy::eager())
-            .fine_grained(256)
-            .time_scale(TimeScale::ZERO)
-            .build()
-            .unwrap();
-        let bm = BufferManager::new(config).unwrap();
+        let bm = fine_manager();
         let pid = bm.allocate_page().unwrap();
         drop(bm.fetch_read(pid).unwrap()); // SSD → NVM
         bm.fetch_write(pid).unwrap().write_u64(0, 7).unwrap(); // fine DRAM copy

@@ -14,8 +14,15 @@
 //!
 //! * a thread never holds two descriptor mutexes at once (evictions use
 //!   `try_lock` and skip on failure);
-//! * migrations only start when the source copy has no outstanding pins,
-//!   so no wait ever depends on a guard held by another operation.
+//! * nothing waits for a pin to drain: an exclusive claim needs the copy's
+//!   pin word to close at zero, a retiring shadow move skips a pinned
+//!   source before its I/O and spins a bounded budget at commit, and a
+//!   flush writes a pinned copy and leaves it dirty.
+//!
+//! A copy's guards are counted in its [`spitfire_sync::PinWord`] and
+//! nowhere else: the slow path pins under the mutex
+//! ([`spitfire_sync::PinWord::pin_locked`]), the fast path below without
+//! it, and every guard drops the same way.
 //!
 //! Layered *above* the mutex protocol is the optimistic hit fast path
 //! (paper §5.2, DESIGN.md "Lock-free hit path"): a fetch of a stably
@@ -357,20 +364,6 @@ impl BufferManager {
         Ok(self
             .mapping
             .get_or_insert_with(pid.0, || Arc::new(SharedPageDesc::new(pid))))
-    }
-
-    /// Drop one pin on the page's copy (guard drop).
-    pub(crate) fn unpin(&self, pid: PageId, in_dram_slot: bool) {
-        let Some(desc) = self.mapping.get(&pid.0) else {
-            return;
-        };
-        let mut st = desc.state.lock();
-        let slot = st.slot_mut(in_dram_slot);
-        if let Some(CopyState::Resident { pins, .. } | CopyState::Busy { pins, .. }) = slot {
-            debug_assert!(*pins > 0, "unpin without pin on {pid}");
-            *pins = pins.saturating_sub(1);
-        }
-        desc.cond.notify_all();
     }
 
     /// Run `f` on the descriptor of a page the caller holds pinned: from

@@ -61,7 +61,6 @@ impl BufferManager {
             let mut st = desc.state.lock();
             st.nvm = Some(CopyState::Resident {
                 frame: FrameRef::Full(frame),
-                pins: 0,
                 dirt: Dirt::Data,
             });
             // Recovered pages have no DRAM copy: optimistically pinnable.

@@ -94,10 +94,10 @@ impl BufferManager {
     /// words agree with its copy states (stress-harness invariant check;
     /// call only when no guards are live and no migrations are running).
     ///
-    /// Invariants checked per page: mutex pin counts are zero, optimistic
-    /// pin counts are zero, the DRAM word is open iff the DRAM slot holds
-    /// a Resident full-frame copy, and the NVM word is open iff the NVM
-    /// slot holds one *and* no DRAM copy shadows it.
+    /// Invariants checked per page: both pin words count zero pins — a
+    /// copy's guards are counted nowhere else — the DRAM word is open iff
+    /// the DRAM slot holds a Resident full-frame copy, and the NVM word is
+    /// open iff the NVM slot holds one *and* no DRAM copy shadows it.
     pub fn assert_quiescent(&self) {
         fn full_resident(slot: &Option<CopyState>) -> bool {
             matches!(
@@ -108,20 +108,12 @@ impl BufferManager {
                 })
             )
         }
-        fn mutex_pins(slot: &Option<CopyState>) -> u32 {
-            match slot {
-                Some(CopyState::Resident { pins, .. } | CopyState::Busy { pins, .. }) => *pins,
-                _ => 0,
-            }
-        }
         self.mapping.for_each(|pid, desc| {
             let st = desc.state.lock();
             assert!(!st.shadow_dram, "page {pid}: dram shadow op in flight");
             assert!(!st.shadow_nvm, "page {pid}: nvm shadow op in flight");
-            assert_eq!(mutex_pins(&st.dram), 0, "page {pid}: dram mutex pins");
-            assert_eq!(mutex_pins(&st.nvm), 0, "page {pid}: nvm mutex pins");
-            assert_eq!(desc.dram_pin.pins(), 0, "page {pid}: dram fast pins");
-            assert_eq!(desc.nvm_pin.pins(), 0, "page {pid}: nvm fast pins");
+            assert_eq!(desc.dram_pin.pins(), 0, "page {pid}: dram pins");
+            assert_eq!(desc.nvm_pin.pins(), 0, "page {pid}: nvm pins");
             assert_eq!(
                 desc.dram_pin.is_open(),
                 full_resident(&st.dram),

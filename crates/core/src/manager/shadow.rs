@@ -12,11 +12,15 @@
 //!   and the mutex path both keep serving it through the copy window.
 //! * The caller drops the mutex and does its device I/O.
 //! * [`BufferManager::shadow_finish`] retakes the mutex and resolves the
-//!   move. It commits only if the I/O succeeded, no mutex pin is live, and
-//!   the word proves that no write overlapped the window and every
-//!   optimistic pin drained; otherwise the source stays `Resident`, dirty
-//!   and authoritative, and whatever landed in the destination is
-//!   discarded or left dirty.
+//!   move. It commits only if the I/O succeeded and the word proves that
+//!   no write overlapped the window and every pin drained; otherwise the
+//!   source stays `Resident`, dirty and authoritative, and whatever landed
+//!   in the destination is discarded or left dirty.
+//!
+//! The word's count is every pin on the copy, the mutex path's included.
+//! The callers of a *retiring* move skip a pinned source before the I/O,
+//! since its commit could only abort; a flush claims a pinned copy and
+//! writes it, and the copy stays dirty.
 //!
 //! A copy's [`Dirt`] travels with its bytes: a committed promotion is
 //! clean, an admitted copy carries the source's dirt and a merge target
@@ -45,7 +49,7 @@ use crate::metrics::ShadowPath;
 use crate::types::{FrameId, PageId};
 use crate::Result;
 
-/// Spin budget a shadow-copy commit spends draining optimistic pins
+/// Spin budget a shadow-copy commit spends draining pins
 /// (see [`spitfire_sync::PinWord::shadow_commit`]). Live readers hold a
 /// pin for a handful of loads, so a short budget drains them; a pin that
 /// outlasts it belongs to a descheduled thread or to a writer blocked on
@@ -80,7 +84,7 @@ impl ShadowClaim {
 pub(super) enum Claim {
     /// Word open, I/O ahead: the copy stays `Resident` and readable.
     Shadow(ShadowClaim),
-    /// Word closed with zero optimistic pins, copy marked `Busy`.
+    /// Word closed with zero pins, copy marked `Busy`.
     Exclusive,
 }
 
@@ -181,12 +185,12 @@ impl BufferManager {
         })
     }
 
-    /// Shadow-claim the copy in `src`: a `Resident` full-frame copy with
-    /// zero mutex pins in the slot `src_dram` names, on a page with no
-    /// other shadow operation in flight (the caller checked all of that
-    /// under the descriptor mutex it holds). `merge` names an NVM copy —
-    /// `Resident`, zero pins — that the move will overwrite; it is marked
-    /// `Busy` with data dirt for the duration.
+    /// Shadow-claim the copy in `src`: a `Resident` full-frame copy in the
+    /// slot `src_dram` names, on a page with no other shadow operation in
+    /// flight (the caller checked all of that under the descriptor mutex
+    /// it holds). `merge` names a `Resident` NVM copy under a DRAM source
+    /// — unpinned, since fetches take the DRAM copy — that the move will
+    /// overwrite; it is marked `Busy` with data dirt for the duration.
     ///
     /// Returns `None`, with nothing changed, when the source word is
     /// closed. For an NVM source that is the expected answer whenever a
@@ -205,7 +209,7 @@ impl BufferManager {
         debug_assert_eq!(
             token.is_some(),
             src_dram || st.dram.is_none(),
-            "page {}: pin word disagrees with a Resident zero-pin copy (dram {:?}, nvm {:?})",
+            "page {}: pin word disagrees with a Resident copy (dram {:?}, nvm {:?})",
             desc.pid,
             st.dram,
             st.nvm
@@ -219,7 +223,6 @@ impl BufferManager {
             };
             st.nvm = Some(CopyState::Busy {
                 frame: FrameRef::Full(nf),
-                pins: 0,
                 dirt: Dirt::Data,
             });
             (nf, target)
@@ -237,13 +240,12 @@ impl BufferManager {
     /// is the only shadow commit/abort epilogue. Returns whether the move
     /// committed.
     ///
-    /// The move commits only if the I/O succeeded (`io_ok`), no mutex pin
-    /// is live on the source — a mutex-held pin may be a writer whose
-    /// bytes are not yet version-stamped — and the word agrees: a retiring
-    /// move closes it and demands an unchanged version plus drained
-    /// optimistic pins; a flush leaves it open and demands zero pins and
+    /// The move commits only if the I/O succeeded (`io_ok`) and the word
+    /// agrees: a retiring move closes it and demands an unchanged version
+    /// plus drained pins; a flush leaves it open and demands zero pins and
     /// an unchanged version (a guard write bumps before its unpin, so the
-    /// pin checks close the window a pinned writer leaves).
+    /// pin checks close the window a pinned writer leaves, whichever path
+    /// pinned it).
     ///
     /// Whatever the outcome the claim is released, a merge target goes
     /// back to `Resident` — committed, with the max of its own and the
@@ -275,14 +277,14 @@ impl BufferManager {
         // flush, and fetch): the source is still `Resident` and no copy
         // appeared beside it; only pins and the dirt may have moved — and
         // the dirt only if a write did, which fails the commit below.
-        let (mutex_pins, src_dirt) = match st.slot_mut(src_dram) {
-            Some(CopyState::Resident { pins, dirt, .. }) => (*pins, *dirt),
-            _ => (u32::MAX, Dirt::Data),
+        let (resident, src_dirt) = match st.slot_mut(src_dram) {
+            Some(CopyState::Resident { dirt, .. }) => (true, *dirt),
+            _ => (false, Dirt::Data),
         };
         let has_destination = !matches!(end, ShadowEnd::Promote(None));
         let committed = io_ok
             && has_destination
-            && mutex_pins == 0
+            && resident
             && match end {
                 ShadowEnd::Flush | ShadowEnd::Home(_) => {
                     word.pins() == 0 && word.shadow_still_clean(&token)
@@ -290,8 +292,7 @@ impl BufferManager {
                 _ => {
                     let stall_t = obs::op_start();
                     let outcome = word.shadow_commit(&token, SHADOW_COMMIT_SPIN);
-                    let tier = if src_dram { "dram" } else { "nvm" };
-                    obs::record_op(Op::MigrationStall, stall_t, desc.pid.0, tier);
+                    obs::record_since(Op::MigrationStall, stall_t);
                     if outcome != ShadowOutcome::Committed {
                         // shadow_commit left the word closed: reopen it so
                         // the fast path resumes on the (still
@@ -308,7 +309,6 @@ impl BufferManager {
         if let Some((nf, target)) = merge {
             st.nvm = Some(CopyState::Resident {
                 frame: FrameRef::Full(nf),
-                pins: 0,
                 dirt: if committed {
                     target.max(src_dirt)
                 } else {
@@ -333,14 +333,15 @@ impl BufferManager {
         if committed {
             match end {
                 // The NVM word stays closed: a DRAM copy shadows it now.
+                // The new copy is pinned for the promoter's guard.
                 ShadowEnd::Promote(dram_frame) => {
                     let f = dram_frame.expect("a committed promotion has a frame");
                     st.dram = Some(CopyState::Resident {
                         frame: FrameRef::Full(f),
-                        pins: 1,
                         dirt: Dirt::Clean,
                     });
                     desc.dram_pin.open(f.0);
+                    desc.dram_pin.pin_locked();
                 }
                 // Zero pins, version unchanged: the written-down bytes are
                 // proven current. Retire the DRAM copy; with it gone, a
@@ -350,7 +351,6 @@ impl BufferManager {
                     if let Some(nf) = admitted {
                         st.nvm = Some(CopyState::Resident {
                             frame: FrameRef::Full(nf),
-                            pins: 0,
                             dirt: src_dirt,
                         });
                     }
@@ -361,7 +361,6 @@ impl BufferManager {
                 ShadowEnd::WriteBack => {
                     st.nvm = Some(CopyState::Busy {
                         frame: FrameRef::Full(src),
-                        pins: 0,
                         dirt: Dirt::Clean,
                     });
                 }
@@ -403,7 +402,7 @@ impl BufferManager {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{install, manager, set_mutex_pins};
+    use super::super::test_support::{install, manager};
     use super::*;
     use spitfire_sync::PinAttempt;
     use std::sync::Arc;
@@ -428,22 +427,12 @@ mod tests {
         Quiet,
         RacedWrite,
         ReaderDraining,
-        MutexPinLive,
         IoFailed,
     }
 
     const QUIET: [Window; 1] = [Window::Quiet];
-    const ABORTS: [Window; 4] = [
-        Window::RacedWrite,
-        Window::ReaderDraining,
-        Window::MutexPinLive,
-        Window::IoFailed,
-    ];
-    const RACES: [Window; 3] = [
-        Window::RacedWrite,
-        Window::ReaderDraining,
-        Window::MutexPinLive,
-    ];
+    const ABORTS: [Window; 3] = [Window::RacedWrite, Window::ReaderDraining, Window::IoFailed];
+    const RACES: [Window; 2] = [Window::RacedWrite, Window::ReaderDraining];
     const IO_FAILED: [Window; 1] = [Window::IoFailed];
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -601,7 +590,6 @@ mod tests {
             Window::ReaderDraining => {
                 assert!(matches!(word.try_pin(), PinAttempt::Pinned(_)), "{ctx}")
             }
-            Window::MutexPinLive => set_mutex_pins(&desc, src_dram, 1),
             Window::Quiet | Window::IoFailed => {}
         }
 
@@ -644,9 +632,9 @@ mod tests {
                 "{ctx}: recovery adopts the shadowed copy iff it stayed"
             );
         }
-        // A live mutex pin or a failed I/O never reaches the word, and a
-        // flush never closes it: the version does not move.
-        let untouched = matches!(window, Window::MutexPinLive | Window::IoFailed)
+        // A failed I/O never reaches the word, and a flush never closes
+        // it: the version does not move.
+        let untouched = window == Window::IoFailed
             || (matches!(end, ShadowEnd::Flush | ShadowEnd::Home(_))
                 && window != Window::RacedWrite);
         if untouched {
@@ -671,13 +659,12 @@ mod tests {
 
         // Drop the pins the scenario (or a committed promotion's guard)
         // holds; the table-wide word/slot invariants must then hold.
-        match window {
-            Window::ReaderDraining => word.unpin(),
-            Window::MutexPinLive => set_mutex_pins(&desc, src_dram, 0),
-            _ => {}
+        if window == Window::ReaderDraining {
+            word.unpin();
         }
         if committed && row.mv == Move::Promote {
-            set_mutex_pins(&desc, true, 0);
+            assert_eq!(desc.dram_pin.pins(), 1, "{ctx}: the promoter's pin");
+            desc.dram_pin.unpin();
         }
         bm.assert_quiescent();
     }

@@ -23,7 +23,23 @@ pub(super) fn manager() -> BufferManager {
     BufferManager::new(config).unwrap()
 }
 
-/// Install a `Resident`, zero-pin, full-frame copy of `pid` in one slot,
+/// Eight DRAM and sixteen NVM frames under the eager policy, with
+/// fine-grained DRAM copies of 256 B granules: the first fetch of a page
+/// lands on NVM, the next promotes it to a fine copy.
+pub(super) fn fine_manager() -> BufferManager {
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE)
+        .dram_capacity(8 * PAGE)
+        .nvm_capacity(16 * (PAGE + 64))
+        .policy(MigrationPolicy::eager())
+        .fine_grained(256)
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    BufferManager::new(config).unwrap()
+}
+
+/// Install a `Resident`, unpinned, full-frame copy of `pid` in one slot,
 /// by hand; an NVM copy gets the frame header recovery adopts.
 pub(super) fn install(
     bm: &BufferManager,
@@ -38,7 +54,6 @@ pub(super) fn install(
     let mut st = desc.state.lock();
     *st.slot_mut(dram) = Some(CopyState::Resident {
         frame: FrameRef::Full(f),
-        pins: 0,
         dirt,
     });
     // The word/slot invariant: DRAM open; NVM open iff no DRAM copy.
@@ -49,11 +64,4 @@ pub(super) fn install(
         desc.nvm_pin.open(f.0);
     }
     f
-}
-
-/// Set the mutex pin count of `desc`'s `Resident` copy in one slot.
-pub(super) fn set_mutex_pins(desc: &SharedPageDesc, dram: bool, n: u32) {
-    if let Some(CopyState::Resident { pins, .. }) = desc.state.lock().slot_mut(dram) {
-        *pins = n;
-    }
 }

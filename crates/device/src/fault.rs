@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use spitfire_obs::{record_op, Op};
+use spitfire_obs::{record_since, Op};
 
 use crate::error::DeviceError;
 use crate::profile::DeviceKind;
@@ -321,7 +321,7 @@ impl FaultInjector {
             if !fires {
                 continue;
             }
-            self.note(device, op, offset);
+            Self::note();
             match rs.rule.kind {
                 FaultKind::Transient => {
                     // relaxed: fault statistics counter.
@@ -358,16 +358,10 @@ impl FaultInjector {
         Outcome::Proceed
     }
 
-    /// Best-effort obs breadcrumb: a `fault_injected` histogram tick and,
-    /// when tracing is on, an event in the trace ring. The authoritative
-    /// fault counts live in [`FaultInjector::stats`].
-    fn note(&self, device: DeviceKind, _op: FaultOp, offset: u64) {
-        record_op(
-            Op::FaultInjected,
-            Some(Instant::now()),
-            offset,
-            device.label(),
-        );
+    /// Best-effort obs breadcrumb: a `fault_injected` histogram tick. The
+    /// authoritative fault counts live in [`FaultInjector::stats`].
+    fn note() {
+        record_since(Op::FaultInjected, Some(Instant::now()));
     }
 }
 

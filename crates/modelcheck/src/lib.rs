@@ -59,6 +59,10 @@ pub enum Mutation {
     /// `PinWord::try_pin` check-then-increment instead of a full-word
     /// CAS: a pin can land after `close` claimed quiescence.
     PinBlindPin,
+    /// `PinWord::pin_locked` as load-then-store instead of `fetch_add`: a
+    /// fast-path pin landing in between is overwritten, so a closer sees
+    /// a count short by one and retires a copy still in use.
+    PinLockedSplit,
     /// `AtomicBitmap::set` as load-then-store instead of `fetch_or`:
     /// concurrent reference-bit touches lose updates.
     BitmapSetSplit,

@@ -55,6 +55,57 @@ pub fn pin_quiescence() {
     reader.join();
 }
 
+/// One pin count for both paths: a mutex-path pinner (the fetch slow
+/// path) takes the descriptor lock, finds the copy resident, pins with
+/// `pin_locked`, drops the lock, reads the page and unpins. The main
+/// thread races it twice: first as a fast-path reader whose `try_pin`
+/// and unpin land on the same word, then as a closer that, under the
+/// lock, retires the copy when `close()` reports zero pins. The mutex-path
+/// read must be ordered before any retirement. (Two model threads, not
+/// three: a separate fast-path thread makes the space too large to
+/// exhaust, and `pin_quiescence` already covers the fast path's own read.)
+///
+/// Kills `PinLockedSplit`: the fast pin lands between the split load and
+/// store and is overwritten, the fast unpin then zeroes a count that
+/// still owes the mutex-path pin, and the closer retires the page under
+/// that pinner's read.
+pub fn pin_locked_vs_fast_path() {
+    let word = Arc::new(PinWord::new());
+    let resident = Arc::new(Mutex::new(true));
+    let page = Arc::new(RaceCell::new(0u64));
+    word.open(1);
+
+    let (w, r, p) = (Arc::clone(&word), Arc::clone(&resident), Arc::clone(&page));
+    let locked = thread::spawn(move || {
+        let pinned = {
+            let resident = r.lock();
+            if *resident {
+                w.pin_locked();
+            }
+            *resident
+        };
+        if pinned {
+            let _ = p.get();
+            w.unpin();
+        }
+    });
+
+    if let PinAttempt::Pinned(_) = word.try_pin() {
+        word.unpin();
+    }
+    {
+        let mut resident = resident.lock();
+        if word.close() == 0 {
+            // No pin of either kind: retire the copy.
+            *resident = false;
+            page.set(99);
+        } else {
+            word.open(1);
+        }
+    }
+    locked.join();
+}
+
 /// PinWord open/pin publication: a pinner that wins its CAS must observe
 /// the payload written by the `open` it pinned against, never a stale
 /// frame id.

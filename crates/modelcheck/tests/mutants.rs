@@ -72,6 +72,18 @@ fn blind_pin_breaks_quiescence_too() {
 }
 
 #[test]
+fn split_pin_locked_is_killed() {
+    // The load-then-store loses a fast-path pin that lands between them:
+    // the closer trusts a zero count while the mutex-path pinner still
+    // reads the page it retires.
+    let failure = Checker::new()
+        .mutation(Mutation::PinLockedSplit)
+        .check(common::pin_locked_vs_fast_path)
+        .assert_fail();
+    assert!(failure.message.contains("data race"), "{}", failure.message);
+}
+
+#[test]
 fn torn_bitmap_set_is_killed() {
     Checker::new()
         .mutation(Mutation::BitmapSetSplit)

@@ -25,6 +25,14 @@ fn pinword_quiescence_exhaustive() {
 }
 
 #[test]
+fn pin_locked_vs_fast_path_exhaustive() {
+    let report = Checker::new()
+        .check(common::pin_locked_vs_fast_path)
+        .assert_pass();
+    assert!(report.executions > 1, "scenario has no concurrency");
+}
+
+#[test]
 fn pinword_open_publishes_payload_exhaustive() {
     let report = Checker::new().check(common::pin_open_payload).assert_pass();
     assert!(report.executions > 1, "scenario has no concurrency");

@@ -6,9 +6,6 @@
 //!   histograms keyed by [`Op`] (fetch hit classes, the five migration
 //!   paths, WAL append, commit, eviction), sharded per thread and merged on
 //!   snapshot. Quantile error ≤ 3.1%.
-//! * **Event tracing** ([`events`]) — bounded per-thread rings of structured
-//!   trace events (op, page, tier, duration), drainable to CSV and
-//!   chrome-trace JSON.
 //! * **Sources** ([`source`]) — every object that owns counters or gauges
 //!   (buffer manager, database, server) implements [`Source`], names each
 //!   of them once, and is registered weakly with [`register_source`].
@@ -30,7 +27,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod events;
 pub mod export;
 pub mod hist;
 pub mod json;
@@ -45,8 +41,8 @@ pub use hist::{Histogram, HistogramSet, HistogramSnapshot};
 pub use labels::{labeled_histogram, labeled_snapshots, record_labeled, reset_labeled};
 pub use op::{Op, OP_COUNT};
 pub use recorder::{
-    enabled, op_start, record_duration, record_op, record_since, sample_interval, set_enabled,
-    set_sample_interval, set_tracing, tracing_enabled, DEFAULT_SAMPLE_INTERVAL,
+    enabled, op_start, record_duration, record_since, sample_interval, set_enabled,
+    set_sample_interval, DEFAULT_SAMPLE_INTERVAL,
 };
 pub use sampler::{sample_now, series_snapshot, start_sampler, stop_sampler, SeriesPoint};
 pub use source::{register_source, set_gauge, Source};

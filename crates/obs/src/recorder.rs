@@ -19,14 +19,12 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::events::TraceEvent;
 use crate::op::Op;
 
 /// Default `op_start` sampling interval: time one in every 31 calls.
 pub const DEFAULT_SAMPLE_INTERVAL: u32 = 31;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static TRACING: AtomicBool = AtomicBool::new(false);
 static SAMPLE_INTERVAL: AtomicU32 = AtomicU32::new(DEFAULT_SAMPLE_INTERVAL);
 
 thread_local! {
@@ -44,18 +42,6 @@ pub fn enabled() -> bool {
 /// Globally enable or disable latency recording.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Is structured event tracing enabled (implies recording work per event)?
-#[inline(always)]
-pub fn tracing_enabled() -> bool {
-    // relaxed: see `enabled`.
-    TRACING.load(Ordering::Relaxed)
-}
-
-/// Globally enable or disable trace-event capture.
-pub fn set_tracing(on: bool) {
-    TRACING.store(on, Ordering::SeqCst);
 }
 
 /// How many `op_start` calls share one timestamp (1 = time every call).
@@ -111,26 +97,6 @@ pub fn record_since(op: Op, start: Option<Instant>) {
     }
 }
 
-/// Record an operation begun at `start` and, when tracing is on, emit a
-/// structured trace event carrying the touched page and tier.
-#[inline]
-pub fn record_op(op: Op, start: Option<Instant>, page: u64, tier: &'static str) {
-    let Some(t) = start else { return };
-    let d = t.elapsed();
-    record_duration(op, d);
-    if tracing_enabled() {
-        let dur_ns = d.as_nanos() as u64;
-        crate::events::push(TraceEvent {
-            ts_ns: crate::events::now_ns().saturating_sub(dur_ns),
-            dur_ns,
-            op,
-            page,
-            tier,
-            thread: 0, // assigned by the ring
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,16 +108,14 @@ mod tests {
         assert!(op_start().is_none());
         let before = crate::registry().histogram(Op::TxnAbort).snapshot().count;
         record_since(Op::TxnAbort, op_start());
-        record_op(Op::TxnAbort, op_start(), 1, "dram");
         let after = crate::registry().histogram(Op::TxnAbort).snapshot().count;
         assert_eq!(before, after);
     }
 
     #[test]
-    fn enabled_recorder_fills_histogram_and_events() {
+    fn enabled_recorder_fills_histogram() {
         let _g = crate::test_guard();
         set_enabled(true);
-        set_tracing(true);
         set_sample_interval(1);
         let before = crate::registry()
             .histogram(Op::MigNvmToSsd)
@@ -159,17 +123,12 @@ mod tests {
             .count;
         let start = op_start();
         assert!(start.is_some());
-        record_op(Op::MigNvmToSsd, start, 99, "nvm");
+        record_since(Op::MigNvmToSsd, start);
         let after = crate::registry()
             .histogram(Op::MigNvmToSsd)
             .snapshot()
             .count;
         assert_eq!(after, before + 1);
-        let events = crate::events::drain();
-        assert!(events
-            .iter()
-            .any(|e| e.op == Op::MigNvmToSsd && e.page == 99 && e.tier == "nvm"));
-        set_tracing(false);
         set_enabled(false);
         set_sample_interval(DEFAULT_SAMPLE_INTERVAL);
     }

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::export::Report;
 
@@ -18,6 +18,8 @@ struct Sampler {
     series: Mutex<SeriesBuf>,
     running: AtomicBool,
     stop: AtomicBool,
+    /// Time zero of every [`SeriesPoint::t_ms`].
+    epoch: Instant,
 }
 
 struct SeriesBuf {
@@ -29,7 +31,8 @@ struct SeriesBuf {
 /// instant.
 #[derive(Debug, Clone)]
 pub struct SeriesPoint {
-    /// Milliseconds since the process trace epoch.
+    /// Milliseconds since the sampler's epoch (its first use in the
+    /// process).
     pub t_ms: u64,
     /// Counter and gauge values, sorted by name.
     pub values: Vec<(String, f64)>,
@@ -44,7 +47,13 @@ fn registry() -> &'static Sampler {
         }),
         running: AtomicBool::new(false),
         stop: AtomicBool::new(false),
+        epoch: Instant::now(),
     })
+}
+
+/// Nanoseconds since the sampler's epoch.
+fn now_ns() -> u64 {
+    registry().epoch.elapsed().as_nanos() as u64
 }
 
 fn push_point(point: SeriesPoint) {
@@ -81,7 +90,7 @@ pub fn sample_now() {
     let mut values = tick.gauges;
     values.extend(tick.counters.into_iter().map(|(n, v)| (n, v as f64)));
     push_point(SeriesPoint {
-        t_ms: crate::events::now_ns() / 1_000_000,
+        t_ms: now_ns() / 1_000_000,
         values: values.into_iter().collect(),
     });
 }

@@ -19,7 +19,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -54,9 +53,8 @@ impl<T> Rings<T> {
 pub struct Scheduler<T> {
     inner: Mutex<Rings<T>>,
     available: Condvar,
+    /// Dispatch credit each tenant gets per refill.
     weights: Vec<u32>,
-    /// Dispatch credit granted per weight unit per refill.
-    quantum: u32,
     /// Execution slots; `usize::MAX` for a scheduler that never bounds.
     slots: usize,
 }
@@ -84,7 +82,6 @@ impl<T: Schedulable> Scheduler<T> {
             }),
             available: Condvar::new(),
             weights,
-            quantum: 1,
             slots: slots.max(1),
         }
     }
@@ -117,23 +114,6 @@ impl<T: Schedulable> Scheduler<T> {
                 return Some(self.pick(&mut g));
             }
             self.available.wait(&mut g);
-        }
-    }
-
-    /// Like [`Scheduler::next`] with a timeout; `None` on timeout or
-    /// shutdown (check [`Scheduler::is_stopped`] to distinguish).
-    pub fn next_timeout(&self, timeout: Duration) -> Option<Arc<T>> {
-        let mut g = self.inner.lock();
-        loop {
-            if g.shutdown {
-                return None;
-            }
-            if g.can_dispatch(self.slots) {
-                return Some(self.pick(&mut g));
-            }
-            if self.available.wait_for(&mut g, timeout).timed_out() {
-                return None;
-            }
         }
     }
 
@@ -188,9 +168,7 @@ impl<T: Schedulable> Scheduler<T> {
                 visited += 1;
             }
             // Full pass with no spendable deficit: refill by weight.
-            for (d, w) in g.deficit.iter_mut().zip(&self.weights) {
-                *d = w * self.quantum;
-            }
+            g.deficit.clone_from(&self.weights);
         }
     }
 
@@ -205,16 +183,36 @@ impl<T: Schedulable> Scheduler<T> {
         drop(g);
         self.available.notify_all();
     }
-
-    /// Whether [`Scheduler::stop`] has been called.
-    pub fn is_stopped(&self) -> bool {
-        self.inner.lock().shutdown
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    impl<T: Schedulable> Scheduler<T> {
+        /// Like [`Scheduler::next`] with a timeout; `None` on timeout or
+        /// shutdown (check [`Scheduler::is_stopped`] to distinguish).
+        fn next_timeout(&self, timeout: Duration) -> Option<Arc<T>> {
+            let mut g = self.inner.lock();
+            loop {
+                if g.shutdown {
+                    return None;
+                }
+                if g.can_dispatch(self.slots) {
+                    return Some(self.pick(&mut g));
+                }
+                if self.available.wait_for(&mut g, timeout).timed_out() {
+                    return None;
+                }
+            }
+        }
+
+        /// Whether [`Scheduler::stop`] has been called.
+        fn is_stopped(&self) -> bool {
+            self.inner.lock().shutdown
+        }
+    }
 
     struct Item(u32);
     impl Schedulable for Item {

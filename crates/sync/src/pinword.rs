@@ -7,7 +7,7 @@
 //! and *closes* it before any state transition. Readers pin with a single
 //! CAS that only succeeds against an open word, so a successful pin proves
 //! the copy was resident — and stays resident, because every transition
-//! must first close the word and observe a zero optimistic pin count.
+//! must first close the word and observe a zero pin count.
 //!
 //! # Word layout
 //!
@@ -16,11 +16,11 @@
 //! ```text
 //! 63        33 32 31                    0
 //! +-----------+--+----------------------+
-//! |  version  |O |  optimistic pins     |
+//! |  version  |O |  pins                |
 //! +-----------+--+----------------------+
 //! ```
 //!
-//! * bits 0..32 — count of outstanding optimistic pins;
+//! * bits 0..32 — count of outstanding pins, however they were taken;
 //! * bit 32 — OPEN: optimistic pins may be taken;
 //! * bits 33.. — version, bumped by every open/close so a reader's CAS
 //!   (which covers the *entire* word) fails if the copy was closed and
@@ -34,12 +34,17 @@
 //!   bits.
 //! * `try_pin()` / `unpin()` are lock-free and may be called by any
 //!   thread at any time.
-//! * `close()` returns the number of optimistic pins at the instant the
-//!   word closed. Because the close CAS and every pin CAS contend on the
-//!   same word, a return of zero proves no optimistic pin exists *and*
-//!   none can be created until the word is re-opened — the transition may
-//!   proceed. Non-zero means readers are still draining: the caller must
-//!   re-open and retry later (evictions simply skip the victim).
+//! * `pin_locked()` counts a pin the slow path grants under the descriptor
+//!   mutex, open word or not. Every closer holds that mutex too, so the
+//!   count a closer reads includes every such pin: the word's count is
+//!   the copy's only pin count.
+//! * `close()` returns the number of pins at the instant the word closed.
+//!   Because the close CAS and every pin RMW contend on the same word, a
+//!   return of zero proves no pin exists *and* none can be created until
+//!   the word is re-opened (or the closer drops the mutex) — the
+//!   transition may proceed. Non-zero means readers are still draining:
+//!   the caller must re-open and retry later (evictions simply skip the
+//!   victim).
 //!
 //! The theoretical ABA window — a full 31-bit version wrap between one
 //! reader's load and CAS — would require ~2³¹ open/close cycles while a
@@ -48,7 +53,7 @@
 
 use crate::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Low 32 bits: optimistic pin count.
+/// Low 32 bits: pin count.
 const PIN_MASK: u64 = (1 << 32) - 1;
 /// Bit 32: the word is open for optimistic pins.
 const OPEN: u64 = 1 << 32;
@@ -75,7 +80,7 @@ impl ShadowToken {
 /// Outcome of a [`PinWord::shadow_commit`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShadowOutcome {
-    /// The word is closed, no optimistic pins remain, and no write
+    /// The word is closed, no pins remain, and no write
     /// intervened since `shadow_begin`: the shadow copy is faithful and
     /// the caller may install it and retire the source copy.
     Committed,
@@ -172,12 +177,31 @@ impl PinWord {
         }
     }
 
-    /// Drop one optimistic pin. Lock-free.
+    /// Take one pin whatever the OPEN bit says. Slow path only: the
+    /// caller holds the descriptor mutex, has seen the copy `Resident`
+    /// under it, and so excludes every closer until it drops the mutex.
+    /// A racing [`try_pin`](Self::try_pin) CAS fails on the changed count
+    /// and retries, so neither pin is lost.
+    pub fn pin_locked(&self) {
+        // Mutant PinLockedSplit tears the RMW into load-then-store: a
+        // fast-path pin landing in between is overwritten, and the
+        // mutex-vs-fast-path model check must catch the closer that
+        // trusts the short count.
+        #[cfg(spitfire_modelcheck)]
+        if spitfire_modelcheck::mutation_active(spitfire_modelcheck::Mutation::PinLockedSplit) {
+            let w = self.word.load(Ordering::Acquire);
+            self.word.store(w + 1, Ordering::Release);
+            return;
+        }
+        let prev = self.word.fetch_add(1, Ordering::AcqRel);
+        debug_assert!(prev & PIN_MASK < PIN_MASK, "pin count overflow");
+    }
+
+    /// Drop one pin, however it was taken. Lock-free.
     ///
     /// A no-op when the count is already zero: after a simulated crash the
     /// descriptor a guard pinned may have been discarded and re-created,
     /// so a late unpin must never underflow into the OPEN/version bits.
-    /// (The mutex pin path has the same tolerance via `saturating_sub`.)
     pub fn unpin(&self) {
         // relaxed: just a CAS seed; the CAS validates the value and
         // carries the ordering.
@@ -233,13 +257,13 @@ impl PinWord {
         }
     }
 
-    /// Close the word and return the optimistic pin count at that instant.
-    /// Slow path only (descriptor mutex held). Idempotent: closing a
-    /// closed word returns the current count without bumping the version.
+    /// Close the word and return the pin count at that instant. Slow path
+    /// only (descriptor mutex held). Idempotent: closing a closed word
+    /// returns the current count without bumping the version.
     ///
-    /// A return of zero proves the copy has no optimistic pins and can
-    /// acquire none until re-opened; non-zero means readers are draining
-    /// and the caller must re-open (abort the transition) or retry.
+    /// A return of zero proves the copy has no pins and can acquire none
+    /// until re-opened; non-zero means readers are draining and the caller
+    /// must re-open (abort the transition) or retry.
     pub fn close(&self) -> u32 {
         let mut w = self.word.load(Ordering::Acquire);
         loop {
@@ -295,7 +319,7 @@ impl PinWord {
     /// Attempt to commit a shadow copy begun with [`PinWord::shadow_begin`]:
     /// close the word (stopping new optimistic pins), verify no write
     /// bumped the version during the copy window, and wait up to
-    /// `spin_budget` iterations for outstanding optimistic pins to drain.
+    /// `spin_budget` iterations for outstanding pins to drain.
     /// Slow path only (descriptor mutex held).
     ///
     /// On [`ShadowOutcome::Committed`] the word is closed with zero pins:
@@ -355,7 +379,9 @@ impl PinWord {
         w & OPEN != 0 && w / VERSION_STEP == token.version
     }
 
-    /// Current optimistic pin count (diagnostics and tests).
+    /// Current pin count. Under the descriptor mutex no slow-path pin can
+    /// appear, so a zero read there can only grow through `try_pin` on an
+    /// open word.
     pub fn pins(&self) -> u32 {
         (self.word.load(Ordering::Acquire) & PIN_MASK) as u32
     }
@@ -378,7 +404,7 @@ impl PinWord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::Arc;
 
     #[test]
@@ -535,6 +561,28 @@ mod tests {
         w.unpin();
     }
 
+    #[test]
+    fn pin_locked_counts_on_open_and_closed_words() {
+        let w = PinWord::new();
+        // A closed word (a fine-grained copy's, say) still counts.
+        w.pin_locked();
+        assert_eq!(w.pins(), 1);
+        assert_eq!(w.try_pin(), PinAttempt::Closed);
+        assert_eq!(w.close(), 1, "close reports the slow-path pin");
+        w.open(4);
+        let v = w.version();
+        assert_eq!(w.try_pin(), PinAttempt::Pinned(4));
+        w.pin_locked();
+        assert_eq!(w.pins(), 3, "both kinds add to one count");
+        assert_eq!(w.version(), v, "a pin moves no version");
+        assert!(w.is_open());
+        assert_eq!(w.close(), 3);
+        for _ in 0..3 {
+            w.unpin();
+        }
+        assert_eq!(w.pins(), 0);
+    }
+
     /// A closer and many pinners race; the closer only proceeds on a zero
     /// count, and whenever it does, no pin may be granted until it
     /// re-opens. Model the protected state with a flag that must never be
@@ -544,6 +592,10 @@ mod tests {
         let w = Arc::new(PinWord::new());
         let resident = Arc::new(AtomicBool::new(true));
         let stop = Arc::new(AtomicBool::new(false));
+        // Pins taken so far, across all pinners: the closer keeps cycling
+        // until some pinner has been scheduled at all, however busy the
+        // host is.
+        let progress = Arc::new(AtomicU64::new(0));
         w.open(1);
 
         let pinners: Vec<_> = (0..4)
@@ -551,6 +603,7 @@ mod tests {
                 let w = Arc::clone(&w);
                 let resident = Arc::clone(&resident);
                 let stop = Arc::clone(&stop);
+                let progress = Arc::clone(&progress);
                 std::thread::spawn(move || {
                     let mut pinned = 0u64;
                     while !stop.load(Ordering::Relaxed) {
@@ -566,6 +619,7 @@ mod tests {
                             );
                             w.unpin();
                             pinned += 1;
+                            progress.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                     pinned
@@ -576,8 +630,11 @@ mod tests {
         // Miri explores this loop orders of magnitude slower; a handful of
         // transitions still exercises every code path.
         const TRANSITIONS: u32 = if cfg!(miri) { 10 } else { 200 };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
         let mut transitions = 0u32;
-        while transitions < TRANSITIONS {
+        while transitions < TRANSITIONS
+            || (progress.load(Ordering::Relaxed) == 0 && std::time::Instant::now() < deadline)
+        {
             if w.close() == 0 {
                 // No optimistic pins and none can be taken: transition.
                 resident.store(false, Ordering::Relaxed);

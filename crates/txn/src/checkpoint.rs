@@ -250,7 +250,7 @@ impl Database {
         engine.checkpoints.fetch_add(1, Ordering::Relaxed);
         engine.last_micros.store(micros, Ordering::Relaxed);
         engine.last_pages.store(pages as u64, Ordering::Relaxed);
-        spitfire_obs::record_op(spitfire_obs::Op::Checkpoint, obs_t, generation, "snapshot");
+        spitfire_obs::record_since(spitfire_obs::Op::Checkpoint, obs_t);
         Ok(CheckpointStats {
             generation,
             pages,

@@ -584,7 +584,7 @@ impl Database {
         result?;
         // relaxed: commit statistic.
         self.commits.fetch_add(1, Ordering::Relaxed);
-        spitfire_obs::record_op(spitfire_obs::Op::TxnCommit, obs_t, txn.id, "");
+        spitfire_obs::record_since(spitfire_obs::Op::TxnCommit, obs_t);
         Ok(())
     }
 
@@ -659,7 +659,7 @@ impl Database {
         let result = self.rollback(txn);
         self.retire(txn);
         if result.is_ok() {
-            spitfire_obs::record_op(spitfire_obs::Op::TxnAbort, obs_t, txn.id, "");
+            spitfire_obs::record_since(spitfire_obs::Op::TxnAbort, obs_t);
         }
         result
     }

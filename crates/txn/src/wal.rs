@@ -325,7 +325,7 @@ impl Wal {
         if state.head >= self.drain_at {
             self.drain_locked(&mut state)?;
         }
-        spitfire_obs::record_op(spitfire_obs::Op::WalAppend, obs_t, lsn, "nvm");
+        spitfire_obs::record_since(spitfire_obs::Op::WalAppend, obs_t);
         Ok(lsn)
     }
 

@@ -743,7 +743,7 @@ fn home_flush_drops_the_shadowed_nvm_copy_and_leaves_nvm_dirt_in_place() {
 }
 
 #[test]
-fn checkpoint_is_contended_while_a_dirty_page_is_left_behind() {
+fn a_checkpoint_under_a_live_write_guard_installs() {
     let db = database();
     let engine = db.enable_snapshots(SnapshotConfig::default());
     let bm = Arc::clone(db.buffer_manager());
@@ -756,14 +756,59 @@ fn checkpoint_is_contended_while_a_dirty_page_is_left_behind() {
     write_all(&db, &[(3, 0xE3)]);
     model.insert(3, 0xE3);
 
-    // A writer holding the guard its SSD miss loaded into DRAM: a mutex
-    // pin on a copy with data dirt, which no flush may claim.
+    // A writer holding the guard its SSD miss loaded into DRAM, pinned
+    // under the descriptor mutex: the home flush writes the copy anyway
+    // and leaves it dirty.
     bm.admin()
         .set_policy(MigrationPolicy::new(1.0, 1.0, 0.0, 1.0));
     let pid = bm.allocate_page().unwrap();
     let guard = bm.fetch_write(pid).unwrap();
     assert_eq!(guard.tier(), Tier::Dram);
     guard.write_u64(0, 7).unwrap();
+    assert_eq!(db.checkpoint().unwrap().generation, 2);
+    assert_eq!(engine.generation(), 2);
+    assert_eq!(bm.dirty_pages().0, 1, "the pinned copy stays dirty");
+
+    drop(guard);
+    db.simulate_crash();
+    assert_eq!(db.recover().unwrap().snapshot_generation, 2);
+    assert_contents(&db, &model, 24);
+    assert_eq!(bm.fetch_read(pid).unwrap().read_u64(0).unwrap(), 7);
+}
+
+#[test]
+fn checkpoint_is_contended_while_a_dirty_page_is_left_behind() {
+    // Fine-grained DRAM copies (DESIGN.md §8.2); the database's own pages
+    // stay on NVM, where no flush is owed.
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE)
+        .dram_capacity(64 * PAGE)
+        .nvm_capacity(256 * (PAGE + 64))
+        .policy(stay())
+        .fine_grained(256)
+        .persistence(PersistenceTracking::Full)
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    let bm = Arc::new(BufferManager::new(config).unwrap());
+    let db = Database::create(Arc::clone(&bm), DbConfig::default()).unwrap();
+    db.create_table(T, TUPLE).unwrap();
+    let engine = db.enable_snapshots(SnapshotConfig::default());
+    write_all(&db, &(0..20).map(|k| (k, 1)).collect::<Vec<_>>());
+    db.checkpoint().unwrap();
+
+    // A dirty fine-grained copy, promoted over the page's NVM copy: no
+    // flush can claim it, so the checkpoint leaves it behind.
+    let pid = bm.allocate_page().unwrap();
+    drop(bm.fetch_read(pid).unwrap());
+    bm.admin()
+        .set_policy(MigrationPolicy::new(1.0, 1.0, 1.0, 1.0));
+    let guard = bm.fetch_write(pid).unwrap();
+    assert_eq!(guard.tier(), Tier::Dram);
+    guard.write_u64(0, 7).unwrap();
+    drop(guard);
+    bm.admin().set_policy(stay());
+    assert_eq!(bm.dirty_pages().0, 1);
     let store = engine.store();
     let before = (
         engine.generation(),
@@ -779,11 +824,4 @@ fn checkpoint_is_contended_while_a_dirty_page_is_left_behind() {
         store.stats().write_ops,
     );
     assert_eq!(after, before, "the WAL and the store are untouched");
-
-    drop(guard);
-    assert_eq!(db.checkpoint().unwrap().generation, 2);
-    db.simulate_crash();
-    assert_eq!(db.recover().unwrap().snapshot_generation, 2);
-    assert_contents(&db, &model, 24);
-    assert_eq!(bm.fetch_read(pid).unwrap().read_u64(0).unwrap(), 7);
 }
