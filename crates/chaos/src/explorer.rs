@@ -12,7 +12,7 @@ use spitfire_device::{
     DeviceKind, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, FaultStats,
     PersistenceTracking, SsdBackendConfig, TimeScale, Trigger,
 };
-use spitfire_txn::{Database, DbConfig, SnapshotConfig, TxnError};
+use spitfire_txn::{Database, DbConfig, TxnError};
 use spitfire_wkld::{YcsbConfig, YcsbMix, YcsbOpStream};
 
 const PAGE: usize = 1024;
@@ -193,11 +193,11 @@ fn database(chaos: &ChaosConfig) -> Database {
     )
     .expect("create database");
     db.create_table(TABLE, TUPLE).expect("create table");
-    // Every chaos run exercises the instant-restart path: explicit
+    // Every recovery in a chaos run takes the one restart path: explicit
     // checkpoints write snapshot generations, and crash_and_verify's
-    // recoveries load them (falling back to full WAL replay only before
-    // the first generation exists).
-    db.enable_snapshots(SnapshotConfig::default());
+    // recoveries load the newest and replay the log tail past its fence
+    // (the whole log, table creation included, before the first
+    // generation exists).
     db
 }
 
@@ -233,11 +233,9 @@ fn crash_and_verify(
     // Invariant: the snapshot store's allocator agrees with what the
     // surviving generations reference (nothing free that is referenced,
     // nothing referenced that is missing, nothing leaked).
-    if let Some(engine) = db.snapshot_engine() {
-        if let Err(e) = engine.store().check() {
-            v.violations
-                .push(format!("snapshot store after recovery: {e}"));
-        }
+    if let Err(e) = db.snapshots().store().check() {
+        v.violations
+            .push(format!("snapshot store after recovery: {e}"));
     }
 
     // Invariant: tier bookkeeping is consistent after the mapping-table
@@ -421,7 +419,6 @@ pub fn run(config: &ChaosConfig) -> Verdict {
                         .admin()
                         .set_fault_injector(injector.clone());
                     db.set_snapshot_fault_injector(injector.clone());
-                    maintenance.pause_for_crash();
                     crash_and_verify(
                         &db,
                         &model,
@@ -430,7 +427,6 @@ pub fn run(config: &ChaosConfig) -> Verdict {
                         &mut v,
                         config.expect_clean_log,
                     );
-                    maintenance.resume();
                     v.crashes += 1;
                 } else {
                     // Quiescent here: no transaction is in flight. A
@@ -536,10 +532,6 @@ pub fn run(config: &ChaosConfig) -> Verdict {
                     }
                     CrashSchedule::MidCheckpoint(_) | CrashSchedule::None => {}
                 }
-                // Park maintenance across the crash (no-op in tick mode,
-                // but keeps the lifecycle protocol honest) and schedule a
-                // refill once recovery is done.
-                maintenance.pause_for_crash();
                 crash_and_verify(
                     &db,
                     &model,
@@ -548,7 +540,6 @@ pub fn run(config: &ChaosConfig) -> Verdict {
                     &mut v,
                     config.expect_clean_log,
                 );
-                maintenance.resume();
                 v.crashes += 1;
                 continue 'txns;
             }
@@ -585,7 +576,6 @@ pub fn run(config: &ChaosConfig) -> Verdict {
     }
 
     // Final crash: every run ends with at least one recovery check.
-    maintenance.pause_for_crash();
     crash_and_verify(
         &db,
         &model,
@@ -594,7 +584,6 @@ pub fn run(config: &ChaosConfig) -> Verdict {
         &mut v,
         config.expect_clean_log,
     );
-    maintenance.resume();
     v.crashes += 1;
 
     v.ops_run = ops;

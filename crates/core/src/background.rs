@@ -22,11 +22,10 @@
 //!   caller's thread. The chaos explorer uses this mode: no free-running
 //!   threads means fault draws and crash schedules stay deterministic.
 //!
-//! Around a (simulated) crash, [`Maintenance::pause_for_crash`] parks
-//! every worker and returns only once none is mid-cycle, so no
-//! maintenance I/O can race the crash; [`Maintenance::resume`] restarts
-//! them after recovery. Cycles additionally snapshot the manager's crash
-//! epoch and abort when it changes under them.
+//! Around a (simulated) crash, [`Maintenance::stop`] joins every worker,
+//! so no maintenance I/O can race the crash; [`Maintenance::start`]
+//! spawns them again after recovery. Cycles additionally snapshot the
+//! manager's crash epoch and abort when it changes under them.
 
 use spitfire_sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -57,8 +56,6 @@ pub(crate) struct MaintSignal {
     /// Workers wait here between cycles (with the configured interval as
     /// a timeout, so refill happens even without kicks).
     work_cv: Condvar,
-    /// `pause_for_crash` waits here for every worker to park.
-    park_cv: Condvar,
     /// Pending-kick hint so the allocation path takes the mutex at most
     /// once per outstanding kick.
     kicked_hint: AtomicBool,
@@ -68,9 +65,6 @@ pub(crate) struct MaintSignal {
 struct SignalState {
     kicked: bool,
     stop: bool,
-    paused: bool,
-    /// Workers currently parked at the pause gate.
-    parked: usize,
 }
 
 impl MaintSignal {
@@ -78,7 +72,6 @@ impl MaintSignal {
         MaintSignal {
             state: Mutex::new(SignalState::default()),
             work_cv: Condvar::new(),
-            park_cv: Condvar::new(),
             kicked_hint: AtomicBool::new(false),
         }
     }
@@ -134,7 +127,6 @@ impl Maintenance {
         {
             let mut st = self.sig.state.lock();
             st.stop = false;
-            st.paused = false;
             st.kicked = true; // fill to the high watermark right away
         }
         let interval = Duration::from_micros(self.bm.config().maintenance.interval_us.max(1));
@@ -170,38 +162,11 @@ impl Maintenance {
         self.sig.state.lock().stop = false;
     }
 
-    /// Park every worker before a (simulated) crash: returns only once no
-    /// worker is mid-cycle, so no maintenance I/O races the crash or the
-    /// recovery that follows. Kicks are ignored while parked. Call
-    /// [`resume`](Self::resume) after recovery.
-    pub fn pause_for_crash(&self) {
-        let n = self.workers.lock().len();
-        let mut st = self.sig.state.lock();
-        st.paused = true;
-        self.sig.work_cv.notify_all();
-        while st.parked < n {
-            self.sig.park_cv.wait(&mut st);
-        }
-    }
-
-    /// Un-park workers paused by [`pause_for_crash`](Self::pause_for_crash)
-    /// and schedule an immediate refill cycle.
-    pub fn resume(&self) {
-        let mut st = self.sig.state.lock();
-        st.paused = false;
-        st.kicked = true;
-        self.sig.work_cv.notify_all();
-    }
-
     /// Run one maintenance cycle inline on the caller's thread and return
     /// what it did. This is the deterministic mode: single-threaded
     /// drivers (the chaos explorer) interleave ticks with foreground work
     /// at fixed points, keeping policy/fault draw sequences reproducible.
-    /// No-op while paused for a crash.
     pub fn tick(&self) -> CycleStats {
-        if self.sig.state.lock().paused {
-            return CycleStats::default();
-        }
         self.bm.maintenance_cycle()
     }
 }
@@ -223,7 +188,7 @@ impl std::fmt::Debug for Maintenance {
 }
 
 /// Worker thread body: wait for a kick (or the periodic interval), run one
-/// cycle, repeat. Parks at the pause gate across crashes.
+/// cycle, repeat.
 fn worker_loop(bm: &Arc<BufferManager>, sig: &Arc<MaintSignal>, interval: Duration) {
     loop {
         {
@@ -231,15 +196,6 @@ fn worker_loop(bm: &Arc<BufferManager>, sig: &Arc<MaintSignal>, interval: Durati
             loop {
                 if st.stop {
                     return;
-                }
-                if st.paused {
-                    st.parked += 1;
-                    sig.park_cv.notify_all();
-                    while st.paused && !st.stop {
-                        sig.work_cv.wait(&mut st);
-                    }
-                    st.parked -= 1;
-                    continue;
                 }
                 if st.kicked {
                     st.kicked = false;
@@ -251,7 +207,7 @@ fn worker_loop(bm: &Arc<BufferManager>, sig: &Arc<MaintSignal>, interval: Durati
                 // Periodic refill: a timed-out wait runs a cycle even
                 // without a kick (covers kicks suppressed by the hint
                 // racing a concurrent cycle).
-                if sig.work_cv.wait_for(&mut st, interval).timed_out() && !st.stop && !st.paused {
+                if sig.work_cv.wait_for(&mut st, interval).timed_out() && !st.stop {
                     st.kicked = false;
                     // relaxed: hint reset, as above.
                     sig.kicked_hint.store(false, Ordering::Relaxed);

@@ -72,11 +72,10 @@
 //! maintenance.stop(); // or just drop the handle
 //! ```
 //!
-//! Around a simulated crash, park the workers first
-//! ([`Maintenance::pause_for_crash`]), recover, then
-//! [`Maintenance::resume`]. Single-threaded harnesses that need
-//! reproducible schedules skip `start()` and drive cycles with
-//! [`Maintenance::tick`].
+//! Around a simulated crash, stop the workers first
+//! ([`Maintenance::stop`]), recover, then [`Maintenance::start`] them
+//! again. Single-threaded harnesses that need reproducible schedules skip
+//! `start()` and drive cycles with [`Maintenance::tick`].
 //!
 //! ## Module map
 //!

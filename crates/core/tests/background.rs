@@ -117,7 +117,7 @@ fn backpressure_fallback_when_workers_stalled() {
     bm.assert_quiescent();
 }
 
-/// Threaded maintenance parks across a simulated crash; frames the workers
+/// Threaded maintenance stops across a simulated crash; frames the workers
 /// freed before the crash are invalidated with everything else, and the
 /// post-recovery state is consistent.
 #[test]
@@ -133,26 +133,26 @@ fn maintenance_parks_across_crash() {
     }
     wait_for("a maintenance cycle", || bm.metrics().maint_cycles >= 1);
 
-    // Park every worker: returns only once none is mid-cycle, so no
+    // Join every worker: returns only once none is mid-cycle, so no
     // maintenance I/O races the crash below.
-    maintenance.pause_for_crash();
-    assert!(maintenance.is_running(), "paused workers stay spawned");
+    maintenance.stop();
+    assert!(!maintenance.is_running(), "stopped workers are joined");
     bm.simulate_crash();
     let recovered = bm.recover_nvm_buffer();
     bm.recover_page_allocator();
 
     // Tier bookkeeping must be consistent: the crash dropped every frame,
     // recovery re-adopted exactly the NVM-resident set. (Checked while the
-    // workers are still parked — resuming them would immediately start
+    // workers are still stopped — starting them would immediately start
     // pre-evicting again.)
     let (dram_pages, nvm_pages) = bm.resident_pages();
     let (dram_frames, nvm_frames) = bm.occupied_frames();
     assert_eq!(dram_pages, dram_frames, "DRAM mapping/pool mismatch");
     assert_eq!(nvm_pages, nvm_frames, "NVM mapping/pool mismatch");
     assert_eq!(nvm_pages, recovered.len(), "NVM scan adopted every page");
-    maintenance.resume();
+    maintenance.start();
 
-    // The manager keeps working after resume (workers refill again).
+    // The manager keeps working after restart (workers refill again).
     for pid in &pids {
         let _ = bm.fetch_read(*pid).unwrap();
     }

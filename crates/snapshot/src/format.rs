@@ -33,7 +33,7 @@ pub const BLOCK_HEADER: usize = 48;
 
 pub(crate) const BLOCK_MAGIC: u64 = 0x5350_4946_424C_4B32; // "SPIFBLK2"
 pub(crate) const SUPER_MAGIC: u64 = 0x5350_4946_5355_5032; // "SPIFSUP2"
-pub(crate) const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E32; // "SPIFMAN2"
+pub(crate) const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E33; // "SPIFMAN3"
 
 /// What a metadata block carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,14 +156,15 @@ pub(crate) fn decode_index_run(payload: &[u8]) -> Result<Vec<(u64, u64)>> {
 /// homes, the persistent NVM buffer, the index runs and the WAL tail lives
 /// here — including the list of the generation's index-run blocks, so a
 /// generation is found from its manifest alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The default manifest — generation 0, fence 0, no tables — is what an
+/// empty store stands for: recovery then replays the whole log.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// This generation's number.
     pub generation: u64,
     /// WAL fence: recovery replays only records with LSN ≥ this.
     pub fence_lsn: u64,
-    /// Root catalog page id of the database.
-    pub catalog_root: u64,
     /// Page-allocator high-water mark at the fence.
     pub next_page_id: u64,
     /// Timestamp-oracle value at the fence.
@@ -176,7 +177,7 @@ pub struct Manifest {
     pub meta_blocks: Vec<u64>,
 }
 
-const MANIFEST_FIXED: usize = 64;
+const MANIFEST_FIXED: usize = 56;
 const TABLE_META: usize = 24;
 
 impl Manifest {
@@ -186,12 +187,11 @@ impl Manifest {
         out[0..8].copy_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out[8..16].copy_from_slice(&self.generation.to_le_bytes());
         out[16..24].copy_from_slice(&self.fence_lsn.to_le_bytes());
-        out[24..32].copy_from_slice(&self.catalog_root.to_le_bytes());
-        out[32..40].copy_from_slice(&self.next_page_id.to_le_bytes());
-        out[40..48].copy_from_slice(&self.oracle_ts.to_le_bytes());
-        out[48..56].copy_from_slice(&self.next_txn_id.to_le_bytes());
-        out[56..60].copy_from_slice(&(self.tables.len() as u32).to_le_bytes());
-        out[60..64].copy_from_slice(&(self.meta_blocks.len() as u32).to_le_bytes());
+        out[24..32].copy_from_slice(&self.next_page_id.to_le_bytes());
+        out[32..40].copy_from_slice(&self.oracle_ts.to_le_bytes());
+        out[40..48].copy_from_slice(&self.next_txn_id.to_le_bytes());
+        out[48..52].copy_from_slice(&(self.tables.len() as u32).to_le_bytes());
+        out[52..56].copy_from_slice(&(self.meta_blocks.len() as u32).to_le_bytes());
         for (i, t) in self.tables.iter().enumerate() {
             let o = MANIFEST_FIXED + i * TABLE_META;
             out[o..o + 4].copy_from_slice(&t.id.to_le_bytes());
@@ -215,8 +215,8 @@ impl Manifest {
         if u64_at(0) != MANIFEST_MAGIC {
             return Err(SnapshotError::Corrupt("bad manifest magic"));
         }
-        let n_tables = u32_at(56) as usize;
-        let n_blocks = u32_at(60) as usize;
+        let n_tables = u32_at(48) as usize;
+        let n_blocks = u32_at(52) as usize;
         let blocks_at = MANIFEST_FIXED + n_tables * TABLE_META;
         // Both counts are bounded by the payload (one block) before
         // anything is allocated for them.
@@ -237,10 +237,9 @@ impl Manifest {
         Ok(Manifest {
             generation: u64_at(8),
             fence_lsn: u64_at(16),
-            catalog_root: u64_at(24),
-            next_page_id: u64_at(32),
-            oracle_ts: u64_at(40),
-            next_txn_id: u64_at(48),
+            next_page_id: u64_at(24),
+            oracle_ts: u64_at(32),
+            next_txn_id: u64_at(40),
             tables,
             meta_blocks: (0..n_blocks).map(|i| u64_at(blocks_at + i * 8)).collect(),
         })
@@ -285,7 +284,6 @@ mod tests {
         let m = Manifest {
             generation: 9,
             fence_lsn: 123_456,
-            catalog_root: 0,
             next_page_id: 77,
             oracle_ts: 1000,
             next_txn_id: 55,

@@ -59,8 +59,10 @@ pub use store::{GenerationInfo, SnapshotStore, SnapshotWriter};
 pub enum SnapshotError {
     /// The underlying device failed (possibly injected by the fault plane).
     Device(spitfire_device::DeviceError),
-    /// A block or superblock failed structural validation. Recovery treats
-    /// this as "generation invalid" and falls back, it is not fatal.
+    /// A block or superblock failed structural validation. For one
+    /// generation's block recovery treats this as "generation invalid" and
+    /// falls back to the other retained one; an unreadable superblock, or
+    /// no retained generation that validates, fails recovery with it.
     Corrupt(&'static str),
 }
 

@@ -194,15 +194,20 @@ impl SnapshotStore {
     /// Re-read the superblock and the manifests of the generations it
     /// names, replacing the in-memory state: the generation list and the
     /// free set (every block below the highest referenced one that no
-    /// readable generation references). A missing or checksum-invalid
-    /// superblock yields an empty store (the caller falls back to full-WAL
-    /// recovery). A generation whose metadata does not read back cleanly
-    /// is dead — its damage is permanent, it could never validate — so it
-    /// is dropped here and its blocks are free.
-    pub fn reload(&self) -> Result<()> {
+    /// readable generation references). Returns how many generations the
+    /// superblock names, readable or not. A superblock that was never
+    /// written names none and yields an empty store; one that is present
+    /// but fails to decode is [`SnapshotError::Corrupt`] — it may have
+    /// named generations, so it cannot pass for an empty store. A
+    /// generation whose metadata does not read back cleanly is dead — its
+    /// damage is permanent, it could never validate — so it is dropped here
+    /// and its blocks are free.
+    pub fn reload(&self) -> Result<usize> {
         let mut page = vec![0u8; self.page_size];
         let entries = match retry_io(|| self.dev.read_page(0, &mut page)) {
-            Ok(()) => decode_superblock(&page).unwrap_or_default(),
+            Ok(()) => {
+                decode_superblock(&page).ok_or(SnapshotError::Corrupt("unreadable superblock"))?
+            }
             Err(DeviceError::PageNotFound(_)) => Vec::new(),
             Err(e) => return Err(e.into()),
         };
@@ -224,7 +229,7 @@ impl SnapshotStore {
             .filter(|b| !referenced.contains(b))
             .collect();
         *self.state.lock() = state;
-        Ok(())
+        Ok(entries.len())
     }
 
     /// The retained generations, ascending.
@@ -527,7 +532,6 @@ impl SnapshotWriter<'_> {
     /// large for one block is an error, never a truncation.
     pub fn finish(
         mut self,
-        catalog_root: u64,
         next_page_id: u64,
         oracle_ts: u64,
         next_txn_id: u64,
@@ -537,7 +541,6 @@ impl SnapshotWriter<'_> {
         let manifest = Manifest {
             generation: self.generation,
             fence_lsn: self.fence_lsn,
-            catalog_root,
             next_page_id,
             oracle_ts,
             next_txn_id,
@@ -659,7 +662,7 @@ mod tests {
     fn generation(s: &SnapshotStore, blocks: usize, fill: u64) -> GenerationInfo {
         let mut w = s.begin(0);
         w.index_entries(1, &entries(blocks, fill)).unwrap();
-        let info = w.finish(0, 0, 0, 0, Vec::new()).unwrap();
+        let info = w.finish(0, 0, 0, Vec::new()).unwrap();
         s.check().unwrap();
         info
     }
@@ -706,7 +709,6 @@ mod tests {
         w.index_entries(2, &[(5, 50)]).unwrap();
         let info = w
             .finish(
-                0,
                 12,
                 500,
                 6,
@@ -746,11 +748,23 @@ mod tests {
         assert_eq!(s.stats().write_ops, 1);
         drop(w); // never finished: no superblock update
         s.simulate_crash();
-        s.reload().unwrap();
+        assert_eq!(s.reload().unwrap(), 0, "the superblock names nothing");
         s.check().unwrap();
         assert_eq!(s.latest(), None);
         assert_eq!(s.newest_valid(), None);
         assert_eq!(s.used_bytes(), 0);
+    }
+
+    #[test]
+    fn unreadable_superblock_is_corrupt_not_empty() {
+        let s = store();
+        generation(&s, 1, 1);
+        rot(&s, 0);
+        s.simulate_crash();
+        assert_eq!(
+            s.reload(),
+            Err(SnapshotError::Corrupt("unreadable superblock"))
+        );
     }
 
     #[test]
@@ -771,9 +785,10 @@ mod tests {
             assert_eq!(s.newest_valid(), Some(2), "{victim}");
             assert_eq!(fill_of(&s, 2), 2);
 
-            // Reload drops the dead generation but not its number.
+            // Reload drops the dead generation but not its number, and
+            // reports both the superblock names.
             s.simulate_crash();
-            s.reload().unwrap();
+            assert_eq!(s.reload().unwrap(), 2, "{victim}");
             s.check().unwrap();
             let gens: Vec<u64> = s.generations().iter().map(|e| e.generation).collect();
             assert_eq!(gens, vec![2], "{victim}");
@@ -808,7 +823,7 @@ mod tests {
         // 13 entries per block; write 40.
         let many: Vec<(u64, u64)> = (0..40u64).map(|k| (k, k * 2)).collect();
         w.index_entries(3, &many).unwrap();
-        w.finish(0, 0, 0, 0, Vec::new()).unwrap();
+        w.finish(0, 0, 0, Vec::new()).unwrap();
         generation(&s, 1, 7);
         let read_index = |gen| {
             let mut got = Vec::new();
@@ -854,7 +869,7 @@ mod tests {
         s.set_fault_injector(Some(failing_superblock()));
         let mut w = s.begin(0);
         w.index_entries(1, &entries(2, 0xF1)).unwrap();
-        assert!(w.finish(0, 0, 0, 0, Vec::new()).is_err());
+        assert!(w.finish(0, 0, 0, Vec::new()).is_err());
         s.set_fault_injector(None);
         s.check().unwrap();
         // Nothing was forgotten: the retired-to-be generation is still
@@ -889,11 +904,11 @@ mod tests {
         assert_eq!(allocator(&s), before);
 
         // A manifest that cannot list its index-run blocks is an error,
-        // not a shorter list: (208 - 64) / 8 = 18 blocks at most.
+        // not a shorter list: (208 - 56) / 8 = 19 blocks at most.
         let mut w = s.begin(0);
-        w.index_entries(1, &entries(19, 9)).unwrap();
+        w.index_entries(1, &entries(20, 9)).unwrap();
         assert_eq!(
-            w.finish(0, 0, 0, 0, Vec::new()),
+            w.finish(0, 0, 0, Vec::new()),
             Err(SnapshotError::Corrupt("manifest exceeds one block"))
         );
         s.check().unwrap();
@@ -928,7 +943,7 @@ mod tests {
                 let inj = Arc::new(FaultInjector::new(plan));
                 s.set_fault_injector(Some(Arc::clone(&inj)));
                 w.index_entries(1, &entries(3, 0xEE)).unwrap();
-                assert!(w.finish(0, 0, 0, 0, Vec::new()).is_err());
+                assert!(w.finish(0, 0, 0, Vec::new()).is_err());
                 s.set_fault_injector(None);
                 assert!(inj.stats().torn >= 3);
             } else {
@@ -961,7 +976,7 @@ mod tests {
         generation(&s, 1, 3);
         // `slow` drew generation 2 before generation 3 installed:
         // installing it now would put the list out of order.
-        assert!(slow.finish(0, 0, 0, 0, Vec::new()).is_err());
+        assert!(slow.finish(0, 0, 0, Vec::new()).is_err());
         s.check().unwrap();
         assert_eq!(s.latest().unwrap().generation, 3);
     }

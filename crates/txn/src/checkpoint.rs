@@ -1,8 +1,7 @@
 //! Crash-consistent checkpoints (instant restart).
 //!
 //! Every [`Database::checkpoint`] writes one snapshot generation through
-//! the database's [`SnapshotEngine`] (attached by
-//! [`Database::enable_snapshots`], or by the first checkpoint):
+//! the database's [`SnapshotEngine`] (built by [`Database::create`]):
 //!
 //! 1. **Fence.** Under the database's fence gate (new transactions
 //!    blocked) the checkpointer waits — bounded — for in-flight
@@ -27,8 +26,8 @@
 //!    the store untouched, because the WAL may only be truncated once
 //!    every pre-fence change is home or in NVM.
 //! 3. **Install + truncate.** The main SSD is synced, the index runs and
-//!    the manifest (fence LSN, catalog root, oracle state, per-table
-//!    watermarks, the list of the runs) are written, CRC-checked, and
+//!    the manifest (fence LSN, oracle state, the table catalog with
+//!    per-table watermarks, the list of the runs) are written, CRC-checked, and
 //!    atomically installed; the store keeps this generation and the one
 //!    before it and reuses every block neither references. The WAL is
 //!    then truncated to the *previous* generation's fence — one
@@ -45,26 +44,25 @@
 //! newest install.
 //!
 //! Recovery ([`Database::recover`]) scans the NVM buffer, loads the newest
-//! generation that validates, reopens tables from its manifest (no
-//! allocator scans), bulk-loads indexes from its runs, and replays only
-//! the WAL tail past its fence — recovery work is bounded by one
+//! generation that validates (or an empty one when the store names none),
+//! reopens tables from its manifest, bulk-loads indexes from its runs, and
+//! replays only the WAL tail past its fence, where the `CreateTable`
+//! records of later tables are — recovery work is bounded by one
 //! checkpoint interval of log, not by database size or history.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use spitfire_core::PageId;
-use spitfire_index::BTree;
-use spitfire_snapshot::{SnapshotStore, TableMeta};
+use spitfire_core::BufferManager;
+use spitfire_snapshot::{Manifest, SnapshotError, SnapshotStore, TableMeta};
 
-use crate::db::{Database, Relation};
+use crate::db::Database;
 use crate::error::TxnError;
-use crate::table::{Table, NO_RID};
-use crate::wal::{RecordKind, WalFence};
-use crate::{RecoveryStats, Result};
+use crate::wal::WalFence;
+use crate::Result;
 
 /// How long a checkpoint waits for in-flight transactions to drain before
 /// giving up with [`TxnError::CheckpointContended`].
@@ -75,8 +73,11 @@ const QUIESCE_WAIT: Duration = Duration::from_millis(250);
 const FLUSH_RETRIES: u32 = 8;
 const FLUSH_BACKOFF: Duration = Duration::from_micros(20);
 
-/// Options of the snapshot engine. There are none left; the type stays so
-/// callers keep one spelling for "the default engine".
+/// A generation's index runs by table: `(key, rid)` pairs in key order.
+pub(crate) type IndexRuns = HashMap<u32, Vec<(u64, u64)>>;
+
+/// Options of the snapshot engine. There are none left; the type stays
+/// only as the argument of the [`Database::enable_snapshots`] shim.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotConfig {}
 
@@ -107,6 +108,46 @@ pub struct SnapshotEngine {
 }
 
 impl SnapshotEngine {
+    /// An engine whose store lives on its own (simulated) SSD device sized
+    /// to `bm`'s page, built with `bm`'s configured time scale and
+    /// persistence tracking and no fault injector.
+    pub(crate) fn new(bm: &BufferManager) -> Self {
+        SnapshotEngine {
+            store: SnapshotStore::new(
+                bm.page_size(),
+                bm.config().time_scale,
+                bm.config().persistence,
+            ),
+            checkpoints: AtomicU64::new(0),
+            last_fence: Mutex::new(None),
+            last_micros: AtomicU64::new(0),
+            last_pages: AtomicU64::new(0),
+        }
+    }
+
+    /// The newest valid generation's manifest and its index runs by
+    /// table, re-read from the store after a crash. A store whose
+    /// superblock was never written or names no generation stands for the
+    /// empty manifest (generation 0, fence 0, no tables); an unreadable
+    /// superblock, or one that names generations none of which validates,
+    /// is [`SnapshotError::Corrupt`]. No WAL truncation
+    /// follows until a generation of this run installs.
+    pub(crate) fn load_newest(&self) -> Result<(Manifest, IndexRuns)> {
+        *self.last_fence.lock() = None;
+        let named = self.store.reload()?;
+        let mut runs = IndexRuns::new();
+        let manifest = match self.store.newest_valid() {
+            Some(gen) => self.store.load(gen, |table, entries| {
+                runs.entry(table).or_default().extend_from_slice(entries);
+            })?,
+            None if named == 0 => Manifest::default(),
+            None => {
+                return Err(SnapshotError::Corrupt("no retained generation validates").into());
+            }
+        };
+        Ok((manifest, runs))
+    }
+
     /// The snapshot store (test and chaos access: fault injection,
     /// corruption, crash simulation).
     pub fn store(&self) -> &SnapshotStore {
@@ -147,33 +188,22 @@ impl std::fmt::Debug for SnapshotEngine {
 }
 
 impl Database {
-    /// Attach a snapshot engine: checkpoints become snapshot generations
-    /// and recovery gains the instant-restart path. The store
-    /// lives on its own (simulated) SSD device sized to the database page,
-    /// built with the buffer manager's configured time scale and
-    /// persistence tracking and no fault injector — later
-    /// [`Database::set_time_scale`] / [`Database::set_fault_injector`]
-    /// calls reach it, earlier ones do not.
-    pub fn enable_snapshots(&self, _cfg: SnapshotConfig) -> Arc<SnapshotEngine> {
-        let store = SnapshotStore::new(
-            self.bm.page_size(),
-            self.bm.config().time_scale,
-            self.bm.config().persistence,
-        );
-        let engine = Arc::new(SnapshotEngine {
-            store,
-            checkpoints: AtomicU64::new(0),
-            last_fence: Mutex::new(None),
-            last_micros: AtomicU64::new(0),
-            last_pages: AtomicU64::new(0),
-        });
-        *self.snapshots.write() = Some(Arc::clone(&engine));
-        engine
+    /// The snapshot engine [`Database::create`] built.
+    pub fn snapshots(&self) -> &SnapshotEngine {
+        &self.snapshots
     }
 
-    /// The attached snapshot engine, if any.
+    /// Shim for the repo benchmark, which calls it after `create`: returns
+    /// the engine [`Database::create`] built and ignores the config. Use
+    /// [`Database::snapshots`].
+    pub fn enable_snapshots(&self, _cfg: SnapshotConfig) -> Arc<SnapshotEngine> {
+        Arc::clone(&self.snapshots)
+    }
+
+    /// Shim for the repo benchmark: the engine [`Database::create`] built,
+    /// always `Some`. Use [`Database::snapshots`].
     pub fn snapshot_engine(&self) -> Option<Arc<SnapshotEngine>> {
-        self.snapshots.read().clone()
+        Some(Arc::clone(&self.snapshots))
     }
 
     /// Install (or clear) a fault injector on the snapshot store only
@@ -183,15 +213,11 @@ impl Database {
         &self,
         injector: Option<Arc<spitfire_device::FaultInjector>>,
     ) {
-        if let Some(engine) = self.snapshot_engine() {
-            engine.store.set_fault_injector(injector);
-        }
+        self.snapshots.store.set_fault_injector(injector);
     }
 
     /// Checkpoint the database: write and install one snapshot generation
-    /// (see the module docs). A database that never called
-    /// [`Database::enable_snapshots`] attaches an engine with
-    /// [`SnapshotConfig::default`] first.
+    /// (see the module docs).
     ///
     /// Requires a quiescent database: new transactions are blocked at the
     /// fence gate and, if in-flight transactions do not drain within a
@@ -201,9 +227,7 @@ impl Database {
     /// a home flush that could not write every dirty DRAM page.
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
         let _serial = self.ckpt_serial.lock();
-        let engine = self
-            .snapshot_engine()
-            .unwrap_or_else(|| self.enable_snapshots(SnapshotConfig::default()));
+        let engine = &self.snapshots;
         let started = Instant::now();
         let obs_t = spitfire_obs::op_start();
         let gate = self.fence_gate.write();
@@ -236,12 +260,8 @@ impl Database {
         drop(gate); // transactions resume; the flush below is fuzzy
 
         let pages = self.flush_home()?;
-        let (generation, index_entries) = self.write_generation(
-            &engine,
-            fence,
-            (oracle_ts, next_txn_id, next_page_id),
-            metas,
-        )?;
+        let (generation, index_entries) =
+            self.write_generation(engine, fence, (oracle_ts, next_txn_id, next_page_id), metas)?;
         for rel in &relations {
             rel.table.release_sealed();
         }
@@ -308,13 +328,7 @@ impl Database {
                 start = last + 1;
             }
         }
-        let info = writer.finish(
-            self.root_catalog.0,
-            next_page_id,
-            oracle_ts,
-            next_txn_id,
-            metas,
-        )?;
+        let info = writer.finish(next_page_id, oracle_ts, next_txn_id, metas)?;
         // Truncate to the *previous* generation's fence: the newest
         // generation's own tail must stay replayable, and one generation
         // of extra slack keeps the CRC-mismatch fallback recoverable.
@@ -323,106 +337,5 @@ impl Database {
             self.wal.truncate_to(prev)?;
         }
         Ok((info.generation, index_entries))
-    }
-
-    /// Instant-restart recovery: over the pages' SSD homes and the NVM
-    /// buffer [`Database::recover`] has already scanned, load the newest
-    /// valid snapshot generation and replay only the WAL tail past its
-    /// fence. Returns `Ok(None)` when there is nothing to restore (no
-    /// generation ever installed, or both retained ones corrupt) — the
-    /// caller falls back to full-history recovery.
-    pub(crate) fn recover_from_snapshot(
-        &self,
-        engine: &SnapshotEngine,
-        stats: &mut RecoveryStats,
-    ) -> Result<Option<()>> {
-        engine.store.reload()?;
-        let Some(gen) = engine.store.newest_valid() else {
-            return Ok(None);
-        };
-
-        let mut index_dumps: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
-        let manifest = engine.store.load(gen, |table, entries| {
-            index_dumps
-                .entry(table)
-                .or_default()
-                .extend_from_slice(entries);
-        })?;
-        stats.snapshot_generation = gen;
-        self.bm.admin().set_next_page_id(manifest.next_page_id);
-
-        // Reopen tables from the manifest: catalog chains only, no
-        // allocator scans (the manifest carries the slot watermarks).
-        let mut tables = BTreeMap::new();
-        for meta in &manifest.tables {
-            let table = Table::open_with_slots(
-                Arc::clone(&self.bm),
-                meta.id,
-                meta.tuple_size as usize,
-                PageId(meta.catalog_head),
-                meta.allocated_slots,
-            )?;
-            tables.insert(meta.id, table);
-        }
-
-        // Replay only the tail past the fence.
-        let report = self.wal.read_all_checked()?;
-        let tail: Vec<crate::wal::LogRecord> = report
-            .records
-            .into_iter()
-            .zip(report.lsns)
-            .filter(|&(_, lsn)| lsn >= manifest.fence_lsn)
-            .map(|(r, _)| r)
-            .collect();
-        let outcome = self.replay_records(&tables, &tail, stats)?;
-
-        // Rebuild indexes: bulk-load the dumped runs, then fix up the
-        // keys the tail touched, in log order (a winner's newest record
-        // points the key at its slot; a loser's points back at the
-        // version it superseded, or removes a fresh insert).
-        let mut catalog = HashMap::with_capacity(tables.len());
-        for (id, table) in tables {
-            let entries = index_dumps.remove(&id).unwrap_or_default();
-            stats.index_entries += entries.len();
-            let index = BTree::bulk_load(Arc::clone(&self.bm), &entries)?;
-            catalog.insert(id, Arc::new(Relation { table, index }));
-        }
-        // BTreeMap, not HashMap: the application order below shapes
-        // the rebuilt tree's split history, and recovery must be
-        // deterministic (the chaos explorer's replay-equality
-        // invariant depends on it).
-        let mut fix: BTreeMap<(u32, u64), u64> = BTreeMap::new();
-        for r in &tail {
-            match r.kind {
-                RecordKind::Update | RecordKind::Insert => {
-                    if outcome.commit_ts.contains_key(&r.txn) {
-                        fix.insert((r.table, r.key), r.rid);
-                    } else {
-                        fix.insert((r.table, r.key), r.prev_rid);
-                    }
-                }
-                _ => {}
-            }
-        }
-        for ((table, key), rid) in fix {
-            let Some(rel) = catalog.get(&table) else {
-                continue;
-            };
-            if rid == NO_RID {
-                rel.index.remove(key)?;
-            } else {
-                rel.index.insert(key, rid)?;
-            }
-        }
-        *self.catalog.write() = catalog;
-
-        self.oracle
-            .fetch_max(manifest.oracle_ts.max(outcome.max_ts), Ordering::AcqRel);
-        self.txn_ids
-            .fetch_max(manifest.next_txn_id.max(outcome.max_txn), Ordering::AcqRel);
-
-        // No WAL truncation until a generation of this run installs.
-        *engine.last_fence.lock() = None;
-        Ok(Some(()))
     }
 }

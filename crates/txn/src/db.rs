@@ -9,17 +9,12 @@ use parking_lot::RwLock;
 use spitfire_core::{BufferManager, PageId};
 use spitfire_index::BTree;
 
+use crate::checkpoint::SnapshotEngine;
 use crate::error::TxnError;
 use crate::mvto::{is_marker, marker_txn, visible, KeyLocks, ABORTED, INF, MARK};
 use crate::table::{check_tuple_size, Field, Table, VersionHeader, NO_RID};
 use crate::wal::{LogRecord, RecordKind, Wal};
 use crate::Result;
-
-/// Root catalog layout: magic u64 | n u32 | pad u32 | entries of
-/// (table u32, tuple u32, catalog_head u64).
-const ROOT_MAGIC: u64 = 0x5350_4946_5245_4442; // "SPIFREDB"
-const ROOT_HEADER: usize = 16;
-const ROOT_ENTRY: usize = 16;
 
 /// Page size of the SSD log file: the SSD's write unit
 /// (`DeviceProfile::optane_ssd().access_granularity`), so a drained log
@@ -82,10 +77,9 @@ impl Transaction {
 /// Counters reported by [`Database::recover`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Committed transactions found in the log (tail only on the
-    /// snapshot path).
+    /// Committed transactions in the replayed log tail.
     pub committed: usize,
-    /// Loser transactions (no commit record).
+    /// Loser transactions in the tail (writes but no commit record).
     pub losers: usize,
     /// Write records redone.
     pub redone: usize,
@@ -93,10 +87,11 @@ pub struct RecoveryStats {
     pub undone: usize,
     /// Pages reconstructed from the NVM buffer scan.
     pub nvm_pages: usize,
-    /// Index entries rebuilt (table scans on full-history recovery,
-    /// snapshot dump bulk-loads on the instant-restart path).
+    /// Entries the rebuilt indexes hold when recovery returns: the
+    /// generation's runs plus the tail's fix-ups.
     pub index_entries: usize,
-    /// Snapshot generation restored (0 = full-history recovery).
+    /// Snapshot generation loaded (0 = none installed: the whole log is
+    /// the tail).
     pub snapshot_generation: u64,
     /// Page images installed from the snapshot generation: always 0, since
     /// a checkpoint writes pages home instead of into the store. Kept for
@@ -118,7 +113,6 @@ pub struct Database {
     /// Timestamp oracle (assigns begin timestamps, single-ts MVTO).
     pub(crate) oracle: AtomicU64,
     pub(crate) txn_ids: AtomicU64,
-    pub(crate) root_catalog: PageId,
     /// Table id → its table and index. Emptied by a crash; recovery
     /// installs the reopened tables and rebuilt indexes in one piece.
     pub(crate) catalog: RwLock<HashMap<u32, Arc<Relation>>>,
@@ -135,13 +129,14 @@ pub struct Database {
     /// under it and leaves it only when its transaction has nothing left
     /// to do.
     pub(crate) active: parking_lot::Mutex<std::collections::BTreeSet<u64>>,
-    /// Checkpoint fence gate: [`Database::begin`] holds it shared for an
-    /// instant; the checkpointer holds it exclusively while it waits for
-    /// the active set to drain and captures its fence (see `checkpoint`).
+    /// Checkpoint fence gate: [`Database::begin`] and
+    /// [`Database::create_table`] hold it shared; the checkpointer holds it
+    /// exclusively while it waits for the active set to drain and captures
+    /// its fence (see `checkpoint`).
     pub(crate) fence_gate: RwLock<()>,
-    /// Attached snapshot engine (`None` until `enable_snapshots` or the
-    /// first `checkpoint`).
-    pub(crate) snapshots: RwLock<Option<Arc<crate::checkpoint::SnapshotEngine>>>,
+    /// The snapshot engine: checkpoints write its generations, recovery
+    /// loads them.
+    pub(crate) snapshots: Arc<SnapshotEngine>,
     /// Serializes checkpoints (one writer streams into the store at a
     /// time).
     pub(crate) ckpt_serial: parking_lot::Mutex<()>,
@@ -153,35 +148,21 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create a fresh database on `bm`. Must be called on a buffer manager
-    /// with no allocated pages (the root catalog claims the first page,
-    /// whose id recovery relies on).
+    /// Create a fresh database on `bm`, with its snapshot engine (see
+    /// [`Database::checkpoint`]).
     pub fn create(bm: Arc<BufferManager>, config: DbConfig) -> Result<Self> {
-        assert_eq!(
-            bm.page_count(),
-            0,
-            "Database::create needs a fresh buffer manager"
-        );
-        let root_catalog = bm.allocate_page()?;
-        {
-            let guard = bm.fetch_write(root_catalog)?;
-            let mut header = [0u8; ROOT_HEADER];
-            header[..8].copy_from_slice(&ROOT_MAGIC.to_le_bytes());
-            guard.write(0, &header)?;
-        }
-        bm.flush_page(root_catalog)?;
         let wal = Wal::new(
             config.log_buffer_bytes,
             LOG_PAGE,
             bm.config().time_scale,
             bm.config().persistence,
         )?;
+        let snapshots = Arc::new(SnapshotEngine::new(&bm));
         Ok(Database {
             bm,
             wal,
             oracle: AtomicU64::new(2),
             txn_ids: AtomicU64::new(1),
-            root_catalog,
             catalog: RwLock::new(HashMap::new()),
             locks: KeyLocks::new(config.lock_stripes),
             debts_lost: AtomicBool::new(false),
@@ -189,7 +170,7 @@ impl Database {
             aborts: AtomicU64::new(0),
             active: parking_lot::Mutex::new(std::collections::BTreeSet::new()),
             fence_gate: RwLock::new(()),
-            snapshots: RwLock::new(None),
+            snapshots,
             ckpt_serial: parking_lot::Mutex::new(()),
             maint_from: parking_lot::Mutex::new(0),
             maint_contended: AtomicU64::new(0),
@@ -211,9 +192,7 @@ impl Database {
     pub fn set_time_scale(&self, scale: spitfire_device::TimeScale) {
         self.bm.admin().set_time_scale(scale);
         self.wal.set_time_scale(scale);
-        if let Some(engine) = self.snapshot_engine() {
-            engine.store().set_time_scale(scale);
-        }
+        self.snapshots.store().set_time_scale(scale);
     }
 
     /// Committed / aborted transaction counts.
@@ -226,27 +205,32 @@ impl Database {
     }
 
     /// Create a table with `tuple_size`-byte tuples and a primary index.
+    /// Fails with [`TxnError::Duplicate`] if `table_id` exists.
+    ///
+    /// The table's catalog page is flushed first; the `CreateTable` log
+    /// record that follows is the durability point, as a commit record is.
+    /// The record and the catalog insert happen under the fence gate, so a
+    /// checkpoint's fence comes before both (recovery creates the table
+    /// from the log tail) or after both (its manifest lists the table).
     pub fn create_table(&self, table_id: u32, tuple_size: usize) -> Result<()> {
+        let _gate = self.fence_gate.read();
+        let mut catalog = self.catalog.write();
+        if catalog.contains_key(&table_id) {
+            return Err(TxnError::Duplicate);
+        }
         let table = Table::create(Arc::clone(&self.bm), table_id, tuple_size)?;
         let index = BTree::new(Arc::clone(&self.bm))?;
-        // Persist the table in the root catalog.
-        {
-            let guard = self.bm.fetch_write(self.root_catalog)?;
-            let mut nb = [0u8; 4];
-            guard.read(8, &mut nb)?;
-            let n = u32::from_le_bytes(nb) as usize;
-            let at = ROOT_HEADER + n * ROOT_ENTRY;
-            let mut entry = [0u8; ROOT_ENTRY];
-            entry[..4].copy_from_slice(&table_id.to_le_bytes());
-            entry[4..8].copy_from_slice(&(tuple_size as u32).to_le_bytes());
-            entry[8..16].copy_from_slice(&table.catalog_head().0.to_le_bytes());
-            guard.write(at, &entry)?;
-            guard.write(8, &((n + 1) as u32).to_le_bytes())?;
-        }
-        self.bm.flush_page(self.root_catalog)?;
-        self.catalog
-            .write()
-            .insert(table_id, Arc::new(Relation { table, index }));
+        self.wal.append(&LogRecord {
+            kind: RecordKind::CreateTable,
+            txn: 0,
+            table: table_id,
+            key: tuple_size as u64,
+            rid: table.catalog_head().0,
+            prev_rid: NO_RID,
+            prev_lsn: u64::MAX,
+            payload: Vec::new(),
+        })?;
+        catalog.insert(table_id, Arc::new(Relation { table, index }));
         Ok(())
     }
 
@@ -701,13 +685,11 @@ impl Database {
 
     /// Install (or clear) a fault injector on every device the database
     /// touches: all buffer-manager tiers, both WAL devices, and the
-    /// snapshot store when one is attached.
+    /// snapshot store.
     pub fn set_fault_injector(&self, injector: Option<Arc<spitfire_device::FaultInjector>>) {
         self.bm.admin().set_fault_injector(injector.clone());
         self.wal.set_fault_injector(injector.clone());
-        if let Some(engine) = self.snapshot_engine() {
-            engine.store().set_fault_injector(injector);
-        }
+        self.snapshots.store().set_fault_injector(injector);
     }
 
     /// Simulate a crash: volatile state everywhere is dropped, unflushed
@@ -715,9 +697,7 @@ impl Database {
     pub fn simulate_crash(&self) {
         self.bm.simulate_crash();
         self.wal.simulate_crash();
-        if let Some(engine) = self.snapshot_engine() {
-            engine.store().simulate_crash();
-        }
+        self.snapshots.store().simulate_crash();
         self.locks.forget_debts();
         self.catalog.write().clear();
         // In-flight transactions died with the process; without this,
@@ -729,11 +709,21 @@ impl Database {
     /// Recover after a crash (paper §5.2, Recovery):
     ///
     /// 1. scan the NVM buffer to rebuild the mapping table;
-    /// 2. treat the (persistent) NVM log buffer as part of the log;
-    /// 3. analysis — split transactions into winners and losers;
-    /// 4. redo — re-apply winners' writes with their commit timestamps;
-    /// 5. undo — mark losers' versions aborted;
-    /// 6. rebuild the per-table indexes from table scans.
+    /// 2. load the newest valid snapshot generation — its manifest is the
+    ///    table catalog at its fence, its runs the indexes — or, when the
+    ///    store names none, an empty one (no tables, fence 0); if its
+    ///    superblock is unreadable, or it names generations and none
+    ///    validates, fail with [`TxnError::Snapshot`];
+    /// 3. read the log tail past the fence, treating the (persistent) NVM
+    ///    log buffer as part of the log;
+    /// 4. analysis — split the tail's transactions into winners and losers;
+    /// 5. redo — create the tail's tables and re-apply winners' writes with
+    ///    their commit timestamps; undo — mark losers' versions aborted;
+    /// 6. rebuild each index: bulk-load the generation's run, then apply
+    ///    the tail's keys.
+    ///
+    /// Recovery work is bounded by one checkpoint interval of log, not by
+    /// database size or history.
     pub fn recover(&self) -> Result<RecoveryStats> {
         let mut stats = RecoveryStats {
             nvm_pages: self.bm.recover_nvm_buffer().len(),
@@ -742,87 +732,84 @@ impl Database {
         self.debts_lost.store(true, Ordering::Release);
         self.bm.recover_page_allocator();
 
-        // Instant restart: restore the newest valid snapshot generation and
-        // replay only the WAL tail past its fence. Falls through to the
-        // full-history path when no generation is restorable.
-        if let Some(engine) = self.snapshot_engine() {
-            if self.recover_from_snapshot(&engine, &mut stats)?.is_some() {
-                return Ok(stats);
-            }
-        }
-
-        // Reload the table catalog.
-        let entries = {
-            let guard = self.bm.fetch_read(self.root_catalog)?;
-            let magic = guard.read_u64(0)?;
-            assert_eq!(magic, ROOT_MAGIC, "root catalog corrupted");
-            let mut nb = [0u8; 4];
-            guard.read(8, &mut nb)?;
-            let n = u32::from_le_bytes(nb) as usize;
-            let mut entries = Vec::with_capacity(n);
-            for i in 0..n {
-                let at = ROOT_HEADER + i * ROOT_ENTRY;
-                let mut e = [0u8; ROOT_ENTRY];
-                guard.read(at, &mut e)?;
-                let table_id = u32::from_le_bytes(e[..4].try_into().expect("4 bytes"));
-                let tuple = u32::from_le_bytes(e[4..8].try_into().expect("4 bytes")) as usize;
-                let head = u64::from_le_bytes(e[8..16].try_into().expect("8 bytes"));
-                entries.push((table_id, tuple, PageId(head)));
-            }
-            entries
-        };
-        // Ordered: the index rebuild below allocates pages table by table,
-        // and recovery must repeat exactly.
+        let (manifest, mut runs) = self.snapshots.load_newest()?;
+        stats.snapshot_generation = manifest.generation;
+        self.bm.admin().set_next_page_id(manifest.next_page_id);
+        // Reopen the manifest's tables: catalog chains only, the slot
+        // watermarks come from the manifest.
         let mut tables = BTreeMap::new();
-        for (table_id, tuple, head) in entries {
-            let table = Table::open(Arc::clone(&self.bm), table_id, tuple, head)?;
-            tables.insert(table_id, table);
+        for meta in &manifest.tables {
+            let table = Table::open_with_slots(
+                Arc::clone(&self.bm),
+                meta.id,
+                meta.tuple_size as usize,
+                PageId(meta.catalog_head),
+                meta.allocated_slots,
+            )?;
+            tables.insert(meta.id, table);
         }
 
-        // Analysis, redo, and undo over the full log.
-        let records = self.wal.read_all()?;
-        let outcome = self.replay_records(&tables, &records, &mut stats)?;
-        let mut max_ts = outcome.max_ts;
+        let report = self.wal.read_all_checked()?;
+        let tail: Vec<LogRecord> = report
+            .records
+            .into_iter()
+            .zip(report.lsns)
+            .filter(|&(_, lsn)| lsn >= manifest.fence_lsn)
+            .map(|(r, _)| r)
+            .collect();
+        let outcome = self.replay_records(&mut tables, &tail, &mut stats)?;
 
-        // Also clear any dangling markers left by transactions that never
-        // reached the log for some writes (stamping raced the crash) —
-        // without a commit record they are losers by definition; committed
-        // transactions' slots were rewritten by redo above.
-        // (Handled implicitly: markers only survive on slots whose log
-        // records exist, because every install appends before returning.)
-
-        // Rebuild indexes from table scans, then publish both together.
+        // Rebuild indexes: bulk-load the runs, then fix up the keys the
+        // tail touched, in log order (a winner's newest record points the
+        // key at its slot; a loser's points back at the version it
+        // superseded, or removes a fresh insert).
         let mut catalog = HashMap::with_capacity(tables.len());
         for (id, table) in tables {
-            let index = BTree::new(Arc::clone(&self.bm))?;
-            table.for_each_header(|rid, hdr| {
-                if hdr.begin == 0 || hdr.begin == ABORTED || is_marker(hdr.begin) {
-                    return Ok(());
-                }
-                max_ts = max_ts.max(hdr.begin + 1).max(hdr.read_ts + 1);
-                // Newest committed version: open-ended interval.
-                if hdr.end == INF || is_marker(hdr.end) {
-                    index.insert(hdr.key, rid)?;
-                    stats.index_entries += 1;
-                }
-                Ok(())
-            })?;
+            let entries = runs.remove(&id).unwrap_or_default();
+            stats.index_entries += entries.len();
+            let index = BTree::bulk_load(Arc::clone(&self.bm), &entries)?;
             catalog.insert(id, Arc::new(Relation { table, index }));
+        }
+        // BTreeMap, not HashMap: the application order below shapes the
+        // rebuilt tree's split history, and recovery must be deterministic
+        // (the chaos explorer's replay-equality invariant depends on it).
+        let mut fix: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        for r in &tail {
+            if matches!(r.kind, RecordKind::Update | RecordKind::Insert) {
+                let winner = outcome.commit_ts.contains_key(&r.txn);
+                fix.insert((r.table, r.key), if winner { r.rid } else { r.prev_rid });
+            }
+        }
+        for ((table, key), rid) in fix {
+            let index = &catalog
+                .get(&table)
+                .expect("replay opened every table the tail writes")
+                .index;
+            if rid == NO_RID {
+                if index.remove(key)?.is_some() {
+                    stats.index_entries -= 1;
+                }
+            } else if index.insert(key, rid)?.is_none() {
+                stats.index_entries += 1;
+            }
         }
         *self.catalog.write() = catalog;
 
-        self.oracle.fetch_max(max_ts, Ordering::AcqRel);
-        self.txn_ids.fetch_max(outcome.max_txn, Ordering::AcqRel);
+        self.oracle
+            .fetch_max(manifest.oracle_ts.max(outcome.max_ts), Ordering::AcqRel);
+        self.txn_ids
+            .fetch_max(manifest.next_txn_id.max(outcome.max_txn), Ordering::AcqRel);
         Ok(stats)
     }
 
-    /// Analysis + redo + undo over `records`, in log order. Shared by
-    /// full-history recovery (every surviving record) and instant restart
-    /// (the tail past the snapshot fence). Updates `stats` and returns
-    /// the winner map and timestamp watermarks.
-    pub(crate) fn replay_records(
+    /// Analysis + redo + undo over the log tail `records`, in log order:
+    /// a `CreateTable` record opens its table into `tables`, and a write
+    /// to a table neither the manifest nor the tail created is corruption
+    /// ([`TxnError::UnknownTable`]). Updates `stats` and returns the winner
+    /// map and timestamp watermarks.
+    fn replay_records(
         &self,
-        tables: &BTreeMap<u32, Table>,
+        tables: &mut BTreeMap<u32, Table>,
         records: &[LogRecord],
         stats: &mut RecoveryStats,
     ) -> Result<ReplayOutcome> {
@@ -849,10 +836,20 @@ impl Database {
         for r in records {
             max_txn = max_txn.max(r.txn + 1);
             match r.kind {
+                RecordKind::CreateTable => {
+                    let table = Table::open_with_slots(
+                        Arc::clone(&self.bm),
+                        r.table,
+                        r.key as usize,
+                        PageId(r.rid),
+                        0,
+                    )?;
+                    tables.insert(r.table, table);
+                }
                 RecordKind::Update | RecordKind::Insert => {
-                    let Some(table) = tables.get(&r.table) else {
-                        continue;
-                    };
+                    let table = tables
+                        .get(&r.table)
+                        .ok_or(TxnError::UnknownTable(r.table))?;
                     if let Some(&ts) = commit_ts.get(&r.txn) {
                         max_ts = max_ts.max(ts + 1);
                         let hdr = VersionHeader {
@@ -901,8 +898,8 @@ impl Database {
 
 /// The database's own counters and gauges (transaction outcomes, WAL and
 /// snapshot-store size, snapshot health); its buffer manager is a separate
-/// [`Source`](spitfire_obs::Source). Without a snapshot engine the
-/// checkpoint and store gauges read 0.
+/// [`Source`](spitfire_obs::Source). Before the first checkpoint the
+/// generation and checkpoint gauges read 0.
 impl spitfire_obs::Source for Database {
     fn report(&self, out: &mut spitfire_obs::Report) {
         let (commits, aborts) = self.txn_stats();
@@ -918,34 +915,24 @@ impl spitfire_obs::Source for Database {
         out.add_gauge("active_txns", self.active.lock().len() as f64);
         out.add_gauge("wal_bytes", self.wal.log_bytes() as f64);
         out.add_gauge("wal_file_pages", self.wal.file_pages() as f64);
-        let engine = self.snapshot_engine();
-        let engine = engine.as_deref();
-        let store = engine.map(|e| e.store());
-        out.add_gauge(
-            "snapshot_store_used_bytes",
-            store.map_or(0.0, |s| s.used_bytes() as f64),
-        );
-        out.add_gauge(
-            "snapshot_store_free_blocks",
-            store.map_or(0.0, |s| s.free_blocks() as f64),
-        );
-        out.add_gauge(
-            "snapshot_generation",
-            engine.map_or(0.0, |e| e.generation() as f64),
-        );
+        let engine = &self.snapshots;
+        let store = engine.store();
+        out.add_gauge("snapshot_store_used_bytes", store.used_bytes() as f64);
+        out.add_gauge("snapshot_store_free_blocks", store.free_blocks() as f64);
+        out.add_gauge("snapshot_generation", engine.generation() as f64);
         out.add_gauge(
             "last_checkpoint_ms",
-            engine.map_or(0.0, |e| e.last_checkpoint_micros() as f64 / 1000.0),
+            engine.last_checkpoint_micros() as f64 / 1000.0,
         );
         out.add_gauge(
             "last_checkpoint_pages",
-            engine.map_or(0.0, |e| e.last_checkpoint_pages() as f64),
+            engine.last_checkpoint_pages() as f64,
         );
     }
 }
 
 /// What [`Database::replay_records`] learned from one replay pass.
-pub(crate) struct ReplayOutcome {
+struct ReplayOutcome {
     /// Winner transactions and their commit timestamps.
     pub commit_ts: HashMap<u64, u64>,
     /// One past the largest timestamp observed (oracle floor).

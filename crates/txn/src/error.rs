@@ -17,7 +17,8 @@ pub enum TxnError {
     Conflict,
     /// The key was not visible to this transaction.
     NotFound,
-    /// A key already exists (insert of a duplicate).
+    /// A key or table id already exists (insert of a duplicate key,
+    /// `create_table` of an existing id).
     Duplicate,
     /// The transaction was already finished (commit/abort called twice).
     InactiveTransaction,
@@ -65,7 +66,7 @@ impl std::fmt::Display for TxnError {
             TxnError::Index(e) => write!(f, "index error: {e}"),
             TxnError::Conflict => write!(f, "MVTO conflict; abort and retry"),
             TxnError::NotFound => write!(f, "no visible version for key"),
-            TxnError::Duplicate => write!(f, "key already exists"),
+            TxnError::Duplicate => write!(f, "key or table id already exists"),
             TxnError::InactiveTransaction => write!(f, "transaction already finished"),
             TxnError::TransactionOpen => write!(f, "a transaction is already open"),
             TxnError::LogRecordTooLarge(n) => {

@@ -14,8 +14,9 @@
 //!   NVM buffer (`clwb`/`sfence`) — the commit path never touches SSD —
 //!   and drains to an SSD log file in the background.
 //! * **Recovery** ([`Database::recover`]) scans the persistent NVM buffer
-//!   to rebuild the mapping table, treats the NVM log buffer as log tail,
-//!   and runs analysis / redo / undo before rebuilding indexes.
+//!   to rebuild the mapping table, loads the newest snapshot generation,
+//!   and runs analysis / redo / undo over the log tail past its fence
+//!   (the NVM log buffer included) before rebuilding indexes.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

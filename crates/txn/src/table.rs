@@ -87,8 +87,7 @@ pub struct VersionHeader {
     pub read_ts: u64,
     /// Previous version's RID (`NO_RID` = none).
     pub prev: u64,
-    /// The tuple's key (duplicated here so recovery can rebuild indexes
-    /// from a table scan).
+    /// The tuple's key, kept with every version.
     pub key: u64,
 }
 
@@ -247,8 +246,8 @@ impl WriteVisit<'_> {
         Ok(self.guard.write(self.offset + VERSION_HEADER, payload)?)
     }
 
-    /// Clear the header (vacuum): `begin = 0` is what marks a slot unused
-    /// for the recovery slot-allocator scan, and `prev = NO_RID` stops
+    /// Clear the header (vacuum): `begin = 0` leaves nothing a reader could
+    /// take for a version, and `prev = NO_RID` stops
     /// every chain walk that still reaches the slot — redo may re-link a
     /// keeper to it until the checkpoint that makes the cut durable.
     pub fn clear_header(&self) -> Result<()> {
@@ -330,25 +329,10 @@ impl Table {
         }
     }
 
-    /// Reopen a table from its catalog chain (recovery). Scans data pages
-    /// to restore the slot allocator (a used slot has a nonzero `begin`).
-    pub fn open(
-        bm: Arc<BufferManager>,
-        id: u32,
-        tuple_size: usize,
-        catalog_head: PageId,
-    ) -> Result<Self> {
-        let table = Table::with_layout(bm, id, tuple_size, catalog_head);
-        table.load_catalog()?;
-        table.restore_slot_allocator()?;
-        Ok(table)
-    }
-
-    /// Reopen a table with a known slot watermark (snapshot recovery).
-    /// Skips the full-table allocator scan of [`Table::open`] — the
-    /// manifest recorded `allocated_slots` at the checkpoint fence, and
-    /// WAL-tail redo raises the watermark past it via
-    /// [`Table::redo_version`]'s `fetch_max`.
+    /// Reopen a table from its catalog chain with a known slot watermark
+    /// (recovery): the manifest's `allocated_slots` for a table it lists,
+    /// 0 for one the log tail creates. Tail redo raises the watermark past
+    /// every slot it rewrites ([`Table::redo_version`]'s `fetch_max`).
     pub fn open_with_slots(
         bm: Arc<BufferManager>,
         id: u32,
@@ -362,7 +346,8 @@ impl Table {
         Ok(table)
     }
 
-    /// The catalog head page id (persist in the database root catalog).
+    /// The catalog head page id (recorded in the manifest and in the
+    /// table's `CreateTable` log record).
     pub fn catalog_head(&self) -> PageId {
         self.catalog_head
     }
@@ -477,28 +462,6 @@ impl Table {
         self.write_visit_or_grow(rid)?
             .write_version(header, payload)?;
         self.next_slot.fetch_max(rid + 1, Ordering::AcqRel);
-        Ok(())
-    }
-
-    /// Call `f(rid, header)` for every allocated slot in rid order, one
-    /// pin per page (recovery's index rebuild).
-    pub fn for_each_header(
-        &self,
-        mut f: impl FnMut(u64, VersionHeader) -> Result<()>,
-    ) -> Result<()> {
-        let per_page = self.slots_per_page as u64;
-        let allocated = self.allocated_slots();
-        for (page_idx, pid) in self.data_pages().into_iter().enumerate() {
-            let first = page_idx as u64 * per_page;
-            if first >= allocated {
-                break;
-            }
-            let guard = self.bm.fetch_read(pid)?;
-            for rid in first..allocated.min(first + per_page) {
-                let offset = (rid - first) as usize * self.slot_size;
-                f(rid, read_header(|b| guard.read(offset, b))?)?;
-            }
-        }
         Ok(())
     }
 
@@ -635,24 +598,6 @@ impl Table {
             }
             cat = PageId(next);
         }
-    }
-
-    /// Find the highest used slot (nonzero `begin`) to restore the slot
-    /// allocator after recovery: pages newest first, one pin per page.
-    fn restore_slot_allocator(&self) -> Result<()> {
-        let mut next = 0u64;
-        'pages: for (page_idx, pid) in self.data_pages().into_iter().enumerate().rev() {
-            let guard = self.bm.fetch_read(pid)?;
-            for slot in (0..self.slots_per_page).rev() {
-                let hdr = read_header(|b| guard.read(slot * self.slot_size, b))?;
-                if hdr.begin != 0 {
-                    next = (page_idx * self.slots_per_page + slot) as u64 + 1;
-                    break 'pages;
-                }
-            }
-        }
-        self.next_slot.store(next, Ordering::Release);
-        Ok(())
     }
 }
 
@@ -798,7 +743,7 @@ mod tests {
         let head = t.catalog_head();
         let next = t.allocated_slots();
         drop(t);
-        let t2 = Table::open(bm, 4, 100, head).unwrap();
+        let t2 = Table::open_with_slots(bm, 4, 100, head, next).unwrap();
         assert_eq!(t2.allocated_slots(), next);
         assert_eq!(t2.data_pages().len(), 2);
         let mut buf = [0u8; 100];
@@ -822,7 +767,7 @@ mod tests {
         assert_eq!(t.data_pages().len(), 130);
         let head = t.catalog_head();
         drop(t);
-        let t2 = Table::open(bm, 5, 960, head).unwrap();
+        let t2 = Table::open_with_slots(bm, 5, 960, head, 130).unwrap();
         assert_eq!(t2.data_pages().len(), 130);
         assert_eq!(t2.allocated_slots(), 130);
         let mut buf = [0u8; 960];

@@ -41,6 +41,10 @@ pub enum RecordKind {
     Commit,
     /// Transaction aborted.
     Abort,
+    /// A table was created (`table`: its id, `key`: its tuple size,
+    /// `rid`: its catalog-head page; `txn` 0). Durable once appended, as a
+    /// commit is; replay opens the table from it.
+    CreateTable,
 }
 
 impl RecordKind {
@@ -50,6 +54,7 @@ impl RecordKind {
             RecordKind::Insert => 2,
             RecordKind::Commit => 3,
             RecordKind::Abort => 4,
+            RecordKind::CreateTable => 5,
         }
     }
 
@@ -59,6 +64,7 @@ impl RecordKind {
             2 => RecordKind::Insert,
             3 => RecordKind::Commit,
             4 => RecordKind::Abort,
+            5 => RecordKind::CreateTable,
             _ => return None,
         })
     }
@@ -74,11 +80,12 @@ pub struct LogRecord {
     pub kind: RecordKind,
     /// Transaction id.
     pub txn: u64,
-    /// Table the write touched (0 for commit/abort).
+    /// Table the write touched or the table created (0 for commit/abort).
     pub table: u32,
-    /// Key within the table.
+    /// Key within the table (the tuple size for CreateTable records).
     pub key: u64,
-    /// New version's record id (or commit timestamp for Commit records).
+    /// New version's record id (the commit timestamp for Commit records,
+    /// the catalog-head page for CreateTable records).
     pub rid: u64,
     /// Previous version's record id (`u64::MAX` = none).
     pub prev_rid: u64,
@@ -471,19 +478,14 @@ impl Wal {
         self.lsn.store(lsn, Ordering::Release);
     }
 
-    /// Read the full log back: SSD file pages in order, then the live
-    /// region of the (persistent) NVM buffer, decoded until the first
-    /// invalid frame per region. Used by recovery.
-    pub fn read_all(&self) -> Result<Vec<LogRecord>> {
-        Ok(self.read_all_checked()?.records)
-    }
-
-    /// Like [`Wal::read_all`], but reports how much of each region decoded
-    /// cleanly. Every frame is CRC-checked; a torn or corrupted frame ends
-    /// the stream at the last clean record and sets
-    /// [`WalScanReport::corrupt`]. A file page missing because a crash hit
-    /// between append and fsync is benign: the drain had not recycled the
-    /// NVM buffer yet, so those records are still decoded from NVM.
+    /// Read the full log back — SSD file pages in order, then the live
+    /// region of the (persistent) NVM buffer — and report how much of each
+    /// region decoded cleanly. Used by recovery. Every frame is
+    /// CRC-checked; a torn or corrupted frame ends the stream at the last
+    /// clean record and sets [`WalScanReport::corrupt`]. A file page
+    /// missing because a crash hit between append and fsync is benign: the
+    /// drain had not recycled the NVM buffer yet, so those records are
+    /// still decoded from NVM.
     pub fn read_all_checked(&self) -> Result<WalScanReport> {
         let mut report = WalScanReport::default();
         let base_lsn = self.base_lsn.load(Ordering::Acquire);
@@ -612,11 +614,19 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
-        let r = record(9, RecordKind::Update, b"hello world");
-        let bytes = r.encode();
-        let (decoded, used) = LogRecord::decode(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(decoded, r);
+        for kind in [
+            RecordKind::Update,
+            RecordKind::Insert,
+            RecordKind::Commit,
+            RecordKind::Abort,
+            RecordKind::CreateTable,
+        ] {
+            let r = record(9, kind, b"hello world");
+            let bytes = r.encode();
+            let (decoded, used) = LogRecord::decode(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(decoded, r);
+        }
     }
 
     #[test]
@@ -645,7 +655,7 @@ mod tests {
             w.append(&r).unwrap();
             expect.push(r);
         }
-        assert_eq!(w.read_all().unwrap(), expect);
+        assert_eq!(w.read_all_checked().unwrap().records, expect);
     }
 
     #[test]
@@ -663,7 +673,7 @@ mod tests {
         let r = record(99, RecordKind::Commit, &[]);
         w.append(&r).unwrap();
         expect.push(r);
-        assert_eq!(w.read_all().unwrap(), expect);
+        assert_eq!(w.read_all_checked().unwrap().records, expect);
     }
 
     #[test]
@@ -674,7 +684,7 @@ mod tests {
             w.append(&record(i, RecordKind::Update, &[1u8; 500]))
                 .unwrap();
         }
-        assert_eq!(w.read_all().unwrap().len(), 40);
+        assert_eq!(w.read_all_checked().unwrap().records.len(), 40);
         assert!(w.pending_bytes() < 8192);
     }
 
@@ -687,7 +697,7 @@ mod tests {
         }
         // Crash: appended records were persisted record-by-record.
         w.simulate_crash();
-        let recovered = w.read_all().unwrap();
+        let recovered = w.read_all_checked().unwrap().records;
         assert_eq!(recovered.len(), 5);
         assert!(recovered.iter().all(|r| r.payload == b"durable"));
     }
@@ -750,7 +760,7 @@ mod tests {
         // Power loss: the drained file pages were fsynced, the tail is in
         // persistent NVM, and the remounted cursors find both.
         w.simulate_crash();
-        assert_eq!(w.read_all().unwrap(), expect);
+        assert_eq!(w.read_all_checked().unwrap().records, expect);
     }
 
     #[test]
@@ -780,7 +790,7 @@ mod tests {
         // Crash: the un-synced file pages evaporate, but every record is
         // still in the persistent NVM buffer.
         w.simulate_crash();
-        assert_eq!(w.read_all().unwrap(), expect);
+        assert_eq!(w.read_all_checked().unwrap().records, expect);
     }
 
     #[test]
@@ -958,7 +968,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let recs = w.read_all().unwrap();
+        let recs = w.read_all_checked().unwrap().records;
         assert_eq!(recs.len(), 400);
         // Per-thread order must be preserved.
         for t in 0..4u64 {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
 use spitfire_device::{PersistenceTracking, TimeScale};
-use spitfire_txn::{Database, DbConfig, TxnError};
+use spitfire_txn::{Database, DbConfig, LogRecord, RecordKind, TxnError, NO_RID};
 
 const PAGE: usize = 1024;
 const T: u32 = 1;
@@ -290,6 +290,41 @@ fn recovery_after_checkpoint_replays_only_the_tail() {
         let want = if k == 5 { tuple(0x55) } else { tuple(k as u8) };
         assert_eq!(db.read(&t, T, k).unwrap(), want, "key {k}");
     }
+}
+
+#[test]
+fn a_logged_write_to_an_unknown_table_fails_recovery() {
+    let db = database();
+    db.wal()
+        .append(&LogRecord {
+            kind: RecordKind::Update,
+            txn: 1,
+            table: 9,
+            key: 1,
+            rid: 0,
+            prev_rid: NO_RID,
+            prev_lsn: u64::MAX,
+            payload: tuple(1),
+        })
+        .unwrap();
+    db.simulate_crash();
+    assert_eq!(db.recover().unwrap_err(), TxnError::UnknownTable(9));
+}
+
+#[test]
+fn create_table_refuses_a_duplicate_id() {
+    let db = database();
+    let mut t1 = db.begin();
+    db.insert(&mut t1, T, 1, &tuple(1)).unwrap();
+    db.commit(&mut t1).unwrap();
+    assert_eq!(db.create_table(T, TUPLE).unwrap_err(), TxnError::Duplicate);
+    let t = db.begin();
+    assert_eq!(db.read(&t, T, 1).unwrap(), tuple(1));
+
+    db.simulate_crash();
+    db.recover().unwrap();
+    let t = db.begin();
+    assert_eq!(db.read(&t, T, 1).unwrap(), tuple(1));
 }
 
 #[test]

@@ -251,7 +251,7 @@ fn an_open_transaction_costs_one_contended_pass_per_interval() {
     assert_eq!(db.maintain().unwrap(), None);
     db.commit(&mut open).unwrap();
     assert_eq!(db.maintain().unwrap(), None);
-    assert!(db.snapshot_engine().is_some_and(|e| e.generation() == 0));
+    assert_eq!(db.snapshots().generation(), 0);
     write_log(&db, 2, DRAM as u64);
     let pass = db.maintain().unwrap().expect("due again");
     assert_eq!(pass.checkpoint.expect("nothing open").generation, 1);

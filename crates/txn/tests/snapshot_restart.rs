@@ -12,7 +12,7 @@ use spitfire_device::{
     TimeScale, Trigger,
 };
 use spitfire_snapshot::BLOCK_HEADER;
-use spitfire_txn::{Database, DbConfig, SnapshotConfig, TxnError};
+use spitfire_txn::{Database, DbConfig, TxnError};
 
 const PAGE: usize = 1024;
 const T: u32 = 1;
@@ -68,7 +68,6 @@ fn assert_contents(db: &Database, model: &std::collections::HashMap<u64, u8>, ke
 #[test]
 fn snapshot_recovery_restores_committed_state() {
     let db = database();
-    db.enable_snapshots(SnapshotConfig::default());
     let mut model = std::collections::HashMap::new();
 
     write_all(&db, &(0..50).map(|k| (k, k as u8)).collect::<Vec<_>>());
@@ -102,7 +101,6 @@ fn snapshot_recovery_restores_committed_state() {
 #[test]
 fn checkpoints_bound_the_wal() {
     let db = database();
-    db.enable_snapshots(SnapshotConfig::default());
     write_all(&db, &(0..40).map(|k| (k, 1)).collect::<Vec<_>>());
     for round in 0..6u8 {
         write_all(&db, &(0..40).map(|k| (k, round)).collect::<Vec<_>>());
@@ -124,7 +122,7 @@ fn corrupt_newest_generation_falls_back_one() {
     // generation: each costs exactly one generation.
     for victim in ["index run", "manifest"] {
         let db = database();
-        let engine = db.enable_snapshots(SnapshotConfig::default());
+        let engine = db.snapshots();
         let store = engine.store();
         let mut model = std::collections::HashMap::new();
 
@@ -161,7 +159,6 @@ fn corrupt_newest_generation_falls_back_one() {
 #[test]
 fn checkpoint_with_transaction_in_flight_is_retryable() {
     let db = database();
-    db.enable_snapshots(SnapshotConfig::default());
     write_all(&db, &[(1, 1)]);
 
     let mut txn = db.begin();
@@ -175,9 +172,9 @@ fn checkpoint_with_transaction_in_flight_is_retryable() {
 }
 
 #[test]
-fn engineless_checkpoint_attaches_the_default_engine() {
-    let db = database(); // enable_snapshots never called
-    assert!(db.snapshot_engine().is_none());
+fn the_first_checkpoint_installs_into_the_engine_create_built() {
+    let db = database();
+    assert_eq!(db.snapshots().generation(), 0);
     write_all(&db, &[(1, 1)]);
     let mut txn = db.begin();
     db.update(&mut txn, T, 1, &tuple(2)).unwrap();
@@ -186,7 +183,7 @@ fn engineless_checkpoint_attaches_the_default_engine() {
 
     let stats = db.checkpoint().unwrap();
     assert_eq!(stats.generation, 1);
-    assert_eq!(db.snapshot_engine().unwrap().generation(), 1);
+    assert_eq!(db.snapshots().generation(), 1);
 
     write_all(&db, &[(2, 2)]);
     db.simulate_crash();
@@ -199,7 +196,7 @@ fn engineless_checkpoint_attaches_the_default_engine() {
 #[test]
 fn crash_drops_uninstalled_snapshot_blocks() {
     let db = database();
-    let engine = db.enable_snapshots(SnapshotConfig::default());
+    let engine = db.snapshots();
     let mut model = std::collections::HashMap::new();
     write_all(&db, &(0..30).map(|k| (k, k as u8)).collect::<Vec<_>>());
     (0..30u64).for_each(|k| {
@@ -247,9 +244,6 @@ const INTERVAL_RECORDS: usize = (CKPT_EVERY * BATCH) as usize;
 /// WAL bytes at the crash.
 fn crash_after_history(keys: u64, checkpoints: bool) -> (spitfire_txn::RecoveryStats, u64) {
     let db = database();
-    if checkpoints {
-        db.enable_snapshots(SnapshotConfig::default());
-    }
     let mut txns = 0u64;
     for round in 0..=UPDATES {
         for first in (0..keys).step_by(BATCH as usize) {
@@ -312,7 +306,7 @@ fn snapshot_recovery_work_is_flat_across_a_size_sweep() {
 #[test]
 fn failed_checkpoint_installs_nothing_and_recovers_from_prior() {
     let db = database();
-    let engine = db.enable_snapshots(SnapshotConfig::default());
+    let engine = db.snapshots();
     let mut model = std::collections::HashMap::new();
 
     write_all(&db, &(0..30).map(|k| (k, k as u8)).collect::<Vec<_>>());
@@ -347,9 +341,8 @@ fn failed_checkpoint_installs_nothing_and_recovers_from_prior() {
 }
 
 #[test]
-fn recovery_without_any_generation_falls_back_to_full_replay() {
+fn recovery_without_any_generation_replays_the_whole_log() {
     let db = database();
-    db.enable_snapshots(SnapshotConfig::default());
     let mut model = std::collections::HashMap::new();
     write_all(&db, &(0..20).map(|k| (k, k as u8)).collect::<Vec<_>>());
     (0..20u64).for_each(|k| {
@@ -358,14 +351,94 @@ fn recovery_without_any_generation_falls_back_to_full_replay() {
     // No checkpoint ever ran.
     db.simulate_crash();
     let stats = db.recover().unwrap();
-    assert_eq!(stats.snapshot_generation, 0, "full-history recovery");
+    assert_eq!(stats.snapshot_generation, 0, "no generation installed");
     assert_contents(&db, &model, 24);
+}
+
+#[test]
+fn a_table_created_after_a_generation_survives_a_crash() {
+    let db = database();
+    write_all(&db, &[(1, 1)]);
+    db.checkpoint().unwrap();
+
+    // Generation 1's manifest lists table 1 only: table 2 lives in the
+    // log tail, as its `CreateTable` record.
+    db.create_table(2, TUPLE).unwrap();
+    let mut txn = db.begin();
+    db.insert(&mut txn, 2, 5, &tuple(0x25)).unwrap();
+    db.commit(&mut txn).unwrap();
+
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    let mut txn = db.begin();
+    assert_eq!(db.read(&txn, 2, 5), Ok(tuple(0x25)));
+    assert_eq!(db.read(&txn, T, 1), Ok(tuple(1)));
+    db.commit(&mut txn).unwrap();
+    assert_eq!(stats.snapshot_generation, 1);
+    assert_eq!((stats.committed, stats.redone), (1, 1));
+    assert_eq!(stats.index_entries, 2, "one key in each table");
+
+    // The next generation lists it; a crash after that still finds it.
+    db.checkpoint().unwrap();
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!((stats.snapshot_generation, stats.redone), (2, 0));
+    let txn = db.begin();
+    assert_eq!(db.read(&txn, 2, 5).unwrap(), tuple(0x25));
+}
+
+#[test]
+fn recovery_with_both_retained_generations_corrupt_is_an_error() {
+    let db = database();
+    let store = db.snapshots().store();
+    write_all(&db, &[(1, 1)]);
+    db.checkpoint().unwrap();
+    write_all(&db, &[(2, 2)]);
+    db.checkpoint().unwrap();
+    for gen in [1, 2] {
+        let manifest = store.entry(gen).unwrap().manifest;
+        store.device().write_page(manifest, &[0xEE; PAGE]).unwrap();
+    }
+    store.device().sync().unwrap();
+
+    db.simulate_crash();
+    assert!(matches!(
+        db.recover(),
+        Err(TxnError::Snapshot(
+            spitfire_snapshot::SnapshotError::Corrupt(_)
+        ))
+    ));
+}
+
+/// A superblock that is present but unreadable may have named
+/// generations, and the log was cut at one of their fences: it must not
+/// read as an empty store. With no write between the last two
+/// checkpoints the remaining log is empty, so an empty manifest would
+/// recover `Ok` with every table gone.
+#[test]
+fn recovery_with_an_unreadable_superblock_is_an_error() {
+    let db = database();
+    let store = db.snapshots().store();
+    write_all(&db, &[(1, 1)]);
+    db.checkpoint().unwrap();
+    write_all(&db, &[(2, 2)]);
+    db.checkpoint().unwrap();
+    db.checkpoint().unwrap();
+    store.device().write_page(0, &[0xEE; PAGE]).unwrap();
+    store.device().sync().unwrap();
+
+    db.simulate_crash();
+    assert!(matches!(
+        db.recover(),
+        Err(TxnError::Snapshot(
+            spitfire_snapshot::SnapshotError::Corrupt(_)
+        ))
+    ));
 }
 
 #[test]
 fn loser_tail_transactions_are_undone_on_instant_restart() {
     let db = database();
-    db.enable_snapshots(SnapshotConfig::default());
     let mut model = std::collections::HashMap::new();
     write_all(&db, &(0..10).map(|k| (k, k as u8)).collect::<Vec<_>>());
     (0..10u64).for_each(|k| {
@@ -415,7 +488,7 @@ fn superblock_write_fails() -> FaultRule {
 fn interrupted_and_torn_reuse_leave_both_retained_generations_intact() {
     for scenario in ["power-loss", "torn-uninstalled", "torn-installed"] {
         let db = database();
-        let engine = db.enable_snapshots(SnapshotConfig::default());
+        let engine = db.snapshots();
         let store = engine.store();
         let mut model = std::collections::HashMap::new();
         // Enough keys that a generation's first index run fills its block.
@@ -501,7 +574,7 @@ fn interrupted_and_torn_reuse_leave_both_retained_generations_intact() {
 #[test]
 fn failed_superblock_write_forgets_nothing() {
     let db = database();
-    let engine = db.enable_snapshots(SnapshotConfig::default());
+    let engine = db.snapshots();
     let store = engine.store();
     let mut model = std::collections::HashMap::new();
     rewrite_and_checkpoint(&db, &mut model, 40, 0..4);
@@ -554,7 +627,7 @@ fn steady_state_run(rounds: u8) -> Vec<u64> {
     let bm = Arc::new(BufferManager::new(config).unwrap());
     let db = Database::create(Arc::clone(&bm), DbConfig::default()).unwrap();
     db.create_table(T, BIG).unwrap();
-    let engine = db.enable_snapshots(SnapshotConfig::default());
+    let engine = db.snapshots();
     let store = engine.store();
     let unit = DeviceProfile::optane_ssd().effective_transfer(PAGE16) as u64;
     assert_eq!(unit, PAGE16 as u64);
@@ -674,7 +747,6 @@ fn three_tier() -> Database {
     )
     .unwrap();
     db.create_table(T, TUPLE).unwrap();
-    db.enable_snapshots(SnapshotConfig::default());
     db
 }
 
@@ -745,7 +817,7 @@ fn home_flush_drops_the_shadowed_nvm_copy_and_leaves_nvm_dirt_in_place() {
 #[test]
 fn a_checkpoint_under_a_live_write_guard_installs() {
     let db = database();
-    let engine = db.enable_snapshots(SnapshotConfig::default());
+    let engine = db.snapshots();
     let bm = Arc::clone(db.buffer_manager());
     let mut model = std::collections::HashMap::new();
     write_all(&db, &(0..20).map(|k| (k, 1)).collect::<Vec<_>>());
@@ -793,7 +865,7 @@ fn checkpoint_is_contended_while_a_dirty_page_is_left_behind() {
     let bm = Arc::new(BufferManager::new(config).unwrap());
     let db = Database::create(Arc::clone(&bm), DbConfig::default()).unwrap();
     db.create_table(T, TUPLE).unwrap();
-    let engine = db.enable_snapshots(SnapshotConfig::default());
+    let engine = db.snapshots();
     write_all(&db, &(0..20).map(|k| (k, 1)).collect::<Vec<_>>());
     db.checkpoint().unwrap();
 

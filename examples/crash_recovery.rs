@@ -2,9 +2,10 @@
 //!
 //! Commits transactions, then pulls the (virtual) power cord: volatile
 //! state vanishes and un-persisted NVM cache lines roll back. Recovery
-//! scans the persistent NVM buffer, replays the log (analysis / redo /
-//! undo), and rebuilds the indexes — committed data survives, the
-//! in-flight transaction does not.
+//! scans the persistent NVM buffer, loads the newest snapshot generation
+//! (none here, so the whole log is the tail — the table's creation
+//! included), replays the tail (analysis / redo / undo), and rebuilds the
+//! indexes — committed data survives, the in-flight transaction does not.
 //!
 //! ```sh
 //! cargo run --release -p spitfire-bench --example crash_recovery

@@ -46,8 +46,6 @@ fn lifecycle_api_signatures() {
     assert!(!maintenance.is_running());
     let stats: CycleStats = maintenance.tick();
     assert_eq!(stats, CycleStats::default());
-    maintenance.pause_for_crash(); // no workers: must not block
-    maintenance.resume();
     maintenance.stop();
 
     let pid: PageId = bm.allocate_page().unwrap();
@@ -273,7 +271,8 @@ fn removed_shims_stay_removed() {
         spitfire_txn::RecordKind::Update
         | spitfire_txn::RecordKind::Insert
         | spitfire_txn::RecordKind::Commit
-        | spitfire_txn::RecordKind::Abort => {}
+        | spitfire_txn::RecordKind::Abort
+        | spitfire_txn::RecordKind::CreateTable => {}
     }
     trait TruncateAbsent {
         fn truncate(&self) -> Absent {
@@ -282,4 +281,41 @@ fn removed_shims_stay_removed() {
     }
     impl TruncateAbsent for spitfire_txn::Wal {}
     let _: Absent = db.wal().truncate();
+
+    // One restart path: every recovery loads a generation and replays its
+    // tail, so the full-history path's table open (an allocator scan),
+    // its index rebuild (a header scan) and its whole-log read stay gone;
+    // so does the maintenance pause around a crash (`stop` / `start` do
+    // that job).
+    trait RestartPathAbsent {
+        fn open() -> Absent {
+            Absent
+        }
+        fn for_each_header(&self) -> Absent {
+            Absent
+        }
+    }
+    impl RestartPathAbsent for spitfire_txn::Table {}
+    let _: Absent = spitfire_txn::Table::open();
+    let table = spitfire_txn::Table::create(Arc::clone(&bm), 9, 8).unwrap();
+    let _: Absent = table.for_each_header();
+    trait ReadAllAbsent {
+        fn read_all(&self) -> Absent {
+            Absent
+        }
+    }
+    impl ReadAllAbsent for spitfire_txn::Wal {}
+    let _: Absent = db.wal().read_all();
+    trait PauseAbsent {
+        fn pause_for_crash(&self) -> Absent {
+            Absent
+        }
+        fn resume(&self) -> Absent {
+            Absent
+        }
+    }
+    impl PauseAbsent for Maintenance {}
+    let maintenance = bm.maintenance();
+    let _: Absent = maintenance.pause_for_crash();
+    let _: Absent = maintenance.resume();
 }
