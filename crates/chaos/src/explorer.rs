@@ -233,7 +233,7 @@ fn crash_and_verify(
     // Invariant: the snapshot store's allocator agrees with what the
     // surviving generations reference (nothing free that is referenced,
     // nothing referenced that is missing, nothing leaked).
-    if let Err(e) = db.snapshots().store().check() {
+    if let Err(e) = db.snapshots().check() {
         v.violations
             .push(format!("snapshot store after recovery: {e}"));
     }
@@ -408,7 +408,8 @@ pub fn run(config: &ChaosConfig) -> Verdict {
                         db.buffer_manager().admin().set_fault_injector(once(rule));
                     }
                     let store_kth = if home { 1 } else { 1 + k % 2 };
-                    db.set_snapshot_fault_injector(once(fatal(store_kth).on_op(FaultOp::Write)));
+                    db.snapshots()
+                        .set_fault_injector(once(fatal(store_kth).on_op(FaultOp::Write)));
                     if db.checkpoint().is_ok() {
                         v.violations
                             .push("sabotaged checkpoint unexpectedly succeeded".to_string());
@@ -418,7 +419,7 @@ pub fn run(config: &ChaosConfig) -> Verdict {
                     db.buffer_manager()
                         .admin()
                         .set_fault_injector(injector.clone());
-                    db.set_snapshot_fault_injector(injector.clone());
+                    db.snapshots().set_fault_injector(injector.clone());
                     crash_and_verify(
                         &db,
                         &model,

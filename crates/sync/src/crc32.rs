@@ -3,8 +3,9 @@
 //! One checksum, one implementation: snapshot block headers, WAL record
 //! framing, and the server wire protocol all call this [`crc32`]. It lives
 //! in `spitfire-sync` — the lowest shared crate — so none of those
-//! consumers needs the others just for a checksum (the historical chain
-//! re-exported it from `spitfire-snapshot` through `spitfire_txn::wal`).
+//! consumers needs the others just for a checksum (the snapshot store
+//! and the WAL live in `spitfire-txn`, the wire codec in
+//! `spitfire-server`).
 //!
 //! The polynomial is Castagnoli's because x86-64 has an instruction for it
 //! (SSE4.2 `crc32`): a checkpoint checksums every 16 KB snapshot block it

@@ -1,7 +1,7 @@
 //! Crash-consistent checkpoints (instant restart).
 //!
-//! Every [`Database::checkpoint`] writes one snapshot generation through
-//! the database's [`SnapshotEngine`] (built by [`Database::create`]):
+//! Every [`Database::checkpoint`] writes one snapshot generation into the
+//! database's [`SnapshotStore`] (built by [`Database::create`]):
 //!
 //! 1. **Fence.** Under the database's fence gate (new transactions
 //!    blocked) the checkpointer waits — bounded — for in-flight
@@ -20,11 +20,12 @@
 //!    flush is fuzzy — a home image may carry post-fence effects, which
 //!    is fine because recovery replays the WAL tail from the fence and
 //!    redo rewrites whole version slots idempotently. Pages the flush had
-//!    to leave behind (a shadow move in flight, a pinned or fine-grained
-//!    copy) are retried a few times; if any are still left, the
-//!    checkpoint fails with `CheckpointContended` and leaves the WAL and
-//!    the store untouched, because the WAL may only be truncated once
-//!    every pre-fence change is home or in NVM.
+//!    to leave behind (a shadow move in flight, a busy NVM copy, a
+//!    fine-grained or mini-page frame — a pin alone never leaves one) are
+//!    retried a few times; if any are still left, the checkpoint fails
+//!    with `CheckpointContended` and leaves the WAL and the store
+//!    untouched, because the WAL may only be truncated once every
+//!    pre-fence change is home or in NVM.
 //! 3. **Install + truncate.** The main SSD is synced, the index runs and
 //!    the manifest (fence LSN, oracle state, the table catalog with
 //!    per-table watermarks, the list of the runs) are written, CRC-checked, and
@@ -43,24 +44,21 @@
 //! fence, and those may still link a keeper to a slot released at the
 //! newest install.
 //!
-//! Recovery ([`Database::recover`]) scans the NVM buffer, loads the newest
-//! generation that validates (or an empty one when the store names none),
-//! reopens tables from its manifest, bulk-loads indexes from its runs, and
-//! replays only the WAL tail past its fence, where the `CreateTable`
-//! records of later tables are — recovery work is bounded by one
-//! checkpoint interval of log, not by database size or history.
+//! Recovery ([`Database::recover`]) scans the NVM buffer, reads each
+//! retained generation once and loads the newest that validates (or an
+//! empty one when the store names none), reopens tables from its
+//! manifest, bulk-loads indexes from its runs, and replays only the WAL
+//! tail past its fence, where the `CreateTable` records of later tables
+//! are — recovery work is bounded by one checkpoint interval of log, not
+//! by database size or history.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-use spitfire_core::BufferManager;
-use spitfire_snapshot::{Manifest, SnapshotError, SnapshotStore, TableMeta};
-
 use crate::db::Database;
 use crate::error::TxnError;
+use crate::store::{SnapshotStore, TableMeta};
 use crate::wal::WalFence;
 use crate::Result;
 
@@ -73,10 +71,7 @@ const QUIESCE_WAIT: Duration = Duration::from_millis(250);
 const FLUSH_RETRIES: u32 = 8;
 const FLUSH_BACKOFF: Duration = Duration::from_micros(20);
 
-/// A generation's index runs by table: `(key, rid)` pairs in key order.
-pub(crate) type IndexRuns = HashMap<u32, Vec<(u64, u64)>>;
-
-/// Options of the snapshot engine. There are none left; the type stays
+/// Options of the snapshot store. There are none left; the type stays
 /// only as the argument of the [`Database::enable_snapshots`] shim.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotConfig {}
@@ -94,126 +89,23 @@ pub struct CheckpointStats {
     pub micros: u64,
 }
 
-/// The checkpointer state attached to a [`Database`].
-pub struct SnapshotEngine {
-    store: SnapshotStore,
-    /// Checkpoints completed by this engine.
-    checkpoints: AtomicU64,
-    /// Fence of the newest installed generation; the *next* install
-    /// truncates the WAL here. `None` right after recovery (no truncation
-    /// until a new generation exists).
-    last_fence: Mutex<Option<WalFence>>,
-    last_micros: AtomicU64,
-    last_pages: AtomicU64,
-}
-
-impl SnapshotEngine {
-    /// An engine whose store lives on its own (simulated) SSD device sized
-    /// to `bm`'s page, built with `bm`'s configured time scale and
-    /// persistence tracking and no fault injector.
-    pub(crate) fn new(bm: &BufferManager) -> Self {
-        SnapshotEngine {
-            store: SnapshotStore::new(
-                bm.page_size(),
-                bm.config().time_scale,
-                bm.config().persistence,
-            ),
-            checkpoints: AtomicU64::new(0),
-            last_fence: Mutex::new(None),
-            last_micros: AtomicU64::new(0),
-            last_pages: AtomicU64::new(0),
-        }
-    }
-
-    /// The newest valid generation's manifest and its index runs by
-    /// table, re-read from the store after a crash. A store whose
-    /// superblock was never written or names no generation stands for the
-    /// empty manifest (generation 0, fence 0, no tables); an unreadable
-    /// superblock, or one that names generations none of which validates,
-    /// is [`SnapshotError::Corrupt`]. No WAL truncation
-    /// follows until a generation of this run installs.
-    pub(crate) fn load_newest(&self) -> Result<(Manifest, IndexRuns)> {
-        *self.last_fence.lock() = None;
-        let named = self.store.reload()?;
-        let mut runs = IndexRuns::new();
-        let manifest = match self.store.newest_valid() {
-            Some(gen) => self.store.load(gen, |table, entries| {
-                runs.entry(table).or_default().extend_from_slice(entries);
-            })?,
-            None if named == 0 => Manifest::default(),
-            None => {
-                return Err(SnapshotError::Corrupt("no retained generation validates").into());
-            }
-        };
-        Ok((manifest, runs))
-    }
-
-    /// The snapshot store (test and chaos access: fault injection,
-    /// corruption, crash simulation).
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
-    }
-
-    /// Newest installed generation number (0 = none).
-    pub fn generation(&self) -> u64 {
-        self.store.latest().map_or(0, |e| e.generation)
-    }
-
-    /// Wall-clock microseconds of the last completed checkpoint.
-    pub fn last_checkpoint_micros(&self) -> u64 {
-        // relaxed: advisory gauge.
-        self.last_micros.load(Ordering::Relaxed)
-    }
-
-    /// DRAM pages the last completed checkpoint wrote home.
-    pub fn last_checkpoint_pages(&self) -> u64 {
-        // relaxed: advisory gauge.
-        self.last_pages.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoints completed by this engine instance.
-    pub fn checkpoints(&self) -> u64 {
-        // relaxed: advisory counter.
-        self.checkpoints.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for SnapshotEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotEngine")
-            .field("generation", &self.generation())
-            .field("checkpoints", &self.checkpoints())
-            .finish_non_exhaustive()
-    }
-}
-
 impl Database {
-    /// The snapshot engine [`Database::create`] built.
-    pub fn snapshots(&self) -> &SnapshotEngine {
+    /// The snapshot store [`Database::create`] built.
+    pub fn snapshots(&self) -> &SnapshotStore {
         &self.snapshots
     }
 
     /// Shim for the repo benchmark, which calls it after `create`: returns
-    /// the engine [`Database::create`] built and ignores the config. Use
+    /// the store [`Database::create`] built and ignores the config. Use
     /// [`Database::snapshots`].
-    pub fn enable_snapshots(&self, _cfg: SnapshotConfig) -> Arc<SnapshotEngine> {
+    pub fn enable_snapshots(&self, _cfg: SnapshotConfig) -> Arc<SnapshotStore> {
         Arc::clone(&self.snapshots)
     }
 
-    /// Shim for the repo benchmark: the engine [`Database::create`] built,
+    /// Shim for the repo benchmark: the store [`Database::create`] built,
     /// always `Some`. Use [`Database::snapshots`].
-    pub fn snapshot_engine(&self) -> Option<Arc<SnapshotEngine>> {
+    pub fn snapshot_engine(&self) -> Option<Arc<SnapshotStore>> {
         Some(Arc::clone(&self.snapshots))
-    }
-
-    /// Install (or clear) a fault injector on the snapshot store only
-    /// (chaos: crash-mid-checkpoint schedules fault snapshot writes
-    /// without touching the data or log devices).
-    pub fn set_snapshot_fault_injector(
-        &self,
-        injector: Option<Arc<spitfire_device::FaultInjector>>,
-    ) {
-        self.snapshots.store.set_fault_injector(injector);
     }
 
     /// Checkpoint the database: write and install one snapshot generation
@@ -227,7 +119,6 @@ impl Database {
     /// a home flush that could not write every dirty DRAM page.
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
         let _serial = self.ckpt_serial.lock();
-        let engine = &self.snapshots;
         let started = Instant::now();
         let obs_t = spitfire_obs::op_start();
         let gate = self.fence_gate.write();
@@ -261,15 +152,15 @@ impl Database {
 
         let pages = self.flush_home()?;
         let (generation, index_entries) =
-            self.write_generation(engine, fence, (oracle_ts, next_txn_id, next_page_id), metas)?;
+            self.write_generation(fence, (oracle_ts, next_txn_id, next_page_id), metas)?;
         for rel in &relations {
             rel.table.release_sealed();
         }
         let micros = started.elapsed().as_micros() as u64;
-        // relaxed: advisory gauges/counters.
-        engine.checkpoints.fetch_add(1, Ordering::Relaxed);
-        engine.last_micros.store(micros, Ordering::Relaxed);
-        engine.last_pages.store(pages as u64, Ordering::Relaxed);
+        // relaxed: advisory gauges.
+        let store = &self.snapshots;
+        store.last_micros.store(micros, Ordering::Relaxed);
+        store.last_pages.store(pages as u64, Ordering::Relaxed);
         spitfire_obs::record_since(spitfire_obs::Op::Checkpoint, obs_t);
         Ok(CheckpointStats {
             generation,
@@ -305,12 +196,11 @@ impl Database {
     /// the generation and the index entries dumped.
     fn write_generation(
         &self,
-        engine: &SnapshotEngine,
         fence: WalFence,
         (oracle_ts, next_txn_id, next_page_id): (u64, u64, u64),
         metas: Vec<TableMeta>,
     ) -> Result<(u64, usize)> {
-        let mut writer = engine.store.begin(fence.lsn);
+        let mut writer = self.snapshots.begin(fence.lsn);
         let mut index_entries = 0usize;
         for meta in &metas {
             let index = &self.relation(meta.id)?.index;
@@ -332,7 +222,7 @@ impl Database {
         // Truncate to the *previous* generation's fence: the newest
         // generation's own tail must stay replayable, and one generation
         // of extra slack keeps the CRC-mismatch fallback recoverable.
-        let prev = engine.last_fence.lock().replace(fence);
+        let prev = self.snapshots.last_fence.lock().replace(fence);
         if let Some(prev) = prev {
             self.wal.truncate_to(prev)?;
         }

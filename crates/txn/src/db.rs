@@ -9,9 +9,9 @@ use parking_lot::RwLock;
 use spitfire_core::{BufferManager, PageId};
 use spitfire_index::BTree;
 
-use crate::checkpoint::SnapshotEngine;
 use crate::error::TxnError;
 use crate::mvto::{is_marker, marker_txn, visible, KeyLocks, ABORTED, INF, MARK};
+use crate::store::SnapshotStore;
 use crate::table::{check_tuple_size, Field, Table, VersionHeader, NO_RID};
 use crate::wal::{LogRecord, RecordKind, Wal};
 use crate::Result;
@@ -134,9 +134,9 @@ pub struct Database {
     /// exclusively while it waits for the active set to drain and captures
     /// its fence (see `checkpoint`).
     pub(crate) fence_gate: RwLock<()>,
-    /// The snapshot engine: checkpoints write its generations, recovery
+    /// The snapshot store: checkpoints write its generations, recovery
     /// loads them.
-    pub(crate) snapshots: Arc<SnapshotEngine>,
+    pub(crate) snapshots: Arc<SnapshotStore>,
     /// Serializes checkpoints (one writer streams into the store at a
     /// time).
     pub(crate) ckpt_serial: parking_lot::Mutex<()>,
@@ -148,7 +148,7 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create a fresh database on `bm`, with its snapshot engine (see
+    /// Create a fresh database on `bm`, with its snapshot store (see
     /// [`Database::checkpoint`]).
     pub fn create(bm: Arc<BufferManager>, config: DbConfig) -> Result<Self> {
         let wal = Wal::new(
@@ -157,7 +157,11 @@ impl Database {
             bm.config().time_scale,
             bm.config().persistence,
         )?;
-        let snapshots = Arc::new(SnapshotEngine::new(&bm));
+        let snapshots = Arc::new(SnapshotStore::new(
+            bm.page_size(),
+            bm.config().time_scale,
+            bm.config().persistence,
+        ));
         Ok(Database {
             bm,
             wal,
@@ -192,7 +196,7 @@ impl Database {
     pub fn set_time_scale(&self, scale: spitfire_device::TimeScale) {
         self.bm.admin().set_time_scale(scale);
         self.wal.set_time_scale(scale);
-        self.snapshots.store().set_time_scale(scale);
+        self.snapshots.set_time_scale(scale);
     }
 
     /// Committed / aborted transaction counts.
@@ -689,7 +693,7 @@ impl Database {
     pub fn set_fault_injector(&self, injector: Option<Arc<spitfire_device::FaultInjector>>) {
         self.bm.admin().set_fault_injector(injector.clone());
         self.wal.set_fault_injector(injector.clone());
-        self.snapshots.store().set_fault_injector(injector);
+        self.snapshots.set_fault_injector(injector);
     }
 
     /// Simulate a crash: volatile state everywhere is dropped, unflushed
@@ -697,7 +701,7 @@ impl Database {
     pub fn simulate_crash(&self) {
         self.bm.simulate_crash();
         self.wal.simulate_crash();
-        self.snapshots.store().simulate_crash();
+        self.snapshots.simulate_crash();
         self.locks.forget_debts();
         self.catalog.write().clear();
         // In-flight transactions died with the process; without this,
@@ -713,7 +717,8 @@ impl Database {
     ///    table catalog at its fence, its runs the indexes — or, when the
     ///    store names none, an empty one (no tables, fence 0); if its
     ///    superblock is unreadable, or it names generations and none
-    ///    validates, fail with [`TxnError::Snapshot`];
+    ///    validates, fail with [`TxnError::Corrupt`]; the store reads each
+    ///    retained generation once;
     /// 3. read the log tail past the fence, treating the (persistent) NVM
     ///    log buffer as part of the log;
     /// 4. analysis — split the tail's transactions into winners and losers;
@@ -732,7 +737,7 @@ impl Database {
         self.debts_lost.store(true, Ordering::Release);
         self.bm.recover_page_allocator();
 
-        let (manifest, mut runs) = self.snapshots.load_newest()?;
+        let (manifest, mut runs) = self.snapshots.recover()?;
         stats.snapshot_generation = manifest.generation;
         self.bm.admin().set_next_page_id(manifest.next_page_id);
         // Reopen the manifest's tables: catalog chains only, the slot
@@ -915,19 +920,15 @@ impl spitfire_obs::Source for Database {
         out.add_gauge("active_txns", self.active.lock().len() as f64);
         out.add_gauge("wal_bytes", self.wal.log_bytes() as f64);
         out.add_gauge("wal_file_pages", self.wal.file_pages() as f64);
-        let engine = &self.snapshots;
-        let store = engine.store();
+        let store = &self.snapshots;
         out.add_gauge("snapshot_store_used_bytes", store.used_bytes() as f64);
         out.add_gauge("snapshot_store_free_blocks", store.free_blocks() as f64);
-        out.add_gauge("snapshot_generation", engine.generation() as f64);
-        out.add_gauge(
-            "last_checkpoint_ms",
-            engine.last_checkpoint_micros() as f64 / 1000.0,
-        );
-        out.add_gauge(
-            "last_checkpoint_pages",
-            engine.last_checkpoint_pages() as f64,
-        );
+        out.add_gauge("snapshot_generation", store.generation() as f64);
+        // relaxed: advisory gauges.
+        let micros = store.last_micros.load(Ordering::Relaxed);
+        out.add_gauge("last_checkpoint_ms", micros as f64 / 1000.0);
+        let pages = store.last_pages.load(Ordering::Relaxed);
+        out.add_gauge("last_checkpoint_pages", pages as f64);
     }
 }
 

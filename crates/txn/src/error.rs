@@ -35,13 +35,19 @@ pub enum TxnError {
     },
     /// Unknown table id.
     UnknownTable(u32),
-    /// A checkpoint could not reach a quiescent point: transactions were
-    /// still in flight when the bounded wait expired. Retry once they
-    /// finish (same contract as [`TxnError::TransactionOpen`] on a
-    /// session: the caller backs off instead of corrupting state).
+    /// A checkpoint could not finish its fence or its home flush:
+    /// transactions were still in flight when the bounded wait expired, or
+    /// the flush had to leave dirty DRAM pages behind (a shadow move in
+    /// flight, a busy NVM copy, a fine-grained or mini-page frame) after
+    /// its retries. Retry later (same contract as
+    /// [`TxnError::TransactionOpen`] on a session: the caller backs off
+    /// instead of corrupting state).
     CheckpointContended,
-    /// The snapshot store failed.
-    Snapshot(spitfire_snapshot::SnapshotError),
+    /// A snapshot block or superblock failed structural validation. For
+    /// one generation's block recovery treats this as "generation invalid"
+    /// and falls back to the other retained one; an unreadable superblock,
+    /// or no retained generation that validates, fails recovery with it.
+    Corrupt(&'static str),
 }
 
 impl TxnError {
@@ -79,10 +85,12 @@ impl std::fmt::Display for TxnError {
                 )
             }
             TxnError::UnknownTable(t) => write!(f, "unknown table {t}"),
-            TxnError::CheckpointContended => {
-                write!(f, "checkpoint contended: transactions in flight; retry")
-            }
-            TxnError::Snapshot(e) => write!(f, "snapshot error: {e}"),
+            TxnError::CheckpointContended => write!(
+                f,
+                "checkpoint contended: transactions in flight or dirty pages \
+                 left behind by the home flush; retry"
+            ),
+            TxnError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
     }
 }
@@ -92,7 +100,6 @@ impl std::error::Error for TxnError {
         match self {
             TxnError::Buffer(e) => Some(e),
             TxnError::Index(e) => Some(e),
-            TxnError::Snapshot(e) => Some(e),
             _ => None,
         }
     }
@@ -107,12 +114,6 @@ impl From<BufferError> for TxnError {
 impl From<spitfire_device::DeviceError> for TxnError {
     fn from(e: spitfire_device::DeviceError) -> Self {
         TxnError::Buffer(BufferError::Device(e))
-    }
-}
-
-impl From<spitfire_snapshot::SnapshotError> for TxnError {
-    fn from(e: spitfire_snapshot::SnapshotError) -> Self {
-        TxnError::Snapshot(e)
     }
 }
 
@@ -137,5 +138,10 @@ mod tests {
         .contains('9'));
         let e: TxnError = BufferError::UnknownPage(spitfire_core::PageId(1)).into();
         assert!(matches!(e, TxnError::Buffer(_)));
+        let contended = TxnError::CheckpointContended.to_string();
+        assert!(contended.contains("in flight") && contended.contains("left behind"));
+        assert!(TxnError::Corrupt("block CRC mismatch")
+            .to_string()
+            .contains("block CRC mismatch"));
     }
 }

@@ -17,6 +17,9 @@
 //!   to rebuild the mapping table, loads the newest snapshot generation,
 //!   and runs analysis / redo / undo over the log tail past its fence
 //!   (the NVM log buffer included) before rebuilding indexes.
+//! * **Checkpoints** ([`Database::checkpoint`]) write generation-numbered,
+//!   checksummed snapshot generations (index runs + a manifest) into the
+//!   database's [`SnapshotStore`], a block file on its own SSD device.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -27,14 +30,16 @@ mod error;
 mod maintenance;
 pub mod mvto;
 mod session;
+mod store;
 mod table;
 mod wal;
 
-pub use checkpoint::{CheckpointStats, SnapshotConfig, SnapshotEngine};
+pub use checkpoint::{CheckpointStats, SnapshotConfig};
 pub use db::{Database, DbConfig, RecoveryStats, Transaction};
 pub use error::TxnError;
 pub use maintenance::{MaintainStats, VacuumStats};
 pub use session::Session;
+pub use store::{GenerationInfo, Manifest, SnapshotStore, SnapshotWriter, TableMeta, BLOCK_HEADER};
 pub use table::{Field, ReadVisit, Table, VersionHeader, WriteVisit, NO_RID, VERSION_HEADER};
 pub use wal::{LogRecord, RecordKind, Wal, WalFence, WalScanReport};
 

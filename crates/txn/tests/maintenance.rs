@@ -195,9 +195,10 @@ fn a_failed_checkpoint_releases_nothing_and_the_next_releases_in_vacuum_order() 
         .on_op(FaultOp::Write)
         .in_range(0, PAGE as u64);
     let plan = FaultPlan::new(3).rule(superblock);
-    db.set_snapshot_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+    db.snapshots()
+        .set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
     assert!(db.checkpoint().is_err());
-    db.set_snapshot_fault_injector(None);
+    db.snapshots().set_fault_injector(None);
     assert_eq!(db.table_free_slots(T).unwrap(), Vec::<u64>::new());
 
     // Key 2 in fresh rids 3 → 4 → 5; vacuum frees 4, then 3.

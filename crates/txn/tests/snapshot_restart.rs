@@ -11,8 +11,7 @@ use spitfire_device::{
     DeviceProfile, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, PersistenceTracking,
     TimeScale, Trigger,
 };
-use spitfire_snapshot::BLOCK_HEADER;
-use spitfire_txn::{Database, DbConfig, TxnError};
+use spitfire_txn::{Database, DbConfig, TxnError, BLOCK_HEADER};
 
 const PAGE: usize = 1024;
 const T: u32 = 1;
@@ -122,8 +121,7 @@ fn corrupt_newest_generation_falls_back_one() {
     // generation: each costs exactly one generation.
     for victim in ["index run", "manifest"] {
         let db = database();
-        let engine = db.snapshots();
-        let store = engine.store();
+        let store = db.snapshots();
         let mut model = std::collections::HashMap::new();
 
         write_all(&db, &(0..30).map(|k| (k, k as u8)).collect::<Vec<_>>());
@@ -196,7 +194,7 @@ fn the_first_checkpoint_installs_into_the_engine_create_built() {
 #[test]
 fn crash_drops_uninstalled_snapshot_blocks() {
     let db = database();
-    let engine = db.snapshots();
+    let store = db.snapshots();
     let mut model = std::collections::HashMap::new();
     write_all(&db, &(0..30).map(|k| (k, k as u8)).collect::<Vec<_>>());
     (0..30u64).for_each(|k| {
@@ -205,21 +203,21 @@ fn crash_drops_uninstalled_snapshot_blocks() {
     db.checkpoint().unwrap();
     write_all(&db, &[(4, 0xD4)]);
     model.insert(4, 0xD4);
-    let installed_bytes = engine.store().used_bytes();
+    let installed_bytes = store.used_bytes();
 
     // A checkpoint that loses power mid-stream: blocks written, never
     // synced, never installed.
-    let mut writer = engine.store().begin(db.wal().current_lsn());
+    let mut writer = store.begin(db.wal().current_lsn());
     let run: Vec<(u64, u64)> = (0..2 * RUN_ENTRIES as u64).map(|k| (k, k)).collect();
     writer.index_entries(T, &run).unwrap();
     drop(writer);
-    assert!(engine.store().used_bytes() > installed_bytes);
+    assert!(store.used_bytes() > installed_bytes);
 
     // The store follows the buffer manager's `persistence(Full)`: its
     // un-synced blocks roll back with everything else.
     db.simulate_crash();
     assert_eq!(
-        engine.store().used_bytes(),
+        store.used_bytes(),
         installed_bytes,
         "un-synced snapshot blocks survived the crash"
     );
@@ -306,7 +304,7 @@ fn snapshot_recovery_work_is_flat_across_a_size_sweep() {
 #[test]
 fn failed_checkpoint_installs_nothing_and_recovers_from_prior() {
     let db = database();
-    let engine = db.snapshots();
+    let store = db.snapshots();
     let mut model = std::collections::HashMap::new();
 
     write_all(&db, &(0..30).map(|k| (k, k as u8)).collect::<Vec<_>>());
@@ -321,10 +319,11 @@ fn failed_checkpoint_installs_nothing_and_recovers_from_prior() {
     // Every snapshot-store write fails fatally: the checkpoint errors and
     // the generation is never installed.
     let plan = FaultPlan::new(7).rule(FaultRule::any(Trigger::Always, FaultKind::Fatal));
-    db.set_snapshot_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+    db.snapshots()
+        .set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
     assert!(db.checkpoint().is_err());
-    assert_eq!(engine.generation(), 1, "failed generation not installed");
-    db.set_snapshot_fault_injector(None);
+    assert_eq!(store.generation(), 1, "failed generation not installed");
+    db.snapshots().set_fault_injector(None);
 
     db.simulate_crash();
     let stats = db.recover().unwrap();
@@ -390,7 +389,7 @@ fn a_table_created_after_a_generation_survives_a_crash() {
 #[test]
 fn recovery_with_both_retained_generations_corrupt_is_an_error() {
     let db = database();
-    let store = db.snapshots().store();
+    let store = db.snapshots();
     write_all(&db, &[(1, 1)]);
     db.checkpoint().unwrap();
     write_all(&db, &[(2, 2)]);
@@ -402,12 +401,7 @@ fn recovery_with_both_retained_generations_corrupt_is_an_error() {
     store.device().sync().unwrap();
 
     db.simulate_crash();
-    assert!(matches!(
-        db.recover(),
-        Err(TxnError::Snapshot(
-            spitfire_snapshot::SnapshotError::Corrupt(_)
-        ))
-    ));
+    assert!(matches!(db.recover(), Err(TxnError::Corrupt(_))));
 }
 
 /// A superblock that is present but unreadable may have named
@@ -418,7 +412,7 @@ fn recovery_with_both_retained_generations_corrupt_is_an_error() {
 #[test]
 fn recovery_with_an_unreadable_superblock_is_an_error() {
     let db = database();
-    let store = db.snapshots().store();
+    let store = db.snapshots();
     write_all(&db, &[(1, 1)]);
     db.checkpoint().unwrap();
     write_all(&db, &[(2, 2)]);
@@ -428,12 +422,41 @@ fn recovery_with_an_unreadable_superblock_is_an_error() {
     store.device().sync().unwrap();
 
     db.simulate_crash();
-    assert!(matches!(
-        db.recover(),
-        Err(TxnError::Snapshot(
-            spitfire_snapshot::SnapshotError::Corrupt(_)
-        ))
-    ));
+    assert!(matches!(db.recover(), Err(TxnError::Corrupt(_))));
+}
+
+/// Recovery reads the superblock once and each retained generation once:
+/// the newest (manifest + runs) is validated and loaded from the same
+/// reads, the fallback is read to learn which blocks it holds.
+#[test]
+fn recovery_reads_each_retained_generation_once() {
+    let db = database();
+    let mut model = std::collections::HashMap::new();
+    for (round, keys) in [(1u8, 2 * RUN_ENTRIES as u64), (2, 4 * RUN_ENTRIES as u64)] {
+        for batch in (0..keys).collect::<Vec<_>>().chunks(32) {
+            write_all(&db, &batch.iter().map(|&k| (k, round)).collect::<Vec<_>>());
+        }
+        (0..keys).for_each(|k| {
+            model.insert(k, round);
+        });
+        db.checkpoint().unwrap();
+    }
+    let store = db.snapshots();
+    let blocks = |gen| 1 + store.load(gen, |_, _| {}).unwrap().meta_blocks.len() as u64;
+    let (fallback, newest) = (blocks(1), blocks(2));
+    assert!(newest > fallback && fallback > 2, "{newest} / {fallback}");
+
+    db.simulate_crash();
+    let before = store.stats();
+    let stats = db.recover().unwrap();
+    assert_eq!(stats.snapshot_generation, 2);
+    assert_eq!(
+        store.stats().delta(&before).read_ops,
+        1 + newest + fallback,
+        "superblock + newest ({newest} blocks) + fallback ({fallback} blocks)"
+    );
+    store.check().unwrap();
+    assert_contents(&db, &model, 4 * RUN_ENTRIES as u64 + 2);
 }
 
 #[test]
@@ -488,13 +511,12 @@ fn superblock_write_fails() -> FaultRule {
 fn interrupted_and_torn_reuse_leave_both_retained_generations_intact() {
     for scenario in ["power-loss", "torn-uninstalled", "torn-installed"] {
         let db = database();
-        let engine = db.snapshots();
-        let store = engine.store();
+        let store = db.snapshots();
         let mut model = std::collections::HashMap::new();
         // Enough keys that a generation's first index run fills its block.
         let keys = RUN_ENTRIES as u64 + 3;
         rewrite_and_checkpoint(&db, &mut model, keys, 0..4);
-        assert_eq!(engine.generation(), 4);
+        assert_eq!(store.generation(), 4);
         // Generation 2's two index runs and manifest.
         let free = store.free_blocks();
         assert_eq!(free, 3, "{scenario}: generation 2's blocks are reusable");
@@ -532,9 +554,10 @@ fn interrupted_and_torn_reuse_leave_both_retained_generations_intact() {
                     FaultRule::any(Trigger::NthOp(1), FaultKind::TornWrite).on_op(FaultOp::Write),
                 );
                 let injector = Arc::new(FaultInjector::new(plan));
-                db.set_snapshot_fault_injector(Some(Arc::clone(&injector)));
+                db.snapshots()
+                    .set_fault_injector(Some(Arc::clone(&injector)));
                 let outcome = db.checkpoint();
-                db.set_snapshot_fault_injector(None);
+                db.snapshots().set_fault_injector(None);
                 assert_eq!(injector.stats().torn, 1);
                 assert_eq!(outcome.is_ok(), torn == "torn-installed");
                 4
@@ -574,8 +597,7 @@ fn interrupted_and_torn_reuse_leave_both_retained_generations_intact() {
 #[test]
 fn failed_superblock_write_forgets_nothing() {
     let db = database();
-    let engine = db.snapshots();
-    let store = engine.store();
+    let store = db.snapshots();
     let mut model = std::collections::HashMap::new();
     rewrite_and_checkpoint(&db, &mut model, 40, 0..4);
     write_all(&db, &[(7, 0xC7)]);
@@ -583,9 +605,10 @@ fn failed_superblock_write_forgets_nothing() {
 
     let before = (store.generations(), store.free_blocks(), store.used_bytes());
     let plan = FaultPlan::new(3).rule(superblock_write_fails());
-    db.set_snapshot_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+    db.snapshots()
+        .set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
     assert!(db.checkpoint().is_err());
-    db.set_snapshot_fault_injector(None);
+    db.snapshots().set_fault_injector(None);
     store.check().unwrap();
     // The generation the install would have retired is still listed, and
     // still whole: the durable superblock names it.
@@ -627,8 +650,7 @@ fn steady_state_run(rounds: u8) -> Vec<u64> {
     let bm = Arc::new(BufferManager::new(config).unwrap());
     let db = Database::create(Arc::clone(&bm), DbConfig::default()).unwrap();
     db.create_table(T, BIG).unwrap();
-    let engine = db.snapshots();
-    let store = engine.store();
+    let store = db.snapshots();
     let unit = DeviceProfile::optane_ssd().effective_transfer(PAGE16) as u64;
     assert_eq!(unit, PAGE16 as u64);
     let payload = PAGE16 - BLOCK_HEADER;
@@ -817,7 +839,7 @@ fn home_flush_drops_the_shadowed_nvm_copy_and_leaves_nvm_dirt_in_place() {
 #[test]
 fn a_checkpoint_under_a_live_write_guard_installs() {
     let db = database();
-    let engine = db.snapshots();
+    let store = db.snapshots();
     let bm = Arc::clone(db.buffer_manager());
     let mut model = std::collections::HashMap::new();
     write_all(&db, &(0..20).map(|k| (k, 1)).collect::<Vec<_>>());
@@ -838,7 +860,7 @@ fn a_checkpoint_under_a_live_write_guard_installs() {
     assert_eq!(guard.tier(), Tier::Dram);
     guard.write_u64(0, 7).unwrap();
     assert_eq!(db.checkpoint().unwrap().generation, 2);
-    assert_eq!(engine.generation(), 2);
+    assert_eq!(store.generation(), 2);
     assert_eq!(bm.dirty_pages().0, 1, "the pinned copy stays dirty");
 
     drop(guard);
@@ -865,7 +887,7 @@ fn checkpoint_is_contended_while_a_dirty_page_is_left_behind() {
     let bm = Arc::new(BufferManager::new(config).unwrap());
     let db = Database::create(Arc::clone(&bm), DbConfig::default()).unwrap();
     db.create_table(T, TUPLE).unwrap();
-    let engine = db.snapshots();
+    let store = db.snapshots();
     write_all(&db, &(0..20).map(|k| (k, 1)).collect::<Vec<_>>());
     db.checkpoint().unwrap();
 
@@ -881,16 +903,15 @@ fn checkpoint_is_contended_while_a_dirty_page_is_left_behind() {
     drop(guard);
     bm.admin().set_policy(stay());
     assert_eq!(bm.dirty_pages().0, 1);
-    let store = engine.store();
     let before = (
-        engine.generation(),
+        store.generation(),
         db.wal().log_bytes(),
         store.generations(),
         store.stats().write_ops,
     );
     assert_eq!(db.checkpoint().unwrap_err(), TxnError::CheckpointContended);
     let after = (
-        engine.generation(),
+        store.generation(),
         db.wal().log_bytes(),
         store.generations(),
         store.stats().write_ops,

@@ -64,6 +64,11 @@
 //!    call lives in (or under) a `#[cfg(test)]` module, where the compiler
 //!    still checks that something uses it.
 //!
+//! 10. **`crates`** — the crate tables in DESIGN.md §2 and README's
+//!     "What's here" name exactly the packages under `crates/`: a crate
+//!     added, folded into another or deleted updates both tables, so
+//!     neither lists a crate that is gone or misses one that exists.
+//!
 //! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2, 4, 7, 8 and 9: test
 //! code freely uses relaxed counters and raw atomics, and verifying the
 //! tests is the job of the tests themselves. The lint skips everything
@@ -110,6 +115,13 @@ const ALLOWED_BASELINES: [&str; 2] = ["BENCH_migration.json", "BENCH_server.json
 /// The one CI job that may carry an inline threshold script (rule 6).
 const INLINE_GATE_JOB: &str = "migration";
 const CI_WORKFLOW: &str = ".github/workflows/ci.yml";
+
+/// The crate tables (rule 10): each document and how the heading of the
+/// section that holds its table begins.
+const CRATE_TABLES: [(&str, &str); 2] = [
+    ("DESIGN.md", "## 2. Crate inventory"),
+    ("README.md", "## What's here"),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -178,6 +190,11 @@ fn lint() -> ExitCode {
         .collect();
     let ci = std::fs::read_to_string(root.join(CI_WORKFLOW)).unwrap_or_default();
     lint_gates(&root_names, &ci, &mut findings);
+    let packages = crate_packages(&root.join("crates"));
+    for (doc, heading) in CRATE_TABLES {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_default();
+        lint_crate_table(&packages, doc, heading, &text, &mut findings);
+    }
     if findings.is_empty() {
         println!("xtask lint: {checked} files clean");
         ExitCode::SUCCESS
@@ -230,6 +247,79 @@ fn lint_gates(root_names: &[String], ci: &str, findings: &mut Vec<Finding>) {
                      `{INLINE_GATE_JOB}` may carry one — assert counts in a test"
                 ),
             });
+        }
+    }
+}
+
+/// The package names of the crates under `dir`: the first `name = "..."`
+/// line of each `Cargo.toml` one level down.
+fn crate_packages(dir: &Path) -> Vec<String> {
+    let mut packages: Vec<String> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|e| std::fs::read_to_string(e.path().join("Cargo.toml")).ok())
+        .filter_map(|toml| {
+            toml.lines().find_map(|l| {
+                let value = l.strip_prefix("name = \"")?;
+                Some(value.trim_end().strip_suffix('"')?.to_string())
+            })
+        })
+        .collect();
+    packages.sort();
+    packages
+}
+
+/// Rule 10: the table in `doc`'s `heading` section names exactly
+/// `packages`. A row names the last backticked token of its first cell
+/// (`` `crates/txn` (`spitfire-txn`) `` names `spitfire-txn`); rows without
+/// one (the header, the separator) name nothing.
+fn lint_crate_table(
+    packages: &[String],
+    doc: &str,
+    heading: &str,
+    text: &str,
+    findings: &mut Vec<Finding>,
+) {
+    let mut finding = |line: usize, message: String| {
+        findings.push(Finding {
+            file: PathBuf::from(doc),
+            line,
+            rule: "crates",
+            message,
+        });
+    };
+    // A missing section names nothing, so every package is reported.
+    let lines: Vec<&str> = text.lines().collect();
+    let start = lines.iter().position(|l| l.starts_with(heading));
+    let mut named = Vec::new();
+    for (i, line) in lines
+        .iter()
+        .enumerate()
+        .skip(start.map_or(lines.len(), |s| s + 1))
+    {
+        if line.starts_with("## ") {
+            break;
+        }
+        let Some(first_cell) = line.strip_prefix('|').and_then(|r| r.split('|').next()) else {
+            continue;
+        };
+        if let Some(name) = first_cell.split('`').rev().nth(1) {
+            if !packages.iter().any(|p| p == name) {
+                finding(
+                    i + 1,
+                    format!("names `{name}`, not a package under crates/"),
+                );
+            }
+            named.push(name);
+        }
+    }
+    for package in packages {
+        if !named.contains(&package.as_str()) {
+            finding(
+                start.map_or(0, |s| s + 1),
+                format!("crate table lacks `{package}`"),
+            );
         }
     }
 }
@@ -637,6 +727,40 @@ mod tests {
         assert!(findings.iter().all(|f| f.rule == "gates"));
         assert_eq!(findings[1].line, 7);
         assert!(findings[1].message.contains("`regime`"));
+    }
+
+    #[test]
+    fn crate_tables_name_exactly_the_packages() {
+        let packages = ["spitfire-core".to_string(), "xtask".to_string()];
+        let doc = "# T\n## Crates\n| Crate | Role |\n|---|---|\n\
+                   | `crates/core` (`spitfire-core`) | buffer manager |\n\
+                   | `crates/xtask` (`xtask`) | lints |\n## Next\n| `gone` | x |\n";
+        let mut findings = Vec::new();
+        lint_crate_table(&packages, "D.md", "## Crates", doc, &mut findings);
+        assert!(
+            findings.is_empty(),
+            "rows past the section are not the table"
+        );
+
+        let stale = doc.replace(
+            "`crates/xtask` (`xtask`)",
+            "`crates/snap` (`spitfire-snap`)",
+        );
+        lint_crate_table(&packages, "D.md", "## Crates", &stale, &mut findings);
+        let messages: Vec<(usize, &str)> = findings
+            .iter()
+            .map(|f| (f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(
+            messages,
+            [
+                (6, "names `spitfire-snap`, not a package under crates/"),
+                (2, "crate table lacks `xtask`"),
+            ]
+        );
+        lint_crate_table(&packages, "D.md", "## Elsewhere", doc, &mut findings);
+        assert_eq!(findings.len(), 4, "no section: both packages lacking");
+        assert!(findings.iter().all(|f| f.rule == "crates"));
     }
 
     #[test]

@@ -318,4 +318,64 @@ fn removed_shims_stay_removed() {
     let maintenance = bm.maintenance();
     let _: Absent = maintenance.pause_for_crash();
     let _: Absent = maintenance.resume();
+
+    // One snapshot type: `Database::snapshots()` hands out the store
+    // itself (`store()` is the benchmark's shim and returns it), so the
+    // engine wrapper, its unread checkpoint counter and gauge accessors,
+    // the database's fault-injector forwarder, the store's recovery-only
+    // readers (one pass in `recover` replaced them) and the error wrapper
+    // stay gone. A second glob import of `SnapshotEngine`
+    // makes the name ambiguous, and `TxnError::Snapshot` would resolve to
+    // the variant before the trait's constant.
+    mod engine_absent {
+        pub struct SnapshotEngine;
+    }
+    {
+        use engine_absent::*;
+        // Unused while the name stays absent: that is the point.
+        #[allow(unused_imports)]
+        use spitfire_txn::*;
+        let _: engine_absent::SnapshotEngine = SnapshotEngine;
+    }
+    trait StoreApiAbsent {
+        fn checkpoints(&self) -> Absent {
+            Absent
+        }
+        fn last_checkpoint_micros(&self) -> Absent {
+            Absent
+        }
+        fn last_checkpoint_pages(&self) -> Absent {
+            Absent
+        }
+        fn reload(&self) -> Absent {
+            Absent
+        }
+        fn newest_valid(&self) -> Absent {
+            Absent
+        }
+    }
+    impl StoreApiAbsent for spitfire_txn::SnapshotStore {}
+    let store: &spitfire_txn::SnapshotStore = db.snapshots();
+    let _: &spitfire_txn::SnapshotStore = store.store();
+    let _: Absent = store.checkpoints();
+    let _: Absent = store.last_checkpoint_micros();
+    let _: Absent = store.last_checkpoint_pages();
+    let _: Absent = store.reload();
+    let _: Absent = store.newest_valid();
+    trait ForwarderAbsent {
+        fn set_snapshot_fault_injector(
+            &self,
+            _: Option<Arc<spitfire_device::FaultInjector>>,
+        ) -> Absent {
+            Absent
+        }
+    }
+    impl ForwarderAbsent for spitfire_txn::Database {}
+    let _: Absent = db.set_snapshot_fault_injector(None);
+    #[allow(non_upper_case_globals)]
+    trait VariantAbsent {
+        const Snapshot: Absent = Absent;
+    }
+    impl VariantAbsent for spitfire_txn::TxnError {}
+    let _: Absent = spitfire_txn::TxnError::Snapshot;
 }
