@@ -72,7 +72,7 @@ fn main() {
                     format!("{per_dollar:.0}"),
                 ]);
                 let label = format!("DRAM {dram} + NVM {nvm}");
-                if best.as_ref().is_none_or(|(b, _)| per_dollar > *b) {
+                if best.as_ref().map_or(true, |(b, _)| per_dollar > *b) {
                     best = Some((per_dollar, label));
                 }
             }

@@ -374,7 +374,7 @@ pub fn run(config: &ChaosConfig) -> Verdict {
             if t > 0 && t % every == 0 {
                 ckpt_attempts += 1;
                 let sabotage = match config.schedule {
-                    CrashSchedule::MidCheckpoint(m) if ckpt_attempts.is_multiple_of(m.max(1)) => {
+                    CrashSchedule::MidCheckpoint(m) if ckpt_attempts % m.max(1) == 0 => {
                         Some(config.seed ^ (ckpt_attempts / m.max(1)))
                     }
                     _ => None,

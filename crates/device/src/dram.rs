@@ -59,7 +59,7 @@ impl Arena {
     fn check(&self, offset: usize, len: usize) -> Result<()> {
         if offset
             .checked_add(len)
-            .is_none_or(|end| end > self.capacity)
+            .map_or(true, |end| end > self.capacity)
         {
             return Err(DeviceError::OutOfBounds {
                 offset,

@@ -137,7 +137,7 @@ impl FileSsdDevice {
             let seq = FILE_SEQ.fetch_add(1, Ordering::Relaxed);
             std::env::temp_dir().join(format!("spitfire-ssd-{}-{seq}.img", std::process::id()))
         });
-        let mut direct = page_size.is_multiple_of(512);
+        let mut direct = page_size % 512 == 0;
         let open = |flags: i32| {
             OpenOptions::new()
                 .read(true)

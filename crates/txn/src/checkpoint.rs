@@ -27,8 +27,9 @@
 //!    untouched, because the WAL may only be truncated once every
 //!    pre-fence change is home or in NVM.
 //! 3. **Install + truncate.** The main SSD is synced, the index runs and
-//!    the manifest (fence LSN, oracle state, the table catalog with
-//!    per-table watermarks, the list of the runs) are written, CRC-checked, and
+//!    the manifest (the whole WAL fence — LSN and log-file page — oracle
+//!    state, the table catalog with per-table watermarks, the list of the
+//!    runs) are written, CRC-checked, and
 //!    atomically installed; the store keeps this generation and the one
 //!    before it and reuses every block neither references. The WAL is
 //!    then truncated to the *previous* generation's fence — one
@@ -47,10 +48,13 @@
 //! Recovery ([`Database::recover`]) scans the NVM buffer, reads each
 //! retained generation once and loads the newest that validates (or an
 //! empty one when the store names none), reopens tables from its
-//! manifest, bulk-loads indexes from its runs, and replays only the WAL
-//! tail past its fence, where the `CreateTable` records of later tables
-//! are — recovery work is bounded by one checkpoint interval of log, not
-//! by database size or history.
+//! manifest, bulk-loads indexes from its runs, and reads and replays only
+//! the WAL tail past its fence — the scan starts at the fence's log-file
+//! page — where the `CreateTable` records of later tables are. Recovery
+//! work is the log since that fence (one interval, two on a fallback),
+//! not database size, history or the rest of the retained log. Recovery
+//! also hands the delivered fence to the next install, so the first
+//! checkpoint after a restart truncates the log as any other does.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -200,7 +204,7 @@ impl Database {
         (oracle_ts, next_txn_id, next_page_id): (u64, u64, u64),
         metas: Vec<TableMeta>,
     ) -> Result<(u64, usize)> {
-        let mut writer = self.snapshots.begin(fence.lsn);
+        let mut writer = self.snapshots.begin(fence);
         let mut index_entries = 0usize;
         for meta in &metas {
             let index = &self.relation(meta.id)?.index;

@@ -93,6 +93,9 @@ pub struct RecoveryStats {
     /// Snapshot generation loaded (0 = none installed: the whole log is
     /// the tail).
     pub snapshot_generation: u64,
+    /// Log bytes the scan read: the file stream from the generation's
+    /// fence page on, plus the live region of the NVM log buffer.
+    pub log_bytes: u64,
     /// Page images installed from the snapshot generation: always 0, since
     /// a checkpoint writes pages home instead of into the store. Kept for
     /// the benchmark's `snapshot.recover_pages`.
@@ -719,16 +722,20 @@ impl Database {
     ///    superblock is unreadable, or it names generations and none
     ///    validates, fail with [`TxnError::Corrupt`]; the store reads each
     ///    retained generation once;
-    /// 3. read the log tail past the fence, treating the (persistent) NVM
-    ///    log buffer as part of the log;
+    /// 3. read the log tail: the log file from the fence's page on (the
+    ///    manifest records the whole [`WalFence`](crate::WalFence)), then
+    ///    the (persistent) NVM log buffer; nothing before the fence is
+    ///    read;
     /// 4. analysis — split the tail's transactions into winners and losers;
     /// 5. redo — create the tail's tables and re-apply winners' writes with
     ///    their commit timestamps; undo — mark losers' versions aborted;
     /// 6. rebuild each index: bulk-load the generation's run, then apply
     ///    the tail's keys.
     ///
-    /// Recovery work is bounded by one checkpoint interval of log, not by
-    /// database size or history.
+    /// Recovery reads and redoes the log appended since the delivered
+    /// generation's fence — one checkpoint interval when the newest
+    /// generation validates, two on a fallback — not the whole retained
+    /// log, database size or history.
     pub fn recover(&self) -> Result<RecoveryStats> {
         let mut stats = RecoveryStats {
             nvm_pages: self.bm.recover_nvm_buffer().len(),
@@ -754,14 +761,9 @@ impl Database {
             tables.insert(meta.id, table);
         }
 
-        let report = self.wal.read_all_checked()?;
-        let tail: Vec<LogRecord> = report
-            .records
-            .into_iter()
-            .zip(report.lsns)
-            .filter(|&(_, lsn)| lsn >= manifest.fence_lsn)
-            .map(|(r, _)| r)
-            .collect();
+        let report = self.wal.read_from(manifest.fence)?;
+        stats.log_bytes = (report.file_bytes + report.nvm_bytes) as u64;
+        let tail = report.records;
         let outcome = self.replay_records(&mut tables, &tail, &mut stats)?;
 
         // Rebuild indexes: bulk-load the runs, then fix up the keys the

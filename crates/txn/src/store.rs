@@ -10,7 +10,9 @@
 //! |       | manifest block, fence LSN), whole-page CRC-32                 |
 //! | ≥ 1   | a **metadata block**: a 48-byte header *inside* the page      |
 //! |       | (magic, CRC-32, kind, generation, sequence) + payload: an     |
-//! |       | index run, or the generation's manifest (see `format`)        |
+//! |       | index run, or the generation's manifest — the whole WAL fence |
+//! |       | (LSN and log-file page), allocator and oracle state, tables,  |
+//! |       | the run list (see [`Manifest`])                               |
 //!
 //! Each checkpoint writes one *generation*: full index runs and a
 //! manifest that lists them. Page images are not the store's business:
@@ -166,9 +168,9 @@ pub struct SnapshotStore {
     /// Store block size = database page size = one device transfer.
     page_size: usize,
     state: Mutex<StoreState>,
-    /// Fence of the newest generation this run installed; the *next*
-    /// install truncates the WAL here. `None` right after recovery (no
-    /// truncation until a new generation exists).
+    /// Fence of the newest generation: the *next* install truncates the
+    /// WAL here. Recovery sets it to the delivered generation's fence
+    /// (`None` for an empty store).
     pub(crate) last_fence: Mutex<Option<WalFence>>,
     /// Wall-clock microseconds of the last completed checkpoint.
     pub(crate) last_micros: AtomicU64,
@@ -258,8 +260,10 @@ impl SnapshotStore {
     /// that validate, and the free set (every block below the highest
     /// referenced one that none of them references). A generation that
     /// does not validate is dead — its damage is permanent — so its blocks
-    /// are free. No WAL truncation follows until a generation of this run
-    /// installs.
+    /// are free. The delivered generation's fence becomes the one the
+    /// next install truncates the WAL to. On a fallback the WAL was already
+    /// cut there (the failed newest generation's install did it), so that
+    /// truncation is a no-op.
     ///
     /// A superblock that was never written or names no generation stands
     /// for the empty manifest (generation 0, fence 0, no tables). One that
@@ -267,7 +271,6 @@ impl SnapshotStore {
     /// [`TxnError::Corrupt`]; so is one that names generations none of
     /// which validates.
     pub(crate) fn recover(&self) -> Result<(Manifest, IndexRuns)> {
-        *self.last_fence.lock() = None;
         let mut page = vec![0u8; self.page_size];
         let named = self.read_superblock(&mut page)?;
         let mut state = StoreState::empty();
@@ -302,6 +305,7 @@ impl SnapshotStore {
             .filter(|b| !referenced.contains(b))
             .collect();
         *self.state.lock() = state;
+        *self.last_fence.lock() = newest.as_ref().map(|(manifest, _)| manifest.fence);
         match newest {
             Some(newest) => Ok(newest),
             None if named.is_empty() => Ok((Manifest::default(), IndexRuns::new())),
@@ -337,16 +341,16 @@ impl SnapshotStore {
         Some(r.info)
     }
 
-    /// Start streaming a new generation fenced at `fence_lsn`. It becomes
+    /// Start streaming a new generation fenced at `fence`. It becomes
     /// visible only when [`SnapshotWriter::finish`] installs it.
-    pub fn begin(&self, fence_lsn: u64) -> SnapshotWriter<'_> {
+    pub fn begin(&self, fence: WalFence) -> SnapshotWriter<'_> {
         let mut state = self.state.lock();
         let generation = state.next_generation;
         state.next_generation += 1;
         SnapshotWriter {
             store: self,
             generation,
-            fence_lsn,
+            fence,
             meta: Vec::new(),
             manifest: None,
             index_table: 0,
@@ -391,7 +395,7 @@ impl SnapshotStore {
         }
         let manifest = Manifest::decode(block.payload)?;
         if manifest.generation != info.generation
-            || manifest.fence_lsn != info.fence_lsn
+            || manifest.fence.lsn != info.fence_lsn
             || block.seq != manifest.meta_blocks.len() as u64
         {
             return Err(TxnError::Corrupt("manifest disagrees with superblock"));
@@ -531,7 +535,7 @@ impl std::fmt::Debug for SnapshotStore {
 pub struct SnapshotWriter<'a> {
     store: &'a SnapshotStore,
     generation: u64,
-    fence_lsn: u64,
+    fence: WalFence,
     /// Index-run blocks written, in sequence order. With `manifest`, these
     /// are exactly the blocks this writer holds.
     meta: Vec<u64>,
@@ -616,7 +620,7 @@ impl SnapshotWriter<'_> {
         self.flush_index_run()?;
         let manifest = Manifest {
             generation: self.generation,
-            fence_lsn: self.fence_lsn,
+            fence: self.fence,
             next_page_id,
             oracle_ts,
             next_txn_id,
@@ -632,7 +636,7 @@ impl SnapshotWriter<'_> {
         let info = GenerationInfo {
             generation: self.generation,
             manifest: self.manifest.expect("manifest block just written"),
-            fence_lsn: self.fence_lsn,
+            fence_lsn: self.fence.lsn,
         };
         let new = Retained {
             info,
@@ -736,7 +740,7 @@ mod tests {
 
     /// Install one generation of `blocks` index-run blocks (table 1).
     fn generation(s: &SnapshotStore, blocks: usize, fill: u64) -> GenerationInfo {
-        let mut w = s.begin(0);
+        let mut w = s.begin(WalFence::default());
         w.index_entries(1, &entries(blocks, fill)).unwrap();
         let info = w.finish(0, 0, 0, Vec::new()).unwrap();
         s.check().unwrap();
@@ -798,7 +802,10 @@ mod tests {
     #[test]
     fn write_install_reload_round_trip() {
         let s = store();
-        let mut w = s.begin(100);
+        let mut w = s.begin(WalFence {
+            lsn: 100,
+            file_page: 3,
+        });
         w.index_entries(1, &[(1, 10), (2, 20)]).unwrap();
         w.index_entries(2, &[(5, 50)]).unwrap();
         let info = w
@@ -829,7 +836,7 @@ mod tests {
         let mut idx = Vec::new();
         let m = s.load(1, |t, e| idx.push((t, e.to_vec()))).unwrap();
         assert_eq!(idx, vec![(1, vec![(1, 10), (2, 20)]), (2, vec![(5, 50)])]);
-        assert_eq!(m.fence_lsn, 100);
+        assert_eq!((m.fence.lsn, m.fence.file_page), (100, 3));
         assert_eq!((m.next_page_id, m.oracle_ts, m.next_txn_id), (12, 500, 6));
         assert_eq!(m.tables.len(), 1);
     }
@@ -837,7 +844,7 @@ mod tests {
     #[test]
     fn uninstalled_generation_vanishes_on_crash() {
         let s = store();
-        let mut w = s.begin(0);
+        let mut w = s.begin(WalFence::default());
         w.index_entries(1, &entries(1, 1)).unwrap();
         assert_eq!(s.stats().write_ops, 1);
         drop(w); // never finished: no superblock update
@@ -884,7 +891,7 @@ mod tests {
             let gens: Vec<u64> = s.generations().iter().map(|e| e.generation).collect();
             assert_eq!(gens, vec![2], "{victim}");
             assert_eq!(s.newest_valid(), Some(2));
-            assert_eq!(s.begin(0).generation(), 4);
+            assert_eq!(s.begin(WalFence::default()).generation(), 4);
         }
     }
 
@@ -910,7 +917,7 @@ mod tests {
     #[test]
     fn index_runs_split_across_blocks() {
         let s = store();
-        let mut w = s.begin(0);
+        let mut w = s.begin(WalFence::default());
         // 13 entries per block; write 40.
         let many: Vec<(u64, u64)> = (0..40u64).map(|k| (k, k * 2)).collect();
         w.index_entries(3, &many).unwrap();
@@ -958,7 +965,7 @@ mod tests {
         assert!(!before.1 .0.is_empty(), "the failing writer reuses blocks");
 
         s.set_fault_injector(Some(failing_superblock()));
-        let mut w = s.begin(0);
+        let mut w = s.begin(WalFence::default());
         w.index_entries(1, &entries(2, 0xF1)).unwrap();
         assert!(w.finish(0, 0, 0, Vec::new()).is_err());
         s.set_fault_injector(None);
@@ -987,7 +994,7 @@ mod tests {
         }
         let before = allocator(&s);
         // Dropped mid-stream, past the free blocks and the high water.
-        let mut w = s.begin(0);
+        let mut w = s.begin(WalFence::default());
         w.index_entries(1, &entries(20, 9)).unwrap();
         assert_eq!(allocator(&s).2, 20);
         drop(w);
@@ -995,8 +1002,8 @@ mod tests {
         assert_eq!(allocator(&s), before);
 
         // A manifest that cannot list its index-run blocks is an error,
-        // not a shorter list: (208 - 56) / 8 = 19 blocks at most.
-        let mut w = s.begin(0);
+        // not a shorter list: (208 - 64) / 8 = 18 blocks at most.
+        let mut w = s.begin(WalFence::default());
         w.index_entries(1, &entries(20, 9)).unwrap();
         assert_eq!(
             w.finish(0, 0, 0, Vec::new()),
@@ -1018,7 +1025,7 @@ mod tests {
             assert!(reusable.len() >= 3);
             let mut was = vec![0u8; PAGE];
             s.device().read_page(reusable[0], &mut was).unwrap();
-            let mut w = s.begin(0);
+            let mut w = s.begin(WalFence::default());
             if torn {
                 // Every block write tears (reported as success), the
                 // blocks are synced, and the install then fails.
@@ -1062,7 +1069,7 @@ mod tests {
     fn a_superseded_writer_cannot_install() {
         let s = store();
         generation(&s, 1, 1);
-        let mut slow = s.begin(0);
+        let mut slow = s.begin(WalFence::default());
         slow.index_entries(1, &entries(1, 2)).unwrap();
         generation(&s, 1, 3);
         // `slow` drew generation 2 before generation 3 installed:

@@ -27,6 +27,7 @@
 use spitfire_sync::crc32;
 
 use crate::error::TxnError;
+use crate::wal::WalFence;
 use crate::Result;
 
 /// Bytes of header at the start of every metadata block.
@@ -34,7 +35,7 @@ pub const BLOCK_HEADER: usize = 48;
 
 const BLOCK_MAGIC: u64 = 0x5350_4946_424C_4B32; // "SPIFBLK2"
 pub(super) const SUPER_MAGIC: u64 = 0x5350_4946_5355_5032; // "SPIFSUP2"
-const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E33; // "SPIFMAN3"
+const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E34; // "SPIFMAN4"
 
 /// What a metadata block carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,14 +158,33 @@ pub(super) fn decode_index_run(payload: &[u8]) -> Result<Vec<(u64, u64)>> {
 /// here — including the list of the generation's index-run blocks, so a
 /// generation is found from its manifest alone.
 ///
-/// The default manifest — generation 0, fence 0, no tables — is what an
-/// empty store stands for: recovery then replays the whole log.
+/// Payload layout (`MANIFEST_FIXED` = 64 bytes, then the lists):
+///
+/// | off | size | field                                         |
+/// |-----|------|-----------------------------------------------|
+/// | 0   | 8    | magic `SPIFMAN4`                              |
+/// | 8   | 8    | generation                                    |
+/// | 16  | 8    | fence LSN                                     |
+/// | 24  | 8    | fence page (first log-file page of the tail)  |
+/// | 32  | 8    | next page id                                  |
+/// | 40  | 8    | oracle timestamp                              |
+/// | 48  | 8    | next transaction id                           |
+/// | 56  | 4    | table count *t*                               |
+/// | 60  | 4    | index-run block count *b*                     |
+/// | 64  | 24·t | tables: id u32, tuple size u32, catalog head  |
+/// |     |      | u64, allocated slots u64                      |
+/// | …   | 8·b  | index-run block numbers, in sequence order    |
+///
+/// The default manifest — generation 0, fence `{0, 0}`, no tables — is
+/// what an empty store stands for: recovery then replays the whole log.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// This generation's number.
     pub generation: u64,
-    /// WAL fence: recovery replays only records with LSN ≥ this.
-    pub fence_lsn: u64,
+    /// The WAL fence the generation was taken at: recovery starts its log
+    /// scan at `fence.file_page`, whose first byte is LSN `fence.lsn`, so
+    /// it reads and replays exactly the records appended after the fence.
+    pub fence: WalFence,
     /// Page-allocator high-water mark at the fence.
     pub next_page_id: u64,
     /// Timestamp-oracle value at the fence.
@@ -177,7 +197,7 @@ pub struct Manifest {
     pub meta_blocks: Vec<u64>,
 }
 
-const MANIFEST_FIXED: usize = 56;
+const MANIFEST_FIXED: usize = 64;
 const TABLE_META: usize = 24;
 
 impl Manifest {
@@ -186,12 +206,13 @@ impl Manifest {
         let mut out = vec![0u8; blocks_at + self.meta_blocks.len() * 8];
         out[0..8].copy_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out[8..16].copy_from_slice(&self.generation.to_le_bytes());
-        out[16..24].copy_from_slice(&self.fence_lsn.to_le_bytes());
-        out[24..32].copy_from_slice(&self.next_page_id.to_le_bytes());
-        out[32..40].copy_from_slice(&self.oracle_ts.to_le_bytes());
-        out[40..48].copy_from_slice(&self.next_txn_id.to_le_bytes());
-        out[48..52].copy_from_slice(&(self.tables.len() as u32).to_le_bytes());
-        out[52..56].copy_from_slice(&(self.meta_blocks.len() as u32).to_le_bytes());
+        out[16..24].copy_from_slice(&self.fence.lsn.to_le_bytes());
+        out[24..32].copy_from_slice(&self.fence.file_page.to_le_bytes());
+        out[32..40].copy_from_slice(&self.next_page_id.to_le_bytes());
+        out[40..48].copy_from_slice(&self.oracle_ts.to_le_bytes());
+        out[48..56].copy_from_slice(&self.next_txn_id.to_le_bytes());
+        out[56..60].copy_from_slice(&(self.tables.len() as u32).to_le_bytes());
+        out[60..64].copy_from_slice(&(self.meta_blocks.len() as u32).to_le_bytes());
         for (i, t) in self.tables.iter().enumerate() {
             let o = MANIFEST_FIXED + i * TABLE_META;
             out[o..o + 4].copy_from_slice(&t.id.to_le_bytes());
@@ -215,8 +236,8 @@ impl Manifest {
         if u64_at(0) != MANIFEST_MAGIC {
             return Err(TxnError::Corrupt("bad manifest magic"));
         }
-        let n_tables = u32_at(48) as usize;
-        let n_blocks = u32_at(52) as usize;
+        let n_tables = u32_at(56) as usize;
+        let n_blocks = u32_at(60) as usize;
         let blocks_at = MANIFEST_FIXED + n_tables * TABLE_META;
         // Both counts are bounded by the payload (one block) before
         // anything is allocated for them.
@@ -236,10 +257,13 @@ impl Manifest {
             .collect();
         Ok(Manifest {
             generation: u64_at(8),
-            fence_lsn: u64_at(16),
-            next_page_id: u64_at(24),
-            oracle_ts: u64_at(32),
-            next_txn_id: u64_at(40),
+            fence: WalFence {
+                lsn: u64_at(16),
+                file_page: u64_at(24),
+            },
+            next_page_id: u64_at(32),
+            oracle_ts: u64_at(40),
+            next_txn_id: u64_at(48),
             tables,
             meta_blocks: (0..n_blocks).map(|i| u64_at(blocks_at + i * 8)).collect(),
         })
@@ -283,7 +307,10 @@ mod tests {
     fn manifest_round_trip() {
         let m = Manifest {
             generation: 9,
-            fence_lsn: 123_456,
+            fence: WalFence {
+                lsn: 123_456,
+                file_page: 31,
+            },
             next_page_id: 77,
             oracle_ts: 1000,
             next_txn_id: 55,

@@ -8,14 +8,20 @@
 //! to an on-SSD log file and the buffer is recycled.
 //!
 //! After a crash, the NVM buffer still holds the records that were not yet
-//! appended (NVM is persistent); recovery first drains them to the log
-//! file ("the NVM log buffer needs to be appended to the log file since
-//! the buffer is persistent") and then replays the file.
+//! appended (NVM is persistent); recovery reads the log file from the
+//! checkpoint's fence page on and then the live NVM region, which follows
+//! the file in the record stream ("the NVM log buffer needs to be appended
+//! to the log file since the buffer is persistent").
 //!
-//! The log file does not grow with history: a checkpoint's
+//! The log file does not grow with history: each checkpoint's
 //! [`Wal::truncate_to`] moves the persistent base cursors to the previous
 //! generation's fence and then hands the file pages below it back to the
-//! device, so the file occupies at most two checkpoint intervals.
+//! device. Once two generations exist the file holds the log since the
+//! older one's fence: the interval between the two fences plus the log
+//! since the newest (at most two intervals when the next checkpoint
+//! comes). Until the second checkpoint nothing is truncated and the file
+//! holds everything since the start; recovery still reads only the tail
+//! past its generation's fence ([`Wal::read_from`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -181,8 +187,8 @@ pub struct Wal {
     /// [`DATA_BASE`] like the other cursors.
     file_base_page: AtomicU64,
     /// LSN of the first byte of `file_base_page` — the stream position the
-    /// live log starts at. `log_bytes()` and per-record LSN assignment in
-    /// [`Wal::read_all_checked`] are measured from here.
+    /// live log starts at. `log_bytes()` and the LSNs
+    /// [`Wal::read_all_checked`] assigns are measured from here.
     base_lsn: AtomicU64,
     /// Drain threshold (fraction of the buffer).
     drain_at: usize,
@@ -214,8 +220,11 @@ const BASE_LSN_AT: usize = 24;
 /// A WAL fence: the durable log position captured by a checkpoint. All
 /// records appended before the fence have `LSN < lsn` and live entirely in
 /// file pages below `file_page` (the fence is taken after a full drain, so
-/// the NVM buffer is empty and no record straddles it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// the NVM buffer is empty and no record straddles it). A checkpoint's
+/// manifest records the whole fence, so recovery finds the tail by page.
+///
+/// The default fence, `{0, 0}`, is the start of the log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalFence {
     /// First LSN past the fence.
     pub lsn: u64,
@@ -223,14 +232,15 @@ pub struct WalFence {
     pub file_page: u64,
 }
 
-/// Outcome of a checked log scan ([`Wal::read_all_checked`]).
+/// Outcome of a checked log scan ([`Wal::read_from`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WalScanReport {
     /// Records decoded, in replay order (file portion, then NVM buffer).
     pub records: Vec<LogRecord>,
     /// Parallel to `records`: each record's LSN (stream offset of its
-    /// first byte). Snapshot recovery replays only records with
-    /// `lsn >= fence_lsn`.
+    /// first byte), counted from the LSN of the scan's start. Recovery
+    /// does not filter by them: the scan starts at the fence, so every
+    /// record it returns is part of the tail.
     pub lsns: Vec<u64>,
     /// Bytes reassembled from the SSD log-file pages.
     pub file_bytes: usize,
@@ -394,12 +404,18 @@ impl Wal {
     /// *previous* generation's fence so a CRC-mismatch fallback one
     /// generation still finds its WAL tail.
     ///
-    /// The base LSN is persisted before the base page: a crash between the
-    /// two makes the next scan label the leftover prefix with LSNs at or
-    /// above the fence, so recovery replays extra (idempotent) records —
-    /// never skips live ones. The pages are discarded only after both
-    /// cursors are durable; a crash in between strands them (unread, one
-    /// interval at most), it never loses a live page.
+    /// The base LSN is persisted before the base page. A crash between the
+    /// two leaves the base page below the fence, so [`read_all_checked`]
+    /// (which scans from the base cursors) labels the leftover prefix with
+    /// LSNs at or above the fence. Recovery is not affected: it scans from
+    /// its generation's fence with [`read_from`], which labels by the
+    /// fence it is given and never reads the leftover pages. The pages are
+    /// discarded only after both cursors are durable; a crash in between
+    /// strands them (unread, one interval at most), it never loses a live
+    /// page.
+    ///
+    /// [`read_all_checked`]: Wal::read_all_checked
+    /// [`read_from`]: Wal::read_from
     pub fn truncate_to(&self, fence: WalFence) -> Result<()> {
         let _state = self.state.lock();
         if fence.lsn <= self.base_lsn.load(Ordering::Acquire) {
@@ -478,26 +494,45 @@ impl Wal {
         self.lsn.store(lsn, Ordering::Release);
     }
 
-    /// Read the full log back — SSD file pages in order, then the live
-    /// region of the (persistent) NVM buffer — and report how much of each
-    /// region decoded cleanly. Used by recovery. Every frame is
-    /// CRC-checked; a torn or corrupted frame ends the stream at the last
-    /// clean record and sets [`WalScanReport::corrupt`]. A file page
-    /// missing because a crash hit between append and fsync is benign: the
-    /// drain had not recycled the NVM buffer yet, so those records are
-    /// still decoded from NVM.
+    /// Read the whole live log back: [`read_from`](Self::read_from) the
+    /// base cursors (the last truncation point).
     pub fn read_all_checked(&self) -> Result<WalScanReport> {
-        let mut report = WalScanReport::default();
-        let base_lsn = self.base_lsn.load(Ordering::Acquire);
-        // SSD file portion. Pages are contiguous records chunked at page
-        // boundaries, so reassemble the byte stream first. Pages below the
-        // base cursor were truncated by a checkpoint fence.
+        self.read_from(WalFence {
+            lsn: self.base_lsn.load(Ordering::Acquire),
+            file_page: self.file_base_page.load(Ordering::Acquire),
+        })
+    }
+
+    /// Read the log from `fence` on — SSD file pages from
+    /// `fence.file_page`, then the live region of the (persistent) NVM
+    /// buffer — labelling the first byte `fence.lsn`, and report how much
+    /// of each region decoded cleanly. Used by recovery with its
+    /// generation's fence, so it reads only the tail it replays. Every
+    /// frame is CRC-checked; a torn or corrupted frame ends the stream at
+    /// the last clean record and sets [`WalScanReport::corrupt`]. A file
+    /// page missing because a crash hit between append and fsync is
+    /// benign: the drain had not recycled the NVM buffer yet, so those
+    /// records are still decoded from NVM.
+    ///
+    /// A fence outside the live file — below the base page (truncated
+    /// away) or past the last synced page — is [`TxnError::Corrupt`]: the
+    /// log no longer holds (or never held) the tail it names.
+    pub fn read_from(&self, fence: WalFence) -> Result<WalScanReport> {
         let file_base = self.file_base_page.load(Ordering::Acquire);
         let n_pages = self.next_file_page.load(Ordering::Acquire);
-        let mut stream =
-            Vec::with_capacity(n_pages.saturating_sub(file_base) as usize * self.page_size);
+        if fence.file_page < file_base {
+            return Err(TxnError::Corrupt("WAL fence below the log's base"));
+        }
+        if fence.file_page > n_pages {
+            return Err(TxnError::Corrupt("WAL fence past the log's end"));
+        }
+        let mut report = WalScanReport::default();
+        // SSD file portion. Pages are contiguous records chunked at page
+        // boundaries, so reassemble the byte stream first. A fence begins
+        // a fresh page (it drains the buffer), so its page starts a frame.
+        let mut stream = Vec::with_capacity((n_pages - fence.file_page) as usize * self.page_size);
         let mut page = vec![0u8; self.page_size];
-        for pid in file_base..n_pages {
+        for pid in fence.file_page..n_pages {
             match retry_io(|| self.file.read_page(pid, &mut page)) {
                 Ok(()) => {}
                 Err(DeviceError::PageNotFound(_)) => break,
@@ -509,7 +544,7 @@ impl Wal {
         }
         report.file_bytes = stream.len();
         report.file_consumed =
-            decode_stream(&stream, base_lsn, &mut report.records, &mut report.lsns);
+            decode_stream(&stream, fence.lsn, &mut report.records, &mut report.lsns);
         if report.file_consumed < report.file_bytes {
             // Torn/corrupt bytes inside the file stream: everything after
             // them — including the NVM region, which is later in the log —
@@ -529,7 +564,7 @@ impl Wal {
                     .read(DATA_BASE, &mut buf, AccessPattern::Sequential)
             })?;
             report.nvm_bytes = buf.len();
-            let nvm_base = base_lsn + report.file_bytes as u64;
+            let nvm_base = fence.lsn + report.file_bytes as u64;
             report.nvm_consumed =
                 decode_stream(&buf, nvm_base, &mut report.records, &mut report.lsns);
             if report.nvm_consumed < report.nvm_bytes {
@@ -947,6 +982,80 @@ mod tests {
         let report = w.read_all_checked().unwrap();
         assert_eq!(report.records.len(), 3);
         assert_eq!(report.lsns[0], fence.lsn);
+    }
+
+    #[test]
+    fn read_from_a_fence_outside_the_live_file_is_corrupt() {
+        let w = wal();
+        for i in 0..5u64 {
+            w.append(&record(i, RecordKind::Update, &[5u8; 200]))
+                .unwrap();
+        }
+        let old = w.fence().unwrap();
+        for i in 5..10u64 {
+            w.append(&record(i, RecordKind::Update, &[6u8; 200]))
+                .unwrap();
+        }
+        let new = w.fence().unwrap();
+        assert!(old.file_page > 0 && new.file_page > old.file_page);
+        w.truncate_to(new).unwrap();
+        // The pages `old` names were truncated away: scanning from it
+        // would silently start somewhere else.
+        assert_eq!(
+            w.read_from(old),
+            Err(TxnError::Corrupt("WAL fence below the log's base"))
+        );
+        let past = WalFence {
+            lsn: new.lsn,
+            file_page: new.file_page + 1,
+        };
+        assert_eq!(
+            w.read_from(past),
+            Err(TxnError::Corrupt("WAL fence past the log's end"))
+        );
+        assert!(w.read_from(new).unwrap().records.is_empty());
+    }
+
+    #[test]
+    fn read_from_labels_the_first_record_with_the_fence_lsn() {
+        let w = wal();
+        for i in 0..5u64 {
+            w.append(&record(i, RecordKind::Update, &[7u8; 200]))
+                .unwrap();
+        }
+        let fence = w.fence().unwrap();
+        let mut expect_lsns = Vec::new();
+        for i in 5..8u64 {
+            expect_lsns.push(
+                w.append(&record(i, RecordKind::Update, &[8u8; 200]))
+                    .unwrap(),
+            );
+        }
+        w.drain().unwrap();
+        w.append(&record(8, RecordKind::Commit, &[])).unwrap();
+        let tail = |w: &Wal| {
+            let report = w.read_from(fence).unwrap();
+            let txns: Vec<u64> = report.records.iter().map(|r| r.txn).collect();
+            (txns, report.lsns)
+        };
+        let (txns, lsns) = tail(&w);
+        assert_eq!(txns, vec![5, 6, 7, 8]);
+        assert_eq!(lsns[0], fence.lsn);
+        assert_eq!(lsns[..3], expect_lsns[..]);
+
+        // `truncate_to(fence)` crashes after persisting the base LSN but
+        // not the base page: the base cursors now disagree, and a scan
+        // from them labels the leftover prefix at or above the fence.
+        w.persist_word(BASE_LSN_AT, fence.lsn).unwrap();
+        w.simulate_crash();
+        let from_base = w.read_all_checked().unwrap();
+        assert_eq!(from_base.records[0].txn, 0);
+        assert_eq!(from_base.lsns[0], fence.lsn);
+        // A scan from the fence reads and labels exactly the tail.
+        let (txns, lsns) = tail(&w);
+        assert_eq!(txns, vec![5, 6, 7, 8]);
+        assert_eq!(lsns[0], fence.lsn);
+        assert_eq!(lsns[..3], expect_lsns[..]);
     }
 
     #[test]

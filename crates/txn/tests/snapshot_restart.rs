@@ -18,6 +18,10 @@ const T: u32 = 1;
 const TUPLE: usize = 100;
 
 fn database() -> Arc<Database> {
+    database_with(DbConfig::default())
+}
+
+fn database_with(db_config: DbConfig) -> Arc<Database> {
     let config = BufferManagerConfig::builder()
         .page_size(PAGE)
         .dram_capacity(64 * PAGE)
@@ -28,7 +32,7 @@ fn database() -> Arc<Database> {
         .build()
         .unwrap();
     let bm = Arc::new(BufferManager::new(config).unwrap());
-    let db = Database::create(bm, DbConfig::default()).unwrap();
+    let db = Database::create(bm, db_config).unwrap();
     db.create_table(T, TUPLE).unwrap();
     Arc::new(db)
 }
@@ -141,6 +145,7 @@ fn corrupt_newest_generation_falls_back_one() {
         store.device().write_page(block, &[0xEE; PAGE]).unwrap();
         store.device().sync().unwrap();
 
+        let older_tail = db.wal().current_lsn() - store.entry(1).unwrap().fence_lsn;
         db.simulate_crash();
         let stats = db.recover().unwrap();
         assert_eq!(
@@ -149,7 +154,10 @@ fn corrupt_newest_generation_falls_back_one() {
         );
         store.check().unwrap();
         // Generation 1's fence predates the key-9 update, and the WAL was
-        // only truncated to generation 1's fence — the tail still carries it.
+        // only truncated to generation 1's fence — the tail still carries
+        // it, and recovery reads and replays that older tail.
+        assert_eq!(stats.log_bytes, older_tail, "{victim}");
+        assert_eq!((stats.committed, stats.redone), (1, 1), "{victim}");
         assert_contents(&db, &model, 32);
     }
 }
@@ -207,7 +215,7 @@ fn crash_drops_uninstalled_snapshot_blocks() {
 
     // A checkpoint that loses power mid-stream: blocks written, never
     // synced, never installed.
-    let mut writer = store.begin(db.wal().current_lsn());
+    let mut writer = store.begin(db.wal().fence().unwrap());
     let run: Vec<(u64, u64)> = (0..2 * RUN_ENTRIES as u64).map(|k| (k, k)).collect();
     writer.index_entries(T, &run).unwrap();
     drop(writer);
@@ -250,7 +258,7 @@ fn crash_after_history(keys: u64, checkpoints: bool) -> (spitfire_txn::RecoveryS
                 .collect();
             write_all(&db, &pairs);
             txns += 1;
-            if checkpoints && txns.is_multiple_of(CKPT_EVERY) {
+            if checkpoints && txns % CKPT_EVERY == 0 {
                 db.checkpoint().unwrap();
             }
         }
@@ -459,6 +467,86 @@ fn recovery_reads_each_retained_generation_once() {
     assert_contents(&db, &model, 4 * RUN_ENTRIES as u64 + 2);
 }
 
+/// Recovery starts its log scan at the generation's fence page: the load
+/// before the checkpoint is neither read nor replayed, though the log file
+/// still holds it (one generation truncates nothing).
+#[test]
+fn recovery_reads_only_the_log_tail() {
+    // A 64 KB log buffer drains every 48 KB, so the load spans many
+    // log-file pages and the tail some pages plus the buffer.
+    let db = database_with(DbConfig {
+        log_buffer_bytes: 64 * 1024,
+        ..DbConfig::default()
+    });
+    let mut model = std::collections::HashMap::new();
+    const LOAD: u64 = 1000;
+    const TAIL: u64 = 400;
+    for (round, keys) in [(1u8, LOAD), (2, LOAD), (3, TAIL)] {
+        if round == 3 {
+            db.checkpoint().unwrap();
+        }
+        for batch in (0..keys).collect::<Vec<_>>().chunks(32) {
+            write_all(&db, &batch.iter().map(|&k| (k, round)).collect::<Vec<_>>());
+        }
+        (0..keys).for_each(|k| {
+            model.insert(k, round);
+        });
+    }
+    let fence = db.snapshots().load(1, |_, _| {}).unwrap().fence;
+    let tail_bytes = db.wal().current_lsn() - fence.lsn;
+    let tail_pages = db.wal().file_pages() as u64 - fence.file_page;
+    assert!(fence.file_page > 2 * tail_pages, "{fence:?} / {tail_pages}");
+    assert!(tail_pages > 0 && db.wal().pending_bytes() > 0);
+
+    db.simulate_crash();
+    let before = db.wal().file_stats().snapshot();
+    let stats = db.recover().unwrap();
+    assert_eq!(stats.snapshot_generation, 1);
+    assert_eq!(stats.log_bytes, tail_bytes);
+    assert_eq!(
+        db.wal().file_stats().snapshot().delta(&before).read_ops,
+        tail_pages,
+        "the tail's {tail_pages} log pages, not the load's {}",
+        fence.file_page
+    );
+    assert_eq!(stats.redone as u64, TAIL);
+    assert_contents(&db, &model, LOAD + 2);
+}
+
+/// Recovery hands the delivered generation's fence to the next install,
+/// so the first checkpoint after a restart truncates the log to it.
+#[test]
+fn the_first_checkpoint_after_a_restart_truncates_the_log() {
+    let db = database();
+    let mut model = std::collections::HashMap::new();
+    for round in 1..=3u8 {
+        write_all(&db, &(0..40).map(|k| (k, round)).collect::<Vec<_>>());
+        (0..40u64).for_each(|k| {
+            model.insert(k, round);
+        });
+        if round < 3 {
+            db.checkpoint().unwrap();
+        }
+    }
+    let store = db.snapshots();
+    let (older, newest) = (store.entry(1).unwrap(), store.entry(2).unwrap());
+    assert_eq!(db.wal().base_lsn(), older.fence_lsn);
+
+    db.simulate_crash();
+    assert_eq!(db.recover().unwrap().snapshot_generation, 2);
+    write_all(&db, &[(1, 0x41)]);
+    model.insert(1, 0x41);
+    db.checkpoint().unwrap();
+    assert_eq!(
+        db.wal().base_lsn(),
+        newest.fence_lsn,
+        "truncated to the delivered generation's fence"
+    );
+    db.simulate_crash();
+    assert_eq!(db.recover().unwrap().snapshot_generation, 3);
+    assert_contents(&db, &model, 42);
+}
+
 #[test]
 fn loser_tail_transactions_are_undone_on_instant_restart() {
     let db = database();
@@ -532,7 +620,7 @@ fn interrupted_and_torn_reuse_leave_both_retained_generations_intact() {
             "power-loss" => {
                 // The writer overwrites reused blocks, the device makes
                 // them durable, and power fails before the install.
-                let mut writer = store.begin(db.wal().current_lsn());
+                let mut writer = store.begin(db.wal().fence().unwrap());
                 let run: Vec<(u64, u64)> =
                     (0..(free * RUN_ENTRIES) as u64).map(|k| (k, 0)).collect();
                 writer.index_entries(T, &run).unwrap();

@@ -116,7 +116,7 @@ where
                 while !stop.load(Ordering::Relaxed) {
                     // Sample every 32nd operation's latency (cheap enough
                     // to leave on; two clock reads per 32 ops).
-                    let timed = local_attempted.is_multiple_of(32);
+                    let timed = local_attempted % 32 == 0;
                     let start = timed.then(Instant::now);
                     let ok = op(t, &mut rng);
                     // relaxed: phase hint, as above.
@@ -251,7 +251,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let report = run_workload(&config, |_, _| {
             // Every third call "aborts".
-            !calls.fetch_add(1, Ordering::Relaxed).is_multiple_of(3)
+            calls.fetch_add(1, Ordering::Relaxed) % 3 != 0
         });
         assert!(report.committed > 0);
         assert!(report.attempted >= report.committed);

@@ -69,6 +69,12 @@
 //!     added, folded into another or deleted updates both tables, so
 //!     neither lists a crate that is gone or misses one that exists.
 //!
+//! 11. **`msrv`** — every `crates/*/Cargo.toml` inherits the workspace
+//!     `rust-version` (`rust-version.workspace = true` under
+//!     `[package]`). Clippy's MSRV-aware lints run only in crates that
+//!     declare one, so a crate without it may use std APIs newer than the
+//!     version the workspace promises, and clippy steers code onto them.
+//!
 //! Test modules (`#[cfg(test)]`) are exempt from rules 1, 2, 4, 7, 8 and 9: test
 //! code freely uses relaxed counters and raw atomics, and verifying the
 //! tests is the job of the tests themselves. The lint skips everything
@@ -190,7 +196,12 @@ fn lint() -> ExitCode {
         .collect();
     let ci = std::fs::read_to_string(root.join(CI_WORKFLOW)).unwrap_or_default();
     lint_gates(&root_names, &ci, &mut findings);
-    let packages = crate_packages(&root.join("crates"));
+    let manifests = crate_manifests(&root.join("crates"));
+    for (path, text) in &manifests {
+        let file = path.strip_prefix(&root).unwrap_or(path);
+        lint_msrv(file, text, &mut findings);
+    }
+    let packages = crate_packages(&manifests);
     for (doc, heading) in CRATE_TABLES {
         let text = std::fs::read_to_string(root.join(doc)).unwrap_or_default();
         lint_crate_table(&packages, doc, heading, &text, &mut findings);
@@ -251,15 +262,49 @@ fn lint_gates(root_names: &[String], ci: &str, findings: &mut Vec<Finding>) {
     }
 }
 
-/// The package names of the crates under `dir`: the first `name = "..."`
-/// line of each `Cargo.toml` one level down.
-fn crate_packages(dir: &Path) -> Vec<String> {
-    let mut packages: Vec<String> = std::fs::read_dir(dir)
+/// Each `Cargo.toml` one level under `dir` and its text, by path.
+fn crate_manifests(dir: &Path) -> Vec<(PathBuf, String)> {
+    let mut manifests: Vec<(PathBuf, String)> = std::fs::read_dir(dir)
         .into_iter()
         .flatten()
         .flatten()
-        .filter_map(|e| std::fs::read_to_string(e.path().join("Cargo.toml")).ok())
-        .filter_map(|toml| {
+        .filter_map(|e| {
+            let path = e.path().join("Cargo.toml");
+            let text = std::fs::read_to_string(&path).ok()?;
+            Some((path, text))
+        })
+        .collect();
+    manifests.sort();
+    manifests
+}
+
+/// Rule 11: `manifest`'s `[package]` section inherits the workspace
+/// `rust-version`.
+fn lint_msrv(file: &Path, manifest: &str, findings: &mut Vec<Finding>) {
+    let inherits = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[package]")
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .any(|l| l.replace(' ', "") == "rust-version.workspace=true");
+    if !inherits {
+        findings.push(Finding {
+            file: file.to_path_buf(),
+            line: 0,
+            rule: "msrv",
+            message: "[package] lacks `rust-version.workspace = true`; \
+                      clippy's MSRV lints are off in this crate"
+                .into(),
+        });
+    }
+}
+
+/// The package names of the crates in `manifests`: the first
+/// `name = "..."` line of each.
+fn crate_packages(manifests: &[(PathBuf, String)]) -> Vec<String> {
+    let mut packages: Vec<String> = manifests
+        .iter()
+        .filter_map(|(_, toml)| {
             toml.lines().find_map(|l| {
                 let value = l.strip_prefix("name = \"")?;
                 Some(value.trim_end().strip_suffix('"')?.to_string())
@@ -761,6 +806,25 @@ mod tests {
         lint_crate_table(&packages, "D.md", "## Elsewhere", doc, &mut findings);
         assert_eq!(findings.len(), 4, "no section: both packages lacking");
         assert!(findings.iter().all(|f| f.rule == "crates"));
+    }
+
+    #[test]
+    fn crates_inherit_the_workspace_rust_version() {
+        let good = "[package]\nname = \"a\"\nrust-version.workspace = true\n\n[dependencies]\n";
+        let mut findings = Vec::new();
+        lint_msrv(Path::new("a/Cargo.toml"), good, &mut findings);
+        assert!(findings.is_empty());
+
+        let missing = "[package]\nname = \"b\"\nedition.workspace = true\n";
+        let elsewhere = "[package]\nname = \"c\"\n[lints]\nrust-version.workspace = true\n";
+        lint_msrv(Path::new("b/Cargo.toml"), missing, &mut findings);
+        lint_msrv(Path::new("c/Cargo.toml"), elsewhere, &mut findings);
+        let files: Vec<&Path> = findings.iter().map(|f| f.file.as_path()).collect();
+        assert_eq!(
+            files,
+            [Path::new("b/Cargo.toml"), Path::new("c/Cargo.toml")]
+        );
+        assert!(findings.iter().all(|f| f.rule == "msrv"));
     }
 
     #[test]
