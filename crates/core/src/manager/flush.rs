@@ -84,8 +84,9 @@ impl BufferManager {
         Ok(out)
     }
 
-    /// Make `pid`'s dirty DRAM copy durable without evicting it: the
-    /// catalog's single-page durability point. The copy is reconciled into
+    /// Make `pid`'s dirty DRAM copy durable without evicting it. No
+    /// database path calls it; its last callers are the `migration`
+    /// bench's flush storm and core tests. The copy is reconciled into
     /// the page's NVM copy when there is one (NVM is persistent, and a
     /// stale NVM copy left beside a clean DRAM copy would shadow it once
     /// the DRAM copy is discarded), else written to SSD and synced.

@@ -9,6 +9,7 @@ use spitfire_sync::atomic::Ordering;
 use super::BufferManager;
 use crate::descriptor::{CopyState, Dirt, FrameRef, SharedPageDesc};
 use crate::types::{FrameId, PageId};
+use crate::Result;
 
 impl BufferManager {
     /// Simulate a process crash with power loss: volatile state (mapping
@@ -70,6 +71,40 @@ impl BufferManager {
             self.next_pid.fetch_max(pid.0 + 1, Ordering::AcqRel);
         }
         recovered
+    }
+
+    /// Drop the NVM copies [`recover_nvm_buffer`] adopted for `pids`,
+    /// pages the caller knows nothing references: each frame header is
+    /// cleared and persisted and the frame freed, with no write-back, so
+    /// the page reads as its SSD image from then on. Call it before
+    /// anything fetches. An adopted copy carries data dirt, so one nothing
+    /// references would otherwise hold its frame until a write-back to SSD
+    /// evicts it — and never, while SSD syncs fail.
+    ///
+    /// [`recover_nvm_buffer`]: BufferManager::recover_nvm_buffer
+    pub fn drop_recovered(&self, pids: &[PageId]) -> Result<()> {
+        let Some(nvm) = &self.nvm else {
+            return Ok(());
+        };
+        for &pid in pids {
+            let Some(desc) = self.mapping.get(&pid.0) else {
+                continue;
+            };
+            let mut st = desc.state.lock();
+            let Some(CopyState::Resident {
+                frame: FrameRef::Full(frame),
+                ..
+            }) = st.nvm
+            else {
+                continue;
+            };
+            nvm.clear_frame_header(frame)?;
+            desc.nvm_pin.close();
+            st.nvm = None;
+            drop(st);
+            nvm.free(frame);
+        }
+        Ok(())
     }
 
     /// Restore the page-id allocator from the persistent devices: the SSD

@@ -26,7 +26,7 @@ pub enum ShadowPath {
     /// Downward eviction (DRAM → NVM/SSD, NVM → SSD).
     Evict,
     /// Dirty DRAM write-back that leaves the page resident (a checkpoint's
-    /// home flush or a catalog flush).
+    /// home flush or a single-page `flush_page`).
     Flush,
 }
 

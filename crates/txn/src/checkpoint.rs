@@ -9,8 +9,10 @@
 //!    record durable in the log file). A non-quiescent database yields
 //!    the *retryable* [`TxnError::CheckpointContended`] instead of
 //!    silently corrupting state. With the fence, every table *seals* the
-//!    slots vacuum retired so far: their cuts happened before the fence,
-//!    so the home flush below makes them durable.
+//!    slots vacuum retired so far — their cuts happened before the fence,
+//!    so the home flush below makes them durable — and hands over its
+//!    page list: with no transaction in flight no table is growing, so
+//!    the list is exactly the pages allocated before the fence.
 //! 2. **Home flush.** The gate drops and transactions resume while every
 //!    DRAM copy with data dirt is written to its SSD home and synced
 //!    ([`spitfire_core::BufferManager::flush_home`]). An NVM copy such a
@@ -26,19 +28,20 @@
 //!    with `CheckpointContended` and leaves the WAL and the store
 //!    untouched, because the WAL may only be truncated once every
 //!    pre-fence change is home or in NVM.
-//! 3. **Install + truncate.** The main SSD is synced, the index runs and
-//!    the manifest (the whole WAL fence — LSN and log-file page — oracle
-//!    state, the table catalog with per-table watermarks, the list of the
-//!    runs) are written, CRC-checked, and
-//!    atomically installed; the store keeps this generation and the one
-//!    before it and reuses every block neither references. The WAL is
-//!    then truncated to the *previous* generation's fence — one
-//!    generation of slack, so a CRC-mismatch fallback one generation back
-//!    still finds its tail — and the truncated file pages go back to the
-//!    log device. Last, the sealed slots join their tables' free lists in
-//!    vacuum order: no record past this generation's fence names them, so
-//!    a restart from it never links a chain into a reused slot. A failed
-//!    checkpoint keeps its sealed slots for the next one.
+//! 3. **Install + truncate.** The main SSD is synced, the index runs, the
+//!    page runs (each table's page list at the fence) and the manifest
+//!    (the whole WAL fence — LSN and log-file page — oracle state, the
+//!    table catalog with per-table watermarks, the list of the runs) are
+//!    written, CRC-checked, and atomically installed; the store keeps
+//!    this generation and the one before it and reuses every block
+//!    neither references. The WAL is then truncated to the *oldest
+//!    retained* generation's fence — the previous one, so a CRC-mismatch
+//!    fallback one generation back still finds its tail, or this one's
+//!    own when it is the only one — and the truncated file pages go back
+//!    to the log device. Last, the sealed slots join their tables' free
+//!    lists in vacuum order: no record past this generation's fence names
+//!    them, so a restart from it never links a chain into a reused slot.
+//!    A failed checkpoint keeps its sealed slots for the next one.
 //!
 //! One edge stays open: a fallback to the *older* retained generation
 //! (the newest failed its CRC) replays records from before the newest
@@ -47,18 +50,22 @@
 //!
 //! Recovery ([`Database::recover`]) scans the NVM buffer, reads each
 //! retained generation once and loads the newest that validates (or an
-//! empty one when the store names none), reopens tables from its
-//! manifest, bulk-loads indexes from its runs, and reads and replays only
-//! the WAL tail past its fence — the scan starts at the fence's log-file
-//! page — where the `CreateTable` records of later tables are. Recovery
-//! work is the log since that fence (one interval, two on a fallback),
-//! not database size, history or the rest of the retained log. Recovery
-//! also hands the delivered fence to the next install, so the first
-//! checkpoint after a restart truncates the log as any other does.
+//! empty one when the store names none), restores tables from its
+//! manifest and page runs, bulk-loads indexes from its index runs, and
+//! reads and replays only the WAL tail past its fence — the scan starts
+//! at the fence's log-file page — where the `CreateTable` records of
+//! later tables are and whose writes grow every table over the pages
+//! added after the fence. Recovery work is the log since that fence (one
+//! interval, two on a fallback), not database size, history or the rest
+//! of the retained log. The store's retained generations after recovery
+//! are the ones that validated, so the first checkpoint after a restart
+//! truncates the log as any other does.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use spitfire_core::PageId;
 
 use crate::db::Database;
 use crate::error::TxnError;
@@ -143,20 +150,22 @@ impl Database {
         for rel in &relations {
             rel.table.seal_retired();
         }
-        let metas: Vec<TableMeta> = relations
+        let tables: Vec<(TableMeta, Vec<PageId>)> = relations
             .iter()
-            .map(|rel| TableMeta {
-                id: rel.table.id,
-                tuple_size: rel.table.tuple_size as u32,
-                catalog_head: rel.table.catalog_head().0,
-                allocated_slots: rel.table.allocated_slots(),
+            .map(|rel| {
+                let meta = TableMeta {
+                    id: rel.table.id,
+                    tuple_size: rel.table.tuple_size as u32,
+                    allocated_slots: rel.table.allocated_slots(),
+                };
+                (meta, rel.table.data_pages())
             })
             .collect();
         drop(gate); // transactions resume; the flush below is fuzzy
 
         let pages = self.flush_home()?;
         let (generation, index_entries) =
-            self.write_generation(fence, (oracle_ts, next_txn_id, next_page_id), metas)?;
+            self.write_generation(fence, (oracle_ts, next_txn_id, next_page_id), tables)?;
         for rel in &relations {
             rel.table.release_sealed();
         }
@@ -195,18 +204,20 @@ impl Database {
         Ok(written)
     }
 
-    /// Stream one snapshot generation — full index dumps and the manifest
-    /// — install it, then truncate the WAL to the previous fence. Returns
-    /// the generation and the index entries dumped.
+    /// Stream one snapshot generation — each table's full index dump and
+    /// page run, and the manifest — install it, then truncate the WAL to the
+    /// oldest retained generation's fence. Returns the generation and the
+    /// index entries dumped.
     fn write_generation(
         &self,
         fence: WalFence,
         (oracle_ts, next_txn_id, next_page_id): (u64, u64, u64),
-        metas: Vec<TableMeta>,
+        tables: Vec<(TableMeta, Vec<PageId>)>,
     ) -> Result<(u64, usize)> {
         let mut writer = self.snapshots.begin(fence);
         let mut index_entries = 0usize;
-        for meta in &metas {
+        let mut metas = Vec::with_capacity(tables.len());
+        for (meta, pages) in tables {
             let index = &self.relation(meta.id)?.index;
             let mut start = 0u64;
             loop {
@@ -221,14 +232,14 @@ impl Database {
                 }
                 start = last + 1;
             }
+            writer.page_ids(meta.id, &pages)?;
+            metas.push(meta);
         }
         let info = writer.finish(next_page_id, oracle_ts, next_txn_id, metas)?;
-        // Truncate to the *previous* generation's fence: the newest
-        // generation's own tail must stay replayable, and one generation
-        // of extra slack keeps the CRC-mismatch fallback recoverable.
-        let prev = self.snapshots.last_fence.lock().replace(fence);
-        if let Some(prev) = prev {
-            self.wal.truncate_to(prev)?;
+        // No recovery reads below the oldest retained fence: the fallback
+        // generation's tail starts there.
+        if let Some(oldest) = self.snapshots.oldest_fence() {
+            self.wal.truncate_to(oldest)?;
         }
         Ok((info.generation, index_entries))
     }

@@ -214,25 +214,25 @@ impl Database {
     /// Create a table with `tuple_size`-byte tuples and a primary index.
     /// Fails with [`TxnError::Duplicate`] if `table_id` exists.
     ///
-    /// The table's catalog page is flushed first; the `CreateTable` log
-    /// record that follows is the durability point, as a commit record is.
-    /// The record and the catalog insert happen under the fence gate, so a
-    /// checkpoint's fence comes before both (recovery creates the table
-    /// from the log tail) or after both (its manifest lists the table).
+    /// The `CreateTable` log record is the durability point, as a commit
+    /// record is; nothing else is written. The record and the catalog
+    /// insert happen under the fence gate, so a checkpoint's fence comes
+    /// before both (recovery creates the table from the log tail) or after
+    /// both (its manifest lists the table).
     pub fn create_table(&self, table_id: u32, tuple_size: usize) -> Result<()> {
         let _gate = self.fence_gate.read();
         let mut catalog = self.catalog.write();
         if catalog.contains_key(&table_id) {
             return Err(TxnError::Duplicate);
         }
-        let table = Table::create(Arc::clone(&self.bm), table_id, tuple_size)?;
+        let table = Table::create(Arc::clone(&self.bm), table_id, tuple_size);
         let index = BTree::new(Arc::clone(&self.bm))?;
         self.wal.append(&LogRecord {
             kind: RecordKind::CreateTable,
             txn: 0,
             table: table_id,
             key: tuple_size as u64,
-            rid: table.catalog_head().0,
+            rid: NO_RID,
             prev_rid: NO_RID,
             prev_lsn: u64::MAX,
             payload: Vec::new(),
@@ -717,18 +717,22 @@ impl Database {
     ///
     /// 1. scan the NVM buffer to rebuild the mapping table;
     /// 2. load the newest valid snapshot generation — its manifest is the
-    ///    table catalog at its fence, its runs the indexes — or, when the
-    ///    store names none, an empty one (no tables, fence 0); if its
-    ///    superblock is unreadable, or it names generations and none
-    ///    validates, fail with [`TxnError::Corrupt`]; the store reads each
-    ///    retained generation once;
+    ///    table catalog at its fence, its page runs the tables' pages and
+    ///    its index runs the indexes — or, when the store names none, an
+    ///    empty one (no tables, fence 0); if its superblock is unreadable,
+    ///    or it names generations and none validates, fail with
+    ///    [`TxnError::Corrupt`]; the store reads each retained generation
+    ///    once; drop the adopted NVM copies of pages allocated after its
+    ///    fence, which nothing references any more;
     /// 3. read the log tail: the log file from the fence's page on (the
     ///    manifest records the whole [`WalFence`](crate::WalFence)), then
     ///    the (persistent) NVM log buffer; nothing before the fence is
     ///    read;
     /// 4. analysis — split the tail's transactions into winners and losers;
     /// 5. redo — create the tail's tables and re-apply winners' writes with
-    ///    their commit timestamps; undo — mark losers' versions aborted;
+    ///    their commit timestamps, growing each table over the pages added
+    ///    after the fence (they get fresh page ids; the old ids are
+    ///    orphaned); undo — mark losers' versions aborted;
     /// 6. rebuild each index: bulk-load the generation's run, then apply
     ///    the tail's keys.
     ///
@@ -737,8 +741,9 @@ impl Database {
     /// generation validates, two on a fallback — not the whole retained
     /// log, database size or history.
     pub fn recover(&self) -> Result<RecoveryStats> {
+        let adopted = self.bm.recover_nvm_buffer();
         let mut stats = RecoveryStats {
-            nvm_pages: self.bm.recover_nvm_buffer().len(),
+            nvm_pages: adopted.len(),
             ..RecoveryStats::default()
         };
         self.debts_lost.store(true, Ordering::Release);
@@ -746,18 +751,25 @@ impl Database {
 
         let (manifest, mut runs) = self.snapshots.recover()?;
         stats.snapshot_generation = manifest.generation;
+        // Covers every page the page runs list.
         self.bm.admin().set_next_page_id(manifest.next_page_id);
-        // Reopen the manifest's tables: catalog chains only, the slot
-        // watermarks come from the manifest.
+        // A page allocated after the fence is in no page run: replay
+        // rebuilds the table growth under fresh ids and the index is bulk
+        // loaded anew, so its adopted NVM copy is garbage.
+        let orphans: Vec<PageId> = adopted
+            .into_iter()
+            .filter(|pid| pid.0 >= manifest.next_page_id)
+            .collect();
+        self.bm.drop_recovered(&orphans)?;
         let mut tables = BTreeMap::new();
         for meta in &manifest.tables {
-            let table = Table::open_with_slots(
+            let table = Table::restore(
                 Arc::clone(&self.bm),
                 meta.id,
                 meta.tuple_size as usize,
-                PageId(meta.catalog_head),
+                runs.pages.remove(&meta.id).unwrap_or_default(),
                 meta.allocated_slots,
-            )?;
+            );
             tables.insert(meta.id, table);
         }
 
@@ -772,7 +784,7 @@ impl Database {
         // superseded, or removes a fresh insert).
         let mut catalog = HashMap::with_capacity(tables.len());
         for (id, table) in tables {
-            let entries = runs.remove(&id).unwrap_or_default();
+            let entries = runs.index.remove(&id).unwrap_or_default();
             stats.index_entries += entries.len();
             let index = BTree::bulk_load(Arc::clone(&self.bm), &entries)?;
             catalog.insert(id, Arc::new(Relation { table, index }));
@@ -844,13 +856,7 @@ impl Database {
             max_txn = max_txn.max(r.txn + 1);
             match r.kind {
                 RecordKind::CreateTable => {
-                    let table = Table::open_with_slots(
-                        Arc::clone(&self.bm),
-                        r.table,
-                        r.key as usize,
-                        PageId(r.rid),
-                        0,
-                    )?;
+                    let table = Table::create(Arc::clone(&self.bm), r.table, r.key as usize);
                     tables.insert(r.table, table);
                 }
                 RecordKind::Update | RecordKind::Insert => {

@@ -18,8 +18,9 @@
 //!   and runs analysis / redo / undo over the log tail past its fence
 //!   (the NVM log buffer included) before rebuilding indexes.
 //! * **Checkpoints** ([`Database::checkpoint`]) write generation-numbered,
-//!   checksummed snapshot generations (index runs + a manifest) into the
-//!   database's [`SnapshotStore`], a block file on its own SSD device.
+//!   checksummed snapshot generations (index runs, page runs and a
+//!   manifest) into the database's [`SnapshotStore`], a block file on its
+//!   own SSD device.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

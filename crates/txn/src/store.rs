@@ -10,12 +10,13 @@
 //! |       | manifest block, fence LSN), whole-page CRC-32                 |
 //! | ≥ 1   | a **metadata block**: a 48-byte header *inside* the page      |
 //! |       | (magic, CRC-32, kind, generation, sequence) + payload: an     |
-//! |       | index run, or the generation's manifest — the whole WAL fence |
-//! |       | (LSN and log-file page), allocator and oracle state, tables,  |
-//! |       | the run list (see [`Manifest`])                               |
+//! |       | index run, a page run, or the generation's manifest — the     |
+//! |       | whole WAL fence (LSN and log-file page), allocator and oracle |
+//! |       | state, tables, the run list (see [`Manifest`])                |
 //!
-//! Each checkpoint writes one *generation*: full index runs and a
-//! manifest that lists them. Page images are not the store's business:
+//! Each checkpoint writes one *generation*: full index runs, each table's
+//! page list as a page run, and a manifest that lists them. Page images
+//! are not the store's business:
 //! the checkpointer writes every dirty DRAM page to its SSD home before
 //! the generation installs, and NVM-resident pages are persistent where
 //! they lie, so the data a generation stands for is the main SSD plus the
@@ -27,7 +28,7 @@
 //! (the newest and the fallback recovery uses when the newest fails a
 //! checksum). A block is free exactly when neither of them, nor a writer
 //! in flight, references it; a generation references its manifest block
-//! and the index-run blocks the manifest lists. The writer takes the
+//! and the run blocks the manifest lists. The writer takes the
 //! lowest free block first (else the next block past the high-water
 //! mark), so block addresses stay bounded by the high water of `retained
 //! generations + one writer`, not by history; a writer that is dropped or
@@ -55,8 +56,8 @@
 //! each retained generation once, newest first: the first that validates
 //! is loaded, one that does not is dead (its damage is permanent) and its
 //! blocks are free. The writer holds one block of scratch plus the
-//! pending index run; a manifest that cannot list its index-run blocks in
-//! one block is an error, never a truncation.
+//! pending run; a manifest that cannot list its run blocks in one block
+//! is an error, never a truncation.
 //!
 //! The checksum is the canonical [`spitfire_sync::crc32`] — CRC-32C —
 //! shared with the WAL framing and the server wire protocol.
@@ -65,7 +66,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
 
 use parking_lot::Mutex;
-use spitfire_core::BufferError;
+use spitfire_core::{BufferError, PageId};
 use spitfire_device::{
     retry_io, DeviceError, FaultInjector, PersistenceTracking, SsdDevice, StatsSnapshot, TimeScale,
 };
@@ -77,11 +78,25 @@ use crate::Result;
 
 mod format;
 
-use format::{decode_block, decode_index_run, encode_block, BlockKind, SUPER_MAGIC};
+use format::{
+    decode_block, decode_index_run, decode_page_run, encode_block, BlockKind, SUPER_MAGIC,
+};
 pub use format::{Manifest, TableMeta, BLOCK_HEADER};
 
-/// A generation's index runs by table: `(key, rid)` pairs in key order.
-pub(crate) type IndexRuns = HashMap<u32, Vec<(u64, u64)>>;
+/// A generation's runs by table.
+#[derive(Debug, Default)]
+pub(crate) struct Runs {
+    /// Index entries: `(key, rid)` pairs in key order.
+    pub(crate) index: HashMap<u32, Vec<(u64, u64)>>,
+    /// Data pages in slot order.
+    pub(crate) pages: HashMap<u32, Vec<PageId>>,
+}
+
+/// One decoded run block's entries.
+enum Run {
+    Index(Vec<(u64, u64)>),
+    Pages(Vec<PageId>),
+}
 
 const SUPER_HEADER: usize = 16;
 const SUPER_ENTRY: usize = 24;
@@ -107,7 +122,10 @@ pub struct GenerationInfo {
 /// A retained generation and everything it references.
 struct Retained {
     info: GenerationInfo,
-    /// Index-run blocks (the manifest's list).
+    /// The manifest's whole WAL fence: the log from here on is the
+    /// generation's tail.
+    fence: WalFence,
+    /// Run blocks (the manifest's list).
     meta: Vec<u64>,
 }
 
@@ -168,10 +186,6 @@ pub struct SnapshotStore {
     /// Store block size = database page size = one device transfer.
     page_size: usize,
     state: Mutex<StoreState>,
-    /// Fence of the newest generation: the *next* install truncates the
-    /// WAL here. Recovery sets it to the delivered generation's fence
-    /// (`None` for an empty store).
-    pub(crate) last_fence: Mutex<Option<WalFence>>,
     /// Wall-clock microseconds of the last completed checkpoint.
     pub(crate) last_micros: AtomicU64,
     /// DRAM pages the last completed checkpoint wrote home.
@@ -196,7 +210,6 @@ impl SnapshotStore {
             dev: SsdDevice::with_tracking(page_size, scale, tracking),
             page_size,
             state: Mutex::new(StoreState::empty()),
-            last_fence: Mutex::new(None),
             last_micros: AtomicU64::new(0),
             last_pages: AtomicU64::new(0),
         }
@@ -255,22 +268,21 @@ impl SnapshotStore {
 
     /// The one read at recovery: read the superblock once and each
     /// generation it names once, newest first, and return the manifest
-    /// and index runs (by table) of the first that validates. The
-    /// in-memory state is rebuilt from the same reads: the generations
-    /// that validate, and the free set (every block below the highest
+    /// and runs (by table) of the first that validates. The in-memory
+    /// state is rebuilt from the same reads: the generations that
+    /// validate, and the free set (every block below the highest
     /// referenced one that none of them references). A generation that
     /// does not validate is dead — its damage is permanent — so its blocks
-    /// are free. The delivered generation's fence becomes the one the
-    /// next install truncates the WAL to. On a fallback the WAL was already
-    /// cut there (the failed newest generation's install did it), so that
-    /// truncation is a no-op.
+    /// are free, and its fence no longer bounds the log
+    /// ([`oldest_fence`](Self::oldest_fence)); on a fallback the WAL was
+    /// already cut at the delivered generation's fence.
     ///
     /// A superblock that was never written or names no generation stands
     /// for the empty manifest (generation 0, fence 0, no tables). One that
     /// is present but fails to decode may have named generations, so it is
     /// [`TxnError::Corrupt`]; so is one that names generations none of
     /// which validates.
-    pub(crate) fn recover(&self) -> Result<(Manifest, IndexRuns)> {
+    pub(crate) fn recover(&self) -> Result<(Manifest, Runs)> {
         let mut page = vec![0u8; self.page_size];
         let named = self.read_superblock(&mut page)?;
         let mut state = StoreState::empty();
@@ -278,10 +290,14 @@ impl SnapshotStore {
         for info in named.iter().rev() {
             state.next_generation = state.next_generation.max(info.generation + 1);
             let deliver = newest.is_none();
-            let mut runs = IndexRuns::new();
-            let read = self.read_metadata(info, &mut page, |table, entries| {
-                if deliver {
-                    runs.entry(table).or_default().extend_from_slice(entries);
+            let mut runs = Runs::default();
+            let read = self.read_metadata(info, &mut page, |table, run| {
+                if !deliver {
+                    return;
+                }
+                match run {
+                    Run::Index(entries) => runs.index.entry(table).or_default().extend(entries),
+                    Run::Pages(ids) => runs.pages.entry(table).or_default().extend(ids),
                 }
             });
             match read {
@@ -290,6 +306,7 @@ impl SnapshotStore {
                         0,
                         Retained {
                             info: *info,
+                            fence: manifest.fence,
                             meta: manifest.meta_blocks.clone(),
                         },
                     );
@@ -305,10 +322,9 @@ impl SnapshotStore {
             .filter(|b| !referenced.contains(b))
             .collect();
         *self.state.lock() = state;
-        *self.last_fence.lock() = newest.as_ref().map(|(manifest, _)| manifest.fence);
         match newest {
             Some(newest) => Ok(newest),
-            None if named.is_empty() => Ok((Manifest::default(), IndexRuns::new())),
+            None if named.is_empty() => Ok((Manifest::default(), Runs::default())),
             None => Err(TxnError::Corrupt("no retained generation validates")),
         }
     }
@@ -334,6 +350,13 @@ impl SnapshotStore {
         self.state.lock().retained.last().map(|r| r.info)
     }
 
+    /// The WAL fence of the oldest retained generation: no recovery reads
+    /// the log below it, so a checkpoint truncates the log here (`None`
+    /// while no generation is retained).
+    pub fn oldest_fence(&self) -> Option<WalFence> {
+        self.state.lock().retained.first().map(|r| r.fence)
+    }
+
     /// The recorded entry for `gen`, if still retained.
     pub fn entry(&self, gen: u64) -> Option<GenerationInfo> {
         let state = self.state.lock();
@@ -353,8 +376,9 @@ impl SnapshotStore {
             fence,
             meta: Vec::new(),
             manifest: None,
-            index_table: 0,
-            index_buf: Vec::new(),
+            run_kind: BlockKind::IndexRun,
+            run_table: 0,
+            run_buf: Vec::new(),
             block: vec![0u8; self.page_size],
         }
     }
@@ -372,21 +396,25 @@ impl SnapshotStore {
     /// Stream `gen`'s index runs to `on_index` and return its manifest.
     /// Every block is re-read from the device and checked as in
     /// [`SnapshotStore::validate`]: a checksum failure is an error.
-    pub fn load(&self, gen: u64, on_index: impl FnMut(u32, &[(u64, u64)])) -> Result<Manifest> {
+    pub fn load(&self, gen: u64, mut on_index: impl FnMut(u32, &[(u64, u64)])) -> Result<Manifest> {
         let info = self
             .entry(gen)
             .ok_or(TxnError::Corrupt("generation not retained"))?;
         let mut page = vec![0u8; self.page_size];
-        self.read_metadata(&info, &mut page, on_index)
+        self.read_metadata(&info, &mut page, |table, run| {
+            if let Run::Index(entries) = run {
+                on_index(table, &entries);
+            }
+        })
     }
 
-    /// Read and check `info`'s manifest and the index-run blocks it lists,
-    /// from the device, delivering the runs to `on_index`.
+    /// Read and check `info`'s manifest and the run blocks it lists, from
+    /// the device, delivering each run with its table to `on_run`.
     fn read_metadata(
         &self,
         info: &GenerationInfo,
         page: &mut [u8],
-        mut on_index: impl FnMut(u32, &[(u64, u64)]),
+        mut on_run: impl FnMut(u32, Run),
     ) -> Result<Manifest> {
         retry_io(|| self.dev.read_page(info.manifest, page))?;
         let block = decode_block(page)?;
@@ -406,10 +434,12 @@ impl SnapshotStore {
             if block.gen != info.generation || block.seq != seq as u64 {
                 return Err(TxnError::Corrupt("metadata block out of place"));
             }
-            if block.kind != BlockKind::IndexRun {
-                return Err(TxnError::Corrupt("manifest listed as metadata"));
-            }
-            on_index(block.tag, &decode_index_run(block.payload)?);
+            let run = match block.kind {
+                BlockKind::IndexRun => Run::Index(decode_index_run(block.payload)?),
+                BlockKind::PageRun => Run::Pages(decode_page_run(block.payload)?),
+                BlockKind::Manifest => return Err(TxnError::Corrupt("manifest listed as a run")),
+            };
+            on_run(block.tag, run);
         }
         Ok(manifest)
     }
@@ -531,17 +561,19 @@ impl std::fmt::Debug for SnapshotStore {
 }
 
 /// Streams one generation's blocks; see [`SnapshotStore::begin`]. Memory
-/// is one block of scratch plus the pending index run.
+/// is one block of scratch plus the pending run.
 pub struct SnapshotWriter<'a> {
     store: &'a SnapshotStore,
     generation: u64,
     fence: WalFence,
-    /// Index-run blocks written, in sequence order. With `manifest`, these
-    /// are exactly the blocks this writer holds.
+    /// Run blocks written, in sequence order. With `manifest`, these are
+    /// exactly the blocks this writer holds.
     meta: Vec<u64>,
     manifest: Option<u64>,
-    index_table: u32,
-    index_buf: Vec<u8>,
+    /// Kind and table of the pending run in `run_buf`.
+    run_kind: BlockKind,
+    run_table: u32,
+    run_buf: Vec<u8>,
     /// Single-block scratch for metadata framing.
     block: Vec<u8>,
 }
@@ -569,7 +601,7 @@ impl SnapshotWriter<'_> {
         // Recorded before the write: a failed write still holds the block.
         match kind {
             BlockKind::Manifest => self.manifest = Some(at),
-            BlockKind::IndexRun => self.meta.push(at),
+            BlockKind::IndexRun | BlockKind::PageRun => self.meta.push(at),
         }
         encode_block(&mut self.block, kind, tag, self.generation, seq, payload);
         retry_io(|| self.store.dev.append_page(at, &self.block))?;
@@ -577,39 +609,58 @@ impl SnapshotWriter<'_> {
     }
 
     /// Append sorted `(key, rid)` index entries for `table`. Entries are
-    /// packed into full blocks; a partial run is held until the table
-    /// changes or the generation finishes.
+    /// packed into full blocks; a partial run is held until the table or
+    /// the kind of run changes or the generation finishes.
     pub fn index_entries(&mut self, table: u32, entries: &[(u64, u64)]) -> Result<()> {
-        if table != self.index_table && !self.index_buf.is_empty() {
-            self.flush_index_run()?;
-        }
-        self.index_table = table;
         for &(key, rid) in entries {
-            self.index_buf.extend_from_slice(&key.to_le_bytes());
-            self.index_buf.extend_from_slice(&rid.to_le_bytes());
-            if self.index_buf.len() + 16 > self.payload_capacity() {
-                self.flush_index_run()?;
-            }
+            let mut entry = [0u8; 16];
+            entry[..8].copy_from_slice(&key.to_le_bytes());
+            entry[8..].copy_from_slice(&rid.to_le_bytes());
+            self.push_entry(BlockKind::IndexRun, table, &entry)?;
         }
         Ok(())
     }
 
-    fn flush_index_run(&mut self) -> Result<()> {
-        if self.index_buf.is_empty() {
+    /// Append `table`'s data pages, in slot order, packed into blocks as
+    /// [`index_entries`](Self::index_entries) packs index entries.
+    pub fn page_ids(&mut self, table: u32, pages: &[PageId]) -> Result<()> {
+        for pid in pages {
+            self.push_entry(BlockKind::PageRun, table, &pid.0.to_le_bytes())?;
+        }
+        Ok(())
+    }
+
+    /// Add one entry to the pending run of `kind` for `table`, writing the
+    /// run out first if it belongs to another, and right after if the next
+    /// entry would not fit.
+    fn push_entry(&mut self, kind: BlockKind, table: u32, entry: &[u8]) -> Result<()> {
+        if (kind, table) != (self.run_kind, self.run_table) {
+            self.flush_run()?;
+            (self.run_kind, self.run_table) = (kind, table);
+        }
+        self.run_buf.extend_from_slice(entry);
+        if self.run_buf.len() + entry.len() > self.payload_capacity() {
+            self.flush_run()?;
+        }
+        Ok(())
+    }
+
+    fn flush_run(&mut self) -> Result<()> {
+        if self.run_buf.is_empty() {
             return Ok(());
         }
-        let payload = std::mem::take(&mut self.index_buf);
-        self.write_meta(BlockKind::IndexRun, self.index_table, &payload)?;
-        self.index_buf = payload;
-        self.index_buf.clear();
+        let payload = std::mem::take(&mut self.run_buf);
+        self.write_meta(self.run_kind, self.run_table, &payload)?;
+        self.run_buf = payload;
+        self.run_buf.clear();
         Ok(())
     }
 
-    /// Close the generation: flush the pending index run, write the
-    /// manifest that lists every index-run block, sync, then atomically
-    /// install the generation in the superblock. Nothing becomes visible
-    /// on failure, and the blocks go back to the free set. A manifest too
-    /// large for one block is an error, never a truncation.
+    /// Close the generation: flush the pending run, write the manifest
+    /// that lists every run block, sync, then atomically install the
+    /// generation in the superblock. Nothing becomes visible on failure,
+    /// and the blocks go back to the free set. A manifest too large for
+    /// one block is an error, never a truncation.
     pub fn finish(
         mut self,
         next_page_id: u64,
@@ -617,7 +668,7 @@ impl SnapshotWriter<'_> {
         next_txn_id: u64,
         tables: Vec<TableMeta>,
     ) -> Result<GenerationInfo> {
-        self.flush_index_run()?;
+        self.flush_run()?;
         let manifest = Manifest {
             generation: self.generation,
             fence: self.fence,
@@ -640,6 +691,7 @@ impl SnapshotWriter<'_> {
         };
         let new = Retained {
             info,
+            fence: self.fence,
             meta: manifest.meta_blocks,
         };
         let held = self.held_blocks().len() as u64;
@@ -816,7 +868,6 @@ mod tests {
                 vec![TableMeta {
                     id: 1,
                     tuple_size: 64,
-                    catalog_head: 2,
                     allocated_slots: 3,
                 }],
             )
@@ -935,6 +986,51 @@ mod tests {
         assert_eq!(flat, many);
         // A generation carries its own runs only.
         assert_eq!(read_index(2), vec![(1, entries(1, 7))]);
+    }
+
+    #[test]
+    fn page_runs_split_across_blocks_and_come_back_in_slot_order() {
+        let s = store();
+        let mut w = s.begin(WalFence::default());
+        // 26 page ids per block; 60 pages of table 3 around an index run
+        // and table 4's pages.
+        let pages: Vec<PageId> = (0..60u64).map(|p| PageId(1000 - p)).collect();
+        w.page_ids(3, &pages).unwrap();
+        w.index_entries(3, &[(1, 10)]).unwrap();
+        w.page_ids(4, &[PageId(7)]).unwrap();
+        w.page_ids(5, &[]).unwrap();
+        w.finish(0, 0, 0, Vec::new()).unwrap();
+        let blocks = s.load(1, |_, _| {}).unwrap().meta_blocks.len();
+        assert_eq!(blocks, 3 + 1 + 1, "60 ids in three blocks, a run, one id");
+
+        s.simulate_crash();
+        let (_, runs) = s.recover().unwrap();
+        assert_eq!(runs.pages.len(), 2, "an empty list writes no run");
+        assert_eq!(runs.pages[&3], pages);
+        assert_eq!(runs.pages[&4], [PageId(7)]);
+        assert_eq!(runs.index[&3], [(1, 10)]);
+        // `load` delivers the index runs only.
+        let mut idx = Vec::new();
+        s.load(1, |t, e| idx.push((t, e.to_vec()))).unwrap();
+        assert_eq!(idx, vec![(3, vec![(1, 10)])]);
+    }
+
+    #[test]
+    fn the_oldest_retained_generation_bounds_the_log() {
+        let s = store();
+        let fence = |lsn| WalFence {
+            lsn,
+            file_page: lsn / 10,
+        };
+        assert_eq!(s.oldest_fence(), None);
+        for (lsn, oldest) in [(100, 100), (200, 100), (300, 200)] {
+            s.begin(fence(lsn)).finish(0, 0, 0, Vec::new()).unwrap();
+            assert_eq!(s.oldest_fence(), Some(fence(oldest)), "after {lsn}");
+        }
+        // Recovery rebuilds it from the manifests.
+        s.simulate_crash();
+        s.recover().unwrap();
+        assert_eq!(s.oldest_fence(), Some(fence(200)));
     }
 
     #[test]

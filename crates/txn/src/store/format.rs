@@ -3,9 +3,9 @@
 //!
 //! All integers are little-endian. A store block is exactly one database
 //! page (and so one device transfer unit). Every block but the superblock
-//! is a **metadata block** (index run, manifest): a `BLOCK_HEADER`-byte
-//! header *inside* the page, followed by up to `page_size - BLOCK_HEADER`
-//! payload bytes.
+//! is a **metadata block** (index run, page run, manifest): a
+//! `BLOCK_HEADER`-byte header *inside* the page, followed by up to
+//! `page_size - BLOCK_HEADER` payload bytes.
 //!
 //! Metadata block header (48 bytes):
 //!
@@ -13,17 +13,19 @@
 //! |-----|------|----------------------------------------------|
 //! | 0   | 8    | magic `SPIFBLK2`                             |
 //! | 8   | 4    | CRC-32 over bytes `12..48+payload_len`       |
-//! | 12  | 1    | kind (1 index run, 2 manifest)               |
+//! | 12  | 1    | kind (1 index run, 2 manifest, 3 page run)   |
 //! | 13  | 3    | zero padding                                 |
-//! | 16  | 4    | tag (table id for index runs, else 0)        |
+//! | 16  | 4    | tag (table id for runs, 0 for the manifest)  |
 //! | 20  | 4    | payload length in bytes                      |
 //! | 24  | 8    | generation number                            |
 //! | 32  | 8    | sequence number in the manifest's block list |
 //! | 40  | 8    | reserved (zero)                              |
 //!
-//! Payloads: an index run is packed `(key u64, rid u64)` pairs; the
-//! manifest is described at [`Manifest`].
+//! Payloads: an index run is packed `(key u64, rid u64)` pairs; a page
+//! run is a table's data-page ids (`u64`) in slot order; the manifest is
+//! described at [`Manifest`].
 
+use spitfire_core::PageId;
 use spitfire_sync::crc32;
 
 use crate::error::TxnError;
@@ -35,7 +37,7 @@ pub const BLOCK_HEADER: usize = 48;
 
 const BLOCK_MAGIC: u64 = 0x5350_4946_424C_4B32; // "SPIFBLK2"
 pub(super) const SUPER_MAGIC: u64 = 0x5350_4946_5355_5032; // "SPIFSUP2"
-const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E34; // "SPIFMAN4"
+const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E35; // "SPIFMAN5"
 
 /// What a metadata block carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +46,8 @@ pub(super) enum BlockKind {
     IndexRun,
     /// The generation's manifest.
     Manifest,
+    /// A table's data-page ids in slot order; `tag` is the table id.
+    PageRun,
 }
 
 impl BlockKind {
@@ -51,6 +55,7 @@ impl BlockKind {
         match self {
             BlockKind::IndexRun => 1,
             BlockKind::Manifest => 2,
+            BlockKind::PageRun => 3,
         }
     }
 
@@ -58,6 +63,7 @@ impl BlockKind {
         match b {
             1 => Some(BlockKind::IndexRun),
             2 => Some(BlockKind::Manifest),
+            3 => Some(BlockKind::PageRun),
             _ => None,
         }
     }
@@ -122,16 +128,14 @@ pub(super) fn decode_block(page: &[u8]) -> Result<Block<'_>> {
     })
 }
 
-/// Per-table metadata recorded in the manifest so recovery can reopen a
-/// table without the legacy reverse slot-allocator scan.
+/// Per-table metadata recorded in the manifest; the table's data pages
+/// are its page run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableMeta {
     /// Table id.
     pub id: u32,
     /// Fixed tuple payload size in bytes.
     pub tuple_size: u32,
-    /// First page of the table's catalog chain.
-    pub catalog_head: u64,
     /// Slot-allocator high-water mark at the checkpoint fence.
     pub allocated_slots: u64,
 }
@@ -152,17 +156,28 @@ pub(super) fn decode_index_run(payload: &[u8]) -> Result<Vec<(u64, u64)>> {
         .collect())
 }
 
+/// Decode a page-run payload: packed page ids.
+pub(super) fn decode_page_run(payload: &[u8]) -> Result<Vec<PageId>> {
+    let ids = payload.chunks_exact(8);
+    if !ids.remainder().is_empty() {
+        return Err(TxnError::Corrupt("ragged page run"));
+    }
+    Ok(ids
+        .map(|c| PageId(u64::from_le_bytes(c.try_into().unwrap())))
+        .collect())
+}
+
 /// The checksummed manifest of a generation, held in the one block the
 /// superblock entry names. Everything recovery needs besides the pages'
-/// homes, the persistent NVM buffer, the index runs and the WAL tail lives
-/// here — including the list of the generation's index-run blocks, so a
-/// generation is found from its manifest alone.
+/// homes, the persistent NVM buffer, the runs and the WAL tail lives here
+/// — including the list of the generation's run blocks, so a generation is
+/// found from its manifest alone.
 ///
 /// Payload layout (`MANIFEST_FIXED` = 64 bytes, then the lists):
 ///
 /// | off | size | field                                         |
 /// |-----|------|-----------------------------------------------|
-/// | 0   | 8    | magic `SPIFMAN4`                              |
+/// | 0   | 8    | magic `SPIFMAN5`                              |
 /// | 8   | 8    | generation                                    |
 /// | 16  | 8    | fence LSN                                     |
 /// | 24  | 8    | fence page (first log-file page of the tail)  |
@@ -170,10 +185,11 @@ pub(super) fn decode_index_run(payload: &[u8]) -> Result<Vec<(u64, u64)>> {
 /// | 40  | 8    | oracle timestamp                              |
 /// | 48  | 8    | next transaction id                           |
 /// | 56  | 4    | table count *t*                               |
-/// | 60  | 4    | index-run block count *b*                     |
-/// | 64  | 24·t | tables: id u32, tuple size u32, catalog head  |
-/// |     |      | u64, allocated slots u64                      |
-/// | …   | 8·b  | index-run block numbers, in sequence order    |
+/// | 60  | 4    | run block count *b*                           |
+/// | 64  | 16·t | tables: id u32, tuple size u32, allocated     |
+/// |     |      | slots u64                                     |
+/// | …   | 8·b  | run block numbers (index and page runs), in   |
+/// |     |      | sequence order                                |
 ///
 /// The default manifest — generation 0, fence `{0, 0}`, no tables — is
 /// what an empty store stands for: recovery then replays the whole log.
@@ -193,12 +209,13 @@ pub struct Manifest {
     pub next_txn_id: u64,
     /// Per-table metadata.
     pub tables: Vec<TableMeta>,
-    /// The generation's index-run blocks, in sequence order.
+    /// The generation's run blocks (index and page runs), in sequence
+    /// order.
     pub meta_blocks: Vec<u64>,
 }
 
 const MANIFEST_FIXED: usize = 64;
-const TABLE_META: usize = 24;
+const TABLE_META: usize = 16;
 
 impl Manifest {
     pub(super) fn encode(&self) -> Vec<u8> {
@@ -217,8 +234,7 @@ impl Manifest {
             let o = MANIFEST_FIXED + i * TABLE_META;
             out[o..o + 4].copy_from_slice(&t.id.to_le_bytes());
             out[o + 4..o + 8].copy_from_slice(&t.tuple_size.to_le_bytes());
-            out[o + 8..o + 16].copy_from_slice(&t.catalog_head.to_le_bytes());
-            out[o + 16..o + 24].copy_from_slice(&t.allocated_slots.to_le_bytes());
+            out[o + 8..o + 16].copy_from_slice(&t.allocated_slots.to_le_bytes());
         }
         for (i, b) in self.meta_blocks.iter().enumerate() {
             let o = blocks_at + i * 8;
@@ -250,8 +266,7 @@ impl Manifest {
                 TableMeta {
                     id: u32_at(o),
                     tuple_size: u32_at(o + 4),
-                    catalog_head: u64_at(o + 8),
-                    allocated_slots: u64_at(o + 16),
+                    allocated_slots: u64_at(o + 8),
                 }
             })
             .collect();
@@ -304,6 +319,21 @@ mod tests {
     }
 
     #[test]
+    fn page_run_round_trip_and_ragged_tail() {
+        let bytes: Vec<u8> = [7u64, 3, u64::MAX]
+            .iter()
+            .flat_map(|p| p.to_le_bytes())
+            .collect();
+        let ids: Vec<u64> = decode_page_run(&bytes)
+            .unwrap()
+            .iter()
+            .map(|p| p.0)
+            .collect();
+        assert_eq!(ids, [7, 3, u64::MAX]);
+        assert!(decode_page_run(&bytes[..20]).is_err());
+    }
+
+    #[test]
     fn manifest_round_trip() {
         let m = Manifest {
             generation: 9,
@@ -318,19 +348,19 @@ mod tests {
                 TableMeta {
                     id: 1,
                     tuple_size: 64,
-                    catalog_head: 2,
                     allocated_slots: 500,
                 },
                 TableMeta {
                     id: 7,
                     tuple_size: 128,
-                    catalog_head: 9,
                     allocated_slots: 0,
                 },
             ],
             meta_blocks: vec![4, 5, 17],
         };
         let bytes = m.encode();
+        // 16 bytes a table, 8 a run block.
+        assert_eq!(bytes.len(), MANIFEST_FIXED + 2 * 16 + 3 * 8);
         assert_eq!(Manifest::decode(&bytes).unwrap(), m);
         // A manifest is exactly as long as its counts say.
         assert!(Manifest::decode(&bytes[..bytes.len() - 8]).is_err());

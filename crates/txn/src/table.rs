@@ -55,8 +55,10 @@
 //! ([`Table::redo_version`], [`Table::write_visit_or_grow`]) allocate
 //! pages.
 //!
-//! The table's page list is persisted in a chain of catalog pages so
-//! recovery can rediscover the data pages.
+//! The page list is volatile. Each checkpoint generation stores the list
+//! as it stood at its fence, and recovery [`restore`](Table::restore)s the
+//! table from it; a page added after the fence is rebuilt by replay, which
+//! grows the table to cover every slot the log tail names.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,11 +264,6 @@ impl WriteVisit<'_> {
     }
 }
 
-/// Catalog page layout: magic u64 | table u32 | tuple u32 | count u32 |
-/// pad u32 | next u64 | page ids u64...
-const CATALOG_MAGIC: u64 = 0x5350_4946_5441_424C; // "SPIFTABL"
-const CATALOG_HEADER: usize = 32;
-
 /// A versioned tuple table.
 pub struct Table {
     bm: Arc<BufferManager>,
@@ -278,8 +275,6 @@ pub struct Table {
     slots_per_page: usize,
     /// Data pages in slot order.
     pages: RwLock<Vec<PageId>>,
-    /// Catalog chain head (persisted); new page ids are appended here.
-    catalog_head: PageId,
     next_slot: AtomicU64,
     /// Slots reclaimed by vacuum, reused before extending the table.
     free_slots: parking_lot::Mutex<Vec<u64>>,
@@ -298,19 +293,23 @@ struct Retired {
 }
 
 impl Table {
-    /// Create a new table, allocating its catalog head page.
-    pub fn create(bm: Arc<BufferManager>, id: u32, tuple_size: usize) -> Result<Self> {
-        let catalog_head = bm.allocate_page()?;
-        let table = Table::with_layout(bm, id, tuple_size, catalog_head);
-        table.write_catalog()?;
-        Ok(table)
+    /// Create an empty table: it allocates its first page when it first
+    /// stores a version.
+    pub fn create(bm: Arc<BufferManager>, id: u32, tuple_size: usize) -> Self {
+        Table::restore(bm, id, tuple_size, Vec::new(), 0)
     }
 
-    fn with_layout(
+    /// Rebuild a table from its data pages in slot order and its slot
+    /// watermark (recovery): a generation's page run and `allocated_slots`
+    /// for a table its manifest lists. Tail redo grows the page list and
+    /// raises the watermark past every slot it rewrites
+    /// ([`Table::redo_version`]).
+    pub fn restore(
         bm: Arc<BufferManager>,
         id: u32,
         tuple_size: usize,
-        catalog_head: PageId,
+        pages: Vec<PageId>,
+        allocated_slots: u64,
     ) -> Self {
         let slot_size = VERSION_HEADER + tuple_size;
         let slots_per_page = bm.page_size() / slot_size;
@@ -321,35 +320,11 @@ impl Table {
             tuple_size,
             slot_size,
             slots_per_page,
-            pages: RwLock::new(Vec::new()),
-            catalog_head,
-            next_slot: AtomicU64::new(0),
+            pages: RwLock::new(pages),
+            next_slot: AtomicU64::new(allocated_slots),
             free_slots: parking_lot::Mutex::new(Vec::new()),
             retired: parking_lot::Mutex::new(Retired::default()),
         }
-    }
-
-    /// Reopen a table from its catalog chain with a known slot watermark
-    /// (recovery): the manifest's `allocated_slots` for a table it lists,
-    /// 0 for one the log tail creates. Tail redo raises the watermark past
-    /// every slot it rewrites ([`Table::redo_version`]'s `fetch_max`).
-    pub fn open_with_slots(
-        bm: Arc<BufferManager>,
-        id: u32,
-        tuple_size: usize,
-        catalog_head: PageId,
-        allocated_slots: u64,
-    ) -> Result<Self> {
-        let table = Table::with_layout(bm, id, tuple_size, catalog_head);
-        table.load_catalog()?;
-        table.next_slot.store(allocated_slots, Ordering::Release);
-        Ok(table)
-    }
-
-    /// The catalog head page id (recorded in the manifest and in the
-    /// table's `CreateTable` log record).
-    pub fn catalog_head(&self) -> PageId {
-        self.catalog_head
     }
 
     /// Number of version slots per page.
@@ -380,12 +355,10 @@ impl Table {
                 return Ok(*pid);
             }
         }
-        // Grow the table (and the persistent catalog) up to page_idx.
+        // Grow the table up to page_idx.
         let mut pages = self.pages.write();
         while pages.len() <= page_idx {
-            let pid = self.bm.allocate_page()?;
-            pages.push(pid);
-            self.append_to_catalog(pid)?;
+            pages.push(self.bm.allocate_page()?);
         }
         Ok(pages[page_idx])
     }
@@ -420,8 +393,8 @@ impl Table {
     /// [`write_visit`](Self::write_visit) that grows the table up to
     /// `rid`'s page first. For the two callers that may name a slot the
     /// page list does not cover yet: [`insert_version`](Self::insert_version)
-    /// and log replay (a crash can lose a page's catalog entry while the
-    /// WAL record that names its slots survives).
+    /// and log replay (a page added after the generation's fence is in no
+    /// page run, while the WAL records that name its slots are in the tail).
     pub fn write_visit_or_grow(&self, rid: u64) -> Result<WriteVisit<'_>> {
         let (page_idx, offset) = self.locate(rid);
         self.write_visit_at(self.page_for(page_idx)?, offset)
@@ -501,104 +474,6 @@ impl Table {
     pub fn free_slots(&self) -> Vec<u64> {
         self.free_slots.lock().clone()
     }
-
-    // ---- catalog persistence -------------------------------------------
-
-    fn write_catalog(&self) -> Result<()> {
-        let guard = self.bm.fetch_write(self.catalog_head)?;
-        let mut header = [0u8; CATALOG_HEADER];
-        header[0..8].copy_from_slice(&CATALOG_MAGIC.to_le_bytes());
-        header[8..12].copy_from_slice(&self.id.to_le_bytes());
-        header[12..16].copy_from_slice(&(self.tuple_size as u32).to_le_bytes());
-        header[16..20].copy_from_slice(&0u32.to_le_bytes());
-        header[24..32].copy_from_slice(&NO_RID.to_le_bytes());
-        guard.write(0, &header)?;
-        drop(guard);
-        self.bm.flush_page(self.catalog_head)?;
-        Ok(())
-    }
-
-    fn catalog_capacity(&self) -> usize {
-        (self.bm.page_size() - CATALOG_HEADER) / 8
-    }
-
-    /// Append a data page id to the catalog chain, growing it as needed.
-    fn append_to_catalog(&self, pid: PageId) -> Result<()> {
-        let cap = self.catalog_capacity();
-        let mut cat = self.catalog_head;
-        loop {
-            let guard = self.bm.fetch_write(cat)?;
-            let count = {
-                let mut b = [0u8; 4];
-                guard.read(16, &mut b)?;
-                u32::from_le_bytes(b) as usize
-            };
-            if count < cap {
-                guard.write_u64(CATALOG_HEADER + count * 8, pid.0)?;
-                guard.write(16, &((count + 1) as u32).to_le_bytes())?;
-                drop(guard);
-                self.bm.flush_page(cat)?;
-                return Ok(());
-            }
-            let next = guard.read_u64(24)?;
-            if next != NO_RID {
-                cat = PageId(next);
-                continue;
-            }
-            // Chain a new catalog page.
-            drop(guard);
-            let new_cat = self.bm.allocate_page()?;
-            {
-                let g = self.bm.fetch_write(new_cat)?;
-                let mut header = [0u8; CATALOG_HEADER];
-                header[0..8].copy_from_slice(&CATALOG_MAGIC.to_le_bytes());
-                header[8..12].copy_from_slice(&self.id.to_le_bytes());
-                header[12..16].copy_from_slice(&(self.tuple_size as u32).to_le_bytes());
-                header[24..32].copy_from_slice(&NO_RID.to_le_bytes());
-                g.write(0, &header)?;
-            }
-            self.bm.flush_page(new_cat)?;
-            let guard = self.bm.fetch_write(cat)?;
-            guard.write_u64(24, new_cat.0)?;
-            drop(guard);
-            self.bm.flush_page(cat)?;
-            cat = new_cat;
-        }
-    }
-
-    /// Load the data page list from the catalog chain.
-    fn load_catalog(&self) -> Result<()> {
-        let mut pages = self.pages.write();
-        pages.clear();
-        let mut cat = self.catalog_head;
-        loop {
-            // Catalog references are durable, but a referenced page may
-            // never have been synced to SSD before the crash (its durable
-            // content is zeros). Raise the allocator floor so fetching it
-            // cannot trip the unknown-page check.
-            self.bm.admin().set_next_page_id(cat.0 + 1);
-            let guard = self.bm.fetch_read(cat)?;
-            let magic = guard.read_u64(0)?;
-            if magic != CATALOG_MAGIC {
-                return Err(TxnError::UnknownTable(self.id));
-            }
-            let count = {
-                let mut b = [0u8; 4];
-                guard.read(16, &mut b)?;
-                u32::from_le_bytes(b) as usize
-            };
-            for i in 0..count.min(self.catalog_capacity()) {
-                let pid = PageId(guard.read_u64(CATALOG_HEADER + i * 8)?);
-                self.bm.admin().set_next_page_id(pid.0 + 1);
-                pages.push(pid);
-            }
-            let next = guard.read_u64(24)?;
-            if next == NO_RID {
-                return Ok(());
-            }
-            cat = PageId(next);
-        }
-    }
 }
 
 impl std::fmt::Debug for Table {
@@ -652,7 +527,7 @@ mod tests {
 
     #[test]
     fn insert_read_versions() {
-        let t = Table::create(bm(), 1, 100).unwrap();
+        let t = Table::create(bm(), 1, 100);
         assert_eq!(t.slots_per_page(), 1024 / 140);
         let r0 = t.insert_version(hdr(5), &[7u8; 100]).unwrap();
         let r1 = t.insert_version(hdr(6), &[8u8; 100]).unwrap();
@@ -665,7 +540,7 @@ mod tests {
 
     #[test]
     fn payload_size_is_validated() {
-        let t = Table::create(bm(), 1, 100).unwrap();
+        let t = Table::create(bm(), 1, 100);
         assert!(matches!(
             t.insert_version(hdr(1), &[0u8; 99]),
             Err(TxnError::BadTupleSize {
@@ -681,13 +556,14 @@ mod tests {
 
     #[test]
     fn visits_never_grow_the_table() {
-        let t = Table::create(bm(), 1, 100).unwrap();
+        let t = Table::create(bm(), 1, 100);
         t.insert_version(hdr(1), &[0u8; 100]).unwrap();
         let stray = t.slots_per_page() as u64 * 3;
         assert_eq!(t.read_visit(stray).unwrap_err(), TxnError::NotFound);
         assert_eq!(t.write_visit(stray).unwrap_err(), TxnError::NotFound);
         assert_eq!(t.data_pages().len(), 1);
-        // Redo may name a slot whose page the crash un-catalogued.
+        // Redo may name a slot on a page added after the generation's
+        // fence, which no page run lists.
         t.redo_version(stray, hdr(2), &[1u8; 100]).unwrap();
         assert_eq!(t.data_pages().len(), 4);
         assert_eq!(t.allocated_slots(), stray + 1);
@@ -695,7 +571,7 @@ mod tests {
 
     #[test]
     fn table_grows_across_pages() {
-        let t = Table::create(bm(), 2, 100).unwrap();
+        let t = Table::create(bm(), 2, 100);
         let spp = t.slots_per_page() as u64;
         for i in 0..spp * 3 + 1 {
             let rid = t.insert_version(hdr(i + 1), &[i as u8; 100]).unwrap();
@@ -712,7 +588,7 @@ mod tests {
 
     #[test]
     fn header_updates_persist() {
-        let t = Table::create(bm(), 3, 64).unwrap();
+        let t = Table::create(bm(), 3, 64);
         let rid = t.insert_version(hdr(1), &[0u8; 64]).unwrap();
         {
             let visit = t.write_visit(rid).unwrap();
@@ -735,43 +611,21 @@ mod tests {
     #[test]
     fn reopen_restores_pages_and_slots() {
         let bm = bm();
-        let t = Table::create(Arc::clone(&bm), 4, 100).unwrap();
+        let t = Table::create(Arc::clone(&bm), 4, 100);
+        assert!(t.data_pages().is_empty(), "created with no page");
         let spp = t.slots_per_page() as u64;
         for i in 0..spp + 3 {
             t.insert_version(hdr(i + 1), &[i as u8; 100]).unwrap();
         }
-        let head = t.catalog_head();
-        let next = t.allocated_slots();
+        let (pages, next) = (t.data_pages(), t.allocated_slots());
         drop(t);
-        let t2 = Table::open_with_slots(bm, 4, 100, head, next).unwrap();
-        assert_eq!(t2.allocated_slots(), next);
-        assert_eq!(t2.data_pages().len(), 2);
+        let t2 = Table::restore(bm, 4, 100, pages.clone(), next);
+        assert_eq!((t2.data_pages(), t2.allocated_slots()), (pages, next));
         let mut buf = [0u8; 100];
-        t2.read_visit(0).unwrap().version(&mut buf).unwrap();
-        assert_eq!(buf, [0u8; 100]);
+        t2.read_visit(spp).unwrap().version(&mut buf).unwrap();
+        assert_eq!(buf, [spp as u8; 100]);
         // New inserts continue after the restored watermark.
         let rid = t2.insert_version(hdr(50), &[9u8; 100]).unwrap();
         assert_eq!(rid, next);
-    }
-
-    #[test]
-    fn catalog_chains_over_many_pages() {
-        // 1024-byte pages hold (1024-32)/8 = 124 page ids per catalog page;
-        // grow past that to force chaining.
-        let bm = bm();
-        let t = Table::create(Arc::clone(&bm), 5, 960).unwrap();
-        assert_eq!(t.slots_per_page(), 1); // 992-byte slots
-        for i in 0..130u64 {
-            t.insert_version(hdr(i + 1), &[i as u8; 960]).unwrap();
-        }
-        assert_eq!(t.data_pages().len(), 130);
-        let head = t.catalog_head();
-        drop(t);
-        let t2 = Table::open_with_slots(bm, 5, 960, head, 130).unwrap();
-        assert_eq!(t2.data_pages().len(), 130);
-        assert_eq!(t2.allocated_slots(), 130);
-        let mut buf = [0u8; 960];
-        t2.read_visit(129).unwrap().version(&mut buf).unwrap();
-        assert_eq!(buf[0], 129);
     }
 }

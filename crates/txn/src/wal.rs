@@ -47,9 +47,10 @@ pub enum RecordKind {
     Commit,
     /// Transaction aborted.
     Abort,
-    /// A table was created (`table`: its id, `key`: its tuple size,
-    /// `rid`: its catalog-head page; `txn` 0). Durable once appended, as a
-    /// commit is; replay opens the table from it.
+    /// A table was created (`table`: its id, `key`: its tuple size; `rid`
+    /// carries nothing, `txn` 0). Durable once appended, as a commit is,
+    /// and the only thing table creation writes; replay creates the table,
+    /// empty, from it.
     CreateTable,
 }
 
@@ -90,8 +91,8 @@ pub struct LogRecord {
     pub table: u32,
     /// Key within the table (the tuple size for CreateTable records).
     pub key: u64,
-    /// New version's record id (the commit timestamp for Commit records,
-    /// the catalog-head page for CreateTable records).
+    /// New version's record id (the commit timestamp for Commit records;
+    /// unused by CreateTable records).
     pub rid: u64,
     /// Previous version's record id (`u64::MAX` = none).
     pub prev_rid: u64,
@@ -401,8 +402,8 @@ impl Wal {
     /// pages `[old base, fence.file_page)` go back to the device
     /// ([`SsdDevice::discard`]) — the log file occupies its live pages,
     /// not every page it was ever handed. A checkpoint truncates to the
-    /// *previous* generation's fence so a CRC-mismatch fallback one
-    /// generation still finds its WAL tail.
+    /// oldest retained generation's fence so a CRC-mismatch fallback one
+    /// generation back still finds its WAL tail.
     ///
     /// The base LSN is persisted before the base page. A crash between the
     /// two leaves the base page below the fence, so [`read_all_checked`]

@@ -363,7 +363,7 @@ proptest! {
         fill in any::<u8>(),
         stamps in proptest::collection::vec((0..5usize, any::<u64>(), any::<bool>()), 1..12),
     ) {
-        let table = Table::create(buffer_manager(4096), T, tuple).unwrap();
+        let table = Table::create(buffer_manager(4096), T, tuple);
         let payload: Vec<u8> = (0..tuple).map(|i| fill.wrapping_add(i as u8)).collect();
         let mut expect = VersionHeader {
             begin: fields[0],

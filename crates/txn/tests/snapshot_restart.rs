@@ -1,8 +1,10 @@
 //! Instant-restart tests: the home flush, fenced WAL truncation, snapshot
 //! recovery, generation fallback on corruption, the quiescence contract of
 //! `Database::checkpoint`, the store's crash model, torn and interrupted
-//! block reuse, the steady state of the store and the log file, and
-//! recovery work across a database-size sweep.
+//! block reuse, the steady state of the store and the log file,
+//! recovery work across a database-size sweep, and tables' page lists —
+//! stored by generations, rebuilt from the log tail, never written on
+//! growth.
 
 use std::sync::Arc;
 
@@ -467,9 +469,10 @@ fn recovery_reads_each_retained_generation_once() {
     assert_contents(&db, &model, 4 * RUN_ENTRIES as u64 + 2);
 }
 
-/// Recovery starts its log scan at the generation's fence page: the load
-/// before the checkpoint is neither read nor replayed, though the log file
-/// still holds it (one generation truncates nothing).
+/// Recovery starts its log scan at the generation's fence page: the log
+/// between the fallback generation's fence and the newest one's is
+/// neither read nor replayed, though the log file still holds it for the
+/// fallback.
 #[test]
 fn recovery_reads_only_the_log_tail() {
     // A 64 KB log buffer drains every 48 KB, so the load spans many
@@ -481,8 +484,8 @@ fn recovery_reads_only_the_log_tail() {
     let mut model = std::collections::HashMap::new();
     const LOAD: u64 = 1000;
     const TAIL: u64 = 400;
-    for (round, keys) in [(1u8, LOAD), (2, LOAD), (3, TAIL)] {
-        if round == 3 {
+    for (round, keys) in [(1u8, LOAD), (2, LOAD), (3, LOAD), (4, TAIL)] {
+        if round % 2 == 0 {
             db.checkpoint().unwrap();
         }
         for batch in (0..keys).collect::<Vec<_>>().chunks(32) {
@@ -492,29 +495,71 @@ fn recovery_reads_only_the_log_tail() {
             model.insert(k, round);
         });
     }
-    let fence = db.snapshots().load(1, |_, _| {}).unwrap().fence;
+    let store = db.snapshots();
+    let older = store.load(1, |_, _| {}).unwrap().fence;
+    let fence = store.load(2, |_, _| {}).unwrap().fence;
+    assert_eq!(
+        db.wal().base_lsn(),
+        older.lsn,
+        "the fallback's tail is kept"
+    );
+    let skipped = fence.file_page - older.file_page;
     let tail_bytes = db.wal().current_lsn() - fence.lsn;
-    let tail_pages = db.wal().file_pages() as u64 - fence.file_page;
-    assert!(fence.file_page > 2 * tail_pages, "{fence:?} / {tail_pages}");
+    let tail_pages = db.wal().file_pages() as u64 - skipped;
+    assert!(skipped > 2 * tail_pages, "{skipped} / {tail_pages}");
     assert!(tail_pages > 0 && db.wal().pending_bytes() > 0);
 
     db.simulate_crash();
     let before = db.wal().file_stats().snapshot();
     let stats = db.recover().unwrap();
-    assert_eq!(stats.snapshot_generation, 1);
+    assert_eq!(stats.snapshot_generation, 2);
     assert_eq!(stats.log_bytes, tail_bytes);
     assert_eq!(
         db.wal().file_stats().snapshot().delta(&before).read_ops,
         tail_pages,
-        "the tail's {tail_pages} log pages, not the load's {}",
-        fence.file_page
+        "the tail's {tail_pages} log pages, not the {skipped} before them"
     );
     assert_eq!(stats.redone as u64, TAIL);
     assert_contents(&db, &model, LOAD + 2);
 }
 
-/// Recovery hands the delivered generation's fence to the next install,
-/// so the first checkpoint after a restart truncates the log to it.
+/// One generation truncates the log to its own fence: no recovery reads
+/// below the oldest retained fence, so the load before the first
+/// checkpoint leaves the log device and only the tail stays.
+#[test]
+fn one_generation_truncates_the_log_to_its_own_fence() {
+    let db = database_with(DbConfig {
+        log_buffer_bytes: 64 * 1024,
+        ..DbConfig::default()
+    });
+    for batch in (0..1000u64).collect::<Vec<_>>().chunks(32) {
+        write_all(&db, &batch.iter().map(|&k| (k, 1)).collect::<Vec<_>>());
+    }
+    let load_pages = db.wal().fence().unwrap().file_page;
+    assert!(load_pages > 4, "{load_pages}");
+    db.checkpoint().unwrap();
+    let fence = db.snapshots().load(1, |_, _| {}).unwrap().fence;
+    assert_eq!(db.wal().base_lsn(), fence.lsn);
+    assert_eq!(db.wal().file_pages(), 0, "the load's pages went back");
+
+    // The tail is all the log holds, and recovery replays it.
+    for batch in (0..400u64).collect::<Vec<_>>().chunks(32) {
+        write_all(&db, &batch.iter().map(|&k| (k, 2)).collect::<Vec<_>>());
+    }
+    let tail_pages = db.wal().fence().unwrap().file_page - fence.file_page;
+    assert!(tail_pages > 0);
+    assert_eq!(db.wal().file_pages() as u64, tail_pages);
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!((stats.snapshot_generation, stats.redone), (1, 400));
+    let txn = db.begin();
+    assert_eq!(db.read(&txn, T, 0).unwrap(), tuple(2));
+    assert_eq!(db.read(&txn, T, 999).unwrap(), tuple(1));
+}
+
+/// Recovery rebuilds the retained generations, so the first checkpoint
+/// after a restart truncates the log to the delivered generation's fence,
+/// the oldest one then retained.
 #[test]
 fn the_first_checkpoint_after_a_restart_truncates_the_log() {
     let db = database();
@@ -605,9 +650,9 @@ fn interrupted_and_torn_reuse_leave_both_retained_generations_intact() {
         let keys = RUN_ENTRIES as u64 + 3;
         rewrite_and_checkpoint(&db, &mut model, keys, 0..4);
         assert_eq!(store.generation(), 4);
-        // Generation 2's two index runs and manifest.
+        // Generation 2's two index runs, its page run and its manifest.
         let free = store.free_blocks();
-        assert_eq!(free, 3, "{scenario}: generation 2's blocks are reusable");
+        assert_eq!(free, 4, "{scenario}: generation 2's blocks are reusable");
         let used = store.used_bytes();
 
         // Tail past generation 4's fence, dirtying every page again.
@@ -764,9 +809,12 @@ fn steady_state_run(rounds: u8) -> Vec<u64> {
             db.wal().file_pages()
         );
 
-        // Every block is one device page, written once: index runs +
-        // manifest + superblock. No page image goes to the store.
-        let blocks = stats.index_entries.div_ceil(payload / 16) as u64 + 1;
+        // Every block is one device page, written once: index runs + the
+        // page run + manifest + superblock. No page image goes to the
+        // store.
+        let pages = db.table_data_pages(T).unwrap().len();
+        let blocks =
+            (stats.index_entries.div_ceil(payload / 16) + pages.div_ceil(payload / 8)) as u64 + 1;
         assert_eq!(wrote.write_ops, blocks + 1, "round {round}");
         assert_eq!(wrote.bytes_written, wrote.write_ops * unit, "round {round}");
         store.check().unwrap();
@@ -1005,4 +1053,193 @@ fn checkpoint_is_contended_while_a_dirty_page_is_left_behind() {
         store.stats().write_ops,
     );
     assert_eq!(after, before, "the WAL and the store are untouched");
+}
+
+/// Creating a table and growing it write no page to a buffer device: the
+/// page list is volatile until a checkpoint stores it, so a new page costs
+/// `allocate_page`'s zero image on SSD and nothing else — no NVM write and
+/// no SSD sync.
+#[test]
+fn table_growth_writes_no_page_to_a_buffer_device() {
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE)
+        .dram_capacity(256 * PAGE)
+        .nvm_capacity(256 * (PAGE + 64))
+        .policy(MigrationPolicy::eager())
+        .persistence(PersistenceTracking::Full)
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    let bm = Arc::new(BufferManager::new(config).unwrap());
+    let db = Database::create(Arc::clone(&bm), DbConfig::default()).unwrap();
+    let stats = |tier| bm.device_stats(tier).unwrap().snapshot();
+    let (nvm0, ssd0, pages0, m0) = (
+        stats(Tier::Nvm),
+        stats(Tier::Ssd),
+        bm.page_count(),
+        bm.metrics(),
+    );
+    db.create_table(T, TUPLE).unwrap();
+    const GROWTH: usize = 8;
+    let mut key = 0;
+    while db.table_data_pages(T).unwrap().len() < GROWTH {
+        write_all(&db, &[(key, key as u8)]);
+        key += 1;
+    }
+    let (nvm, ssd) = (stats(Tier::Nvm).delta(&nvm0), stats(Tier::Ssd).delta(&ssd0));
+    let m = bm.metrics().delta(&m0);
+    assert_eq!(
+        (m.evictions_dram, m.evictions_nvm),
+        (0, 0),
+        "DRAM holds all"
+    );
+    assert_eq!((nvm.write_ops, nvm.bytes_written), (0, 0), "no NVM write");
+    assert_eq!(ssd.fences, 0, "no SSD sync");
+    let allocated = bm.page_count() - pages0;
+    assert!(allocated >= GROWTH as u64);
+    assert_eq!(
+        (ssd.write_ops, ssd.bytes_written),
+        (
+            allocated,
+            allocated * DeviceProfile::optane_ssd().effective_transfer(PAGE) as u64
+        ),
+        "one zero image per allocated page"
+    );
+}
+
+/// Grow table `T` by a few pages and create table 2 (once) with keys of
+/// its own, recording what was written in `model`: `(table, key) → byte`.
+fn grow_and_create(db: &Database, model: &mut std::collections::HashMap<(u32, u64), u8>, byte: u8) {
+    let first = model.keys().filter(|&&(t, _)| t == T).count() as u64;
+    write_all(
+        db,
+        &(first..first + 30).map(|k| (k, byte)).collect::<Vec<_>>(),
+    );
+    (first..first + 30).for_each(|k| {
+        model.insert((T, k), byte);
+    });
+    if db.create_table(2, TUPLE).is_ok() {
+        let mut txn = db.begin();
+        for k in 0..20 {
+            db.insert(&mut txn, 2, k, &tuple(byte ^ 0x22)).unwrap();
+            model.insert((2, k), byte ^ 0x22);
+        }
+        db.commit(&mut txn).unwrap();
+    }
+}
+
+fn assert_tables(db: &Database, model: &std::collections::HashMap<(u32, u64), u8>) {
+    let mut txn = db.begin();
+    for (&(table, key), &b) in model {
+        assert_eq!(db.read(&txn, table, key), Ok(tuple(b)), "{table}/{key}");
+    }
+    db.commit(&mut txn).unwrap();
+}
+
+/// A table's page list is the generation's page run plus what the tail
+/// adds: after a crash, a table that grew past the fence keeps the fence's
+/// pages as its prefix and gets the rest from replay, and a table the tail
+/// created is rebuilt from its `CreateTable` record and its writes.
+#[test]
+fn recovery_rebuilds_the_page_list_from_the_run_and_the_tail() {
+    let db = database();
+    let mut model = std::collections::HashMap::new();
+    write_all(&db, &(0..40).map(|k| (k, k as u8)).collect::<Vec<_>>());
+    (0..40u64).for_each(|k| {
+        model.insert((T, k), k as u8);
+    });
+    db.checkpoint().unwrap();
+    let at_fence = db.table_data_pages(T).unwrap();
+
+    grow_and_create(&db, &mut model, 0x51);
+    let grown = db.table_data_pages(T).unwrap();
+    assert!(grown.len() > at_fence.len() && grown.starts_with(&at_fence));
+
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!(stats.snapshot_generation, 1);
+    assert_tables(&db, &model);
+    let rebuilt = db.table_data_pages(T).unwrap();
+    assert_eq!(rebuilt.len(), grown.len());
+    assert!(rebuilt.starts_with(&at_fence), "the run is the prefix");
+    assert!(!db.table_data_pages(2).unwrap().is_empty());
+
+    // The next generation stores the rebuilt lists.
+    db.checkpoint().unwrap();
+    db.simulate_crash();
+    assert_eq!(db.recover().unwrap().redone, 0);
+    assert_eq!(db.table_data_pages(T).unwrap(), rebuilt);
+    assert_tables(&db, &model);
+}
+
+/// The same over the fallback generation: the tables grow between two
+/// fences, the newest generation rots, and recovery rebuilds the growth
+/// from the older generation's page run and the longer tail.
+#[test]
+fn a_fallback_rebuilds_the_page_list_from_the_older_run() {
+    let db = database();
+    let store = db.snapshots();
+    let mut model = std::collections::HashMap::new();
+    write_all(&db, &(0..40).map(|k| (k, k as u8)).collect::<Vec<_>>());
+    (0..40u64).for_each(|k| {
+        model.insert((T, k), k as u8);
+    });
+    db.checkpoint().unwrap();
+    let at_older = db.table_data_pages(T).unwrap();
+    grow_and_create(&db, &mut model, 0x61);
+    db.checkpoint().unwrap();
+    grow_and_create(&db, &mut model, 0x62);
+    let grown = db.table_data_pages(T).unwrap().len();
+
+    let manifest = store.entry(2).unwrap().manifest;
+    store.device().write_page(manifest, &[0xEE; PAGE]).unwrap();
+    store.device().sync().unwrap();
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!(stats.snapshot_generation, 1, "fell back");
+    assert_tables(&db, &model);
+    let rebuilt = db.table_data_pages(T).unwrap();
+    assert_eq!(rebuilt.len(), grown);
+    assert!(rebuilt.starts_with(&at_older));
+}
+
+/// A page the table gained after the fence is in no page run: replay
+/// rebuilds it under a fresh id, and recovery drops the old page's NVM
+/// copy instead of keeping a frame of garbage with data dirt.
+#[test]
+fn recovery_drops_the_nvm_copies_of_pages_added_after_the_fence() {
+    let db = three_tier();
+    let bm = Arc::clone(db.buffer_manager());
+    bm.admin().set_policy(stay());
+    let mut model = std::collections::HashMap::new();
+    write_all(&db, &(0..20).map(|k| (k, 1)).collect::<Vec<_>>());
+    db.checkpoint().unwrap();
+    let at_fence = db.table_data_pages(T).unwrap();
+    for batch in (20..400u64).collect::<Vec<_>>().chunks(40) {
+        write_all(&db, &batch.iter().map(|&k| (k, 2)).collect::<Vec<_>>());
+    }
+    (0..400u64).for_each(|k| {
+        model.insert(k, if k < 20 { 1 } else { 2 });
+    });
+    let grown = db.table_data_pages(T).unwrap();
+    let added = grown[at_fence.len()..].to_vec();
+    assert!(!added.is_empty());
+    assert!(added.iter().all(|&pid| !bm.is_dram_resident(pid)), "on NVM");
+
+    db.simulate_crash();
+    db.recover().unwrap();
+    let ssd_reads = |pid: PageId| {
+        let fetched = bm.metrics().ssd_fetches;
+        drop(bm.fetch_read(pid).unwrap());
+        bm.metrics().ssd_fetches - fetched
+    };
+    assert_eq!(
+        ssd_reads(at_fence[0]),
+        0,
+        "a listed page keeps its NVM copy"
+    );
+    for pid in added {
+        assert_eq!(ssd_reads(pid), 1, "{pid:?}: its NVM copy was dropped");
+    }
+    assert_contents(&db, &model, 400);
 }

@@ -356,7 +356,7 @@ fn fail_writes_on(bm: &BufferManager, device: DeviceKind) {
 fn failed_insert_returns_its_slot() {
     let db = database(32, MigrationPolicy::eager());
     let bm = Arc::clone(db.buffer_manager());
-    let table = Table::create(Arc::clone(&bm), 9, TUPLE).unwrap();
+    let table = Table::create(Arc::clone(&bm), 9, TUPLE);
 
     // The table cannot grow: the fresh slot must not be lost with the page.
     fail_writes_on(&bm, DeviceKind::Ssd);

@@ -297,8 +297,22 @@ fn removed_shims_stay_removed() {
     }
     impl RestartPathAbsent for spitfire_txn::Table {}
     let _: Absent = spitfire_txn::Table::open();
-    let table = spitfire_txn::Table::create(Arc::clone(&bm), 9, 8).unwrap();
+    let table = spitfire_txn::Table::create(Arc::clone(&bm), 9, 8);
     let _: Absent = table.for_each_header();
+    // A table's page list lives in the checkpoint generation and the log
+    // tail: the catalog page chain, its head and the constructor that
+    // walked it stay gone.
+    trait CatalogChainAbsent {
+        fn catalog_head(&self) -> Absent {
+            Absent
+        }
+        fn open_with_slots() -> Absent {
+            Absent
+        }
+    }
+    impl CatalogChainAbsent for spitfire_txn::Table {}
+    let _: Absent = table.catalog_head();
+    let _: Absent = spitfire_txn::Table::open_with_slots();
     trait ReadAllAbsent {
         fn read_all(&self) -> Absent {
             Absent
