@@ -161,7 +161,7 @@ fn bench_wal(c: &mut Criterion) {
         rid: 7,
         prev_rid: u64::MAX,
         prev_lsn: u64::MAX,
-        payload: vec![0xAB; 128],
+        payload: &[0xAB; 128],
     };
     c.bench_function("wal_append_128B", |b| {
         b.iter(|| wal.append(&record).unwrap())

@@ -46,7 +46,7 @@ const DIRECT_ALIGN: usize = 4096;
 /// devices in one process (tests, benches) never collide.
 static FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A page-size transfer buffer aligned for `O_DIRECT`.
+/// A transfer buffer (a page, or a run of pages) aligned for `O_DIRECT`.
 struct AlignedBuf {
     ptr: *mut u8,
     layout: Layout,
@@ -250,6 +250,34 @@ impl FileSsdDevice {
             return Err(DeviceError::PageNotFound(pid));
         }
         self.read_into(pid, buf, &mut st)
+    }
+
+    /// Read the pages from `first` on into `buf` (a whole number of pages,
+    /// every one present) with one `pread` over the run.
+    pub fn read_pages(&self, first: u64, buf: &mut [u8]) -> Result<()> {
+        if buf.is_empty() || buf.len() % self.page_size != 0 {
+            return Err(DeviceError::BadPageSize {
+                expected: self.page_size,
+                got: buf.len(),
+            });
+        }
+        let n = (buf.len() / self.page_size) as u64;
+        let st = self.state.lock();
+        if let Some(pid) = (first..first + n).find(|pid| !st.present.contains(pid)) {
+            return Err(DeviceError::PageNotFound(pid));
+        }
+        let off = first * self.page_size as u64;
+        if self.direct {
+            let mut run = AlignedBuf::new(buf.len());
+            let res = self.file.read_exact_at(run.as_mut_slice(), off);
+            buf.copy_from_slice(run.as_slice());
+            res.map_err(|e| io_err("read", &e))?;
+        } else {
+            self.file
+                .read_exact_at(buf, off)
+                .map_err(|e| io_err("read", &e))?;
+        }
+        Ok(())
     }
 
     /// Write `data[..keep]` as page `pid` (`keep < page_size` models a

@@ -246,6 +246,59 @@ impl SsdDevice {
         Ok(())
     }
 
+    /// Read the run of pages `pids` into `buf` (exactly the run's length
+    /// in pages) as one sequential request: the read counterpart of
+    /// [`SsdDevice::write_pages`]. Returns how many pages it read: the
+    /// run's length, or `n` when page `pids.start + n` does not exist (a
+    /// read stops at the first missing page).
+    ///
+    /// The fault hook runs once per page, in page order, as a
+    /// [`SsdDevice::read_page`] loop would run it (the missing page that
+    /// ends the run included); an injected failure fails the request.
+    /// The emulated backend charges the pages it read once, at sequential
+    /// rates, and counts one read op; the file backend issues one
+    /// `pread` over them.
+    pub fn read_pages(&self, pids: std::ops::Range<u64>, buf: &mut [u8]) -> Result<usize> {
+        let want = pids.end.saturating_sub(pids.start) as usize;
+        if buf.len() != want * self.page_size {
+            return Err(DeviceError::BadPageSize {
+                expected: want * self.page_size,
+                got: buf.len(),
+            });
+        }
+        let mut n = 0;
+        for pid in pids.clone() {
+            if let Outcome::Fail(e) = self.fault(FaultOp::Read, pid, self.page_size) {
+                return Err(e);
+            }
+            let out = &mut buf[n * self.page_size..(n + 1) * self.page_size];
+            match &self.backend {
+                Backend::Mem { .. } => match self.shard(pid).read().get(&pid) {
+                    Some(page) => out.copy_from_slice(page),
+                    None => break,
+                },
+                Backend::File(f) if !f.contains(pid) => break,
+                Backend::File(_) => {}
+            }
+            n += 1;
+        }
+        if n == 0 {
+            return Ok(0);
+        }
+        let bytes = n * self.page_size;
+        match &self.backend {
+            Backend::Mem { .. } => {
+                let eff = self.cost.charge_read(bytes, AccessPattern::Sequential);
+                self.stats.record_read(eff);
+            }
+            Backend::File(f) => {
+                f.read_pages(pids.start, &mut buf[..bytes])?;
+                self.stats.record_read(bytes);
+            }
+        }
+        Ok(n)
+    }
+
     /// Store `data[..keep]` as page `pid` in the emulated arena. For a
     /// torn write (`keep` short of a full page) an existing page keeps its
     /// old tail bytes and a fresh page gets a zero tail — the page
@@ -736,6 +789,98 @@ mod tests {
         d.read_page(2, &mut buf).unwrap();
         assert_eq!(buf[0], 3);
         assert_eq!(d.page_count(), 4);
+    }
+
+    /// Both backends, with pages 0..6 holding `pid + 1` and page 6 absent.
+    fn backends_with_six_pages() -> [SsdDevice; 2] {
+        let devices = [
+            SsdDevice::with_tracking(4096, TimeScale::ZERO, PersistenceTracking::Full),
+            file_ssd(PersistenceTracking::Full),
+        ];
+        for d in &devices {
+            for pid in 0..6u64 {
+                let mut page = vec![pid as u8 + 1; 4096];
+                page[4095] = 0xA0 ^ pid as u8;
+                d.write_page(pid, &page).unwrap();
+            }
+            d.sync().unwrap();
+        }
+        devices
+    }
+
+    #[test]
+    fn read_pages_returns_what_a_read_page_loop_returns_in_one_op() {
+        for d in backends_with_six_pages() {
+            let mut one = vec![0u8; 4096];
+            let mut looped = Vec::new();
+            for pid in 1..5u64 {
+                d.read_page(pid, &mut one).unwrap();
+                looped.extend_from_slice(&one);
+            }
+            let before = d.stats().snapshot();
+            let mut run = vec![0u8; 4 * 4096];
+            assert_eq!(d.read_pages(1..5, &mut run).unwrap(), 4);
+            assert_eq!(run, looped, "file-backed: {}", d.is_file_backed());
+            let delta = d.stats().snapshot().delta(&before);
+            assert_eq!((delta.read_ops, delta.bytes_read), (1, 4 * 4096));
+            // An empty run reads and counts nothing.
+            assert_eq!(d.read_pages(3..3, &mut []).unwrap(), 0);
+            assert_eq!(d.stats().snapshot().delta(&before).read_ops, 1);
+        }
+    }
+
+    #[test]
+    fn read_pages_stops_at_the_first_missing_page() {
+        for d in backends_with_six_pages() {
+            let mut run = vec![0u8; 4 * 4096];
+            assert_eq!(d.read_pages(4..8, &mut run).unwrap(), 2);
+            assert_eq!((run[0], run[4096], run[8192]), (5, 6, 0));
+            assert_eq!(d.read_pages(6..10, &mut run).unwrap(), 0);
+            assert!(matches!(
+                d.read_pages(0..2, &mut run),
+                Err(DeviceError::BadPageSize { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn read_pages_consults_the_fault_hook_once_per_page() {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule, Trigger};
+        let injector = |kind| {
+            let rule = FaultRule::any(Trigger::NthOp(3), kind).on_op(FaultOp::Read);
+            Some(Arc::new(FaultInjector::new(FaultPlan::new(1).rule(rule))))
+        };
+        for d in backends_with_six_pages() {
+            // The third page's decision fails the request, as it fails the
+            // third `read_page` of a loop.
+            let mut run = vec![0u8; 5 * 4096];
+            d.set_fault_injector(injector(FaultKind::Fatal));
+            assert_eq!(
+                d.read_pages(0..5, &mut run).unwrap_err(),
+                DeviceError::InjectedFatal { op: "read" }
+            );
+            d.set_fault_injector(injector(FaultKind::Fatal));
+            let mut one = vec![0u8; 4096];
+            let looped: Vec<_> = (0..5).map(|pid| d.read_page(pid, &mut one)).collect();
+            assert!(looped[..2].iter().all(Result::is_ok));
+            assert_eq!(looped[2], Err(DeviceError::InjectedFatal { op: "read" }));
+            // A transient one is retryable, and the retry reads the run.
+            let inj = injector(FaultKind::Transient);
+            d.set_fault_injector(inj.clone());
+            let read = crate::retry_io(|| d.read_pages(0..5, &mut run)).unwrap();
+            assert_eq!(read, 5);
+            assert_eq!(inj.unwrap().stats().transient, 1);
+            // The missing page that ends a run gets its decision too, and
+            // nothing past it does.
+            let counting = Arc::new(FaultInjector::new(FaultPlan::new(1).rule(
+                FaultRule::any(Trigger::NthOp(u64::MAX), FaultKind::Fatal).on_op(FaultOp::Read),
+            )));
+            d.set_fault_injector(Some(Arc::clone(&counting)));
+            let mut run = vec![0u8; 4 * 4096];
+            assert_eq!(d.read_pages(4..8, &mut run).unwrap(), 2);
+            assert_eq!(counting.stats().matched, 3);
+            d.set_fault_injector(None);
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use spitfire_core::PageId;
 
-use crate::db::Database;
+use crate::db::{index_chunks, Database};
 use crate::error::TxnError;
 use crate::store::{SnapshotStore, TableMeta};
 use crate::wal::WalFence;
@@ -218,20 +218,10 @@ impl Database {
         let mut index_entries = 0usize;
         let mut metas = Vec::with_capacity(tables.len());
         for (meta, pages) in tables {
-            let index = &self.relation(meta.id)?.index;
-            let mut start = 0u64;
-            loop {
-                let chunk = index.scan_from(start, 1024)?;
-                let Some(&(last, _)) = chunk.last() else {
-                    break;
-                };
-                writer.index_entries(meta.id, &chunk)?;
+            index_chunks(&self.relation(meta.id)?.index, |chunk| {
                 index_entries += chunk.len();
-                if last == u64::MAX {
-                    break;
-                }
-                start = last + 1;
-            }
+                writer.index_entries(meta.id, chunk)
+            })?;
             writer.page_ids(meta.id, &pages)?;
             metas.push(meta);
         }

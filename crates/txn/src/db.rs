@@ -4,6 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::RwLock;
 use spitfire_core::{BufferManager, PageId};
@@ -100,6 +101,13 @@ pub struct RecoveryStats {
     /// a checkpoint writes pages home instead of into the store. Kept for
     /// the benchmark's `snapshot.recover_pages`.
     pub snapshot_pages: usize,
+    /// Wall time of the log scan: reading the tail and checking its frames.
+    pub log_read_us: u64,
+    /// Wall time of analysis, redo and undo over the tail.
+    pub replay_us: u64,
+    /// Wall time of the index rebuild: merging each table's fix-ups into
+    /// its run and bulk-loading the result.
+    pub index_us: u64,
 }
 
 /// A table and its primary index: what every operation on a table id
@@ -235,7 +243,7 @@ impl Database {
             rid: NO_RID,
             prev_rid: NO_RID,
             prev_lsn: u64::MAX,
-            payload: Vec::new(),
+            payload: &[],
         })?;
         catalog.insert(table_id, Arc::new(Relation { table, index }));
         Ok(())
@@ -264,6 +272,17 @@ impl Database {
     /// inserts have not reused yet, the next slot handed out last.
     pub fn table_free_slots(&self, table_id: u32) -> Result<Vec<u64>> {
         Ok(self.relation(table_id)?.table.free_slots())
+    }
+
+    /// A table's index entries, `(key, rid)` in key order, for inspection:
+    /// each key's newest version slot.
+    pub fn index_entries(&self, table_id: u32) -> Result<Vec<(u64, u64)>> {
+        let mut out = Vec::new();
+        index_chunks(&self.relation(table_id)?.index, |chunk| {
+            out.extend_from_slice(chunk);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Begin a transaction. Briefly holds the checkpoint fence gate
@@ -417,7 +436,7 @@ impl Database {
                     rid,
                     prev_rid: hdr.prev,
                     prev_lsn: txn.last_lsn,
-                    payload: payload.to_vec(),
+                    payload,
                 })?;
                 txn.last_lsn = lsn;
                 return Ok(());
@@ -454,7 +473,7 @@ impl Database {
             rid: new_rid,
             prev_rid: rid,
             prev_lsn: txn.last_lsn,
-            payload: payload.to_vec(),
+            payload,
         })?;
         txn.last_lsn = lsn;
         txn.writes.push(WriteEntry {
@@ -501,7 +520,7 @@ impl Database {
             rid: new_rid,
             prev_rid: NO_RID,
             prev_lsn: txn.last_lsn,
-            payload: payload.to_vec(),
+            payload,
         })?;
         txn.last_lsn = lsn;
         txn.writes.push(WriteEntry {
@@ -619,7 +638,7 @@ impl Database {
             rid: txn.ts,
             prev_rid: NO_RID,
             prev_lsn: txn.last_lsn,
-            payload: Vec::new(),
+            payload: &[],
         })?;
 
         // Stamp versions with the commit timestamp: the markers are ours
@@ -682,7 +701,7 @@ impl Database {
                 rid: NO_RID,
                 prev_rid: NO_RID,
                 prev_lsn: txn.last_lsn,
-                payload: Vec::new(),
+                payload: &[],
             })?;
         }
         // relaxed: abort statistic.
@@ -733,8 +752,8 @@ impl Database {
     ///    their commit timestamps, growing each table over the pages added
     ///    after the fence (they get fresh page ids; the old ids are
     ///    orphaned); undo — mark losers' versions aborted;
-    /// 6. rebuild each index: bulk-load the generation's run, then apply
-    ///    the tail's keys.
+    /// 6. rebuild each index in one bulk load: the generation's run with
+    ///    the tail's outcome per key merged in.
     ///
     /// Recovery reads and redoes the log appended since the delivered
     /// generation's fence — one checkpoint interval when the newest
@@ -773,46 +792,35 @@ impl Database {
             tables.insert(meta.id, table);
         }
 
-        let report = self.wal.read_from(manifest.fence)?;
-        stats.log_bytes = (report.file_bytes + report.nvm_bytes) as u64;
-        let tail = report.records;
-        let outcome = self.replay_records(&mut tables, &tail, &mut stats)?;
+        let clock = Instant::now();
+        let tail = self.wal.read_from(manifest.fence)?;
+        stats.log_bytes = (tail.file_bytes + tail.nvm_bytes) as u64;
+        stats.log_read_us = clock.elapsed().as_micros() as u64;
 
-        // Rebuild indexes: bulk-load the runs, then fix up the keys the
-        // tail touched, in log order (a winner's newest record points the
-        // key at its slot; a loser's points back at the version it
-        // superseded, or removes a fresh insert).
+        let clock = Instant::now();
+        let mut outcome = self.replay_records(&mut tables, tail.records(), &mut stats)?;
+        drop(tail);
+        stats.replay_us = clock.elapsed().as_micros() as u64;
+
+        // Rebuild each index in one bulk load of its run with the tail's
+        // outcome merged in. A bulk load of a sorted set is a pure function
+        // of that set, so the rebuilt trees are the same on every recovery
+        // from the same image (the chaos explorer's replay-equality
+        // invariant depends on it).
+        let clock = Instant::now();
         let mut catalog = HashMap::with_capacity(tables.len());
         for (id, table) in tables {
-            let entries = runs.index.remove(&id).unwrap_or_default();
+            let run = runs.index.remove(&id).unwrap_or_default();
+            let entries = match outcome.fixups.remove(&id) {
+                Some(fixups) => merge_fixups(run, fixups),
+                None => run,
+            };
             stats.index_entries += entries.len();
             let index = BTree::bulk_load(Arc::clone(&self.bm), &entries)?;
             catalog.insert(id, Arc::new(Relation { table, index }));
         }
-        // BTreeMap, not HashMap: the application order below shapes the
-        // rebuilt tree's split history, and recovery must be deterministic
-        // (the chaos explorer's replay-equality invariant depends on it).
-        let mut fix: BTreeMap<(u32, u64), u64> = BTreeMap::new();
-        for r in &tail {
-            if matches!(r.kind, RecordKind::Update | RecordKind::Insert) {
-                let winner = outcome.commit_ts.contains_key(&r.txn);
-                fix.insert((r.table, r.key), if winner { r.rid } else { r.prev_rid });
-            }
-        }
-        for ((table, key), rid) in fix {
-            let index = &catalog
-                .get(&table)
-                .expect("replay opened every table the tail writes")
-                .index;
-            if rid == NO_RID {
-                if index.remove(key)?.is_some() {
-                    stats.index_entries -= 1;
-                }
-            } else if index.insert(key, rid)?.is_none() {
-                stats.index_entries += 1;
-            }
-        }
         *self.catalog.write() = catalog;
+        stats.index_us = clock.elapsed().as_micros() as u64;
 
         self.oracle
             .fetch_max(manifest.oracle_ts.max(outcome.max_ts), Ordering::AcqRel);
@@ -824,18 +832,18 @@ impl Database {
     /// Analysis + redo + undo over the log tail `records`, in log order:
     /// a `CreateTable` record opens its table into `tables`, and a write
     /// to a table neither the manifest nor the tail created is corruption
-    /// ([`TxnError::UnknownTable`]). Updates `stats` and returns the winner
-    /// map and timestamp watermarks.
-    fn replay_records(
+    /// ([`TxnError::UnknownTable`]). Updates `stats` and returns the index
+    /// fix-ups and timestamp watermarks.
+    fn replay_records<'a>(
         &self,
         tables: &mut BTreeMap<u32, Table>,
-        records: &[LogRecord],
+        records: impl Iterator<Item = LogRecord<'a>> + Clone,
         stats: &mut RecoveryStats,
     ) -> Result<ReplayOutcome> {
         // Analysis.
         let mut commit_ts: HashMap<u64, u64> = HashMap::new();
         let mut seen: HashMap<u64, bool> = HashMap::new(); // txn -> has writes
-        for r in records {
+        for r in records.clone() {
             match r.kind {
                 RecordKind::Commit => {
                     commit_ts.insert(r.txn, r.rid);
@@ -849,7 +857,11 @@ impl Database {
         stats.committed = commit_ts.len();
         stats.losers = seen.keys().filter(|t| !commit_ts.contains_key(t)).count();
 
-        // Redo winners / undo losers, in log order.
+        // Redo winners / undo losers, in log order. A key's last write
+        // decides its index entry: a winner's points it at its slot; a
+        // loser's points back at the version it superseded, or removes a
+        // fresh insert.
+        let mut fixups: BTreeMap<u32, BTreeMap<u64, u64>> = BTreeMap::new();
         let mut max_ts = 2u64;
         let mut max_txn = 1u64;
         for r in records {
@@ -863,7 +875,12 @@ impl Database {
                     let table = tables
                         .get(&r.table)
                         .ok_or(TxnError::UnknownTable(r.table))?;
-                    if let Some(&ts) = commit_ts.get(&r.txn) {
+                    let winner = commit_ts.get(&r.txn).copied();
+                    fixups
+                        .entry(r.table)
+                        .or_default()
+                        .insert(r.key, if winner.is_some() { r.rid } else { r.prev_rid });
+                    if let Some(ts) = winner {
                         max_ts = max_ts.max(ts + 1);
                         let hdr = VersionHeader {
                             begin: ts,
@@ -872,7 +889,7 @@ impl Database {
                             prev: r.prev_rid,
                             key: r.key,
                         };
-                        table.redo_version(r.rid, hdr, &r.payload)?;
+                        table.redo_version(r.rid, hdr, r.payload)?;
                         if r.prev_rid != NO_RID {
                             table
                                 .write_visit_or_grow(r.prev_rid)?
@@ -902,7 +919,7 @@ impl Database {
             }
         }
         Ok(ReplayOutcome {
-            commit_ts,
+            fixups,
             max_ts,
             max_txn,
         })
@@ -942,12 +959,50 @@ impl spitfire_obs::Source for Database {
 
 /// What [`Database::replay_records`] learned from one replay pass.
 struct ReplayOutcome {
-    /// Winner transactions and their commit timestamps.
-    pub commit_ts: HashMap<u64, u64>,
+    /// Table → key → the rid its index entry holds after the tail, for
+    /// every key the tail wrote; [`NO_RID`] removes the key.
+    pub fixups: BTreeMap<u32, BTreeMap<u64, u64>>,
     /// One past the largest timestamp observed (oracle floor).
     pub max_ts: u64,
     /// One past the largest transaction id observed.
     pub max_txn: u64,
+}
+
+/// Hand `f` every entry of `index`, in key order, a chunk at a time.
+pub(crate) fn index_chunks(
+    index: &BTree,
+    mut f: impl FnMut(&[(u64, u64)]) -> Result<()>,
+) -> Result<()> {
+    let mut start = 0u64;
+    loop {
+        let chunk = index.scan_from(start, 1024)?;
+        let Some(&(last, _)) = chunk.last() else {
+            return Ok(());
+        };
+        f(&chunk)?;
+        if last == u64::MAX {
+            return Ok(());
+        }
+        start = last + 1;
+    }
+}
+
+/// A table's index after the tail: its generation's run (sorted by key)
+/// with each fix-up replacing or adding its key's entry, and a [`NO_RID`]
+/// fix-up removing it. Sorted by key, as [`BTree::bulk_load`] wants.
+fn merge_fixups(run: Vec<(u64, u64)>, fixups: BTreeMap<u64, u64>) -> Vec<(u64, u64)> {
+    let mut out = Vec::with_capacity(run.len() + fixups.len());
+    let mut fixups = fixups.into_iter().peekable();
+    for (key, rid) in run {
+        while let Some(fix) = fixups.next_if(|&(k, _)| k < key) {
+            out.push(fix);
+        }
+        let rid = fixups.next_if(|&(k, _)| k == key).map_or(rid, |(_, r)| r);
+        out.push((key, rid));
+    }
+    out.extend(fixups);
+    out.retain(|&(_, rid)| rid != NO_RID);
+    out
 }
 
 impl std::fmt::Debug for Database {

@@ -28,8 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spitfire_device::{
-    retry_io, AccessPattern, DeviceError, FaultInjector, NvmDevice, PersistenceTracking, SsdDevice,
-    TimeScale,
+    retry_io, AccessPattern, FaultInjector, NvmDevice, PersistenceTracking, SsdDevice, TimeScale,
 };
 use spitfire_sync::crc32;
 
@@ -80,9 +79,10 @@ impl RecordKind {
 /// One log record (paper: "a log record consists of (1) transaction
 /// identifier and page identifier, (2) type of record, (3) log sequence
 /// number of previous log record for this transaction, and (4) before and
-/// after images").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
+/// after images"). It borrows its payload: a writer's from the caller, a
+/// scanned record's from the scan's stream ([`WalScanReport::records`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogRecord<'a> {
     /// Record type.
     pub kind: RecordKind,
     /// Transaction id.
@@ -100,14 +100,22 @@ pub struct LogRecord {
     pub prev_lsn: u64,
     /// After image (the new payload); before images are reachable through
     /// `prev_rid`, so they are not duplicated in the record.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// Framing: len u32 | crc u32 | kind u8 | pad 3 | txn u64 | table u32 |
 /// pad 4 | key u64 | rid u64 | prev_rid u64 | prev_lsn u64 | payload.
 const FRAME_HEADER: usize = 4 + 4 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 8 + 8;
 
-impl LogRecord {
+fn le_u64(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn le_u32(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
+}
+
+impl<'a> LogRecord<'a> {
     /// Serialized length.
     pub fn frame_len(&self) -> usize {
         FRAME_HEADER + self.payload.len()
@@ -127,47 +135,42 @@ impl LogRecord {
         buf.extend_from_slice(&self.rid.to_le_bytes());
         buf.extend_from_slice(&self.prev_rid.to_le_bytes());
         buf.extend_from_slice(&self.prev_lsn.to_le_bytes());
-        buf.extend_from_slice(&self.payload);
+        buf.extend_from_slice(self.payload);
         let crc = crc32(&buf[8..]);
         buf[4..8].copy_from_slice(&crc.to_le_bytes());
         buf
     }
 
-    /// Decode one record from `buf`; returns the record and bytes consumed.
-    /// `None` on torn/invalid frames (end of log).
-    fn decode(buf: &[u8]) -> Option<(LogRecord, usize)> {
+    /// The length of the frame `buf` starts with, when it is whole, its
+    /// CRC matches and its kind is known; `None` on a torn or invalid
+    /// frame (end of log).
+    fn check_frame(buf: &[u8]) -> Option<usize> {
         if buf.len() < FRAME_HEADER {
             return None;
         }
-        let len = u32::from_le_bytes(buf[..4].try_into().ok()?) as usize;
+        let len = le_u32(buf, 0) as usize;
         if len < FRAME_HEADER || len > buf.len() {
             return None;
         }
-        let crc_stored = u32::from_le_bytes(buf[4..8].try_into().ok()?);
-        if crc32(&buf[8..len]) != crc_stored {
+        if crc32(&buf[8..len]) != le_u32(buf, 4) {
             return None;
         }
-        let kind = RecordKind::from_byte(buf[8])?;
-        let txn = u64::from_le_bytes(buf[16..24].try_into().ok()?);
-        let table = u32::from_le_bytes(buf[24..28].try_into().ok()?);
-        let key = u64::from_le_bytes(buf[32..40].try_into().ok()?);
-        let rid = u64::from_le_bytes(buf[40..48].try_into().ok()?);
-        let prev_rid = u64::from_le_bytes(buf[48..56].try_into().ok()?);
-        let prev_lsn = u64::from_le_bytes(buf[56..64].try_into().ok()?);
-        let payload = buf[FRAME_HEADER..len].to_vec();
-        Some((
-            LogRecord {
-                kind,
-                txn,
-                table,
-                key,
-                rid,
-                prev_rid,
-                prev_lsn,
-                payload,
-            },
-            len,
-        ))
+        RecordKind::from_byte(buf[8]).map(|_| len)
+    }
+
+    /// The record of a frame [`check_frame`](Self::check_frame) accepted
+    /// (`frame` is exactly that frame).
+    fn parse(frame: &'a [u8]) -> Self {
+        LogRecord {
+            kind: RecordKind::from_byte(frame[8]).expect("a checked frame"),
+            txn: le_u64(frame, 16),
+            table: le_u32(frame, 24),
+            key: le_u64(frame, 32),
+            rid: le_u64(frame, 40),
+            prev_rid: le_u64(frame, 48),
+            prev_lsn: le_u64(frame, 56),
+            payload: &frame[FRAME_HEADER..],
+        }
     }
 }
 
@@ -233,16 +236,16 @@ pub struct WalFence {
     pub file_page: u64,
 }
 
-/// Outcome of a checked log scan ([`Wal::read_from`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Outcome of a checked log scan ([`Wal::read_from`]): the clean prefix
+/// of the scanned record stream, held once, and how much of each region
+/// decoded cleanly. Its records borrow their payloads from it.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct WalScanReport {
-    /// Records decoded, in replay order (file portion, then NVM buffer).
-    pub records: Vec<LogRecord>,
-    /// Parallel to `records`: each record's LSN (stream offset of its
-    /// first byte), counted from the LSN of the scan's start. Recovery
-    /// does not filter by them: the scan starts at the fence, so every
-    /// record it returns is part of the tail.
-    pub lsns: Vec<u64>,
+    /// The clean prefix: the file portion's frames, then the NVM
+    /// buffer's. Every frame in it passed [`LogRecord::check_frame`].
+    stream: Vec<u8>,
+    /// LSN of the stream's first byte (the scan's start).
+    start_lsn: u64,
     /// Bytes reassembled from the SSD log-file pages.
     pub file_bytes: usize,
     /// Bytes of the file stream consumed by CRC-valid frames.
@@ -255,6 +258,49 @@ pub struct WalScanReport {
     /// framing checks — a torn or corrupted suffix was cut off and only
     /// the clean prefix was returned.
     pub corrupt: bool,
+}
+
+impl WalScanReport {
+    /// The records, in replay order (file portion, then NVM buffer).
+    pub fn records(&self) -> impl Iterator<Item = LogRecord<'_>> + Clone + '_ {
+        self.frames().map(|(_, record)| record)
+    }
+
+    /// Each record's LSN (stream offset of its first byte), counted from
+    /// the LSN of the scan's start, in the order of
+    /// [`records`](Self::records). Recovery does not filter by them: the
+    /// scan starts at the fence, so every record it returns is part of
+    /// the tail.
+    pub fn lsns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.frames().map(|(lsn, _)| lsn)
+    }
+
+    fn frames(&self) -> impl Iterator<Item = (u64, LogRecord<'_>)> + Clone + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let rest = &self.stream[at..];
+            if rest.is_empty() {
+                return None;
+            }
+            let len = le_u32(rest, 0) as usize;
+            let lsn = self.start_lsn + at as u64;
+            at += len;
+            Some((lsn, LogRecord::parse(&rest[..len])))
+        })
+    }
+}
+
+impl std::fmt::Debug for WalScanReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WalScanReport")
+            .field("records", &self.records().count())
+            .field("file_bytes", &self.file_bytes)
+            .field("file_consumed", &self.file_consumed)
+            .field("nvm_bytes", &self.nvm_bytes)
+            .field("nvm_consumed", &self.nvm_consumed)
+            .field("corrupt", &self.corrupt)
+            .finish()
+    }
 }
 
 impl Wal {
@@ -505,15 +551,17 @@ impl Wal {
     }
 
     /// Read the log from `fence` on — SSD file pages from
-    /// `fence.file_page`, then the live region of the (persistent) NVM
-    /// buffer — labelling the first byte `fence.lsn`, and report how much
-    /// of each region decoded cleanly. Used by recovery with its
-    /// generation's fence, so it reads only the tail it replays. Every
-    /// frame is CRC-checked; a torn or corrupted frame ends the stream at
-    /// the last clean record and sets [`WalScanReport::corrupt`]. A file
-    /// page missing because a crash hit between append and fsync is
-    /// benign: the drain had not recycled the NVM buffer yet, so those
-    /// records are still decoded from NVM.
+    /// `fence.file_page` in one sequential request
+    /// ([`SsdDevice::read_pages`]), then the live region of the
+    /// (persistent) NVM buffer — labelling the first byte `fence.lsn`, and
+    /// report how much of each region decoded cleanly. Used by recovery
+    /// with its generation's fence, so it reads only the tail it replays.
+    /// Every frame is CRC-checked; a torn or corrupted frame ends the
+    /// stream at the last clean record and sets
+    /// [`WalScanReport::corrupt`]. A file page missing because a crash hit
+    /// between append and fsync is benign (the read stops there): the
+    /// drain had not recycled the NVM buffer yet, so those records are
+    /// still decoded from NVM.
     ///
     /// A fence outside the live file — below the base page (truncated
     /// away) or past the last synced page — is [`TxnError::Corrupt`]: the
@@ -527,30 +575,39 @@ impl Wal {
         if fence.file_page > n_pages {
             return Err(TxnError::Corrupt("WAL fence past the log's end"));
         }
-        let mut report = WalScanReport::default();
-        // SSD file portion. Pages are contiguous records chunked at page
-        // boundaries, so reassemble the byte stream first. A fence begins
-        // a fresh page (it drains the buffer), so its page starts a frame.
-        let mut stream = Vec::with_capacity((n_pages - fence.file_page) as usize * self.page_size);
-        let mut page = vec![0u8; self.page_size];
-        for pid in fence.file_page..n_pages {
-            match retry_io(|| self.file.read_page(pid, &mut page)) {
-                Ok(()) => {}
-                Err(DeviceError::PageNotFound(_)) => break,
-                Err(e) => return Err(e.into()),
-            }
-            let valid = u32::from_le_bytes(page[..4].try_into().expect("4 bytes")) as usize;
-            let valid = valid.min(self.page_size - 4);
-            stream.extend_from_slice(&page[4..4 + valid]);
+        // One buffer holds the whole tail: the file pages are read into it
+        // in one request and compacted in place to their valid bytes (a
+        // page starts with its 4-byte valid length; pages are contiguous
+        // records chunked at page boundaries, and a fence begins a fresh
+        // page, so the stream starts on a frame), and the NVM region is
+        // read in after them, into room sized by the buffer's volatile
+        // head (a restart restores it from the persistent one).
+        let ps = self.page_size;
+        let run = (n_pages - fence.file_page) as usize * ps;
+        let mut stream = vec![0u8; run + self.pending_bytes()];
+        let read = retry_io(|| {
+            self.file
+                .read_pages(fence.file_page..n_pages, &mut stream[..run])
+        })?;
+        let mut len = 0;
+        for page in (0..read).map(|i| i * ps) {
+            let valid = (le_u32(&stream, page) as usize).min(ps - 4);
+            stream.copy_within(page + 4..page + 4 + valid, len);
+            len += valid;
         }
-        report.file_bytes = stream.len();
-        report.file_consumed =
-            decode_stream(&stream, fence.lsn, &mut report.records, &mut report.lsns);
+        let mut report = WalScanReport {
+            start_lsn: fence.lsn,
+            file_bytes: len,
+            file_consumed: check_stream(&stream[..len]),
+            ..WalScanReport::default()
+        };
         if report.file_consumed < report.file_bytes {
             // Torn/corrupt bytes inside the file stream: everything after
             // them — including the NVM region, which is later in the log —
             // is past the clean prefix and must not be replayed.
             report.corrupt = true;
+            stream.truncate(report.file_consumed);
+            report.stream = stream;
             return Ok(report);
         }
         // NVM buffer portion: head offset is persistent. Its records sit
@@ -559,19 +616,19 @@ impl Wal {
         retry_io(|| self.nvm.read(0, &mut head_bytes, AccessPattern::Random))?;
         let head = (u64::from_le_bytes(head_bytes) as usize).clamp(DATA_BASE, self.nvm.capacity());
         if head > DATA_BASE {
-            let mut buf = vec![0u8; head - DATA_BASE];
-            retry_io(|| {
-                self.nvm
-                    .read(DATA_BASE, &mut buf, AccessPattern::Sequential)
-            })?;
-            report.nvm_bytes = buf.len();
-            let nvm_base = fence.lsn + report.file_bytes as u64;
-            report.nvm_consumed =
-                decode_stream(&buf, nvm_base, &mut report.records, &mut report.lsns);
-            if report.nvm_consumed < report.nvm_bytes {
-                report.corrupt = true;
+            let end = len + head - DATA_BASE;
+            if stream.len() < end {
+                stream.resize(end, 0);
             }
+            let live = &mut stream[len..end];
+            retry_io(|| self.nvm.read(DATA_BASE, live, AccessPattern::Sequential))?;
+            report.nvm_bytes = live.len();
+            report.nvm_consumed = check_stream(live);
+            report.corrupt = report.nvm_consumed < report.nvm_bytes;
+            len += report.nvm_consumed;
         }
+        stream.truncate(len);
+        report.stream = stream;
         Ok(report)
     }
 
@@ -603,20 +660,12 @@ impl Wal {
     }
 }
 
-/// Decode frames from `buf` until the first invalid one; returns the
-/// number of bytes consumed by valid frames. Each record's LSN is
-/// `base_lsn` plus its offset in `buf`.
-fn decode_stream(
-    buf: &[u8],
-    base_lsn: u64,
-    out: &mut Vec<LogRecord>,
-    lsns: &mut Vec<u64>,
-) -> usize {
+/// The number of bytes the valid frames at the start of `buf` take: the
+/// clean prefix a scan keeps.
+fn check_stream(buf: &[u8]) -> usize {
     let mut consumed = 0;
-    while let Some((rec, used)) = LogRecord::decode(&buf[consumed..]) {
-        out.push(rec);
-        lsns.push(base_lsn + consumed as u64);
-        consumed += used;
+    while let Some(len) = LogRecord::check_frame(&buf[consumed..]) {
+        consumed += len;
     }
     consumed
 }
@@ -635,7 +684,9 @@ impl std::fmt::Debug for Wal {
 mod tests {
     use super::*;
 
-    fn record(txn: u64, kind: RecordKind, payload: &[u8]) -> LogRecord {
+    /// A record whose payload is leaked, so a test's expected records
+    /// outlive the temporaries their payloads are built from.
+    fn record(txn: u64, kind: RecordKind, payload: &[u8]) -> LogRecord<'static> {
         LogRecord {
             kind,
             txn,
@@ -644,7 +695,7 @@ mod tests {
             rid: 7,
             prev_rid: u64::MAX,
             prev_lsn: u64::MAX,
-            payload: payload.to_vec(),
+            payload: payload.to_vec().leak(),
         }
     }
 
@@ -659,9 +710,8 @@ mod tests {
         ] {
             let r = record(9, kind, b"hello world");
             let bytes = r.encode();
-            let (decoded, used) = LogRecord::decode(&bytes).unwrap();
-            assert_eq!(used, bytes.len());
-            assert_eq!(decoded, r);
+            assert_eq!(LogRecord::check_frame(&bytes), Some(bytes.len()));
+            assert_eq!(LogRecord::parse(&bytes), r);
         }
     }
 
@@ -670,12 +720,16 @@ mod tests {
         let r = record(9, RecordKind::Commit, b"x");
         let mut bytes = r.encode();
         bytes[20] ^= 0xFF;
-        assert!(LogRecord::decode(&bytes).is_none());
+        assert!(LogRecord::check_frame(&bytes).is_none());
         // Truncated frame.
         let bytes = r.encode();
-        assert!(LogRecord::decode(&bytes[..bytes.len() - 1]).is_none());
+        assert!(LogRecord::check_frame(&bytes[..bytes.len() - 1]).is_none());
         // Empty/zero region (the padding case).
-        assert!(LogRecord::decode(&[0u8; 128]).is_none());
+        assert!(LogRecord::check_frame(&[0u8; 128]).is_none());
+    }
+
+    fn txns(report: &WalScanReport) -> Vec<u64> {
+        report.records().map(|r| r.txn).collect()
     }
 
     fn wal() -> Wal {
@@ -691,7 +745,10 @@ mod tests {
             w.append(&r).unwrap();
             expect.push(r);
         }
-        assert_eq!(w.read_all_checked().unwrap().records, expect);
+        assert_eq!(
+            w.read_all_checked().unwrap().records().collect::<Vec<_>>(),
+            expect
+        );
     }
 
     #[test]
@@ -709,7 +766,10 @@ mod tests {
         let r = record(99, RecordKind::Commit, &[]);
         w.append(&r).unwrap();
         expect.push(r);
-        assert_eq!(w.read_all_checked().unwrap().records, expect);
+        assert_eq!(
+            w.read_all_checked().unwrap().records().collect::<Vec<_>>(),
+            expect
+        );
     }
 
     #[test]
@@ -720,7 +780,7 @@ mod tests {
             w.append(&record(i, RecordKind::Update, &[1u8; 500]))
                 .unwrap();
         }
-        assert_eq!(w.read_all_checked().unwrap().records.len(), 40);
+        assert_eq!(w.read_all_checked().unwrap().records().count(), 40);
         assert!(w.pending_bytes() < 8192);
     }
 
@@ -733,9 +793,9 @@ mod tests {
         }
         // Crash: appended records were persisted record-by-record.
         w.simulate_crash();
-        let recovered = w.read_all_checked().unwrap().records;
-        assert_eq!(recovered.len(), 5);
-        assert!(recovered.iter().all(|r| r.payload == b"durable"));
+        let recovered = w.read_all_checked().unwrap();
+        assert_eq!(recovered.records().count(), 5);
+        assert!(recovered.records().all(|r| r.payload == b"durable"));
     }
 
     #[test]
@@ -772,9 +832,9 @@ mod tests {
         let report = w.read_all_checked().unwrap();
         assert!(report.corrupt, "torn frame must be flagged");
         assert!(report.file_consumed < report.file_bytes);
-        assert!(report.records.len() < 6, "some records must be cut off");
+        assert!(report.records().count() < 6, "some records must be cut off");
         // Whatever survived is the *clean prefix*, in order from the start.
-        for (i, r) in report.records.iter().enumerate() {
+        for (i, r) in report.records().enumerate() {
             assert_eq!(r.txn, i as u64);
         }
     }
@@ -796,7 +856,10 @@ mod tests {
         // Power loss: the drained file pages were fsynced, the tail is in
         // persistent NVM, and the remounted cursors find both.
         w.simulate_crash();
-        assert_eq!(w.read_all_checked().unwrap().records, expect);
+        assert_eq!(
+            w.read_all_checked().unwrap().records().collect::<Vec<_>>(),
+            expect
+        );
     }
 
     #[test]
@@ -826,7 +889,10 @@ mod tests {
         // Crash: the un-synced file pages evaporate, but every record is
         // still in the persistent NVM buffer.
         w.simulate_crash();
-        assert_eq!(w.read_all_checked().unwrap().records, expect);
+        assert_eq!(
+            w.read_all_checked().unwrap().records().collect::<Vec<_>>(),
+            expect
+        );
     }
 
     #[test]
@@ -846,8 +912,8 @@ mod tests {
         w.append(&record(6, RecordKind::Commit, &[])).unwrap();
         expect_lsns.push(at);
         let report = w.read_all_checked().unwrap();
-        assert_eq!(report.records.len(), report.lsns.len());
-        assert_eq!(report.lsns, expect_lsns);
+        assert_eq!(report.records().count(), report.lsns().count());
+        assert_eq!(report.lsns().collect::<Vec<_>>(), expect_lsns);
         assert_eq!(w.current_lsn(), w.log_bytes());
     }
 
@@ -875,8 +941,7 @@ mod tests {
         assert!(report.corrupt, "mid-record corruption must be flagged");
         // Only the first record survives: the CRC failure ends the stream
         // even though records 3 and 4 are intact after the bad frame.
-        assert_eq!(report.records.len(), 1);
-        assert_eq!(report.records[0].txn, 0);
+        assert_eq!(txns(&report), vec![0]);
         assert!(report.nvm_consumed < report.nvm_bytes);
     }
 
@@ -893,7 +958,7 @@ mod tests {
         assert!(!report.corrupt);
         assert_eq!(report.file_consumed, report.file_bytes);
         assert_eq!(report.nvm_consumed, report.nvm_bytes);
-        assert_eq!(report.records.len(), 6);
+        assert_eq!(report.records().count(), 6);
     }
 
     #[test]
@@ -912,12 +977,9 @@ mod tests {
         }
         let report = w.read_all_checked().unwrap();
         assert!(!report.corrupt);
-        assert_eq!(
-            report.records.iter().map(|r| r.txn).collect::<Vec<_>>(),
-            vec![10, 11, 12]
-        );
+        assert_eq!(txns(&report), vec![10, 11, 12]);
         // LSNs keep counting across the truncation (monotonic stream).
-        assert_eq!(report.lsns[0], w.base_lsn());
+        assert_eq!(report.lsns().next(), Some(w.base_lsn()));
         // Now corrupt the newest record's tail: the clean prefix is the
         // post-truncation records minus the damaged one.
         let head = w.state.lock().head;
@@ -927,10 +989,7 @@ mod tests {
         w.nvm.persist(at, 1).unwrap();
         let report = w.read_all_checked().unwrap();
         assert!(report.corrupt);
-        assert_eq!(
-            report.records.iter().map(|r| r.txn).collect::<Vec<_>>(),
-            vec![10, 11]
-        );
+        assert_eq!(txns(&report), vec![10, 11]);
     }
 
     #[test]
@@ -950,10 +1009,9 @@ mod tests {
         // it by LSN.
         let report = w.read_all_checked().unwrap();
         let past: Vec<u64> = report
-            .records
-            .iter()
-            .zip(&report.lsns)
-            .filter(|(_, &lsn)| lsn >= fence.lsn)
+            .records()
+            .zip(report.lsns())
+            .filter(|&(_, lsn)| lsn >= fence.lsn)
             .map(|(r, _)| r.txn)
             .collect();
         assert_eq!(past, vec![5, 6, 7]);
@@ -966,11 +1024,8 @@ mod tests {
         let tail_len = 3 * record(0, RecordKind::Update, &[0u8; 60]).frame_len() as u64;
         assert_eq!(w.log_bytes(), tail_len);
         let report = w.read_all_checked().unwrap();
-        assert_eq!(
-            report.records.iter().map(|r| r.txn).collect::<Vec<_>>(),
-            vec![5, 6, 7]
-        );
-        assert!(report.lsns.iter().all(|&l| l >= fence.lsn));
+        assert_eq!(txns(&report), vec![5, 6, 7]);
+        assert!(report.lsns().all(|l| l >= fence.lsn));
 
         // The cursors and the recomputed LSN survive a crash; the
         // discarded pages stay gone.
@@ -981,8 +1036,8 @@ mod tests {
         assert_eq!(w.base_lsn(), fence.lsn);
         assert_eq!(w.log_bytes(), tail_len);
         let report = w.read_all_checked().unwrap();
-        assert_eq!(report.records.len(), 3);
-        assert_eq!(report.lsns[0], fence.lsn);
+        assert_eq!(report.records().count(), 3);
+        assert_eq!(report.lsns().next(), Some(fence.lsn));
     }
 
     #[test]
@@ -1014,7 +1069,7 @@ mod tests {
             w.read_from(past),
             Err(TxnError::Corrupt("WAL fence past the log's end"))
         );
-        assert!(w.read_from(new).unwrap().records.is_empty());
+        assert_eq!(w.read_from(new).unwrap().records().count(), 0);
     }
 
     #[test]
@@ -1036,8 +1091,7 @@ mod tests {
         w.append(&record(8, RecordKind::Commit, &[])).unwrap();
         let tail = |w: &Wal| {
             let report = w.read_from(fence).unwrap();
-            let txns: Vec<u64> = report.records.iter().map(|r| r.txn).collect();
-            (txns, report.lsns)
+            (txns(&report), report.lsns().collect::<Vec<_>>())
         };
         let (txns, lsns) = tail(&w);
         assert_eq!(txns, vec![5, 6, 7, 8]);
@@ -1050,8 +1104,8 @@ mod tests {
         w.persist_word(BASE_LSN_AT, fence.lsn).unwrap();
         w.simulate_crash();
         let from_base = w.read_all_checked().unwrap();
-        assert_eq!(from_base.records[0].txn, 0);
-        assert_eq!(from_base.lsns[0], fence.lsn);
+        assert_eq!(from_base.records().next().unwrap().txn, 0);
+        assert_eq!(from_base.lsns().next(), Some(fence.lsn));
         // A scan from the fence reads and labels exactly the tail.
         let (txns, lsns) = tail(&w);
         assert_eq!(txns, vec![5, 6, 7, 8]);
@@ -1078,7 +1132,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let recs = w.read_all_checked().unwrap().records;
+        let report = w.read_all_checked().unwrap();
+        let recs: Vec<_> = report.records().collect();
         assert_eq!(recs.len(), 400);
         // Per-thread order must be preserved.
         for t in 0..4u64 {

@@ -304,7 +304,7 @@ fn a_logged_write_to_an_unknown_table_fails_recovery() {
             rid: 0,
             prev_rid: NO_RID,
             prev_lsn: u64::MAX,
-            payload: tuple(1),
+            payload: &tuple(1),
         })
         .unwrap();
     db.simulate_crash();

@@ -514,10 +514,13 @@ fn recovery_reads_only_the_log_tail() {
     let stats = db.recover().unwrap();
     assert_eq!(stats.snapshot_generation, 2);
     assert_eq!(stats.log_bytes, tail_bytes);
+    // A log page is one SSD write unit; the tail is one sequential read.
+    let log_page = DeviceProfile::optane_ssd().access_granularity as u64;
+    let read = db.wal().file_stats().snapshot().delta(&before);
     assert_eq!(
-        db.wal().file_stats().snapshot().delta(&before).read_ops,
-        tail_pages,
-        "the tail's {tail_pages} log pages, not the {skipped} before them"
+        (read.bytes_read, read.read_ops),
+        (tail_pages * log_page, 1),
+        "the tail's {tail_pages} log pages in one request, not the {skipped} before them"
     );
     assert_eq!(stats.redone as u64, TAIL);
     assert_contents(&db, &model, LOAD + 2);
@@ -613,6 +616,71 @@ fn loser_tail_transactions_are_undone_on_instant_restart() {
     assert_eq!(stats.snapshot_generation, 1);
     assert_eq!(stats.losers, 1);
     assert_contents(&db, &model, 32);
+}
+
+/// Recovery rebuilds each index in one bulk load of the generation's run
+/// with the tail's outcome per key merged in: a winner's write points its
+/// key at the new slot, a loser's update points back at the slot it
+/// superseded, a loser's fresh insert is removed, and a table created in
+/// the tail gets an index from its fix-ups alone. Two recoveries from the
+/// same crash image rebuild the same indexes.
+#[test]
+fn recovery_merges_the_tail_into_each_index_run() {
+    let db = database();
+    // Even keys, so fresh inserts land between run keys as well as past
+    // them.
+    write_all(&db, &(0..40).map(|k| (2 * k, 1)).collect::<Vec<_>>());
+    db.checkpoint().unwrap();
+    let run = db.index_entries(T).unwrap();
+    assert_eq!(run.len(), 40);
+
+    // Winners: an update of run key 4, fresh keys 13 and 200, and table 2.
+    write_all(&db, &[(4, 2), (13, 2), (200, 2)]);
+    db.create_table(2, TUPLE).unwrap();
+    let mut txn = db.begin();
+    for k in [5u64, 1, 9] {
+        db.insert(&mut txn, 2, k, &tuple(k as u8)).unwrap();
+    }
+    db.commit(&mut txn).unwrap();
+    let committed = db.index_entries(T).unwrap();
+    let committed_2 = db.index_entries(2).unwrap();
+    assert_eq!(committed.len(), 42);
+    assert_ne!(committed, run, "key 4 moved to its new version");
+
+    // Losers, in flight at the crash: a winner-written key and a run key
+    // updated, a fresh key inserted between run keys.
+    let mut loser = db.begin();
+    db.update(&mut loser, T, 4, &tuple(3)).unwrap();
+    db.update(&mut loser, T, 8, &tuple(3)).unwrap();
+    db.insert(&mut loser, T, 11, &tuple(3)).unwrap();
+    let live = db.index_entries(T).unwrap();
+    assert!(live.iter().any(|&(k, _)| k == 11));
+    assert!(live.len() == committed.len() + 1 && live != committed);
+
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!((stats.snapshot_generation, stats.losers), (1, 1));
+    let rebuilt = (db.index_entries(T).unwrap(), db.index_entries(2).unwrap());
+    assert_eq!(rebuilt, (committed.clone(), committed_2.clone()));
+    assert_eq!(stats.index_entries, committed.len() + committed_2.len());
+
+    // Recovered state reads back through the rebuilt indexes.
+    let mut model: std::collections::HashMap<(u32, u64), u8> =
+        (0..40).map(|k| ((T, 2 * k), 1)).collect();
+    model.extend([((T, 4), 2), ((T, 13), 2), ((T, 200), 2)]);
+    model.extend([5u64, 1, 9].map(|k| ((2, k), k as u8)));
+    assert_tables(&db, &model);
+    let txn = db.begin();
+    assert_eq!(db.read(&txn, T, 11).unwrap_err(), TxnError::NotFound);
+
+    // The same crash image again: the same indexes.
+    db.simulate_crash();
+    let again = db.recover().unwrap();
+    assert_eq!(again.index_entries, stats.index_entries);
+    assert_eq!(
+        (db.index_entries(T).unwrap(), db.index_entries(2).unwrap()),
+        rebuilt
+    );
 }
 
 /// Rewrite every key with `byte` and checkpoint, `rounds` times: the

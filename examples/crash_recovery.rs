@@ -91,6 +91,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.nvm_pages,
         stats.index_entries
     );
+    println!(
+        "recovery time: log read {} us, replay {} us, index rebuild {} us",
+        stats.log_read_us, stats.replay_us, stats.index_us
+    );
 
     let t = db.begin();
     let row7 = db.read(&t, TABLE, 7)?;
