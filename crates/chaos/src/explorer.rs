@@ -118,8 +118,9 @@ pub struct ChaosConfig {
     pub plan: Option<FaultPlan>,
     /// Whether a corrupt WAL tail is a violation. Keep `true` unless the
     /// plan injects torn writes (which legitimately corrupt the tail —
-    /// the invariant then is that the checksum *detects* it, which
-    /// `read_all_checked` reports rather than mis-replaying).
+    /// the invariant then is that the checksum *detects* it, which a scan
+    /// of the whole retained log, `read_from(wal.base())`, reports rather
+    /// than mis-replaying).
     pub expect_clean_log: bool,
     /// Back the SSD tier with a real file ([`SsdBackendConfig::File`],
     /// auto-removed temp file) instead of the in-memory emulation, so the
@@ -214,7 +215,7 @@ fn crash_and_verify(
 
     // Invariant: the log replays as a clean prefix. (Checked on the
     // post-crash image, i.e. exactly what recovery will see.)
-    match db.wal().read_all_checked() {
+    match db.wal().read_from(db.wal().base()) {
         Ok(report) => {
             if report.corrupt && expect_clean_log {
                 v.violations.push(format!(

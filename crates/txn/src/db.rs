@@ -1,7 +1,7 @@
 //! The transactional database: MVTO over versioned tables, indexed by
 //! B+Trees, logged through the NVM-aware WAL, recovered ARIES-style.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -679,8 +679,10 @@ impl Database {
             let rel = self.relation(w.table)?;
             let (table, index) = (&rel.table, &rel.index);
             let _stripe = self.locks.lock(w.table, w.key);
-            // Unhook the new version.
+            // Unhook the new version; its slot is reused once a checkpoint
+            // past this abort installs.
             table.write_visit(w.new_rid)?.stamp(Field::Begin, ABORTED)?;
+            table.retire_slot(w.new_rid);
             if w.old_rid != NO_RID {
                 let old = table.write_visit(w.old_rid)?;
                 if old.header()?.end == (MARK | txn.id) {
@@ -751,7 +753,8 @@ impl Database {
     /// 5. redo — create the tail's tables and re-apply winners' writes with
     ///    their commit timestamps, growing each table over the pages added
     ///    after the fence (they get fresh page ids; the old ids are
-    ///    orphaned); undo — mark losers' versions aborted;
+    ///    orphaned); undo — mark losers' versions aborted and, unless
+    ///    the generation is a fallback, retire their slots;
     /// 6. rebuild each index in one bulk load: the generation's run with
     ///    the tail's outcome per key merged in.
     ///
@@ -768,7 +771,7 @@ impl Database {
         self.debts_lost.store(true, Ordering::Release);
         self.bm.recover_page_allocator();
 
-        let (manifest, mut runs) = self.snapshots.recover()?;
+        let (manifest, mut runs, fell_back) = self.snapshots.recover()?;
         stats.snapshot_generation = manifest.generation;
         // Covers every page the page runs list.
         self.bm.admin().set_next_page_id(manifest.next_page_id);
@@ -798,7 +801,8 @@ impl Database {
         stats.log_read_us = clock.elapsed().as_micros() as u64;
 
         let clock = Instant::now();
-        let mut outcome = self.replay_records(&mut tables, tail.records(), &mut stats)?;
+        let mut outcome =
+            self.replay_records(&mut tables, tail.records(), !fell_back, &mut stats)?;
         drop(tail);
         stats.replay_us = clock.elapsed().as_micros() as u64;
 
@@ -832,12 +836,14 @@ impl Database {
     /// Analysis + redo + undo over the log tail `records`, in log order:
     /// a `CreateTable` record opens its table into `tables`, and a write
     /// to a table neither the manifest nor the tail created is corruption
-    /// ([`TxnError::UnknownTable`]). Updates `stats` and returns the index
-    /// fix-ups and timestamp watermarks.
+    /// ([`TxnError::UnknownTable`]). With `retire_losers`, losers' slots
+    /// are retired. Updates `stats` and returns the index fix-ups and
+    /// timestamp watermarks.
     fn replay_records<'a>(
         &self,
         tables: &mut BTreeMap<u32, Table>,
         records: impl Iterator<Item = LogRecord<'a>> + Clone,
+        retire_losers: bool,
         stats: &mut RecoveryStats,
     ) -> Result<ReplayOutcome> {
         // Analysis.
@@ -862,6 +868,7 @@ impl Database {
         // loser's points back at the version it superseded, or removes a
         // fresh insert.
         let mut fixups: BTreeMap<u32, BTreeMap<u64, u64>> = BTreeMap::new();
+        let mut loser_slots = BTreeSet::new();
         let mut max_ts = 2u64;
         let mut max_txn = 1u64;
         for r in records {
@@ -898,11 +905,8 @@ impl Database {
                         stats.redone += 1;
                     } else {
                         // Loser: make the slot permanently invisible.
-                        {
-                            let slot = table.write_visit_or_grow(r.rid)?;
-                            slot.stamp(Field::Begin, ABORTED)?;
-                            slot.stamp(Field::Key, r.key)?;
-                        }
+                        table.undo_version(r.rid, r.key)?;
+                        loser_slots.insert((r.table, r.rid));
                         // Reopen the superseded version if the marker
                         // survived on it.
                         if r.prev_rid != NO_RID {
@@ -916,6 +920,18 @@ impl Database {
                     }
                 }
                 _ => {}
+            }
+        }
+        // A loser's slot is retired, as a rollback retires it, when the
+        // tail follows the newest generation: the slot was fresh or
+        // released at that install, so nothing else leads to it. After a
+        // fallback it is not: a slot the newer install released may have
+        // held a version in the older interval, and a chain that the older
+        // image or a replayed record re-links still leads to it, so vacuum
+        // retires it when it frees that chain.
+        if retire_losers {
+            for (id, rid) in loser_slots {
+                tables[&id].retire_slot(rid);
             }
         }
         Ok(ReplayOutcome {

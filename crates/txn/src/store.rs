@@ -268,7 +268,8 @@ impl SnapshotStore {
 
     /// The one read at recovery: read the superblock once and each
     /// generation it names once, newest first, and return the manifest
-    /// and runs (by table) of the first that validates. The in-memory
+    /// and runs (by table) of the first that validates, and whether a
+    /// newer named generation failed to (a fallback). The in-memory
     /// state is rebuilt from the same reads: the generations that
     /// validate, and the free set (every block below the highest
     /// referenced one that none of them references). A generation that
@@ -282,7 +283,7 @@ impl SnapshotStore {
     /// is present but fails to decode may have named generations, so it is
     /// [`TxnError::Corrupt`]; so is one that names generations none of
     /// which validates.
-    pub(crate) fn recover(&self) -> Result<(Manifest, Runs)> {
+    pub(crate) fn recover(&self) -> Result<(Manifest, Runs, bool)> {
         let mut page = vec![0u8; self.page_size];
         let named = self.read_superblock(&mut page)?;
         let mut state = StoreState::empty();
@@ -323,8 +324,11 @@ impl SnapshotStore {
             .collect();
         *self.state.lock() = state;
         match newest {
-            Some(newest) => Ok(newest),
-            None if named.is_empty() => Ok((Manifest::default(), Runs::default())),
+            Some((manifest, runs)) => {
+                let fell_back = named.last().map(|g| g.generation) != Some(manifest.generation);
+                Ok((manifest, runs, fell_back))
+            }
+            None if named.is_empty() => Ok((Manifest::default(), Runs::default(), false)),
             None => Err(TxnError::Corrupt("no retained generation validates")),
         }
     }
@@ -1004,7 +1008,7 @@ mod tests {
         assert_eq!(blocks, 3 + 1 + 1, "60 ids in three blocks, a run, one id");
 
         s.simulate_crash();
-        let (_, runs) = s.recover().unwrap();
+        let (_, runs, _) = s.recover().unwrap();
         assert_eq!(runs.pages.len(), 2, "an empty list writes no run");
         assert_eq!(runs.pages[&3], pages);
         assert_eq!(runs.pages[&4], [PageId(7)]);

@@ -68,6 +68,7 @@ use parking_lot::RwLock;
 use spitfire_core::{BufferManager, PageId, ReadGuard, WriteGuard};
 
 use crate::error::TxnError;
+use crate::mvto::ABORTED;
 use crate::Result;
 
 /// Bytes of MVTO header per version slot.
@@ -438,8 +439,22 @@ impl Table {
         Ok(())
     }
 
-    /// Retire `rid` (vacuum). The caller must have already unlinked it
-    /// from every version chain and cleared its header.
+    /// Undo a loser's logged version in `rid` (recovery): stamp it aborted
+    /// under its key, growing the table if need be, and keep the slot
+    /// allocator from re-issuing the slot — it is reused only through
+    /// [`retire_slot`](Self::retire_slot).
+    pub(crate) fn undo_version(&self, rid: u64, key: u64) -> Result<()> {
+        let slot = self.write_visit_or_grow(rid)?;
+        slot.stamp(Field::Begin, ABORTED)?;
+        slot.stamp(Field::Key, key)?;
+        self.next_slot.fetch_max(rid + 1, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// Retire `rid` (vacuum, or an aborted version). The caller must have
+    /// already unlinked it from every version chain and either cleared its
+    /// header (vacuum) or stamped its `Begin` as `ABORTED` (a rollback or
+    /// recovery's undo, after which no chain or index entry leads to it).
     ///
     /// A retired slot is not reused yet: until a checkpoint makes the cut
     /// durable, a crash replays log records that link a keeper back to it.

@@ -13,15 +13,23 @@
 //! the file in the record stream ("the NVM log buffer needs to be appended
 //! to the log file since the buffer is persistent").
 //!
+//! Each log-file page names the LSN of its first byte in its header, and
+//! every retained stretch of the file starts with such a page: the log's
+//! first page and each fence's page ([`Wal::fence`]) carry no records,
+//! only the LSN the log continues at. So a restart reopens the log from
+//! three cursor words and at most two pages — the base page names where
+//! the retained log starts, the last page (its start plus its valid
+//! length) where the file ends — and a scan checks that each page starts
+//! where the stream it has assembled ends.
+//!
 //! The log file does not grow with history: each checkpoint's
-//! [`Wal::truncate_to`] moves the persistent base cursors to the previous
-//! generation's fence and then hands the file pages below it back to the
-//! device. Once two generations exist the file holds the log since the
-//! older one's fence: the interval between the two fences plus the log
-//! since the newest (at most two intervals when the next checkpoint
-//! comes). Until the second checkpoint nothing is truncated and the file
-//! holds everything since the start; recovery still reads only the tail
-//! past its generation's fence ([`Wal::read_from`]).
+//! [`Wal::truncate_to`] persists one word, the base page, moving it to
+//! the oldest retained generation's fence, and then hands the file pages
+//! below it back to the device. Once two generations exist the file holds
+//! the log since the older one's fence: the interval between the two
+//! fences plus the log since the newest (at most two intervals when the
+//! next checkpoint comes). Recovery reads only the tail past its
+//! generation's fence ([`Wal::read_from`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,23 +185,13 @@ impl<'a> LogRecord<'a> {
 /// The write-ahead log: NVM ring buffer + SSD log file.
 pub struct Wal {
     /// Dedicated NVM region for the log buffer (separate from the buffer
-    /// pool's NVM, as in the paper's shared log buffer).
+    /// pool's NVM, as in the paper's shared log buffer). The region below
+    /// [`DATA_BASE`] holds the persistent cursors.
     nvm: NvmDevice,
-    /// Byte offset of the next append within the NVM buffer. The low
-    /// region `[0, 8)` persistently stores this offset so recovery knows
-    /// how much of the buffer is live.
     state: Mutex<WalState>,
-    /// SSD log file: fixed-size pages appended in sequence.
+    /// SSD log file: fixed-size pages appended in sequence, each starting
+    /// with a [`PAGE_HEADER`].
     file: SsdDevice,
-    next_file_page: AtomicU64,
-    /// First live log-file page: pages below this were truncated away by a
-    /// checkpoint fence ([`Wal::truncate_to`]). Persisted below
-    /// [`DATA_BASE`] like the other cursors.
-    file_base_page: AtomicU64,
-    /// LSN of the first byte of `file_base_page` — the stream position the
-    /// live log starts at. `log_bytes()` and the LSNs
-    /// [`Wal::read_all_checked`] assigns are measured from here.
-    base_lsn: AtomicU64,
     /// Drain threshold (fraction of the buffer).
     drain_at: usize,
     page_size: usize,
@@ -201,30 +199,40 @@ pub struct Wal {
     lsn: AtomicU64,
 }
 
+/// The log's cursors, each persisted in its own word below [`DATA_BASE`].
 struct WalState {
+    /// Byte offset of the next append within the NVM buffer ([`HEAD_AT`]).
     head: usize,
+    /// Log-file pages appended and synced ([`FILE_PAGES_AT`]).
+    file_pages: u64,
+    /// The last truncation point. Only its page is persisted
+    /// ([`FILE_BASE_AT`]): that page's header names its LSN.
+    base: WalFence,
 }
 
 /// Byte offset where log records start in the NVM buffer (after the
-/// persistent head word).
+/// persistent cursors).
 const DATA_BASE: usize = 64;
 
-/// Byte offset of the persistent count of synced log-file pages. Like the
-/// head word, this lives in the reserved region below [`DATA_BASE`] so a
-/// restart can re-open the log file at the right length.
+/// Byte offset of the persistent NVM buffer head.
+const HEAD_AT: usize = 0;
+
+/// Byte offset of the persistent count of synced log-file pages.
 const FILE_PAGES_AT: usize = 8;
 
-/// Byte offset of the persistent first-live-file-page cursor.
+/// Byte offset of the persistent first-retained-file-page cursor.
 const FILE_BASE_AT: usize = 16;
 
-/// Byte offset of the persistent base LSN (stream position of the first
-/// live file page).
-const BASE_LSN_AT: usize = 24;
+/// A log-file page starts with its valid length (u32) and the LSN of its
+/// first byte (u64).
+const PAGE_HEADER: usize = 12;
 
 /// A WAL fence: the durable log position captured by a checkpoint. All
 /// records appended before the fence have `LSN < lsn` and live entirely in
 /// file pages below `file_page` (the fence is taken after a full drain, so
-/// the NVM buffer is empty and no record straddles it). A checkpoint's
+/// the NVM buffer is empty and no record straddles it). `file_page` is the
+/// fence's own page: it holds no record and its header names `lsn`, so a
+/// log truncated to the fence still tells where it starts. A checkpoint's
 /// manifest records the whole fence, so recovery finds the tail by page.
 ///
 /// The default fence, `{0, 0}`, is the start of the log.
@@ -232,7 +240,8 @@ const BASE_LSN_AT: usize = 24;
 pub struct WalFence {
     /// First LSN past the fence.
     pub lsn: u64,
-    /// First log-file page past the fence.
+    /// The fence's own log-file page; the tail starts on the page after
+    /// it.
     pub file_page: u64,
 }
 
@@ -315,19 +324,20 @@ impl Wal {
         assert!(buffer_bytes > DATA_BASE + 1024, "log buffer too small");
         let wal = Wal {
             nvm: NvmDevice::new(buffer_bytes, scale, tracking),
-            state: Mutex::new(WalState { head: DATA_BASE }),
+            state: Mutex::new(WalState {
+                head: DATA_BASE,
+                file_pages: 0,
+                base: WalFence::default(),
+            }),
             file: SsdDevice::with_tracking(page_size, scale, tracking),
-            next_file_page: AtomicU64::new(0),
-            file_base_page: AtomicU64::new(0),
-            base_lsn: AtomicU64::new(0),
             drain_at: buffer_bytes * 3 / 4,
             page_size,
             lsn: AtomicU64::new(0),
         };
-        wal.persist_head(DATA_BASE)?;
-        wal.persist_file_pages(0)?;
+        wal.persist_word(HEAD_AT, DATA_BASE as u64)?;
         wal.persist_word(FILE_BASE_AT, 0)?;
-        wal.persist_word(BASE_LSN_AT, 0)?;
+        // The log's first page is the default fence's: it names LSN 0.
+        wal.fence()?;
         Ok(wal)
     }
 
@@ -337,25 +347,6 @@ impl Wal {
             self.nvm
                 .write(at, &value.to_le_bytes(), AccessPattern::Random)?;
             self.nvm.persist(at, 8)
-        })?;
-        Ok(())
-    }
-
-    fn persist_head(&self, head: usize) -> Result<()> {
-        retry_io(|| {
-            self.nvm
-                .write(0, &(head as u64).to_le_bytes(), AccessPattern::Random)?;
-            self.nvm.persist(0, 8)
-        })?;
-        Ok(())
-    }
-
-    /// Persist the count of durably-synced log-file pages.
-    fn persist_file_pages(&self, n: u64) -> Result<()> {
-        retry_io(|| {
-            self.nvm
-                .write(FILE_PAGES_AT, &n.to_le_bytes(), AccessPattern::Random)?;
-            self.nvm.persist(FILE_PAGES_AT, 8)
         })?;
         Ok(())
     }
@@ -373,7 +364,7 @@ impl Wal {
         let bytes = record.encode();
         let mut state = self.state.lock();
         if state.head + bytes.len() > self.nvm.capacity() {
-            self.drain_locked(&mut state)?;
+            self.drain_locked(&mut state, false)?;
             if state.head + bytes.len() > self.nvm.capacity() {
                 return Err(TxnError::LogRecordTooLarge(bytes.len()));
             }
@@ -384,94 +375,96 @@ impl Wal {
             self.nvm.persist(at, bytes.len())
         })?;
         state.head = at + bytes.len();
-        self.persist_head(state.head)?;
+        self.persist_word(HEAD_AT, state.head as u64)?;
         let lsn = self.lsn.fetch_add(bytes.len() as u64, Ordering::AcqRel);
         if state.head >= self.drain_at {
-            self.drain_locked(&mut state)?;
+            self.drain_locked(&mut state, false)?;
         }
         spitfire_obs::record_since(spitfire_obs::Op::WalAppend, obs_t);
         Ok(lsn)
     }
 
-    /// Move the NVM buffer's contents to the SSD log file and recycle it.
-    fn drain_locked(&self, state: &mut WalState) -> Result<()> {
+    /// Move the NVM buffer's contents to the SSD log file and recycle it;
+    /// with `fence`, end the appended pages with an empty one that names
+    /// the LSN the log continues at (see [`Wal::fence`]).
+    fn drain_locked(&self, state: &mut WalState, fence: bool) -> Result<()> {
         let live = state.head - DATA_BASE;
-        if live == 0 {
+        if live == 0 && !fence {
             return Ok(());
         }
         let mut buf = vec![0u8; live];
-        retry_io(|| {
-            self.nvm
-                .read(DATA_BASE, &mut buf, AccessPattern::Sequential)
-        })?;
-        // Append as page-sized chunks. Each file page starts with a 4-byte
-        // valid-length header so partial pages from different drains can be
-        // stitched back into one record stream.
-        for chunk in buf.chunks(self.page_size - 4) {
+        if live > 0 {
+            retry_io(|| {
+                self.nvm
+                    .read(DATA_BASE, &mut buf, AccessPattern::Sequential)
+            })?;
+        }
+        // Append as page-sized chunks, each behind a header naming its
+        // valid length and its first byte's LSN, so partial pages from
+        // different drains stitch back into one record stream. A failed
+        // drain leaves `file_pages` where it was: the retry rewrites the
+        // same pages with the same records.
+        let mut lsn = self.lsn.load(Ordering::Acquire) - live as u64;
+        let mut pid = state.file_pages;
+        let chunks = buf.chunks(self.page_size - PAGE_HEADER);
+        for chunk in chunks.chain(fence.then_some(&[][..])) {
             let mut page = vec![0u8; self.page_size];
             page[..4].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
-            page[4..4 + chunk.len()].copy_from_slice(chunk);
-            let pid = self.next_file_page.fetch_add(1, Ordering::AcqRel);
+            page[4..PAGE_HEADER].copy_from_slice(&lsn.to_le_bytes());
+            page[PAGE_HEADER..PAGE_HEADER + chunk.len()].copy_from_slice(chunk);
             retry_io(|| self.file.append_page(pid, &page))?;
+            pid += 1;
+            lsn += chunk.len() as u64;
         }
         // Durability barrier before recycling the buffer: the file pages
         // must reach stable storage before the NVM copy of the records is
         // dropped. A crash between the sync and the head reset merely
         // replays the drained records twice — redo is idempotent.
         retry_io(|| self.file.sync())?;
-        self.persist_file_pages(self.next_file_page.load(Ordering::Acquire))?;
+        self.persist_word(FILE_PAGES_AT, pid)?;
+        state.file_pages = pid;
         state.head = DATA_BASE;
-        self.persist_head(DATA_BASE)?;
+        self.persist_word(HEAD_AT, DATA_BASE as u64)?;
         Ok(())
     }
 
     /// Force the NVM buffer into the log file (checkpoint, shutdown).
     pub fn drain(&self) -> Result<()> {
         let mut state = self.state.lock();
-        self.drain_locked(&mut state)
+        self.drain_locked(&mut state, false)
     }
 
     /// Capture a fence: drain the NVM buffer so every appended record is
-    /// in the log file, then record the durable log position. Used by the
-    /// checkpointer; see [`WalFence`].
+    /// in the log file, append and sync the fence's own empty page (its
+    /// header names the fence LSN), then record the durable log position.
+    /// Used by the checkpointer; see [`WalFence`].
     pub fn fence(&self) -> Result<WalFence> {
         let mut state = self.state.lock();
-        self.drain_locked(&mut state)?;
+        self.drain_locked(&mut state, true)?;
         Ok(WalFence {
             lsn: self.lsn.load(Ordering::Acquire),
-            file_page: self.next_file_page.load(Ordering::Acquire),
+            file_page: state.file_pages - 1,
         })
     }
 
-    /// Truncate everything before `fence`: subsequent scans start at
-    /// `fence.file_page` with LSNs measured from `fence.lsn`, and the file
-    /// pages `[old base, fence.file_page)` go back to the device
-    /// ([`SsdDevice::discard`]) — the log file occupies its live pages,
-    /// not every page it was ever handed. A checkpoint truncates to the
-    /// oldest retained generation's fence so a CRC-mismatch fallback one
-    /// generation back still finds its WAL tail.
-    ///
-    /// The base LSN is persisted before the base page. A crash between the
-    /// two leaves the base page below the fence, so [`read_all_checked`]
-    /// (which scans from the base cursors) labels the leftover prefix with
-    /// LSNs at or above the fence. Recovery is not affected: it scans from
-    /// its generation's fence with [`read_from`], which labels by the
-    /// fence it is given and never reads the leftover pages. The pages are
-    /// discarded only after both cursors are durable; a crash in between
-    /// strands them (unread, one interval at most), it never loses a live
-    /// page.
-    ///
-    /// [`read_all_checked`]: Wal::read_all_checked
-    /// [`read_from`]: Wal::read_from
+    /// Truncate everything before `fence`: persist `fence.file_page` as
+    /// the base page — one word; the page's header names `fence.lsn` — and
+    /// give the file pages `[old base, fence.file_page)` back to the
+    /// device ([`SsdDevice::discard`]), so the log file occupies its live
+    /// pages, not every page it was ever handed. A checkpoint truncates to
+    /// the oldest retained generation's fence so a CRC-mismatch fallback
+    /// one generation back still finds its WAL tail. A crash before the
+    /// persist leaves the log untruncated; one after it and before the
+    /// discard strands the pages (unread, one interval at most); neither
+    /// loses a live page or moves an LSN.
     pub fn truncate_to(&self, fence: WalFence) -> Result<()> {
-        let _state = self.state.lock();
-        if fence.lsn <= self.base_lsn.load(Ordering::Acquire) {
+        let mut state = self.state.lock();
+        let old_base = state.base.file_page;
+        if fence.file_page <= old_base {
             return Ok(());
         }
-        self.base_lsn.store(fence.lsn, Ordering::Release);
-        self.persist_word(BASE_LSN_AT, fence.lsn)?;
-        let old_base = self.file_base_page.swap(fence.file_page, Ordering::AcqRel);
         self.persist_word(FILE_BASE_AT, fence.file_page)?;
+        state.base = fence;
         self.file.discard(old_base..fence.file_page);
         Ok(())
     }
@@ -482,7 +475,7 @@ impl Wal {
     /// by is [`current_lsn`](Self::current_lsn), which truncation does not
     /// move back.
     pub fn log_bytes(&self) -> u64 {
-        self.lsn.load(Ordering::Acquire) - self.base_lsn.load(Ordering::Acquire)
+        self.lsn.load(Ordering::Acquire) - self.state.lock().base.lsn
     }
 
     /// LSN one past the last appended byte.
@@ -490,9 +483,10 @@ impl Wal {
         self.lsn.load(Ordering::Acquire)
     }
 
-    /// LSN the live log starts at (the last truncation point).
-    pub fn base_lsn(&self) -> u64 {
-        self.base_lsn.load(Ordering::Acquire)
+    /// The last truncation point: where the retained log starts. A scan
+    /// of the whole retained log is [`read_from`](Self::read_from) it.
+    pub fn base(&self) -> WalFence {
+        self.state.lock().base
     }
 
     /// Simulate power loss on the log devices (volatile caches dropped),
@@ -508,91 +502,99 @@ impl Wal {
                 .ok()
                 .map(|()| u64::from_le_bytes(word))
         };
+        let mut state = self.state.lock();
         if let Some(n) = read_word(FILE_PAGES_AT) {
-            self.next_file_page.store(n, Ordering::Release);
+            state.file_pages = n;
         }
         if let Some(base) = read_word(FILE_BASE_AT) {
-            self.file_base_page.store(base, Ordering::Release);
+            state.base.file_page = base;
         }
-        if let Some(base_lsn) = read_word(BASE_LSN_AT) {
-            self.base_lsn.store(base_lsn, Ordering::Release);
+        if let Some(head) = read_word(HEAD_AT) {
+            state.head = (head as usize).clamp(DATA_BASE, self.nvm.capacity());
         }
-        if let Some(head) = read_word(0) {
-            let head = (head as usize).clamp(DATA_BASE, self.nvm.capacity());
-            self.state.lock().head = head;
-        }
-        // Recompute the volatile LSN cursor from the durable state: base
-        // LSN plus the surviving file-stream bytes plus the live NVM
-        // region. Un-synced file pages evaporated with the crash, but
-        // their records still sit in the NVM buffer (the drain recycles it
-        // only after the fsync), so they are counted exactly once.
-        let mut lsn = self.base_lsn.load(Ordering::Acquire);
-        let mut page = vec![0u8; self.page_size];
-        let base = self.file_base_page.load(Ordering::Acquire);
-        let n_pages = self.next_file_page.load(Ordering::Acquire);
-        for pid in base..n_pages {
-            if self.file.read_page(pid, &mut page).is_err() {
-                break;
-            }
-            let valid = u32::from_le_bytes(page[..4].try_into().expect("4 bytes")) as usize;
-            lsn += valid.min(self.page_size - 4) as u64;
-        }
-        lsn += (self.state.lock().head - DATA_BASE) as u64;
-        self.lsn.store(lsn, Ordering::Release);
+        // Two pages rebuild the LSN cursors: the base page names the base
+        // LSN, and the last synced page's start plus its valid length is
+        // where the file stream ends; the live NVM region follows it.
+        // Un-synced file pages evaporated with the crash, but their
+        // records still sit in the NVM buffer (the drain recycles it only
+        // after the fsync), so they are counted exactly once.
+        //
+        // A page torn before its first media block reads as zeros, and an
+        // unreadable one reads as nothing; neither names an LSN, so each
+        // search moves one page inwards past it. The page after a torn
+        // base page names the same LSN (a fence's page holds no bytes);
+        // before a torn last page the file ends where the page before it
+        // does, so its lost bytes are not counted and the next drain
+        // continues the stream there. Page 0 is taken as it reads: the
+        // log's own first page names LSN 0 and no bytes, torn or not. Past
+        // it, such a page is skipped even when it is not torn, which finds
+        // the same LSN: until something is appended every page names 0.
+        let header = |pid: u64| {
+            let mut page = vec![0u8; self.page_size];
+            retry_io(|| self.file.read_page(pid, &mut page)).ok()?;
+            Some(page_header(&page)).filter(|&named| pid == 0 || named != (0, 0))
+        };
+        let pages = state.base.file_page..state.file_pages;
+        state.base.lsn = pages.clone().find_map(header).map_or(0, |(start, _)| start);
+        let end = pages.rev().find_map(header);
+        let end = end.map_or(state.base.lsn, |(start, valid)| start + valid as u64);
+        self.lsn
+            .store(end + (state.head - DATA_BASE) as u64, Ordering::Release);
     }
 
-    /// Read the whole live log back: [`read_from`](Self::read_from) the
-    /// base cursors (the last truncation point).
-    pub fn read_all_checked(&self) -> Result<WalScanReport> {
-        self.read_from(WalFence {
-            lsn: self.base_lsn.load(Ordering::Acquire),
-            file_page: self.file_base_page.load(Ordering::Acquire),
-        })
-    }
-
-    /// Read the log from `fence` on — SSD file pages from
-    /// `fence.file_page` in one sequential request
+    /// Read the log from `fence` on — the SSD file pages after the fence's
+    /// own page in one sequential request
     /// ([`SsdDevice::read_pages`]), then the live region of the
     /// (persistent) NVM buffer — labelling the first byte `fence.lsn`, and
     /// report how much of each region decoded cleanly. Used by recovery
-    /// with its generation's fence, so it reads only the tail it replays.
+    /// with its generation's fence, so it reads only the tail it replays,
+    /// and with [`base`](Self::base) to read the whole retained log.
     /// Every frame is CRC-checked; a torn or corrupted frame ends the
     /// stream at the last clean record and sets
-    /// [`WalScanReport::corrupt`]. A file page missing because a crash hit
-    /// between append and fsync is benign (the read stops there): the
-    /// drain had not recycled the NVM buffer yet, so those records are
-    /// still decoded from NVM.
+    /// [`WalScanReport::corrupt`]. So does a page whose header names
+    /// another LSN than the one the stream has reached — a stale page, or
+    /// one torn before its first media block, which reads as zeros — so
+    /// such a page is never spliced in. A file page missing because a
+    /// crash hit between append and fsync is benign (the read stops
+    /// there): the drain had not recycled the NVM buffer yet, so those
+    /// records are still decoded from NVM.
     ///
     /// A fence outside the live file — below the base page (truncated
-    /// away) or past the last synced page — is [`TxnError::Corrupt`]: the
-    /// log no longer holds (or never held) the tail it names.
+    /// away) or at or past the end of the synced pages — is
+    /// [`TxnError::Corrupt`]: the log no longer holds (or never held) the
+    /// tail it names.
     pub fn read_from(&self, fence: WalFence) -> Result<WalScanReport> {
-        let file_base = self.file_base_page.load(Ordering::Acquire);
-        let n_pages = self.next_file_page.load(Ordering::Acquire);
+        let state = self.state.lock();
+        let (file_base, n_pages) = (state.base.file_page, state.file_pages);
+        let pending = state.head - DATA_BASE;
+        drop(state);
         if fence.file_page < file_base {
             return Err(TxnError::Corrupt("WAL fence below the log's base"));
         }
-        if fence.file_page > n_pages {
+        if fence.file_page >= n_pages {
             return Err(TxnError::Corrupt("WAL fence past the log's end"));
         }
-        // One buffer holds the whole tail: the file pages are read into it
-        // in one request and compacted in place to their valid bytes (a
-        // page starts with its 4-byte valid length; pages are contiguous
-        // records chunked at page boundaries, and a fence begins a fresh
-        // page, so the stream starts on a frame), and the NVM region is
-        // read in after them, into room sized by the buffer's volatile
-        // head (a restart restores it from the persistent one).
+        // One buffer holds the whole tail: the file pages past the fence's
+        // own (empty) page are read into it in one request and compacted
+        // in place to their valid bytes (pages are contiguous records
+        // chunked at page boundaries, and a fence ends a drain, so the
+        // stream starts on a frame), and the NVM region is read in after
+        // them, into room sized by the buffer's volatile head (a restart
+        // restores it from the persistent one).
         let ps = self.page_size;
-        let run = (n_pages - fence.file_page) as usize * ps;
-        let mut stream = vec![0u8; run + self.pending_bytes()];
-        let read = retry_io(|| {
-            self.file
-                .read_pages(fence.file_page..n_pages, &mut stream[..run])
-        })?;
+        let pages = fence.file_page + 1..n_pages;
+        let run = (n_pages - pages.start) as usize * ps;
+        let mut stream = vec![0u8; run + pending];
+        let read = retry_io(|| self.file.read_pages(pages.clone(), &mut stream[..run]))?;
         let mut len = 0;
+        let mut in_sequence = true;
         for page in (0..read).map(|i| i * ps) {
-            let valid = (le_u32(&stream, page) as usize).min(ps - 4);
-            stream.copy_within(page + 4..page + 4 + valid, len);
+            let (start, valid) = page_header(&stream[page..page + ps]);
+            in_sequence = start == fence.lsn + len as u64;
+            if !in_sequence {
+                break;
+            }
+            stream.copy_within(page + PAGE_HEADER..page + PAGE_HEADER + valid, len);
             len += valid;
         }
         let mut report = WalScanReport {
@@ -601,10 +603,11 @@ impl Wal {
             file_consumed: check_stream(&stream[..len]),
             ..WalScanReport::default()
         };
-        if report.file_consumed < report.file_bytes {
-            // Torn/corrupt bytes inside the file stream: everything after
-            // them — including the NVM region, which is later in the log —
-            // is past the clean prefix and must not be replayed.
+        if !in_sequence || report.file_consumed < report.file_bytes {
+            // A page out of sequence, or torn/corrupt bytes inside the
+            // file stream: everything after them — including the NVM
+            // region, which is later in the log — is past the clean
+            // prefix and must not be replayed.
             report.corrupt = true;
             stream.truncate(report.file_consumed);
             report.stream = stream;
@@ -613,7 +616,10 @@ impl Wal {
         // NVM buffer portion: head offset is persistent. Its records sit
         // in the stream directly after the drained file bytes.
         let mut head_bytes = [0u8; 8];
-        retry_io(|| self.nvm.read(0, &mut head_bytes, AccessPattern::Random))?;
+        retry_io(|| {
+            self.nvm
+                .read(HEAD_AT, &mut head_bytes, AccessPattern::Random)
+        })?;
         let head = (u64::from_le_bytes(head_bytes) as usize).clamp(DATA_BASE, self.nvm.capacity());
         if head > DATA_BASE {
             let end = len + head - DATA_BASE;
@@ -660,6 +666,13 @@ impl Wal {
     }
 }
 
+/// A log-file page's header: the LSN of its first byte and its valid
+/// length (capped to the page, so a torn header cannot overrun it).
+fn page_header(page: &[u8]) -> (u64, usize) {
+    let valid = le_u32(page, 0) as usize;
+    (le_u64(page, 4), valid.min(page.len() - PAGE_HEADER))
+}
+
 /// The number of bytes the valid frames at the start of `buf` take: the
 /// clean prefix a scan keeps.
 fn check_stream(buf: &[u8]) -> usize {
@@ -672,10 +685,10 @@ fn check_stream(buf: &[u8]) -> usize {
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.state.lock();
         f.debug_struct("Wal")
-            .field("pending_bytes", &self.pending_bytes())
-            // relaxed: debug snapshot; the allocator's RMW provides the uniqueness that matters.
-            .field("file_pages", &self.next_file_page.load(Ordering::Relaxed))
+            .field("pending_bytes", &(state.head - DATA_BASE))
+            .field("file_pages", &state.file_pages)
             .finish_non_exhaustive()
     }
 }
@@ -746,7 +759,7 @@ mod tests {
             expect.push(r);
         }
         assert_eq!(
-            w.read_all_checked().unwrap().records().collect::<Vec<_>>(),
+            w.read_from(w.base()).unwrap().records().collect::<Vec<_>>(),
             expect
         );
     }
@@ -767,7 +780,7 @@ mod tests {
         w.append(&r).unwrap();
         expect.push(r);
         assert_eq!(
-            w.read_all_checked().unwrap().records().collect::<Vec<_>>(),
+            w.read_from(w.base()).unwrap().records().collect::<Vec<_>>(),
             expect
         );
     }
@@ -780,7 +793,7 @@ mod tests {
             w.append(&record(i, RecordKind::Update, &[1u8; 500]))
                 .unwrap();
         }
-        assert_eq!(w.read_all_checked().unwrap().records().count(), 40);
+        assert_eq!(w.read_from(w.base()).unwrap().records().count(), 40);
         assert!(w.pending_bytes() < 8192);
     }
 
@@ -793,7 +806,7 @@ mod tests {
         }
         // Crash: appended records were persisted record-by-record.
         w.simulate_crash();
-        let recovered = w.read_all_checked().unwrap();
+        let recovered = w.read_from(w.base()).unwrap();
         assert_eq!(recovered.records().count(), 5);
         assert!(recovered.records().all(|r| r.payload == b"durable"));
     }
@@ -829,7 +842,7 @@ mod tests {
         w.drain().unwrap();
         w.set_fault_injector(None);
         assert_eq!(inj.stats().torn, 1);
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         assert!(report.corrupt, "torn frame must be flagged");
         assert!(report.file_consumed < report.file_bytes);
         assert!(report.records().count() < 6, "some records must be cut off");
@@ -857,7 +870,7 @@ mod tests {
         // persistent NVM, and the remounted cursors find both.
         w.simulate_crash();
         assert_eq!(
-            w.read_all_checked().unwrap().records().collect::<Vec<_>>(),
+            w.read_from(w.base()).unwrap().records().collect::<Vec<_>>(),
             expect
         );
     }
@@ -890,7 +903,7 @@ mod tests {
         // still in the persistent NVM buffer.
         w.simulate_crash();
         assert_eq!(
-            w.read_all_checked().unwrap().records().collect::<Vec<_>>(),
+            w.read_from(w.base()).unwrap().records().collect::<Vec<_>>(),
             expect
         );
     }
@@ -911,7 +924,7 @@ mod tests {
         w.drain().unwrap();
         w.append(&record(6, RecordKind::Commit, &[])).unwrap();
         expect_lsns.push(at);
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         assert_eq!(report.records().count(), report.lsns().count());
         assert_eq!(report.lsns().collect::<Vec<_>>(), expect_lsns);
         assert_eq!(w.current_lsn(), w.log_bytes());
@@ -937,7 +950,7 @@ mod tests {
             .unwrap();
         w.nvm.persist(second_at + FRAME_HEADER + 10, 1).unwrap();
 
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         assert!(report.corrupt, "mid-record corruption must be flagged");
         // Only the first record survives: the CRC failure ends the stream
         // even though records 3 and 4 are intact after the bad frame.
@@ -954,7 +967,7 @@ mod tests {
         }
         w.drain().unwrap();
         w.append(&record(9, RecordKind::Commit, &[])).unwrap();
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         assert!(!report.corrupt);
         assert_eq!(report.file_consumed, report.file_bytes);
         assert_eq!(report.nvm_consumed, report.nvm_bytes);
@@ -975,11 +988,11 @@ mod tests {
             w.append(&record(i, RecordKind::Update, &[2u8; 30]))
                 .unwrap();
         }
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         assert!(!report.corrupt);
         assert_eq!(txns(&report), vec![10, 11, 12]);
         // LSNs keep counting across the truncation (monotonic stream).
-        assert_eq!(report.lsns().next(), Some(w.base_lsn()));
+        assert_eq!(report.lsns().next(), Some(w.base().lsn));
         // Now corrupt the newest record's tail: the clean prefix is the
         // post-truncation records minus the damaged one.
         let head = w.state.lock().head;
@@ -987,7 +1000,7 @@ mod tests {
         let at = head - last_len + FRAME_HEADER;
         w.nvm.write(at, &[0xEE], AccessPattern::Random).unwrap();
         w.nvm.persist(at, 1).unwrap();
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         assert!(report.corrupt);
         assert_eq!(txns(&report), vec![10, 11]);
     }
@@ -1007,7 +1020,7 @@ mod tests {
         }
         // Before truncation the full stream is visible; the fence splits
         // it by LSN.
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         let past: Vec<u64> = report
             .records()
             .zip(report.lsns())
@@ -1018,12 +1031,13 @@ mod tests {
 
         let pages_before = w.file_pages();
         w.truncate_to(fence).unwrap();
-        // The truncated prefix is given back to the device, crash or not.
-        assert_eq!(fence.file_page as usize, pages_before);
-        assert_eq!(w.file_pages(), 0);
+        // The truncated prefix is given back to the device, crash or not:
+        // the fence's own page is all the file keeps.
+        assert_eq!(fence.file_page as usize + 1, pages_before);
+        assert_eq!(w.file_pages(), 1);
         let tail_len = 3 * record(0, RecordKind::Update, &[0u8; 60]).frame_len() as u64;
         assert_eq!(w.log_bytes(), tail_len);
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         assert_eq!(txns(&report), vec![5, 6, 7]);
         assert!(report.lsns().all(|l| l >= fence.lsn));
 
@@ -1033,9 +1047,9 @@ mod tests {
         let live_pages = w.file_pages();
         w.simulate_crash();
         assert_eq!(w.file_pages(), live_pages);
-        assert_eq!(w.base_lsn(), fence.lsn);
+        assert_eq!(w.base(), fence);
         assert_eq!(w.log_bytes(), tail_len);
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         assert_eq!(report.records().count(), 3);
         assert_eq!(report.lsns().next(), Some(fence.lsn));
     }
@@ -1098,19 +1112,189 @@ mod tests {
         assert_eq!(lsns[0], fence.lsn);
         assert_eq!(lsns[..3], expect_lsns[..]);
 
-        // `truncate_to(fence)` crashes after persisting the base LSN but
-        // not the base page: the base cursors now disagree, and a scan
-        // from them labels the leftover prefix at or above the fence.
-        w.persist_word(BASE_LSN_AT, fence.lsn).unwrap();
-        w.simulate_crash();
-        let from_base = w.read_all_checked().unwrap();
+        // Untruncated, a scan from the base reads the prefix too, labelled
+        // from LSN 0.
+        let from_base = w.read_from(w.base()).unwrap();
         assert_eq!(from_base.records().next().unwrap().txn, 0);
-        assert_eq!(from_base.lsns().next(), Some(fence.lsn));
-        // A scan from the fence reads and labels exactly the tail.
+        assert_eq!(from_base.lsns().next(), Some(0));
+        // Truncated to the fence and reopened, the log starts at the fence:
+        // a scan from its base and one from the fence read and label
+        // exactly the tail.
+        w.truncate_to(fence).unwrap();
+        w.simulate_crash();
+        assert_eq!(w.base(), fence);
+        let from_base = w.read_from(w.base()).unwrap();
+        assert_eq!(from_base.lsns().collect::<Vec<_>>(), lsns);
         let (txns, lsns) = tail(&w);
         assert_eq!(txns, vec![5, 6, 7, 8]);
         assert_eq!(lsns[0], fence.lsn);
         assert_eq!(lsns[..3], expect_lsns[..]);
+    }
+
+    #[test]
+    fn a_crash_right_after_truncation_keeps_the_lsn() {
+        let w = wal();
+        for i in 0..5u64 {
+            w.append(&record(i, RecordKind::Update, &[7u8; 200]))
+                .unwrap();
+        }
+        let fence = w.fence().unwrap();
+        for i in 5..8u64 {
+            w.append(&record(i, RecordKind::Update, &[8u8; 200]))
+                .unwrap();
+        }
+        w.drain().unwrap();
+        w.append(&record(8, RecordKind::Commit, &[])).unwrap();
+        // Truncation's one persist is the base page; the crash hits right
+        // after it, before the truncated pages go back to the device.
+        w.persist_word(FILE_BASE_AT, fence.file_page).unwrap();
+        let (lsn, bytes) = (w.current_lsn(), w.current_lsn() - fence.lsn);
+        w.simulate_crash();
+        assert_eq!((w.current_lsn(), w.log_bytes()), (lsn, bytes));
+        assert_eq!(w.base(), fence);
+        // And the same through `truncate_to` itself.
+        w.truncate_to(fence).unwrap();
+        w.simulate_crash();
+        assert_eq!((w.current_lsn(), w.log_bytes()), (lsn, bytes));
+        assert_eq!(txns(&w.read_from(w.base()).unwrap()), vec![5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn lsns_stay_continuous_across_a_truncation_that_empties_the_file() {
+        let w = wal();
+        let mut at = 0;
+        for i in 0..5u64 {
+            let r = record(i, RecordKind::Update, &[1u8; 300]);
+            at = w.append(&r).unwrap() + r.frame_len() as u64;
+        }
+        let fence = w.fence().unwrap();
+        assert_eq!(fence.lsn, at);
+        w.truncate_to(fence).unwrap();
+        assert_eq!(w.file_pages(), 1, "only the fence's own page is left");
+        w.simulate_crash();
+        assert_eq!((w.current_lsn(), w.log_bytes()), (fence.lsn, 0));
+        // New records continue the stream where the fence left it, in the
+        // NVM buffer and after a drain and another crash.
+        let mut expect = Vec::new();
+        for i in 5..9u64 {
+            let r = record(i, RecordKind::Update, &[2u8; 300]);
+            expect.push(w.append(&r).unwrap());
+            if i == 6 {
+                w.drain().unwrap();
+            }
+        }
+        assert_eq!(expect[0], fence.lsn);
+        w.simulate_crash();
+        let report = w.read_from(w.base()).unwrap();
+        assert_eq!(txns(&report), vec![5, 6, 7, 8]);
+        assert_eq!(report.lsns().collect::<Vec<_>>(), expect);
+        assert_eq!(w.log_bytes(), w.current_lsn() - fence.lsn);
+    }
+
+    #[test]
+    fn reopening_reads_at_most_two_log_pages() {
+        let w = wal();
+        for i in 0..80u64 {
+            w.append(&record(i, RecordKind::Update, &[3u8; 300]))
+                .unwrap();
+        }
+        w.append(&record(80, RecordKind::Commit, &[])).unwrap();
+        assert!(w.file_pages() >= 20, "{} pages", w.file_pages());
+        let lsn = w.current_lsn();
+        let before = w.file_stats().snapshot();
+        w.simulate_crash();
+        let reads = w.file_stats().snapshot().delta(&before).read_ops;
+        assert!(reads <= 2, "{reads} log-device reads");
+        assert_eq!(w.current_lsn(), lsn);
+        assert_eq!(w.read_from(w.base()).unwrap().records().count(), 81);
+    }
+
+    #[test]
+    fn a_page_naming_the_wrong_lsn_ends_the_clean_prefix() {
+        let w = wal();
+        for i in 0..10u64 {
+            w.append(&record(i, RecordKind::Update, &[4u8; 300]))
+                .unwrap();
+        }
+        w.drain().unwrap();
+        w.append(&record(10, RecordKind::Commit, &[])).unwrap();
+        assert!(w.file_pages() > 3);
+        // Page 2 claims to start one byte later than it does: the scan
+        // keeps the records page 1 holds whole and nothing after them, not
+        // even the NVM buffer's.
+        let mut page = vec![0u8; w.page_size];
+        w.file.read_page(2, &mut page).unwrap();
+        let (start, _) = page_header(&page);
+        page[4..PAGE_HEADER].copy_from_slice(&(start + 1).to_le_bytes());
+        w.file.write_page(2, &page).unwrap();
+        let report = w.read_from(w.base()).unwrap();
+        assert!(report.corrupt);
+        assert_eq!(txns(&report), vec![0, 1]);
+        assert_eq!(report.nvm_bytes, 0);
+    }
+
+    #[test]
+    fn a_page_torn_to_zeros_clips_the_log_and_keeps_the_lsn() {
+        use spitfire_device::{DeviceKind, FaultKind, FaultOp, FaultPlan, FaultRule, Trigger};
+        // Seed 2 tears the next log-file write before its first media
+        // block: the page reads as zeros.
+        let tear_next_page = |w: &Wal| {
+            let plan = FaultPlan::new(2).rule(
+                FaultRule::any(Trigger::NthOp(1), FaultKind::TornWrite)
+                    .on_device(DeviceKind::Ssd)
+                    .on_op(FaultOp::Write),
+            );
+            w.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+        };
+        let zeroed = |w: &Wal, pid: u64| {
+            let mut page = vec![0u8; w.page_size];
+            w.file.read_page(pid, &mut page).unwrap();
+            page.iter().all(|&b| b == 0)
+        };
+        let w = wal();
+        for i in 0..3u64 {
+            w.append(&record(i, RecordKind::Update, &[1u8; 120]))
+                .unwrap();
+        }
+        w.drain().unwrap();
+        // The next drain's first page (page 2) is torn; two pages follow.
+        for i in 3..15u64 {
+            w.append(&record(i, RecordKind::Update, &[2u8; 120]))
+                .unwrap();
+        }
+        tear_next_page(&w);
+        w.drain().unwrap();
+        w.set_fault_injector(None);
+        assert!(zeroed(&w, 2));
+        assert_eq!(w.file_pages(), 5);
+        let report = w.read_from(w.base()).unwrap();
+        assert!(report.corrupt, "the torn page is out of sequence");
+        assert_eq!(txns(&report), vec![0, 1, 2]);
+        let lsn = w.current_lsn();
+        w.simulate_crash();
+        assert_eq!(w.current_lsn(), lsn);
+
+        // A torn fence page is the last page: the reopen takes the end
+        // from the page before it, which is where the fence is, so the
+        // stream past the fence reads clean.
+        tear_next_page(&w);
+        let fence = w.fence().unwrap();
+        w.set_fault_injector(None);
+        assert!(zeroed(&w, fence.file_page));
+        w.simulate_crash();
+        assert_eq!(w.current_lsn(), lsn);
+        let mut expect = Vec::new();
+        for i in 15..18u64 {
+            let r = record(i, RecordKind::Update, &[3u8; 120]);
+            expect.push(w.append(&r).unwrap());
+        }
+        w.drain().unwrap();
+        w.simulate_crash();
+        let report = w.read_from(fence).unwrap();
+        assert!(!report.corrupt);
+        assert_eq!(txns(&report), vec![15, 16, 17]);
+        assert_eq!(report.lsns().collect::<Vec<_>>(), expect);
+        assert_eq!(expect[0], fence.lsn);
     }
 
     #[test]
@@ -1132,7 +1316,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let report = w.read_all_checked().unwrap();
+        let report = w.read_from(w.base()).unwrap();
         let recs: Vec<_> = report.records().collect();
         assert_eq!(recs.len(), 400);
         // Per-thread order must be preserved.

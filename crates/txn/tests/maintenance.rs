@@ -210,6 +210,138 @@ fn a_failed_checkpoint_releases_nothing_and_the_next_releases_in_vacuum_order() 
     assert_eq!(db.table_free_slots(T).unwrap(), vec![1, 0, 4, 3]);
 }
 
+/// The slot `key`'s index entry names.
+fn rid_of(db: &Database, key: u64) -> u64 {
+    let entries = db.index_entries(T).unwrap();
+    entries.into_iter().find(|&(k, _)| k == key).unwrap().1
+}
+
+/// An update of `key` that installs its version and then loses commit
+/// validation to a later reader. Returns the aborted version's slot.
+fn conflicting_abort(db: &Database, key: u64) -> u64 {
+    let mut writer = db.begin();
+    let mut reader = db.begin();
+    db.update(&mut writer, T, key, &[0xAB; TUPLE]).unwrap();
+    let slot = rid_of(db, key);
+    db.read(&reader, T, key).unwrap();
+    assert_eq!(db.commit(&mut writer), Err(TxnError::Conflict));
+    db.commit(&mut reader).unwrap();
+    slot
+}
+
+/// The slot watermark the newest generation's manifest records for `T`.
+fn allocated_slots(db: &Database) -> u64 {
+    let store = db.snapshots();
+    let manifest = store.load(store.generation(), |_, _| {}).unwrap();
+    manifest.tables[0].allocated_slots
+}
+
+/// An aborted version's slot is retired like a vacuumed one: the
+/// checkpoint after the aborts releases the slots and the next writes
+/// take them, so conflicts do not grow the table.
+#[test]
+fn aborted_versions_give_their_slots_back() {
+    const K: u64 = 8;
+    let db = database();
+    for key in 0..K {
+        write(&db, key, 0);
+    }
+    let aborted: Vec<u64> = (0..K).map(|key| conflicting_abort(&db, key)).collect();
+    db.checkpoint().unwrap();
+    let before = allocated_slots(&db);
+    assert_eq!(before, 2 * K);
+    let mut free = db.table_free_slots(T).unwrap();
+    free.sort_unstable();
+    assert_eq!(free, aborted);
+    for key in 0..K {
+        write(&db, key, 2);
+    }
+    db.checkpoint().unwrap();
+    assert_eq!(allocated_slots(&db), before, "the aborts grew the table");
+}
+
+/// A crash between an abort and the checkpoint install that would release
+/// its slot: nothing reused the slot in the meantime — not the writes
+/// after the abort, not a checkpoint that failed to install — so the tail
+/// replays the loser over it, and recovery retires it again.
+#[test]
+fn a_crash_before_the_install_replays_the_loser_over_its_unreused_slot() {
+    let db = database();
+    write(&db, 1, 1);
+    write(&db, 2, 1);
+    db.checkpoint().unwrap();
+    let slot = conflicting_abort(&db, 1);
+    write(&db, 2, 2);
+    write(&db, 3, 2);
+    let superblock = FaultRule::any(Trigger::Always, FaultKind::Fatal)
+        .on_op(FaultOp::Write)
+        .in_range(0, PAGE as u64);
+    let plan = FaultPlan::new(3).rule(superblock);
+    db.snapshots()
+        .set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+    assert!(db.checkpoint().is_err());
+    db.snapshots().set_fault_injector(None);
+    write(&db, 2, 3);
+    let in_use = |db: &Database| db.index_entries(T).unwrap().iter().any(|e| e.1 == slot);
+    assert!(!in_use(&db));
+
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!((stats.snapshot_generation, stats.undone), (1, 1));
+    let mut t = db.begin();
+    for (key, value) in [(1, 1u8), (2, 3), (3, 2)] {
+        assert_eq!(db.read(&t, T, key).unwrap(), vec![value; TUPLE]);
+    }
+    db.commit(&mut t).unwrap();
+    assert!(!in_use(&db));
+    db.checkpoint().unwrap();
+    assert_eq!(db.table_free_slots(T).unwrap(), vec![slot]);
+    write(&db, 4, 4);
+    assert_eq!(rid_of(&db, 4), slot);
+}
+
+/// A fallback replays the interval in which a loser's slot was vacuumed
+/// before its reuse: the older interval's records re-link the chain that
+/// led to the slot, so vacuum frees it, and recovery leaves it alone —
+/// the slot is released once, and two later writes get two slots.
+#[test]
+fn after_a_fallback_a_reused_loser_slot_is_released_once() {
+    let db = database();
+    write(&db, 1, 1);
+    db.checkpoint().unwrap();
+    // Key 2's first version goes into `slot`, which vacuum frees once the
+    // second supersedes it; generation 2 releases it, and a loser reuses
+    // it.
+    write(&db, 2, 1);
+    let slot = rid_of(&db, 2);
+    write(&db, 2, 2);
+    assert_eq!(db.vacuum().unwrap().freed, 1);
+    db.checkpoint().unwrap();
+    assert_eq!(db.table_free_slots(T).unwrap(), vec![slot]);
+    assert_eq!(conflicting_abort(&db, 1), slot);
+
+    // Generation 2 rots: recovery falls back to generation 1 and replays
+    // both writes of key 2 and the loser.
+    let store = db.snapshots();
+    let manifest = store.entry(2).unwrap().manifest;
+    store.device().write_page(manifest, &[0xEE; PAGE]).unwrap();
+    store.device().sync().unwrap();
+    db.simulate_crash();
+    let stats = db.recover().unwrap();
+    assert_eq!((stats.snapshot_generation, stats.undone), (1, 1));
+    assert_eq!(db.vacuum().unwrap().freed, 1);
+    db.checkpoint().unwrap();
+    assert_eq!(db.table_free_slots(T).unwrap(), vec![slot]);
+
+    write(&db, 3, 3);
+    write(&db, 4, 4);
+    assert_ne!(rid_of(&db, 3), rid_of(&db, 4));
+    let t = db.begin();
+    for (key, value) in [(1, 1u8), (2, 2), (3, 3), (4, 4)] {
+        assert_eq!(db.read(&t, T, key).unwrap(), vec![value; TUPLE]);
+    }
+}
+
 /// Write `key` with fresh values until the log has grown by `bytes`.
 fn write_log(db: &Database, key: u64, bytes: u64) {
     let until = db.wal().current_lsn() + bytes;

@@ -51,6 +51,9 @@ struct Chain {
 #[derive(Debug, Default)]
 struct Model {
     keys: [Chain; KEYS],
+    /// Versions written by transactions that aborted or died in a crash:
+    /// each one's slot is retired like a vacuumed version's.
+    aborted: usize,
 }
 
 /// The model's half of a transaction: identity copied from the database's
@@ -135,6 +138,7 @@ impl Model {
     }
 
     fn abort(&mut self, t: ModelTxn) {
+        self.aborted += t.writes.len();
         for k in t.writes {
             self.keys[k].pending = None;
         }
@@ -142,7 +146,7 @@ impl Model {
 
     fn crash(&mut self) {
         for chain in &mut self.keys {
-            chain.pending = None;
+            self.aborted += chain.pending.take().is_some() as usize;
         }
     }
 
@@ -310,11 +314,12 @@ proptest! {
     /// Vacuum's debts die with the process, and so do the slots a vacuum
     /// before the crash retired: no checkpoint released them, and redo
     /// re-links every version it cut. The first pass after recovery finds
-    /// through the index every version superseded before the crash, the
-    /// checkpoint after it releases their slots, they take the next
-    /// writes, and the pass after that — driven by debts again — frees in
-    /// an order the ops alone decide: the same schedule twice leaves the
-    /// same free lists.
+    /// through the index every version superseded before the crash, undo
+    /// retires every version an aborted or in-flight transaction wrote,
+    /// the checkpoint after it releases all their slots, they take the
+    /// next writes, and the pass after that — driven by debts again —
+    /// frees in an order the ops alone decide: the same schedule twice
+    /// leaves the same free lists.
     #[test]
     fn debt_from_before_a_crash_is_collected_after_it(
         ops in proptest::collection::vec(op_strategy(), 1..80),
@@ -338,11 +343,12 @@ proptest! {
             check_reads_as_newcomer(&db, &mut model);
             db.checkpoint().unwrap();
             let after_recovery = db.table_free_slots(T).unwrap();
-            assert_eq!(after_recovery.len(), superseded);
+            let freed = superseded + model.aborted;
+            assert_eq!(after_recovery.len(), freed);
 
             let written = update_every_key(&db, &mut model);
             let left = db.table_free_slots(T).unwrap();
-            assert_eq!(left.len(), superseded.saturating_sub(written));
+            assert_eq!(left.len(), freed.saturating_sub(written));
             assert!(after_recovery.starts_with(&left), "a freed slot was passed over");
 
             let stats = db.vacuum().unwrap();

@@ -499,13 +499,15 @@ fn recovery_reads_only_the_log_tail() {
     let older = store.load(1, |_, _| {}).unwrap().fence;
     let fence = store.load(2, |_, _| {}).unwrap().fence;
     assert_eq!(
-        db.wal().base_lsn(),
+        db.wal().base().lsn,
         older.lsn,
         "the fallback's tail is kept"
     );
     let skipped = fence.file_page - older.file_page;
     let tail_bytes = db.wal().current_lsn() - fence.lsn;
-    let tail_pages = db.wal().file_pages() as u64 - skipped;
+    // The pages after the fence's own page, which only names the tail's
+    // start LSN.
+    let tail_pages = db.wal().file_pages() as u64 - skipped - 1;
     assert!(skipped > 2 * tail_pages, "{skipped} / {tail_pages}");
     assert!(tail_pages > 0 && db.wal().pending_bytes() > 0);
 
@@ -542,15 +544,18 @@ fn one_generation_truncates_the_log_to_its_own_fence() {
     assert!(load_pages > 4, "{load_pages}");
     db.checkpoint().unwrap();
     let fence = db.snapshots().load(1, |_, _| {}).unwrap().fence;
-    assert_eq!(db.wal().base_lsn(), fence.lsn);
-    assert_eq!(db.wal().file_pages(), 0, "the load's pages went back");
+    assert_eq!(db.wal().base().lsn, fence.lsn);
+    // The fence's own page, which names where the log starts, is all the
+    // file keeps.
+    assert_eq!(db.wal().file_pages(), 1, "the load's pages went back");
 
-    // The tail is all the log holds, and recovery replays it.
+    // The tail — from the fence's page through the next fence's — is all
+    // the log holds, and recovery replays it.
     for batch in (0..400u64).collect::<Vec<_>>().chunks(32) {
         write_all(&db, &batch.iter().map(|&k| (k, 2)).collect::<Vec<_>>());
     }
-    let tail_pages = db.wal().fence().unwrap().file_page - fence.file_page;
-    assert!(tail_pages > 0);
+    let tail_pages = db.wal().fence().unwrap().file_page + 1 - fence.file_page;
+    assert!(tail_pages > 2);
     assert_eq!(db.wal().file_pages() as u64, tail_pages);
     db.simulate_crash();
     let stats = db.recover().unwrap();
@@ -578,7 +583,7 @@ fn the_first_checkpoint_after_a_restart_truncates_the_log() {
     }
     let store = db.snapshots();
     let (older, newest) = (store.entry(1).unwrap(), store.entry(2).unwrap());
-    assert_eq!(db.wal().base_lsn(), older.fence_lsn);
+    assert_eq!(db.wal().base().lsn, older.fence_lsn);
 
     db.simulate_crash();
     assert_eq!(db.recover().unwrap().snapshot_generation, 2);
@@ -586,7 +591,7 @@ fn the_first_checkpoint_after_a_restart_truncates_the_log() {
     model.insert(1, 0x41);
     db.checkpoint().unwrap();
     assert_eq!(
-        db.wal().base_lsn(),
+        db.wal().base().lsn,
         newest.fence_lsn,
         "truncated to the delivered generation's fence"
     );

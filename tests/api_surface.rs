@@ -313,13 +313,24 @@ fn removed_shims_stay_removed() {
     impl CatalogChainAbsent for spitfire_txn::Table {}
     let _: Absent = table.catalog_head();
     let _: Absent = spitfire_txn::Table::open_with_slots();
+    // The log reopens from its own pages: a whole-log scan is
+    // `read_from(wal.base())`, and the base LSN is the base page's header,
+    // not a cursor of its own.
     trait ReadAllAbsent {
         fn read_all(&self) -> Absent {
+            Absent
+        }
+        fn read_all_checked(&self) -> Absent {
+            Absent
+        }
+        fn base_lsn(&self) -> Absent {
             Absent
         }
     }
     impl ReadAllAbsent for spitfire_txn::Wal {}
     let _: Absent = db.wal().read_all();
+    let _: Absent = db.wal().read_all_checked();
+    let _: Absent = db.wal().base_lsn();
     trait PauseAbsent {
         fn pause_for_crash(&self) -> Absent {
             Absent
