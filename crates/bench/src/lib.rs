@@ -194,7 +194,6 @@ pub fn database(bm: Arc<BufferManager>) -> Database {
         bm,
         DbConfig {
             log_buffer_bytes: 4 * MB,
-            lock_stripes: 1024,
         },
     )
     .expect("database")

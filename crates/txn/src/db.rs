@@ -27,15 +27,12 @@ const LOG_PAGE: usize = 16 * 1024;
 pub struct DbConfig {
     /// NVM log buffer capacity in bytes.
     pub log_buffer_bytes: usize,
-    /// Number of key-lock stripes.
-    pub lock_stripes: usize,
 }
 
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             log_buffer_bytes: 1 << 20,
-            lock_stripes: 1024,
         }
     }
 }
@@ -134,6 +131,8 @@ pub struct Database {
     pub(crate) debts_lost: AtomicBool,
     commits: AtomicU64,
     aborts: AtomicU64,
+    /// Version slots retired by rollbacks and recovery's loser undo.
+    aborted_slots: AtomicU64,
     /// Timestamps of in-flight transactions (vacuum watermark, and which
     /// read stamps may be hints — see [`Database::read_into`]). A leaf
     /// lock: nothing is acquired while it is held. A timestamp is drawn
@@ -179,10 +178,11 @@ impl Database {
             oracle: AtomicU64::new(2),
             txn_ids: AtomicU64::new(1),
             catalog: RwLock::new(HashMap::new()),
-            locks: KeyLocks::new(config.lock_stripes),
+            locks: KeyLocks::default(),
             debts_lost: AtomicBool::new(false),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
+            aborted_slots: AtomicU64::new(0),
             active: parking_lot::Mutex::new(std::collections::BTreeSet::new()),
             fence_gate: RwLock::new(()),
             snapshots,
@@ -220,7 +220,9 @@ impl Database {
     }
 
     /// Create a table with `tuple_size`-byte tuples and a primary index.
-    /// Fails with [`TxnError::Duplicate`] if `table_id` exists.
+    /// Fails with [`TxnError::Duplicate`] if `table_id` exists, and with
+    /// [`TxnError::TooManyTables`] past the tables a snapshot manifest
+    /// lists in one block.
     ///
     /// The `CreateTable` log record is the durability point, as a commit
     /// record is; nothing else is written. The record and the catalog
@@ -232,6 +234,10 @@ impl Database {
         let mut catalog = self.catalog.write();
         if catalog.contains_key(&table_id) {
             return Err(TxnError::Duplicate);
+        }
+        let max_tables = crate::store::max_tables(self.bm.page_size());
+        if catalog.len() >= max_tables {
+            return Err(TxnError::TooManyTables(max_tables));
         }
         let table = Table::create(Arc::clone(&self.bm), table_id, tuple_size);
         let index = BTree::new(Arc::clone(&self.bm))?;
@@ -683,6 +689,8 @@ impl Database {
             // past this abort installs.
             table.write_visit(w.new_rid)?.stamp(Field::Begin, ABORTED)?;
             table.retire_slot(w.new_rid);
+            // relaxed: advisory counter.
+            self.aborted_slots.fetch_add(1, Ordering::Relaxed);
             if w.old_rid != NO_RID {
                 let old = table.write_visit(w.old_rid)?;
                 if old.header()?.end == (MARK | txn.id) {
@@ -930,6 +938,9 @@ impl Database {
         // image or a replayed record re-links still leads to it, so vacuum
         // retires it when it frees that chain.
         if retire_losers {
+            // relaxed: advisory counter.
+            self.aborted_slots
+                .fetch_add(loser_slots.len() as u64, Ordering::Relaxed);
             for (id, rid) in loser_slots {
                 tables[&id].retire_slot(rid);
             }
@@ -951,6 +962,9 @@ impl spitfire_obs::Source for Database {
         let (commits, aborts) = self.txn_stats();
         out.add_counter("txn_commits", commits);
         out.add_counter("txn_aborts", aborts);
+        // relaxed: advisory counter.
+        let retired = self.aborted_slots.load(Ordering::Relaxed);
+        out.add_counter("aborted_slots_retired", retired);
         let index_restarts = self.relations().iter().map(|r| r.index.restarts()).sum();
         out.add_counter("index_restarts", index_restarts);
         // relaxed: advisory counter.

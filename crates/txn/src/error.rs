@@ -35,6 +35,9 @@ pub enum TxnError {
     },
     /// Unknown table id.
     UnknownTable(u32),
+    /// `create_table` past the tables one snapshot manifest lists at this
+    /// page size (the limit it carries).
+    TooManyTables(usize),
     /// A checkpoint could not finish its fence or its home flush:
     /// transactions were still in flight when the bounded wait expired, or
     /// the flush had to leave dirty DRAM pages behind (a shadow move in
@@ -85,6 +88,7 @@ impl std::fmt::Display for TxnError {
                 )
             }
             TxnError::UnknownTable(t) => write!(f, "unknown table {t}"),
+            TxnError::TooManyTables(n) => write!(f, "a manifest lists at most {n} tables"),
             TxnError::CheckpointContended => write!(
                 f,
                 "checkpoint contended: transactions in flight or dirty pages \

@@ -96,15 +96,16 @@ pub struct KeyLocks {
     stripes: Vec<Mutex<Stripe>>,
 }
 
-impl KeyLocks {
-    /// `n` stripes (rounded up to a power of two).
-    pub fn new(n: usize) -> Self {
-        let n = n.next_power_of_two().max(64);
+impl Default for KeyLocks {
+    /// 1024 stripes: a power of two, so a key's stripe is a masked hash.
+    fn default() -> Self {
         KeyLocks {
-            stripes: (0..n).map(|_| Mutex::default()).collect(),
+            stripes: (0..1024).map(|_| Mutex::default()).collect(),
         }
     }
+}
 
+impl KeyLocks {
     /// Number of stripes.
     pub(crate) fn stripe_count(&self) -> usize {
         self.stripes.len()
@@ -206,10 +207,10 @@ mod tests {
 
     #[test]
     fn stripes_are_stable_and_bounded() {
-        let locks = KeyLocks::new(100); // rounds to 128
+        let locks = KeyLocks::default();
         let a = locks.stripe_of(1, 42);
         assert_eq!(a, locks.stripe_of(1, 42));
-        assert!(a < 128);
+        assert!(a < locks.stripe_count());
         // Locking works and is exclusive per stripe.
         let g = locks.lock(1, 42);
         drop(g);

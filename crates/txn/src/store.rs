@@ -9,13 +9,15 @@
 //! | 0     | the **superblock**: the two newest generations (number,       |
 //! |       | manifest block, fence LSN), whole-page CRC-32                 |
 //! | ≥ 1   | a **metadata block**: a 48-byte header *inside* the page      |
-//! |       | (magic, CRC-32, kind, generation, sequence) + payload: an     |
-//! |       | index run, a page run, or the generation's manifest — the     |
-//! |       | whole WAL fence (LSN and log-file page), allocator and oracle |
-//! |       | state, tables, the run list (see [`Manifest`])                |
+//! |       | (magic, CRC-32, kind, generation, sequence, next block) +     |
+//! |       | payload: an index run, a page run, or the generation's        |
+//! |       | manifest — the whole WAL fence (LSN and log-file page),       |
+//! |       | allocator and oracle state, tables (see [`Manifest`])         |
 //!
 //! Each checkpoint writes one *generation*: full index runs, each table's
-//! page list as a page run, and a manifest that lists them. Page images
+//! page list as a page run, and a manifest. Its blocks chain through their
+//! headers — manifest → first run → … → last run → manifest — so a
+//! generation of any size is found from its manifest alone. Page images
 //! are not the store's business:
 //! the checkpointer writes every dirty DRAM page to its SSD home before
 //! the generation installs, and NVM-resident pages are persistent where
@@ -27,13 +29,12 @@
 //! **Liveness rule.** The superblock keeps the two newest generations
 //! (the newest and the fallback recovery uses when the newest fails a
 //! checksum). A block is free exactly when neither of them, nor a writer
-//! in flight, references it; a generation references its manifest block
-//! and the run blocks the manifest lists. The writer takes the
-//! lowest free block first (else the next block past the high-water
-//! mark), so block addresses stay bounded by the high water of `retained
-//! generations + one writer`, not by history; a writer that is dropped or
-//! fails hands its blocks back. [`SnapshotStore::check`] walks the
-//! invariants.
+//! in flight, references it; a generation references the blocks on its
+//! chain. The writer takes the lowest free block first (else the next
+//! block past the high-water mark), so block addresses stay bounded by
+//! the high water of `retained generations + one writer`, not by history;
+//! a writer that is dropped or fails hands its blocks back.
+//! [`SnapshotStore::check`] walks the invariants.
 //!
 //! Install protocol (the emulated-device analogue of write-new + fsync +
 //! atomic rename):
@@ -50,14 +51,16 @@
 //! reuse cannot damage the newest generation or its fallback. A failure in
 //! step 2 leaves memory exactly as it was.
 //!
-//! A generation is *valid* only if its manifest and every block the
-//! manifest lists pass their checksums, all read from the device.
-//! Recovery ([`SnapshotStore::recover`]) reads the superblock once and
-//! each retained generation once, newest first: the first that validates
-//! is loaded, one that does not is dead (its damage is permanent) and its
-//! blocks are free. The writer holds one block of scratch plus the
-//! pending run; a manifest that cannot list its run blocks in one block
-//! is an error, never a truncation.
+//! A generation is *valid* only if every block on its chain passes its
+//! checksum and names the generation, its place in the chain and its kind,
+//! and the chain closes at the manifest after the manifest's run count,
+//! all read from the device. Recovery ([`SnapshotStore::recover`]) reads
+//! the superblock once and each retained generation once, newest first:
+//! the first that validates is loaded, one that does not is dead (its
+//! damage is permanent) and its blocks are free. The writer holds one
+//! block of scratch plus the pending run, and takes each block's successor
+//! before writing it, so every block names its successor when it is
+//! written.
 //!
 //! The checksum is the canonical [`spitfire_sync::crc32`] — CRC-32C —
 //! shared with the WAL framing and the server wire protocol.
@@ -78,6 +81,7 @@ use crate::Result;
 
 mod format;
 
+pub(crate) use format::max_tables;
 use format::{
     decode_block, decode_index_run, decode_page_run, encode_block, BlockKind, SUPER_MAGIC,
 };
@@ -105,7 +109,7 @@ const SUPER_ENTRY: usize = 24;
 const RETAINED: usize = 2;
 
 /// Smallest page that holds the superblock and a manifest listing a few
-/// tables and metadata blocks.
+/// tables.
 const MIN_PAGE: usize = 256;
 
 /// One installed generation, as recorded in the superblock.
@@ -125,7 +129,7 @@ struct Retained {
     /// The manifest's whole WAL fence: the log from here on is the
     /// generation's tail.
     fence: WalFence,
-    /// Run blocks (the manifest's list).
+    /// Run blocks, in chain order.
     meta: Vec<u64>,
 }
 
@@ -223,7 +227,8 @@ impl SnapshotStore {
 
     /// Newest installed generation number (0 = none).
     pub fn generation(&self) -> u64 {
-        self.latest().map_or(0, |e| e.generation)
+        let state = self.state.lock();
+        state.retained.last().map_or(0, |r| r.info.generation)
     }
 
     /// The backing device (chaos schedules attach fault injectors here;
@@ -302,15 +307,8 @@ impl SnapshotStore {
                 }
             });
             match read {
-                Ok(manifest) => {
-                    state.retained.insert(
-                        0,
-                        Retained {
-                            info: *info,
-                            fence: manifest.fence,
-                            meta: manifest.meta_blocks.clone(),
-                        },
-                    );
+                Ok((manifest, retained)) => {
+                    state.retained.insert(0, retained);
                     newest.get_or_insert((manifest, runs));
                 }
                 Err(e) if is_invalid(&e) => {}
@@ -349,11 +347,6 @@ impl SnapshotStore {
         state.retained.iter().map(|r| r.info).collect()
     }
 
-    /// The newest installed generation, if any.
-    pub fn latest(&self) -> Option<GenerationInfo> {
-        self.state.lock().retained.last().map(|r| r.info)
-    }
-
     /// The WAL fence of the oldest retained generation: no recovery reads
     /// the log below it, so a checkpoint truncates the log here (`None`
     /// while no generation is retained).
@@ -368,18 +361,26 @@ impl SnapshotStore {
         Some(r.info)
     }
 
+    /// The blocks `gen` references, for inspection: its run blocks in
+    /// chain order, then its manifest (empty if `gen` is not retained).
+    pub fn blocks(&self, gen: u64) -> Vec<u64> {
+        let state = self.state.lock();
+        let r = state.retained.iter().find(|r| r.info.generation == gen);
+        r.map_or_else(Vec::new, |r| r.blocks().collect())
+    }
+
     /// Start streaming a new generation fenced at `fence`. It becomes
     /// visible only when [`SnapshotWriter::finish`] installs it.
     pub fn begin(&self, fence: WalFence) -> SnapshotWriter<'_> {
         let mut state = self.state.lock();
         let generation = state.next_generation;
         state.next_generation += 1;
+        drop(state);
         SnapshotWriter {
             store: self,
             generation,
             fence,
-            meta: Vec::new(),
-            manifest: None,
+            chain: vec![self.alloc()],
             run_kind: BlockKind::IndexRun,
             run_table: 0,
             run_buf: Vec::new(),
@@ -410,42 +411,52 @@ impl SnapshotStore {
                 on_index(table, &entries);
             }
         })
+        .map(|(manifest, _)| manifest)
     }
 
-    /// Read and check `info`'s manifest and the run blocks it lists, from
-    /// the device, delivering each run with its table to `on_run`.
+    /// Read and check `info`'s manifest and the run blocks on its chain,
+    /// from the device, delivering each run with its table to `on_run`.
+    /// Returns the manifest and the generation as retained.
     fn read_metadata(
         &self,
         info: &GenerationInfo,
         page: &mut [u8],
         mut on_run: impl FnMut(u32, Run),
-    ) -> Result<Manifest> {
+    ) -> Result<(Manifest, Retained)> {
         retry_io(|| self.dev.read_page(info.manifest, page))?;
         let block = decode_block(page)?;
         if block.kind != BlockKind::Manifest || block.gen != info.generation {
             return Err(TxnError::Corrupt("not this generation's manifest"));
         }
         let manifest = Manifest::decode(block.payload)?;
-        if manifest.generation != info.generation
-            || manifest.fence.lsn != info.fence_lsn
-            || block.seq != manifest.meta_blocks.len() as u64
-        {
+        if manifest.generation != info.generation || manifest.fence.lsn != info.fence_lsn {
             return Err(TxnError::Corrupt("manifest disagrees with superblock"));
         }
-        for (seq, &at) in manifest.meta_blocks.iter().enumerate() {
+        let (runs, mut at) = (block.seq, block.next);
+        let mut retained = Retained {
+            info: *info,
+            fence: manifest.fence,
+            meta: Vec::new(),
+        };
+        for seq in 0..runs {
             retry_io(|| self.dev.read_page(at, page))?;
             let block = decode_block(page)?;
-            if block.gen != info.generation || block.seq != seq as u64 {
+            if block.gen != info.generation || block.seq != seq {
                 return Err(TxnError::Corrupt("metadata block out of place"));
             }
             let run = match block.kind {
                 BlockKind::IndexRun => Run::Index(decode_index_run(block.payload)?),
                 BlockKind::PageRun => Run::Pages(decode_page_run(block.payload)?),
-                BlockKind::Manifest => return Err(TxnError::Corrupt("manifest listed as a run")),
+                BlockKind::Manifest => return Err(TxnError::Corrupt("manifest chained as a run")),
             };
             on_run(block.tag, run);
+            retained.meta.push(at);
+            at = block.next;
         }
-        Ok(manifest)
+        if at != info.manifest {
+            return Err(TxnError::Corrupt("chain does not close at the manifest"));
+        }
+        Ok((manifest, retained))
     }
 
     fn alloc(&self) -> u64 {
@@ -570,10 +581,10 @@ pub struct SnapshotWriter<'a> {
     store: &'a SnapshotStore,
     generation: u64,
     fence: WalFence,
-    /// Run blocks written, in sequence order. With `manifest`, these are
-    /// exactly the blocks this writer holds.
-    meta: Vec<u64>,
-    manifest: Option<u64>,
+    /// The blocks this writer holds, in chain order: the run blocks
+    /// written, then the one the next block goes to (taken ahead, so each
+    /// block names its successor), which the manifest takes last.
+    chain: Vec<u64>,
     /// Kind and table of the pending run in `run_buf`.
     run_kind: BlockKind,
     run_table: u32,
@@ -588,26 +599,22 @@ impl SnapshotWriter<'_> {
         self.generation
     }
 
-    fn payload_capacity(&self) -> usize {
-        self.store.page_size - BLOCK_HEADER
-    }
-
-    fn held_blocks(&self) -> Vec<u64> {
-        self.meta.iter().copied().chain(self.manifest).collect()
-    }
-
-    /// Write one metadata block into a fresh block; its sequence number
-    /// is its position in the manifest's list (the manifest itself comes
-    /// one past the end).
+    /// Write one metadata block into the block taken for it. Its sequence
+    /// number is its place in the chain (the manifest's is the run count),
+    /// and it names the next block: a fresh one for a run, the chain's
+    /// first for the manifest.
     fn write_meta(&mut self, kind: BlockKind, tag: u32, payload: &[u8]) -> Result<()> {
-        let at = self.store.alloc();
-        let seq = self.meta.len() as u64;
-        // Recorded before the write: a failed write still holds the block.
-        match kind {
-            BlockKind::Manifest => self.manifest = Some(at),
-            BlockKind::IndexRun | BlockKind::PageRun => self.meta.push(at),
-        }
-        encode_block(&mut self.block, kind, tag, self.generation, seq, payload);
+        let (gen, seq) = (self.generation, self.chain.len() as u64 - 1);
+        let at = self.chain[seq as usize];
+        let next = if kind == BlockKind::Manifest {
+            self.chain[0]
+        } else {
+            // Held before the write: a failed write still holds it.
+            let next = self.store.alloc();
+            self.chain.push(next);
+            next
+        };
+        encode_block(&mut self.block, kind, tag, gen, seq, next, payload);
         retry_io(|| self.store.dev.append_page(at, &self.block))?;
         Ok(())
     }
@@ -643,7 +650,7 @@ impl SnapshotWriter<'_> {
             (self.run_kind, self.run_table) = (kind, table);
         }
         self.run_buf.extend_from_slice(entry);
-        if self.run_buf.len() + entry.len() > self.payload_capacity() {
+        if self.run_buf.len() + entry.len() > self.store.page_size - BLOCK_HEADER {
             self.flush_run()?;
         }
         Ok(())
@@ -661,10 +668,9 @@ impl SnapshotWriter<'_> {
     }
 
     /// Close the generation: flush the pending run, write the manifest
-    /// that lists every run block, sync, then atomically install the
-    /// generation in the superblock. Nothing becomes visible on failure,
-    /// and the blocks go back to the free set. A manifest too large for
-    /// one block is an error, never a truncation.
+    /// that closes the chain, sync, then atomically install the generation
+    /// in the superblock. Nothing becomes visible on failure, and the
+    /// blocks go back to the free set.
     pub fn finish(
         mut self,
         next_page_id: u64,
@@ -680,29 +686,23 @@ impl SnapshotWriter<'_> {
             oracle_ts,
             next_txn_id,
             tables,
-            meta_blocks: self.meta.clone(),
         };
-        let payload = manifest.encode();
-        if payload.len() > self.payload_capacity() {
-            return Err(TxnError::Corrupt("manifest exceeds one block"));
-        }
-        self.write_meta(BlockKind::Manifest, 0, &payload)?;
+        self.write_meta(BlockKind::Manifest, 0, &manifest.encode())?;
         retry_io(|| self.store.dev.sync())?;
+        let mut meta = self.chain.clone();
         let info = GenerationInfo {
             generation: self.generation,
-            manifest: self.manifest.expect("manifest block just written"),
+            manifest: meta.pop().expect("manifest block just written"),
             fence_lsn: self.fence.lsn,
         };
         let new = Retained {
             info,
             fence: self.fence,
-            meta: manifest.meta_blocks,
+            meta,
         };
-        let held = self.held_blocks().len() as u64;
-        self.store.install(new, held)?;
+        self.store.install(new, self.chain.len() as u64)?;
         // Installed: the blocks are the generation's.
-        self.meta.clear();
-        self.manifest = None;
+        self.chain.clear();
         Ok(info)
     }
 }
@@ -710,9 +710,8 @@ impl SnapshotWriter<'_> {
 impl Drop for SnapshotWriter<'_> {
     /// A writer that did not install hands its blocks back.
     fn drop(&mut self) {
-        let held = self.held_blocks();
-        if !held.is_empty() {
-            self.store.give_back(held);
+        if !self.chain.is_empty() {
+            self.store.give_back(std::mem::take(&mut self.chain));
         }
     }
 }
@@ -721,7 +720,7 @@ impl std::fmt::Debug for SnapshotWriter<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotWriter")
             .field("generation", &self.generation)
-            .field("meta_blocks", &self.meta.len())
+            .field("blocks", &self.chain.len())
             .finish_non_exhaustive()
     }
 }
@@ -743,9 +742,6 @@ fn encode_superblock(page: &mut [u8], entries: &[GenerationInfo]) {
 }
 
 fn decode_superblock(page: &[u8]) -> Option<Vec<GenerationInfo>> {
-    if page.len() < SUPER_HEADER + 4 {
-        return None;
-    }
     let crc_at = page.len() - 4;
     let stored = u32::from_le_bytes(page[crc_at..].try_into().unwrap());
     if stored != crc32(&page[..crc_at]) {
@@ -906,7 +902,7 @@ mod tests {
         s.simulate_crash();
         assert_eq!(s.reload().unwrap(), 0, "the superblock names nothing");
         s.check().unwrap();
-        assert_eq!(s.latest(), None);
+        assert_eq!(s.generation(), 0);
         assert_eq!(s.newest_valid(), None);
         assert_eq!(s.used_bytes(), 0);
     }
@@ -929,7 +925,7 @@ mod tests {
             let g3 = generation(&s, 1, 3);
             assert_eq!(s.newest_valid(), Some(3));
             let block = match victim {
-                "index run" => s.load(3, |_, _| {}).unwrap().meta_blocks[0],
+                "index run" => s.blocks(3)[0],
                 _ => g3.manifest,
             };
             rot(&s, block);
@@ -1004,8 +1000,12 @@ mod tests {
         w.page_ids(4, &[PageId(7)]).unwrap();
         w.page_ids(5, &[]).unwrap();
         w.finish(0, 0, 0, Vec::new()).unwrap();
-        let blocks = s.load(1, |_, _| {}).unwrap().meta_blocks.len();
-        assert_eq!(blocks, 3 + 1 + 1, "60 ids in three blocks, a run, one id");
+        let blocks = s.blocks(1).len();
+        assert_eq!(
+            blocks,
+            3 + 1 + 1 + 1,
+            "60 ids in three blocks, a run, one id, the manifest"
+        );
 
         s.simulate_crash();
         let (_, runs, _) = s.recover().unwrap();
@@ -1093,25 +1093,28 @@ mod tests {
             generation(&s, 2, round);
         }
         let before = allocator(&s);
-        // Dropped mid-stream, past the free blocks and the high water.
+        // Dropped mid-stream, past the free blocks and the high water: 20
+        // run blocks and the block taken for the next one.
         let mut w = s.begin(WalFence::default());
         w.index_entries(1, &entries(20, 9)).unwrap();
-        assert_eq!(allocator(&s).2, 20);
+        assert_eq!(allocator(&s).2, 21);
         drop(w);
         s.check().unwrap();
         assert_eq!(allocator(&s), before);
 
-        // A manifest that cannot list its index-run blocks is an error,
-        // not a shorter list: (208 - 64) / 8 = 18 blocks at most.
+        // A block write fails partway along the chain: the writer holds
+        // the failed block and its successor, and hands every block back.
+        let plan = FaultPlan::new(2)
+            .rule(FaultRule::any(Trigger::NthOp(10), FaultKind::Fatal).on_op(FaultOp::Write));
+        s.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
         let mut w = s.begin(WalFence::default());
-        w.index_entries(1, &entries(20, 9)).unwrap();
-        assert_eq!(
-            w.finish(0, 0, 0, Vec::new()),
-            Err(TxnError::Corrupt("manifest exceeds one block"))
-        );
+        assert!(w.index_entries(1, &entries(20, 9)).is_err());
+        assert_eq!(allocator(&s).2, 11);
+        drop(w);
+        s.set_fault_injector(None);
         s.check().unwrap();
         assert_eq!(allocator(&s), before);
-        assert_eq!(s.latest().unwrap().generation, 4);
+        assert_eq!(s.generation(), 4);
     }
 
     #[test]
@@ -1176,6 +1179,94 @@ mod tests {
         // installing it now would put the list out of order.
         assert!(slow.finish(0, 0, 0, Vec::new()).is_err());
         s.check().unwrap();
-        assert_eq!(s.latest().unwrap().generation, 3);
+        assert_eq!(s.generation(), 3);
+    }
+    #[test]
+    fn a_broken_link_mid_chain_costs_the_newest_generation() {
+        for damage in ["rot", "torn", "next into the fallback"] {
+            let s = store();
+            generation(&s, 3, 1);
+            generation(&s, 3, 2);
+            let (fallback, newest) = (s.blocks(1), s.blocks(2));
+            let mut page = vec![0u8; PAGE];
+            s.device().read_page(newest[1], &mut page).unwrap();
+            match damage {
+                "rot" => page.fill(0xEE),
+                "torn" => page[PAGE / 2..].fill(0),
+                _ => {
+                    // A well-formed block whose link leads to the fallback's
+                    // block in the place the chain expects next.
+                    let b = decode_block(&page).unwrap();
+                    let mut relinked = vec![0u8; PAGE];
+                    let (gen, seq) = (b.gen, b.seq);
+                    encode_block(
+                        &mut relinked,
+                        b.kind,
+                        b.tag,
+                        gen,
+                        seq,
+                        fallback[2],
+                        b.payload,
+                    );
+                    page = relinked;
+                }
+            }
+            s.device().write_page(newest[1], &page).unwrap();
+            s.device().sync().unwrap();
+            assert!(!s.validate(2).unwrap(), "{damage}");
+            assert!(s.validate(1).unwrap(), "{damage}");
+
+            s.simulate_crash();
+            let (m, runs, fell_back) = s.recover().unwrap();
+            assert!(fell_back, "{damage}");
+            assert_eq!(m.generation, 1, "{damage}");
+            assert_eq!(runs.index[&1], entries(3, 1), "{damage}");
+            s.check().unwrap();
+            assert_eq!(s.blocks(1), fallback);
+        }
+    }
+
+    /// Ten times as many run blocks as a manifest that listed them could
+    /// list in one 1 KB block (112 with one table).
+    #[test]
+    fn a_generation_of_any_size_installs_recovers_and_falls_back() {
+        const KB: usize = 1024;
+        let s = SnapshotStore::new(KB, TimeScale::ZERO, PersistenceTracking::Full);
+        // 1 100 index-run blocks (61 entries each) and 20 page-run blocks
+        // (122 ids each).
+        let keys: Vec<(u64, u64)> = (0..1_100 * 61u64).map(|k| (k, k ^ 0x55)).collect();
+        let pages: Vec<PageId> = (0..20 * 122u64).map(|p| PageId(p * 3)).collect();
+        let table = |slots| TableMeta {
+            id: 1,
+            tuple_size: 8,
+            allocated_slots: slots,
+        };
+        for gen in 1..=2u64 {
+            let mut w = s.begin(WalFence::default());
+            w.index_entries(1, &keys[gen as usize..]).unwrap();
+            w.page_ids(1, &pages).unwrap();
+            w.finish(0, 0, 0, vec![table(gen)]).unwrap();
+            s.check().unwrap();
+        }
+        assert_eq!(s.blocks(2).len(), 1_120 + 1);
+
+        s.simulate_crash();
+        let (m, runs, fell_back) = s.recover().unwrap();
+        assert!(!fell_back);
+        assert_eq!((m.generation, &m.tables[..]), (2, &[table(2)][..]));
+        assert_eq!(runs.index[&1], keys[2..]);
+        assert_eq!(runs.pages[&1], pages);
+        s.check().unwrap();
+
+        let mid = s.blocks(2)[560];
+        s.device().write_page(mid, &[0xEE; KB]).unwrap();
+        s.device().sync().unwrap();
+        s.simulate_crash();
+        let (m, runs, fell_back) = s.recover().unwrap();
+        assert!(fell_back);
+        assert_eq!((m.generation, &m.tables[..]), (1, &[table(1)][..]));
+        assert_eq!(runs.index[&1], keys[1..]);
+        assert_eq!(runs.pages[&1], pages);
+        s.check().unwrap();
     }
 }

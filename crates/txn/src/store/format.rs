@@ -11,19 +11,22 @@
 //!
 //! | off | size | field                                        |
 //! |-----|------|----------------------------------------------|
-//! | 0   | 8    | magic `SPIFBLK2`                             |
+//! | 0   | 8    | magic `SPIFBLK3`                             |
 //! | 8   | 4    | CRC-32 over bytes `12..48+payload_len`       |
 //! | 12  | 1    | kind (1 index run, 2 manifest, 3 page run)   |
 //! | 13  | 3    | zero padding                                 |
 //! | 16  | 4    | tag (table id for runs, 0 for the manifest)  |
 //! | 20  | 4    | payload length in bytes                      |
 //! | 24  | 8    | generation number                            |
-//! | 32  | 8    | sequence number in the manifest's block list |
-//! | 40  | 8    | reserved (zero)                              |
+//! | 32  | 8    | sequence number: a run's place in the chain, |
+//! |     |      | the run count for the manifest               |
+//! | 40  | 8    | next block of the generation's chain         |
 //!
-//! Payloads: an index run is packed `(key u64, rid u64)` pairs; a page
-//! run is a table's data-page ids (`u64`) in slot order; the manifest is
-//! described at [`Manifest`].
+//! A generation's blocks form one cycle: manifest → first run → … → last
+//! run → manifest (a manifest with no runs names itself). Payloads: an
+//! index run is packed `(key u64, rid u64)` pairs; a page run is a table's
+//! data-page ids (`u64`) in slot order; the manifest is described at
+//! [`Manifest`].
 
 use spitfire_core::PageId;
 use spitfire_sync::crc32;
@@ -35,9 +38,9 @@ use crate::Result;
 /// Bytes of header at the start of every metadata block.
 pub const BLOCK_HEADER: usize = 48;
 
-const BLOCK_MAGIC: u64 = 0x5350_4946_424C_4B32; // "SPIFBLK2"
+const BLOCK_MAGIC: u64 = 0x5350_4946_424C_4B33; // "SPIFBLK3"
 pub(super) const SUPER_MAGIC: u64 = 0x5350_4946_5355_5032; // "SPIFSUP2"
-const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E35; // "SPIFMAN5"
+const MANIFEST_MAGIC: u64 = 0x5350_4946_4D41_4E36; // "SPIFMAN6"
 
 /// What a metadata block carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,17 +78,19 @@ pub(super) struct Block<'a> {
     pub tag: u32,
     pub gen: u64,
     pub seq: u64,
+    pub next: u64,
     pub payload: &'a [u8],
 }
 
 /// Frame `payload` into `page` (a full store page) as a checksummed
-/// metadata block.
+/// metadata block whose chain goes on at block `next`.
 pub(super) fn encode_block(
     page: &mut [u8],
     kind: BlockKind,
     tag: u32,
     gen: u64,
     seq: u64,
+    next: u64,
     payload: &[u8],
 ) {
     assert!(payload.len() <= page.len() - BLOCK_HEADER);
@@ -96,16 +101,15 @@ pub(super) fn encode_block(
     page[20..24].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     page[24..32].copy_from_slice(&gen.to_le_bytes());
     page[32..40].copy_from_slice(&seq.to_le_bytes());
+    page[40..48].copy_from_slice(&next.to_le_bytes());
     page[BLOCK_HEADER..BLOCK_HEADER + payload.len()].copy_from_slice(payload);
     let crc = crc32(&page[12..BLOCK_HEADER + payload.len()]);
     page[8..12].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decode and CRC-check one store page as a metadata block.
+/// Decode and CRC-check one store page (at least `BLOCK_HEADER` bytes) as
+/// a metadata block.
 pub(super) fn decode_block(page: &[u8]) -> Result<Block<'_>> {
-    if page.len() < BLOCK_HEADER {
-        return Err(TxnError::Corrupt("short block"));
-    }
     let u64_at = |o: usize| u64::from_le_bytes(page[o..o + 8].try_into().unwrap());
     let u32_at = |o: usize| u32::from_le_bytes(page[o..o + 4].try_into().unwrap());
     if u64_at(0) != BLOCK_MAGIC {
@@ -124,6 +128,7 @@ pub(super) fn decode_block(page: &[u8]) -> Result<Block<'_>> {
         tag: u32_at(16),
         gen: u64_at(24),
         seq: u64_at(32),
+        next: u64_at(40),
         payload: &page[BLOCK_HEADER..BLOCK_HEADER + payload_len],
     })
 }
@@ -169,27 +174,27 @@ pub(super) fn decode_page_run(payload: &[u8]) -> Result<Vec<PageId>> {
 
 /// The checksummed manifest of a generation, held in the one block the
 /// superblock entry names. Everything recovery needs besides the pages'
-/// homes, the persistent NVM buffer, the runs and the WAL tail lives here
-/// — including the list of the generation's run blocks, so a generation is
-/// found from its manifest alone.
+/// homes, the persistent NVM buffer, the runs and the WAL tail lives here;
+/// the runs are found by following the chain from the manifest's header,
+/// which also carries their count (its sequence number).
 ///
-/// Payload layout (`MANIFEST_FIXED` = 64 bytes, then the lists):
+/// Payload layout (`MANIFEST_FIXED` = 56 bytes, then the tables):
 ///
 /// | off | size | field                                         |
 /// |-----|------|-----------------------------------------------|
-/// | 0   | 8    | magic `SPIFMAN5`                              |
+/// | 0   | 8    | magic `SPIFMAN6`                              |
 /// | 8   | 8    | generation                                    |
 /// | 16  | 8    | fence LSN                                     |
 /// | 24  | 8    | fence page (first log-file page of the tail)  |
 /// | 32  | 8    | next page id                                  |
 /// | 40  | 8    | oracle timestamp                              |
 /// | 48  | 8    | next transaction id                           |
-/// | 56  | 4    | table count *t*                               |
-/// | 60  | 4    | run block count *b*                           |
-/// | 64  | 16·t | tables: id u32, tuple size u32, allocated     |
-/// |     |      | slots u64                                     |
-/// | …   | 8·b  | run block numbers (index and page runs), in   |
-/// |     |      | sequence order                                |
+/// | 56  | 16·t | tables, to the end of the payload: id u32,    |
+/// |     |      | tuple size u32, allocated slots u64           |
+///
+/// The table list is the only part that grows: `create_table` refuses a
+/// table past what one block can list (`max_tables`), so no checkpoint
+/// writes a manifest that does not fit.
 ///
 /// The default manifest — generation 0, fence `{0, 0}`, no tables — is
 /// what an empty store stands for: recovery then replays the whole log.
@@ -209,18 +214,19 @@ pub struct Manifest {
     pub next_txn_id: u64,
     /// Per-table metadata.
     pub tables: Vec<TableMeta>,
-    /// The generation's run blocks (index and page runs), in sequence
-    /// order.
-    pub meta_blocks: Vec<u64>,
 }
 
-const MANIFEST_FIXED: usize = 64;
+const MANIFEST_FIXED: usize = 56;
 const TABLE_META: usize = 16;
+
+/// Tables a manifest lists in one `page_size`-byte block.
+pub(crate) fn max_tables(page_size: usize) -> usize {
+    (page_size - BLOCK_HEADER - MANIFEST_FIXED) / TABLE_META
+}
 
 impl Manifest {
     pub(super) fn encode(&self) -> Vec<u8> {
-        let blocks_at = MANIFEST_FIXED + self.tables.len() * TABLE_META;
-        let mut out = vec![0u8; blocks_at + self.meta_blocks.len() * 8];
+        let mut out = vec![0u8; MANIFEST_FIXED];
         out[0..8].copy_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out[8..16].copy_from_slice(&self.generation.to_le_bytes());
         out[16..24].copy_from_slice(&self.fence.lsn.to_le_bytes());
@@ -228,17 +234,10 @@ impl Manifest {
         out[32..40].copy_from_slice(&self.next_page_id.to_le_bytes());
         out[40..48].copy_from_slice(&self.oracle_ts.to_le_bytes());
         out[48..56].copy_from_slice(&self.next_txn_id.to_le_bytes());
-        out[56..60].copy_from_slice(&(self.tables.len() as u32).to_le_bytes());
-        out[60..64].copy_from_slice(&(self.meta_blocks.len() as u32).to_le_bytes());
-        for (i, t) in self.tables.iter().enumerate() {
-            let o = MANIFEST_FIXED + i * TABLE_META;
-            out[o..o + 4].copy_from_slice(&t.id.to_le_bytes());
-            out[o + 4..o + 8].copy_from_slice(&t.tuple_size.to_le_bytes());
-            out[o + 8..o + 16].copy_from_slice(&t.allocated_slots.to_le_bytes());
-        }
-        for (i, b) in self.meta_blocks.iter().enumerate() {
-            let o = blocks_at + i * 8;
-            out[o..o + 8].copy_from_slice(&b.to_le_bytes());
+        for t in &self.tables {
+            out.extend_from_slice(&t.id.to_le_bytes());
+            out.extend_from_slice(&t.tuple_size.to_le_bytes());
+            out.extend_from_slice(&t.allocated_slots.to_le_bytes());
         }
         out
     }
@@ -248,26 +247,18 @@ impl Manifest {
             return Err(TxnError::Corrupt("short manifest"));
         }
         let u64_at = |o: usize| u64::from_le_bytes(payload[o..o + 8].try_into().unwrap());
-        let u32_at = |o: usize| u32::from_le_bytes(payload[o..o + 4].try_into().unwrap());
         if u64_at(0) != MANIFEST_MAGIC {
             return Err(TxnError::Corrupt("bad manifest magic"));
         }
-        let n_tables = u32_at(56) as usize;
-        let n_blocks = u32_at(60) as usize;
-        let blocks_at = MANIFEST_FIXED + n_tables * TABLE_META;
-        // Both counts are bounded by the payload (one block) before
-        // anything is allocated for them.
-        if payload.len() != blocks_at + n_blocks * 8 {
-            return Err(TxnError::Corrupt("manifest length mismatch"));
+        let tables = payload[MANIFEST_FIXED..].chunks_exact(TABLE_META);
+        if !tables.remainder().is_empty() {
+            return Err(TxnError::Corrupt("ragged manifest table list"));
         }
-        let tables = (0..n_tables)
-            .map(|i| {
-                let o = MANIFEST_FIXED + i * TABLE_META;
-                TableMeta {
-                    id: u32_at(o),
-                    tuple_size: u32_at(o + 4),
-                    allocated_slots: u64_at(o + 8),
-                }
+        let tables = tables
+            .map(|t| TableMeta {
+                id: u32::from_le_bytes(t[0..4].try_into().unwrap()),
+                tuple_size: u32::from_le_bytes(t[4..8].try_into().unwrap()),
+                allocated_slots: u64::from_le_bytes(t[8..16].try_into().unwrap()),
             })
             .collect();
         Ok(Manifest {
@@ -280,7 +271,6 @@ impl Manifest {
             oracle_ts: u64_at(40),
             next_txn_id: u64_at(48),
             tables,
-            meta_blocks: (0..n_blocks).map(|i| u64_at(blocks_at + i * 8)).collect(),
         })
     }
 }
@@ -293,10 +283,10 @@ mod tests {
     fn block_round_trip_and_crc() {
         let mut page = vec![0u8; 256];
         let payload: Vec<u8> = (0..200u32).map(|i| (i * 7) as u8).collect();
-        encode_block(&mut page, BlockKind::IndexRun, 5, 3, 17, &payload);
+        encode_block(&mut page, BlockKind::IndexRun, 5, 3, 17, 40, &payload);
         let b = decode_block(&page).unwrap();
         assert_eq!(b.kind, BlockKind::IndexRun);
-        assert_eq!((b.tag, b.gen, b.seq), (5, 3, 17));
+        assert_eq!((b.tag, b.gen, b.seq, b.next), (5, 3, 17, 40));
         assert_eq!(b.payload, &payload[..]);
 
         // Any flipped payload bit must fail the CRC.
@@ -356,13 +346,18 @@ mod tests {
                     allocated_slots: 0,
                 },
             ],
-            meta_blocks: vec![4, 5, 17],
         };
         let bytes = m.encode();
-        // 16 bytes a table, 8 a run block.
-        assert_eq!(bytes.len(), MANIFEST_FIXED + 2 * 16 + 3 * 8);
+        // 16 bytes a table, to the end of the payload.
+        assert_eq!(bytes.len(), MANIFEST_FIXED + 2 * 16);
         assert_eq!(Manifest::decode(&bytes).unwrap(), m);
-        // A manifest is exactly as long as its counts say.
         assert!(Manifest::decode(&bytes[..bytes.len() - 8]).is_err());
+        // The tables a block can list fit in one block's payload.
+        let full = Manifest {
+            tables: vec![m.tables[0]; max_tables(256)],
+            ..m
+        };
+        assert!(full.encode().len() <= 256 - BLOCK_HEADER);
+        assert!(full.encode().len() + TABLE_META > 256 - BLOCK_HEADER);
     }
 }

@@ -328,6 +328,28 @@ fn create_table_refuses_a_duplicate_id() {
 }
 
 #[test]
+fn create_table_refuses_a_table_the_manifest_could_not_list() {
+    // (1024 - a 48-byte block header - 56 fixed manifest bytes) / 16
+    // bytes a table.
+    const MAX: u32 = 57;
+    let db = database();
+    for t in T + 1..=MAX {
+        db.create_table(t, TUPLE).unwrap();
+    }
+    let refused = TxnError::TooManyTables(MAX as usize);
+    assert_eq!(db.create_table(MAX + 1, TUPLE).unwrap_err(), refused);
+
+    // A manifest listing every table fits its block.
+    db.checkpoint().unwrap();
+    db.simulate_crash();
+    assert_eq!(db.recover().unwrap().snapshot_generation, 1);
+    for t in T..=MAX {
+        db.table_data_pages(t).unwrap();
+    }
+    assert_eq!(db.create_table(MAX + 1, TUPLE).unwrap_err(), refused);
+}
+
+#[test]
 fn repeated_crash_recover_cycles_are_stable() {
     let db = database();
     let mut expected: Vec<(u64, u8)> = Vec::new();

@@ -229,6 +229,13 @@ fn conflicting_abort(db: &Database, key: u64) -> u64 {
     slot
 }
 
+/// The database's `aborted_slots_retired` counter.
+fn aborted_slots_retired(db: &Database) -> u64 {
+    let mut report = spitfire_obs::Report::default();
+    spitfire_obs::Source::report(db, &mut report);
+    report.counters["aborted_slots_retired"]
+}
+
 /// The slot watermark the newest generation's manifest records for `T`.
 fn allocated_slots(db: &Database) -> u64 {
     let store = db.snapshots();
@@ -247,6 +254,7 @@ fn aborted_versions_give_their_slots_back() {
         write(&db, key, 0);
     }
     let aborted: Vec<u64> = (0..K).map(|key| conflicting_abort(&db, key)).collect();
+    assert_eq!(aborted_slots_retired(&db), K);
     db.checkpoint().unwrap();
     let before = allocated_slots(&db);
     assert_eq!(before, 2 * K);
@@ -288,6 +296,8 @@ fn a_crash_before_the_install_replays_the_loser_over_its_unreused_slot() {
     db.simulate_crash();
     let stats = db.recover().unwrap();
     assert_eq!((stats.snapshot_generation, stats.undone), (1, 1));
+    // The rollback's retire, then the loser undo's.
+    assert_eq!(aborted_slots_retired(&db), 2);
     let mut t = db.begin();
     for (key, value) in [(1, 1u8), (2, 3), (3, 2)] {
         assert_eq!(db.read(&t, T, key).unwrap(), vec![value; TUPLE]);

@@ -141,7 +141,7 @@ fn corrupt_newest_generation_falls_back_one() {
         model.insert(9, 0xF9);
         db.checkpoint().unwrap();
         let block = match victim {
-            "index run" => store.load(2, |_, _| {}).unwrap().meta_blocks[0],
+            "index run" => store.blocks(2)[0],
             _ => store.entry(2).unwrap().manifest,
         };
         store.device().write_page(block, &[0xEE; PAGE]).unwrap();
@@ -452,7 +452,7 @@ fn recovery_reads_each_retained_generation_once() {
         db.checkpoint().unwrap();
     }
     let store = db.snapshots();
-    let blocks = |gen| 1 + store.load(gen, |_, _| {}).unwrap().meta_blocks.len() as u64;
+    let blocks = |gen| store.blocks(gen).len() as u64;
     let (fallback, newest) = (blocks(1), blocks(2));
     assert!(newest > fallback && fallback > 2, "{newest} / {fallback}");
 
@@ -479,7 +479,6 @@ fn recovery_reads_only_the_log_tail() {
     // log-file pages and the tail some pages plus the buffer.
     let db = database_with(DbConfig {
         log_buffer_bytes: 64 * 1024,
-        ..DbConfig::default()
     });
     let mut model = std::collections::HashMap::new();
     const LOAD: u64 = 1000;
@@ -535,7 +534,6 @@ fn recovery_reads_only_the_log_tail() {
 fn one_generation_truncates_the_log_to_its_own_fence() {
     let db = database_with(DbConfig {
         log_buffer_bytes: 64 * 1024,
-        ..DbConfig::default()
     });
     for batch in (0..1000u64).collect::<Vec<_>>().chunks(32) {
         write_all(&db, &batch.iter().map(|&k| (k, 1)).collect::<Vec<_>>());

@@ -246,15 +246,24 @@ fn removed_shims_stay_removed() {
 
     // One durability switch, one log page size and one checkpoint path.
     // The destructurings and the match are exhaustive, so they stop
-    // compiling if `DbConfig::log_tracking` or `DbConfig::log_page_size`
-    // (the log file's page is the SSD's write unit), the server's
-    // `pressure_poll` (a constant), any other field, or
+    // compiling if `DbConfig::log_tracking`, `DbConfig::log_page_size`
+    // (the log file's page is the SSD's write unit) or
+    // `DbConfig::lock_stripes` (a constant), the server's `pressure_poll`
+    // (a constant), any other field, a manifest's list of run blocks (a
+    // generation's blocks chain through their headers), or
     // `RecordKind::Checkpoint` (or any other kind) comes back; the
     // engine-less checkpoint's `Wal::truncate` is pinned like the shims.
     let spitfire_txn::DbConfig {
         log_buffer_bytes: _,
-        lock_stripes: _,
     } = spitfire_txn::DbConfig::default();
+    let spitfire_txn::Manifest {
+        generation: _,
+        fence: _,
+        next_page_id: _,
+        oracle_ts: _,
+        next_txn_id: _,
+        tables: _,
+    } = spitfire_txn::Manifest::default();
     let spitfire_server::ServerConfig {
         addr: _,
         workers: _,

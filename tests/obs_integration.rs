@@ -213,6 +213,7 @@ fn repeated_registration_reports_each_name_once() {
 /// Every counter and gauge a full stack exports, sorted. Adding, renaming
 /// or dropping a metric changes this list — deliberately, in one place.
 const FULL_STACK_SCHEMA: &[&str] = &[
+    "aborted_slots_retired",
     "active_txns",
     "admission_queue_len",
     "backpressure_fallbacks",
