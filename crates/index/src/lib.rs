@@ -33,7 +33,7 @@
 mod node;
 mod tree;
 
-pub use tree::{BTree, IndexError};
+pub use tree::{BTree, EntryAt, IndexError};
 
 /// Result alias for index operations.
 pub type Result<T> = std::result::Result<T, IndexError>;

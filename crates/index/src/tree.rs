@@ -116,6 +116,16 @@ impl Drop for Held<'_> {
     }
 }
 
+/// Where a lookup found a key's entry ([`BTree::get_at`]): the leaf, the
+/// latch version the leaf was read under, and the entry's position in it.
+/// [`BTree::set_at`] writes through it while that version holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryAt {
+    leaf: PageId,
+    version: u64,
+    pos: usize,
+}
+
 /// A concurrent B+Tree mapping `u64` keys to `u64` values, stored in
 /// buffer-managed pages.
 pub struct BTree {
@@ -298,20 +308,46 @@ impl BTree {
 
     /// Point lookup.
     pub fn get(&self, key: u64) -> Result<Option<u64>> {
+        Ok(self.get_at(key)?.map(|(value, _)| value))
+    }
+
+    /// Point lookup that also says where the entry sits, so a caller that
+    /// reads a key and then overwrites it ([`set_at`](Self::set_at))
+    /// descends once.
+    pub fn get_at(&self, key: u64) -> Result<Option<(u64, EntryAt)>> {
         self.retry(MAX_RESTARTS, || {
             let Attempt::Done((leaf, h, version)) = self.descend(key, AccessIntent::Read)? else {
                 return Ok(Attempt::Restart);
             };
-            let value = match leaf.search(key, &h)? {
-                Found::Hit { value, .. } => Some(value),
+            let found = match leaf.search(key, &h)? {
+                Found::Hit { pos, value } => {
+                    let leaf = leaf.page_id();
+                    Some((value, EntryAt { leaf, version, pos }))
+                }
                 Found::Miss { .. } => None,
             };
             Ok(if validate(&leaf, version) {
-                Attempt::Done(value)
+                Attempt::Done(found)
             } else {
                 Attempt::Restart
             })
         })
+    }
+
+    /// Overwrite `key`'s value where [`get_at`](Self::get_at) found it:
+    /// one write-intent fetch of the leaf, and a latch upgrade at the
+    /// version the lookup read it under, which proves the entry is still
+    /// at `at`. If anything wrote the leaf since, the version has moved
+    /// and this is an [`insert`](Self::insert). (A leaf's latch lives in
+    /// its page's descriptor, which no tier move replaces, so the version
+    /// never repeats.)
+    pub fn set_at(&self, at: EntryAt, key: u64, value: u64) -> Result<()> {
+        let leaf = Node::new(self.bm.fetch(at.leaf, AccessIntent::Write)?);
+        if leaf.latch(|l| l.upgrade(at.version).is_ok()) == Some(true) {
+            return Held(leaf).set_entry(at.pos, key, value);
+        }
+        drop(leaf);
+        self.insert(key, value).map(drop)
     }
 
     /// Insert or update; returns the previous value for `key`, if any.
@@ -621,6 +657,34 @@ mod tests {
             root.latch(VersionLatch::write_unlock).unwrap();
             assert_eq!(reader.join().unwrap(), Some(10));
         });
+    }
+
+    /// A write through the location a lookup returned lands in place while
+    /// nothing else wrote the leaf; once something did, the latch version
+    /// has moved and the write falls back to an insert, which finds the
+    /// entry where it now is.
+    #[test]
+    fn a_write_through_a_stale_location_falls_back_to_insert() {
+        let tree = tiny_tree();
+        for k in (0..20).step_by(2) {
+            tree.insert(k, k).unwrap();
+        }
+        let (value, at) = tree.get_at(10).unwrap().unwrap();
+        assert_eq!(value, 10);
+        tree.set_at(at, 10, 100).unwrap();
+        assert_eq!(tree.get(10).unwrap(), Some(100));
+        // Key 5 goes into the same leaf before key 10, moving it one
+        // position right: the old position now holds key 8.
+        let (_, at) = tree.get_at(10).unwrap().unwrap();
+        tree.insert(5, 50).unwrap();
+        tree.set_at(at, 10, 1000).unwrap();
+        let mut expect: Vec<(u64, u64)> = (0..20).step_by(2).map(|k| (k, k)).collect();
+        expect.push((5, 50));
+        expect.sort_unstable();
+        expect.iter_mut().find(|e| e.0 == 10).unwrap().1 = 1000;
+        assert_eq!(tree.scan_from(0, usize::MAX).unwrap(), expect);
+        assert_eq!(tree.get_at(10).unwrap().map(|(v, _)| v), Some(1000));
+        assert_eq!(tree.get_at(7).unwrap(), None);
     }
 
     /// After every step of a random insert / overwrite / remove sequence

@@ -412,6 +412,16 @@ impl Database {
 
     /// Install a new version of `key`. Fails with [`TxnError::Conflict`]
     /// when MVTO ordering would be violated (caller aborts and retries).
+    ///
+    /// The index is descended once: the lookup returns where the key's
+    /// entry sits, and the new rid is written there
+    /// ([`BTree::set_at`](spitfire_index::BTree::set_at)). Once the new
+    /// version is in, the write is the transaction's, so a failure at any
+    /// later step is undone by [`abort`](Self::abort). The Update record
+    /// is appended before the superseded version's `end` marker is
+    /// stamped: on an NVM copy that stamp is durable at once, and a
+    /// durable marker no log record names would refuse every later
+    /// update of the key, since recovery's undo never reopens it.
     pub fn update(
         &self,
         txn: &mut Transaction,
@@ -425,7 +435,7 @@ impl Database {
         let rel = self.relation(table_id)?;
         let (table, index) = (&rel.table, &rel.index);
         let _stripe = self.locks.lock(table_id, key);
-        let Some(rid) = index.get(key)? else {
+        let Some((rid, at)) = index.get_at(key)? else {
             return Err(TxnError::NotFound);
         };
         let hdr = table.read_visit(rid)?.header()?;
@@ -469,9 +479,13 @@ impl Database {
         // Insert before stamping: a failed insert leaves the old version
         // exactly as it was.
         let new_rid = table.insert_version(new_hdr, payload)?;
-        table.write_visit(rid)?.stamp(Field::End, MARK | txn.id)?;
-        index.insert(key, new_rid)?;
-        let lsn = self.wal.append(&LogRecord {
+        txn.writes.push(WriteEntry {
+            table: table_id,
+            key,
+            new_rid,
+            old_rid: rid,
+        });
+        txn.last_lsn = self.wal.append(&LogRecord {
             kind: RecordKind::Update,
             txn: txn.id,
             table: table_id,
@@ -481,18 +495,15 @@ impl Database {
             prev_lsn: txn.last_lsn,
             payload,
         })?;
-        txn.last_lsn = lsn;
-        txn.writes.push(WriteEntry {
-            table: table_id,
-            key,
-            new_rid,
-            old_rid: rid,
-        });
+        table.write_visit(rid)?.stamp(Field::End, MARK | txn.id)?;
+        index.set_at(at, key, new_rid)?;
         Ok(())
     }
 
     /// Insert a fresh key. Fails with [`TxnError::Duplicate`] if a version
-    /// chain already exists.
+    /// chain already exists. Once the version is in, the write is the
+    /// transaction's, so a failure at any later step is undone by
+    /// [`abort`](Self::abort).
     pub fn insert(
         &self,
         txn: &mut Transaction,
@@ -517,8 +528,14 @@ impl Database {
             key,
         };
         let new_rid = table.insert_version(new_hdr, payload)?;
+        txn.writes.push(WriteEntry {
+            table: table_id,
+            key,
+            new_rid,
+            old_rid: NO_RID,
+        });
         index.insert(key, new_rid)?;
-        let lsn = self.wal.append(&LogRecord {
+        txn.last_lsn = self.wal.append(&LogRecord {
             kind: RecordKind::Insert,
             txn: txn.id,
             table: table_id,
@@ -528,13 +545,6 @@ impl Database {
             prev_lsn: txn.last_lsn,
             payload,
         })?;
-        txn.last_lsn = lsn;
-        txn.writes.push(WriteEntry {
-            table: table_id,
-            key,
-            new_rid,
-            old_rid: NO_RID,
-        });
         Ok(())
     }
 
@@ -606,7 +616,11 @@ impl Database {
 
     /// Everything a commit does before it retires: validation, the commit
     /// record, the stamps. A failed validation rolls the writes back and is
-    /// a [`TxnError::Conflict`].
+    /// a [`TxnError::Conflict`]; a commit record that cannot be appended
+    /// rolls them back too and returns the I/O error. Whether that record
+    /// reached the log is then unknown — a crash may still replay it as
+    /// committed — but the live database no longer holds the
+    /// transaction's markers.
     fn commit_writes(&self, txn: &Transaction) -> Result<()> {
         if txn.writes.is_empty() {
             return Ok(()); // read-only: nothing to log or stamp
@@ -636,7 +650,7 @@ impl Database {
         }
 
         // Durability point.
-        self.wal.append(&LogRecord {
+        let logged = self.wal.append(&LogRecord {
             kind: RecordKind::Commit,
             txn: txn.id,
             table: 0,
@@ -645,7 +659,12 @@ impl Database {
             prev_rid: NO_RID,
             prev_lsn: txn.last_lsn,
             payload: &[],
-        })?;
+        });
+        if let Err(e) = logged {
+            drop(guards);
+            self.rollback(txn)?;
+            return Err(e);
+        }
 
         // Stamp versions with the commit timestamp: the markers are ours
         // (key stripes held since validation), so both stamps are blind.
@@ -756,7 +775,8 @@ impl Database {
     /// 3. read the log tail: the log file from the fence's page on (the
     ///    manifest records the whole [`WalFence`](crate::WalFence)), then
     ///    the (persistent) NVM log buffer; nothing before the fence is
-    ///    read;
+    ///    read; a tail cut short by a tear or corruption is made the end
+    ///    of the log ([`Wal::end_at_clean_prefix`]);
     /// 4. analysis — split the tail's transactions into winners and losers;
     /// 5. redo — create the tail's tables and re-apply winners' writes with
     ///    their commit timestamps, growing each table over the pages added
@@ -805,6 +825,8 @@ impl Database {
 
         let clock = Instant::now();
         let tail = self.wal.read_from(manifest.fence)?;
+        // A torn or corrupt tail: the log continues from its clean end.
+        self.wal.end_at_clean_prefix(&tail)?;
         stats.log_bytes = (tail.file_bytes + tail.nvm_bytes) as u64;
         stats.log_read_us = clock.elapsed().as_micros() as u64;
 

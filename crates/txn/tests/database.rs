@@ -4,7 +4,10 @@
 use std::sync::Arc;
 
 use spitfire_core::{BufferManager, BufferManagerConfig, MigrationPolicy};
-use spitfire_device::{PersistenceTracking, TimeScale};
+use spitfire_device::{
+    DeviceKind, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, PersistenceTracking,
+    TimeScale, Trigger,
+};
 use spitfire_txn::{Database, DbConfig, LogRecord, RecordKind, TxnError, NO_RID};
 
 const PAGE: usize = 1024;
@@ -29,6 +32,41 @@ fn database() -> Database {
 
 fn tuple(b: u8) -> Vec<u8> {
     vec![b; TUPLE]
+}
+
+/// Commit `key` = `tuple(byte)`, updating or inserting.
+fn put(db: &Database, key: u64, byte: u8) {
+    let mut t = db.begin();
+    match db.update(&mut t, T, key, &tuple(byte)) {
+        Err(TxnError::NotFound) => db.insert(&mut t, T, key, &tuple(byte)).unwrap(),
+        other => other.unwrap(),
+    }
+    db.commit(&mut t).unwrap();
+}
+
+/// What a fresh transaction reads for `key`.
+fn get(db: &Database, key: u64) -> Result<Vec<u8>, TxnError> {
+    let mut t = db.begin();
+    let got = db.read(&t, T, key);
+    db.abort(&mut t).unwrap();
+    got
+}
+
+/// A one-shot fault of `kind` on the `n`-th `op` of a `device`.
+fn one_shot(n: u64, device: DeviceKind, op: FaultOp, kind: FaultKind) -> Arc<FaultInjector> {
+    let plan = FaultPlan::new(n).rule(
+        FaultRule::any(Trigger::NthOp(n), kind)
+            .on_device(device)
+            .on_op(op),
+    );
+    Arc::new(FaultInjector::new(plan))
+}
+
+/// A fatal fault on the next write to the NVM log ring: the next append
+/// fails.
+fn fail_next_log_append(db: &Database) {
+    let fault = one_shot(1, DeviceKind::Nvm, FaultOp::Write, FaultKind::Fatal);
+    db.wal().set_fault_injector(Some(fault));
 }
 
 #[test]
@@ -448,4 +486,157 @@ fn concurrent_transfer_invariant() {
         })
         .sum();
     assert_eq!(total, ACCOUNTS * INITIAL, "balance must be conserved");
+}
+
+#[test]
+fn a_failed_update_append_is_undone_by_abort() {
+    let db = database();
+    put(&db, 1, 1);
+    let mut t = db.begin();
+    fail_next_log_append(&db);
+    let err = db.update(&mut t, T, 1, &tuple(2)).unwrap_err();
+    db.wal().set_fault_injector(None);
+    assert_ne!(err, TxnError::Conflict);
+    db.abort(&mut t).unwrap();
+    assert_eq!(get(&db, 1).unwrap(), tuple(1));
+    put(&db, 1, 3);
+    assert_eq!(get(&db, 1).unwrap(), tuple(3));
+}
+
+#[test]
+fn a_failed_insert_append_is_undone_by_abort() {
+    let db = database();
+    let mut t = db.begin();
+    fail_next_log_append(&db);
+    let err = db.insert(&mut t, T, 1, &tuple(1)).unwrap_err();
+    db.wal().set_fault_injector(None);
+    assert_ne!(err, TxnError::Duplicate);
+    db.abort(&mut t).unwrap();
+    assert_eq!(get(&db, 1).unwrap_err(), TxnError::NotFound);
+    let mut t = db.begin();
+    db.insert(&mut t, T, 1, &tuple(2)).unwrap();
+    db.commit(&mut t).unwrap();
+    assert_eq!(get(&db, 1).unwrap(), tuple(2));
+}
+
+#[test]
+fn a_failed_commit_append_rolls_the_transaction_back() {
+    let db = database();
+    put(&db, 1, 1);
+    let mut t = db.begin();
+    db.update(&mut t, T, 1, &tuple(2)).unwrap();
+    db.insert(&mut t, T, 2, &tuple(2)).unwrap();
+    fail_next_log_append(&db);
+    let err = db.commit(&mut t).unwrap_err();
+    db.wal().set_fault_injector(None);
+    assert_ne!(err, TxnError::Conflict);
+    assert!(!t.is_active());
+    assert_eq!(get(&db, 1).unwrap(), tuple(1));
+    assert_eq!(get(&db, 2).unwrap_err(), TxnError::NotFound);
+    put(&db, 1, 3);
+    put(&db, 2, 3);
+    assert_eq!(
+        (get(&db, 1).unwrap(), get(&db, 2).unwrap()),
+        (tuple(3), tuple(3))
+    );
+}
+
+/// The index in DRAM, the table's data pages on NVM: the index root is
+/// built under an eager policy, then nothing moves (D_r = D_w = 0), so a
+/// data page's first write-intent fetch lands it on NVM and every stamp
+/// on it is persisted at once.
+fn database_with_data_on_nvm() -> Database {
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE)
+        .dram_capacity(64 * PAGE)
+        .nvm_capacity(256 * (PAGE + 64))
+        .policy(MigrationPolicy::eager())
+        .persistence(PersistenceTracking::Full)
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    let bm = Arc::new(BufferManager::new(config).unwrap());
+    let db = Database::create(bm, DbConfig::default()).unwrap();
+    db.create_table(T, TUPLE).unwrap();
+    db.buffer_manager()
+        .admin()
+        .set_policy(MigrationPolicy::new(0.0, 0.0, 1.0, 1.0));
+    db
+}
+
+/// Fail each NVM write of one update in turn, crash and recover: the key
+/// keeps its committed value and takes the next update. The superseded
+/// version's `end` marker is persisted at once on NVM, so it must come
+/// after the Update record that lets recovery's undo reopen it.
+#[test]
+fn a_crash_after_any_failed_nvm_write_of_an_update_leaves_the_key_writable() {
+    let mut failed = 0;
+    for k in 1.. {
+        let db = database_with_data_on_nvm();
+        put(&db, 1, 1);
+        db.checkpoint().unwrap();
+        let page = db.table_data_pages(T).unwrap()[0];
+        assert!(!db.buffer_manager().is_dram_resident(page));
+        let fault = one_shot(k, DeviceKind::Nvm, FaultOp::Write, FaultKind::Fatal);
+        db.set_fault_injector(Some(Arc::clone(&fault)));
+        let mut t = db.begin();
+        let result = db.update(&mut t, T, 1, &tuple(2));
+        db.set_fault_injector(None);
+        if fault.stats().fatal == 0 {
+            result.unwrap();
+            break;
+        }
+        assert!(
+            result.is_err(),
+            "NVM write {k} failed, yet the update did not"
+        );
+        failed += 1;
+        db.simulate_crash();
+        db.recover().unwrap();
+        assert_eq!(get(&db, 1).unwrap(), tuple(1), "NVM write {k}");
+        let mut t = db.begin();
+        db.update(&mut t, T, 1, &tuple(3))
+            .unwrap_or_else(|e| panic!("after a fault on NVM write {k}: {e}"));
+        db.commit(&mut t).unwrap();
+        assert_eq!(get(&db, 1).unwrap(), tuple(3), "NVM write {k}");
+    }
+    // The new version, the Update frame and the `end` marker.
+    assert!(failed >= 3, "{failed} NVM writes");
+}
+
+/// A log-file page torn by the device (which reported the write and the
+/// sync as done): recovery keeps the clean prefix and the log continues
+/// from its end, so what is committed after the restart survives the next
+/// crash. Without the cut, the next drain appended behind the tear and
+/// every later scan stopped at it.
+#[test]
+fn after_a_torn_log_page_the_log_continues_from_its_clean_end() {
+    let db = database();
+    for k in 0..3u64 {
+        put(&db, k, k as u8);
+    }
+    db.wal().drain().unwrap();
+    // More than one 16 KB log page of records for key 99: whatever the
+    // tear keeps of the drain's first page, it loses some of it.
+    for i in 0..100u64 {
+        put(&db, 99, i as u8);
+    }
+    let tear = one_shot(1, DeviceKind::Ssd, FaultOp::Write, FaultKind::TornWrite);
+    db.wal().set_fault_injector(Some(Arc::clone(&tear)));
+    db.wal().drain().unwrap();
+    db.wal().set_fault_injector(None);
+    assert_eq!(tear.stats().torn, 1);
+    db.simulate_crash();
+    db.recover().unwrap();
+    let survivor = get(&db, 99).ok();
+    for k in 10..13u64 {
+        put(&db, k, k as u8);
+    }
+    db.simulate_crash();
+    db.recover().unwrap();
+    for k in (0..3).chain(10..13) {
+        assert_eq!(get(&db, k), Ok(tuple(k as u8)), "key {k}");
+    }
+    assert_eq!(get(&db, 99).ok(), survivor);
+    assert!(!db.wal().read_from(db.wal().base()).unwrap().corrupt);
 }

@@ -158,6 +158,42 @@ fn update_and_commit_are_six_table_fetches_and_six_accesses() {
     assert_eq!(cost.bm.path(MigrationPath::NvmToDram), 0);
 }
 
+/// An update descends the index once: the lookup returns where the key's
+/// entry sits and the new rid is written there, so it fetches the index
+/// `height + 1` times (it used to be `2 × height`: a lookup, then an
+/// insert that descended again). Everything is DRAM-resident here; the
+/// update's 3 table fetches are those counted above.
+#[test]
+fn an_update_descends_the_index_once() {
+    for (keys, height) in [(1, 1), (600, 2)] {
+        let cost = twice(|| {
+            let db = database(64, MigrationPolicy::eager());
+            let mut t = db.begin();
+            for key in 0..keys {
+                db.insert(&mut t, T, key, &[1; TUPLE]).unwrap();
+            }
+            db.commit(&mut t).unwrap();
+            let mut t = db.begin();
+            let cost = Cost::of(&db, || db.update(&mut t, T, 0, &[2; TUPLE]).unwrap());
+            db.abort(&mut t).unwrap();
+            cost
+        });
+        assert_eq!(cost.bm.total_requests(), 3 + height + 1, "{keys} keys");
+        assert_eq!(cost.bm.dram_hits, cost.bm.total_requests());
+    }
+}
+
+/// The log's share of an update and its commit: one persist per record,
+/// the frame itself — no cursor word moves on NVM.
+#[test]
+fn an_update_and_its_commit_cost_the_log_two_nvm_writes_and_two_fences() {
+    let db = data_in_nvm();
+    let before = db.wal().nvm_stats().snapshot();
+    put(&db, KEY, 2);
+    let log = db.wal().nvm_stats().snapshot().delta(&before);
+    assert_eq!((log.write_ops, log.fences), (2, 2));
+}
+
 #[test]
 fn stamp_on_nvm_draws_dw_before_it_lands() {
     // D_w = 1: the upgrade promotes first, the stamp lands on DRAM and NVM
