@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spitfire_core::{
-    AccessIntent, BufferManager, BufferManagerConfig, MigrationPolicy, PolicyCell,
+    AccessIntent, BufferManager, BufferManagerConfig, Coin, MigrationPolicy, PolicyCell,
 };
 use spitfire_device::{PersistenceTracking, TimeScale};
 use spitfire_index::BTree;
@@ -109,10 +109,7 @@ fn bench_policy(c: &mut Criterion) {
     let cell = PolicyCell::new(MigrationPolicy::lazy());
     let mut rng = SmallRng::seed_from_u64(1);
     c.bench_function("policy_flip", |b| {
-        b.iter(|| {
-            let draw: u32 = rng.gen();
-            cell.flip_dr(draw)
-        })
+        b.iter(|| cell.flip(Coin::Dr, || rng.gen()))
     });
 }
 

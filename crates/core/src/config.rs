@@ -173,7 +173,10 @@ pub struct BufferManagerConfig {
     pub mini_pages: bool,
     /// Run tier 1 in memory mode (DRAM as hardware cache over NVM).
     pub memory_mode: bool,
-    /// Seed for the policy's coin flips (reproducible experiments).
+    /// Seed for the policy's coin flips (reproducible experiments). A
+    /// page's coins are a function of this seed, the page id, the coin and
+    /// how many coins the page has drawn, so the same seed gives every
+    /// page the same coins whatever thread draws them and in what order.
     pub seed: u64,
     /// Background maintenance tuning (the workers' wake-up period).
     pub maintenance: MaintenanceConfig,
@@ -340,7 +343,7 @@ impl BufferManagerConfigBuilder {
         self
     }
 
-    /// Seed the policy coin flips.
+    /// Seed the policy coin flips (see [`BufferManagerConfig::seed`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self

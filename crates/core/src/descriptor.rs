@@ -18,6 +18,7 @@
 //! move does device I/O, exclusive otherwise.
 
 use parking_lot::{Condvar, Mutex};
+use spitfire_sync::atomic::AtomicU32;
 use spitfire_sync::{CachePadded, PinWord, VersionLatch};
 
 use crate::types::{FrameId, PageId};
@@ -189,6 +190,11 @@ impl PageState {
 /// mutex beside it is taken by whoever writes the page anyway
 /// (`mark_dirty` takes it under the same write latch).
 ///
+/// The policy's draw count, [`draws`](Self::draws), shares that cold line
+/// with the latch. It is written only when a coin is actually drawn — an
+/// NVM hit, a miss, a dirty DRAM eviction, at a probability strictly
+/// between 0 and 1 — and never on a DRAM hit.
+///
 /// # Identity
 ///
 /// A pid's descriptor is created once, on the page's first fetch, and is
@@ -197,7 +203,9 @@ impl PageState {
 /// `simulate_crash` drops descriptors (the whole mapping table at once).
 /// The latch relies on this — whoever holds a pin on the page reaches the
 /// same latch word whichever tier the copy is in — and
-/// `descriptor_identity_survives_tier_moves` pins it.
+/// `descriptor_identity_survives_tier_moves` pins it. The draw count
+/// lives as long as the descriptor, so it too starts again at zero after
+/// a crash, as in a new process built with the same seed.
 #[derive(Debug)]
 pub(crate) struct SharedPageDesc {
     /// The logical page this descriptor tracks.
@@ -218,6 +226,9 @@ pub(crate) struct SharedPageDesc {
     /// the page across DRAM / NVM / SSD. Reached through
     /// [`PageGuard::latch`](crate::PageGuard::latch).
     pub latch: VersionLatch,
+    /// How many policy coins have been drawn for this page: the `n` of
+    /// its next coin ([`crate::policy::page_coin`]).
+    pub draws: AtomicU32,
 }
 
 impl SharedPageDesc {
@@ -230,6 +241,7 @@ impl SharedPageDesc {
             dram_pin: CachePadded::new(PinWord::new()),
             nvm_pin: CachePadded::new(PinWord::new()),
             latch: VersionLatch::new(),
+            draws: AtomicU32::new(0),
         }
     }
 
@@ -296,5 +308,8 @@ mod tests {
         let latch = std::ptr::addr_of!(d.latch) as usize / spitfire_sync::CACHE_LINE;
         assert_ne!(latch, a / spitfire_sync::CACHE_LINE);
         assert_ne!(latch, b / spitfire_sync::CACHE_LINE);
+        // Nor does the draw count: it shares the cold line with the latch.
+        let draws = std::ptr::addr_of!(d.draws) as usize / spitfire_sync::CACHE_LINE;
+        assert_eq!(draws, latch);
     }
 }

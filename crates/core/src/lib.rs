@@ -121,7 +121,7 @@ pub use error::BufferError;
 pub use guard::{PageGuard, ReadGuard, WriteGuard};
 pub use manager::{Admin, BufferManager, HomeFlush, MemoryPressure};
 pub use metrics::{MetricsSnapshot, ShadowPath};
-pub use policy::{MigrationPolicy, NvmAdmission, PolicyCell};
+pub use policy::{Coin, MigrationPolicy, NvmAdmission, PolicyCell};
 pub use types::{AccessIntent, FrameId, MigrationPath, PageId, Tier};
 
 /// Result alias for buffer manager operations.

@@ -18,6 +18,7 @@ use crate::config::{DRAM_LOW_WATERMARK, NVM_LOW_WATERMARK};
 use crate::descriptor::{CopyState, Dirt, FrameRef, PageState, SharedPageDesc};
 use crate::error::BufferError;
 use crate::io::{retry_device_io, retry_device_io_n, MAINT_RETRY_LIMIT};
+use crate::policy::Coin;
 use crate::types::{FrameId, MigrationPath, Tier};
 use crate::Result;
 
@@ -244,7 +245,7 @@ impl BufferManager {
                     .expect("queue exists when NVM pool exists")
                     .consider(desc.pid.0)
             } else {
-                self.policy.flip_nw_with(|| self.draw())
+                self.flip_coin(desc, Coin::Nw)
             };
         drop(st);
 

@@ -15,6 +15,7 @@ use super::{with_page_buf, BufferManager};
 use crate::descriptor::{CopyState, Dirt, FrameRef, SharedPageDesc};
 use crate::error::BufferError;
 use crate::guard::{GuardKind, PageGuard, ReadGuard, WriteGuard};
+use crate::policy::Coin;
 use crate::types::{AccessIntent, FrameId, MigrationPath, PageId, Tier};
 use crate::Result;
 
@@ -173,15 +174,10 @@ impl BufferManager {
             }
             // NVM copy: open implies Resident with no DRAM copy
             // shadowing it, so serving in place is consistent. The
-            // promotion coin is drawn here (lazily — degenerate
-            // probabilities skip the RNG); if it fires, the slow path
-            // executes the promotion with the draw already made.
+            // promotion coin is flipped here; if it fires, the slow path
+            // executes the promotion with the coin already drawn.
             if self.nvm.is_some() && desc.nvm_pin.is_open() {
-                let promote = self.tier1.is_some()
-                    && match intent {
-                        AccessIntent::Read => self.policy.flip_dr_with(|| self.draw()),
-                        AccessIntent::Write => self.policy.flip_dw_with(|| self.draw()),
-                    };
+                let promote = self.tier1.is_some() && self.flip_coin(desc, Coin::promotion(intent));
                 if promote {
                     return FastOutcome::Slow(Arc::clone(desc), Some(true));
                 }
@@ -256,13 +252,15 @@ impl BufferManager {
     /// the slow path with the coin already drawn, so the write lands on the
     /// promoted DRAM copy.
     pub(crate) fn upgrade<'a>(&'a self, guard: PageGuard<'a>) -> Result<PageGuard<'a>> {
+        let pid = guard.page_id();
         let promote = guard.tier() == Tier::Nvm
             && self.tier1.is_some()
-            && self.policy.flip_dw_with(|| self.draw());
+            && self
+                .with_desc(pid, |desc| self.flip_coin(desc, Coin::Dw))
+                .unwrap_or(false);
         if !promote {
             return Ok(guard);
         }
-        let pid = guard.page_id();
         drop(guard);
         let desc = self.descriptor(pid)?;
         self.fetch_slow(&desc, pid, AccessIntent::Write, Some(true), obs::op_start())
@@ -323,13 +321,9 @@ impl BufferManager {
                         // double draw would square the probability.
                         let want_promote = self.tier1.is_some()
                             && !shadowed
-                            && match promote_hint.take() {
-                                Some(p) => p,
-                                None => match intent {
-                                    AccessIntent::Read => self.policy.flip_dr_with(|| self.draw()),
-                                    AccessIntent::Write => self.policy.flip_dw_with(|| self.draw()),
-                                },
-                            };
+                            && promote_hint
+                                .take()
+                                .unwrap_or_else(|| self.flip_coin(desc, Coin::promotion(intent)));
                         // A promotion retires the NVM copy's word: skip it
                         // before any I/O while a guard holds the copy.
                         let promoting = want_promote && desc.nvm_pin.pins() == 0;
@@ -432,8 +426,8 @@ impl BufferManager {
                 (true, false) => true,
                 (false, true) => false,
                 (true, true) => match intent {
-                    AccessIntent::Read => !self.policy.flip_nr_with(|| self.draw()),
-                    AccessIntent::Write => self.policy.flip_dw_with(|| self.draw()),
+                    AccessIntent::Read => !self.flip_coin(desc, Coin::Nr),
+                    AccessIntent::Write => self.flip_coin(desc, Coin::Dw),
                 },
                 (false, false) => unreachable!("validated: at least one buffer"),
             };

@@ -1,5 +1,6 @@
 //! Write-backs that leave the page resident: the checkpointer's home
-//! flush and the catalog's single-page flush.
+//! flush, and the single-page `flush_page`, whose callers are the
+//! `migration` bench and core tests.
 
 use std::sync::Arc;
 

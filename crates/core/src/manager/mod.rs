@@ -60,8 +60,9 @@
 //! The `impl BufferManager` is split by concern across sibling files (the
 //! `fgops` precedent): `fetch` (hit fast path, mutex slow path, loads),
 //! `evict` (frame allocation, DRAM/NVM eviction, batched write-back),
-//! `flush` (the checkpoint's home flush and the catalog's single-page
-//! flush), `shadow` (the shadow claim/finish pair),
+//! `flush` (the checkpoint's home flush, and the single-page flush whose
+//! callers are the `migration` bench and core tests), `shadow` (the
+//! shadow claim/finish pair),
 //! `maintain` (watermark refill cycles, pressure probe), `recover` (crash
 //! simulation and NVM-scan recovery), `report` (gauges, obs export,
 //! quiescence assertions).
@@ -79,7 +80,6 @@ mod test_support;
 pub use flush::HomeFlush;
 pub use maintain::MemoryPressure;
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use spitfire_device::{DeviceError, DeviceStats, FaultInjector, NvmDevice, SsdDevice};
@@ -94,7 +94,7 @@ use crate::error::BufferError;
 use crate::fgpage::MiniSlabs;
 use crate::io::retry_device_io;
 use crate::metrics::{BufferMetrics, MetricsSnapshot};
-use crate::policy::{MigrationPolicy, PolicyCell};
+use crate::policy::{page_coin, Coin, MigrationPolicy, PolicyCell};
 use crate::pool::Pool;
 use crate::types::{PageId, Tier};
 use crate::Result;
@@ -115,14 +115,11 @@ pub struct BufferManager {
     admission: Option<AdmissionQueue>,
     pub(crate) metrics: Arc<BufferMetrics>,
     next_pid: AtomicU64,
-    /// This manager's id in per-thread caches and RNG streams.
+    /// This manager's id in the per-thread descriptor caches.
     mgr_id: u64,
     /// Bumped when the mapping table is discarded (`simulate_crash`) so
     /// per-thread descriptor caches drop entries for dead descriptors.
     cache_epoch: AtomicU64,
-    /// Ordinal handed to each thread's policy RNG on its first draw from
-    /// this manager (seeds stay deterministic per (seed, ordinal)).
-    rng_threads: AtomicU64,
     pub(crate) mini: Option<MiniSlabs>,
     /// Wake-up signal shared with an attached [`crate::Maintenance`] service;
     /// `None` until one is created.
@@ -186,7 +183,6 @@ impl BufferManager {
             // gives regardless of ordering.
             mgr_id: NEXT_MGR_ID.fetch_add(1, Ordering::Relaxed),
             cache_epoch: AtomicU64::new(0),
-            rng_threads: AtomicU64::new(0),
             mini,
             maint: RwLock::new(None),
             maint_active: AtomicBool::new(false),
@@ -285,36 +281,19 @@ impl BufferManager {
         self.nvm.as_ref().expect("NVM pool exists for this guard")
     }
 
-    /// Cheap uniform draw from a per-thread xorshift64* stream — no
-    /// shared cache line on the hot path (the old shared splitmix64
-    /// counter was a guaranteed cross-core bounce per draw).
-    ///
-    /// Each (manager, thread) pair gets an independent stream seeded from
-    /// `config.seed` and the order in which threads first draw from this
-    /// manager. A fresh manager re-issues ordinals from zero, so a
-    /// single-threaded run (the chaos explorer) sees an identical draw
-    /// sequence across managers built with the same seed — the
-    /// determinism `identical_configs_yield_identical_verdicts` relies
-    /// on.
-    fn draw(&self) -> u32 {
-        thread_local! {
-            /// (owning manager id, xorshift state).
-            static POLICY_RNG: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-        }
-        POLICY_RNG.with(|c| {
-            let (id, mut s) = c.get();
-            if id != self.mgr_id {
-                // relaxed: per-thread RNG seed ordinal; only uniqueness
-                // matters, not ordering against other memory.
-                let ord = self.rng_threads.fetch_add(1, Ordering::Relaxed);
-                // `| 1` keeps the xorshift state non-zero forever.
-                s = splitmix64(self.config.seed ^ splitmix64(ord)) | 1;
-            }
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            c.set((self.mgr_id, s));
-            (s.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32
+    /// Flip `coin` for `desc`'s page. A probability strictly between 0 and
+    /// 1 draws the page's next coin: it takes the page's draw count and
+    /// reads [`page_coin`] at it, so the outcome depends on the seed, the
+    /// page and how many coins the page has drawn, and on nothing any
+    /// thread did elsewhere. A degenerate probability draws nothing and
+    /// leaves the count alone.
+    fn flip_coin(&self, desc: &SharedPageDesc, coin: Coin) -> bool {
+        self.policy.flip(coin, || {
+            // relaxed: the count only numbers this page's draws; racing
+            // draws take distinct counts in either order, and the count
+            // orders no other memory.
+            let n = desc.draws.fetch_add(1, Ordering::Relaxed);
+            page_coin(self.config.seed, desc.pid.0, coin, n)
         })
     }
 
@@ -444,7 +423,8 @@ impl Admin<'_> {
     }
 
     /// Restore the page-id allocator after recovery (ids present only on
-    /// SSD are the caller's to account for, e.g. from a catalog page).
+    /// SSD are the caller's to account for, e.g. from the `next_page_id` a
+    /// checkpoint's manifest records).
     pub fn set_next_page_id(&self, next: u64) {
         self.bm.next_pid.fetch_max(next, Ordering::AcqRel);
     }
@@ -459,15 +439,6 @@ impl std::fmt::Debug for BufferManager {
             .field("pages", &self.page_count())
             .finish_non_exhaustive()
     }
-}
-
-/// SplitMix64 scrambler: seeds the per-thread policy RNG streams with
-/// well-mixed, pairwise-independent states.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Run `f` with a thread-local scratch buffer of `len` bytes. Re-entrant:

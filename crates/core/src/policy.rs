@@ -22,6 +22,8 @@ use spitfire_sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+use crate::types::AccessIntent;
+
 /// Fixed-point denominator for probabilities stored in atomics.
 const SCALE: u32 = 1_000_000;
 
@@ -34,6 +36,49 @@ pub enum NvmAdmission {
     /// paper §2.1). The queue capacity is half the NVM buffer's page count
     /// (§6.5).
     Queue,
+}
+
+/// One of the policy's four coins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Coin {
+    /// NVM→DRAM promotion on read (§3.1).
+    Dr,
+    /// Routing a write through DRAM (§3.2).
+    Dw,
+    /// SSD→NVM admission on a read miss (§3.3).
+    Nr,
+    /// DRAM→NVM admission on a dirty eviction (§3.4).
+    Nw,
+}
+
+impl Coin {
+    /// The coin that decides whether an access with `intent` promotes an
+    /// NVM-resident page to DRAM: D_r for a read, D_w for a write.
+    pub fn promotion(intent: AccessIntent) -> Self {
+        match intent {
+            AccessIntent::Read => Coin::Dr,
+            AccessIntent::Write => Coin::Dw,
+        }
+    }
+}
+
+/// The uniform value of the `n`-th coin drawn for page `pid`: a pure
+/// function of the seed, the page, the coin and the page's own draw count.
+/// No other page's draws and no thread's history can move it, so every
+/// page sees the same sequence of independent Bernoulli trials (§3)
+/// whichever thread draws and whatever else it drew before.
+pub(crate) fn page_coin(seed: u64, pid: u64, coin: Coin, n: u32) -> u32 {
+    let page = splitmix64(seed ^ splitmix64(pid));
+    (splitmix64(page ^ ((coin as u64) << 32 | u64::from(n))) >> 32) as u32
+}
+
+/// SplitMix64 finalizer: a bijection on `u64` whose every output bit
+/// depends on every input bit.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// A data migration policy ⟨D_r, D_w, N_r, N_w⟩.
@@ -119,8 +164,8 @@ impl std::fmt::Display for MigrationPolicy {
 /// Lock-free cell holding the active policy so that the adaptive tuner
 /// (paper §4) can swap it while worker threads are running.
 ///
-/// Probabilities are stored as fixed-point millionths; coin flips compare a
-/// uniform `u32` draw against the threshold, keeping the per-access policy
+/// Probabilities are stored as fixed-point millionths; a coin flip compares
+/// a uniform `u32` against the threshold, keeping the per-access policy
 /// overhead to one atomic load.
 #[derive(Debug)]
 pub struct PolicyCell {
@@ -184,79 +229,29 @@ impl PolicyCell {
         }
     }
 
+    /// Flip `coin` against the active policy. `roll` yields a uniform
+    /// `u32` and is called only when the coin's probability lies strictly
+    /// between 0 and 1 (policy-draw elision): the degenerate probabilities
+    /// that dominate hot paths (⟨0,0,·,·⟩ measurement configs, the eager
+    /// ⟨1,1,1,1⟩ preset) need no randomness, so they draw nothing.
     #[inline]
-    fn flip(threshold: &AtomicU32, draw: u32) -> bool {
+    pub fn flip(&self, coin: Coin, roll: impl FnOnce() -> u32) -> bool {
+        let threshold = match coin {
+            Coin::Dr => &self.dr,
+            Coin::Dw => &self.dw,
+            Coin::Nr => &self.nr,
+            Coin::Nw => &self.nw,
+        };
         // relaxed: a coin flip against a possibly-stale threshold is still
         // a valid draw from either the old or new policy.
         let t = threshold.load(Ordering::Relaxed);
-        // draw is uniform in [0, SCALE); t == SCALE always passes.
-        draw % SCALE < t
-    }
-
-    /// Coin flip for `D_r` given a uniform random `draw`.
-    #[inline]
-    pub fn flip_dr(&self, draw: u32) -> bool {
-        Self::flip(&self.dr, draw)
-    }
-
-    /// Coin flip for `D_w`.
-    #[inline]
-    pub fn flip_dw(&self, draw: u32) -> bool {
-        Self::flip(&self.dw, draw)
-    }
-
-    /// Coin flip for `N_r`.
-    #[inline]
-    pub fn flip_nr(&self, draw: u32) -> bool {
-        Self::flip(&self.nr, draw)
-    }
-
-    /// Coin flip for `N_w`.
-    #[inline]
-    pub fn flip_nw(&self, draw: u32) -> bool {
-        Self::flip(&self.nw, draw)
-    }
-
-    #[inline]
-    fn flip_with(threshold: &AtomicU32, draw: impl FnOnce() -> u32) -> bool {
-        // relaxed: same stale-threshold argument as `flip`.
-        let t = threshold.load(Ordering::Relaxed);
-        // Policy-draw elision: degenerate probabilities are the common
-        // case on hot paths (⟨0,0,·,·⟩ measurement configs, the eager
-        // ⟨1,1,1,1⟩ preset), and their outcome needs no randomness — skip
-        // the RNG entirely.
         if t == 0 {
             return false;
         }
         if t >= SCALE {
             return true;
         }
-        draw() % SCALE < t
-    }
-
-    /// Coin flip for `D_r`, drawing lazily: `draw` is only invoked when
-    /// the probability is strictly between 0 and 1.
-    #[inline]
-    pub fn flip_dr_with(&self, draw: impl FnOnce() -> u32) -> bool {
-        Self::flip_with(&self.dr, draw)
-    }
-
-    /// Coin flip for `D_w` with a lazy draw.
-    #[inline]
-    pub fn flip_dw_with(&self, draw: impl FnOnce() -> u32) -> bool {
-        Self::flip_with(&self.dw, draw)
-    }
-
-    /// Coin flip for `N_r` with a lazy draw.
-    #[inline]
-    pub fn flip_nr_with(&self, draw: impl FnOnce() -> u32) -> bool {
-        Self::flip_with(&self.nr, draw)
-    }
-
-    /// Coin flip for `N_w` with a lazy draw.
-    #[inline]
-    pub fn flip_nw_with(&self, draw: impl FnOnce() -> u32) -> bool {
-        Self::flip_with(&self.nw, draw)
+        roll() % SCALE < t
     }
 
     /// Whether the queue mechanism decides NVM admission.
@@ -317,34 +312,83 @@ mod tests {
     #[test]
     fn flips_respect_thresholds() {
         let cell = PolicyCell::new(MigrationPolicy::new(0.0, 1.0, 0.5, 0.25));
-        // dr = 0: never fires.
-        for draw in [0u32, 1, 999_999, u32::MAX] {
-            assert!(!cell.flip_dr(draw));
+        // Intermediate probabilities compare the roll with the threshold.
+        for (roll, nr, nw) in [
+            (0u32, true, true),
+            (249_999, true, true),
+            (250_000, true, false),
+            (499_999, true, false),
+            (500_000, false, false),
+            (999_999, false, false),
+            (1_000_000, true, true),
+        ] {
+            assert_eq!(cell.flip(Coin::Nr, || roll), nr, "roll {roll}");
+            assert_eq!(cell.flip(Coin::Nw, || roll), nw, "roll {roll}");
         }
-        // dw = 1: always fires.
-        for draw in [0u32, 1, 999_999, u32::MAX] {
-            assert!(cell.flip_dw(draw));
-        }
-        // nr = 0.5: empirical frequency close to half.
-        let hits = (0..1_000_000u32)
-            .filter(|&d| cell.flip_nr(d.wrapping_mul(2_654_435_761)))
-            .count();
-        let freq = hits as f64 / 1_000_000.0;
-        assert!((freq - 0.5).abs() < 0.01, "freq {freq}");
     }
 
     #[test]
     fn lazy_flips_elide_degenerate_draws() {
-        let cell = PolicyCell::new(MigrationPolicy::new(0.0, 1.0, 0.5, 0.25));
-        // dr = 0 and dw = 1: decided without consuming a draw.
-        assert!(!cell.flip_dr_with(|| panic!("draw for p = 0")));
-        assert!(cell.flip_dw_with(|| panic!("draw for p = 1")));
-        // Intermediate probabilities still draw and agree with the eager
-        // variants.
-        for d in [0u32, 250_000, 499_999, 500_000, 999_999, u32::MAX] {
-            assert_eq!(cell.flip_nr_with(|| d), cell.flip_nr(d));
-            assert_eq!(cell.flip_nw_with(|| d), cell.flip_nw(d));
+        let cell = PolicyCell::new(MigrationPolicy::new(0.0, 1.0, 0.0, 1.0));
+        // p = 0 and p = 1: decided without rolling.
+        assert!(!cell.flip(Coin::Dr, || panic!("roll for p = 0")));
+        assert!(cell.flip(Coin::Dw, || panic!("roll for p = 1")));
+        assert!(!cell.flip(Coin::Nr, || panic!("roll for p = 0")));
+        assert!(cell.flip(Coin::Nw, || panic!("roll for p = 1")));
+    }
+
+    /// Heads among `flips` coins at probability `p` lie within 5σ of the
+    /// binomial mean.
+    fn assert_binomial(heads: usize, flips: usize, p: f64, what: &str) {
+        let mean = flips as f64 * p;
+        let sigma = (flips as f64 * p * (1.0 - p)).sqrt();
+        assert!(
+            (heads as f64 - mean).abs() <= 5.0 * sigma,
+            "{what}: {heads} heads in {flips} flips at p = {p} (mean {mean:.0}, σ {sigma:.1})"
+        );
+    }
+
+    const SEED: u64 = 0x5f17f17e;
+    const COINS: [Coin; 4] = [Coin::Dr, Coin::Dw, Coin::Nr, Coin::Nw];
+
+    #[test]
+    fn page_coins_land_heads_at_the_policys_rate() {
+        for p in [0.01, 0.2, 0.5] {
+            let cell = PolicyCell::new(MigrationPolicy::new(p, p, p, p));
+            for coin in COINS {
+                // 1 000 pages × their first 100 draws.
+                let heads = (0..1_000u64)
+                    .flat_map(|pid| (0..100u32).map(move |n| (pid, n)))
+                    .filter(|&(pid, n)| cell.flip(coin, || page_coin(SEED, pid, coin, n)))
+                    .count();
+                assert_binomial(heads, 100_000, p, &format!("{coin:?} over pages × counts"));
+                // The first draw of 100 000 consecutive pages.
+                let heads = (0..100_000u64)
+                    .filter(|&pid| cell.flip(coin, || page_coin(SEED, pid, coin, 0)))
+                    .count();
+                assert_binomial(heads, 100_000, p, &format!("{coin:?} over first draws"));
+            }
         }
+    }
+
+    #[test]
+    fn a_page_coin_depends_on_every_input() {
+        let base = page_coin(SEED, 7, Coin::Dr, 3);
+        assert_eq!(base, page_coin(SEED, 7, Coin::Dr, 3));
+        for other in [
+            page_coin(SEED + 1, 7, Coin::Dr, 3),
+            page_coin(SEED, 8, Coin::Dr, 3),
+            page_coin(SEED, 7, Coin::Dw, 3),
+            page_coin(SEED, 7, Coin::Dr, 4),
+        ] {
+            assert_ne!(base, other);
+        }
+    }
+
+    #[test]
+    fn promotion_coin_follows_the_intent() {
+        assert_eq!(Coin::promotion(AccessIntent::Read), Coin::Dr);
+        assert_eq!(Coin::promotion(AccessIntent::Write), Coin::Dw);
     }
 
     #[test]

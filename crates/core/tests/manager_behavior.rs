@@ -758,6 +758,112 @@ fn hint_dirt_moves_to_nvm_like_data_and_never_to_ssd() {
     }
 }
 
+/// `manager`, with the policy coins seeded by `seed`.
+fn seeded_manager(
+    dram_pages: usize,
+    nvm_pages: usize,
+    policy: MigrationPolicy,
+    seed: u64,
+) -> BufferManager {
+    let config = BufferManagerConfig::builder()
+        .page_size(PAGE)
+        .dram_capacity(dram_pages * PAGE)
+        .nvm_capacity(nvm_pages * (PAGE + 64))
+        .policy(policy)
+        .seed(seed)
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    BufferManager::new(config).unwrap()
+}
+
+#[test]
+fn a_pages_coins_ignore_other_pages_draws() {
+    // P and three unrelated pages sit on NVM under D_r = 0.5. One manager
+    // reads only P; the other reads the unrelated pages (each read of one
+    // still on NVM draws a D_r coin) before every read of P. P's coins are
+    // its own, so it is promoted at the same read in both, on every seed.
+    let promoted_at = |seed: u64, noise: bool| {
+        let bm = seeded_manager(8, 8, MigrationPolicy::new(0.0, 0.0, 1.0, 1.0), seed);
+        let pages: Vec<PageId> = (0..4).map(|_| bm.allocate_page().unwrap()).collect();
+        let (p, others) = (pages[0], &pages[1..]);
+        for &pid in &pages {
+            assert_eq!(bm.fetch_read(pid).unwrap().tier(), Tier::Nvm);
+        }
+        bm.admin()
+            .set_policy(MigrationPolicy::new(0.5, 0.0, 1.0, 1.0));
+        let at = (1..=64)
+            .find(|_| {
+                if noise {
+                    for &q in others {
+                        drop(bm.fetch_read(q).unwrap());
+                    }
+                }
+                bm.fetch_read(p).unwrap().tier() == Tier::Dram
+            })
+            .expect("a fair coin lands heads within 64 flips");
+        let noise_promotions = others.iter().filter(|&&q| bm.is_dram_resident(q)).count();
+        (at, noise_promotions)
+    };
+    let mut compared = 0;
+    for seed in 1..=8 {
+        let (quiet, _) = promoted_at(seed, false);
+        let (noisy, promoted) = promoted_at(seed, true);
+        assert_eq!(noisy, quiet, "seed {seed}");
+        assert!(promoted > 0, "seed {seed}: no unrelated page drew heads");
+        // A promotion at the first read compares no shifted coin.
+        compared += usize::from(quiet > 1);
+    }
+    assert!(
+        compared > 0,
+        "P was promoted at its first read on every seed"
+    );
+}
+
+#[test]
+fn thread_order_does_not_move_any_pages_coins() {
+    // Two threads read disjoint halves of 16 pages, one after the other,
+    // under coins that every read draws (N_r and D_r strictly between 0
+    // and 1). Nothing is evicted, so each page's tier is decided by its
+    // own coins alone: the other order, on a fresh manager with the same
+    // seed, leaves every page where it was.
+    let run = |order: [usize; 2]| {
+        let bm = manager(16, 32, MigrationPolicy::new(0.3, 0.0, 0.5, 1.0));
+        let pages: Vec<PageId> = (0..16).map(|_| bm.allocate_page().unwrap()).collect();
+        let halves = [&pages[..8], &pages[8..]];
+        std::thread::scope(|s| {
+            for half in order {
+                let (bm, half) = (&bm, halves[half]);
+                s.spawn(move || {
+                    for _ in 0..6 {
+                        for &pid in half {
+                            drop(bm.fetch_read(pid).unwrap());
+                        }
+                    }
+                })
+                .join()
+                .unwrap();
+            }
+        });
+        let m = bm.metrics();
+        let paths = [
+            MigrationPath::SsdToNvm,
+            MigrationPath::SsdToDram,
+            MigrationPath::NvmToDram,
+        ]
+        .map(|path| m.path(path));
+        let tiers: Vec<bool> = pages.iter().map(|&pid| bm.is_dram_resident(pid)).collect();
+        (tiers, paths)
+    };
+    let (tiers, paths) = run([0, 1]);
+    assert_eq!(run([1, 0]), (tiers.clone(), paths));
+    assert!(
+        paths.iter().all(|&n| n > 0),
+        "every coin-driven path is taken: {paths:?}"
+    );
+    assert!(tiers.contains(&true) && tiers.contains(&false));
+}
+
 #[test]
 fn upgrade_draws_one_dw_before_a_hint_write_as_before_a_data_write() {
     // D_w = 0.5 draws a real coin; D_r = 0 draws none. Each access is one
